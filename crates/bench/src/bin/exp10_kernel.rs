@@ -16,25 +16,33 @@
 //!   fast kernel; tracked via the absolute edges/sec floor below).
 //! * **flood** — unlearned destinations fan every frame out to all other
 //!   ports as refcount bumps on one shared buffer (`pool_cow_copies`
-//!   stays 0). Nearly every edge e carries real work on *some* module, so
-//!   per-edge time-blocking has little to skip — the win here comes from
-//!   the fused dispatcher serving cached activity bounds instead of
-//!   re-probing every module on every edge (floor 1.2× naive).
+//!   stays 0). Egress is 3:1 oversubscribed, so the output queues spend
+//!   the run back-pressured behind full FIFOs whose TX MACs are
+//!   time-blocked; a stalled module is quiescent, so the fast kernel
+//!   steps only the edges on which a word can move (at most a quarter of
+//!   them, asserted on exact counters; floor 1.2× naive wall-clock).
 //!
 //! Emits the standard table + `@json` rows, and writes the rows to
 //! `BENCH_kernel.json` for the documentation tables. Pass `--quick` for
-//! the CI smoke: smaller workloads, same floors.
+//! the CI smoke: smaller workloads, same floors. Built with
+//! `--features netfpga-core/paranoid` the run is a contract check, not a
+//! measurement: the exact-counter bars still hold, the wall-clock floors
+//! are skipped and no artifact is written.
 
 use netfpga_bench::kernel::{
     flood, flood_tap, idle_heavy, saturated, saturated_tap, KernelConfig, KernelRun,
 };
 use netfpga_bench::report::best_of;
 use netfpga_bench::Table;
+use netfpga_core::sim::PARANOID;
 
 /// PR 1's saturated fast-kernel edges/sec on the reference container
 /// (BENCH_kernel.json, commit 6ed9348). The zero-copy buffer plane plus
 /// time-blocked fast-forward must at least double it.
 const PR1_SAT_FAST_EDGES_PER_SEC: f64 = 10_477_022.0;
+
+/// Fast-over-naive floor on the flood workload, quick or full.
+const FLOOD_FLOOR: f64 = 1.2;
 
 fn push(t: &mut Table, workload: &str, kernel: &str, run: &KernelRun, speedup: f64) {
     t.row(&[
@@ -115,7 +123,7 @@ fn main() {
         |round, bests| {
             let tap_ratio = bests[1].edges_per_sec() / bests[0].edges_per_sec();
             let vs_pr1 = bests[0].edges_per_sec() / PR1_SAT_FAST_EDGES_PER_SEC;
-            round >= 2 && tap_ratio >= 0.96 && vs_pr1 >= 2.1
+            round >= 2 && (PARANOID || (tap_ratio >= 0.96 && vs_pr1 >= 2.1))
         },
         24,
     );
@@ -144,9 +152,9 @@ fn main() {
     );
     push(&mut t, "saturated", "fast+tap", &sat_tap, tap_ratio);
 
-    // The flood triple decides the cached-bound floor (1.2×), so measure
-    // it interleaved best-of like the saturated pair.
-    let flood_target = if quick { 1.3 } else { 1.05 };
+    // The flood triple decides the flood floor, so measure it interleaved
+    // best-of like the saturated pair.
+    let flood_target = FLOOD_FLOOR + 0.1;
     let mut run_flood_naive = || flood(KernelConfig::Naive, flood_frames);
     let mut run_flood_fast = || flood(KernelConfig::Fast, flood_frames);
     let mut run_flood_tap = || flood_tap(flood_frames);
@@ -160,7 +168,7 @@ fn main() {
         |round, bests| {
             let speedup = bests[1].edges_per_sec() / bests[0].edges_per_sec();
             let tap_ratio = bests[2].edges_per_sec() / bests[1].edges_per_sec();
-            round >= 2 && speedup >= flood_target && tap_ratio >= 0.9
+            round >= 2 && (PARANOID || (speedup >= flood_target && tap_ratio >= 0.9))
         },
         24,
     );
@@ -191,12 +199,48 @@ fn main() {
     push(&mut t, "flood", "fast+tap", &flood_tapped, flood_tap_ratio);
 
     t.print();
+
+    // Exact-counter bars, true of any build: flooded fan-out never falls
+    // back to deep copies (tapped or not), the scan reference never
+    // caches, the fused dispatcher does.
+    assert_eq!(
+        flood_naive.cow_copies, 0,
+        "flood fan-out must be clone-free"
+    );
+    assert_eq!(flood_fast.cow_copies, 0, "flood fan-out must be clone-free");
+    assert_eq!(
+        flood_tapped.cow_copies, 0,
+        "tap inspection must stay zero-copy"
+    );
+    assert_eq!(
+        flood_naive.probes_avoided, 0,
+        "scan reference must not cache"
+    );
+    assert!(
+        flood_fast.probes_avoided > flood_fast.steps,
+        "fused dispatch should avoid at least one probe per executed edge on average"
+    );
+    // Stalled is not active: the output queues sit behind full egress
+    // FIFOs whose TX MACs are time-blocked, so a flood must not be
+    // stepped edge by edge (26 007 of 40 000 before the stall rules).
+    assert!(
+        flood_fast.steps <= flood_fast.edges / 4,
+        "stalled flood stepped {} of {} edges (bar: a quarter)",
+        flood_fast.steps,
+        flood_fast.edges
+    );
+    if PARANOID {
+        println!(
+            "ok (paranoid build): counter bars hold and no module's classification drifted; \
+             wall-clock floors skipped, BENCH_kernel.json not written"
+        );
+        return;
+    }
     t.write_json("BENCH_kernel.json")
         .expect("write BENCH_kernel.json");
 
-    // Acceptance bars: >= 2x on idle-heavy; saturated fast must at least
-    // double PR 1's fast kernel (zero-copy + time-blocked fast-forward);
-    // flooded fan-out must never fall back to deep copies.
+    // Wall-clock floors: >= 2x on idle-heavy; saturated fast must at least
+    // double PR 1's fast kernel (zero-copy + time-blocked fast-forward).
     assert!(
         idle_speedup >= 2.0,
         "idle-heavy speedup {idle_speedup:.2}x < 2x"
@@ -211,52 +255,23 @@ fn main() {
         "saturated fast {:.0} edges/s < 2x PR1 fast ({PR1_SAT_FAST_EDGES_PER_SEC:.0})",
         sat_fast.edges_per_sec()
     );
-    assert_eq!(
-        flood_naive.cow_copies, 0,
-        "flood fan-out must be clone-free"
-    );
-    assert_eq!(flood_fast.cow_copies, 0, "flood fan-out must be clone-free");
-    // Flood floor (quick/CI workload): a burst flood leaves the fused
-    // dispatcher's cached bounds enough tail to skip, so the fast kernel
-    // must be clearly ahead. The full-length sustained flood keeps ~85 %
-    // of edges genuinely busy and only has to stay at or above parity —
-    // recorded, not asserted.
-    if quick {
-        assert!(
-            flood_speedup >= 1.2,
-            "flood speedup {flood_speedup:.2}x < 1.2x (cached bounds regressed)"
-        );
-    } else {
-        assert!(
-            flood_speedup >= 0.95,
-            "flood regression: {flood_speedup:.2}x vs naive"
-        );
-    }
-    assert_eq!(
-        flood_naive.probes_avoided, 0,
-        "scan reference must not cache"
-    );
+    // Flood floor: with the stalled stretches skipped the fast kernel must
+    // be clearly ahead of the stepper at either size.
     assert!(
-        flood_fast.probes_avoided > flood_fast.steps,
-        "fused dispatch should avoid at least one probe per executed edge on average"
+        flood_speedup >= FLOOD_FLOOR,
+        "flood speedup {flood_speedup:.2}x < {FLOOD_FLOOR}x (stall skipping regressed)"
     );
-    // Flow-monitoring overhead bars: the tap inspects every word of
+    // Flow-monitoring overhead bar: the tap inspects every word of
     // saturated traffic yet must keep >= 0.95x of the untapped fast
-    // kernel's throughput, and its zero-copy inspection must survive the
-    // flood's 3:1 fan-out without a single buffer materialization.
+    // kernel's throughput.
     assert!(
         tap_ratio >= 0.95,
         "flowmon tap overhead too high: {tap_ratio:.2}x of untapped fast"
     );
-    assert_eq!(
-        flood_tapped.cow_copies, 0,
-        "tap inspection must stay zero-copy"
-    );
-    let flood_floor = if quick { 1.2 } else { 0.95 };
     println!(
         "ok: idle-heavy {idle_speedup:.1}x, saturated {sat_speedup:.2}x vs naive, \
          {sat_vs_pr1:.2}x vs PR1 fast (floors 2.0x / 0.95x / 2.0x), \
-         flood {flood_speedup:.2}x (floor {flood_floor}x) cow=0, \
+         flood {flood_speedup:.2}x (floor {FLOOD_FLOOR}x) cow=0, \
          tap {tap_ratio:.2}x (floor 0.95x) flood-tap cow=0"
     );
 }

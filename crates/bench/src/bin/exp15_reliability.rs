@@ -51,6 +51,7 @@ fn main() {
             "abandoned",
             "fault_tx_dropped",
             "bites",
+            "pre_wedge_bites",
             "bite_ns",
         ],
     );
@@ -78,6 +79,7 @@ fn main() {
             r.abandoned.to_string(),
             r.fault_tx_dropped.to_string(),
             r.bites.to_string(),
+            r.pre_wedge_bites.to_string(),
             r.bite_latency_ns
                 .map_or_else(|| "-".to_string(), |v| v.to_string()),
         ]);
@@ -92,7 +94,17 @@ fn main() {
             assert!(r.retries > 0, "drop windows must force retries");
         }
         if wedge {
-            assert!(r.bites >= 1, "a wedge only yields to the watchdog");
+            assert!(
+                r.bites > r.pre_wedge_bites,
+                "a wedge only yields to the watchdog: {r:?}"
+            );
+            // The wedge's bite cannot beat the deadline: the no-progress
+            // count starts at the first descriptor stuck behind the wedge.
+            let latency = r.bite_latency_ns.expect("wedge point must bite");
+            assert!(
+                latency >= point.watchdog_deadline_cycles * 5,
+                "bite {latency} ns after the wedge is inside the deadline: {r:?}"
+            );
         } else {
             assert_eq!(r.bites, 0, "no bite without a wedge (deadline is generous)");
         }

@@ -1,12 +1,15 @@
 //! Profiling helper: run one kernel workload long enough for a sampling
-//! profiler to see it, and print the step/skip split. Not an experiment;
-//! produces no JSON.
+//! profiler to see it, and print the step/skip split plus, per module, the
+//! ticks executed against the edges of its clock domain — a module that
+//! ticks on nearly every edge of a congested run is one whose stall the
+//! activity contract does not yet express. Not an experiment; produces no
+//! JSON.
 //!
 //! ```text
 //! prof_kernel [naive|fast] [idle|sat|flood] [n]
 //! ```
 
-use netfpga_bench::kernel::{flood, idle_heavy, saturated, KernelConfig};
+use netfpga_bench::kernel::{run_keeping_switch, KernelConfig, Workload};
 
 fn phases(nframes: u32) {
     use netfpga_core::board::BoardSpec;
@@ -70,11 +73,12 @@ fn main() {
         return;
     }
     let n: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(20_000);
-    let run = match workload.as_str() {
-        "idle" => idle_heavy(config, n),
-        "flood" => flood(config, n),
-        _ => saturated(config, n),
+    let which = match workload.as_str() {
+        "idle" => Workload::IdleHeavy,
+        "flood" => Workload::Flood,
+        _ => Workload::Saturated,
     };
+    let (run, sw) = run_keeping_switch(config, which, n);
     println!(
         "{} {}: edges={} steps={} ({:.1}% stepped) frames={} cow={} wall={:?} edges/s={:.0} frames/s={:.0}",
         config.label(),
@@ -88,4 +92,18 @@ fn main() {
         run.edges_per_sec(),
         run.frames_per_sec()
     );
+    // The whole chassis shares the core clock, so every module's ticks are
+    // out of the same edge count (both since construction, teaching
+    // included).
+    let edges = sw.chassis.sim.cycles(sw.chassis.clk);
+    println!(
+        "{:<24} {:>12} {:>8}   of {edges} core edges",
+        "module", "ticks", "share"
+    );
+    for (name, ticks) in sw.chassis.sim.module_ticks() {
+        println!(
+            "{name:<24} {ticks:>12} {:>7.1}%",
+            100.0 * ticks as f64 / edges.max(1) as f64
+        );
+    }
 }

@@ -192,11 +192,45 @@ impl RunBase {
     }
 }
 
+/// One of the three bracketing workloads, for callers that pick by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// [`idle_heavy`]; `n` is rounds.
+    IdleHeavy,
+    /// [`saturated`]; `n` is frames per direction.
+    Saturated,
+    /// [`flood`]; `n` is frames.
+    Flood,
+}
+
+/// Run `workload` at size `n` and hand back the switch it ran on as well,
+/// so the caller can look inside afterwards — `prof_kernel` prints its
+/// [`netfpga_core::sim::Simulator::module_ticks`] table from it.
+pub fn run_keeping_switch(
+    config: KernelConfig,
+    workload: Workload,
+    n: u32,
+) -> (KernelRun, ReferenceSwitch) {
+    let mut sw = match workload {
+        Workload::Flood => switch(config),
+        Workload::IdleHeavy | Workload::Saturated => learned_switch(config),
+    };
+    let run = match workload {
+        Workload::IdleHeavy => idle_heavy_on(&mut sw, n),
+        Workload::Saturated => saturated_on(&mut sw, n),
+        Workload::Flood => flood_on(&mut sw, n),
+    };
+    (run, sw)
+}
+
 /// Idle-heavy workload: `rounds` rounds of 4 unicast frames (one per
 /// port) followed by a 50 µs silent gap — well over 90 % idle edges.
 pub fn idle_heavy(config: KernelConfig, rounds: u32) -> KernelRun {
-    let mut sw = learned_switch(config);
-    let base = RunBase::begin(&sw);
+    run_keeping_switch(config, Workload::IdleHeavy, rounds).0
+}
+
+fn idle_heavy_on(sw: &mut ReferenceSwitch, rounds: u32) -> KernelRun {
+    let base = RunBase::begin(sw);
     let mut frames = 0u64;
     for _ in 0..rounds {
         for p in 0..4u8 {
@@ -209,20 +243,23 @@ pub fn idle_heavy(config: KernelConfig, rounds: u32) -> KernelRun {
             frames += sw.chassis.recv(p).len() as u64;
         }
     }
-    base.finish(&sw, frames)
+    base.finish(sw, frames)
 }
 
 /// Saturated workload: `nframes` 300-byte frames per direction on two
 /// port pairs, injected back to back so the wires never go idle until the
 /// tail drains.
 pub fn saturated(config: KernelConfig, nframes: u32) -> KernelRun {
-    let mut sw = learned_switch(config);
+    run_keeping_switch(config, Workload::Saturated, nframes).0
+}
+
+fn saturated_on(sw: &mut ReferenceSwitch, nframes: u32) -> KernelRun {
     // One template frame per flow, cloned per injection: a tester feeding
     // the same stimulus at line rate bumps a refcount instead of building
     // and copying a fresh payload every time.
     let f01: pktbuf::PktBuf = frame(1, 2, 300).into(); // port 0 -> port 1
     let f23: pktbuf::PktBuf = frame(3, 4, 300).into(); // port 2 -> port 3
-    let base = RunBase::begin(&sw);
+    let base = RunBase::begin(sw);
     for _ in 0..nframes {
         sw.chassis.send(0, f01.clone());
         sw.chassis.send(2, f23.clone());
@@ -241,7 +278,7 @@ pub fn saturated(config: KernelConfig, nframes: u32) -> KernelRun {
             break;
         }
     }
-    base.finish(&sw, frames)
+    base.finish(sw, frames)
 }
 
 /// Flood workload: `nframes` back-to-back unknown-unicast frames into an
@@ -249,7 +286,10 @@ pub fn saturated(config: KernelConfig, nframes: u32) -> KernelRun {
 /// broadcast shape. One ingress frame becomes three egress frames whose
 /// payloads share one refcounted buffer.
 pub fn flood(config: KernelConfig, nframes: u32) -> KernelRun {
-    let mut sw = switch(config);
+    run_keeping_switch(config, Workload::Flood, nframes).0
+}
+
+fn flood_on(sw: &mut ReferenceSwitch, nframes: u32) -> KernelRun {
     // Source MACs rotate over a reserved range never used as a
     // destination, keeping every lookup a miss; the destination station
     // 0xee does not exist anywhere. Template frames are cloned per
@@ -258,7 +298,7 @@ pub fn flood(config: KernelConfig, nframes: u32) -> KernelRun {
     let templates: Vec<pktbuf::PktBuf> = (0..8u8)
         .map(|s| frame(0x40 + s, 0xee, 300).into())
         .collect();
-    let base = RunBase::begin(&sw);
+    let base = RunBase::begin(sw);
     for i in 0..nframes {
         sw.chassis
             .send((i % 4) as usize, templates[(i % 8) as usize].clone());
@@ -277,7 +317,7 @@ pub fn flood(config: KernelConfig, nframes: u32) -> KernelRun {
             break;
         }
     }
-    base.finish(&sw, frames)
+    base.finish(sw, frames)
 }
 
 /// Saturated workload on the fast kernel with the reliable host-I/O
@@ -431,6 +471,23 @@ mod tests {
         let tapped = flood_tap(20);
         assert_eq!(plain.frames, tapped.frames);
         assert_eq!(tapped.cow_copies, 0, "tap inspection must not copy");
+    }
+
+    /// Stalled is not active, pinned with exact counters: under the 3:1
+    /// oversubscribed flood the output queues sit behind full egress FIFOs
+    /// whose TX MACs are time-blocked, so the fast kernel executes at most
+    /// a quarter of the edges (26 007 of 40 000 before the stall rules;
+    /// same workload as `exp10_kernel --quick`).
+    #[test]
+    fn fast_kernel_skips_the_stalled_flood() {
+        let fast = flood(KernelConfig::Fast, 700);
+        assert_eq!(fast.frames, 2100);
+        assert!(
+            fast.steps <= fast.edges / 4,
+            "stalled flood must not be stepped: {} of {} edges",
+            fast.steps,
+            fast.edges
+        );
     }
 
     /// The naive kernel steps every edge; the fast kernel must skip a

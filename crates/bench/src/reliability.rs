@@ -81,8 +81,13 @@ pub struct ReliabilityRunResult {
     pub fault_tx_dropped: u64,
     /// Watchdog bites.
     pub bites: u64,
-    /// Wedge injection to the first watchdog bite, in nanoseconds
-    /// (wedge points only).
+    /// Bites that fired before [`WEDGE_AT_US`]: with a deadline shorter
+    /// than the stall windows (the wedge rows' 1000 cycles = 5 µs against
+    /// a 40 µs stall opening at 30 µs) the watchdog rightly bites a stall
+    /// first — those are not the wedge's.
+    pub pre_wedge_bites: u64,
+    /// Wedge injection to the first watchdog bite at or after it, in
+    /// nanoseconds (wedge points only).
     pub bite_latency_ns: Option<u64>,
     /// The applied-fault trace (determinism witness).
     pub trace: Vec<TraceEntry>,
@@ -194,13 +199,21 @@ pub fn reliability_nic(point: ReliabilityPoint) -> ReliabilityRunResult {
         }
     }
 
-    let bite_latency_ns = nic
+    let wedge_at = Time::from_us(WEDGE_AT_US);
+    let bite_times: Vec<Time> = nic
         .chassis
         .events
         .pending()
         .iter()
-        .find(|e| e.kind == EventKind::WatchdogBite)
-        .map(|e| e.at.saturating_sub(Time::from_us(WEDGE_AT_US)).as_ns());
+        .filter(|e| e.kind == EventKind::WatchdogBite)
+        .map(|e| e.at)
+        .collect();
+    let pre_wedge_bites = bite_times.iter().filter(|&&at| at < wedge_at).count() as u64;
+    let bite_latency_ns = bite_times
+        .iter()
+        .find(|&&at| at >= wedge_at)
+        .filter(|_| point.wedge)
+        .map(|&at| (at - wedge_at).as_ns());
 
     ReliabilityRunResult {
         accepted: channel.accepted(),
@@ -217,6 +230,7 @@ pub fn reliability_nic(point: ReliabilityPoint) -> ReliabilityRunResult {
             .get("dma.fault.tx_dropped")
             .unwrap_or(0),
         bites: nic.chassis.watchdog_bites(),
+        pre_wedge_bites,
         bite_latency_ns,
         trace: faults.trace(),
     }
@@ -303,6 +317,30 @@ mod tests {
         assert!(r.exactly_once(), "{r:?}");
         assert!(r.bites >= 1, "the wedge only yields to the watchdog");
         assert!(r.bite_latency_ns.is_some());
+    }
+
+    /// The E15 anomaly, pinned: a 5 µs deadline bites the 40 µs stall
+    /// that opens at 30 µs, long before the wedge exists. That bite is
+    /// reported as pre-wedge, and the wedge's own latency is measured from
+    /// the first bite at or after the wedge instant — one deadline later.
+    #[test]
+    fn bite_latency_ignores_bites_before_the_wedge() {
+        let point = ReliabilityPoint {
+            stall_us: 40,
+            drop_us: 30,
+            wedge: true,
+            watchdog_deadline_cycles: 1000,
+            ..ReliabilityPoint::default_point()
+        };
+        let r = reliability_nic(point);
+        assert!(r.exactly_once(), "{r:?}");
+        assert_eq!(r.pre_wedge_bites, 1, "the 30 us stall bites first: {r:?}");
+        assert!(r.bites > r.pre_wedge_bites, "the wedge bites too: {r:?}");
+        let latency = r.bite_latency_ns.expect("wedge point");
+        assert!(
+            (5_000..6_000).contains(&latency),
+            "wedge bite is one 1000-cycle deadline after the wedge: {latency} ns"
+        );
     }
 
     #[test]

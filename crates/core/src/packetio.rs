@@ -22,8 +22,8 @@ type SharedPacketQueue = Rc<RefCell<VecDeque<(PktBuf, Meta)>>>;
 #[derive(Debug, Clone, Default)]
 pub struct InjectQueue {
     inner: SharedPacketQueue,
-    /// The owning [`PacketSource`]'s activity-cache flag: injections are
-    /// the only external channel that can un-idle a source.
+    /// The owning [`PacketSource`]'s activity-cache flag: an injection
+    /// un-idles an empty source.
     wake: Rc<RefCell<Option<WakeHandle>>>,
 }
 
@@ -72,7 +72,9 @@ pub struct PacketSource {
     current: VecDeque<crate::stream::Word>,
     sent_packets: u64,
     sent_bytes: u64,
-    /// Activity-cache invalidation flag, registered on the inject queue.
+    /// Activity-cache invalidation flag, registered on the inject queue
+    /// and on the output stream (pops free the space a stalled emission
+    /// waits on).
     wake: WakeHandle,
 }
 
@@ -82,6 +84,7 @@ impl PacketSource {
         let queue = InjectQueue::new();
         let wake = WakeHandle::new();
         *queue.wake.borrow_mut() = Some(wake.clone());
+        tx.set_wake(wake.clone());
         (
             PacketSource {
                 name: name.to_string(),
@@ -140,14 +143,19 @@ impl Module for PacketSource {
         self.sent_bytes = 0;
     }
 
-    /// With no queued packet and no in-flight words, a tick does nothing at
-    /// any future edge until a packet is injected.
+    /// Idle with no queued packet and no in-flight words; stalled with
+    /// in-flight words and a full output. With `current` empty and a packet
+    /// queued the tick stamps and stages it, so that stays active.
     fn is_quiescent(&self) -> bool {
-        self.idle()
+        if self.current.is_empty() {
+            self.queue.pending() == 0
+        } else {
+            !self.tx.can_push()
+        }
     }
 
-    /// Only injections can un-idle a source; downstream space never changes
-    /// its classification (in-flight words keep it active either way).
+    /// External activity channels: injections into the queue, pops from
+    /// the output.
     fn wake_handle(&self) -> Option<WakeHandle> {
         Some(self.wake.clone())
     }
@@ -362,6 +370,45 @@ mod tests {
             assert!(safety < 100, "packet never completed");
         }
         assert_eq!(got.unwrap().0, vec![7u8; 320]);
+    }
+
+    /// Stall rule: in-flight words facing a full output make the source
+    /// quiescent — no tick runs until the output is popped, and one pop
+    /// buys exactly one tick.
+    #[test]
+    fn source_stalled_on_full_output_is_quiescent_until_a_pop() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(100));
+        let (tx, rx) = Stream::new(8, 32);
+        let (source, inject) = PacketSource::new("src", tx);
+        sim.add_module(clk, source);
+        let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+        inject.push(vec![7u8; 320], 0); // 10 words into an 8-word FIFO
+        sim.run_cycles(clk, 20);
+        assert_eq!(rx.occupancy(), 8);
+        assert_eq!(inject.pending(), 0, "the packet is staged, two words left");
+        assert!(sim.all_quiescent(), "stalled behind the full FIFO");
+        let stalled_at = ticks(&sim);
+        sim.run_cycles(clk, 1000);
+        assert_eq!(ticks(&sim), stalled_at, "no tick while stalled");
+        assert_eq!(rx.occupancy(), 8);
+        // A pop on the output is the only thing that un-stalls it.
+        let mut r = Reassembler::new();
+        assert!(r.push(rx.pop().expect("head word")).is_none());
+        sim.run_cycles(clk, 1);
+        assert_eq!(ticks(&sim), stalled_at + 1);
+        assert_eq!(rx.occupancy(), 8, "the freed slot was refilled");
+        assert!(sim.all_quiescent(), "and the source is stalled again");
+        // Draining delivers the packet intact.
+        let mut got = None;
+        for _ in 0..20 {
+            while let Some(w) = rx.pop() {
+                got = got.or(r.push(w));
+            }
+            sim.run_cycles(clk, 1);
+        }
+        assert_eq!(got.expect("packet completed").0, vec![7u8; 320]);
+        assert!(sim.all_quiescent(), "drained");
     }
 
     #[test]

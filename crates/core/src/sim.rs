@@ -35,18 +35,36 @@
 //! * **Scan** — the original linear `min`-scan over all domains, kept as
 //!   the executable specification the other two are tested against.
 //!
-//! # Quiescence
+//! # Quiescence: stalled is not active
 //!
 //! Modules may opt into the fast path by overriding
 //! [`Module::is_quiescent`]. The contract is strict but time-independent:
 //! a module may report quiescent only if `tick` would have no observable
-//! effect **now and at every future edge**, assuming none of its inputs
-//! change in the meantime. Because modules only influence one another
-//! through ticks, if every module is quiescent at once then no input can
-//! change and the whole simulation is provably idle: `run_until` and
-//! `run_cycles` then fast-forward — advancing `now` and every cycle
-//! counter arithmetically to exactly the state the naive loop would have
-//! reached, without executing the intervening edges.
+//! effect **now and at every future edge**, assuming none of the channels
+//! it touches change in the meantime. "Nothing to do" is one such state;
+//! "cannot make progress" is the other: a module whose every possible move
+//! this cycle is stalled — no word upstream, no space downstream
+//! (`tready` low), an ingest cap reached — does nothing in hardware and
+//! nothing here, so it is quiescent until the channel event that lifts
+//! the stall (a push into its input, a pop from its output). A stall that
+//! *time* lifts — a pacing gate closed until a known instant — is a
+//! [`Module::next_activity`] bound instead. Because modules only influence
+//! one another through ticks, if every module is quiescent at once then no
+//! channel can change and the whole simulation is provably idle:
+//! `run_until` and `run_cycles` then fast-forward — advancing `now` and
+//! every cycle counter arithmetically to exactly the state the naive loop
+//! would have reached, without executing the intervening edges.
+//!
+//! Back-pressure stalls form chains (a source behind a full FIFO behind a
+//! stage behind a full FIFO …). In a live design every chain ends at a
+//! module that is *not* quiescent — one holding a time bound (a MAC's
+//! backlog gate, a wire arrival, PCIe pacing, a release cycle) or one that
+//! can move a word now — so time still advances to the event that unwinds
+//! the chain. A chain that ends nowhere (an output nobody drains) is a
+//! deadlock in hardware too; the kernel reports it as quiescent rather
+//! than spinning on it. [`Simulator::all_quiescent`] therefore means "no
+//! module can act until something external happens", which equals
+//! "drained" only for designs whose stall chains all end in a consumer.
 //!
 //! # Cached activity bounds (edge-triggered invalidation)
 //!
@@ -59,17 +77,19 @@
 //!
 //! * a module that exposes a [`WakeHandle`] (via [`Module::wake_handle`])
 //!   is re-queried only when the flag is dirty — streams, wires and
-//!   host-side handles mark the consuming module dirty on every push,
-//!   so an untouched module's bound is served from the cache;
+//!   host-side handles mark the consuming module dirty on every push and
+//!   the producing module dirty on every pop, so an untouched module's
+//!   bound is served from the cache;
 //! * after a module ticks, its cache is refreshed in place — the dispatch
 //!   sweep doubles as the activity probe, so `run_until` never re-scans;
 //! * modules without a handle (the default) are simply re-queried every
 //!   time: out-of-tree modules keep working, at scan cost.
 //!
-//! Debug builds verify the protocol: serving a clean cache re-queries the
-//! module anyway and asserts the classification did not drift, so a
-//! module that mutates activity-relevant state without waking fails loudly
-//! instead of silently skipping work.
+//! Debug builds — and release builds with the `paranoid` cargo feature —
+//! verify the protocol: serving a clean cache re-queries the module anyway
+//! and asserts the classification did not drift, so a module that mutates
+//! activity-relevant state without waking fails loudly instead of silently
+//! skipping work.
 
 use crate::stats::Counter;
 use crate::time::{Frequency, Time};
@@ -77,6 +97,12 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
+
+/// Whether this is a release build carrying the activity-cache contract
+/// check (the `paranoid` cargo feature). Every clean-cache serve then
+/// re-queries the module, so wall-clock figures from such a build measure
+/// the check, not the kernel — timing harnesses skip their floors on it.
+pub const PARANOID: bool = cfg!(feature = "paranoid");
 
 /// Per-tick context handed to every module.
 #[derive(Debug, Clone, Copy)]
@@ -96,7 +122,9 @@ pub struct TickContext {
 ///
 /// A module that opts into cached activity bounds creates one handle,
 /// registers clones of it on every channel that can change its activity
-/// (input streams, wires, host-side queues — anything external that its
+/// (input streams, wires, host-side queues, and the
+/// [`StreamTx`](crate::stream::StreamTx) side of every output whose
+/// `can_push` it consults — anything external that its
 /// [`Module::is_quiescent`]/[`Module::next_activity`] answers depend on),
 /// and returns it from [`Module::wake_handle`]. Whenever such a channel is
 /// written, [`WakeHandle::wake`] marks the cached classification dirty and
@@ -153,24 +181,39 @@ pub trait Module {
     fn reset(&mut self) {}
 
     /// Fast-path hint: `true` promises that `tick` would have no observable
-    /// effect now **or at any future edge**, as long as none of this
-    /// module's inputs change. The simulator may then skip the tick — and,
-    /// when every module is quiescent at once, fast-forward simulated time
-    /// without executing edges at all.
+    /// effect now **or at any future edge**, as long as none of the
+    /// channels this module touches change. The simulator may then skip
+    /// the tick — and, when every module is quiescent at once, fast-forward
+    /// simulated time without executing edges at all.
+    ///
+    /// Stalled counts as quiescent: a module whose every move this cycle is
+    /// blocked — nothing to pop upstream, **no space downstream**, an
+    /// ingest cap reached — must answer `true` when the `tick` branch it
+    /// would take is a proven no-op (anything with a side effect — a
+    /// counter, a gauge, a staged packet — stays active), and must have
+    /// its [`WakeHandle`] registered on every channel the answer reads,
+    /// outputs included.
     ///
     /// The promise must not depend on the current time or cycle count: a
     /// module waiting on a timer or a scheduled release cycle is *not*
-    /// quiescent. Default: `false` (always tick), which is always safe.
+    /// quiescent (see [`Module::next_activity`]). That keeps stall chains
+    /// honest: following "blocked on" links from any quiescent-but-loaded
+    /// module must reach a module that is not quiescent — one holding a
+    /// time bound or able to move a word — or nothing will ever unwind the
+    /// chain and [`Simulator::all_quiescent`] reports the deadlock as
+    /// idle. Default: `false` (always tick), which is always safe.
     fn is_quiescent(&self) -> bool {
         false
     }
 
     /// Time-dependent sibling of [`Module::is_quiescent`]: `Some(t)`
     /// promises that `tick` has no observable effect at any edge **strictly
-    /// before** instant `t`, as long as none of this module's inputs change
-    /// in the meantime. A MAC waiting for the head frame on a wire to
-    /// finish arriving, or for a transmit backlog gate to open, is exactly
-    /// this shape: not quiescent (scheduled work exists) but provably inert
+    /// before** instant `t`, as long as none of the channels this module
+    /// touches change in the meantime. A MAC waiting for the head frame on
+    /// a wire to finish arriving, or for a transmit backlog gate to open, a
+    /// DMA engine waiting out PCIe pacing, a stage holding packets for
+    /// their release cycle while its ingest is stalled — all are this
+    /// shape: not quiescent (scheduled work exists) but provably inert
     /// until a known instant.
     ///
     /// When every non-quiescent module reports a bound, the simulator may
@@ -185,15 +228,17 @@ pub trait Module {
     }
 
     /// Opt into cached activity bounds: return (a clone of) the
-    /// [`WakeHandle`] this module registered on all of its external input
-    /// channels. The kernel then caches the module's
+    /// [`WakeHandle`] this module registered on all of its external
+    /// channels — inputs, and every output whose back-pressure its
+    /// classification reads. The kernel then caches the module's
     /// `is_quiescent`/`next_activity` classification and re-queries it only
     /// after a tick or a wake, instead of on every probe and every edge.
     ///
     /// Default: `None` — the module is re-queried every time (scan cost),
     /// which is always correct. Only return a handle if **every** channel
     /// that can change this module's activity wakes it; a missed channel
-    /// means skipped work (loud in debug builds, silent in release).
+    /// means skipped work (loud in debug builds and under the `paranoid`
+    /// feature, silent in plain release).
     fn wake_handle(&self) -> Option<WakeHandle> {
         None
     }
@@ -283,6 +328,9 @@ struct ModuleSlot {
     /// only the activity fold — which early-exits on the first `Active`
     /// verdict — pays the re-query.
     stale: bool,
+    /// Ticks actually executed on this module (see
+    /// [`Simulator::module_ticks`]).
+    ticks: u64,
 }
 
 impl ModuleSlot {
@@ -296,7 +344,15 @@ impl ModuleSlot {
             wake,
             cached: Cached::Active,
             stale: false,
+            ticks: 0,
         }
+    }
+
+    /// Execute one tick, counted.
+    #[inline]
+    fn tick(&mut self, ctx: &TickContext) {
+        self.ticks += 1;
+        self.module.tick(ctx);
     }
 
     /// Fresh classification straight from the module.
@@ -332,13 +388,15 @@ impl ModuleSlot {
             // Contract check: a clean flag promises the module's activity
             // did not change since the last query. A module that mutated
             // activity-relevant state without waking would silently skip
-            // work in release builds — fail loudly here instead.
-            debug_assert_eq!(
+            // work in release builds — fail loudly here instead (debug
+            // builds always; release builds under the `paranoid` feature).
+            #[cfg(any(debug_assertions, feature = "paranoid"))]
+            assert_eq!(
                 Self::query(&*self.module),
                 self.cached,
                 "module `{}` changed its activity classification without a \
-                 tick or a wake (missing WakeHandle::wake on some input \
-                 channel?)",
+                 tick or a wake (missing WakeHandle::wake on some channel \
+                 its classification reads?)",
                 self.module.name()
             );
         }
@@ -708,6 +766,20 @@ impl Simulator {
         }
     }
 
+    /// Ticks executed per module since construction, as
+    /// `(name, ticks)` in dispatch order (domains in creation order, modules
+    /// in registration order). Beside [`Simulator::cycles`] of the module's
+    /// domain this shows which modules the fast path still steps: a module
+    /// that ticks on nearly every edge of a congested run is one whose
+    /// stall the activity contract does not yet express.
+    pub fn module_ticks(&self) -> Vec<(String, u64)> {
+        self.domains
+            .iter()
+            .flat_map(|d| &d.slots)
+            .map(|s| (s.module.name().to_string(), s.ticks))
+            .collect()
+    }
+
     /// Live handles onto the kernel counters, for mounting as telemetry
     /// gauges.
     pub fn kernel_stat_cells(&self) -> KernelStatCells {
@@ -762,6 +834,12 @@ impl Simulator {
     /// True when every registered module reports quiescent (vacuously true
     /// with no modules). While this holds, no tick can have an effect at any
     /// future edge, so simulated time may be skipped wholesale.
+    ///
+    /// Stalled modules are quiescent too, so this reads as "drained" only
+    /// because a live stall chain always ends at a module that is *not*
+    /// quiescent (a MAC backlog gate, a wire arrival, PCIe pacing, a
+    /// release cycle, a consumer with a word to pop). A design with an
+    /// output nobody drains can report `true` with words still buffered.
     pub fn all_quiescent(&self) -> bool {
         self.domains
             .iter()
@@ -930,7 +1008,7 @@ impl Simulator {
                     // without re-classifying. If it meanwhile went idle the
                     // tick is the same no-op the reference executes; the
                     // activity fold re-queries before any fast-forward.
-                    s.module.tick(&ctx);
+                    s.tick(&ctx);
                     avoided += 1;
                     continue;
                 }
@@ -940,7 +1018,7 @@ impl Simulator {
                     Cached::Active => true,
                 };
                 if run {
-                    s.module.tick(&ctx);
+                    s.tick(&ctx);
                     if s.wake.is_some() && matches!(s.cached, Cached::Active) {
                         // Steady-state streaming: no bound to learn, so
                         // defer the re-query to the next activity fold.
@@ -950,7 +1028,7 @@ impl Simulator {
                     }
                 }
             } else if !idle_skip || !s.module.is_quiescent() {
-                s.module.tick(&ctx);
+                s.tick(&ctx);
             }
         }
         if avoided > 0 {
@@ -1626,6 +1704,11 @@ mod tests {
             "wake must force a re-query"
         );
         assert_eq!(sim.cycles(clk), 105, "cycle count is oblivious to caching");
+        // The per-module tick table shows the same split by name.
+        assert_eq!(
+            sim.module_ticks(),
+            vec![("cached_idle".to_string(), 5), ("busy".to_string(), 105)]
+        );
     }
 
     /// A one-shot timer exposing its release instant as a cached bound:
@@ -1803,10 +1886,10 @@ mod tests {
     }
 
     /// The contract trap: mutating activity-relevant state without waking
-    /// the handle is caught loudly in debug builds instead of silently
-    /// skipping work.
+    /// the handle is caught loudly in debug builds (and under `paranoid`)
+    /// instead of silently skipping work.
     #[test]
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, feature = "paranoid"))]
     #[should_panic(expected = "without a tick or a wake")]
     fn stale_cache_without_wake_is_caught_in_debug() {
         let quiescent = Rc::new(RefCell::new(true));

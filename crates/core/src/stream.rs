@@ -8,6 +8,12 @@
 //! Capacity back-pressure is how congestion propagates through a design,
 //! exactly as it does through the real NetFPGA reference pipelines.
 //!
+//! Both directions of the handshake are activity events for the kernel's
+//! cached bounds: a push wakes the consumer's [`WakeHandle`]
+//! ([`StreamRx::set_wake`]), a pop wakes the producer's
+//! ([`StreamTx::set_wake`]). A producer stalled on `tready` low therefore
+//! reports quiescent and is re-queried exactly when space frees up.
+//!
 //! Each word carries up to [`MAX_BUS_BYTES`] bytes plus `sop`/`eop` packet
 //! delimiters; the first word of every packet carries the NetFPGA `tuser`
 //! sideband metadata ([`Meta`]): packet length, source port, destination
@@ -324,7 +330,9 @@ impl StreamTx {
     }
 
     /// Register the producer module's activity-invalidation flag: it is
-    /// woken whenever a pop or transfer frees space in this channel.
+    /// woken whenever a pop or transfer frees space in this channel. Every
+    /// module whose classification reads [`StreamTx::can_push`] (a stage
+    /// that reports quiescent while back-pressured) must register here.
     pub fn set_wake(&self, wake: WakeHandle) {
         self.shared.borrow_mut().tx_wake = Some(wake);
     }

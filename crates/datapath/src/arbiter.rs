@@ -165,10 +165,11 @@ impl Module for InputArbiter {
         self.locked = None;
     }
 
-    /// Idle when every input is empty: with nothing to pop, a tick cannot
-    /// move a word regardless of lock or output state.
+    /// Idle when every input is empty, stalled when the output is full:
+    /// either way a tick cannot move a word, and both forwarding paths
+    /// return without touching the lock or the round-robin pointer.
     fn is_quiescent(&self) -> bool {
-        self.inputs.iter().all(|rx| !rx.can_pop())
+        !self.output.can_push() || self.inputs.iter().all(|rx| !rx.can_pop())
     }
 
     /// External activity channels: pushes into any input, pops from the
@@ -273,6 +274,48 @@ mod tests {
         }
         sim.run_until(Time::from_us(10));
         assert_eq!(captured.total_packets(), 10);
+    }
+
+    /// Stall rule: with the output full the arbiter is quiescent however
+    /// much its inputs hold; the inputs stay exactly as full across the
+    /// stretch, and one pop on the output buys exactly one tick.
+    #[test]
+    fn full_output_stalls_the_arbiter_until_a_pop() {
+        use netfpga_core::stream::{segment, Meta};
+        for burst in [false, true] {
+            let (in0_tx, in0_rx) = Stream::new(8, 32);
+            let (in1_tx, in1_rx) = Stream::new(8, 32);
+            let (out_tx, out_rx) = Stream::new(8, 32);
+            let arb = InputArbiter::new("arb", vec![in0_rx, in1_rx], out_tx).with_burst(burst);
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("core", Frequency::mhz(200));
+            sim.add_module(clk, arb);
+            let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+            // One 8-word packet per input: the first fills the output.
+            for (p, tx) in [&in0_tx, &in1_tx].into_iter().enumerate() {
+                for w in segment(&[p as u8; 256], 32, Meta::default()) {
+                    tx.push(w);
+                }
+            }
+            sim.run_cycles(clk, 20);
+            assert_eq!(out_rx.occupancy(), 8);
+            assert_eq!((in0_tx.space(), in1_tx.space()), (8, 0));
+            assert!(sim.all_quiescent(), "burst={burst}: stalled on the output");
+            let stalled_at = ticks(&sim);
+            sim.run_cycles(clk, 1000);
+            assert_eq!(
+                ticks(&sim),
+                stalled_at,
+                "burst={burst}: no tick while stalled"
+            );
+            assert_eq!(in1_tx.space(), 0, "nothing moved");
+
+            assert_eq!(out_rx.pop().expect("head word").bytes()[0], 0);
+            sim.run_cycles(clk, 1);
+            assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
+            assert_eq!((out_rx.occupancy(), in1_tx.space()), (8, 1));
+            assert!(sim.all_quiescent());
+        }
     }
 
     #[test]

@@ -81,11 +81,18 @@ impl Module for DelayStage {
         self.packets = 0;
     }
 
-    /// Idle when nothing is buffered at any of the three holding points:
-    /// with no word to pop, no held packet and nothing staged, a tick
-    /// cannot have an effect until upstream pushes.
+    /// Idle when nothing is buffered at any of the three holding points;
+    /// stalled when the staged packet faces a full output (held packets
+    /// cannot be staged behind it, so their release times do not matter).
+    /// Either way a tick has no effect until upstream pushes or downstream
+    /// pops.
     fn is_quiescent(&self) -> bool {
-        !self.input.can_pop() && self.held.is_empty() && self.emitting.is_empty()
+        !self.input.can_pop()
+            && if self.emitting.is_empty() {
+                self.held.is_empty()
+            } else {
+                !self.output.can_push()
+            }
     }
 
     /// With nothing to ingest or emit but packets waiting out the delay,
@@ -157,6 +164,53 @@ mod tests {
         sim.run_until(Time::from_us(50));
         let seq: Vec<u8> = cap.drain().iter().map(|c| c.data[0]).collect();
         assert_eq!(seq, (0..10).collect::<Vec<_>>());
+    }
+
+    /// Stall rule: a staged packet facing a full output makes the stage
+    /// quiescent even with another packet held behind it (its release time
+    /// cannot matter until the staged one drains); one pop buys one tick.
+    #[test]
+    fn full_output_stalls_the_stage_until_a_pop() {
+        use netfpga_core::stream::Meta;
+        let (in_tx, in_rx) = Stream::new(8, 32);
+        let (out_tx, out_rx) = Stream::new(8, 32);
+        let stage = DelayStage::new("delay", in_rx, out_tx, Time::from_ns(50));
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        sim.add_module(clk, stage);
+        let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+        // Two 10-word packets through the 8-word input.
+        let mut words: VecDeque<Word> = (0..2u8)
+            .flat_map(|i| segment(&[i; 320], 32, Meta::default()))
+            .collect();
+        while !words.is_empty() {
+            in_tx.push_burst(&mut words);
+            sim.run_cycles(clk, 1);
+        }
+        sim.run_cycles(clk, 40);
+        assert_eq!((out_rx.occupancy(), in_tx.space()), (8, 8));
+        assert!(sim.all_quiescent(), "stalled on the output, packet 2 held");
+        let stalled_at = ticks(&sim);
+        sim.run_cycles(clk, 1000);
+        assert_eq!(ticks(&sim), stalled_at, "no tick while stalled");
+
+        let mut r = Reassembler::new();
+        assert!(r.push(out_rx.pop().expect("head word")).is_none());
+        sim.run_cycles(clk, 1);
+        assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
+        assert_eq!(out_rx.occupancy(), 8);
+        assert!(sim.all_quiescent());
+
+        let mut got = Vec::new();
+        for _ in 0..40 {
+            while let Some(w) = out_rx.pop() {
+                got.extend(r.push(w));
+            }
+            sim.run_cycles(clk, 1);
+        }
+        let firsts: Vec<u8> = got.iter().map(|(p, _)| p[0]).collect();
+        assert_eq!(firsts, vec![0, 1], "both packets, in order");
+        assert!(sim.all_quiescent(), "drained");
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub struct StatsStage {
     total_bytes: Counter,
     /// Burst fast path: move every available word per tick instead of one.
     burst: bool,
-    /// Activity-cache invalidation flag, registered on the input stream.
+    /// Activity-cache invalidation flag, registered on the input and the
+    /// output (pops free the space a stalled pass-through waits on).
     wake: WakeHandle,
 }
 
@@ -71,6 +72,7 @@ impl StatsStage {
         };
         let wake = WakeHandle::new();
         input.set_wake(wake.clone());
+        output.set_wake(wake.clone());
         (
             StatsStage {
                 name: name.to_string(),
@@ -152,12 +154,14 @@ impl Module for StatsStage {
         self.total_bytes.clear();
     }
 
-    /// Idle when there is nothing to pass through.
+    /// Idle when there is nothing to pass through, stalled when there is
+    /// nowhere to pass it: no word moves and no counter is touched.
     fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
+        !self.input.can_pop() || !self.output.can_push()
     }
 
-    /// Only upstream pushes can un-idle the pass-through.
+    /// External activity channels: pushes into the input, pops from the
+    /// output.
     fn wake_handle(&self) -> Option<WakeHandle> {
         Some(self.wake.clone())
     }
@@ -261,6 +265,54 @@ mod tests {
         assert_eq!(handles.total_packets.get(), 0);
         assert_eq!(handles.total_bytes.get(), 600, "siblings untouched");
         assert_eq!(handles.packets[2].get(), 2, "siblings untouched");
+    }
+
+    /// Stall rule: with the output full the pass-through is quiescent
+    /// whatever waits upstream; no counter moves across the stretch, and
+    /// one pop on the output buys exactly one tick.
+    #[test]
+    fn full_output_stalls_the_stage_until_a_pop() {
+        use netfpga_core::stream::{segment, Meta};
+        for burst in [false, true] {
+            let (in_tx, in_rx) = Stream::new(8, 32);
+            let (out_tx, out_rx) = Stream::new(8, 32);
+            let (stage, handles) = StatsStage::new("stats", in_rx, out_tx, 4);
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("core", Frequency::mhz(200));
+            sim.add_module(clk, stage.with_burst(burst));
+            let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+            // Twelve single-word packets: eight fill the output, four wait.
+            let meta = Meta {
+                len: 32,
+                ..Meta::default()
+            };
+            let mut words: std::collections::VecDeque<_> = (0..12)
+                .flat_map(|_| segment(&[9u8; 32], 32, meta))
+                .collect();
+            while !words.is_empty() {
+                in_tx.push_burst(&mut words);
+                sim.run_cycles(clk, 1);
+            }
+            sim.run_cycles(clk, 20);
+            assert_eq!((out_rx.occupancy(), in_tx.space()), (8, 4));
+            assert_eq!(handles.total_packets.get(), 8);
+            assert!(sim.all_quiescent(), "burst={burst}: stalled on the output");
+            let stalled_at = ticks(&sim);
+            sim.run_cycles(clk, 1000);
+            assert_eq!(
+                ticks(&sim),
+                stalled_at,
+                "burst={burst}: no tick while stalled"
+            );
+            assert_eq!(handles.total_packets.get(), 8);
+
+            out_rx.pop().expect("head word");
+            sim.run_cycles(clk, 1);
+            assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
+            assert_eq!(handles.total_packets.get(), 9);
+            assert_eq!((out_rx.occupancy(), in_tx.space()), (8, 5));
+            assert!(sim.all_quiescent());
+        }
     }
 
     /// Regression pin for the write-to-clear semantics: an earlier

@@ -87,8 +87,8 @@ pub struct OutputQueues {
     /// Burst fast path: move every available word per tick instead of one.
     burst: bool,
     /// Activity-cache invalidation flag, registered on the input stream
-    /// (the only external channel that can un-idle the stage: with all
-    /// queues drained, egress pops cannot change its classification).
+    /// and on every egress stream (pops free the space a back-pressured
+    /// port waits on).
     wake: WakeHandle,
 }
 
@@ -106,6 +106,9 @@ impl OutputQueues {
         assert!(config.classes > 0);
         let wake = WakeHandle::new();
         input.set_wake(wake.clone());
+        for tx in &outputs {
+            tx.set_wake(wake.clone());
+        }
         let ports = (0..outputs.len())
             .map(|_| PortState {
                 queues: (0..config.classes)
@@ -331,19 +334,26 @@ impl Module for OutputQueues {
         }
     }
 
-    /// Idle when nothing is buffered anywhere and every scheduler is
-    /// event-driven: the next effect can only come from new input.
+    /// Idle or stalled, port by port, with nothing to ingest and every
+    /// scheduler event-driven: a port is idle when nothing is staged or
+    /// queued, and stalled when its staged words face a full egress stream
+    /// (the emit path then moves nothing, in either pacing mode). A port
+    /// with a queued packet but nothing staged stays active — staging it
+    /// moves the dequeue counter and the depth gauge.
     fn is_quiescent(&self) -> bool {
         !self.input.can_pop()
-            && self.ports.iter().all(|p| {
-                p.emitting.is_empty()
-                    && p.scheduler.event_driven()
-                    && p.queues.iter().all(|q| q.is_empty())
+            && self.ports.iter().zip(&self.outputs).all(|(p, out)| {
+                p.scheduler.event_driven()
+                    && if p.emitting.is_empty() {
+                        p.queues.iter().all(|q| q.is_empty())
+                    } else {
+                        !out.can_push()
+                    }
             })
     }
 
-    /// Only new input can un-idle the stage: a quiescent stage has nothing
-    /// buffered, so egress-side pops cannot change its classification.
+    /// External activity channels: pushes into the input, pops from any
+    /// egress stream.
     fn wake_handle(&self) -> Option<WakeHandle> {
         Some(self.wake.clone())
     }
@@ -575,6 +585,82 @@ mod tests {
         oq.reset();
         assert_eq!(registry.get("port0.q0.depth"), Some(0));
         drop(in_tx);
+    }
+
+    /// Stall rule: a port whose staged words face a full egress stream is
+    /// inert (an idle sibling port does not matter) until that stream is
+    /// popped; no counter or depth gauge moves across the stretch, and one
+    /// pop buys exactly one tick.
+    #[test]
+    fn backpressured_port_is_quiescent_until_an_egress_pop() {
+        for burst in [false, true] {
+            let registry = netfpga_core::telemetry::StatRegistry::new();
+            let (in_tx, in_rx) = Stream::new(8, 32);
+            let (out_tx, out_rx) = Stream::new(8, 32);
+            let (idle_tx, idle_rx) = Stream::new(8, 32);
+            let oq = OutputQueues::new(
+                "oq",
+                in_rx,
+                vec![out_tx, idle_tx],
+                QueueConfig::default(),
+                || Box::new(Fifo),
+            )
+            .with_burst(burst);
+            oq.register_stats(&registry, "oq");
+            oq.register_depth_gauges(&registry, "oq");
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("core", Frequency::mhz(200));
+            sim.add_module(clk, oq);
+            let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+            let counters = || {
+                ["enqueued", "dequeued", "dropped", "port0.q0.depth"]
+                    .map(|leaf| registry.get(&format!("oq.{leaf}")).expect("registered"))
+            };
+
+            // Two 10-word packets for port 0 through the 8-word input.
+            let packet = PktBuf::copy_from(&[3u8; 320]);
+            let meta = meta_to(PortMask::single(0), 1, 320);
+            let mut words: VecDeque<Word> = (0..2)
+                .flat_map(|_| segment_buf(&packet, 32, meta))
+                .collect();
+            while !words.is_empty() {
+                in_tx.push_burst(&mut words);
+                sim.run_cycles(clk, 1);
+            }
+            sim.run_cycles(clk, 20);
+            // Packet 1 staged with 8 of its words out, packet 2 queued.
+            assert_eq!(out_rx.occupancy(), 8);
+            assert_eq!(counters(), [2, 1, 0, 1]);
+            assert!(sim.all_quiescent(), "burst={burst}: stalled on egress");
+            let stalled_at = ticks(&sim);
+            sim.run_cycles(clk, 1000);
+            assert_eq!(
+                ticks(&sim),
+                stalled_at,
+                "burst={burst}: no tick while stalled"
+            );
+            assert_eq!(counters(), [2, 1, 0, 1]);
+            assert!(!idle_rx.can_pop());
+
+            let mut r = Reassembler::new();
+            assert!(r.push(out_rx.pop().expect("head word")).is_none());
+            sim.run_cycles(clk, 1);
+            assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
+            assert_eq!(out_rx.occupancy(), 8, "the freed slot was refilled");
+            assert!(sim.all_quiescent());
+
+            let mut got = Vec::new();
+            for _ in 0..40 {
+                while let Some(w) = out_rx.pop() {
+                    got.extend(r.push(w));
+                }
+                sim.run_cycles(clk, 1);
+            }
+            assert_eq!(got.len(), 2);
+            assert!(got.iter().all(|(p, _)| p == &packet));
+            assert_eq!(counters(), [2, 2, 0, 0]);
+            assert!(sim.all_quiescent(), "drained");
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub struct RateLimiter {
     /// Words of the admitted packet still to copy through.
     in_packet: bool,
     packets: u64,
-    /// Activity-cache invalidation flag, registered on the input stream.
+    /// Activity-cache invalidation flag, registered on the input and the
+    /// output (pops free the space a stalled forward waits on).
     wake: WakeHandle,
 }
 
@@ -47,6 +48,7 @@ impl RateLimiter {
         );
         let wake = WakeHandle::new();
         input.set_wake(wake.clone());
+        output.set_wake(wake.clone());
         RateLimiter {
             name: name.to_string(),
             input,
@@ -134,10 +136,13 @@ impl Module for RateLimiter {
         self.packets = 0;
     }
 
-    /// Idle when the input is empty: the bucket level is a closed form of
-    /// time, so an input-less tick has no effect at any future edge.
+    /// Idle when the input is empty (the bucket level is a closed form of
+    /// time, so an input-less tick has no effect at any future edge) and
+    /// stalled when the output is full: every word, admitted packet or
+    /// not, moves through `forward_one`, which gives up before touching
+    /// anything.
     fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
+        !self.input.can_pop() || !self.output.can_push()
     }
 
     /// With a head packet waiting on tokens, the tick is a no-op until the
@@ -164,8 +169,8 @@ impl Module for RateLimiter {
         Some(self.base_time + Time::from_ps(ps))
     }
 
-    /// Only upstream pushes can change the limiter's classification: the
-    /// bucket refills by formula and the bound ignores downstream space.
+    /// External activity channels: pushes into the input, pops from the
+    /// output. The bucket refills by formula.
     fn wake_handle(&self) -> Option<WakeHandle> {
         Some(self.wake.clone())
     }
@@ -238,6 +243,41 @@ mod tests {
         sim.run_until(Time::from_us(100));
         let seq: Vec<u8> = cap.drain().iter().map(|c| c.data[0]).collect();
         assert_eq!(seq, (0..10).collect::<Vec<_>>());
+    }
+
+    /// Stall rule: with the output full the limiter is quiescent even
+    /// mid-packet (admitted words move through the same gated forward);
+    /// one pop on the output buys exactly one tick.
+    #[test]
+    fn full_output_stalls_the_limiter_until_a_pop() {
+        use netfpga_core::stream::{segment, Meta};
+        let (in_tx, in_rx) = Stream::new(16, 32);
+        let (out_tx, out_rx) = Stream::new(8, 32);
+        let rl = RateLimiter::new("rl", in_rx, out_tx, BitRate::gbps(10), 2048);
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        sim.add_module(clk, rl);
+        let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+        let meta = Meta {
+            len: 320,
+            ..Meta::default()
+        };
+        for w in segment(&[5u8; 320], 32, meta) {
+            in_tx.push(w); // 10 words: 8 fit downstream
+        }
+        sim.run_cycles(clk, 20);
+        assert_eq!((out_rx.occupancy(), in_tx.space()), (8, 14));
+        assert!(sim.all_quiescent(), "stalled mid-packet on the output");
+        let stalled_at = ticks(&sim);
+        sim.run_cycles(clk, 1000);
+        assert_eq!(ticks(&sim), stalled_at, "no tick while stalled");
+        assert_eq!(in_tx.space(), 14, "nothing moved");
+
+        out_rx.pop().expect("head word");
+        sim.run_cycles(clk, 1);
+        assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
+        assert_eq!((out_rx.occupancy(), in_tx.space()), (8, 15));
+        assert!(sim.all_quiescent());
     }
 
     #[test]

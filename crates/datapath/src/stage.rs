@@ -158,6 +158,12 @@ impl<L: PacketLogic> PacketStage<L> {
         registry.register_counter(&format!("{prefix}.dropped"), &self.stats.dropped);
     }
 
+    /// Whether the ingest half of a tick is a no-op: no word upstream, or
+    /// the cap on buffered processed packets reached.
+    fn ingest_blocked(&self) -> bool {
+        self.ready.len() >= self.max_ready || !self.input.can_pop()
+    }
+
     /// Access the logic (e.g. to read tables out-of-band in tests).
     pub fn logic(&self) -> &L {
         &self.logic
@@ -256,18 +262,26 @@ impl<L: PacketLogic> Module for PacketStage<L> {
         }
     }
 
-    /// Idle when there is nothing to ingest and nothing staged for
-    /// emission. `ready` must be empty too: packets there wait on a
-    /// release *cycle*, which is time-dependent work.
+    /// Idle when there is nothing to ingest and nothing staged or waiting;
+    /// stalled when ingest is blocked and the staged packet faces a full
+    /// output (packets in `ready` cannot be staged behind it, so their
+    /// release cycles do not matter). With nothing staged, packets in
+    /// `ready` wait on a release *cycle* — time-dependent work, reported by
+    /// [`Module::next_activity`] instead.
     fn is_quiescent(&self) -> bool {
-        !self.input.can_pop() && self.ready.is_empty() && self.emitting.is_empty()
+        self.ingest_blocked()
+            && if self.emitting.is_empty() {
+                self.ready.is_empty()
+            } else {
+                !self.output.can_push()
+            }
     }
 
-    /// With nothing to ingest or emit but packets waiting out the pipeline
-    /// latency, the tick is a no-op until the earliest release instant —
-    /// exactly the release cycle the emit path gates on.
+    /// With ingest blocked and nothing staged but packets waiting out the
+    /// pipeline latency, the tick is a no-op until the earliest release
+    /// instant — exactly the release cycle the emit path gates on.
     fn next_activity(&self) -> Option<Time> {
-        if self.input.can_pop() || !self.emitting.is_empty() {
+        if !self.ingest_blocked() || !self.emitting.is_empty() {
             return None;
         }
         self.ready.front().map(|&(_, release_at, _)| release_at)
@@ -403,6 +417,90 @@ mod tests {
                 captured.total_packets()
             );
         }
+    }
+
+    fn forward_all(_p: &mut PktBuf, _m: &mut Meta, _t: Time) -> StageAction {
+        StageAction::Forward
+    }
+
+    /// Stall rules: with the output full the stage backs up — one packet
+    /// staged, `max_ready` processed behind it, the input FIFO full — and
+    /// is then quiescent: no tick and no counter moves until the output is
+    /// popped, which lets exactly one more packet in.
+    #[test]
+    fn full_output_and_ingest_cap_stall_the_stage_until_a_pop() {
+        use netfpga_core::stream::segment;
+        for burst in [false, true] {
+            let registry = StatRegistry::new();
+            let (in_tx, in_rx) = Stream::new(8, 32);
+            let (out_tx, out_rx) = Stream::new(8, 32);
+            let stage = PacketStage::new("stage", in_rx, out_tx, 0, forward_all).with_burst(burst);
+            stage.register_stats(&registry, "stage");
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("core", Frequency::mhz(200));
+            sim.add_module(clk, stage);
+            let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+            let in_packets = || registry.get("stage.in_packets").expect("registered");
+            // Single-word packets, offered until the stage refuses them:
+            // 8 in the output, 1 staged, 4 ready, 8 in the input.
+            let mut offered = 0;
+            for _ in 0..60 {
+                if in_tx.can_push() {
+                    let meta = Meta::default();
+                    in_tx.push(segment(&[offered as u8; 32], 32, meta).remove(0));
+                    offered += 1;
+                }
+                sim.run_cycles(clk, 1);
+            }
+            assert_eq!(offered, 8 + 1 + 4 + 8);
+            assert_eq!((out_rx.occupancy(), in_tx.space()), (8, 0));
+            assert_eq!(in_packets(), 13);
+            assert!(sim.all_quiescent(), "burst={burst}: stalled end to end");
+            let stalled_at = ticks(&sim);
+            sim.run_cycles(clk, 1000);
+            assert_eq!(
+                ticks(&sim),
+                stalled_at,
+                "burst={burst}: no tick while stalled"
+            );
+            assert_eq!(in_packets(), 13);
+
+            assert_eq!(out_rx.pop().expect("head word").bytes()[0], 0);
+            sim.run_cycles(clk, 10);
+            assert!(ticks(&sim) > stalled_at, "the pop un-stalled it");
+            assert_eq!((out_rx.occupancy(), in_tx.space()), (8, 1));
+            assert_eq!(in_packets(), 14, "one slot freed, one packet ingested");
+            assert!(sim.all_quiescent(), "and stalled again");
+            let stalled_at = ticks(&sim);
+            sim.run_cycles(clk, 1000);
+            assert_eq!(ticks(&sim), stalled_at);
+        }
+    }
+
+    /// A packet waiting out the pipeline latency with nothing to ingest is
+    /// a time bound, not quiescence: no tick runs before the release
+    /// cycle, and the release edge itself is executed.
+    #[test]
+    fn release_cycle_is_a_time_bound() {
+        use netfpga_core::stream::segment;
+        let (in_tx, in_rx) = Stream::new(8, 32);
+        let (out_tx, out_rx) = Stream::new(8, 32);
+        let stage = PacketStage::new("stage", in_rx, out_tx, 100, forward_all);
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        sim.add_module(clk, stage);
+        let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+        in_tx.push(segment(&[1u8; 32], 32, Meta::default()).remove(0));
+        sim.run_cycles(clk, 1); // cycle 0: ingested, release at cycle 100
+        assert_eq!(ticks(&sim), 1);
+        assert!(!sim.all_quiescent(), "scheduled work is not quiescence");
+        sim.run_cycles(clk, 99); // cycles 1..=99: provably inert
+        assert_eq!(ticks(&sim), 1, "no tick before the release cycle");
+        assert!(!out_rx.can_pop());
+        sim.run_cycles(clk, 1); // cycle 100: released
+        assert_eq!(ticks(&sim), 2);
+        assert_eq!(out_rx.occupancy(), 1);
+        assert!(sim.all_quiescent());
     }
 
     #[test]

@@ -29,7 +29,7 @@ use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::time::Time;
-use netfpga_phy::mac::WireFrame;
+use netfpga_phy::mac::{Fcs, WireFrame};
 use netfpga_phy::Wire;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -46,13 +46,11 @@ pub struct FabricFrame {
     /// Arrival instant at the destination wire: source wire completion
     /// plus the link delay.
     pub ready_at: Time,
-    /// FCS recorded by the transmitting MAC, carried across unchanged so
-    /// in-flight corruption on the source side stays detectable on the
-    /// destination side.
-    pub fcs: Option<u32>,
-    /// Whether `bytes` are still byte-identical to what `fcs` was
-    /// computed over (see [`WireFrame::fcs_fresh`]).
-    pub fcs_fresh: bool,
+    /// FCS state recorded on the source side, carried across unchanged so
+    /// in-flight corruption there stays detectable on the destination
+    /// side ([`Fcs::Intact`] survives the hop: the bytes are moved, never
+    /// rewritten).
+    pub fcs: Fcs,
     /// Source node index — the merge tie-breaker after `ready_at`.
     pub src_node: usize,
     /// Per-link sequence number — the final merge tie-breaker.
@@ -118,7 +116,6 @@ impl Module for FabricEgress {
                 bytes: frame.data.into_owned(),
                 ready_at: frame.ready_at + self.delay,
                 fcs: frame.fcs,
-                fcs_fresh: frame.fcs_fresh,
                 src_node: self.src_node,
                 seq: self.seq,
             };
@@ -279,10 +276,11 @@ impl Module for FabricIngress {
                 p.frame.ready_at,
                 ctx.now
             );
-            let mut wf = WireFrame::new(PktBuf::from_vec(p.frame.bytes), p.frame.ready_at);
-            wf.fcs = p.frame.fcs;
-            wf.fcs_fresh = p.frame.fcs_fresh;
-            self.wires[p.binding].push(wf);
+            self.wires[p.binding].push(WireFrame {
+                data: PktBuf::from_vec(p.frame.bytes),
+                ready_at: p.frame.ready_at,
+                fcs: p.frame.fcs,
+            });
             s.delivered += 1;
         }
     }
@@ -349,8 +347,7 @@ mod tests {
         let f = |ready_ns: u64, src: usize, seq: u64| FabricFrame {
             bytes: vec![src as u8; 60],
             ready_at: Time::from_ns(ready_ns),
-            fcs: None,
-            fcs_fresh: false,
+            fcs: Fcs::Unchecked,
             src_node: src,
             seq,
         };

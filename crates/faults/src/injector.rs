@@ -26,7 +26,7 @@ use netfpga_core::time::{BitRate, Time};
 use netfpga_core::SimRng;
 use netfpga_packet::fcs::crc32;
 use netfpga_pcie::DmaFaultGate;
-use netfpga_phy::mac::wire_bytes;
+use netfpga_phy::mac::{wire_bytes, Fcs, WireFrame};
 use netfpga_phy::{PcsHandle, PortBond, Wire};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -646,6 +646,22 @@ impl FaultInjector {
         }
     }
 
+    /// Flip the given bit positions of `frame`, detectably: a tester
+    /// frame with no FCS recorded gets its pristine CRC-32 stamped first
+    /// (a MAC-stamped one takes it inside [`WireFrame::corrupt_data`]), so
+    /// the receiving MAC's recheck over the flipped data mismatches. The
+    /// copy-on-write leaves every sibling reference of the buffer (flood
+    /// copies, mirrors) pristine.
+    fn flip_bits(frame: &mut WireFrame, flips: &[u64]) {
+        if frame.fcs == Fcs::Unchecked {
+            frame.fcs = Fcs::Stale(crc32(&frame.data));
+        }
+        let data = frame.corrupt_data();
+        for at in flips {
+            data[(at / 8) as usize] ^= 1 << (at % 8);
+        }
+    }
+
     /// Run `bits` data bits of one frame through a Gilbert–Elliott
     /// channel, collecting the bit positions to flip. Returning positions
     /// instead of mutating in place lets the caller copy-on-write the
@@ -712,16 +728,7 @@ impl FaultInjector {
                 let bits = (frame.data.len() * 8) as u64;
                 let flips = Self::ge_corrupt(rng, counters, bits, st, &params);
                 if !flips.is_empty() {
-                    // Stamp the pristine FCS before flipping so corruption
-                    // is detectable at the receiving MAC; the CoW write
-                    // below leaves every sibling reference (flood copies,
-                    // mirrors) untouched.
-                    let pristine = frame.fcs.unwrap_or_else(|| crc32(&frame.data));
-                    let data = frame.corrupt_data();
-                    for at in flips {
-                        data[(at / 8) as usize] ^= 1 << (at % 8);
-                    }
-                    frame.fcs = Some(pristine);
+                    Self::flip_bits(&mut frame, &flips);
                     counters.frames_corrupted.incr();
                 }
             } else if port.ber > 0.0 {
@@ -747,16 +754,7 @@ impl FaultInjector {
                     *countdown -= bits - pos;
                 }
                 if !flips.is_empty() {
-                    // Record the pristine FCS first so the corruption is
-                    // *detectable*: the receiving MAC rechecks CRC-32 over
-                    // the flipped data and mismatches. Copy-on-write keeps
-                    // sibling references of the buffer pristine.
-                    let pristine = frame.fcs.unwrap_or_else(|| crc32(&frame.data));
-                    let data = frame.corrupt_data();
-                    for at in flips {
-                        data[(at / 8) as usize] ^= 1 << (at % 8);
-                    }
-                    frame.fcs = Some(pristine);
+                    Self::flip_bits(&mut frame, &flips);
                     counters.frames_corrupted.incr();
                 }
             }
@@ -976,7 +974,6 @@ mod tests {
     use netfpga_core::sim::Simulator;
     use netfpga_core::time::Frequency;
     use netfpga_mem::Bram;
-    use netfpga_phy::mac::WireFrame;
 
     fn harness(plan: FaultPlan) -> (Simulator, FaultHandle, Wire, Wire) {
         let mut sim = Simulator::new();
@@ -1008,7 +1005,7 @@ mod tests {
         sim.run_until(Time::from_us(1));
         let got = inner.take_ready(Time::from_us(1)).expect("forwarded");
         assert_eq!(got.data, vec![0xA5; 100]);
-        assert_eq!(got.fcs, None, "untouched frames keep their FCS state");
+        assert_eq!(got.fcs(), None, "untouched frames keep their FCS state");
         assert_eq!(handle.counters().frames_corrupted.get(), 0);
     }
 
@@ -1051,7 +1048,7 @@ mod tests {
                 // Any corrupted frame carries a pristine-FCS stamp that no
                 // longer matches its data.
                 if f.data != vec![0xA5; 100] {
-                    let fcs = f.fcs.expect("corrupted frame must carry FCS");
+                    let fcs = f.fcs().expect("corrupted frame must carry FCS");
                     assert!(!netfpga_packet::fcs::verify(&f.data, fcs));
                 }
                 datas.push(f.data);
@@ -1294,7 +1291,7 @@ mod tests {
             let mut datas = Vec::new();
             while let Some(f) = inner.take_ready(Time::from_us(100)) {
                 if f.data != vec![0xA5; 500] {
-                    let fcs = f.fcs.expect("corrupted frame must carry FCS");
+                    let fcs = f.fcs().expect("corrupted frame must carry FCS");
                     assert!(!netfpga_packet::fcs::verify(&f.data, fcs));
                 }
                 datas.push(f.data);

@@ -210,7 +210,8 @@ pub struct FlowTap {
     /// Vouched-for payload beats still queued upstream when a transfer
     /// batch ended mid-frame — resumed on the next tick.
     skip: usize,
-    /// Activity-cache invalidation flag, registered on the input stream.
+    /// Activity-cache invalidation flag, registered on the input and the
+    /// output (pops free the space a stalled transfer waits on).
     wake: WakeHandle,
 }
 
@@ -220,6 +221,7 @@ impl FlowTap {
     pub fn new(input: StreamRx, output: StreamTx, config: &FlowmonConfig) -> FlowTap {
         let wake = WakeHandle::new();
         input.set_wake(wake.clone());
+        output.set_wake(wake.clone());
         FlowTap {
             input,
             output,
@@ -322,12 +324,14 @@ impl Module for FlowTap {
         self.state.borrow_mut().clear();
     }
 
+    /// Idle with nothing to move, stalled with nowhere to move it: the
+    /// snoop transfer then touches neither the flow state nor `skip`.
     fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
+        !self.input.can_pop() || !self.output.can_push()
     }
 
-    /// Only upstream pushes can un-idle the tap: with the input drained,
-    /// downstream pops never change its classification.
+    /// External activity channels: pushes into the input, pops from the
+    /// output.
     fn wake_handle(&self) -> Option<WakeHandle> {
         Some(self.wake.clone())
     }
@@ -440,6 +444,56 @@ mod tests {
             fast.flows(),
             "burst mode is functionally identical"
         );
+    }
+
+    /// Stall rule: with the output full the tap is quiescent whatever
+    /// waits upstream; the flow state does not move across the stretch,
+    /// and one pop on the output buys exactly one tick.
+    #[test]
+    fn full_output_stalls_the_tap_until_a_pop() {
+        for burst in [false, true] {
+            let (in_tx, in_rx) = Stream::new(8, 64);
+            let (out_tx, out_rx) = Stream::new(4, 64);
+            let tap = FlowTap::new(in_rx, out_tx, &FlowmonConfig::default()).with_burst(burst);
+            let handle = tap.handle();
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("core", Frequency::mhz(250));
+            sim.add_module(clk, tap);
+            let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+            // Six 74-byte frames = 12 words: 4 fit downstream, 8 upstream.
+            let mut words: std::collections::VecDeque<_> = (0..6)
+                .flat_map(|i| {
+                    let buf = PktBuf::copy_from(&udp_frame(1 + i, 4000));
+                    let meta = Meta {
+                        len: buf.len() as u16,
+                        ..Meta::default()
+                    };
+                    segment_buf(&buf, 64, meta)
+                })
+                .collect();
+            while !words.is_empty() {
+                in_tx.push_burst(&mut words);
+                sim.run_cycles(clk, 1);
+            }
+            sim.run_cycles(clk, 20);
+            assert_eq!((out_rx.occupancy(), in_tx.space()), (4, 0));
+            assert_eq!(handle.packets(), 2, "two whole frames crossed");
+            assert!(sim.all_quiescent(), "burst={burst}: stalled on the output");
+            let stalled_at = ticks(&sim);
+            sim.run_cycles(clk, 1000);
+            assert_eq!(
+                ticks(&sim),
+                stalled_at,
+                "burst={burst}: no tick while stalled"
+            );
+            assert_eq!(handle.packets(), 2);
+
+            out_rx.pop().expect("head word");
+            sim.run_cycles(clk, 1);
+            assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
+            assert_eq!((out_rx.occupancy(), in_tx.space()), (4, 1));
+            assert!(sim.all_quiescent());
+        }
     }
 
     #[test]

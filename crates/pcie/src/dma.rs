@@ -459,8 +459,8 @@ pub struct DmaEngine {
     c2h_free_at: Time,
     reasm: Reassembler,
     fault: Option<DmaFaultGate>,
-    /// Activity-cache invalidation flag, woken by host sends and card
-    /// words arriving on `from_card`.
+    /// Activity-cache invalidation flag, woken by host sends, card words
+    /// arriving on `from_card`, and pops freeing space on `to_card`.
     wake: WakeHandle,
 }
 
@@ -480,6 +480,7 @@ impl DmaEngine {
         let wake = WakeHandle::new();
         rings.borrow_mut().wake = Some(wake.clone());
         from_card.set_wake(wake.clone());
+        to_card.set_wake(wake.clone());
         (
             DmaEngine {
                 name: name.to_string(),
@@ -691,15 +692,44 @@ impl Module for DmaEngine {
     /// Idle when both directions have nothing queued: no TX descriptors,
     /// no partially injected packet, and no card words to absorb. The
     /// `free_at` pacing marks are irrelevant then — with empty queues a
-    /// tick is a no-op at any future instant too.
+    /// tick is a no-op at any future instant too. Without a fault gate the
+    /// host-to-card side is also inert while a partially injected packet
+    /// faces a full `to_card`; with a gate attached that stall stays
+    /// active, because stall windows are time-dependent and
+    /// `stalled_ticks` counts per executed tick.
     fn is_quiescent(&self) -> bool {
-        self.inject.is_empty() && !self.from_card.can_pop() && self.rings.borrow().tx.is_empty()
+        let h2c_inert = if self.inject.is_empty() {
+            self.rings.borrow().tx.is_empty()
+        } else {
+            self.fault.is_none() && !self.to_card.can_push()
+        };
+        h2c_inert && !self.from_card.can_pop()
+    }
+
+    /// PCIe pacing as a time bound (engines without a fault gate only):
+    /// descriptor fetch waits for `h2c_free_at`, card-to-host absorption for
+    /// `c2h_free_at`, and nothing else can happen before the earlier of the
+    /// pending ones. No bound while an injected word can move.
+    fn next_activity(&self) -> Option<Time> {
+        if self.fault.is_some() {
+            return None;
+        }
+        let fetch = if self.inject.is_empty() {
+            (!self.rings.borrow().tx.is_empty()).then_some(self.h2c_free_at)
+        } else if self.to_card.can_push() {
+            return None;
+        } else {
+            None // blocked on `to_card`: lifted by a pop, not by time
+        };
+        let absorb = self.from_card.can_pop().then_some(self.c2h_free_at);
+        [fetch, absorb].into_iter().flatten().min()
     }
 
     /// External activity channels: host sends into the TX ring, card words
-    /// pushed onto `from_card`. Host `recv` only drains the RX ring, which
-    /// the classification ignores; fault-gate windows matter only while
-    /// work is pending, when the engine is active anyway.
+    /// pushed onto `from_card`, pops from `to_card`. Host `recv` only
+    /// drains the RX ring, which the classification ignores; fault-gate
+    /// windows matter only while work is pending, when a gated engine is
+    /// active anyway.
     fn wake_handle(&self) -> Option<WakeHandle> {
         Some(self.wake.clone())
     }
@@ -808,6 +838,115 @@ mod tests {
     fn empty_send_rejected() {
         let (_sim, handle, _i, _c) = setup(2, 2);
         let _ = handle.send(Vec::new(), 0);
+    }
+
+    /// Stall rule (no fault gate): a partially injected packet facing a
+    /// full `to_card` makes the engine quiescent — heartbeat and counters
+    /// frozen — until the datapath pops a word.
+    #[test]
+    fn blocked_injection_is_quiescent_until_a_pop() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        let (h2c_tx, h2c_rx) = Stream::new(8, 32);
+        let (_c2h_tx, c2h_rx) = Stream::new(8, 32);
+        let (engine, handle) = DmaEngine::new("dma", PcieConfig::gen3_x8(), h2c_tx, c2h_rx, 8, 8);
+        sim.add_module(clk, engine);
+        let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+        handle.send(vec![4u8; 320], 0).unwrap(); // 10 words into 8 slots
+        sim.run_cycles(clk, 20);
+        assert_eq!(h2c_rx.occupancy(), 8);
+        assert!(handle.has_work(), "two words still to inject");
+        assert!(sim.all_quiescent(), "stalled on `to_card`");
+        let (stalled_at, progress) = (ticks(&sim), handle.progress());
+        sim.run_cycles(clk, 1000);
+        assert_eq!(ticks(&sim), stalled_at, "no tick while stalled");
+        assert_eq!(handle.progress(), progress);
+
+        h2c_rx.pop().expect("head word");
+        sim.run_cycles(clk, 1);
+        assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
+        assert_eq!(handle.progress(), progress + 1);
+        assert_eq!(h2c_rx.occupancy(), 8, "the freed slot was refilled");
+        assert!(sim.all_quiescent());
+    }
+
+    /// PCIe pacing is a time bound in both directions: between a packet
+    /// and `free_at` the engine executes no tick, yet every fetch and
+    /// delivery happens at the instant the every-edge reference produces.
+    #[test]
+    fn pcie_pacing_is_a_time_bound() {
+        use netfpga_core::sim::SchedulerMode;
+        use netfpga_core::stream::segment;
+        let run = |reference: bool| {
+            let mut sim = Simulator::new();
+            if reference {
+                sim.set_scheduler_mode(SchedulerMode::Scan);
+                sim.set_idle_skip(false);
+            }
+            let clk = sim.add_clock("core", Frequency::mhz(200));
+            let (h2c_tx, h2c_rx) = Stream::new(64, 32);
+            let (c2h_tx, c2h_rx) = Stream::new(64, 32);
+            // 16 Gb/s link, 51.2 Gb/s datapath: ~450 ns of pacing gap after
+            // each 1024-byte packet in either direction.
+            let (engine, handle) =
+                DmaEngine::new("dma", PcieConfig::gen1_x8(), h2c_tx, c2h_rx, 8, 8);
+            sim.add_module(clk, engine);
+            for i in 0..2u8 {
+                handle.send(vec![i; 1024], 0).unwrap();
+                for w in segment(&[i; 1024], 32, Meta::default()) {
+                    c2h_tx.push(w);
+                }
+            }
+            sim.run_until(Time::from_us(3));
+            let mut fetched = Vec::new();
+            while let Some(w) = h2c_rx.pop() {
+                fetched.extend(w.meta.map(|m| m.ingress_time));
+            }
+            let ticks = sim.module_ticks()[0].1;
+            let state = (
+                fetched,
+                handle.stats(),
+                handle.progress(),
+                handle.rx_pending(),
+                sim.now(),
+                sim.cycles(clk),
+            );
+            (state, ticks)
+        };
+        let (reference, reference_ticks) = run(true);
+        let (fast, fast_ticks) = run(false);
+        assert_eq!(fast, reference, "pacing bounds must not move any instant");
+        let gap = PcieConfig::gen1_x8().transfer_time(1024);
+        assert!(fast.0[1] - fast.0[0] >= gap, "h2c paced: {:?}", fast.0);
+        assert_eq!((fast.1.tx_packets, fast.1.rx_packets), (2, 2));
+        assert!(
+            fast_ticks < reference_ticks / 2,
+            "pacing gaps must be skipped: {fast_ticks} of {reference_ticks} ticks"
+        );
+    }
+
+    /// With a fault gate attached the engine keeps today's answers: a
+    /// blocked injection stays active (stall windows are time-dependent
+    /// and `stalled_ticks` counts executed ticks).
+    #[test]
+    fn gated_engine_stays_active_while_blocked() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        let (h2c_tx, h2c_rx) = Stream::new(8, 32);
+        let (_c2h_tx, c2h_rx) = Stream::new(8, 32);
+        let (engine, handle) = DmaEngine::new("dma", PcieConfig::gen3_x8(), h2c_tx, c2h_rx, 8, 8);
+        sim.add_module(clk, engine.with_fault_gate(DmaFaultGate::new()));
+        handle.send(vec![4u8; 320], 0).unwrap();
+        sim.run_cycles(clk, 20);
+        assert_eq!(h2c_rx.occupancy(), 8);
+        assert!(!sim.all_quiescent());
+        let before = sim.module_ticks()[0].1;
+        sim.run_cycles(clk, 100);
+        assert_eq!(
+            sim.module_ticks()[0].1,
+            before + 100,
+            "ticked on every edge"
+        );
     }
 
     fn setup_with_gate() -> (

@@ -100,8 +100,9 @@ impl Module for Link {
             {
                 let idx = self.rng.below(frame.data.len() as u64) as usize;
                 // Copy-on-write: sibling references (mirrors, captures,
-                // flood copies) keep the pristine bytes, and the stale FCS
-                // makes the downstream RX MAC's recheck fail — exactly the
+                // flood copies) keep the pristine bytes, and a MAC-stamped
+                // FCS goes stale (pristine CRC taken here), so the
+                // downstream RX MAC's recheck fails — exactly the
                 // wire-error story.
                 frame.corrupt_data()[idx] ^= 0xff;
                 self.stats.corrupted += 1;

@@ -39,6 +39,30 @@ pub fn line_rate_fps(rate: BitRate, len: u64) -> f64 {
     rate.as_bps() as f64 / (wire_bytes(len) * 8) as f64
 }
 
+/// What a frame on a wire knows about its frame check sequence.
+///
+/// The four FCS bytes themselves are accounted as wire time only; this is
+/// the *detectability* of in-flight corruption. The common case —
+/// stamped by a MAC, bytes untouched — carries no CRC value at all: the
+/// refcounted buffer is immutable until a copy-on-write, so the value the
+/// transmitting MAC would have stored is recoverable from the bytes for
+/// as long as nobody rewrites them, and is computed only at that moment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Fcs {
+    /// No FCS recorded: "assume good" (tester-injected frames), preserving
+    /// the pre-fault-plane behaviour.
+    #[default]
+    Unchecked,
+    /// Stamped by a transmitting MAC and byte-identical since: the FCS is
+    /// by construction the CRC-32 of the current bytes, so a receiving MAC
+    /// accepts the frame without a CRC pass.
+    Intact,
+    /// The bytes may have been rewritten since the FCS was taken; carries
+    /// the CRC-32 of the pristine bytes, which the receiving MAC rechecks
+    /// — the real Ethernet error-detection story.
+    Stale(u32),
+}
+
 /// A frame in flight or delivered on a wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFrame {
@@ -48,19 +72,9 @@ pub struct WireFrame {
     pub data: PktBuf,
     /// Instant the last bit arrives at the far end.
     pub ready_at: Time,
-    /// The CRC-32 FCS computed when the frame was serialized, when known.
-    /// A transmitting MAC records it; impairments in flight corrupt `data`
-    /// without updating it, so the receiving MAC's check fails — the real
-    /// Ethernet error-detection story. `None` means "assume good"
-    /// (tester-injected frames), preserving the pre-fault-plane behaviour.
-    pub fcs: Option<u32>,
-    /// True while `data` is byte-identical to what `fcs` was computed over.
-    /// The transmitting MAC sets it; any impairment that rewrites `data`
-    /// must clear it. A receiving MAC trusts a fresh FCS without
-    /// recomputing the CRC over the payload — the buffer is immutable and
-    /// shared, so "untouched since stamped" is a structural guarantee, not
-    /// an assumption.
-    pub fcs_fresh: bool,
+    /// The frame's FCS state. Rewrite `data` only through
+    /// [`WireFrame::corrupt_data`], which keeps this honest.
+    pub fcs: Fcs,
 }
 
 impl WireFrame {
@@ -69,26 +83,39 @@ impl WireFrame {
         WireFrame {
             data: data.into(),
             ready_at,
-            fcs: None,
-            fcs_fresh: false,
+            fcs: Fcs::Unchecked,
         }
     }
 
-    /// A frame carrying the FCS computed over its current bytes.
-    pub fn with_fcs(data: impl Into<PktBuf>, ready_at: Time, fcs: u32) -> WireFrame {
+    /// A frame stamped by a transmitting MAC: its FCS is that of its
+    /// current bytes, without computing it.
+    pub fn stamped(data: impl Into<PktBuf>, ready_at: Time) -> WireFrame {
         WireFrame {
             data: data.into(),
             ready_at,
-            fcs: Some(fcs),
-            fcs_fresh: true,
+            fcs: Fcs::Intact,
+        }
+    }
+
+    /// The FCS value travelling with the frame, computed on demand for an
+    /// [`Fcs::Intact`] frame; `None` when none was recorded.
+    pub fn fcs(&self) -> Option<u32> {
+        match self.fcs {
+            Fcs::Unchecked => None,
+            Fcs::Intact => Some(netfpga_packet::fcs::crc32(&self.data)),
+            Fcs::Stale(fcs) => Some(fcs),
         }
     }
 
     /// Mutable access to the frame bytes, copy-on-write: sibling references
-    /// (flood copies, mirrors, captures) never observe the mutation. Marks
-    /// the FCS stale, as any in-flight rewrite must.
+    /// (flood copies, mirrors, captures) never observe the mutation. An
+    /// intact FCS goes stale here, as any in-flight rewrite must make it:
+    /// the pristine CRC is taken now, before the first byte changes — the
+    /// value the transmitting MAC would have stored.
     pub fn corrupt_data(&mut self) -> &mut [u8] {
-        self.fcs_fresh = false;
+        if self.fcs == Fcs::Intact {
+            self.fcs = Fcs::Stale(netfpga_packet::fcs::crc32(&self.data));
+        }
         self.data.make_mut()
     }
 }
@@ -297,11 +324,11 @@ impl Module for EthMacTx {
                 // the FCS lands; IFG only gates the *next* frame.
                 let ifg = self.rate.time_for_bytes(IFG_BYTES);
                 let ready_at = busy_until.saturating_sub(ifg);
-                // A real FCS rides along for downstream verification; its
-                // four bytes stay accounted as wire time only, so pacing
-                // and line-rate math are untouched.
-                let fcs = netfpga_packet::fcs::crc32(&data);
-                self.wire.push(WireFrame::with_fcs(data, ready_at, fcs));
+                // The FCS rides along for downstream verification without
+                // being computed (see [`Fcs::Intact`]); its four bytes stay
+                // accounted as wire time only, so pacing and line-rate
+                // math are untouched.
+                self.wire.push(WireFrame::stamped(data, ready_at));
                 self.line_busy_until = busy_until;
                 let mut s = self.stats.0.borrow_mut();
                 s.frames += 1;
@@ -422,12 +449,12 @@ impl Module for EthMacRx {
                 };
                 // FCS check: a frame whose recorded FCS no longer matches
                 // its bytes was corrupted in flight — drop it here, as the
-                // hardware MAC does, and count it. A *fresh* FCS needs no
+                // hardware MAC does, and count it. An *intact* FCS needs no
                 // CRC pass: the refcounted buffer is immutable, so bytes
                 // unchanged since the TX MAC stamped it is guaranteed by
-                // construction (impairments clear the flag when they CoW).
-                if let Some(fcs) = frame.fcs {
-                    if !frame.fcs_fresh && !netfpga_packet::fcs::verify(&frame.data, fcs) {
+                // construction (impairments stale it when they CoW).
+                if let Fcs::Stale(fcs) = frame.fcs {
+                    if !netfpga_packet::fcs::verify(&frame.data, fcs) {
                         self.stats.0.borrow_mut().bad_fcs += 1;
                         continue;
                     }
@@ -479,16 +506,22 @@ impl Module for EthMacRx {
         }
     }
 
-    /// Idle only when no words are staged *and* the wire is completely
-    /// empty: an in-flight frame with a future `ready_at` is scheduled
-    /// (time-dependent) work, so it blocks quiescence.
+    /// Idle when no words are staged *and* the wire is completely empty
+    /// (an in-flight frame with a future `ready_at` is scheduled,
+    /// time-dependent work, so it blocks quiescence); stalled when staged
+    /// words face a full datapath stream — frames keep queueing on the
+    /// wire meanwhile, but none is fetched until the staged one drains.
     fn is_quiescent(&self) -> bool {
-        self.pending.is_empty() && self.wire.is_empty()
+        if self.pending.is_empty() {
+            self.wire.is_empty()
+        } else {
+            !self.output.can_push()
+        }
     }
 
     /// With no words staged, the tick is a no-op until the head frame on
-    /// the FIFO wire finishes arriving. Staged words must drain one cycle
-    /// at a time, so no bound exists while any are pending.
+    /// the FIFO wire finishes arriving. Staged words facing free space must
+    /// drain one cycle at a time, so no bound exists then.
     fn next_activity(&self) -> Option<Time> {
         if self.pending.is_empty() {
             self.wire.head_ready_at()
@@ -621,6 +654,60 @@ mod tests {
         assert!(w.is_empty());
     }
 
+    /// Stall rule: staged words facing a full datapath stream make the RX
+    /// MAC quiescent — frames landing on the wire meanwhile wake it only to
+    /// be re-classified, not ticked — until the stream is popped.
+    #[test]
+    fn rx_mac_stalled_on_full_output_is_quiescent_until_a_pop() {
+        for burst in [false, true] {
+            let (dst_tx, dst_rx) = Stream::new(8, 32);
+            let wire = Wire::new();
+            let (mac_rx, stats) = EthMacRx::new("mac_rx", wire.clone(), dst_tx, 0);
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("core", Frequency::mhz(200));
+            sim.add_module(clk, mac_rx.with_burst(burst));
+            let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+            wire.push(WireFrame::new(vec![1u8; 320], Time::ZERO)); // 10 words
+            sim.run_cycles(clk, 20);
+            assert_eq!(dst_rx.occupancy(), 8);
+            assert!(
+                sim.all_quiescent(),
+                "burst={burst}: stalled on the datapath"
+            );
+            let stalled_at = ticks(&sim);
+            wire.push(WireFrame::new(vec![2u8; 64], Time::ZERO));
+            sim.run_cycles(clk, 1000);
+            assert_eq!(
+                ticks(&sim),
+                stalled_at,
+                "burst={burst}: no tick while stalled"
+            );
+            assert_eq!(stats.get().frames, 1, "the second frame is not fetched yet");
+            assert_eq!(wire.len(), 1);
+
+            dst_rx.pop().expect("head word");
+            sim.run_cycles(clk, 1);
+            assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
+            assert_eq!(dst_rx.occupancy(), 8, "the freed slot was refilled");
+            assert!(sim.all_quiescent());
+
+            // The first frame's head word was popped above: resync past its
+            // tail, then the second frame reassembles whole.
+            let mut r = Reassembler::new();
+            r.resync();
+            let mut got = Vec::new();
+            for _ in 0..40 {
+                while let Some(w) = dst_rx.pop() {
+                    got.extend(r.push(w));
+                }
+                sim.run_cycles(clk, 1);
+            }
+            assert_eq!(stats.get().frames, 2);
+            assert_eq!(got.last().expect("second frame").0, vec![2u8; 64]);
+            assert!(sim.all_quiescent(), "drained");
+        }
+    }
+
     /// A TX MAC records the real CRC-32; a frame corrupted in flight is
     /// dropped by the RX MAC and counted, while untouched frames and
     /// FCS-less (tester) frames pass.
@@ -638,19 +725,18 @@ mod tests {
         let good = vec![0x11u8; 100];
         let fcs = netfpga_packet::fcs::crc32(&good);
         // A corruption through the CoW path: siblings of the buffer stay
-        // intact, the frame's FCS goes stale, the RX MAC's recheck fails.
-        let mut corrupted = WireFrame::with_fcs(good.clone(), Time::ZERO, fcs);
+        // intact, the frame's FCS goes stale — taking the pristine CRC at
+        // that moment — and the RX MAC's recheck fails.
+        let mut corrupted = WireFrame::stamped(good.clone(), Time::ZERO);
         corrupted.corrupt_data()[40] ^= 0x04;
-        assert!(!corrupted.fcs_fresh);
-        wire.push(WireFrame::with_fcs(good.clone(), Time::ZERO, fcs));
+        assert_eq!(corrupted.fcs, Fcs::Stale(fcs));
+        wire.push(WireFrame::stamped(good.clone(), Time::ZERO));
         wire.push(corrupted);
         wire.push(WireFrame::new(vec![0x22; 64], Time::ZERO));
         // A stale-but-unmodified FCS still verifies by recomputation.
         wire.push(WireFrame {
-            data: good.clone().into(),
-            ready_at: Time::ZERO,
-            fcs: Some(fcs),
-            fcs_fresh: false,
+            fcs: Fcs::Stale(fcs),
+            ..WireFrame::new(good.clone(), Time::ZERO)
         });
         sim.run_until(Time::from_us(1));
 
@@ -667,8 +753,9 @@ mod tests {
         assert_eq!(s.frames, 3);
     }
 
-    /// The TX MAC attaches the frame's true CRC-32 to what it puts on the
-    /// wire (verified against an independent computation).
+    /// What the TX MAC puts on the wire carries the frame's true CRC-32
+    /// (verified against an independent computation), without the MAC
+    /// having computed it.
     #[test]
     fn tx_mac_records_real_fcs() {
         let mut sim = Simulator::new();
@@ -683,6 +770,7 @@ mod tests {
         inject.push(frame.clone(), 0);
         sim.run_until(Time::from_us(2));
         let f = wire.take_ready(Time::from_ms(1)).expect("frame on wire");
-        assert_eq!(f.fcs, Some(netfpga_packet::fcs::crc32(&frame)));
+        assert_eq!(f.fcs, Fcs::Intact);
+        assert_eq!(f.fcs(), Some(netfpga_packet::fcs::crc32(&frame)));
     }
 }

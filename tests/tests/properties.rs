@@ -281,7 +281,8 @@ proptest! {
     /// Copy-on-write isolation: flood and mirror copies are refcount bumps
     /// of one backing buffer, so corrupting *one* copy in flight (a BER
     /// flip through `WireFrame::corrupt_data`) must never leak into its
-    /// siblings — they keep the pristine bytes and the fresh FCS.
+    /// siblings — they keep the pristine bytes and the intact FCS, while
+    /// the victim's FCS goes stale carrying the pristine CRC.
     #[test]
     fn prop_flood_cow_isolation(
         payload in proptest::collection::vec(any::<u8>(), 60..512),
@@ -293,7 +294,7 @@ proptest! {
         use netfpga_core::sim::Simulator;
         use netfpga_core::time::Frequency;
         use netfpga_phy::link::{Link, LinkConfig};
-        use netfpga_phy::mac::{Wire, WireFrame};
+        use netfpga_phy::mac::{Fcs, Wire, WireFrame};
 
         let victim = victim_sel % fanout;
         let buf = PktBuf::from_vec(payload.clone());
@@ -302,7 +303,7 @@ proptest! {
         // "Flood": one buffer, `fanout` wires, each frame a refcount bump.
         let wires: Vec<Wire> = (0..fanout).map(|_| Wire::new()).collect();
         for w in &wires {
-            w.push(WireFrame::with_fcs(buf.clone(), Time::ZERO, fcs));
+            w.push(WireFrame::stamped(buf.clone(), Time::ZERO));
         }
 
         // Corrupt exactly the victim's copy via an always-corrupting link.
@@ -315,13 +316,13 @@ proptest! {
 
         let corrupted = out.take_ready(Time::from_ms(1)).expect("forwarded");
         prop_assert_ne!(corrupted.data.bytes(), &payload[..], "victim must differ");
-        prop_assert!(!corrupted.fcs_fresh, "corruption must stale the FCS");
+        prop_assert_eq!(corrupted.fcs, Fcs::Stale(fcs), "corruption must stale the FCS");
         prop_assert!(
             !corrupted.data.same_backing(&buf),
             "corruption must have copied, not edited the shared backing"
         );
         // Every sibling — and the original buffer — is bit-identical
-        // pristine, still sharing the one backing, FCS still fresh.
+        // pristine, still sharing the one backing, FCS still intact.
         prop_assert_eq!(buf.bytes(), &payload[..]);
         for (i, w) in wires.iter().enumerate() {
             if i == victim {
@@ -329,7 +330,7 @@ proptest! {
             }
             let f = w.take_ready(Time::from_ms(1)).expect("untouched sibling");
             prop_assert_eq!(f.data.bytes(), &payload[..], "sibling {} mutated", i);
-            prop_assert!(f.fcs_fresh, "sibling {} FCS went stale", i);
+            prop_assert_eq!(f.fcs, Fcs::Intact, "sibling {} FCS went stale", i);
             prop_assert!(f.data.same_backing(&buf), "sibling {} was copied", i);
         }
     }
@@ -847,6 +848,255 @@ proptest! {
                     "reliable delivery diverged under {:?} idle_skip={}", mode, idle_skip
                 );
             }
+        }
+    }
+}
+
+/// What one run of the stall rig exposes: everything a skipped edge could
+/// have changed.
+#[derive(Debug, PartialEq)]
+struct StallObserved {
+    /// Per egress wire, in order: `(port, bytes, ready_at)`.
+    wire: Vec<(usize, Vec<u8>, Time)>,
+    /// Frames the host took off the DMA RX ring, in order.
+    host: Vec<Vec<u8>>,
+    /// Every counter and gauge the rig registered.
+    registry: Vec<(String, u64)>,
+    now: Time,
+    cycles: (u64, u64),
+}
+
+/// Where the stall rig's oversubscription comes from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum StallScenario {
+    /// Every frame to the three other ports (egress 3:1).
+    Flood,
+    /// Ports 0–2 all towards port 3.
+    Incast,
+    /// Every wire frame to the host over a PCIe link a quarter as fast as
+    /// the four wires, host frames out of the ports.
+    NicToHost,
+    /// [`StallScenario::Flood`] with a flow tap in front of the queues.
+    TappedFlood,
+}
+
+/// A four-port datapath out of library modules only — RX MACs, arbiter,
+/// statistics stage, lookup stage, optional flow tap, output queues with a
+/// 2 KiB budget per queue, TX MACs, optional DMA engine — with every
+/// inter-module FIFO `depth` words deep, MACs on their own 156 MHz clock,
+/// run for 250 µs under the given kernel. Returns what it observed and how
+/// many edges the kernel executed to get there.
+fn run_stall_rig(
+    scenario: StallScenario,
+    frames: &[(usize, usize)],
+    depth: usize,
+    burst: bool,
+    mac_burst: bool,
+    mode: netfpga_core::sim::SchedulerMode,
+    idle_skip: bool,
+) -> (StallObserved, u64) {
+    use netfpga_core::sim::Simulator;
+    use netfpga_core::stream::{Meta, PortMask, Stream};
+    use netfpga_core::telemetry::StatRegistry;
+    use netfpga_core::time::{BitRate, Frequency};
+    use netfpga_core::PktBuf;
+    use netfpga_datapath::pktstats::StatsStage;
+    use netfpga_datapath::{
+        Fifo, InputArbiter, OutputQueues, PacketStage, QueueConfig, StageAction,
+    };
+    use netfpga_flowmon::{FlowTap, FlowmonConfig};
+    use netfpga_pcie::{DmaEngine, PcieConfig};
+    use netfpga_phy::mac::{wire_bytes, EthMacRx, EthMacTx, Wire, WireFrame};
+
+    const NPORTS: usize = 4;
+    const CPU: u8 = NPORTS as u8;
+    const W: usize = 32;
+    let rate = BitRate::gbps(10);
+    let nic = scenario == StallScenario::NicToHost;
+    let registry = StatRegistry::new();
+    let mut sim = Simulator::with_scheduler(mode);
+    sim.set_idle_skip(idle_skip);
+    let core = sim.add_clock("core", Frequency::mhz(200));
+    let macs = sim.add_clock("mac", Frequency::mhz(156));
+
+    let wires_in: Vec<Wire> = (0..NPORTS).map(|_| Wire::new()).collect();
+    let wires_out: Vec<Wire> = (0..NPORTS).map(|_| Wire::new()).collect();
+    let mut arb_inputs = Vec::new();
+    for (p, wire) in wires_in.iter().enumerate() {
+        let (tx, rx) = Stream::new(depth, W);
+        let (mac, stats) = EthMacRx::new(&format!("rx{p}"), wire.clone(), tx, p as u8);
+        stats.register_stats(&registry, &format!("port{p}.mac.rx"));
+        sim.add_module(macs, mac.with_burst(mac_burst));
+        arb_inputs.push(rx);
+    }
+    let mut oq_outputs = Vec::new();
+    for (p, wire) in wires_out.iter().enumerate() {
+        let (tx, rx) = Stream::new(depth, W);
+        let (mac, stats) = EthMacTx::new(&format!("tx{p}"), rate, rx, wire.clone());
+        stats.register_stats(&registry, &format!("port{p}.mac.tx"));
+        sim.add_module(macs, mac.with_burst(mac_burst));
+        oq_outputs.push(tx);
+    }
+    let dma = nic.then(|| {
+        let (h2c_tx, h2c_rx) = Stream::new(depth, W);
+        let (c2h_tx, c2h_rx) = Stream::new(depth, W);
+        let (engine, handle) = DmaEngine::new("dma", PcieConfig::gen1_x8(), h2c_tx, c2h_rx, 64, 16);
+        handle.register_stats(&registry, "dma");
+        sim.add_module(core, engine);
+        arb_inputs.push(h2c_rx);
+        oq_outputs.push(c2h_tx);
+        handle
+    });
+
+    let (arb_tx, arb_rx) = Stream::new(depth, W);
+    let arbiter = InputArbiter::new("arbiter", arb_inputs, arb_tx).with_burst(burst);
+    let (stats_tx, stats_rx) = Stream::new(depth, W);
+    let (stats_stage, rx_stats) = StatsStage::new("rx_stats", arb_rx, stats_tx, NPORTS + 1);
+    rx_stats.register_stats(&registry, "rx_stats");
+    let (lookup_tx, lookup_rx) = Stream::new(depth, W);
+    let lookup = PacketStage::new(
+        "lookup",
+        stats_rx,
+        lookup_tx,
+        8,
+        move |p: &mut PktBuf, m: &mut Meta, _t: Time| {
+            let mut dst = PortMask::EMPTY;
+            match scenario {
+                StallScenario::Flood | StallScenario::TappedFlood => {
+                    dst = PortMask::first_n(NPORTS as u8);
+                    dst.remove(m.src_port);
+                }
+                StallScenario::Incast => dst.insert(3),
+                StallScenario::NicToHost if m.src_port == CPU => dst.insert(p[0] % CPU),
+                StallScenario::NicToHost => dst.insert(CPU),
+            }
+            m.dst_ports = dst;
+            StageAction::Forward
+        },
+    )
+    .with_burst(burst);
+    lookup.register_stats(&registry, "lookup");
+    let (oq_input, tap) = if scenario == StallScenario::TappedFlood {
+        let (tap_tx, tap_rx) = Stream::new(depth, W);
+        let tap = FlowTap::new(lookup_rx, tap_tx, &FlowmonConfig::default()).with_burst(burst);
+        tap.handle().register_stats(&registry, "flowmon");
+        (tap_rx, Some(tap))
+    } else {
+        (lookup_rx, None)
+    };
+    let config = QueueConfig {
+        bytes_per_queue: 2048,
+        ..QueueConfig::default()
+    };
+    let oq =
+        OutputQueues::new("oq", oq_input, oq_outputs, config, || Box::new(Fifo)).with_burst(burst);
+    oq.register_stats(&registry, "oq");
+    oq.register_depth_gauges(&registry, "oq");
+    sim.add_module(core, arbiter);
+    sim.add_module(core, stats_stage.with_burst(burst));
+    sim.add_module(core, lookup);
+    if let Some(tap) = tap {
+        sim.add_module(core, tap);
+    }
+    sim.add_module(core, oq);
+
+    // Offer every frame back to back at line rate on its port; in the NIC
+    // scenario every third frame is a host send instead.
+    let mut busy = [Time::ZERO; NPORTS];
+    for (i, &(port, len)) in frames.iter().enumerate() {
+        let mut bytes = vec![i as u8; len];
+        bytes[0] = port as u8;
+        match &dma {
+            Some(handle) if i % 3 == 2 => handle.send(bytes, CPU).expect("ring has room"),
+            _ => {
+                busy[port] += rate.time_for_bytes(wire_bytes(len as u64));
+                wires_in[port].push(WireFrame::new(bytes, busy[port]));
+            }
+        }
+    }
+    let mut host = Vec::new();
+    for _ in 0..5 {
+        sim.run_for(Time::from_us(50));
+        if let Some(handle) = &dma {
+            while let Some((packet, _meta)) = handle.recv() {
+                host.push(packet.to_vec());
+            }
+        }
+    }
+    let far = Time::from_ms(10);
+    let wire = wires_out
+        .iter()
+        .enumerate()
+        .flat_map(|(p, w)| {
+            std::iter::from_fn(move || w.take_ready(far))
+                .map(move |f| (p, f.data.to_vec(), f.ready_at))
+        })
+        .collect();
+    let observed = StallObserved {
+        wire,
+        host,
+        registry: registry.snapshot(),
+        now: sim.now(),
+        cycles: (sim.cycles(core), sim.cycles(macs)),
+    };
+    (observed, sim.steps_executed())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Stalled is not active — and skipping it is invisible. Under random
+    /// oversubscription (flood, 3→1 incast, wires faster than the host's
+    /// PCIe link, a tapped flood), with FIFOs from 2 to 64 words deep, the
+    /// pipeline and the MACs each in word or burst pacing, every kernel
+    /// that skips stalled and time-blocked modules — `Scan` with idle
+    /// skipping, `Calendar`, `Heap` — must reproduce the every-edge
+    /// reference bit for bit: delivered `(port, bytes, ready_at)`
+    /// sequences, host deliveries, every registered counter and gauge,
+    /// `sim.now()` and both domains' cycle counts. In debug builds (and
+    /// under `paranoid`) the run also exercises the cache-drift check on
+    /// every module that now claims quiescence on an output channel.
+    #[test]
+    fn prop_stall_equivalence(
+        scenario_sel in 0usize..4,
+        frames in proptest::collection::vec((0usize..4, 60usize..700), 12..90),
+        depth_sel in 0usize..6,
+        burst in any::<bool>(),
+        mac_burst in any::<bool>(),
+    ) {
+        use netfpga_core::sim::SchedulerMode;
+        let scenario = [
+            StallScenario::Flood,
+            StallScenario::Incast,
+            StallScenario::NicToHost,
+            StallScenario::TappedFlood,
+        ][scenario_sel];
+        let depth = [2, 3, 8, 16, 33, 64][depth_sel];
+        let frames: Vec<(usize, usize)> = frames
+            .into_iter()
+            .map(|(port, len)| (if scenario == StallScenario::Incast { port % 3 } else { port }, len))
+            .collect();
+        let run = |mode, idle_skip| {
+            run_stall_rig(scenario, &frames, depth, burst, mac_burst, mode, idle_skip)
+        };
+        let (reference, every_edge) = run(SchedulerMode::Scan, false);
+        prop_assert!(
+            !reference.wire.is_empty() || !reference.host.is_empty(),
+            "the rig must deliver something"
+        );
+        for mode in [SchedulerMode::Scan, SchedulerMode::Calendar, SchedulerMode::Heap] {
+            let (observed, steps) = run(mode, true);
+            // (Not `prop_assert_eq!`: the two sides are whole frame dumps.)
+            prop_assert!(
+                observed == reference,
+                "{:?} depth={} burst={} mac_burst={} diverged under {:?}",
+                scenario, depth, burst, mac_burst, mode
+            );
+            prop_assert!(
+                steps < every_edge / 2,
+                "{:?} under {:?}: {} of {} edges executed — nothing was skipped",
+                scenario, mode, steps, every_edge
+            );
         }
     }
 }
