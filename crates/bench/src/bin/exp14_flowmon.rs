@@ -114,11 +114,7 @@ struct Signature {
 impl Signature {
     /// A short stable hash for the report table (FNV-1a over Debug).
     fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in format!("{self:?}").bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-        }
-        h
+        netfpga_core::hash::fnv1a64(format!("{self:?}").as_bytes())
     }
 }
 

@@ -6,10 +6,10 @@
 //! JSON.
 //!
 //! ```text
-//! prof_kernel [naive|fast] [idle|sat|flood] [n]
+//! prof_kernel [naive|fast] [idle|sat|flood] [n] [frame_len]
 //! ```
 
-use netfpga_bench::kernel::{run_keeping_switch, KernelConfig, Workload};
+use netfpga_bench::kernel::{run_keeping_switch, KernelConfig, Workload, FRAME_LEN};
 
 fn phases(nframes: u32) {
     use netfpga_core::board::BoardSpec;
@@ -78,11 +78,16 @@ fn main() {
         "flood" => Workload::Flood,
         _ => Workload::Saturated,
     };
-    let (run, sw) = run_keeping_switch(config, which, n);
+    let frame_len: usize = args
+        .get(4)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(FRAME_LEN);
+    let (run, sw) = run_keeping_switch(config, which, n, frame_len);
     println!(
-        "{} {}: edges={} steps={} ({:.1}% stepped) frames={} cow={} wall={:?} edges/s={:.0} frames/s={:.0}",
+        "{} {} {}B: edges={} steps={} ({:.1}% stepped) frames={} cow={} wall={:?} edges/s={:.0} frames/s={:.0}",
         config.label(),
         workload,
+        frame_len,
         run.edges,
         run.steps,
         100.0 * run.steps as f64 / run.edges.max(1) as f64,

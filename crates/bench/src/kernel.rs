@@ -203,22 +203,29 @@ pub enum Workload {
     Flood,
 }
 
-/// Run `workload` at size `n` and hand back the switch it ran on as well,
-/// so the caller can look inside afterwards — `prof_kernel` prints its
-/// [`netfpga_core::sim::Simulator::module_ticks`] table from it.
+/// Frame length of the bracketing workloads, in bytes (10 beats of the
+/// 32-byte bus).
+pub const FRAME_LEN: usize = 300;
+
+/// Run `workload` at size `n` with `frame_len`-byte frames and hand back
+/// the switch it ran on as well, so the caller can look inside afterwards
+/// — `prof_kernel` prints its
+/// [`netfpga_core::sim::Simulator::module_ticks`] table from it, and
+/// `exp10_kernel` sweeps the frame length to price a beat.
 pub fn run_keeping_switch(
     config: KernelConfig,
     workload: Workload,
     n: u32,
+    frame_len: usize,
 ) -> (KernelRun, ReferenceSwitch) {
     let mut sw = match workload {
         Workload::Flood => switch(config),
         Workload::IdleHeavy | Workload::Saturated => learned_switch(config),
     };
     let run = match workload {
-        Workload::IdleHeavy => idle_heavy_on(&mut sw, n),
-        Workload::Saturated => saturated_on(&mut sw, n),
-        Workload::Flood => flood_on(&mut sw, n),
+        Workload::IdleHeavy => idle_heavy_on(&mut sw, n, frame_len),
+        Workload::Saturated => saturated_on(&mut sw, n, frame_len),
+        Workload::Flood => flood_on(&mut sw, n, frame_len),
     };
     (run, sw)
 }
@@ -226,17 +233,17 @@ pub fn run_keeping_switch(
 /// Idle-heavy workload: `rounds` rounds of 4 unicast frames (one per
 /// port) followed by a 50 µs silent gap — well over 90 % idle edges.
 pub fn idle_heavy(config: KernelConfig, rounds: u32) -> KernelRun {
-    run_keeping_switch(config, Workload::IdleHeavy, rounds).0
+    run_keeping_switch(config, Workload::IdleHeavy, rounds, FRAME_LEN).0
 }
 
-fn idle_heavy_on(sw: &mut ReferenceSwitch, rounds: u32) -> KernelRun {
+fn idle_heavy_on(sw: &mut ReferenceSwitch, rounds: u32, frame_len: usize) -> KernelRun {
     let base = RunBase::begin(sw);
     let mut frames = 0u64;
     for _ in 0..rounds {
         for p in 0..4u8 {
             // Port p's station sends to the station on the next port.
             sw.chassis
-                .send(usize::from(p), frame(p + 1, (p + 1) % 4 + 1, 300));
+                .send(usize::from(p), frame(p + 1, (p + 1) % 4 + 1, frame_len));
         }
         sw.chassis.run_for(Time::from_us(50));
         for p in 0..4 {
@@ -246,19 +253,19 @@ fn idle_heavy_on(sw: &mut ReferenceSwitch, rounds: u32) -> KernelRun {
     base.finish(sw, frames)
 }
 
-/// Saturated workload: `nframes` 300-byte frames per direction on two
+/// Saturated workload: `nframes` [`FRAME_LEN`]-byte frames per direction on two
 /// port pairs, injected back to back so the wires never go idle until the
 /// tail drains.
 pub fn saturated(config: KernelConfig, nframes: u32) -> KernelRun {
-    run_keeping_switch(config, Workload::Saturated, nframes).0
+    run_keeping_switch(config, Workload::Saturated, nframes, FRAME_LEN).0
 }
 
-fn saturated_on(sw: &mut ReferenceSwitch, nframes: u32) -> KernelRun {
+fn saturated_on(sw: &mut ReferenceSwitch, nframes: u32, frame_len: usize) -> KernelRun {
     // One template frame per flow, cloned per injection: a tester feeding
     // the same stimulus at line rate bumps a refcount instead of building
     // and copying a fresh payload every time.
-    let f01: pktbuf::PktBuf = frame(1, 2, 300).into(); // port 0 -> port 1
-    let f23: pktbuf::PktBuf = frame(3, 4, 300).into(); // port 2 -> port 3
+    let f01: pktbuf::PktBuf = frame(1, 2, frame_len).into(); // port 0 -> port 1
+    let f23: pktbuf::PktBuf = frame(3, 4, frame_len).into(); // port 2 -> port 3
     let base = RunBase::begin(sw);
     for _ in 0..nframes {
         sw.chassis.send(0, f01.clone());
@@ -267,7 +274,7 @@ fn saturated_on(sw: &mut ReferenceSwitch, nframes: u32) -> KernelRun {
     let expect = 2 * u64::from(nframes);
     let mut frames = 0u64;
     // Drain in slices; the deadline is generous (wire time for the whole
-    // burst is ~nframes x 256 ns per pair).
+    // burst is ~nframes x 256 ns per pair at 300 B, x 1.23 us at 1514 B).
     for _ in 0..200 {
         sw.chassis
             .run_for(Time::from_us(u64::from(nframes) / 2 + 20));
@@ -286,17 +293,17 @@ fn saturated_on(sw: &mut ReferenceSwitch, nframes: u32) -> KernelRun {
 /// broadcast shape. One ingress frame becomes three egress frames whose
 /// payloads share one refcounted buffer.
 pub fn flood(config: KernelConfig, nframes: u32) -> KernelRun {
-    run_keeping_switch(config, Workload::Flood, nframes).0
+    run_keeping_switch(config, Workload::Flood, nframes, FRAME_LEN).0
 }
 
-fn flood_on(sw: &mut ReferenceSwitch, nframes: u32) -> KernelRun {
+fn flood_on(sw: &mut ReferenceSwitch, nframes: u32, frame_len: usize) -> KernelRun {
     // Source MACs rotate over a reserved range never used as a
     // destination, keeping every lookup a miss; the destination station
     // 0xee does not exist anywhere. Template frames are cloned per
     // injection (refcount bumps), and each flood copy inside the switch
     // is another refcount bump on the same backing buffer.
     let templates: Vec<pktbuf::PktBuf> = (0..8u8)
-        .map(|s| frame(0x40 + s, 0xee, 300).into())
+        .map(|s| frame(0x40 + s, 0xee, frame_len).into())
         .collect();
     let base = RunBase::begin(sw);
     for i in 0..nframes {

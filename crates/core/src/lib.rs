@@ -15,6 +15,7 @@
 //! * [`pktbuf`] — the zero-copy packet buffer plane: refcounted frame
 //!   payloads with a deterministic free-list pool and copy-on-write
 //!   mutation.
+//! * [`hash`] — the one deterministic hash (64-bit FNV-1a).
 //! * [`regs`] — the AXI4-Lite-style register bus and address map.
 //! * [`board`] — component inventories of the SUME, 10G and 1G-CML boards.
 //! * [`packetio`] — packet-level sources/sinks for tests and experiments.
@@ -40,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 pub mod board;
+pub mod hash;
 pub mod packetio;
 pub mod pktbuf;
 pub mod regs;
@@ -59,6 +61,6 @@ pub use regs::{AddressMap, RegisterSpace};
 pub use resources::{ResourceBudget, ResourceCost};
 pub use rng::SimRng;
 pub use sim::{ClockId, Module, Simulator, SoftResetLine, TickContext};
-pub use stream::{Meta, PortMask, Stream, StreamRx, StreamTx, Word};
+pub use stream::{Burst, Meta, PortMask, Stream, StreamRx, StreamTx, Word};
 pub use telemetry::{Event, EventKind, EventRing, Stat, StatBlock, StatRegistry};
 pub use time::{BitRate, Frequency, Time};

@@ -8,7 +8,7 @@
 
 use crate::pktbuf::PktBuf;
 use crate::sim::{Module, TickContext, WakeHandle};
-use crate::stream::{segment_buf, Meta, PortMask, Reassembler, StreamRx, StreamTx};
+use crate::stream::{segment_buf, Burst, Meta, PortMask, Reassembler, StreamRx, StreamTx};
 use crate::time::Time;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -69,7 +69,8 @@ pub struct PacketSource {
     name: String,
     queue: InjectQueue,
     tx: StreamTx,
-    current: VecDeque<crate::stream::Word>,
+    /// The beats of the packet being emitted that are still to go.
+    current: Option<Burst>,
     sent_packets: u64,
     sent_bytes: u64,
     /// Activity-cache invalidation flag, registered on the inject queue
@@ -90,7 +91,7 @@ impl PacketSource {
                 name: name.to_string(),
                 queue: queue.clone(),
                 tx,
-                current: VecDeque::new(),
+                current: None,
                 sent_packets: 0,
                 sent_bytes: 0,
                 wake,
@@ -111,7 +112,7 @@ impl PacketSource {
 
     /// True when both the queue and the in-flight word buffer are empty.
     pub fn idle(&self) -> bool {
-        self.current.is_empty() && self.queue.pending() == 0
+        self.current.is_none() && self.queue.pending() == 0
     }
 }
 
@@ -121,23 +122,20 @@ impl Module for PacketSource {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if self.current.is_empty() {
+        if self.current.is_none() {
             if let Some((packet, mut meta)) = self.queue.inner.borrow_mut().pop_front() {
                 meta.ingress_time = ctx.now;
                 meta.len = packet.len() as u16;
                 self.sent_bytes += packet.len() as u64;
                 self.sent_packets += 1;
-                self.current = segment_buf(&packet, self.tx.width(), meta).into();
+                self.current = Some(segment_buf(&packet, self.tx.width(), meta));
             }
         }
-        if !self.current.is_empty() && self.tx.can_push() {
-            let word = self.current.pop_front().expect("checked non-empty");
-            self.tx.push(word);
-        }
+        self.tx.push_burst(&mut self.current, 1);
     }
 
     fn reset(&mut self) {
-        self.current.clear();
+        self.current = None;
         self.queue.inner.borrow_mut().clear();
         self.sent_packets = 0;
         self.sent_bytes = 0;
@@ -147,7 +145,7 @@ impl Module for PacketSource {
     /// in-flight words and a full output. With `current` empty and a packet
     /// queued the tick stamps and stages it, so that stays active.
     fn is_quiescent(&self) -> bool {
-        if self.current.is_empty() {
+        if self.current.is_none() {
             self.queue.pending() == 0
         } else {
             !self.tx.can_push()

@@ -199,6 +199,7 @@ impl PktBuf {
 
     /// A sub-view of `len` bytes starting at `off` (relative to this
     /// view). Shares the backing store: no bytes move.
+    #[inline]
     pub fn slice(&self, off: usize, len: usize) -> PktBuf {
         assert!(off + len <= self.len, "slice out of range");
         PktBuf {
@@ -208,10 +209,22 @@ impl PktBuf {
         }
     }
 
+    /// Split the view in two at `at`: returns the first `at` bytes and
+    /// leaves `self` covering the rest. Both share the backing store — one
+    /// refcount bump, no bytes move.
+    #[inline]
+    pub fn split_to(&mut self, at: usize) -> PktBuf {
+        let front = self.slice(0, at);
+        self.off += at;
+        self.len -= at;
+        front
+    }
+
     /// Join two views that are adjacent in the *same* backing store into
     /// one contiguous view, without copying. Returns `None` when the views
     /// belong to different buffers or are not adjacent — the reassembly
     /// fast path falls back to copying then.
+    #[inline]
     pub fn try_join(&self, next: &PktBuf) -> Option<PktBuf> {
         if Rc::ptr_eq(&self.inner, &next.inner) && self.off + self.len == next.off {
             Some(PktBuf {

@@ -155,7 +155,7 @@ impl WakeHandle {
 
     /// Clear the dirty flag (after a re-query that supersedes any wake).
     #[inline]
-    fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.0.set(false);
     }
 }
@@ -169,7 +169,11 @@ impl Default for WakeHandle {
 /// A hardware building block driven by a clock edge.
 ///
 /// Implementations should perform at most one word of work per stream port
-/// per tick — that is what makes a tick a cycle.
+/// per tick — that is what makes a tick a cycle. The library modules'
+/// burst mode (`with_burst`) lifts that to "whatever fits": a tick then
+/// moves whole [`Burst`](crate::stream::Burst)s, still bounded by stream
+/// depth counted in beats, so back-pressure builds in the same places and
+/// only the cycle-level pacing inside a module collapses.
 pub trait Module {
     /// Stable instance name for diagnostics.
     fn name(&self) -> &str;

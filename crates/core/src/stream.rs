@@ -18,6 +18,30 @@
 //! delimiters; the first word of every packet carries the NetFPGA `tuser`
 //! sideband metadata ([`Meta`]): packet length, source port, destination
 //! port one-hot, and an ingress timestamp.
+//!
+//! # Bursts, not beats
+//!
+//! On the bus a packet crosses an interface as one *burst* of beats, and
+//! that is how the queue holds it: an entry is a [`Burst`] — `n ≥ 1`
+//! consecutive beats of one packet as a single [`PktBuf`] view — not one
+//! entry per word. What a design can observe is unchanged and counted in
+//! **beats**: capacity, [`StreamTx::space`], [`StreamRx::occupancy`], the
+//! cumulative counters, when `tready`/`tvalid` drop, and therefore every
+//! simulated instant. The grouping only decides host work:
+//!
+//! * the one-beat operations ([`StreamTx::push`], [`StreamRx::pop`],
+//!   [`StreamRx::peek`]) work on any queue — a word-per-cycle consumer
+//!   behind a burst producer splits the head burst a beat at a time;
+//! * the bulk operations ([`StreamTx::push_burst`], [`StreamRx::pop_burst`],
+//!   the `transfer_*` family) move whole bursts and split one only where a
+//!   per-word loop would have stopped inside it: at a capacity limit or at
+//!   the caller's `max`. No burst spans two packets, so stopping at `eop`
+//!   never splits. A 48-beat frame crossing a hop is one entry move, one
+//!   counter add, one wake and one join in the [`Reassembler`].
+//!
+//! Only these stream operations split a burst, into views of the same
+//! buffer; nothing ever merges two, because a [`Reassembler`] joins
+//! adjacent views for free.
 
 use crate::pktbuf::PktBuf;
 use crate::sim::WakeHandle;
@@ -198,12 +222,165 @@ impl Word {
     }
 }
 
+/// A burst: consecutive beats of *one* packet held as a single [`PktBuf`]
+/// view — what a stream queues, and what the bulk operations move.
+///
+/// Every beat but the last carries exactly [`Burst::width`] bytes, so the
+/// beat count, each beat's bytes and the `sop`/`eop`/`meta` of each beat
+/// follow from the view alone: `sop` and `meta` belong to the first beat,
+/// `eop` to the last. A [`Word`] is the one-beat case (`Burst::from`).
+///
+/// A burst is also the cursor a store-and-forward module keeps over the
+/// packet it is emitting: [`segment_buf`] makes the whole packet one
+/// burst, [`StreamTx::push_burst`] moves as many leading beats as fit and
+/// leaves the rest in place, and iterating yields the beats as [`Word`]s.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Burst {
+    buf: PktBuf,
+    /// Bytes per beat (`1..=MAX_BUS_BYTES`); only the last may be shorter.
+    width: u8,
+    /// Beats left; zero only once iteration has consumed the burst.
+    beats: u32,
+    /// The first beat starts the packet.
+    pub sop: bool,
+    /// The last beat ends the packet.
+    pub eop: bool,
+    /// Metadata carried by the first beat.
+    pub meta: Option<Meta>,
+}
+
+impl Burst {
+    /// Number of beats.
+    pub fn beats(&self) -> usize {
+        self.beats as usize
+    }
+
+    /// Bytes per beat; only the last beat may carry fewer.
+    pub fn width(&self) -> usize {
+        usize::from(self.width)
+    }
+
+    /// The bytes of every beat, contiguous.
+    pub fn bytes(&self) -> &[u8] {
+        self.buf.bytes()
+    }
+
+    /// Total bytes across all beats.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True once iteration has consumed every beat.
+    pub fn is_empty(&self) -> bool {
+        self.beats == 0
+    }
+
+    /// Split off the first `n` beats (`0 < n < beats`): the front keeps
+    /// `sop` and the metadata, `self` keeps `eop`. One refcount bump.
+    #[inline]
+    fn split_front(&mut self, n: usize) -> Burst {
+        debug_assert!(0 < n && n < self.beats(), "split inside the burst");
+        let front = Burst {
+            buf: self.buf.split_to(n * self.width()),
+            width: self.width,
+            beats: n as u32,
+            sop: self.sop,
+            eop: false,
+            meta: self.meta.take(),
+        };
+        self.beats -= n as u32;
+        self.sop = false;
+        front
+    }
+
+    /// The first beat as a word, without consuming it.
+    fn first_word(&self) -> Word {
+        let last = self.beats == 1;
+        Word {
+            buf: if last {
+                self.buf.clone()
+            } else {
+                self.buf.slice(0, self.width())
+            },
+            sop: self.sop,
+            eop: self.eop && last,
+            meta: self.meta,
+        }
+    }
+
+    /// A one-beat burst as the word it is.
+    #[inline]
+    fn into_word(self) -> Word {
+        debug_assert_eq!(self.beats, 1);
+        Word {
+            buf: self.buf,
+            sop: self.sop,
+            eop: self.eop,
+            meta: self.meta,
+        }
+    }
+
+    /// Take up to `max` leading beats out of `slot` (`max >= 1`, slot
+    /// occupied): the whole burst when it is that short, emptying the slot.
+    #[inline]
+    fn take_front(slot: &mut Option<Burst>, max: usize) -> Burst {
+        let burst = slot.as_mut().expect("occupied slot");
+        if burst.beats() <= max {
+            slot.take().expect("checked above")
+        } else {
+            burst.split_front(max)
+        }
+    }
+}
+
+impl From<Word> for Burst {
+    #[inline]
+    fn from(word: Word) -> Burst {
+        Burst {
+            width: word.len() as u8,
+            beats: 1,
+            buf: word.buf,
+            sop: word.sop,
+            eop: word.eop,
+            meta: word.meta,
+        }
+    }
+}
+
+/// The beats of the burst, front to back, one [`Word`] each.
+impl Iterator for Burst {
+    type Item = Word;
+
+    fn next(&mut self) -> Option<Word> {
+        match self.beats {
+            0 => None,
+            1 => {
+                self.beats = 0;
+                Some(Word {
+                    buf: self.buf.split_to(self.buf.len()),
+                    sop: self.sop,
+                    eop: self.eop,
+                    meta: self.meta.take(),
+                })
+            }
+            _ => Some(self.split_front(1).into_word()),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.beats(), Some(self.beats()))
+    }
+}
+
 #[derive(Debug)]
 struct Shared {
-    queue: VecDeque<Word>,
+    /// Queued bursts, oldest first; no burst spans two packets.
+    queue: VecDeque<Burst>,
+    /// Occupancy in beats: what `capacity` bounds.
+    beats: usize,
     capacity: usize,
     width: usize,
-    /// Cumulative counters for occupancy statistics.
+    /// Cumulative counters for occupancy statistics, in beats.
     pushed_words: u64,
     popped_words: u64,
     pushed_packets: u64,
@@ -229,9 +406,38 @@ impl Shared {
             w.wake();
         }
     }
+
+    /// Queue a burst the caller has checked there is room for.
+    #[inline]
+    fn put(&mut self, burst: Burst) {
+        assert!(burst.width() <= self.width, "word wider than stream bus");
+        self.beats += burst.beats();
+        self.pushed_words += u64::from(burst.beats);
+        if burst.sop {
+            self.pushed_packets += 1;
+        }
+        self.queue.push_back(burst);
+    }
+
+    /// Dequeue up to `max` beats (`max >= 1`) of the head burst, splitting
+    /// it when it is longer.
+    #[inline]
+    fn take(&mut self, max: usize) -> Option<Burst> {
+        let head = self.queue.front_mut()?;
+        let burst = if head.beats() <= max {
+            self.queue.pop_front().expect("head exists")
+        } else {
+            head.split_front(max)
+        };
+        self.beats -= burst.beats();
+        self.popped_words += u64::from(burst.beats);
+        Some(burst)
+    }
 }
 
 /// A stream channel; create with [`Stream::new`], then split into handles.
+/// Depth and every observable figure count beats, whatever bursts the
+/// queue holds them in (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Stream;
 
@@ -247,6 +453,7 @@ impl Stream {
         );
         let shared = Rc::new(RefCell::new(Shared {
             queue: VecDeque::with_capacity(capacity),
+            beats: 0,
             capacity,
             width,
             pushed_words: 0,
@@ -264,6 +471,10 @@ impl Stream {
     }
 }
 
+// The one-beat operations below run once per beat per hop and are called
+// from other crates: without `#[inline]` each costs a call plus a copy of
+// the entry per word↔burst conversion (≈10 % of a word-level pipeline).
+
 /// Producer handle: the `tready`-checking side.
 #[derive(Debug, Clone)]
 pub struct StreamTx {
@@ -272,28 +483,25 @@ pub struct StreamTx {
 
 impl StreamTx {
     /// True if the channel can accept a word this cycle (`tready`).
+    #[inline]
     pub fn can_push(&self) -> bool {
         let s = self.shared.borrow();
-        s.queue.len() < s.capacity
+        s.beats < s.capacity
     }
 
     /// Free space in words.
     pub fn space(&self) -> usize {
         let s = self.shared.borrow();
-        s.capacity - s.queue.len()
+        s.capacity - s.beats
     }
 
     /// Push a word. Panics if full (callers must check `can_push`; pushing
     /// into a full FIFO is a design bug, as it would be in hardware).
+    #[inline]
     pub fn push(&self, word: Word) {
         let mut s = self.shared.borrow_mut();
-        assert!(s.queue.len() < s.capacity, "push into full stream");
-        assert!(word.len() <= s.width, "word wider than stream bus");
-        s.pushed_words += 1;
-        if word.sop {
-            s.pushed_packets += 1;
-        }
-        s.queue.push_back(word);
+        assert!(s.beats < s.capacity, "push into full stream");
+        s.put(word.into());
         s.wake_rx();
     }
 
@@ -307,26 +515,28 @@ impl StreamTx {
         self.shared.borrow().capacity
     }
 
-    /// Push as many words as fit from the front of `words`, consuming them.
-    /// Returns the number pushed (possibly zero). One borrow for the whole
-    /// burst instead of a `can_push`/`push` pair per word — the fast path
-    /// for modules allowed to move whole packets per cycle.
-    pub fn push_burst(&self, words: &mut VecDeque<Word>) -> usize {
+    /// Push up to `max` leading beats of the burst in `slot`, as many as
+    /// fit, as one queue entry; the rest stays in `slot`, which empties
+    /// when the last beat goes. Returns the number of beats pushed
+    /// (possibly zero). With `max = 1` this is the word-per-cycle
+    /// `can_push`/`push` pair; with `usize::MAX` a whole packet crosses in
+    /// one move — the fast path for modules allowed to move whole packets
+    /// per cycle.
+    #[inline]
+    pub fn push_burst(&self, slot: &mut Option<Burst>, max: usize) -> usize {
+        if slot.is_none() {
+            return 0; // the idle tick of every emitter: not even a borrow
+        }
         let mut s = self.shared.borrow_mut();
-        let n = words.len().min(s.capacity - s.queue.len());
-        for _ in 0..n {
-            let word = words.pop_front().expect("counted above");
-            assert!(word.len() <= s.width, "word wider than stream bus");
-            s.pushed_words += 1;
-            if word.sop {
-                s.pushed_packets += 1;
-            }
-            s.queue.push_back(word);
+        let n = max.min(s.capacity - s.beats);
+        if n == 0 {
+            return 0;
         }
-        if n > 0 {
-            s.wake_rx();
-        }
-        n
+        let burst = Burst::take_front(slot, n);
+        let pushed = burst.beats();
+        s.put(burst);
+        s.wake_rx();
+        pushed
     }
 
     /// Register the producer module's activity-invalidation flag: it is
@@ -346,24 +556,20 @@ pub struct StreamRx {
 
 impl StreamRx {
     /// True if a word is available this cycle (`tvalid`).
+    #[inline]
     pub fn can_pop(&self) -> bool {
-        !self.shared.borrow().queue.is_empty()
+        self.shared.borrow().beats > 0
     }
 
     /// Look at the head word without consuming it.
     pub fn peek(&self) -> Option<Word> {
-        self.shared.borrow().queue.front().cloned()
+        self.shared.borrow().queue.front().map(Burst::first_word)
     }
 
     /// Consume the head word.
+    #[inline]
     pub fn pop(&self) -> Option<Word> {
-        let mut s = self.shared.borrow_mut();
-        let w = s.queue.pop_front();
-        if w.is_some() {
-            s.popped_words += 1;
-            s.wake_tx();
-        }
-        w
+        self.pop_burst(1).map(Burst::into_word)
     }
 
     /// Register the consumer module's activity-invalidation flag: it is
@@ -374,7 +580,7 @@ impl StreamRx {
 
     /// Current occupancy in words.
     pub fn occupancy(&self) -> usize {
-        self.shared.borrow().queue.len()
+        self.shared.borrow().beats
     }
 
     /// The configured bus width in bytes.
@@ -392,218 +598,113 @@ impl StreamRx {
         self.shared.borrow().pushed_packets
     }
 
-    /// Pop up to `max` words into `out`, one borrow for the whole burst.
-    /// Returns the number popped (possibly zero).
-    pub fn pop_burst(&self, max: usize, out: &mut Vec<Word>) -> usize {
-        let mut s = self.shared.borrow_mut();
-        let n = max.min(s.queue.len());
-        out.extend(s.queue.drain(..n));
-        s.popped_words += n as u64;
-        if n > 0 {
-            s.wake_tx();
+    /// Pop up to `max` beats of the head burst — never past the end of a
+    /// packet, since no burst spans two. `None` when the stream is empty
+    /// or `max` is zero.
+    #[inline]
+    pub fn pop_burst(&self, max: usize) -> Option<Burst> {
+        if max == 0 {
+            return None;
         }
-        n
+        let mut s = self.shared.borrow_mut();
+        let burst = s.take(max)?;
+        s.wake_tx();
+        Some(burst)
     }
 
-    /// Move up to `max` words from this stream directly into `tx`, bounded
+    /// Move up to `max` beats from this stream directly into `tx`, bounded
     /// by both occupancy and downstream space. Returns the number moved.
     /// The degenerate self-transfer (both handles on the same channel) is a
     /// no-op, matching what a per-word pop/push loop would observe.
     pub fn transfer_up_to(&self, tx: &StreamTx, max: usize) -> usize {
-        if Rc::ptr_eq(&self.shared, &tx.shared) {
-            return 0;
-        }
-        let mut src = self.shared.borrow_mut();
-        let mut dst = tx.shared.borrow_mut();
-        let n = max.min(src.queue.len()).min(dst.capacity - dst.queue.len());
-        for _ in 0..n {
-            let word = src.queue.pop_front().expect("counted above");
-            assert!(word.len() <= dst.width, "word wider than stream bus");
-            src.popped_words += 1;
-            dst.pushed_words += 1;
-            if word.sop {
-                dst.pushed_packets += 1;
-            }
-            dst.queue.push_back(word);
-        }
-        if n > 0 {
-            src.wake_tx();
-            dst.wake_rx();
-        }
-        n
+        self.transfer(tx, max, |_| false)
     }
 
-    /// Move the words of at most one packet from this stream into `tx`:
-    /// stops after the word carrying `eop`, or earlier when data or space
-    /// runs out. Returns `(words_moved, packet_completed)`. One borrow pair
-    /// for the whole run instead of a `can_push`/`pop`/`push` triple per
-    /// word — the fast path for packet-granular forwarders (arbiters) that
-    /// must observe packet boundaries. Self-transfer is a no-op.
+    /// Move the beats of at most one packet from this stream into `tx`:
+    /// stops after the beat carrying `eop`, or earlier when data or space
+    /// runs out. Returns `(beats_moved, packet_completed)` — the fast path
+    /// for packet-granular forwarders (arbiters) that must observe packet
+    /// boundaries. Self-transfer is a no-op.
     pub fn transfer_packet(&self, tx: &StreamTx) -> (usize, bool) {
-        if Rc::ptr_eq(&self.shared, &tx.shared) {
-            return (0, false);
-        }
-        let mut src = self.shared.borrow_mut();
-        let mut dst = tx.shared.borrow_mut();
-        let mut moved = 0;
         let mut completed = false;
-        while !completed && !src.queue.is_empty() && dst.queue.len() < dst.capacity {
-            let word = src.queue.pop_front().expect("checked non-empty");
-            assert!(word.len() <= dst.width, "word wider than stream bus");
-            src.popped_words += 1;
-            dst.pushed_words += 1;
-            if word.sop {
-                dst.pushed_packets += 1;
-            }
-            completed = word.eop;
-            dst.queue.push_back(word);
-            moved += 1;
-        }
-        if moved > 0 {
-            src.wake_tx();
-            dst.wake_rx();
-        }
+        let moved = self.transfer(tx, usize::MAX, |burst| {
+            completed = burst.eop;
+            completed
+        });
         (moved, completed)
     }
 
-    /// Like [`StreamRx::transfer_up_to`], but calls `inspect` on every word
-    /// as it moves — the fast path for pass-through stages that only read
-    /// words in flight (statistics, taps). Returns the number moved.
+    /// Like [`StreamRx::transfer_up_to`], but calls `inspect` on every
+    /// burst as it moves — the fast path for pass-through stages that only
+    /// read packets in flight (statistics, taps). A burst cut short by
+    /// `max` or by downstream space is inspected as the part that moved,
+    /// so every beat is seen exactly once. Returns the number moved.
     pub fn transfer_inspect(
         &self,
         tx: &StreamTx,
         max: usize,
-        mut inspect: impl FnMut(&Word),
+        mut inspect: impl FnMut(&Burst),
     ) -> usize {
-        if Rc::ptr_eq(&self.shared, &tx.shared) {
-            return 0;
-        }
-        let mut src = self.shared.borrow_mut();
-        let mut dst = tx.shared.borrow_mut();
-        let n = max.min(src.queue.len()).min(dst.capacity - dst.queue.len());
-        if n == 0 {
-            return 0;
-        }
-        // Inspect in place, then move the whole run at once: one batched
-        // counter update instead of two read-modify-writes per word, and —
-        // when the downstream queue is drained (the steady burst-mode
-        // case) — an O(1) queue swap instead of a per-word pop/push.
-        let mut packets = 0;
-        for word in src.queue.iter().take(n) {
-            // debug-only: pass-through taps sit between same-width hops,
-            // and the width was already enforced where the word entered
-            // the upstream queue — don't re-pay the check per word here.
-            debug_assert!(word.len() <= dst.width, "word wider than stream bus");
-            if word.sop {
-                packets += 1;
-            }
-            inspect(word);
-        }
-        src.popped_words += n as u64;
-        dst.pushed_words += n as u64;
-        dst.pushed_packets += packets;
-        if n == src.queue.len() && dst.queue.is_empty() {
-            std::mem::swap(&mut src.queue, &mut dst.queue);
-        } else {
-            dst.queue.extend(src.queue.drain(..n));
-        }
-        src.wake_tx();
-        dst.wake_rx();
-        n
+        self.transfer(tx, max, |burst| {
+            inspect(burst);
+            false
+        })
     }
 
-    /// Like [`StreamRx::transfer_inspect`], but sparse: the closure
-    /// returns how many *following* words it vouches for as mid-frame
-    /// payload beats (computed, e.g., from the sop word's `meta.len`),
-    /// and those words move without being visited at all — the way a
-    /// hardware parser touches only header beats while the payload
-    /// streams past. Returns `(words_moved, skip_remainder)`; a skip
-    /// reaching past this batch comes back as the remainder and must be
-    /// passed as `skip_in` on the next call so a frame can straddle
-    /// transfer batches.
-    ///
-    /// Contract: vouched-for words must not carry `sop` — packet
-    /// accounting trusts the skip (checked in debug builds).
-    pub fn transfer_snoop(
-        &self,
-        tx: &StreamTx,
-        max: usize,
-        skip_in: usize,
-        mut inspect: impl FnMut(&Word) -> usize,
-    ) -> (usize, usize) {
+    /// The one mover behind the `transfer_*` family: whole bursts from the
+    /// head of this stream to the tail of `tx`, splitting only the burst
+    /// the beat budget ends inside. `each` sees every burst moved and
+    /// returns true to stop after it. One borrow pair, one counter update
+    /// per burst and one wake per side for the whole run.
+    fn transfer(&self, tx: &StreamTx, max: usize, mut each: impl FnMut(&Burst) -> bool) -> usize {
         if Rc::ptr_eq(&self.shared, &tx.shared) {
-            return (0, skip_in);
+            return 0;
         }
         let mut src = self.shared.borrow_mut();
         let mut dst = tx.shared.borrow_mut();
-        let n = max.min(src.queue.len()).min(dst.capacity - dst.queue.len());
-        if n == 0 {
-            return (0, skip_in);
-        }
-        let mut packets = 0;
-        let mut i = 0;
-        let mut skip = skip_in;
-        while i < n {
-            if skip > 0 {
-                let run = skip.min(n - i);
-                #[cfg(debug_assertions)]
-                for j in i..i + run {
-                    debug_assert!(!src.queue[j].sop, "skip vouched over a packet start");
-                }
-                i += run;
-                skip -= run;
-                continue;
+        let budget = max.min(dst.capacity - dst.beats);
+        let mut left = budget;
+        while left > 0 {
+            let Some(burst) = src.take(left) else { break };
+            left -= burst.beats();
+            let stop = each(&burst);
+            dst.put(burst);
+            if stop {
+                break;
             }
-            let word = &src.queue[i];
-            debug_assert!(word.len() <= dst.width, "word wider than stream bus");
-            if word.sop {
-                packets += 1;
-            }
-            skip = inspect(word);
-            i += 1;
         }
-        src.popped_words += n as u64;
-        dst.pushed_words += n as u64;
-        dst.pushed_packets += packets;
-        if n == src.queue.len() && dst.queue.is_empty() {
-            std::mem::swap(&mut src.queue, &mut dst.queue);
-        } else {
-            dst.queue.extend(src.queue.drain(..n));
+        if left < budget {
+            src.wake_tx();
+            dst.wake_rx();
         }
-        src.wake_tx();
-        dst.wake_rx();
-        (n, skip)
+        budget - left
     }
 }
 
-/// Segment a packet into bus words of `width` bytes, attaching `meta` to the
-/// first word. The inverse of [`Reassembler`]. Copies the packet once into
+/// Segment a packet into bus beats of `width` bytes, attaching `meta` to
+/// the first. The inverse of [`Reassembler`]. Copies the packet once into
 /// a fresh pooled buffer; prefer [`segment_buf`] when a [`PktBuf`] already
 /// exists.
-pub fn segment(packet: &[u8], width: usize, meta: Meta) -> Vec<Word> {
+pub fn segment(packet: &[u8], width: usize, meta: Meta) -> Burst {
     segment_buf(&PktBuf::copy_from(packet), width, meta)
 }
 
-/// Segment an existing buffer into bus words of `width` bytes without
-/// copying: every word is an `(offset, len)` view sharing `buf`'s backing
-/// store, and [`Reassembler`] rejoins such views back into the original
-/// buffer for free.
-pub fn segment_buf(buf: &PktBuf, width: usize, meta: Meta) -> Vec<Word> {
+/// Segment an existing buffer into bus beats of `width` bytes without
+/// copying: the whole packet becomes one [`Burst`] sharing `buf`'s backing
+/// store (one refcount bump, whatever the length), every beat split off it
+/// is an `(offset, len)` view of the same store, and [`Reassembler`]
+/// rejoins such views back into the original buffer for free.
+pub fn segment_buf(buf: &PktBuf, width: usize, meta: Meta) -> Burst {
     assert!(!buf.is_empty(), "empty packet");
     assert!((1..=MAX_BUS_BYTES).contains(&width));
-    let nwords = buf.len().div_ceil(width);
-    (0..nwords)
-        .map(|i| {
-            let off = i * width;
-            let len = width.min(buf.len() - off);
-            Word::from_view(
-                buf.slice(off, len),
-                i == 0,
-                i == nwords - 1,
-                if i == 0 { Some(meta) } else { None },
-            )
-        })
-        .collect()
+    Burst {
+        buf: buf.clone(),
+        width: width as u8,
+        beats: u32::try_from(buf.len().div_ceil(width)).expect("packet of under 2^32 beats"),
+        sop: true,
+        eop: true,
+        meta: Some(meta),
+    }
 }
 
 /// Reassembly accumulator: contiguous same-buffer views join for free; the
@@ -612,7 +713,7 @@ pub fn segment_buf(buf: &PktBuf, width: usize, meta: Meta) -> Vec<Word> {
 enum Accum {
     #[default]
     Empty,
-    /// All words so far are adjacent views of one backing store.
+    /// All beats so far are adjacent views of one backing store.
     View(PktBuf),
     /// Mixed origins: bytes collected into an owned (pooled) vector.
     Owned(Vec<u8>),
@@ -620,11 +721,12 @@ enum Accum {
 
 /// Incrementally rebuild packets from a word stream.
 ///
-/// When the incoming words are views of a single buffer (the output of
+/// When the incoming beats are views of a single buffer (the output of
 /// [`segment_buf`], i.e. any frame that crossed the pipeline untouched),
 /// reassembly is zero-copy: the completed packet *is* the original buffer,
-/// refcount-bumped. Only streams mixing words from different buffers pay a
-/// copy.
+/// refcount-bumped — one join per burst fed, so a frame that arrives as
+/// one burst costs one step whatever its length. Only streams mixing
+/// beats from different buffers pay a copy.
 #[derive(Debug, Default)]
 pub struct Reassembler {
     acc: Accum,
@@ -656,44 +758,52 @@ impl Reassembler {
         dropped
     }
 
-    /// Feed one word; returns the completed packet on `eop`.
-    ///
-    /// Panics on framing violations (word outside a packet, or `sop` inside
-    /// one) — those indicate a module bug, mirroring how malformed AXIS
-    /// framing wedges real hardware. After [`Reassembler::resync`], words
-    /// before the next `sop` are silently discarded instead.
+    /// Feed one word; returns the completed packet on `eop`. See
+    /// [`Reassembler::push_burst`], of which this is the one-beat case.
+    #[inline]
     pub fn push(&mut self, word: Word) -> Option<(PktBuf, Meta)> {
+        self.push_burst(word.into())
+    }
+
+    /// Feed the next beats of the packet; returns the completed packet
+    /// when the burst carries `eop`.
+    ///
+    /// Panics on framing violations (beats outside a packet, or `sop`
+    /// inside one) — those indicate a module bug, mirroring how malformed
+    /// AXIS framing wedges real hardware. After [`Reassembler::resync`],
+    /// bursts before the next `sop` are silently discarded instead.
+    pub fn push_burst(&mut self, burst: Burst) -> Option<(PktBuf, Meta)> {
         if self.hunting {
-            if !word.sop {
+            if !burst.sop {
                 return None;
             }
             self.hunting = false;
         }
-        if word.sop {
+        if burst.sop {
             assert!(!self.in_packet, "sop inside packet");
             self.in_packet = true;
-            self.meta = word.meta;
-            self.acc = Accum::View(word.buf.clone());
+            self.meta = burst.meta;
+            self.acc = Accum::View(burst.buf);
         } else {
             assert!(self.in_packet, "data word outside packet");
             self.acc = match std::mem::take(&mut self.acc) {
-                Accum::View(acc) => match acc.try_join(&word.buf) {
+                Accum::View(acc) => match acc.try_join(&burst.buf) {
                     Some(joined) => Accum::View(joined),
                     None => {
-                        let mut v = Vec::with_capacity(acc.len() + word.len());
+                        let mut v = Vec::with_capacity(acc.len() + burst.len());
                         v.extend_from_slice(acc.bytes());
-                        v.extend_from_slice(word.bytes());
+                        v.extend_from_slice(burst.bytes());
                         Accum::Owned(v)
                     }
                 },
                 Accum::Owned(mut v) => {
-                    v.extend_from_slice(word.bytes());
+                    v.extend_from_slice(burst.bytes());
                     Accum::Owned(v)
                 }
                 Accum::Empty => unreachable!("in_packet implies accumulator"),
             };
         }
-        if word.eop {
+        if burst.eop {
             self.in_packet = false;
             let meta = self.meta.take().unwrap_or_default();
             let buf = match std::mem::take(&mut self.acc) {
@@ -753,31 +863,73 @@ mod tests {
         assert_eq!(rx.total_packets(), 1);
     }
 
+    /// The bytes of a burst, beat by beat.
+    fn beat_bytes(burst: &Burst) -> Vec<Vec<u8>> {
+        burst.clone().map(|w| w.bytes().to_vec()).collect()
+    }
+
     #[test]
     fn burst_push_pop_respect_bounds() {
         let (tx, rx) = Stream::new(4, 8);
-        let mut words: VecDeque<Word> = (0..6u8)
-            .map(|i| Word::new(&[i], i == 0, i == 5, None))
-            .collect();
-        // Only 4 of 6 fit.
-        assert_eq!(tx.push_burst(&mut words), 4);
-        assert_eq!(words.len(), 2);
+        let mut slot = Some(segment(&[0, 1, 2, 3, 4, 5], 1, Meta::default()));
+        // Only 4 of 6 beats fit.
+        assert_eq!(tx.push_burst(&mut slot, usize::MAX), 4);
+        assert_eq!(slot.as_ref().map(Burst::beats), Some(2));
         assert_eq!(rx.occupancy(), 4);
         assert_eq!(rx.total_pushed(), 4);
         assert_eq!(rx.total_packets(), 1);
-        assert_eq!(tx.push_burst(&mut words), 0);
-        let mut out = Vec::new();
-        assert_eq!(rx.pop_burst(3, &mut out), 3);
-        assert_eq!(
-            out.iter().map(|w| w.bytes()[0]).collect::<Vec<_>>(),
-            [0, 1, 2]
-        );
+        assert_eq!(tx.push_burst(&mut slot, usize::MAX), 0);
+        let head = rx.pop_burst(3).expect("four beats queued");
+        assert_eq!(beat_bytes(&head), [[0], [1], [2]]);
+        assert!(head.sop && !head.eop && head.meta.is_some());
         assert_eq!(rx.occupancy(), 1);
-        // Freed space admits the stragglers.
-        assert_eq!(tx.push_burst(&mut words), 2);
-        assert_eq!(rx.pop_burst(10, &mut out), 3);
-        assert_eq!(out.len(), 6);
-        assert_eq!(rx.pop_burst(10, &mut out), 0);
+        assert!(rx.pop_burst(0).is_none(), "a zero budget pops nothing");
+        // Freed space admits the stragglers, capped by `max`.
+        assert_eq!(tx.push_burst(&mut slot, 1), 1);
+        assert_eq!(tx.push_burst(&mut slot, usize::MAX), 1);
+        assert!(slot.is_none(), "the last beat empties the slot");
+        assert_eq!(tx.push_burst(&mut slot, usize::MAX), 0);
+        // Three queue entries now hold beats 3, 4 and 5: a pop never joins.
+        let rest: Vec<Burst> = std::iter::from_fn(|| rx.pop_burst(10)).collect();
+        assert_eq!(
+            rest.iter().map(beat_bytes).collect::<Vec<_>>(),
+            [[[3]], [[4]], [[5]]]
+        );
+        assert!(rest.iter().all(|b| !b.sop && b.meta.is_none()));
+        assert_eq!(
+            rest.iter().map(|b| b.eop).collect::<Vec<_>>(),
+            [false, false, true]
+        );
+        assert!(rx.pop_burst(10).is_none());
+    }
+
+    /// A word-level consumer behind a burst producer splits the queued
+    /// burst a beat at a time; `peek` shows the beat `pop` will return.
+    #[test]
+    fn pop_and_peek_split_a_queued_burst_beat_by_beat() {
+        let (tx, rx) = Stream::new(8, 4);
+        let meta = Meta {
+            len: 10,
+            src_port: 3,
+            ..Meta::default()
+        };
+        let packet: Vec<u8> = (0..10).collect();
+        assert_eq!(tx.push_burst(&mut Some(segment(&packet, 4, meta)), 8), 3);
+        assert_eq!((rx.occupancy(), tx.space()), (3, 5));
+        let mut r = Reassembler::new();
+        for (i, want) in packet.chunks(4).enumerate() {
+            let peeked = rx.peek().expect("beat queued");
+            let word = rx.pop().expect("beat queued");
+            assert_eq!(peeked, word);
+            assert_eq!(word.bytes(), want);
+            assert_eq!((word.sop, word.eop), (i == 0, i == 2));
+            assert_eq!(word.meta, (i == 0).then_some(meta));
+            assert_eq!(rx.occupancy(), 2 - i);
+            if let Some((out, m)) = r.push(word) {
+                assert_eq!((out, m), (PktBuf::from(packet.clone()), meta));
+            }
+        }
+        assert!(rx.peek().is_none() && rx.pop().is_none());
     }
 
     #[test]
@@ -804,58 +956,63 @@ mod tests {
         assert_eq!(rx_b.transfer_up_to(&tx_b, 10), 0);
     }
 
+    /// Partial fit: a 48-beat frame crosses an 8-deep FIFO through
+    /// `push_burst` and `transfer_packet` eight beats at a time — exactly
+    /// the beats a per-word loop would move before `tready` drops — and
+    /// rejoins into the original buffer downstream.
     #[test]
-    fn transfer_snoop_skips_vouched_words_and_carries_remainder() {
-        let (tx_a, rx_a) = Stream::new(16, 8);
-        let (tx_b, rx_b) = Stream::new(16, 8);
-        // Two 4-word frames back to back.
-        for f in 0..2 {
-            for i in 0..4u8 {
-                tx_a.push(Word::new(&[f * 4 + i], i == 0, i == 3, None));
-            }
+    fn long_frame_crosses_a_shallow_fifo_in_fifo_sized_pieces() {
+        let frame = PktBuf::copy_from(&(0..1514).map(|i| i as u8).collect::<Vec<_>>());
+        let meta = Meta {
+            len: 1514,
+            ..Meta::default()
+        };
+        let (tx_a, rx_a) = Stream::new(8, 32);
+        let (tx_b, rx_b) = Stream::new(8, 32);
+        let mut slot = Some(segment_buf(&frame, 32, meta));
+        assert_eq!(slot.as_ref().map(Burst::beats), Some(48));
+        let mut r = Reassembler::new();
+        let mut done = None;
+        for round in 0..6 {
+            assert_eq!(tx_a.push_burst(&mut slot, usize::MAX), 8);
+            assert_eq!(tx_a.push_burst(&mut slot, usize::MAX), 0, "A is full");
+            assert_eq!(rx_a.transfer_packet(&tx_b), (8, round == 5));
+            assert_eq!((rx_a.occupancy(), rx_b.occupancy()), (0, 8));
+            assert_eq!(rx_a.transfer_packet(&tx_b), (0, false), "B is full");
+            let piece = rx_b.pop_burst(usize::MAX).expect("eight beats");
+            assert_eq!(piece.beats(), 8);
+            assert_eq!((piece.sop, piece.eop), (round == 0, round == 5));
+            done = r.push_burst(piece);
         }
-        // Inspect each sop, vouch for the 2 payload words, see the eop.
-        let mut seen = Vec::new();
-        let (moved, rem) = rx_a.transfer_snoop(&tx_b, usize::MAX, 0, |w| {
-            seen.push(w.bytes()[0]);
-            if w.sop {
-                2
-            } else {
-                0
-            }
-        });
-        assert_eq!((moved, rem), (8, 0));
-        assert_eq!(seen, [0, 3, 4, 7], "payload words never visited");
-        assert_eq!(rx_b.occupancy(), 8, "skipped words still move");
-        assert_eq!(rx_b.total_packets(), 2);
+        assert!(slot.is_none());
+        assert_eq!((rx_b.total_pushed(), rx_b.total_packets()), (48, 1));
+        let (out, m) = done.expect("completed on the sixth piece");
+        assert_eq!(m, meta);
+        assert!(out.same_backing(&frame) && out == frame);
+    }
 
-        // A skip reaching past the batch comes back as the remainder and
-        // resumes on the next call.
-        for i in 0..4u8 {
-            tx_a.push(Word::new(&[i], i == 0, i == 3, None));
+    /// `transfer_packet` stops after `eop` even with more queued, and
+    /// `transfer_inspect` shows a burst cut short by `max` as the part
+    /// that moved, so each beat is inspected once.
+    #[test]
+    fn transfers_stop_at_eop_and_inspect_each_beat_once() {
+        let (tx_a, rx_a) = Stream::new(16, 1);
+        let (tx_b, rx_b) = Stream::new(16, 1);
+        for f in 0..2u8 {
+            let bytes = [f * 4, f * 4 + 1, f * 4 + 2, f * 4 + 3];
+            tx_a.push_burst(&mut Some(segment(&bytes, 1, Meta::default())), 4);
         }
-        seen.clear();
-        let (moved, rem) = rx_a.transfer_snoop(&tx_b, 2, 0, |w| {
-            if w.sop {
-                seen.push(w.bytes()[0]);
-                2
-            } else {
-                0
-            }
-        });
-        assert_eq!((moved, rem), (2, 1));
-        let (moved, rem) = rx_a.transfer_snoop(&tx_b, usize::MAX, rem, |w| {
-            seen.push(w.bytes()[0]);
-            0
-        });
-        assert_eq!((moved, rem), (2, 0));
-        assert_eq!(
-            seen,
-            [0, 3],
-            "resumed skip covers the straddling payload word"
-        );
-        // Self-transfer is a no-op that preserves the pending skip.
-        assert_eq!(rx_b.transfer_snoop(&tx_b, 10, 5, |_| 0), (0, 5));
+        assert_eq!(rx_a.transfer_packet(&tx_b), (4, true));
+        assert_eq!((rx_a.occupancy(), rx_b.total_packets()), (4, 1));
+        let mut seen = Vec::new();
+        let mut inspect = |b: &Burst| seen.push((beat_bytes(b).concat(), b.sop, b.eop));
+        assert_eq!(rx_a.transfer_inspect(&tx_b, 3, &mut inspect), 3);
+        assert_eq!(rx_a.transfer_inspect(&tx_b, 3, &mut inspect), 1);
+        assert_eq!(seen, [(vec![4, 5, 6], true, false), (vec![7], false, true)]);
+        assert_eq!((rx_b.occupancy(), rx_b.total_packets()), (8, 2));
+        // Self-transfer is a no-op, not a RefCell panic.
+        assert_eq!(rx_b.transfer_packet(&tx_b), (0, false));
+        assert_eq!(rx_b.transfer_inspect(&tx_b, 10, |_| unreachable!()), 0);
     }
 
     #[test]
@@ -881,7 +1038,7 @@ mod tests {
             src_port: 2,
             ..Default::default()
         };
-        let words = segment(&pkt, 32, meta);
+        let words: Vec<Word> = segment(&pkt, 32, meta).collect();
         assert_eq!(words.len(), 2);
         assert!(words[0].sop && !words[0].eop);
         assert!(!words[1].sop && words[1].eop);
@@ -897,9 +1054,11 @@ mod tests {
 
     #[test]
     fn segment_single_word_packet() {
-        let words = segment(&[9; 10], 32, Meta::default());
-        assert_eq!(words.len(), 1);
-        assert!(words[0].sop && words[0].eop);
+        let mut words = segment(&[9; 10], 32, Meta::default());
+        assert_eq!(words.beats(), 1);
+        let word = words.next().expect("one beat");
+        assert!(word.sop && word.eop);
+        assert!(words.next().is_none());
     }
 
     /// `segment_buf` words are views of the source buffer, and reassembling
@@ -916,6 +1075,8 @@ mod tests {
                 ..Default::default()
             },
         );
+        assert_eq!(buf.ref_count(), 2, "one burst, one reference");
+        let words: Vec<Word> = words.collect();
         assert!(words.iter().all(|w| w.view().same_backing(&buf)));
         let mut r = Reassembler::new();
         let mut done = None;
@@ -981,6 +1142,142 @@ mod tests {
         assert_eq!(out, vec![9]);
     }
 
+    /// Hunting with bursts: the multi-beat remainder of a truncated frame
+    /// is discarded whole, the caller is told of one partial packet, and
+    /// the next frame reassembles in one step.
+    #[test]
+    fn reassembler_resync_discards_a_multi_beat_remainder() {
+        let mut torn = segment(&[1u8; 320], 32, Meta::default());
+        let head = torn.split_front(4);
+        let mut r = Reassembler::new();
+        assert!(r.push_burst(head).is_none());
+        assert!(r.mid_packet());
+        assert!(r.resync(), "one partial packet to count as a drop");
+        assert!(!r.resync(), "and only one");
+        assert_eq!((torn.beats(), torn.sop, torn.eop), (6, false, true));
+        assert!(r.push_burst(torn).is_none(), "the tail is hunted past");
+        assert!(!r.mid_packet());
+        let next = PktBuf::copy_from(&[2u8; 100]);
+        let (out, _) = r
+            .push_burst(segment_buf(&next, 32, Meta::default()))
+            .expect("a whole frame completes in one step");
+        assert!(out.same_backing(&next) && out == next);
+    }
+
+    /// One beat as the per-beat reference model holds it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Beat {
+        bytes: Vec<u8>,
+        sop: bool,
+        eop: bool,
+        meta: Option<Meta>,
+    }
+
+    fn beats_of(burst: &Burst) -> Vec<Beat> {
+        burst
+            .clone()
+            .map(|w| Beat {
+                bytes: w.bytes().to_vec(),
+                sop: w.sop,
+                eop: w.eop,
+                meta: w.meta,
+            })
+            .collect()
+    }
+
+    /// The reference model of one channel: a plain FIFO of beats plus the
+    /// counters and wake flags a stream keeps.
+    #[derive(Default)]
+    struct ModelFifo {
+        queue: VecDeque<Beat>,
+        capacity: usize,
+        pushed_words: u64,
+        popped_words: u64,
+        pushed_packets: u64,
+        rx_woken: bool,
+        tx_woken: bool,
+    }
+
+    impl ModelFifo {
+        fn space(&self) -> usize {
+            self.capacity - self.queue.len()
+        }
+
+        fn push(&mut self, beat: Beat) {
+            assert!(self.space() > 0);
+            self.pushed_words += 1;
+            self.pushed_packets += u64::from(beat.sop);
+            self.queue.push_back(beat);
+            self.rx_woken = true;
+        }
+
+        fn pop(&mut self) -> Option<Beat> {
+            let beat = self.queue.pop_front()?;
+            self.popped_words += 1;
+            self.tx_woken = true;
+            Some(beat)
+        }
+    }
+
+    /// A real channel with observable wake flags.
+    struct Channel {
+        tx: StreamTx,
+        rx: StreamRx,
+        rx_wake: WakeHandle,
+        tx_wake: WakeHandle,
+    }
+
+    impl Channel {
+        fn new(capacity: usize, width: usize) -> Channel {
+            let (tx, rx) = Stream::new(capacity, width);
+            let (rx_wake, tx_wake) = (WakeHandle::new(), WakeHandle::new());
+            rx.set_wake(rx_wake.clone());
+            tx.set_wake(tx_wake.clone());
+            Channel {
+                tx,
+                rx,
+                rx_wake,
+                tx_wake,
+            }
+        }
+
+        /// Everything observable about the channel matches the model;
+        /// clears the wake flags on both for the next operation.
+        fn check(&self, model: &mut ModelFifo, what: &str) {
+            let s = self.rx.shared.borrow();
+            assert_eq!(
+                (
+                    self.rx.occupancy(),
+                    self.tx.space(),
+                    self.rx.can_pop(),
+                    self.tx.can_push()
+                ),
+                (
+                    model.queue.len(),
+                    model.space(),
+                    !model.queue.is_empty(),
+                    model.space() > 0
+                ),
+                "{what}: occupancy/space"
+            );
+            assert_eq!(
+                (s.pushed_words, s.popped_words, s.pushed_packets),
+                (model.pushed_words, model.popped_words, model.pushed_packets),
+                "{what}: counters"
+            );
+            assert_eq!(
+                (self.rx_wake.is_dirty(), self.tx_wake.is_dirty()),
+                (model.rx_woken, model.tx_woken),
+                "{what}: wakes"
+            );
+            assert!(s.queue.iter().all(|b| !b.is_empty()), "{what}: empty entry");
+            self.rx_wake.clear();
+            self.tx_wake.clear();
+            model.rx_woken = false;
+            model.tx_woken = false;
+        }
+    }
+
     proptest! {
         /// segment/reassemble round-trips any packet at any width.
         #[test]
@@ -989,7 +1286,7 @@ mod tests {
             width in 1usize..=MAX_BUS_BYTES,
         ) {
             let meta = Meta { len: pkt.len() as u16, ..Default::default() };
-            let words = segment(&pkt, width, meta);
+            let words: Vec<Word> = segment(&pkt, width, meta).collect();
             prop_assert_eq!(words.len(), pkt.len().div_ceil(width));
             let mut r = Reassembler::new();
             let mut result = None;
@@ -1017,6 +1314,137 @@ mod tests {
                 out.push(w.bytes()[0]);
             }
             prop_assert_eq!(out, data);
+        }
+        /// Random interleavings of every stream operation over a two-hop
+        /// chain A → B agree, after every step, with a per-beat `VecDeque`
+        /// model: the beats popped (bytes, `sop`, `eop`, `meta`),
+        /// occupancy, space, the cumulative counters and which wakes
+        /// fired. How beats are grouped into queue entries never shows.
+        #[test]
+        fn prop_bursts_match_the_per_beat_model(
+            cap_a in 1usize..=12,
+            cap_b in 1usize..=12,
+            ops in proptest::collection::vec((0u8..9, 0usize..=14, 1usize..=40), 1..200),
+        ) {
+            const WIDTH: usize = 4;
+            let a = Channel::new(cap_a, WIDTH);
+            let b = Channel::new(cap_b, WIDTH);
+            let mut model_a = ModelFifo { capacity: cap_a, ..ModelFifo::default() };
+            let mut model_b = ModelFifo { capacity: cap_b, ..ModelFifo::default() };
+            a.check(&mut ModelFifo { capacity: cap_a, rx_woken: true, tx_woken: true, ..ModelFifo::default() }, "born dirty");
+            b.check(&mut ModelFifo { capacity: cap_b, rx_woken: true, tx_woken: true, ..ModelFifo::default() }, "born dirty");
+            // The producer's cursor, and the same beats for the model.
+            let mut slot: Option<Burst> = None;
+            let mut staged: VecDeque<Beat> = VecDeque::new();
+            let mut popped = Vec::new();
+            let mut model_popped = Vec::new();
+            for (step, &(op, arg, len)) in ops.iter().enumerate() {
+                if slot.is_none() {
+                    let bytes: Vec<u8> = (0..len).map(|i| (step + i) as u8).collect();
+                    let meta = Meta { len: len as u16, src_port: step as u8, ..Meta::default() };
+                    let last = len.div_ceil(WIDTH) - 1;
+                    staged = bytes
+                        .chunks(WIDTH)
+                        .enumerate()
+                        .map(|(i, chunk)| Beat {
+                            bytes: chunk.to_vec(),
+                            sop: i == 0,
+                            eop: i == last,
+                            meta: (i == 0).then_some(meta),
+                        })
+                        .collect();
+                    slot = Some(segment(&bytes, WIDTH, meta));
+                }
+                // A beat-granular move A → B of up to `max` beats, optionally
+                // stopping after an `eop`; returns the beats moved.
+                let mut model_transfer = |max: usize, stop_at_eop: bool| {
+                    let mut moved = Vec::new();
+                    while moved.len() < max && model_b.space() > 0 {
+                        let Some(beat) = model_a.pop() else { break };
+                        model_b.push(beat.clone());
+                        let stop = stop_at_eop && beat.eop;
+                        moved.push(beat);
+                        if stop {
+                            break;
+                        }
+                    }
+                    moved
+                };
+                match op {
+                    0 => {
+                        if a.tx.can_push() {
+                            a.tx.push(Burst::take_front(&mut slot, 1).into_word());
+                            model_a.push(staged.pop_front().expect("staged"));
+                        }
+                    }
+                    1 | 2 => {
+                        let max = if op == 1 { arg } else { usize::MAX };
+                        let n = a.tx.push_burst(&mut slot, max);
+                        prop_assert_eq!(n, max.min(staged.len()).min(model_a.space()));
+                        for beat in staged.drain(..n) {
+                            model_a.push(beat);
+                        }
+                    }
+                    3 => {
+                        let peeked = b.rx.peek();
+                        let word = b.rx.pop();
+                        prop_assert_eq!(&peeked, &word);
+                        popped.extend(word.map(|w| beats_of(&w.into())).unwrap_or_default());
+                        model_popped.extend(model_b.pop());
+                    }
+                    4 => {
+                        // How many beats the head entry holds is the one
+                        // thing the model cannot know; what they are, it can.
+                        let burst = b.rx.pop_burst(arg);
+                        let n = burst.as_ref().map_or(0, Burst::beats);
+                        prop_assert!(n <= arg);
+                        prop_assert_eq!(n == 0, arg == 0 || model_b.queue.is_empty());
+                        popped.extend(burst.iter().flat_map(beats_of));
+                        model_popped.extend((0..n).filter_map(|_| model_b.pop()));
+                    }
+                    5 => {
+                        let moved = model_transfer(arg, false);
+                        prop_assert_eq!(a.rx.transfer_up_to(&b.tx, arg), moved.len());
+                    }
+                    6 => {
+                        let moved = model_transfer(usize::MAX, true);
+                        let completed = moved.last().is_some_and(|beat| beat.eop);
+                        prop_assert_eq!(a.rx.transfer_packet(&b.tx), (moved.len(), completed));
+                    }
+                    7 => {
+                        let moved = model_transfer(arg, false);
+                        let mut seen = Vec::new();
+                        let n = a.rx.transfer_inspect(&b.tx, arg, |burst| seen.extend(beats_of(burst)));
+                        prop_assert_eq!(n, moved.len());
+                        prop_assert_eq!(seen, moved);
+                    }
+                    _ => {
+                        // A word-level forwarder between the two hops.
+                        if b.tx.can_push() {
+                            if let Some(word) = a.rx.pop() {
+                                b.tx.push(word);
+                                let beat = model_a.pop().expect("model agrees");
+                                model_b.push(beat);
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(&popped, &model_popped, "step {}", step);
+                a.check(&mut model_a, &format!("step {step} op {op} A"));
+                b.check(&mut model_b, &format!("step {step} op {op} B"));
+            }
+            // Drain both hops: nothing was lost, reordered or relabelled.
+            loop {
+                while let Some(word) = b.rx.pop() {
+                    popped.extend(beats_of(&word.into()));
+                }
+                if a.rx.transfer_up_to(&b.tx, usize::MAX) == 0 {
+                    break;
+                }
+            }
+            model_popped.extend(model_b.queue.drain(..));
+            model_popped.extend(model_a.queue.drain(..));
+            prop_assert_eq!(popped, model_popped);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! experiments and to pad pipeline timing in composed designs.
 
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
-use netfpga_core::stream::{segment, Reassembler, StreamRx, StreamTx, Word};
+use netfpga_core::stream::{segment_buf, Burst, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::Time;
 use std::collections::VecDeque;
 
@@ -14,9 +14,10 @@ pub struct DelayStage {
     output: StreamTx,
     delay: Time,
     reasm: Reassembler,
-    /// (release_time, words) in arrival order.
-    held: VecDeque<(Time, VecDeque<Word>)>,
-    emitting: VecDeque<Word>,
+    /// (release_time, beats) in arrival order.
+    held: VecDeque<(Time, Burst)>,
+    /// The beats of the packet being emitted that are still to go.
+    emitting: Option<Burst>,
     packets: u64,
     /// Activity-cache invalidation flag, registered on the input and the
     /// output (pops free the space a stalled emission waits on).
@@ -36,7 +37,7 @@ impl DelayStage {
             delay,
             reasm: Reassembler::new(),
             held: VecDeque::new(),
-            emitting: VecDeque::new(),
+            emitting: None,
             packets: 0,
             wake,
         }
@@ -56,28 +57,25 @@ impl Module for DelayStage {
     fn tick(&mut self, ctx: &TickContext) {
         if let Some(word) = self.input.pop() {
             if let Some((packet, meta)) = self.reasm.push(word) {
-                let words = segment(&packet, self.output.width(), meta);
-                self.held.push_back((ctx.now + self.delay, words.into()));
+                let beats = segment_buf(&packet, self.output.width(), meta);
+                self.held.push_back((ctx.now + self.delay, beats));
             }
         }
-        if self.emitting.is_empty() {
+        if self.emitting.is_none() {
             if let Some(&(release, _)) = self.held.front() {
                 if release <= ctx.now {
-                    self.emitting = self.held.pop_front().expect("front exists").1;
+                    self.emitting = self.held.pop_front().map(|(_, beats)| beats);
                     self.packets += 1;
                 }
             }
         }
-        if !self.emitting.is_empty() && self.output.can_push() {
-            let word = self.emitting.pop_front().expect("non-empty");
-            self.output.push(word);
-        }
+        self.output.push_burst(&mut self.emitting, 1);
     }
 
     fn reset(&mut self) {
         self.reasm = Reassembler::new();
         self.held.clear();
-        self.emitting.clear();
+        self.emitting = None;
         self.packets = 0;
     }
 
@@ -88,7 +86,7 @@ impl Module for DelayStage {
     /// pops.
     fn is_quiescent(&self) -> bool {
         !self.input.can_pop()
-            && if self.emitting.is_empty() {
+            && if self.emitting.is_none() {
                 self.held.is_empty()
             } else {
                 !self.output.can_push()
@@ -99,7 +97,7 @@ impl Module for DelayStage {
     /// the tick is a no-op until the earliest release instant — exactly
     /// the gate the emit path checks against `now`.
     fn next_activity(&self) -> Option<Time> {
-        if self.input.can_pop() || !self.emitting.is_empty() {
+        if self.input.can_pop() || self.emitting.is_some() {
             return None;
         }
         self.held.front().map(|&(release, _)| release)
@@ -171,7 +169,7 @@ mod tests {
     /// cannot matter until the staged one drains); one pop buys one tick.
     #[test]
     fn full_output_stalls_the_stage_until_a_pop() {
-        use netfpga_core::stream::Meta;
+        use netfpga_core::stream::{segment, Meta};
         let (in_tx, in_rx) = Stream::new(8, 32);
         let (out_tx, out_rx) = Stream::new(8, 32);
         let stage = DelayStage::new("delay", in_rx, out_tx, Time::from_ns(50));
@@ -180,11 +178,12 @@ mod tests {
         sim.add_module(clk, stage);
         let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
         // Two 10-word packets through the 8-word input.
-        let mut words: VecDeque<Word> = (0..2u8)
-            .flat_map(|i| segment(&[i; 320], 32, Meta::default()))
-            .collect();
-        while !words.is_empty() {
-            in_tx.push_burst(&mut words);
+        let mut packets = (0..2u8).map(|i| segment(&[i; 320], 32, Meta::default()));
+        let mut slot = packets.next();
+        while slot.is_some() {
+            while in_tx.push_burst(&mut slot, usize::MAX) > 0 && slot.is_none() {
+                slot = packets.next();
+            }
             sim.run_cycles(clk, 1);
         }
         sim.run_cycles(clk, 40);

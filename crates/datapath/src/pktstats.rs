@@ -104,43 +104,22 @@ impl Module for StatsStage {
     }
 
     fn tick(&mut self, _ctx: &TickContext) {
-        if self.burst {
-            // Bulk pass-through: one borrow pair for everything movable,
-            // counting packets as the words stream by.
-            let total_packets = &self.total_packets;
-            let total_bytes = &self.total_bytes;
-            let per_port_packets = &self.per_port_packets;
-            let per_port_bytes = &self.per_port_bytes;
-            self.input
-                .transfer_inspect(&self.output, usize::MAX, |word| {
-                    if word.sop {
-                        let meta = word.meta.unwrap_or_default();
-                        total_packets.incr();
-                        total_bytes.add(u64::from(meta.len));
-                        let p = usize::from(meta.src_port);
-                        if p < per_port_packets.len() {
-                            per_port_packets[p].incr();
-                            per_port_bytes[p].add(u64::from(meta.len));
-                        }
-                    }
-                });
-            return;
-        }
-        if !self.output.can_push() {
-            return;
-        }
-        let Some(word) = self.input.pop() else { return };
-        if word.sop {
-            let meta = word.meta.unwrap_or_default();
-            self.total_packets.incr();
-            self.total_bytes.add(u64::from(meta.len));
-            let p = usize::from(meta.src_port);
-            if p < self.per_port_packets.len() {
-                self.per_port_packets[p].incr();
-                self.per_port_bytes[p].add(u64::from(meta.len));
+        // One word per cycle, or in burst mode everything the output can
+        // accept; either way packets are counted as their first beat
+        // streams by.
+        let max = if self.burst { usize::MAX } else { 1 };
+        self.input.transfer_inspect(&self.output, max, |burst| {
+            if burst.sop {
+                let meta = burst.meta.unwrap_or_default();
+                self.total_packets.incr();
+                self.total_bytes.add(u64::from(meta.len));
+                let p = usize::from(meta.src_port);
+                if p < self.per_port_packets.len() {
+                    self.per_port_packets[p].incr();
+                    self.per_port_bytes[p].add(u64::from(meta.len));
+                }
             }
-        }
-        self.output.push(word);
+        });
     }
 
     fn reset(&mut self) {
@@ -286,11 +265,12 @@ mod tests {
                 len: 32,
                 ..Meta::default()
             };
-            let mut words: std::collections::VecDeque<_> = (0..12)
-                .flat_map(|_| segment(&[9u8; 32], 32, meta))
-                .collect();
-            while !words.is_empty() {
-                in_tx.push_burst(&mut words);
+            let mut packets = (0..12).map(|_| segment(&[9u8; 32], 32, meta));
+            let mut slot = packets.next();
+            while slot.is_some() {
+                while in_tx.push_burst(&mut slot, usize::MAX) > 0 && slot.is_none() {
+                    slot = packets.next();
+                }
                 sim.run_cycles(clk, 1);
             }
             sim.run_cycles(clk, 20);

@@ -12,9 +12,8 @@ use crate::sched::{QueueView, Scheduler};
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
-use netfpga_core::stream::{segment_buf, Meta, Reassembler, StreamRx, StreamTx, Word};
+use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
 use netfpga_mem::ByteFifo;
-use std::collections::VecDeque;
 
 /// Classifies a packet into a class-queue index.
 pub type Classifier = Box<dyn FnMut(&[u8], &Meta) -> usize>;
@@ -65,7 +64,8 @@ struct QueueCounters {
 struct PortState {
     queues: Vec<ByteFifo<(PktBuf, Meta)>>,
     scheduler: Box<dyn Scheduler>,
-    emitting: VecDeque<Word>,
+    /// The beats of the packet being emitted that are still to go.
+    emitting: Option<Burst>,
     /// Scratch buffer for scheduler views, reused across ticks so the
     /// egress path allocates nothing in steady state.
     views: Vec<QueueView>,
@@ -115,7 +115,7 @@ impl OutputQueues {
                     .map(|_| ByteFifo::new(config.bytes_per_queue))
                     .collect(),
                 scheduler: make_scheduler(),
-                emitting: VecDeque::new(),
+                emitting: None,
                 views: Vec::with_capacity(config.classes),
                 depths: (0..config.classes).map(|_| Counter::new()).collect(),
             })
@@ -256,7 +256,7 @@ impl OutputQueues {
         self.stats.dequeued.incr();
         // Narrow the mask to this port for the egress copy.
         meta.dst_ports = netfpga_core::stream::PortMask::single(i as u8);
-        self.ports[i].emitting = segment_buf(&packet, width, meta).into();
+        self.ports[i].emitting = Some(segment_buf(&packet, width, meta));
         true
     }
 }
@@ -267,10 +267,11 @@ impl Module for OutputQueues {
     }
 
     fn tick(&mut self, _ctx: &TickContext) {
+        let max = if self.burst { usize::MAX } else { 1 };
         // Ingest one word per cycle (every buffered word in burst mode);
         // on packet completion, fan out.
-        while let Some(word) = self.input.pop() {
-            if let Some((packet, meta)) = self.reasm.push(word) {
+        while let Some(beats) = self.input.pop_burst(max) {
+            if let Some((packet, meta)) = self.reasm.push_burst(beats) {
                 self.deliver(packet, meta);
             }
             if !self.burst {
@@ -282,20 +283,12 @@ impl Module for OutputQueues {
         // drains packets until the egress stream fills in burst mode.
         for i in 0..self.ports.len() {
             loop {
-                if self.ports[i].emitting.is_empty() && !self.refill_emitting(i) {
+                if self.ports[i].emitting.is_none() && !self.refill_emitting(i) {
                     break;
                 }
-                if self.burst {
-                    self.outputs[i].push_burst(&mut self.ports[i].emitting);
-                    if !self.ports[i].emitting.is_empty() {
-                        break; // downstream full: resume next tick
-                    }
-                } else {
-                    if self.outputs[i].can_push() {
-                        let word = self.ports[i].emitting.pop_front().expect("refilled above");
-                        self.outputs[i].push(word);
-                    }
-                    break;
+                self.outputs[i].push_burst(&mut self.ports[i].emitting, max);
+                if !self.burst || self.ports[i].emitting.is_some() {
+                    break; // one word per cycle, or downstream full: resume next tick
                 }
             }
         }
@@ -314,7 +307,7 @@ impl Module for OutputQueues {
             for d in &p.depths {
                 d.clear();
             }
-            p.emitting.clear();
+            p.emitting = None;
         }
     }
 
@@ -328,8 +321,8 @@ impl Module for OutputQueues {
             self.stats.dropped.incr();
         }
         for p in &mut self.ports {
-            if p.emitting.front().is_some_and(|w| !w.sop) {
-                p.emitting.clear();
+            if p.emitting.as_ref().is_some_and(|b| !b.sop) {
+                p.emitting = None;
             }
         }
     }
@@ -344,7 +337,7 @@ impl Module for OutputQueues {
         !self.input.can_pop()
             && self.ports.iter().zip(&self.outputs).all(|(p, out)| {
                 p.scheduler.event_driven()
-                    && if p.emitting.is_empty() {
+                    && if p.emitting.is_none() {
                         p.queues.iter().all(|q| q.is_empty())
                     } else {
                         !out.can_push()
@@ -620,11 +613,12 @@ mod tests {
             // Two 10-word packets for port 0 through the 8-word input.
             let packet = PktBuf::copy_from(&[3u8; 320]);
             let meta = meta_to(PortMask::single(0), 1, 320);
-            let mut words: VecDeque<Word> = (0..2)
-                .flat_map(|_| segment_buf(&packet, 32, meta))
-                .collect();
-            while !words.is_empty() {
-                in_tx.push_burst(&mut words);
+            let mut packets = (0..2).map(|_| segment_buf(&packet, 32, meta));
+            let mut slot = packets.next();
+            while slot.is_some() {
+                while in_tx.push_burst(&mut slot, usize::MAX) > 0 && slot.is_none() {
+                    slot = packets.next();
+                }
                 sim.run_cycles(clk, 1);
             }
             sim.run_cycles(clk, 20);
@@ -661,6 +655,49 @@ mod tests {
             assert_eq!(counters(), [2, 2, 0, 0]);
             assert!(sim.all_quiescent(), "drained");
         }
+    }
+
+    /// Partial fit in burst mode: 48-beat packets leave two ports through
+    /// 8-deep egress FIFOs eight beats at a time behind word-per-cycle
+    /// consumers, intact and on the cycles the per-beat queue delivered
+    /// them.
+    #[test]
+    fn burst_queues_emit_long_packets_through_shallow_fifos_on_time() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        let (in_tx, in_rx) = Stream::new(8, 32);
+        let (src, inject) = PacketSource::new("src", in_tx);
+        sim.add_module(clk, src);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| Stream::new(8, 32)).unzip();
+        let oq = OutputQueues::new("oq", in_rx, txs, QueueConfig::default(), || Box::new(Fifo));
+        sim.add_module(clk, oq.with_burst(true));
+        let captures: Vec<CaptureBuffer> = rxs
+            .iter()
+            .enumerate()
+            .map(|(p, rx)| {
+                let (sink, cap) = PacketSink::new(&format!("sink{p}"), rx.clone());
+                sim.add_module(clk, sink);
+                cap
+            })
+            .collect();
+        let pkt: Vec<u8> = (0..1514).map(|i| i as u8).collect();
+        inject.push_with_meta(pkt.clone(), meta_to(PortMask::first_n(2), 0, 1514));
+        inject.push_with_meta(pkt.clone(), meta_to(PortMask::single(1), 0, 1514));
+        sim.run_until(Time::from_us(2));
+        let arrivals: Vec<Vec<u64>> = captures
+            .iter()
+            .map(|cap| {
+                cap.drain()
+                    .iter()
+                    .map(|c| {
+                        assert_eq!(c.data, pkt);
+                        c.arrival.as_ps()
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(arrivals, [vec![475_000], vec![475_000, 715_000]]);
+        assert_eq!(rxs[1].total_pushed(), 96);
     }
 
     #[test]

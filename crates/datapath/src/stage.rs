@@ -14,7 +14,7 @@
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
-use netfpga_core::stream::{segment_buf, Meta, Reassembler, StreamRx, StreamTx, Word};
+use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
 use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
 use std::collections::VecDeque;
@@ -84,12 +84,12 @@ pub struct PacketStage<L: PacketLogic> {
     latency_cycles: u64,
     reasm: Reassembler,
     /// Processed packets awaiting emission: (release_cycle, release_time,
-    /// words). The absolute release instant mirrors the release cycle
+    /// beats). The absolute release instant mirrors the release cycle
     /// (`ingest_now + latency * period`) so [`Module::next_activity`] can
     /// report how long the stage is provably inert.
-    ready: VecDeque<(u64, Time, VecDeque<Word>)>,
-    /// Words of the packet currently being emitted.
-    emitting: VecDeque<Word>,
+    ready: VecDeque<(u64, Time, Burst)>,
+    /// The beats of the packet being emitted that are still to go.
+    emitting: Option<Burst>,
     /// Cap on buffered processed packets before input stalls.
     max_ready: usize,
     stats: StageCounters,
@@ -120,7 +120,7 @@ impl<L: PacketLogic> PacketStage<L> {
             latency_cycles,
             reasm: Reassembler::new(),
             ready: VecDeque::new(),
-            emitting: VecDeque::new(),
+            emitting: None,
             max_ready: 4,
             stats: StageCounters::default(),
             burst: false,
@@ -182,24 +182,24 @@ impl<L: PacketLogic> Module for PacketStage<L> {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
+        let max = if self.burst { usize::MAX } else { 1 };
         // Ingest one word per cycle unless too much is buffered; in burst
         // mode, keep ingesting while words are buffered upstream.
         while self.ready.len() < self.max_ready {
-            let Some(word) = self.input.pop() else { break };
-            if let Some((mut packet, mut meta)) = self.reasm.push(word) {
+            let Some(beats) = self.input.pop_burst(max) else {
+                break;
+            };
+            if let Some((mut packet, mut meta)) = self.reasm.push_burst(beats) {
                 self.stats.in_packets.incr();
                 match self.logic.process(&mut packet, &mut meta, ctx.now) {
                     StageAction::Forward => {
                         assert!(!packet.is_empty(), "logic emptied packet");
                         meta.len = packet.len() as u16;
-                        let words = segment_buf(&packet, self.output.width(), meta);
+                        let beats = segment_buf(&packet, self.output.width(), meta);
                         let release_at =
                             ctx.now + Time::from_ps(self.latency_cycles * ctx.period.as_ps());
-                        self.ready.push_back((
-                            ctx.cycle + self.latency_cycles,
-                            release_at,
-                            words.into(),
-                        ));
+                        self.ready
+                            .push_back((ctx.cycle + self.latency_cycles, release_at, beats));
                         self.stats.forwarded.incr();
                     }
                     StageAction::Drop => {
@@ -215,25 +215,17 @@ impl<L: PacketLogic> Module for PacketStage<L> {
         // Emit one word per cycle; in burst mode, emit released packets
         // until the output fills or nothing releasable remains.
         loop {
-            if self.emitting.is_empty() {
+            if self.emitting.is_none() {
                 match self.ready.front() {
                     Some(&(release, _, _)) if release <= ctx.cycle => {
-                        self.emitting = self.ready.pop_front().expect("front exists").2;
+                        self.emitting = self.ready.pop_front().map(|(_, _, beats)| beats);
                     }
                     _ => break,
                 }
             }
-            if self.burst {
-                self.output.push_burst(&mut self.emitting);
-                if !self.emitting.is_empty() {
-                    break; // downstream full: resume next tick
-                }
-            } else {
-                if self.output.can_push() {
-                    let word = self.emitting.pop_front().expect("non-empty");
-                    self.output.push(word);
-                }
-                break;
+            self.output.push_burst(&mut self.emitting, max);
+            if !self.burst || self.emitting.is_some() {
+                break; // one word per cycle, or downstream full: resume next tick
             }
         }
     }
@@ -241,7 +233,7 @@ impl<L: PacketLogic> Module for PacketStage<L> {
     fn reset(&mut self) {
         self.reasm = Reassembler::new();
         self.ready.clear();
-        self.emitting.clear();
+        self.emitting = None;
         self.stats.in_packets.clear();
         self.stats.forwarded.clear();
         self.stats.dropped.clear();
@@ -257,8 +249,8 @@ impl<L: PacketLogic> Module for PacketStage<L> {
         if self.reasm.resync() {
             self.stats.dropped.incr();
         }
-        if self.emitting.front().is_some_and(|w| !w.sop) {
-            self.emitting.clear();
+        if self.emitting.as_ref().is_some_and(|b| !b.sop) {
+            self.emitting = None;
         }
     }
 
@@ -270,7 +262,7 @@ impl<L: PacketLogic> Module for PacketStage<L> {
     /// [`Module::next_activity`] instead.
     fn is_quiescent(&self) -> bool {
         self.ingest_blocked()
-            && if self.emitting.is_empty() {
+            && if self.emitting.is_none() {
                 self.ready.is_empty()
             } else {
                 !self.output.can_push()
@@ -281,7 +273,7 @@ impl<L: PacketLogic> Module for PacketStage<L> {
     /// pipeline latency, the tick is a no-op until the earliest release
     /// instant — exactly the release cycle the emit path gates on.
     fn next_activity(&self) -> Option<Time> {
-        if !self.ingest_blocked() || !self.emitting.is_empty() {
+        if !self.ingest_blocked() || self.emitting.is_some() {
             return None;
         }
         self.ready.front().map(|&(_, release_at, _)| release_at)
@@ -447,7 +439,11 @@ mod tests {
             for _ in 0..60 {
                 if in_tx.can_push() {
                     let meta = Meta::default();
-                    in_tx.push(segment(&[offered as u8; 32], 32, meta).remove(0));
+                    in_tx.push(
+                        segment(&[offered as u8; 32], 32, meta)
+                            .next()
+                            .expect("one beat"),
+                    );
                     offered += 1;
                 }
                 sim.run_cycles(clk, 1);
@@ -477,6 +473,37 @@ mod tests {
         }
     }
 
+    /// Partial fit in burst mode: a 48-beat packet leaves the stage through
+    /// an 8-deep FIFO eight beats at a time behind a word-per-cycle
+    /// consumer, intact and on the cycle the per-beat queue delivered it.
+    #[test]
+    fn burst_stage_emits_a_long_packet_through_a_shallow_fifo_on_time() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        let (in_tx, in_rx) = Stream::new(8, 32);
+        let (out_tx, out_rx) = Stream::new(8, 32);
+        let (src, inject) = PacketSource::new("src", in_tx);
+        let stage = PacketStage::new("stage", in_rx, out_tx, 3, forward_all).with_burst(true);
+        let (sink, captured) = PacketSink::new("sink", out_rx.clone());
+        sim.add_module(clk, src);
+        sim.add_module(clk, stage);
+        sim.add_module(clk, sink);
+        let pkt: Vec<u8> = (0..1514).map(|i| i as u8).collect();
+        inject.push(pkt.clone(), 1);
+        inject.push(pkt.clone(), 2);
+        sim.run_until(Time::from_us(2));
+        let arrivals: Vec<u64> = captured
+            .drain()
+            .iter()
+            .map(|c| {
+                assert_eq!(c.data, pkt);
+                c.arrival.as_ps()
+            })
+            .collect();
+        assert_eq!(arrivals, [490_000, 730_000]);
+        assert_eq!((out_rx.total_pushed(), out_rx.total_packets()), (96, 2));
+    }
+
     /// A packet waiting out the pipeline latency with nothing to ingest is
     /// a time bound, not quiescence: no tick runs before the release
     /// cycle, and the release edge itself is executed.
@@ -490,7 +517,11 @@ mod tests {
         let clk = sim.add_clock("core", Frequency::mhz(200));
         sim.add_module(clk, stage);
         let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
-        in_tx.push(segment(&[1u8; 32], 32, Meta::default()).remove(0));
+        in_tx.push(
+            segment(&[1u8; 32], 32, Meta::default())
+                .next()
+                .expect("one beat"),
+        );
         sim.run_cycles(clk, 1); // cycle 0: ingested, release at cycle 100
         assert_eq!(ticks(&sim), 1);
         assert!(!sim.all_quiescent(), "scheduled work is not quiescence");

@@ -1,21 +1,19 @@
 //! The [`FlowTap`]: a zero-copy pass-through stage that feeds the flow
 //! accounting state.
 //!
-//! The tap splices into an existing stream hop and moves words with
-//! [`StreamRx::transfer_snoop`], so frames cross it without copying —
-//! words stay refcount-bumped views of the original buffers, which are
+//! The tap splices into an existing stream hop and moves bursts with
+//! [`StreamRx::transfer_inspect`], so frames cross it without copying —
+//! beats stay refcount-bumped views of the original buffers, which are
 //! never cloned, joined or rewritten. The tap snoops just the leading
 //! header bytes of each frame into a small fixed scratch buffer (enough
 //! for Ethernet + a maximal IPv4 header + ports) and parses the 5-tuple
-//! from there. Payload beats are not even visited: once the header is
-//! captured, the sop word's `meta.len` gives the frame's beat count
-//! (`segment_buf` emits full-width beats up to the last), so the tap
-//! vouches for the payload run and inspects only the eop beat — the way
-//! a hardware parser watches the first beats of the bus while the
-//! payload streams past. Flow state (sketch + heavy-hitter table +
-//! rollup counters) lives in a shared cell read by the
-//! [`FlowMonHandle`]; the hot path never touches the stat registry and
-//! never allocates per packet.
+//! from there. Payload bytes are not read: a burst is looked at for its
+//! `sop`/`eop` flags, its byte count and — until the header is captured
+//! — its leading bytes, the way a hardware parser watches the first
+//! beats of the bus while the payload streams past. Flow state (sketch +
+//! heavy-hitter table + rollup counters) lives in a shared cell read by
+//! the [`FlowMonHandle`]; the hot path never touches the stat registry
+//! and never allocates per packet.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -165,22 +163,16 @@ impl FlowMonHandle {
 const HDR_MAX: usize = 80;
 
 /// Per-frame header snoop state: the first [`HDR_MAX`] bytes of the frame
-/// in flight, accumulated word by word until `eop`.
+/// in flight, accumulated burst by burst until `eop`.
 #[derive(Debug)]
 struct HeaderSnoop {
     hdr: [u8; HDR_MAX],
     have: usize,
-    /// Frame length from the sop word's metadata (0 when absent).
+    /// Frame length from the sop beat's metadata (0 when absent).
     len: u64,
     /// Bytes observed so far — the length fallback for meta-less frames.
     seen: u64,
-    /// The sop word's byte width — the full bus width under
-    /// `segment_buf` segmentation; zeroed if a mid-frame word disagrees,
-    /// which disables beat-skipping for the rest of the frame.
-    word_len: u64,
-    /// Beats of the current frame accounted so far (inspected or
-    /// vouched-for), for locating the eop beat.
-    words_seen: u64,
+    /// A `sop` has been seen and its `eop` has not.
     active: bool,
 }
 
@@ -191,8 +183,6 @@ impl HeaderSnoop {
             have: 0,
             len: 0,
             seen: 0,
-            word_len: 0,
-            words_seen: 0,
             active: false,
         }
     }
@@ -207,9 +197,6 @@ pub struct FlowTap {
     snoop: HeaderSnoop,
     state: Rc<RefCell<MonState>>,
     burst: bool,
-    /// Vouched-for payload beats still queued upstream when a transfer
-    /// batch ended mid-frame — resumed on the next tick.
-    skip: usize,
     /// Activity-cache invalidation flag, registered on the input and the
     /// output (pops free the space a stalled transfer waits on).
     wake: WakeHandle,
@@ -234,7 +221,6 @@ impl FlowTap {
                 non_ip: 0,
             })),
             burst: false,
-            skip: 0,
             wake,
         }
     }
@@ -263,69 +249,35 @@ impl Module for FlowTap {
         let max = if self.burst { usize::MAX } else { 1 };
         let snoop = &mut self.snoop;
         let state = &self.state;
-        let (_, skip) = self
-            .input
-            .transfer_snoop(&self.output, max, self.skip, |w| {
-                if w.sop {
-                    snoop.have = 0;
-                    snoop.seen = 0;
-                    snoop.len = w.meta.as_ref().map_or(0, |m| u64::from(m.len));
-                    snoop.word_len = w.len() as u64;
-                    snoop.words_seen = 0;
-                    snoop.active = true;
-                }
-                if !snoop.active {
-                    return 0;
-                }
-                snoop.words_seen += 1;
-                if snoop.have < HDR_MAX {
-                    let bytes = w.bytes();
-                    let take = (HDR_MAX - snoop.have).min(bytes.len());
-                    snoop.hdr[snoop.have..snoop.have + take].copy_from_slice(&bytes[..take]);
-                    snoop.have += take;
-                    snoop.seen += bytes.len() as u64;
-                    if !w.sop && !w.eop && w.len() as u64 != snoop.word_len {
-                        // Irregular segmentation: the frame's beat count
-                        // can't be derived from the sop word, so scan every
-                        // beat of this frame instead of skipping.
-                        snoop.word_len = 0;
-                    }
-                } else if snoop.len == 0 {
-                    // Length fallback for meta-less frames only; frames
-                    // with metadata don't visit payload beats at all.
-                    snoop.seen += w.len() as u64;
-                }
-                if w.eop {
-                    let len = if snoop.len > 0 { snoop.len } else { snoop.seen };
-                    state.borrow_mut().observe(&snoop.hdr[..snoop.have], len);
-                    snoop.active = false;
-                    return 0;
-                }
-                // Header captured and the frame's beat count is derivable
-                // from `meta.len` (full-width beats up to the last): vouch
-                // for the payload run, leaving the eop beat inspected so a
-                // desync degrades to scanning rather than over-skipping.
-                if snoop.have >= HDR_MAX && snoop.len > 0 && snoop.word_len > 0 {
-                    let total = snoop.len.div_ceil(snoop.word_len);
-                    if total > snoop.words_seen + 1 {
-                        let run = total - snoop.words_seen - 1;
-                        snoop.words_seen += run;
-                        return run as usize;
-                    }
-                }
-                0
-            });
-        self.skip = skip;
+        self.input.transfer_inspect(&self.output, max, |b| {
+            if b.sop {
+                snoop.have = 0;
+                snoop.seen = 0;
+                snoop.len = b.meta.as_ref().map_or(0, |m| u64::from(m.len));
+                snoop.active = true;
+            }
+            if !snoop.active {
+                return;
+            }
+            let take = (HDR_MAX - snoop.have).min(b.len());
+            snoop.hdr[snoop.have..snoop.have + take].copy_from_slice(&b.bytes()[..take]);
+            snoop.have += take;
+            snoop.seen += b.len() as u64;
+            if b.eop {
+                let len = if snoop.len > 0 { snoop.len } else { snoop.seen };
+                state.borrow_mut().observe(&snoop.hdr[..snoop.have], len);
+                snoop.active = false;
+            }
+        });
     }
 
     fn reset(&mut self) {
         self.snoop = HeaderSnoop::new();
-        self.skip = 0;
         self.state.borrow_mut().clear();
     }
 
     /// Idle with nothing to move, stalled with nowhere to move it: the
-    /// snoop transfer then touches neither the flow state nor `skip`.
+    /// transfer then inspects nothing, so the flow state stays put.
     fn is_quiescent(&self) -> bool {
         !self.input.can_pop() || !self.output.can_push()
     }
@@ -461,18 +413,19 @@ mod tests {
             sim.add_module(clk, tap);
             let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
             // Six 74-byte frames = 12 words: 4 fit downstream, 8 upstream.
-            let mut words: std::collections::VecDeque<_> = (0..6)
-                .flat_map(|i| {
-                    let buf = PktBuf::copy_from(&udp_frame(1 + i, 4000));
-                    let meta = Meta {
-                        len: buf.len() as u16,
-                        ..Meta::default()
-                    };
-                    segment_buf(&buf, 64, meta)
-                })
-                .collect();
-            while !words.is_empty() {
-                in_tx.push_burst(&mut words);
+            let mut packets = (0..6).map(|i| {
+                let buf = PktBuf::copy_from(&udp_frame(1 + i, 4000));
+                let meta = Meta {
+                    len: buf.len() as u16,
+                    ..Meta::default()
+                };
+                segment_buf(&buf, 64, meta)
+            });
+            let mut slot = packets.next();
+            while slot.is_some() {
+                while in_tx.push_burst(&mut slot, usize::MAX) > 0 && slot.is_none() {
+                    slot = packets.next();
+                }
                 sim.run_cycles(clk, 1);
             }
             sim.run_cycles(clk, 20);

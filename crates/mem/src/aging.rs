@@ -7,7 +7,9 @@
 //! hardware table does), so insertion can fail under collision pressure
 //! even when the table is not full.
 
+use netfpga_core::hash::Fnv1a64;
 use netfpga_core::time::Time;
+use std::hash::Hasher;
 
 #[derive(Debug, Clone)]
 struct Slot<K, V> {
@@ -48,28 +50,13 @@ impl<K: Eq + Clone + std::hash::Hash, V: Clone> AgingTable<K, V> {
     }
 
     fn index(&self, key: &K) -> usize {
-        // FxHash-style mix over the default hasher for determinism across
-        // runs (std's SipHash is randomly keyed per process).
-        let mut h = 0xcbf29ce484222325u64;
-        let bytes = {
-            use std::hash::Hasher;
-            struct Fnv(u64);
-            impl Hasher for Fnv {
-                fn finish(&self) -> u64 {
-                    self.0
-                }
-                fn write(&mut self, bytes: &[u8]) {
-                    for &b in bytes {
-                        self.0 ^= u64::from(b);
-                        self.0 = self.0.wrapping_mul(0x100000001b3);
-                    }
-                }
-            }
-            let mut f = Fnv(h);
-            key.hash(&mut f);
-            f.finish()
-        };
-        h ^= bytes;
+        // FNV-1a in place of the default hasher, for determinism across
+        // runs (std's SipHash is randomly keyed per process). The offset
+        // basis XORed in on top permutes the slots; every learning-table
+        // trace depends on exactly this index.
+        let mut f = Fnv1a64::default();
+        key.hash(&mut f);
+        let h = Fnv1a64::OFFSET_BASIS ^ f.finish();
         (h as usize) & self.mask
     }
 

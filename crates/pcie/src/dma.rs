@@ -12,7 +12,7 @@
 use crate::config::PcieConfig;
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
-use netfpga_core::stream::{segment_buf, Meta, Reassembler, StreamRx, StreamTx};
+use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::Time;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
@@ -446,8 +446,8 @@ pub struct DmaEngine {
     /// Datapath-facing ports.
     to_card: StreamTx,
     from_card: StreamRx,
-    /// Words of the packet currently being injected.
-    inject: VecDeque<netfpga_core::stream::Word>,
+    /// The beats of the packet being injected that are still to go.
+    inject: Option<Burst>,
     /// Sequence number of the packet currently being injected; acked only
     /// once its last word enters the datapath (a soft reset mid-injection
     /// therefore leaves it unacked, and the retry layer re-posts it).
@@ -489,7 +489,7 @@ impl DmaEngine {
                 rx_capacity,
                 to_card,
                 from_card,
-                inject: VecDeque::new(),
+                inject: None,
                 inject_seq: None,
                 completion_capacity: COMPLETION_RING_FACTOR * tx_capacity,
                 h2c_free_at: Time::ZERO,
@@ -547,7 +547,7 @@ impl Module for DmaEngine {
         let mut dropping = false;
         if let Some(gate) = &self.fault {
             if gate.stalled_at(ctx.now) {
-                let has_work = !self.inject.is_empty()
+                let has_work = self.inject.is_some()
                     || self.from_card.can_pop()
                     || !self.rings.borrow().tx.is_empty();
                 self.rings.borrow_mut().stalled = true;
@@ -561,7 +561,7 @@ impl Module for DmaEngine {
         }
         // Host → card: fetch the next TX descriptor once the link is free,
         // then stream it into the datapath a word per cycle.
-        if self.inject.is_empty() && self.h2c_free_at <= ctx.now {
+        if self.inject.is_none() && self.h2c_free_at <= ctx.now {
             let popped = self.rings.borrow_mut().tx.pop_front();
             if let Some((packet, mut meta, seq)) = popped {
                 let dup = match seq {
@@ -593,17 +593,15 @@ impl Module for DmaEngine {
                     r.stats.tx_bytes += packet.len() as u64;
                     r.injecting = true;
                     drop(r);
-                    self.inject = segment_buf(&packet, self.to_card.width(), meta).into();
+                    self.inject = Some(segment_buf(&packet, self.to_card.width(), meta));
                     self.inject_seq = seq;
                 }
             }
         }
-        if !self.inject.is_empty() && self.to_card.can_push() {
-            let word = self.inject.pop_front().expect("checked non-empty");
-            self.to_card.push(word);
+        if self.to_card.push_burst(&mut self.inject, 1) == 1 {
             let mut r = self.rings.borrow_mut();
             r.work_done += 1;
-            if self.inject.is_empty() {
+            if self.inject.is_none() {
                 // Last word entered the datapath: the packet is delivered
                 // from the host's point of view — ack it.
                 r.injecting = false;
@@ -644,7 +642,7 @@ impl Module for DmaEngine {
     }
 
     fn reset(&mut self) {
-        self.inject.clear();
+        self.inject = None;
         self.inject_seq = None;
         self.reasm = Reassembler::new();
         self.h2c_free_at = Time::ZERO;
@@ -672,7 +670,7 @@ impl Module for DmaEngine {
     /// — unacked, and therefore re-posted — mirroring how a real soft
     /// reset invalidates the engine's descriptor fetch state.
     fn soft_reset(&mut self) {
-        self.inject.clear();
+        self.inject = None;
         self.inject_seq = None;
         if self.reasm.resync() {
             self.rings.borrow_mut().stats.rx_drops += 1;
@@ -698,7 +696,7 @@ impl Module for DmaEngine {
     /// active, because stall windows are time-dependent and
     /// `stalled_ticks` counts per executed tick.
     fn is_quiescent(&self) -> bool {
-        let h2c_inert = if self.inject.is_empty() {
+        let h2c_inert = if self.inject.is_none() {
             self.rings.borrow().tx.is_empty()
         } else {
             self.fault.is_none() && !self.to_card.can_push()
@@ -714,7 +712,7 @@ impl Module for DmaEngine {
         if self.fault.is_some() {
             return None;
         }
-        let fetch = if self.inject.is_empty() {
+        let fetch = if self.inject.is_none() {
             (!self.rings.borrow().tx.is_empty()).then_some(self.h2c_free_at)
         } else if self.to_card.can_push() {
             return None;

@@ -13,7 +13,7 @@
 
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
-use netfpga_core::stream::{segment_buf, Meta, PortMask, Reassembler, StreamRx, StreamTx};
+use netfpga_core::stream::{segment_buf, Burst, Meta, PortMask, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::{BitRate, Time};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -302,6 +302,7 @@ impl Module for EthMacTx {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
+        let max = if self.burst { usize::MAX } else { 1 };
         loop {
             // Back-pressure: refuse new frames while more than
             // TX_FIFO_BYTES of wire time is already committed. Mid-frame
@@ -313,9 +314,12 @@ impl Module for EthMacTx {
                 }
             }
             // One word per cycle from the datapath (all of them in burst
-            // mode, re-checking the backlog at every frame boundary).
-            let Some(word) = self.input.pop() else { return };
-            if let Some((data, _meta)) = self.reasm.push(word) {
+            // mode, a queued burst at a time — none spans two frames, so
+            // the backlog is re-checked at every frame boundary).
+            let Some(beats) = self.input.pop_burst(max) else {
+                return;
+            };
+            if let Some((data, _meta)) = self.reasm.push_burst(beats) {
                 let len = data.len() as u64;
                 let occupancy = self.rate.time_for_bytes(wire_bytes(len));
                 let start = self.line_busy_until.max(ctx.now);
@@ -386,7 +390,8 @@ pub struct EthMacRx {
     wire: Wire,
     output: StreamTx,
     src_port: u8,
-    pending: VecDeque<netfpga_core::stream::Word>,
+    /// The beats of the frame being delivered that are still to go.
+    pending: Option<Burst>,
     stats: SharedMacStats,
     /// Burst fast path: deliver every arrived frame per tick instead of
     /// one word per cycle.
@@ -415,7 +420,7 @@ impl EthMacRx {
                 wire,
                 output,
                 src_port,
-                pending: VecDeque::new(),
+                pending: None,
                 stats: stats.clone(),
                 burst: false,
                 wake,
@@ -440,10 +445,11 @@ impl Module for EthMacRx {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
+        let max = if self.burst { usize::MAX } else { 1 };
         loop {
             // Fetch the next fully-arrived frame once the previous is
-            // segmented.
-            if self.pending.is_empty() {
+            // delivered.
+            if self.pending.is_none() {
                 let Some(frame) = self.wire.take_ready(ctx.now) else {
                     break;
                 };
@@ -474,25 +480,17 @@ impl Module for EthMacRx {
                 s.frames += 1;
                 s.bytes += frame.data.len() as u64;
                 s.wire_bytes += wire_bytes(frame.data.len() as u64);
-                self.pending = segment_buf(&frame.data, self.output.width(), meta).into();
+                self.pending = Some(segment_buf(&frame.data, self.output.width(), meta));
             }
-            if self.burst {
-                self.output.push_burst(&mut self.pending);
-                if !self.pending.is_empty() {
-                    break; // datapath full: resume next tick
-                }
-            } else {
-                if !self.pending.is_empty() && self.output.can_push() {
-                    let w = self.pending.pop_front().expect("checked non-empty");
-                    self.output.push(w);
-                }
-                break;
+            self.output.push_burst(&mut self.pending, max);
+            if !self.burst || self.pending.is_some() {
+                break; // one word per cycle, or datapath full: resume next tick
             }
         }
     }
 
     fn reset(&mut self) {
-        self.pending.clear();
+        self.pending = None;
         *self.stats.0.borrow_mut() = MacStats::default();
     }
 
@@ -501,8 +499,8 @@ impl Module for EthMacRx {
     /// staged frame — its `sop` still at the front — survives intact.
     /// Frames still arriving on the wire are untouched.
     fn soft_reset(&mut self) {
-        if self.pending.front().is_some_and(|w| !w.sop) {
-            self.pending.clear();
+        if self.pending.as_ref().is_some_and(|b| !b.sop) {
+            self.pending = None;
         }
     }
 
@@ -512,7 +510,7 @@ impl Module for EthMacRx {
     /// words face a full datapath stream — frames keep queueing on the
     /// wire meanwhile, but none is fetched until the staged one drains.
     fn is_quiescent(&self) -> bool {
-        if self.pending.is_empty() {
+        if self.pending.is_none() {
             self.wire.is_empty()
         } else {
             !self.output.can_push()
@@ -523,7 +521,7 @@ impl Module for EthMacRx {
     /// the FIFO wire finishes arriving. Staged words facing free space must
     /// drain one cycle at a time, so no bound exists then.
     fn next_activity(&self) -> Option<Time> {
-        if self.pending.is_empty() {
+        if self.pending.is_none() {
             self.wire.head_ready_at()
         } else {
             None
@@ -652,6 +650,47 @@ mod tests {
         assert_eq!(w.take_ready(Time::from_ns(100)).unwrap().data, vec![1]);
         assert_eq!(w.take_ready(Time::from_ns(100)).unwrap().data, vec![2]);
         assert!(w.is_empty());
+    }
+
+    /// Partial fit in burst mode: a 48-beat frame reaches the datapath
+    /// through an 8-deep FIFO eight beats at a time behind a word-per-cycle
+    /// consumer, intact and on the cycle the per-beat queue delivered it.
+    #[test]
+    fn burst_rx_mac_feeds_a_long_frame_through_a_shallow_fifo_on_time() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        let (dst_tx, dst_rx) = Stream::new(8, 32);
+        let wire = Wire::new();
+        let (mac_rx, _) = EthMacRx::new("mac_rx", wire.clone(), dst_tx, 0);
+        let (sink, capture) = PacketSink::new("dst", dst_rx.clone());
+        sim.add_module(clk, mac_rx.with_burst(true));
+        sim.add_module(clk, sink);
+        let frame: Vec<u8> = (0..1514).map(|i| i as u8).collect();
+        wire.push(WireFrame::new(frame.clone(), Time::ZERO));
+        sim.run_until(Time::from_us(1));
+        let got = capture.pop().expect("delivered");
+        assert_eq!(got.data, frame);
+        assert_eq!(got.arrival, Time::from_ps(240_000));
+        assert_eq!((dst_rx.total_pushed(), dst_rx.total_packets()), (48, 1));
+    }
+
+    /// The burst path costs O(1) per frame per hop: a 1514 B frame queued
+    /// by a burst-mode MAC is one queue entry holding one reference to the
+    /// buffer, not one view per beat.
+    #[test]
+    fn burst_rx_mac_queues_a_frame_as_one_reference() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        let (dst_tx, dst_rx) = Stream::new(64, 32);
+        let wire = Wire::new();
+        let (mac_rx, _) = EthMacRx::new("mac_rx", wire.clone(), dst_tx, 0);
+        sim.add_module(clk, mac_rx.with_burst(true));
+        let frame = PktBuf::copy_from(&[7u8; 1514]);
+        wire.push(WireFrame::new(frame.clone(), Time::ZERO));
+        assert_eq!(frame.ref_count(), 2, "ours and the wire's");
+        sim.run_cycles(clk, 1);
+        assert_eq!(dst_rx.occupancy(), 48, "all 48 beats are queued");
+        assert_eq!(frame.ref_count(), 2, "ours and the one queue entry's");
     }
 
     /// Stall rule: staged words facing a full datapath stream make the RX

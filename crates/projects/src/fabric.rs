@@ -22,6 +22,7 @@
 
 use crate::reference_switch::ReferenceSwitch;
 use netfpga_core::board::BoardSpec;
+use netfpga_core::hash::{fnv1a64, Fnv1a64};
 use netfpga_core::sim::{KernelStats, Module};
 use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
@@ -30,6 +31,7 @@ use netfpga_fabric::{run_fabric, FabricConfig, FabricNode, FabricReport, FabricT
 use netfpga_faults::{FaultPlan, TraceEntry};
 use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
 use netfpga_phy::Wire;
+use std::hash::Hasher;
 
 impl FabricNode for ReferenceSwitch {
     fn run_until(&mut self, deadline: Time) {
@@ -258,7 +260,7 @@ impl LeafSpine {
                 if node < self.leaves {
                     for p in 0..self.host_ports {
                         for (bytes, at) in sw.chassis.recv_timed(p) {
-                            deliveries.push((p, at, fnv64(&bytes)));
+                            deliveries.push((p, at, fnv1a64(&bytes)));
                         }
                     }
                 }
@@ -319,22 +321,9 @@ pub fn total_delivered(report: &FabricReport<NodeTrace>) -> u64 {
         .sum()
 }
 
-/// FNV-1a over a byte slice.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Fold a word into an FNV-1a accumulator.
-fn fnv_mix(h: &mut u64, word: u64) {
-    for b in word.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+fn fnv_mix(h: &mut Fnv1a64, word: u64) {
+    h.write(&word.to_le_bytes());
 }
 
 /// A single order-sensitive signature of everything observable in a
@@ -342,7 +331,7 @@ fn fnv_mix(h: &mut u64, word: u64) {
 /// Two runs are bit-identical iff their signatures match (up to hash
 /// collision) — the cheap cross-shard-count equivalence check E16 uses.
 pub fn trace_signature(report: &FabricReport<NodeTrace>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a64::default();
     for t in &report.results {
         fnv_mix(&mut h, t.node as u64);
         for &(port, at, frame) in &t.deliveries {
@@ -359,10 +348,10 @@ pub fn trace_signature(report: &FabricReport<NodeTrace>) -> u64 {
             fnv_mix(&mut h, e.at.as_ps());
             // `FaultKind` carries floats; its (deterministic) debug form
             // is the stable byte representation to fold.
-            fnv_mix(&mut h, fnv64(format!("{:?}", e.kind).as_bytes()));
+            fnv_mix(&mut h, fnv1a64(format!("{:?}", e.kind).as_bytes()));
         }
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -17,13 +17,12 @@ use netfpga_core::resources::ResourceCost;
 use netfpga_core::rng::SimRng;
 use netfpga_core::sim::{Module, TickContext};
 use netfpga_core::stats::Histogram;
-use netfpga_core::stream::{segment, Meta, Reassembler, StreamRx, StreamTx};
+use netfpga_core::stream::{segment, Burst, Meta, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::{BitRate, Time};
 use netfpga_datapath::blocks;
 use netfpga_datapath::ParsedHeaders;
 use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Magic bytes marking an OSNT probe payload.
@@ -142,7 +141,8 @@ pub struct TrafficGenerator {
     next_emit: Time,
     rng: SimRng,
     rng_seed: u64,
-    words: VecDeque<netfpga_core::stream::Word>,
+    /// The beats of the frame being streamed out that are still to go.
+    words: Option<Burst>,
 }
 
 impl TrafficGenerator {
@@ -158,7 +158,7 @@ impl TrafficGenerator {
                 next_emit: Time::ZERO,
                 rng: SimRng::new(0x05471),
                 rng_seed: 0x05471,
-                words: VecDeque::new(),
+                words: None,
             },
             handle,
         )
@@ -199,11 +199,8 @@ impl Module for TrafficGenerator {
 
     fn tick(&mut self, ctx: &TickContext) {
         // Stream out the current frame a word per cycle.
-        if !self.words.is_empty() {
-            if self.output.can_push() {
-                let word = self.words.pop_front().expect("non-empty");
-                self.output.push(word);
-            }
+        if self.words.is_some() {
+            self.output.push_burst(&mut self.words, 1);
             return;
         }
         // Start the next frame when its departure time arrives.
@@ -236,7 +233,7 @@ impl Module for TrafficGenerator {
             ingress_time: ctx.now,
             ..Default::default()
         };
-        self.words = segment(&frame, self.output.width(), meta).into();
+        self.words = Some(segment(&frame, self.output.width(), meta));
         s.sent += 1;
         // Schedule the next departure.
         let mean_gap = config.rate.time_for_bytes(frame.len() as u64);
@@ -255,7 +252,7 @@ impl Module for TrafficGenerator {
     }
 
     fn reset(&mut self) {
-        self.words.clear();
+        self.words = None;
         self.next_emit = Time::ZERO;
         let mut s = self.shared.borrow_mut();
         s.sent = 0;

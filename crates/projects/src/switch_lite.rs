@@ -11,7 +11,7 @@ use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::regs::AddressMap;
 use netfpga_core::resources::ResourceCost;
 use netfpga_core::sim::{Module, TickContext};
-use netfpga_core::stream::{segment_buf, Meta, Reassembler, Stream, StreamRx, StreamTx, Word};
+use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, Stream, StreamRx, StreamTx};
 use netfpga_core::time::Time;
 use netfpga_datapath::blocks;
 use netfpga_datapath::stage::{PacketLogic, StageAction};
@@ -31,9 +31,10 @@ struct LiteSplitter {
     input: StreamRx,
     outputs: Vec<StreamTx>,
     reasm: Reassembler,
-    /// Packets waiting to be copied out: (per-port word queues).
+    /// Packets waiting to be copied out.
     staging: VecDeque<(Meta, PktBuf)>,
-    emitting: Vec<VecDeque<Word>>,
+    /// Per port, the beats of the copy being emitted that are still to go.
+    emitting: Vec<Option<Burst>>,
 }
 
 impl LiteSplitter {
@@ -45,7 +46,7 @@ impl LiteSplitter {
             outputs,
             reasm: Reassembler::new(),
             staging: VecDeque::new(),
-            emitting: vec![VecDeque::new(); n],
+            emitting: vec![None; n],
         }
     }
 }
@@ -71,7 +72,7 @@ impl Module for LiteSplitter {
             let ports: Vec<usize> = meta.dst_ports.iter().map(usize::from).collect();
             if ports
                 .iter()
-                .all(|&p| p < self.emitting.len() && self.emitting[p].is_empty())
+                .all(|&p| p < self.emitting.len() && self.emitting[p].is_none())
             {
                 let (meta, packet) = self.staging.pop_front().expect("front exists");
                 for p in meta.dst_ports.iter() {
@@ -81,26 +82,21 @@ impl Module for LiteSplitter {
                         m.dst_ports = netfpga_core::stream::PortMask::single(p as u8);
                         // Zero-copy flood: every port's words are views
                         // into the same shared backing buffer.
-                        self.emitting[p] = segment_buf(&packet, self.outputs[p].width(), m).into();
+                        self.emitting[p] = Some(segment_buf(&packet, self.outputs[p].width(), m));
                     }
                 }
             }
         }
         // Emit one word per port per cycle.
-        for (p, q) in self.emitting.iter_mut().enumerate() {
-            if !q.is_empty() && self.outputs[p].can_push() {
-                let word = q.pop_front().expect("non-empty");
-                self.outputs[p].push(word);
-            }
+        for (slot, output) in self.emitting.iter_mut().zip(&self.outputs) {
+            output.push_burst(slot, 1);
         }
     }
 
     fn reset(&mut self) {
         self.reasm = Reassembler::new();
         self.staging.clear();
-        for q in &mut self.emitting {
-            q.clear();
-        }
+        self.emitting.fill(None);
     }
 }
 

@@ -37,12 +37,7 @@ struct DedupLogic {
 impl DedupLogic {
     fn fingerprint(packet: &[u8]) -> u64 {
         // FNV-1a over the whole frame: cheap and good enough for a demo.
-        let mut h = 0xcbf29ce484222325u64;
-        for &b in packet {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        netfpga_core::hash::fnv1a64(packet)
     }
 }
 
