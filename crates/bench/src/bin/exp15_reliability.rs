@@ -16,6 +16,10 @@
 
 use netfpga_bench::reliability::{overhead_pair, reliability_nic, ReliabilityPoint};
 use netfpga_bench::Table;
+use netfpga_core::sim::PARANOID;
+
+/// Attached-over-unattached throughput floor of the reliable layer.
+const OVERHEAD_FLOOR: f64 = 0.95;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -35,6 +39,22 @@ fn main() {
         ]
     };
     let frames = if quick { 80 } else { 150 };
+
+    // Overhead floor: with an inert plan and the reliable layer attached,
+    // the saturated exp10 workload keeps at least 95 % of the unattached
+    // baseline's wall-clock throughput. Measured first — after the sweep
+    // the probe inherits the allocator and pool state the sweep leaves —
+    // and not at all on a paranoid build, which times the contract check.
+    let overhead = (!PARANOID).then(|| {
+        let (base_fps, rel_fps) = overhead_pair(OVERHEAD_FLOOR);
+        let ratio = rel_fps / base_fps;
+        assert!(
+            ratio >= OVERHEAD_FLOOR,
+            "reliable layer too slow on an inert plan: {rel_fps:.0} vs {base_fps:.0} frames/s \
+             ({ratio:.3}x, floor {OVERHEAD_FLOOR}x)"
+        );
+        ratio
+    });
 
     let mut t = Table::new(
         "E15: reliable host I/O (stall x drop x wedge)",
@@ -145,17 +165,6 @@ fn main() {
     let b = reliability_nic(point);
     assert_eq!(a, b, "same seed must replay identically");
 
-    // (d) Overhead floor: with an inert plan and the reliable layer
-    // attached, the saturated exp10 workload keeps at least 95% of the
-    // unattached baseline's wall-clock throughput.
-    let (base_fps, rel_fps) = overhead_pair(if quick { 1000 } else { 3000 });
-    let ratio = rel_fps / base_fps;
-    assert!(
-        ratio >= 0.95,
-        "reliable layer too slow on an inert plan: {rel_fps:.0} vs {base_fps:.0} frames/s \
-         ({ratio:.3}x, floor 0.95x)"
-    );
-
     t.print();
     t.write_json("BENCH_reliability.json")
         .expect("write BENCH_reliability.json");
@@ -164,10 +173,13 @@ fn main() {
         .iter()
         .map(|&(s, d, w)| u64::from(s > 0 || d > 0 || w))
         .sum();
+    let overhead = overhead.map_or_else(
+        || "skipped (paranoid build)".to_string(),
+        |ratio| format!("{ratio:.3}x (floor {OVERHEAD_FLOOR}x)"),
+    );
     println!(
         "ok: {} points exactly-once ({retried} faulted), TTR {b0} -> {b1} -> {b2} ns \
-         across deadlines {d0}/{d1}/{d2} cycles, replay identical, overhead {ratio:.3}x \
-         (floor 0.95x)",
+         across deadlines {d0}/{d1}/{d2} cycles, replay identical, overhead {overhead}",
         grid.len(),
     );
 }

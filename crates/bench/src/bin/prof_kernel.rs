@@ -6,10 +6,16 @@
 //! JSON.
 //!
 //! ```text
-//! prof_kernel [naive|fast] [idle|sat|flood] [n] [frame_len]
+//! prof_kernel [naive|fast] [idle|sat|flood|nic] [n] [frame_len]
 //! ```
+//!
+//! `nic` is the bidirectional reference-NIC workload (508 B by default):
+//! its `dma` row is the one to read — ≈74 % of edges while the engine
+//! ticked its bus a beat per cycle under a burst-mode NIC.
 
-use netfpga_bench::kernel::{run_keeping_switch, KernelConfig, Workload, FRAME_LEN};
+use netfpga_bench::kernel::{
+    run_keeping_chassis, KernelConfig, Workload, FRAME_LEN, NIC_FRAME_LEN,
+};
 
 fn phases(nframes: u32) {
     use netfpga_core::board::BoardSpec;
@@ -73,16 +79,17 @@ fn main() {
         return;
     }
     let n: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(20_000);
-    let which = match workload.as_str() {
-        "idle" => Workload::IdleHeavy,
-        "flood" => Workload::Flood,
-        _ => Workload::Saturated,
+    let (which, default_len) = match workload.as_str() {
+        "idle" => (Workload::IdleHeavy, FRAME_LEN),
+        "flood" => (Workload::Flood, FRAME_LEN),
+        "nic" => (Workload::NicBidir, NIC_FRAME_LEN),
+        _ => (Workload::Saturated, FRAME_LEN),
     };
     let frame_len: usize = args
         .get(4)
         .and_then(|s| s.parse().ok())
-        .unwrap_or(FRAME_LEN);
-    let (run, sw) = run_keeping_switch(config, which, n, frame_len);
+        .unwrap_or(default_len);
+    let (run, chassis) = run_keeping_chassis(config, which, n, frame_len);
     println!(
         "{} {} {}B: edges={} steps={} ({:.1}% stepped) frames={} cow={} wall={:?} edges/s={:.0} frames/s={:.0}",
         config.label(),
@@ -100,12 +107,12 @@ fn main() {
     // The whole chassis shares the core clock, so every module's ticks are
     // out of the same edge count (both since construction, teaching
     // included).
-    let edges = sw.chassis.sim.cycles(sw.chassis.clk);
+    let edges = chassis.sim.cycles(chassis.clk);
     println!(
         "{:<24} {:>12} {:>8}   of {edges} core edges",
         "module", "ticks", "share"
     );
-    for (name, ticks) in sw.chassis.sim.module_ticks() {
+    for (name, ticks) in chassis.sim.module_ticks() {
         println!(
             "{name:<24} {ticks:>12} {:>7.1}%",
             100.0 * ticks as f64 / edges.max(1) as f64

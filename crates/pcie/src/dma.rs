@@ -113,6 +113,10 @@ struct Rings {
     /// here so watchdog probes see mid-packet work the TX ring no longer
     /// shows.
     injecting: bool,
+    /// Whether a card-to-host packet is off `from_card` but not yet in the RX
+    /// ring (its last beats still on the bus) — the `injecting` of the
+    /// other direction, for the same watchdog probes.
+    absorbing: bool,
     /// The engine's activity-cache flag: host sends arrive from outside
     /// the tick loop and must mark the cached classification dirty.
     wake: Option<WakeHandle>,
@@ -438,6 +442,46 @@ impl DmaHandle {
 }
 
 /// The card-side DMA engine module.
+///
+/// # Burst mode: charged, not ticked
+///
+/// As built the engine moves one bus beat per core cycle in each direction.
+/// [`DmaEngine::with_burst`] lets it move whole bursts per tick while still
+/// *charging* the card-side bus one cycle per beat in simulated time: the
+/// engine stops executing those cycles, it does not stop counting them.
+///
+/// * **Host → card.** A descriptor fetched at `t0` with `n` beats is held
+///   and enters `to_card` as one burst at `t0 + (n − 1)·period`, the instant
+///   its last beat enters in word mode. The ack ([`TxCompletion::at`]), the
+///   next fetch (`max(h2c_free_at, t0 + n·period)`) and what a
+///   store-and-forward consumer sees are therefore unchanged. If `to_card`
+///   cannot take all of it then, what fits goes and the rest follows as pops
+///   free space; the ack goes with the last beat.
+/// * **Card → host.** Once the PCIe link is free the engine takes the head
+///   burst (`k` beats, never past the end of a packet) in one tick and is
+///   busy until `now + (k − 1)·period`; only at that instant is the packet
+///   complete — RX ring or `rx_drops`, the drop window, `c2h_free_at`
+///   restarting from there. A burst that does not end its packet lets the
+///   next pop happen no earlier than `now + k·period`.
+/// * A stall window freezes the charge along with the engine: every stalled
+///   edge moves a held burst's crossing and a pending completion one period
+///   later.
+///
+/// **What is exact.** Against the word engine in the fast-path reference
+/// NIC (400 000 cycles of seeded 60–1514 B frames: two or four ports at
+/// line rate towards the host, a host frame every microsecond): every ack
+/// instant and every wire-egress instant is identical, and so is every
+/// RX-ring delivery, in instant and order, while the card-to-host chain is
+/// not back-pressured. **What is not.** Once that chain back-pressures, FIFO
+/// space comes back a burst at a time instead of a beat per cycle, so the
+/// input arbiter's grants may interleave the ports differently: packets,
+/// per-port order, counters, drops and aggregate rate stay identical, the
+/// cross-port order of ring deliveries is not promised (the four-port run
+/// above, back-pressured throughout, happened to keep it). Likewise a stall
+/// window opening while a *partial* burst is being charged does not extend
+/// that charge. Both are inside the chassis' fast-path contract (delivered
+/// packets, ports and counters identical; cycle-level pacing inside the
+/// pipeline collapsed).
 pub struct DmaEngine {
     name: String,
     config: PcieConfig,
@@ -446,18 +490,29 @@ pub struct DmaEngine {
     /// Datapath-facing ports.
     to_card: StreamTx,
     from_card: StreamRx,
+    /// Move whole bursts per tick (see the type docs); off: one beat.
+    burst: bool,
     /// The beats of the packet being injected that are still to go.
     inject: Option<Burst>,
+    /// While `Some`, the bus is still carrying `inject`: nothing enters
+    /// `to_card` before this instant. `None` once the crossing has begun —
+    /// what is left of the burst then waits on space, not on time.
+    inject_at: Option<Time>,
     /// Sequence number of the packet currently being injected; acked only
     /// once its last word enters the datapath (a soft reset mid-injection
     /// therefore leaves it unacked, and the retry layer re-posts it).
     inject_seq: Option<u64>,
     /// Completion-ring capacity.
     completion_capacity: usize,
-    /// PCIe pacing, per direction.
+    /// Pacing, per direction: no descriptor fetch and no pop before these.
+    /// The PCIe link's occupancy — and, after a burst that did not end its
+    /// packet, that burst's time on the bus.
     h2c_free_at: Time,
     c2h_free_at: Time,
     reasm: Reassembler,
+    /// A packet popped off `from_card` whose last beat is on the bus until
+    /// the instant given: complete, and delivered, only then.
+    absorbed: Option<(Time, PktBuf, Meta)>,
     fault: Option<DmaFaultGate>,
     /// Activity-cache invalidation flag, woken by host sends, card words
     /// arriving on `from_card`, and pops freeing space on `to_card`.
@@ -489,17 +544,28 @@ impl DmaEngine {
                 rx_capacity,
                 to_card,
                 from_card,
+                burst: false,
                 inject: None,
+                inject_at: None,
                 inject_seq: None,
                 completion_capacity: COMPLETION_RING_FACTOR * tx_capacity,
                 h2c_free_at: Time::ZERO,
                 c2h_free_at: Time::ZERO,
                 reasm: Reassembler::new(),
+                absorbed: None,
                 fault: None,
                 wake,
             },
             DmaHandle { rings, tx_capacity },
         )
+    }
+
+    /// Enable burst mode: whole bursts per tick, the bus still charged a
+    /// cycle per beat (see the type docs). Off, the engine is the word
+    /// engine, bit for bit.
+    pub fn with_burst(mut self, enabled: bool) -> DmaEngine {
+        self.burst = enabled;
+        self
     }
 
     /// Attach a fault gate the fault plane drives. With no gate (or a gate
@@ -511,8 +577,8 @@ impl DmaEngine {
 
     /// A `(progress, work-pending)` closure pair for a watchdog probe:
     /// `progress` is the engine's monotonic heartbeat, `pending` covers
-    /// queued TX descriptors, a partially injected packet, and undrained
-    /// card-to-host words. Capture this before registering the engine on
+    /// queued TX descriptors, a partially injected packet, undrained
+    /// card-to-host words and a packet still being absorbed. Capture this before registering the engine on
     /// the simulator.
     pub fn progress_probe(&self) -> impl Fn() -> (u64, bool) + 'static {
         let rings = self.rings.clone();
@@ -521,8 +587,30 @@ impl DmaEngine {
             let r = rings.borrow();
             (
                 r.work_done,
-                !r.tx.is_empty() || r.injecting || from_card.can_pop(),
+                !r.tx.is_empty() || r.injecting || r.absorbing || from_card.can_pop(),
             )
+        }
+    }
+
+    /// A card-to-host packet is complete at `now`: pace the link from here
+    /// and deliver it (or drop it: fault window, RX-ring overflow).
+    fn complete(&mut self, packet: PktBuf, meta: Meta, now: Time, dropping: bool) {
+        self.c2h_free_at = now + self.config.transfer_time(packet.len());
+        let mut r = self.rings.borrow_mut();
+        r.absorbing = false;
+        if dropping {
+            self.fault
+                .as_ref()
+                .expect("gate present")
+                .inner
+                .borrow_mut()
+                .rx_dropped += 1;
+        } else if r.rx.len() >= self.rx_capacity {
+            r.stats.rx_drops += 1;
+        } else {
+            r.stats.rx_packets += 1;
+            r.stats.rx_bytes += packet.len() as u64;
+            r.rx.push_back((packet, meta));
         }
     }
 
@@ -541,6 +629,8 @@ impl Module for DmaEngine {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
+        let max = if self.burst { usize::MAX } else { 1 };
+        let beats = |n: usize| Time::from_ps(n as u64 * ctx.period.as_ps());
         // Fault gate: inside a stall window (or wedge) the engine freezes
         // entirely (descriptor fetch, injection and absorption all stop);
         // inside a drop window packets crossing the engine are discarded.
@@ -548,11 +638,20 @@ impl Module for DmaEngine {
         if let Some(gate) = &self.fault {
             if gate.stalled_at(ctx.now) {
                 let has_work = self.inject.is_some()
+                    || self.absorbed.is_some()
                     || self.from_card.can_pop()
                     || !self.rings.borrow().tx.is_empty();
                 self.rings.borrow_mut().stalled = true;
                 if has_work {
                     gate.inner.borrow_mut().stalled_ticks += 1;
+                }
+                // The bus is frozen too: beat time still owed moves with
+                // the stall.
+                if let Some(at) = &mut self.inject_at {
+                    *at += ctx.period;
+                }
+                if let Some((at, ..)) = &mut self.absorbed {
+                    *at += ctx.period;
                 }
                 return;
             }
@@ -560,7 +659,7 @@ impl Module for DmaEngine {
             dropping = gate.dropping_at(ctx.now);
         }
         // Host → card: fetch the next TX descriptor once the link is free,
-        // then stream it into the datapath a word per cycle.
+        // then stream it into the datapath, `max` beats per cycle.
         if self.inject.is_none() && self.h2c_free_at <= ctx.now {
             let popped = self.rings.borrow_mut().tx.pop_front();
             if let Some((packet, mut meta, seq)) = popped {
@@ -593,49 +692,53 @@ impl Module for DmaEngine {
                     r.stats.tx_bytes += packet.len() as u64;
                     r.injecting = true;
                     drop(r);
-                    self.inject = Some(segment_buf(&packet, self.to_card.width(), meta));
+                    let burst = segment_buf(&packet, self.to_card.width(), meta);
+                    // Beats that cross together cross when the last of them
+                    // would have: the bus is charged, not ticked.
+                    let ahead = burst.beats().min(max) - 1;
+                    self.inject_at = (ahead > 0).then(|| ctx.now + beats(ahead));
+                    self.inject = Some(burst);
                     self.inject_seq = seq;
                 }
             }
         }
-        if self.to_card.push_burst(&mut self.inject, 1) == 1 {
-            let mut r = self.rings.borrow_mut();
-            r.work_done += 1;
-            if self.inject.is_none() {
-                // Last word entered the datapath: the packet is delivered
-                // from the host's point of view — ack it.
-                r.injecting = false;
-                drop(r);
-                if let Some(s) = self.inject_seq.take() {
-                    Self::ack_delivered(&self.rings, s, ctx.now, self.completion_capacity);
+        self.inject_at = self.inject_at.filter(|&at| at > ctx.now);
+        if self.inject_at.is_none() {
+            let pushed = self.to_card.push_burst(&mut self.inject, max);
+            if pushed > 0 {
+                let mut r = self.rings.borrow_mut();
+                r.work_done += pushed as u64;
+                if self.inject.is_none() {
+                    // Last word entered the datapath: the packet is
+                    // delivered from the host's point of view — ack it.
+                    r.injecting = false;
+                    drop(r);
+                    if let Some(s) = self.inject_seq.take() {
+                        Self::ack_delivered(&self.rings, s, ctx.now, self.completion_capacity);
+                    }
                 }
             }
         }
 
-        // Card → host: absorb a word per cycle; on packet completion, pace
-        // the link and deliver (or drop on ring overflow).
-        if self.c2h_free_at <= ctx.now {
-            if let Some(word) = self.from_card.pop() {
-                self.rings.borrow_mut().work_done += 1;
-                if let Some((packet, meta)) = self.reasm.push(word) {
-                    self.c2h_free_at = ctx.now + self.config.transfer_time(packet.len());
-                    if dropping {
-                        self.fault
-                            .as_ref()
-                            .expect("gate present")
-                            .inner
-                            .borrow_mut()
-                            .rx_dropped += 1;
-                        return;
+        // Card → host: absorb `max` beats per cycle; a packet is complete
+        // when its last beat has crossed the bus.
+        if let Some((_, packet, meta)) = self.absorbed.take_if(|(at, ..)| *at <= ctx.now) {
+            self.complete(packet, meta, ctx.now, dropping);
+        } else if self.absorbed.is_none() && self.c2h_free_at <= ctx.now {
+            if let Some(burst) = self.from_card.pop_burst(max) {
+                let k = burst.beats();
+                self.rings.borrow_mut().work_done += k as u64;
+                match self.reasm.push_burst(burst) {
+                    // A lone beat is across in the cycle it is popped.
+                    Some((packet, meta)) if k == 1 => {
+                        self.complete(packet, meta, ctx.now, dropping);
                     }
-                    let mut r = self.rings.borrow_mut();
-                    if r.rx.len() >= self.rx_capacity {
-                        r.stats.rx_drops += 1;
-                    } else {
-                        r.stats.rx_packets += 1;
-                        r.stats.rx_bytes += packet.len() as u64;
-                        r.rx.push_back((packet, meta));
+                    Some((packet, meta)) => {
+                        self.rings.borrow_mut().absorbing = true;
+                        self.absorbed = Some((ctx.now + beats(k - 1), packet, meta));
                     }
+                    // More of the packet to come, once these beats are over.
+                    None => self.c2h_free_at = ctx.now + beats(k),
                 }
             }
         }
@@ -643,8 +746,10 @@ impl Module for DmaEngine {
 
     fn reset(&mut self) {
         self.inject = None;
+        self.inject_at = None;
         self.inject_seq = None;
         self.reasm = Reassembler::new();
+        self.absorbed = None;
         self.h2c_free_at = Time::ZERO;
         self.c2h_free_at = Time::ZERO;
         let mut r = self.rings.borrow_mut();
@@ -659,20 +764,25 @@ impl Module for DmaEngine {
         r.work_done = 0;
         r.stalled = false;
         r.injecting = false;
+        r.absorbing = false;
     }
 
     /// Watchdog-driven recovery: flush in-flight injection and reassembly
     /// state, restart the pacing marks and clear any fault-gate wedge —
     /// while keeping delivered packets, statistics, the completion ring
-    /// and the dedup set. A packet caught mid-injection is *not* acked
-    /// (its orphan words are discarded by downstream resync), so the retry
-    /// layer re-posts it; pending TX descriptors are flushed the same way
-    /// — unacked, and therefore re-posted — mirroring how a real soft
-    /// reset invalidates the engine's descriptor fetch state.
+    /// and the dedup set. A packet caught mid-injection (held on the bus
+    /// included) is *not* acked (its orphan words are discarded by
+    /// downstream resync), so the retry layer re-posts it; pending TX
+    /// descriptors are flushed the same way — unacked, and therefore
+    /// re-posted — mirroring how a real soft reset invalidates the engine's
+    /// descriptor fetch state. A packet caught mid-absorption counts one
+    /// `rx_drops`.
     fn soft_reset(&mut self) {
         self.inject = None;
+        self.inject_at = None;
         self.inject_seq = None;
-        if self.reasm.resync() {
+        let partial = self.reasm.resync();
+        if partial || self.absorbed.take().is_some() {
             self.rings.borrow_mut().stats.rx_drops += 1;
         }
         self.h2c_free_at = Time::ZERO;
@@ -681,6 +791,7 @@ impl Module for DmaEngine {
         r.tx.clear();
         r.stalled = false;
         r.injecting = false;
+        r.absorbing = false;
         drop(r);
         if let Some(gate) = &self.fault {
             gate.clear_windows();
@@ -688,39 +799,50 @@ impl Module for DmaEngine {
     }
 
     /// Idle when both directions have nothing queued: no TX descriptors,
-    /// no partially injected packet, and no card words to absorb. The
-    /// `free_at` pacing marks are irrelevant then — with empty queues a
-    /// tick is a no-op at any future instant too. Without a fault gate the
-    /// host-to-card side is also inert while a partially injected packet
-    /// faces a full `to_card`; with a gate attached that stall stays
-    /// active, because stall windows are time-dependent and
-    /// `stalled_ticks` counts per executed tick.
+    /// no partially injected packet, no card words to absorb and no packet
+    /// waiting out its last beats. The `free_at` pacing marks are
+    /// irrelevant then — with empty queues a tick is a no-op at any future
+    /// instant too. Without a fault gate the host-to-card side is also
+    /// inert while a packet whose crossing has begun faces a full
+    /// `to_card`; with a gate attached that stall stays active, because
+    /// stall windows are time-dependent and `stalled_ticks` counts per
+    /// executed tick.
     fn is_quiescent(&self) -> bool {
         let h2c_inert = if self.inject.is_none() {
             self.rings.borrow().tx.is_empty()
         } else {
-            self.fault.is_none() && !self.to_card.can_push()
+            self.fault.is_none() && self.inject_at.is_none() && !self.to_card.can_push()
         };
-        h2c_inert && !self.from_card.can_pop()
+        h2c_inert && self.absorbed.is_none() && !self.from_card.can_pop()
     }
 
-    /// PCIe pacing as a time bound (engines without a fault gate only):
-    /// descriptor fetch waits for `h2c_free_at`, card-to-host absorption for
-    /// `c2h_free_at`, and nothing else can happen before the earlier of the
-    /// pending ones. No bound while an injected word can move.
+    /// Pacing as a time bound (engines without a fault gate only):
+    /// descriptor fetch waits for `h2c_free_at`, a held burst for its
+    /// crossing instant, card-to-host absorption for `c2h_free_at`, an
+    /// absorbed packet for its completion instant, and nothing else can
+    /// happen before the earliest of the pending ones. No bound while an
+    /// injected word can move.
     fn next_activity(&self) -> Option<Time> {
         if self.fault.is_some() {
             return None;
         }
-        let fetch = if self.inject.is_none() {
+        let inject = if self.inject.is_none() {
             (!self.rings.borrow().tx.is_empty()).then_some(self.h2c_free_at)
+        } else if self.inject_at.is_some() {
+            self.inject_at
         } else if self.to_card.can_push() {
             return None;
         } else {
             None // blocked on `to_card`: lifted by a pop, not by time
         };
-        let absorb = self.from_card.can_pop().then_some(self.c2h_free_at);
-        [fetch, absorb].into_iter().flatten().min()
+        let absorb = match &self.absorbed {
+            Some((at, ..)) => Some(*at),
+            None => self.from_card.can_pop().then_some(self.c2h_free_at),
+        };
+        match (inject, absorb) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// External activity channels: host sends into the TX ring, card words
@@ -840,32 +962,37 @@ mod tests {
 
     /// Stall rule (no fault gate): a partially injected packet facing a
     /// full `to_card` makes the engine quiescent — heartbeat and counters
-    /// frozen — until the datapath pops a word.
+    /// frozen — until the datapath pops a word. In burst mode the packet
+    /// reaches `to_card` nine periods later, all that fits at once.
     #[test]
     fn blocked_injection_is_quiescent_until_a_pop() {
-        let mut sim = Simulator::new();
-        let clk = sim.add_clock("core", Frequency::mhz(200));
-        let (h2c_tx, h2c_rx) = Stream::new(8, 32);
-        let (_c2h_tx, c2h_rx) = Stream::new(8, 32);
-        let (engine, handle) = DmaEngine::new("dma", PcieConfig::gen3_x8(), h2c_tx, c2h_rx, 8, 8);
-        sim.add_module(clk, engine);
-        let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
-        handle.send(vec![4u8; 320], 0).unwrap(); // 10 words into 8 slots
-        sim.run_cycles(clk, 20);
-        assert_eq!(h2c_rx.occupancy(), 8);
-        assert!(handle.has_work(), "two words still to inject");
-        assert!(sim.all_quiescent(), "stalled on `to_card`");
-        let (stalled_at, progress) = (ticks(&sim), handle.progress());
-        sim.run_cycles(clk, 1000);
-        assert_eq!(ticks(&sim), stalled_at, "no tick while stalled");
-        assert_eq!(handle.progress(), progress);
+        for burst in [false, true] {
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("core", Frequency::mhz(200));
+            let (h2c_tx, h2c_rx) = Stream::new(8, 32);
+            let (_c2h_tx, c2h_rx) = Stream::new(8, 32);
+            let (engine, handle) =
+                DmaEngine::new("dma", PcieConfig::gen3_x8(), h2c_tx, c2h_rx, 8, 8);
+            sim.add_module(clk, engine.with_burst(burst));
+            let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+            handle.send(vec![4u8; 320], 0).unwrap(); // 10 words into 8 slots
+            sim.run_cycles(clk, 20);
+            assert_eq!(h2c_rx.occupancy(), 8);
+            assert!(handle.has_work(), "two words still to inject");
+            assert!(sim.all_quiescent(), "stalled on `to_card`");
+            let (stalled_at, progress) = (ticks(&sim), handle.progress());
+            assert_eq!(stalled_at, if burst { 2 } else { 8 });
+            sim.run_cycles(clk, 1000);
+            assert_eq!(ticks(&sim), stalled_at, "no tick while stalled");
+            assert_eq!(handle.progress(), progress);
 
-        h2c_rx.pop().expect("head word");
-        sim.run_cycles(clk, 1);
-        assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
-        assert_eq!(handle.progress(), progress + 1);
-        assert_eq!(h2c_rx.occupancy(), 8, "the freed slot was refilled");
-        assert!(sim.all_quiescent());
+            h2c_rx.pop().expect("head word");
+            sim.run_cycles(clk, 1);
+            assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
+            assert_eq!(handle.progress(), progress + 1);
+            assert_eq!(h2c_rx.occupancy(), 8, "the freed slot was refilled");
+            assert!(sim.all_quiescent());
+        }
     }
 
     /// PCIe pacing is a time bound in both directions: between a packet
@@ -875,7 +1002,7 @@ mod tests {
     fn pcie_pacing_is_a_time_bound() {
         use netfpga_core::sim::SchedulerMode;
         use netfpga_core::stream::segment;
-        let run = |reference: bool| {
+        let run = |reference: bool, burst: bool| {
             let mut sim = Simulator::new();
             if reference {
                 sim.set_scheduler_mode(SchedulerMode::Scan);
@@ -888,12 +1015,11 @@ mod tests {
             // each 1024-byte packet in either direction.
             let (engine, handle) =
                 DmaEngine::new("dma", PcieConfig::gen1_x8(), h2c_tx, c2h_rx, 8, 8);
-            sim.add_module(clk, engine);
+            sim.add_module(clk, engine.with_burst(burst));
             for i in 0..2u8 {
                 handle.send(vec![i; 1024], 0).unwrap();
-                for w in segment(&[i; 1024], 32, Meta::default()) {
-                    c2h_tx.push(w);
-                }
+                let mut frame = Some(segment(&[i; 1024], 32, Meta::default()));
+                c2h_tx.push_burst(&mut frame, usize::MAX);
             }
             sim.run_until(Time::from_us(3));
             let mut fetched = Vec::new();
@@ -911,8 +1037,8 @@ mod tests {
             );
             (state, ticks)
         };
-        let (reference, reference_ticks) = run(true);
-        let (fast, fast_ticks) = run(false);
+        let (reference, reference_ticks) = run(true, false);
+        let (fast, fast_ticks) = run(false, false);
         assert_eq!(fast, reference, "pacing bounds must not move any instant");
         let gap = PcieConfig::gen1_x8().transfer_time(1024);
         assert!(fast.0[1] - fast.0[0] >= gap, "h2c paced: {:?}", fast.0);
@@ -920,6 +1046,22 @@ mod tests {
         assert!(
             fast_ticks < reference_ticks / 2,
             "pacing gaps must be skipped: {fast_ticks} of {reference_ticks} ticks"
+        );
+        // Burst mode: the every-edge reference again agrees with the fast
+        // kernel, and both with word mode — in far fewer ticks.
+        let (burst_reference, _) = run(true, true);
+        let (burst, burst_ticks) = run(false, true);
+        assert_eq!(
+            burst, burst_reference,
+            "beat-time bounds must not move any instant"
+        );
+        assert_eq!(
+            burst, fast,
+            "burst mode keeps word mode's instants and counters"
+        );
+        assert!(
+            burst_ticks <= 10,
+            "two packets each way: {burst_ticks} ticks"
         );
     }
 
@@ -1161,5 +1303,390 @@ mod tests {
         let (p4, pending4) = probe();
         assert_eq!(p3, p4, "no progress while wedged");
         assert!(pending4);
+    }
+
+    // ---- Burst mode: charged, not ticked --------------------------------
+
+    use netfpga_core::sim::ClockId;
+    use netfpga_core::stream::{segment, StreamRx, StreamTx};
+
+    /// The engine alone in a simulator, the test playing both neighbours
+    /// between edges: before an edge it feeds `from_card` (a producer
+    /// registered ahead of the engine), after it it empties `to_card` (a
+    /// store-and-forward consumer registered behind it), and it notes the
+    /// instant of everything the engine lets out.
+    struct Rig {
+        sim: Simulator,
+        clk: ClockId,
+        handle: DmaHandle,
+        gate: DmaFaultGate,
+        /// The watchdog's view of the engine: `(heartbeat, work pending)`.
+        probe: Box<dyn Fn() -> (u64, bool)>,
+        to_card: StreamRx,
+        from_card: StreamTx,
+        /// Card-to-host frames still to feed, at most `feed_max` beats an
+        /// edge.
+        feed: VecDeque<Burst>,
+        feeding: Option<Burst>,
+        feed_max: usize,
+        downstream: Reassembler,
+        /// Host sends to post once the clock reaches the cycle given.
+        posts: VecDeque<(u64, usize)>,
+        next_seq: u64,
+        /// When each sequenced send was acked, by the ack's own stamp.
+        acks: Vec<Time>,
+        /// When each host packet's last beat had entered `to_card`.
+        complete: Vec<Time>,
+        /// When each card packet entered the RX ring.
+        ring: Vec<Time>,
+    }
+
+    impl Rig {
+        fn new(config: PcieConfig, depth: usize, rx_cap: usize, burst: bool, gated: bool) -> Rig {
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("core", Frequency::mhz(200));
+            let (h2c_tx, to_card) = Stream::new(depth, 32);
+            let (from_card, c2h_rx) = Stream::new(depth, 32);
+            let (engine, handle) = DmaEngine::new("dma", config, h2c_tx, c2h_rx, 64, rx_cap);
+            let gate = DmaFaultGate::new();
+            let engine = engine.with_burst(burst);
+            let probe = Box::new(engine.progress_probe());
+            sim.add_module(
+                clk,
+                if gated {
+                    engine.with_fault_gate(gate.clone())
+                } else {
+                    engine
+                },
+            );
+            Rig {
+                sim,
+                clk,
+                handle,
+                gate,
+                probe,
+                to_card,
+                from_card,
+                feed: VecDeque::new(),
+                feeding: None,
+                feed_max: usize::MAX,
+                downstream: Reassembler::new(),
+                posts: VecDeque::new(),
+                next_seq: 0,
+                acks: Vec::new(),
+                complete: Vec::new(),
+                ring: Vec::new(),
+            }
+        }
+
+        /// Queue host sends of `lens` bytes, `gap` cycles apart (0: all at
+        /// once).
+        fn post(&mut self, lens: &[usize], gap: u64) {
+            let start = self.sim.cycles(self.clk);
+            for (i, &len) in lens.iter().enumerate() {
+                self.posts.push_back((start + i as u64 * gap, len));
+            }
+        }
+
+        /// Queue card-to-host frames of `lens` bytes.
+        fn offer(&mut self, lens: &[usize]) {
+            for &len in lens {
+                self.feed
+                    .push_back(segment(&vec![len as u8; len], 32, Meta::default()));
+            }
+        }
+
+        fn ticks(&self) -> u64 {
+            self.sim.module_ticks()[0].1
+        }
+
+        fn run(&mut self, cycles: u64) {
+            for _ in 0..cycles {
+                while self
+                    .posts
+                    .front()
+                    .is_some_and(|&(at, _)| at <= self.sim.cycles(self.clk))
+                {
+                    let (_, len) = self.posts.pop_front().unwrap();
+                    self.handle
+                        .send_sequenced(vec![len as u8; len], Meta::default(), self.next_seq)
+                        .unwrap();
+                    self.next_seq += 1;
+                }
+                let mut budget = self.feed_max;
+                while budget > 0 {
+                    if self.feeding.is_none() {
+                        self.feeding = self.feed.pop_front();
+                    }
+                    let pushed = self.from_card.push_burst(&mut self.feeding, budget);
+                    if pushed == 0 {
+                        break;
+                    }
+                    budget -= pushed;
+                }
+                self.sim.run_cycles(self.clk, 1);
+                let now = self.sim.now();
+                while let Some(burst) = self.to_card.pop_burst(usize::MAX) {
+                    if self.downstream.push_burst(burst).is_some() {
+                        self.complete.push(now);
+                    }
+                }
+                while let Some(c) = self.handle.pop_completion() {
+                    assert_eq!(c.status, TxStatus::Delivered);
+                    self.acks.push(c.at);
+                }
+                while (self.ring.len() as u64) < self.handle.stats().rx_packets {
+                    self.ring.push(now);
+                }
+            }
+        }
+    }
+
+    fn ns(instants: &[Time]) -> Vec<u64> {
+        instants.iter().map(|t| t.as_ns()).collect()
+    }
+
+    /// Host → card, FIFO at least a frame deep: the ack and the instant the
+    /// packet is complete downstream are those of the word engine (the
+    /// figures below were taken from it before burst mode existed), three
+    /// packets back to back or 2 µs apart, on a link faster and one slower
+    /// than the bus — at two ticks a packet instead of one a beat.
+    #[test]
+    fn burst_h2c_timeline_is_the_word_engines() {
+        let (gen3, gen1) = (PcieConfig::gen3_x8(), PcieConfig::gen1_x8());
+        for (config, len, gap, want) in [
+            (gen3, 60, 0, [10, 25, 40]),
+            (gen3, 60, 400, [10, 2010, 4010]),
+            (gen3, 508, 0, [80, 160, 240]),
+            (gen3, 508, 400, [80, 2080, 4080]),
+            (gen3, 1514, 0, [240, 480, 720]),
+            (gen3, 1514, 400, [240, 2240, 4240]),
+            (gen1, 60, 0, [10, 55, 100]),
+            (gen1, 60, 400, [10, 2010, 4010]),
+            (gen1, 508, 0, [80, 385, 690]),
+            (gen1, 508, 400, [80, 2080, 4080]),
+            (gen1, 1514, 0, [240, 1145, 2050]),
+            (gen1, 1514, 400, [240, 2240, 4240]),
+        ] {
+            for burst in [false, true] {
+                let mut rig = Rig::new(config, 64, 64, burst, false);
+                rig.post(&[len; 3], gap);
+                rig.run(1000);
+                let what = format!("{len} B, gap {gap}, burst {burst}");
+                assert_eq!(ns(&rig.acks), want, "acks: {what}");
+                assert_eq!(ns(&rig.complete), want, "complete downstream: {what}");
+                let beats = len.div_ceil(32) as u64;
+                assert_eq!(
+                    rig.ticks(),
+                    3 * if burst { 2 } else { beats },
+                    "ticks: {what}"
+                );
+            }
+        }
+    }
+
+    /// Card → host: RX-ring delivery instants are those of the word engine
+    /// (taken from it before burst mode existed) whether the frames arrive
+    /// as whole bursts, in FIFO-sized pieces of a frame longer than the
+    /// FIFO, or a beat a cycle — where burst mode does exactly what word
+    /// mode does, tick for tick.
+    #[test]
+    fn burst_c2h_timeline_is_the_word_engines() {
+        let (gen3, gen1) = (PcieConfig::gen3_x8(), PcieConfig::gen1_x8());
+        let deep = [60, 508, 1514, 508];
+        let shallow = [508, 1514, 60];
+        for (config, depth, feed_max, lens, want) in [
+            (gen3, 64, usize::MAX, &deep[..], &[10, 100, 410, 700][..]),
+            (gen3, 8, usize::MAX, &shallow[..], &[80, 390, 610][..]),
+            (gen3, 8, 1, &shallow[..], &[80, 390, 610][..]),
+            (gen3, 64, 1, &deep[..], &[10, 100, 410, 700][..]),
+            (gen1, 64, usize::MAX, &deep[..], &[10, 130, 670, 1650][..]),
+            (gen1, 8, usize::MAX, &shallow[..], &[80, 620, 1530][..]),
+            (gen1, 8, 1, &shallow[..], &[80, 620, 1530][..]),
+            (gen1, 64, 1, &deep[..], &[10, 130, 670, 1650][..]),
+        ] {
+            let run = |burst| {
+                let mut rig = Rig::new(config, depth, 64, burst, false);
+                rig.feed_max = feed_max;
+                rig.offer(lens);
+                rig.run(1000);
+                (ns(&rig.ring), rig.ticks(), rig.handle.progress())
+            };
+            let (word, burst) = (run(false), run(true));
+            let what = format!("depth {depth}, {feed_max} beats an edge");
+            assert_eq!(word.0, want, "word engine: {what}");
+            assert_eq!(burst.0, want, "burst engine: {what}");
+            assert_eq!(burst.2, word.2, "the heartbeat counts beats: {what}");
+            if feed_max == 1 {
+                assert_eq!(burst.1, word.1, "a beat at a time is word mode: {what}");
+            } else {
+                assert!(
+                    burst.1 * 5 < word.1,
+                    "ticks {} of {}: {what}",
+                    burst.1,
+                    word.1
+                );
+            }
+        }
+    }
+
+    /// A held burst and an absorbed packet are time bounds: not quiescent,
+    /// no tick until the instant, exactly one tick at it.
+    #[test]
+    fn held_burst_and_pending_completion_are_time_bounds() {
+        // 1514 B = 48 beats: fetched (popped) on the first edge at 5 ns,
+        // crossing (complete) 47 periods later at 240 ns.
+        let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, true, false);
+        rig.post(&[1514], 0);
+        rig.run(1);
+        assert_eq!(rig.ticks(), 1, "the fetch");
+        assert!(rig.handle.has_work(), "held on the bus");
+        rig.run(46);
+        assert_eq!(rig.sim.now(), Time::from_ns(235));
+        assert_eq!(rig.ticks(), 1, "no tick while the bus is charged");
+        assert!(!rig.sim.all_quiescent(), "a time bound is not quiescence");
+        assert!(rig.complete.is_empty() && rig.acks.is_empty());
+        rig.run(1);
+        assert_eq!(rig.ticks(), 2, "one tick at the crossing instant");
+        assert_eq!(ns(&rig.acks), [240]);
+        assert_eq!(ns(&rig.complete), [240]);
+        assert!(rig.sim.all_quiescent());
+
+        let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, true, false);
+        rig.offer(&[1514]);
+        rig.run(1);
+        assert_eq!(rig.ticks(), 1, "the pop");
+        assert_eq!(
+            (rig.probe)(),
+            (48, true),
+            "all 48 beats taken, none delivered"
+        );
+        rig.run(46);
+        assert_eq!(rig.ticks(), 1, "no tick while the bus is charged");
+        assert!(!rig.sim.all_quiescent());
+        assert_eq!(rig.handle.rx_pending(), 0, "not complete yet");
+        rig.run(1);
+        assert_eq!(rig.ticks(), 2, "one tick at the completion instant");
+        assert_eq!(ns(&rig.ring), [240]);
+        assert!(rig.sim.all_quiescent());
+        rig.run(100);
+        assert_eq!(rig.ticks(), 2);
+    }
+
+    /// RX-ring overflow and a drop window are judged when the packet is
+    /// complete — its last beat's instant — not when its burst is popped.
+    #[test]
+    fn burst_completion_instant_decides_overflow_and_drop_window() {
+        // Two 508 B frames: the first is in the ring at 80 ns; the second
+        // is popped at 155 ns (PCIe free) and complete at 230 ns.
+        for burst in [false, true] {
+            // A one-entry ring, emptied by the host at 200 ns: full at the
+            // pop, free at the completion.
+            let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 1, burst, false);
+            rig.offer(&[508, 508]);
+            rig.run(40);
+            assert_eq!(rig.sim.now(), Time::from_ns(200));
+            assert_eq!(rig.handle.progress(), if burst { 32 } else { 26 });
+            assert!(rig.handle.recv().is_some());
+            rig.run(20);
+            assert_eq!(ns(&rig.ring), [80, 230], "burst {burst}");
+            assert_eq!(rig.handle.stats().rx_drops, 0);
+            // Never emptied: dropped, at the completion.
+            let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 1, burst, false);
+            rig.offer(&[508, 508]);
+            rig.run(45);
+            assert_eq!(rig.handle.stats().rx_drops, 0, "still on the bus at 225 ns");
+            rig.run(1);
+            assert_eq!(rig.handle.stats().rx_drops, 1, "burst {burst}");
+
+            // A drop window open at the pop and closed by the completion
+            // lets the packet through; one the other way round takes it.
+            for (open_at, until, dropped) in [(20, 200, 0), (40, 300, 1)] {
+                let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, burst, true);
+                rig.offer(&[508, 508]);
+                rig.run(open_at);
+                rig.gate.drop_until(Time::from_ns(until));
+                rig.run(60 - open_at);
+                assert_eq!(rig.gate.rx_dropped(), dropped, "burst {burst}");
+                assert_eq!(rig.ring.len() as u64, 2 - dropped, "burst {burst}");
+            }
+        }
+    }
+
+    /// A stall window opening while the bus is charged freezes the charge:
+    /// ack and delivery move by exactly the edges it covers.
+    #[test]
+    fn stall_window_mid_hold_delays_ack_and_delivery_by_its_length() {
+        for burst in [false, true] {
+            let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, burst, true);
+            rig.post(&[1514], 0);
+            rig.offer(&[1514]);
+            rig.run(20);
+            // Covers the 40 edges from 105 ns to 300 ns.
+            rig.gate.stall_until(Time::from_ns(305));
+            rig.run(100);
+            assert_eq!(ns(&rig.acks), [240 + 200], "burst {burst}");
+            assert_eq!(ns(&rig.complete), [240 + 200], "burst {burst}");
+            assert_eq!(ns(&rig.ring), [240 + 200], "burst {burst}");
+            assert_eq!(rig.gate.stalled_ticks(), 40);
+        }
+    }
+
+    /// A wedge and the soft reset that clears it, both while the bus is
+    /// charged: the held descriptor is never acked (the retry layer
+    /// re-posts it) and the half-absorbed packet counts one `rx_drops`.
+    #[test]
+    fn soft_reset_mid_hold_leaves_descriptor_unacked_and_counts_one_rx_drop() {
+        for burst in [false, true] {
+            let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, burst, true);
+            rig.post(&[1514], 0);
+            rig.offer(&[1514]);
+            rig.run(20);
+            rig.gate.wedge();
+            rig.run(100);
+            assert!(
+                rig.handle.has_work(),
+                "wedged with the descriptor in flight"
+            );
+            assert!(rig.acks.is_empty() && rig.ring.is_empty());
+            rig.sim.soft_reset();
+            rig.downstream.resync(); // the rig plays a module, so it is reset too
+            assert!(!rig.gate.wedged());
+            rig.run(200);
+            assert!(rig.acks.is_empty(), "burst {burst}: never acked");
+            assert_eq!(rig.handle.acked(), 0);
+            assert!(!rig.handle.has_work());
+            assert_eq!(rig.handle.stats().rx_drops, 1, "burst {burst}");
+            assert_eq!(rig.handle.stats().rx_packets, 0);
+            assert!(rig.complete.is_empty(), "no whole packet got through");
+            // The engine works again.
+            rig.post(&[60], 0);
+            rig.offer(&[60]);
+            rig.run(20);
+            assert_eq!((rig.acks.len(), rig.ring.len()), (1, 1), "burst {burst}");
+        }
+    }
+
+    /// Sequenced re-post dedup does not depend on the mode.
+    #[test]
+    fn burst_duplicate_repost_is_discarded() {
+        let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, true, false);
+        let send = |rig: &Rig, seq| {
+            rig.handle
+                .send_sequenced(vec![1u8; 508], Meta::default(), seq)
+                .unwrap();
+        };
+        send(&rig, 5);
+        rig.run(100);
+        assert_eq!(rig.complete.len(), 1);
+        send(&rig, 5);
+        rig.run(100);
+        assert_eq!(rig.complete.len(), 1, "duplicate must not inject");
+        assert_eq!(rig.handle.dup_discards(), 1);
+        rig.handle.advance_ack_floor(6);
+        send(&rig, 6);
+        rig.run(100);
+        assert_eq!(rig.complete.len(), 2);
+        assert_eq!(rig.handle.acked(), 2);
     }
 }

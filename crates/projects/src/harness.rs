@@ -80,6 +80,9 @@ pub struct Chassis {
     rx_stats: Vec<SharedMacStats>,
     tx_stats: Vec<SharedMacStats>,
     bus_width: usize,
+    /// Whether the edge MACs run in burst mode; a DMA engine attached later
+    /// does too.
+    fast_path: bool,
     pcie: PcieConfig,
     /// The DMA engine's progress probe, stashed by [`Chassis::attach_dma`]
     /// for the watchdog to consume.
@@ -99,10 +102,13 @@ impl Chassis {
 
     /// Like [`Chassis::new`], with the kernel fast path optionally enabled:
     /// the edge MACs run in burst mode (whole frames per tick instead of
-    /// one word per cycle). Frame contents, ordering and — under sustained
-    /// load — wire pacing are unchanged; word-level timing inside the
-    /// pipeline is not cycle-exact. Projects built on a fast-path chassis
-    /// should enable burst mode on their own stages too.
+    /// one word per cycle), and so does a DMA engine attached with
+    /// [`Chassis::attach_dma`] (whole bursts per tick, its bus still
+    /// charged a cycle per beat — see [`DmaEngine`]). Frame contents,
+    /// ordering and — under sustained load — wire pacing are unchanged;
+    /// word-level timing inside the pipeline is not cycle-exact. Projects
+    /// built on a fast-path chassis should enable burst mode on their own
+    /// stages too.
     pub fn with_fast_path(
         spec: &BoardSpec,
         nports: usize,
@@ -295,6 +301,7 @@ impl Chassis {
                 rx_stats,
                 tx_stats,
                 bus_width: spec.bus_width,
+                fast_path,
                 pcie,
                 dma_probe: None,
                 recovery,
@@ -323,12 +330,15 @@ impl Chassis {
     }
 
     /// Attach a DMA engine between the host and the given datapath streams
-    /// (`to_card` feeds the datapath, `from_card` drains it). On a chassis
-    /// whose fault plan carries a recovery policy, a hardware watchdog is
-    /// wired to the engine's progress probe as well (see
-    /// [`Chassis::attach_watchdog`]).
+    /// (`to_card` feeds the datapath, `from_card` drains it). The engine
+    /// follows the chassis' fast-path flag: on a fast-path chassis it runs
+    /// in burst mode ([`DmaEngine::with_burst`]), otherwise a beat per
+    /// cycle. On a chassis whose fault plan carries a recovery policy, a
+    /// hardware watchdog is wired to the engine's progress probe as well
+    /// (see [`Chassis::attach_watchdog`]).
     pub fn attach_dma(&mut self, to_card: StreamTx, from_card: StreamRx) {
         let (mut engine, handle) = DmaEngine::new("dma", self.pcie, to_card, from_card, 256, 256);
+        engine = engine.with_burst(self.fast_path);
         if let Some(faults) = &self.faults {
             engine = engine.with_fault_gate(faults.dma_gate());
         }

@@ -34,9 +34,12 @@ impl ReferenceNic {
     }
 
     /// Like [`ReferenceNic::new`], with the kernel fast path optionally
-    /// enabled: MACs, arbiter, stats and output queues run in burst mode
-    /// (whole packets per tick). Delivered packets, ports and counters are
-    /// identical; cycle-level pacing inside the pipeline is collapsed.
+    /// enabled: MACs, arbiter, stats, output queues and the DMA engine run
+    /// in burst mode (whole packets per tick; the engine still charges its
+    /// bus a cycle per beat, so ack, wire-egress and un-back-pressured
+    /// ring-delivery instants are those of the word engine — see
+    /// [`netfpga_pcie::DmaEngine`]). Delivered packets, ports and counters
+    /// are identical; cycle-level pacing inside the pipeline is collapsed.
     pub fn with_fast_path(spec: &BoardSpec, nports: usize, fast_path: bool) -> ReferenceNic {
         ReferenceNic::with_faults(spec, nports, fast_path, netfpga_faults::FaultPlan::none())
     }
@@ -201,5 +204,138 @@ mod tests {
         let cost = ReferenceNic::resource_cost(4);
         assert!(cost.fits(&BoardSpec::sume().resources));
         assert!(!ReferenceNic::block_names().is_empty());
+    }
+
+    /// What one bidirectional run of the fast-path NIC let out, as
+    /// signatures (FNV-1a over the sequences) beside the counts.
+    #[derive(Debug, PartialEq)]
+    struct FastPathRun {
+        /// `(seq, instant)` of every TX completion, in ring order.
+        acks: (usize, u64),
+        /// `(port, wire-completion instant, bytes)` of every egress frame.
+        wire: (usize, u64),
+        /// `(instant, ingress port, bytes)` of every RX-ring delivery, in
+        /// ring order.
+        ring: (usize, u64),
+        /// The same deliveries per ingress port, without instants: what
+        /// survives a different interleaving of the ports.
+        ring_per_port: u64,
+        /// Every registry counter and gauge but the kernel's own and the
+        /// process-wide buffer pool's.
+        counters: u64,
+    }
+
+    /// Drive `ReferenceNic::with_fast_path(.., true)` for 200 µs: seeded
+    /// 60–1514 B frames at line rate on `wire_ports` towards the host, one
+    /// sequenced host frame a microsecond out of the ports in turn, the RX
+    /// ring polled on every edge so deliveries carry their instant.
+    fn fast_path_run(wire_ports: &[usize]) -> FastPathRun {
+        use netfpga_core::hash::Fnv1a64;
+        use netfpga_core::rng::SimRng;
+        use netfpga_core::stream::{Meta, PortMask};
+        use std::hash::Hasher;
+
+        let mut nic = ReferenceNic::with_fast_path(&BoardSpec::sume(), 4, true);
+        let dma = nic.chassis.dma.clone().unwrap();
+        let mut rng = SimRng::new(0x15);
+        let mut tagged = |origin: u8, seq: u32| {
+            let mut f = vec![origin; rng.range(60, 1515) as usize];
+            f[14..18].copy_from_slice(&seq.to_le_bytes());
+            f
+        };
+        // 150 µs of line rate per port: 1514 B frames take 1.23 µs each.
+        for seq in 0..122 {
+            for &port in wire_ports {
+                nic.chassis.send(port, tagged(port as u8, seq));
+            }
+        }
+        let (mut acks, mut wire, mut ring) =
+            (Fnv1a64::default(), Fnv1a64::default(), Fnv1a64::default());
+        let (mut nacks, mut nwire, mut nring) = (0, 0, 0);
+        let mut per_port = vec![Fnv1a64::default(); 4];
+        for edge in 0..40_000u32 {
+            if edge % 200 == 0 && edge < 30_000 {
+                let seq = edge / 200;
+                let meta = Meta {
+                    dst_ports: PortMask::single((seq % 4) as u8),
+                    ..Default::default()
+                };
+                dma.send_sequenced(tagged(0xcc, seq), meta, u64::from(seq))
+                    .expect("ring has room");
+            }
+            nic.chassis.sim.run_cycles(nic.chassis.clk, 1);
+            let now = nic.chassis.sim.now();
+            while let Some((frame, meta)) = dma.recv() {
+                ring.write_u64(now.as_ps());
+                ring.write_u8(meta.src_port);
+                ring.write(&frame);
+                per_port[usize::from(meta.src_port)].write(&frame);
+                nring += 1;
+            }
+            while let Some(c) = dma.pop_completion() {
+                acks.write_u64(c.seq);
+                acks.write_u64(c.at.as_ps());
+                nacks += 1;
+            }
+        }
+        for port in 0..4 {
+            for (frame, at) in nic.chassis.recv_timed(port) {
+                wire.write_u8(port as u8);
+                wire.write_u64(at.as_ps());
+                wire.write(&frame);
+                nwire += 1;
+            }
+        }
+        let mut counters = Fnv1a64::default();
+        for (path, value) in nic.chassis.telemetry.snapshot() {
+            if !path.starts_with("kernel.") && !path.starts_with("pool.") {
+                counters.write(path.as_bytes());
+                counters.write_u64(value);
+            }
+        }
+        let mut ring_per_port = Fnv1a64::default();
+        for h in per_port {
+            ring_per_port.write_u64(h.finish());
+        }
+        FastPathRun {
+            acks: (nacks, acks.finish()),
+            wire: (nwire, wire.finish()),
+            ring: (nring, ring.finish()),
+            ring_per_port: ring_per_port.finish(),
+            counters: counters.finish(),
+        }
+    }
+
+    /// The burst-mode DMA engine charges its bus instead of ticking it, so
+    /// the fast-path NIC lets out what it did while the engine was
+    /// word-level. The figures are from that NIC (commit c52addb: same
+    /// fast-path modules, word engine) on the same two runs. With two ports
+    /// towards the host the card-to-host chain never back-pressures, and
+    /// everything is pinned: ack, wire-egress and RX-ring delivery
+    /// instants, order, bytes, counters. With four it does (PCIe plus bus
+    /// time per frame exceeds what they offer), and the one thing left
+    /// unpinned is how the arbiter interleaved the ports on the way to the
+    /// ring.
+    #[test]
+    fn fast_path_nic_lets_out_what_the_word_engine_nic_did() {
+        let idle = fast_path_run(&[0, 2]);
+        let want = FastPathRun {
+            acks: (150, 0x790e_878c_edd2_1fae),
+            wire: (150, 0x88ed_0707_2eaa_31ed),
+            ring: (244, 0x7bf3_d8d9_5b19_b269),
+            ring_per_port: 0xd21c_3594_4876_9321,
+            counters: 0x9170_df80_8bad_1e57,
+        };
+        assert_eq!(idle, want, "un-back-pressured run");
+
+        let overloaded = fast_path_run(&[0, 1, 2, 3]);
+        let want = FastPathRun {
+            acks: (150, 0x0d1a_baac_f3e5_bcd1),
+            wire: (150, 0xc5cd_2af5_de16_f137),
+            ring: (488, overloaded.ring.1),
+            ring_per_port: 0x2052_622f_01f8_f471,
+            counters: 0x377b_146c_188e_3e7d,
+        };
+        assert_eq!(overloaded, want, "card-to-host chain back-pressured");
     }
 }

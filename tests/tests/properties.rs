@@ -882,16 +882,18 @@ enum StallScenario {
 
 /// A four-port datapath out of library modules only — RX MACs, arbiter,
 /// statistics stage, lookup stage, optional flow tap, output queues with a
-/// 2 KiB budget per queue, TX MACs, optional DMA engine — with every
-/// inter-module FIFO `depth` words deep, MACs on their own 156 MHz clock,
-/// run for 250 µs under the given kernel. Returns what it observed and how
-/// many edges the kernel executed to get there.
+/// 2 KiB budget per queue, TX MACs, optional DMA engine (word-level or
+/// `dma_burst`) — with every inter-module FIFO `depth` words deep, MACs on
+/// their own 156 MHz clock, run for 250 µs under the given kernel. Returns
+/// what it observed and how many edges the kernel executed to get there.
+#[allow(clippy::too_many_arguments)]
 fn run_stall_rig(
     scenario: StallScenario,
     frames: &[(usize, usize)],
     depth: usize,
     burst: bool,
     mac_burst: bool,
+    dma_burst: bool,
     mode: netfpga_core::sim::SchedulerMode,
     idle_skip: bool,
 ) -> (StallObserved, u64) {
@@ -942,7 +944,7 @@ fn run_stall_rig(
         let (c2h_tx, c2h_rx) = Stream::new(depth, W);
         let (engine, handle) = DmaEngine::new("dma", PcieConfig::gen1_x8(), h2c_tx, c2h_rx, 64, 16);
         handle.register_stats(&registry, "dma");
-        sim.add_module(core, engine);
+        sim.add_module(core, engine.with_burst(dma_burst));
         arb_inputs.push(h2c_rx);
         oq_outputs.push(c2h_tx);
         handle
@@ -1048,7 +1050,8 @@ proptest! {
     /// Stalled is not active — and skipping it is invisible. Under random
     /// oversubscription (flood, 3→1 incast, wires faster than the host's
     /// PCIe link, a tapped flood), with FIFOs from 2 to 64 words deep, the
-    /// pipeline and the MACs each in word or burst pacing, every kernel
+    /// pipeline, the MACs and the DMA engine each in word or burst pacing
+    /// (a held burst and an absorbed packet are time bounds), every kernel
     /// that skips stalled and time-blocked modules — `Scan` with idle
     /// skipping, `Calendar`, `Heap` — must reproduce the every-edge
     /// reference bit for bit: delivered `(port, bytes, ready_at)`
@@ -1063,6 +1066,7 @@ proptest! {
         depth_sel in 0usize..6,
         burst in any::<bool>(),
         mac_burst in any::<bool>(),
+        dma_burst in any::<bool>(),
     ) {
         use netfpga_core::sim::SchedulerMode;
         let scenario = [
@@ -1077,7 +1081,7 @@ proptest! {
             .map(|(port, len)| (if scenario == StallScenario::Incast { port % 3 } else { port }, len))
             .collect();
         let run = |mode, idle_skip| {
-            run_stall_rig(scenario, &frames, depth, burst, mac_burst, mode, idle_skip)
+            run_stall_rig(scenario, &frames, depth, burst, mac_burst, dma_burst, mode, idle_skip)
         };
         let (reference, every_edge) = run(SchedulerMode::Scan, false);
         prop_assert!(
@@ -1089,8 +1093,8 @@ proptest! {
             // (Not `prop_assert_eq!`: the two sides are whole frame dumps.)
             prop_assert!(
                 observed == reference,
-                "{:?} depth={} burst={} mac_burst={} diverged under {:?}",
-                scenario, depth, burst, mac_burst, mode
+                "{:?} depth={} burst={} mac_burst={} dma_burst={} diverged under {:?}",
+                scenario, depth, burst, mac_burst, dma_burst, mode
             );
             prop_assert!(
                 steps < every_edge / 2,
