@@ -34,6 +34,14 @@
 //!   the edges (asserted on exact counters; 0.78 of them while the engine
 //!   was word-level) and both kernels deliver the same frames.
 //!
+//! * **exact_imix** — IMIX on the *word-level* switch under both kernels:
+//!   the same modules and pacing, so the pair prices the kernel alone. A
+//!   frame crosses a hop as one beat-timed burst, so the fast kernel
+//!   executes at most 6 of a frame's 17.4 edges and at most 24 module ticks
+//!   per frame (asserted on exact counters; 15.6 edges and 86 ticks a frame
+//!   while every module ticked once per beat) and both kernels deliver the
+//!   same frames.
+//!
 //! Emits the standard table + `@json` rows, and writes the rows to
 //! `BENCH_kernel.json` for the documentation tables. Pass `--quick` for
 //! the CI smoke: smaller workloads, same floors. Built with
@@ -43,7 +51,7 @@
 
 use netfpga_bench::kernel::{
     flood, flood_tap, idle_heavy, nic_bidir, run_keeping_chassis, saturated, saturated_tap,
-    KernelConfig, KernelRun, Workload, FRAME_LEN, NIC_FRAME_LEN,
+    KernelConfig, KernelRun, Workload, FRAME_LEN, IMIX_MEAN_LEN, NIC_FRAME_LEN,
 };
 use netfpga_bench::report::best_of;
 use netfpga_bench::Table;
@@ -103,10 +111,10 @@ fn push(
 fn main() {
     // --quick: the CI smoke — smaller workloads, identical floors.
     let quick = std::env::args().any(|a| a == "--quick");
-    let (idle_rounds, sat_frames, flood_frames, nic_frames) = if quick {
-        (60, 1200, 700, 4000)
+    let (idle_rounds, sat_frames, flood_frames, nic_frames, imix_frames) = if quick {
+        (60, 1200, 700, 4000, 1500)
     } else {
-        (200, 4000, 2000, 20_000)
+        (200, 4000, 2000, 20_000, 5000)
     };
 
     let mut t = Table::new(
@@ -315,6 +323,32 @@ fn main() {
         nic_speedup,
     );
 
+    // The cycle-exact switch: word-level modules under both kernels.
+    let (imix_naive, _) =
+        run_keeping_chassis(KernelConfig::Naive, Workload::ExactImix, imix_frames, 0);
+    let (imix_fast, imix_chassis) =
+        run_keeping_chassis(KernelConfig::Fast, Workload::ExactImix, imix_frames, 0);
+    assert_eq!(imix_naive.frames, imix_fast.frames, "same simulated work");
+    assert_eq!(imix_fast.frames, 4 * u64::from(imix_frames), "nothing lost");
+    let imix_ticks: u64 = imix_chassis.sim.module_ticks().iter().map(|m| m.1).sum();
+    let imix_speedup = imix_fast.frames_per_sec() / imix_naive.frames_per_sec();
+    push(
+        &mut t,
+        "exact_imix",
+        KernelConfig::Naive.label(),
+        IMIX_MEAN_LEN,
+        &imix_naive,
+        1.0,
+    );
+    push(
+        &mut t,
+        "exact_imix",
+        KernelConfig::Fast.label(),
+        IMIX_MEAN_LEN,
+        &imix_fast,
+        imix_speedup,
+    );
+
     t.print();
 
     // Exact-counter bars, true of any build: flooded fan-out never falls
@@ -354,6 +388,24 @@ fn main() {
         "bidirectional NIC stepped {} of {} edges (bar: a third)",
         nic_fast.steps,
         nic_fast.edges
+    );
+    // Charge the beats, don't execute them: a word-level frame crosses a
+    // hop as one beat-timed burst, so the cycle-exact switch is neither
+    // stepped edge by edge nor ticked once per beat per module (15.6 of its
+    // 17.4 edges and 86.1 ticks a frame before; six events a frame remain —
+    // arrival, last word in, release, last word queued, and the TX MAC's
+    // first and last word; teaching included in the tick count).
+    assert!(
+        imix_fast.steps <= 6 * imix_fast.frames,
+        "word-level IMIX stepped {} edges for {} frames (bar: 6 a frame, of {} offered)",
+        imix_fast.steps,
+        imix_fast.frames,
+        imix_fast.edges
+    );
+    assert!(
+        imix_ticks <= 24 * imix_fast.frames,
+        "word-level IMIX cost {imix_ticks} module ticks for {} frames (bar: 24 a frame)",
+        imix_fast.frames
     );
     if PARANOID {
         println!(
@@ -406,6 +458,10 @@ fn main() {
          {sat_vs_pr1:.2}x vs PR1 fast (floors 2.0x / 0.95x / 2.0x), \
          flood {flood_speedup:.2}x (floor {FLOOD_FLOOR}x) cow=0, \
          tap {tap_ratio:.2}x (floor {TAP_FLOOR}x) flood-tap cow=0, \
-         1514 B at {long_ratio:.2}x the 60 B frame rate (floor {LONG_FRAME_FLOOR}x)"
+         1514 B at {long_ratio:.2}x the 60 B frame rate (floor {LONG_FRAME_FLOOR}x), \
+         word-level IMIX {:.1} ticks and {:.1} of {:.1} edges a frame (bars 24 / 6)",
+        imix_ticks as f64 / imix_fast.frames as f64,
+        imix_fast.steps as f64 / imix_fast.frames as f64,
+        imix_fast.edges as f64 / imix_fast.frames as f64,
     );
 }

@@ -6,12 +6,15 @@
 //! JSON.
 //!
 //! ```text
-//! prof_kernel [naive|fast] [idle|sat|flood|nic] [n] [frame_len]
+//! prof_kernel [naive|fast] [idle|sat|flood|nic|exact] [n] [frame_len]
 //! ```
 //!
 //! `nic` is the bidirectional reference-NIC workload (508 B by default):
 //! its `dma` row is the one to read — ≈74 % of edges while the engine
-//! ticked its bus a beat per cycle under a burst-mode NIC.
+//! ticked its bus a beat per cycle under a burst-mode NIC. `exact` is the
+//! word-level switch under IMIX (`n` frames per port, no `frame_len`): the
+//! ticks-per-frame column is the one to read — 86.1 in all while every
+//! module ticked once per beat.
 
 use netfpga_bench::kernel::{
     run_keeping_chassis, KernelConfig, Workload, FRAME_LEN, NIC_FRAME_LEN,
@@ -83,6 +86,7 @@ fn main() {
         "idle" => (Workload::IdleHeavy, FRAME_LEN),
         "flood" => (Workload::Flood, FRAME_LEN),
         "nic" => (Workload::NicBidir, NIC_FRAME_LEN),
+        "exact" => (Workload::ExactImix, 0),
         _ => (Workload::Saturated, FRAME_LEN),
     };
     let frame_len: usize = args
@@ -109,13 +113,25 @@ fn main() {
     // included).
     let edges = chassis.sim.cycles(chassis.clk);
     println!(
-        "{:<24} {:>12} {:>8}   of {edges} core edges",
-        "module", "ticks", "share"
+        "{:<24} {:>12} {:>8} {:>10}   of {edges} core edges",
+        "module", "ticks", "share", "per frame"
     );
+    let per_frame = |ticks: u64| ticks as f64 / run.frames.max(1) as f64;
+    let mut total = 0;
     for (name, ticks) in chassis.sim.module_ticks() {
+        total += ticks;
         println!(
-            "{name:<24} {ticks:>12} {:>7.1}%",
-            100.0 * ticks as f64 / edges.max(1) as f64
+            "{name:<24} {ticks:>12} {:>7.1}% {:>10.2}",
+            100.0 * ticks as f64 / edges.max(1) as f64,
+            per_frame(ticks)
         );
     }
+    println!(
+        "{:<24} {total:>12} {:>8} {:>10.2}   per frame: {:.2} steps, {:.2} re-queries",
+        "all modules",
+        "",
+        per_frame(total),
+        per_frame(run.steps),
+        per_frame(run.invalidations)
+    );
 }

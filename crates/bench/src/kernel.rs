@@ -30,6 +30,16 @@
 //!   kernel's win is the engine charging its bus in burst mode instead of
 //!   ticking it a beat per cycle.
 //!
+//! And one runs the switch as users get it by default — word-level,
+//! cycle-exact pacing — under *both* configs, so the pair isolates the
+//! kernel:
+//!
+//! * **exact_imix** — IMIX 7:4:1 of 60/570/1514 B at line rate on the full
+//!   mesh 0↔1, 2↔3 (mean 11.2 beats a frame). The word-level modules carry
+//!   a frame across a hop as one beat-timed burst, so the fast kernel
+//!   executes a handful of edges and module ticks per frame — not one per
+//!   beat per module — while every beat keeps its cycle.
+//!
 //! Shared by the `kernel` Criterion bench (quick CI smoke) and the
 //! `exp10_kernel` experiment binary (full numbers + `BENCH_kernel.json`).
 
@@ -122,6 +132,20 @@ impl KernelConfig {
         matches!(self, KernelConfig::Fast)
     }
 
+    /// A 4-port reference switch pinned to this config's stepper, its
+    /// modules in burst mode or not.
+    fn switch_paced(self, fast_path: bool) -> ReferenceSwitch {
+        let mut sw = ReferenceSwitch::with_fast_path(
+            &BoardSpec::sume(),
+            4,
+            1024,
+            Time::from_ms(100),
+            fast_path,
+        );
+        self.pin(&mut sw.chassis);
+        sw
+    }
+
     /// Pin a chassis' simulator to this config's stepper.
     fn pin(self, chassis: &mut Chassis) {
         let (mode, idle_skip) = match self {
@@ -135,15 +159,7 @@ impl KernelConfig {
 
 /// Build a 4-port reference switch pinned to the given kernel config.
 fn switch(config: KernelConfig) -> ReferenceSwitch {
-    let mut sw = ReferenceSwitch::with_fast_path(
-        &BoardSpec::sume(),
-        4,
-        1024,
-        Time::from_ms(100),
-        config.fast_path(),
-    );
-    config.pin(&mut sw.chassis);
-    sw
+    config.switch_paced(config.fast_path())
 }
 
 /// Build a 4-port fast-path switch with the flow-monitoring plane spliced
@@ -225,6 +241,9 @@ pub enum Workload {
     Flood,
     /// [`nic_bidir`]; `n` is frames per direction.
     NicBidir,
+    /// [`exact_imix`]; `n` is frames per port, the frame length is the
+    /// mix's own.
+    ExactImix,
 }
 
 /// Frame length of the bracketing workloads, in bytes (10 beats of the
@@ -233,6 +252,10 @@ pub const FRAME_LEN: usize = 300;
 
 /// Frame length of [`nic_bidir`], in bytes (16 beats).
 pub const NIC_FRAME_LEN: usize = 508;
+
+/// Mean frame length of [`exact_imix`], in bytes: 60/570/1514 B at 7:4:1
+/// (11 beats to the byte count, 11.2 to the beat count).
+pub const IMIX_MEAN_LEN: usize = (7 * 60 + 4 * 570 + 1514) / 12;
 
 /// Run `workload` at size `n` with `frame_len`-byte frames and hand back
 /// the chassis it ran on as well, so the caller can look inside afterwards
@@ -263,7 +286,59 @@ pub fn run_keeping_chassis(
             let mut sw = learned_switch(config);
             (saturated_on(&mut sw, n, frame_len), sw.chassis)
         }
+        Workload::ExactImix => {
+            let mut sw = config.switch_paced(false);
+            teach(&mut sw);
+            (exact_imix_on(&mut sw, n), sw.chassis)
+        }
     }
+}
+
+/// Word-level IMIX workload: `nframes` frames per port, 60/570/1514 B drawn
+/// 7:4:1 from a fixed seed, on the full mesh 0↔1, 2↔3 at line rate through
+/// the *word-level* switch — the same modules and pacing under either
+/// kernel config, so `Naive` against `Fast` prices the kernel alone.
+pub fn exact_imix(config: KernelConfig, nframes: u32) -> KernelRun {
+    run_keeping_chassis(config, Workload::ExactImix, nframes, 0).0
+}
+
+fn exact_imix_on(sw: &mut ReferenceSwitch, nframes: u32) -> KernelRun {
+    /// Frames per port offered at once: bounded, so the wires' queues stay
+    /// small however long the run.
+    const ROUND: u32 = 250;
+    let templates: Vec<[pktbuf::PktBuf; 3]> = (0..4u8)
+        .map(|p| [60, 570, 1514].map(|len| frame(p + 1, (p ^ 1) + 1, len).into()))
+        .collect();
+    let mut rng = netfpga_core::SimRng::new(0x1a11);
+    let base = RunBase::begin(&sw.chassis);
+    let mut frames = 0u64;
+    let mut left = nframes;
+    while left > 0 {
+        let round = left.min(ROUND);
+        left -= round;
+        for _ in 0..round {
+            for (p, by_len) in templates.iter().enumerate() {
+                let pick = match rng.below(12) {
+                    0..=6 => 0,
+                    7..=10 => 1,
+                    _ => 2,
+                };
+                sw.chassis.send(p, by_len[pick].clone());
+            }
+        }
+        let expect = frames + 4 * u64::from(round);
+        // A round is at most 250 × 1.23 µs of wire time per port.
+        for _ in 0..40 {
+            sw.chassis.run_for(Time::from_us(10));
+            for p in 0..4 {
+                frames += sw.chassis.recv(p).len() as u64;
+            }
+            if frames >= expect {
+                break;
+            }
+        }
+    }
+    base.finish(&sw.chassis, frames)
 }
 
 /// Idle-heavy workload: `rounds` rounds of 4 unicast frames (one per

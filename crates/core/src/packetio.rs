@@ -5,6 +5,12 @@
 //! packets and records their arrival time. These are the simulation-side
 //! stand-ins for "the rest of the world" in unit tests and experiments; the
 //! MAC models in `netfpga-phy` add wire-rate pacing on top.
+//!
+//! Both use the stream's paced operations ([`StreamTx::commit`],
+//! [`StreamRx::claim`]): against a paced neighbour on the same clock a
+//! packet crosses as one beat-timed burst and the endpoint ticks when a
+//! packet starts or ends, not once per word; against anything else they
+//! move a word per tick. Every beat keeps its cycle either way.
 
 use crate::pktbuf::PktBuf;
 use crate::sim::{Module, TickContext, WakeHandle};
@@ -69,8 +75,12 @@ pub struct PacketSource {
     name: String,
     queue: InjectQueue,
     tx: StreamTx,
-    /// The beats of the packet being emitted that are still to go.
+    /// The beats of the packet being emitted that are still to be
+    /// committed.
     current: Option<Burst>,
+    /// The edge after the last committed beat: nothing is pushed, and no
+    /// packet is started, before it.
+    free_at: Time,
     sent_packets: u64,
     sent_bytes: u64,
     /// Activity-cache invalidation flag, registered on the inject queue
@@ -85,13 +95,14 @@ impl PacketSource {
         let queue = InjectQueue::new();
         let wake = WakeHandle::new();
         *queue.wake.borrow_mut() = Some(wake.clone());
-        tx.set_wake(wake.clone());
+        tx.pace(wake.clone(), true);
         (
             PacketSource {
                 name: name.to_string(),
                 queue: queue.clone(),
                 tx,
                 current: None,
+                free_at: Time::ZERO,
                 sent_packets: 0,
                 sent_bytes: 0,
                 wake,
@@ -122,6 +133,9 @@ impl Module for PacketSource {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
+        if ctx.now < self.free_at {
+            return; // committed beats are still going out
+        }
         if self.current.is_none() {
             if let Some((packet, mut meta)) = self.queue.inner.borrow_mut().pop_front() {
                 meta.ingress_time = ctx.now;
@@ -131,25 +145,45 @@ impl Module for PacketSource {
                 self.current = Some(segment_buf(&packet, self.tx.width(), meta));
             }
         }
-        self.tx.push_burst(&mut self.current, 1);
+        if let Some(free_at) = self.tx.commit(&mut self.current, ctx) {
+            self.free_at = free_at;
+        }
     }
 
     fn reset(&mut self) {
+        self.soft_reset();
         self.current = None;
         self.queue.inner.borrow_mut().clear();
         self.sent_packets = 0;
         self.sent_bytes = 0;
     }
 
-    /// Idle with no queued packet and no in-flight words; stalled with
-    /// in-flight words and a full output. With `current` empty and a packet
-    /// queued the tick stamps and stages it, so that stays active.
+    /// Beats committed but not yet pushed are back on the cursor and go
+    /// out from the next edge on, as they would have one by one.
+    fn soft_reset(&mut self) {
+        self.tx.settle(&mut self.current);
+        self.free_at = Time::ZERO;
+    }
+
+    /// Idle with no queued packet and no beats left to commit; stalled
+    /// with beats left and no slot in sight. With `current` empty and a
+    /// packet queued the tick stamps and stages it, so that stays active.
     fn is_quiescent(&self) -> bool {
         if self.current.is_none() {
             self.queue.pending() == 0
         } else {
-            !self.tx.can_push()
+            self.tx.ready_at().is_none()
         }
+    }
+
+    /// Nothing happens before the committed beats are out, nor — with
+    /// beats left — before a scheduled pop frees a slot.
+    fn next_activity(&self) -> Option<Time> {
+        let slot = match &self.current {
+            Some(_) => self.tx.ready_at()?,
+            None => Time::ZERO,
+        };
+        Some(self.free_at.max(slot)).filter(|&t| t > Time::ZERO)
     }
 
     /// External activity channels: injections into the queue, pops from
@@ -221,6 +255,8 @@ impl CaptureBuffer {
 pub struct PacketSink {
     name: String,
     rx: StreamRx,
+    /// The edge that pops the last beat claimed from `rx`, until then.
+    claimed: Option<Time>,
     reasm: Reassembler,
     buffer: CaptureBuffer,
     /// Activity-cache invalidation flag, registered on the input stream.
@@ -232,11 +268,12 @@ impl PacketSink {
     pub fn new(name: &str, rx: StreamRx) -> (PacketSink, CaptureBuffer) {
         let buffer = CaptureBuffer::new();
         let wake = WakeHandle::new();
-        rx.set_wake(wake.clone());
+        rx.pace(wake.clone(), true);
         (
             PacketSink {
                 name: name.to_string(),
                 rx,
+                claimed: None,
                 reasm: Reassembler::new(),
                 buffer: buffer.clone(),
                 wake,
@@ -252,8 +289,8 @@ impl Module for PacketSink {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if let Some(word) = self.rx.pop() {
-            if let Some((data, meta)) = self.reasm.push(word) {
+        if let Some(beats) = self.rx.pop_paced(&mut self.claimed, true, ctx) {
+            if let Some((data, meta)) = self.reasm.push_burst(beats) {
                 *self.buffer.bytes.borrow_mut() += data.len() as u64;
                 *self.buffer.packets.borrow_mut() += 1;
                 self.buffer.inner.borrow_mut().push_back(CapturedPacket {
@@ -266,16 +303,31 @@ impl Module for PacketSink {
     }
 
     fn reset(&mut self) {
+        self.soft_reset();
         self.reasm = Reassembler::new();
         self.buffer.inner.borrow_mut().clear();
         *self.buffer.bytes.borrow_mut() = 0;
         *self.buffer.packets.borrow_mut() = 0;
     }
 
-    /// With nothing to pop, a tick does nothing until upstream pushes
-    /// (even mid-packet: reassembly only advances on a popped word).
+    /// Beats claimed and popped so far join the packet being reassembled;
+    /// the rest are back in the stream.
+    fn soft_reset(&mut self) {
+        if let Some(popped) = self.rx.settle(&mut self.claimed) {
+            self.reasm.push_burst(popped);
+        }
+    }
+
+    /// With nothing claimed and nothing to claim, a tick does nothing
+    /// until upstream pushes (even mid-packet: reassembly only advances on
+    /// popped words).
     fn is_quiescent(&self) -> bool {
-        !self.rx.can_pop()
+        self.claimed.is_none() && !self.rx.can_pop()
+    }
+
+    /// Claimed beats are acted on when the last of them is popped.
+    fn next_activity(&self) -> Option<Time> {
+        self.claimed
     }
 
     /// Only upstream pushes can un-idle a sink.

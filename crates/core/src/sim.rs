@@ -93,7 +93,7 @@
 
 use crate::stats::Counter;
 use crate::time::{Frequency, Time};
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -133,30 +133,103 @@ pub struct TickContext {
 /// Handles are born dirty, so a freshly built module is always queried at
 /// least once. Waking is a single `Cell<bool>` store — cheap enough for
 /// every stream push.
+///
+/// [`Simulator::add_module`] also *stamps* the handle with where its owner
+/// ticks — which simulator, which clock domain, which slot of the domain's
+/// registration order. A [`crate::stream`] channel holding both ends'
+/// handles can then tell whether the two tick on one clock and which of
+/// them ticks first at a shared edge, which is what it needs to carry
+/// beat-timed bursts; a handle never registered with a simulator carries no
+/// stamp, and such a channel stays word-per-tick. A stamped handle also
+/// mirrors its flag into its domain's dirty mask, so the kernel finds the
+/// woken modules of a domain without visiting the rest.
 #[derive(Clone, Debug)]
-pub struct WakeHandle(Rc<Cell<bool>>);
+pub struct WakeHandle(Rc<WakeState>);
+
+#[derive(Debug)]
+struct WakeState {
+    dirty: Cell<bool>,
+    stamp: OnceCell<Stamp>,
+}
+
+/// Where a module ticks (see [`WakeHandle`]).
+#[derive(Debug)]
+pub(crate) struct Stamp {
+    /// The owning simulator's clock: the instant of the last edge it has
+    /// finished (executed or skipped). Doubles as the simulator's identity.
+    pub(crate) clock: Rc<Cell<Time>>,
+    pub(crate) domain: usize,
+    pub(crate) slot: usize,
+    /// The domain's dirty mask and this slot's bit in it (no bit past the
+    /// mask's width: such a slot is probed every time, as one without a
+    /// handle is).
+    woken: Rc<Cell<u64>>,
+    bit: u64,
+}
+
+impl Stamp {
+    /// The stamp of slot `slot` of domain `domain` of the simulator whose
+    /// clock is `clock`; `woken` is the domain's dirty mask.
+    pub(crate) fn new(
+        clock: Rc<Cell<Time>>,
+        domain: usize,
+        slot: usize,
+        woken: Rc<Cell<u64>>,
+    ) -> Stamp {
+        Stamp {
+            clock,
+            domain,
+            slot,
+            woken,
+            bit: 1u64.checked_shl(slot as u32).unwrap_or(0),
+        }
+    }
+}
 
 impl WakeHandle {
     /// A new handle, born dirty.
     pub fn new() -> WakeHandle {
-        WakeHandle(Rc::new(Cell::new(true)))
+        WakeHandle(Rc::new(WakeState {
+            dirty: Cell::new(true),
+            stamp: OnceCell::new(),
+        }))
     }
 
     /// Mark the owning module's cached activity bound dirty.
     #[inline]
     pub fn wake(&self) {
-        self.0.set(true);
+        self.0.dirty.set(true);
+        if let Some(s) = self.0.stamp.get() {
+            s.woken.set(s.woken.get() | s.bit);
+        }
     }
 
     /// Whether a wake happened since the flag was last cleared.
     pub fn is_dirty(&self) -> bool {
-        self.0.get()
+        self.0.dirty.get()
     }
 
     /// Clear the dirty flag (after a re-query that supersedes any wake).
     #[inline]
     pub(crate) fn clear(&self) {
-        self.0.set(false);
+        self.0.dirty.set(false);
+        if let Some(s) = self.0.stamp.get() {
+            s.woken.set(s.woken.get() & !s.bit);
+        }
+    }
+
+    /// Where the owner ticks, once a simulator has registered it.
+    #[inline]
+    pub(crate) fn stamp(&self) -> Option<&Stamp> {
+        self.0.stamp.get()
+    }
+
+    /// Record where the owner ticks. The first registration stands: a
+    /// module lives in one simulator.
+    pub(crate) fn set_stamp(&self, stamp: Stamp) {
+        if self.0.stamp.set(stamp).is_ok() && self.is_dirty() {
+            self.wake(); // again, now into the mask as well
+        }
     }
 }
 
@@ -169,11 +242,14 @@ impl Default for WakeHandle {
 /// A hardware building block driven by a clock edge.
 ///
 /// Implementations should perform at most one word of work per stream port
-/// per tick — that is what makes a tick a cycle. The library modules'
-/// burst mode (`with_burst`) lifts that to "whatever fits": a tick then
-/// moves whole [`Burst`](crate::stream::Burst)s, still bounded by stream
-/// depth counted in beats, so back-pressure builds in the same places and
-/// only the cycle-level pacing inside a module collapses.
+/// per cycle — that is what makes a tick a cycle. The library modules do so
+/// without ticking every cycle: they charge the stream with a whole burst's
+/// beats, one per cycle, and tick again when the last has crossed (see
+/// [`crate::stream`]). Their burst mode (`with_burst`) instead lifts the
+/// limit to "whatever fits": a tick then moves whole
+/// [`Burst`](crate::stream::Burst)s, still bounded by stream depth counted
+/// in beats, so back-pressure builds in the same places and only the
+/// cycle-level pacing inside a module collapses.
 pub trait Module {
     /// Stable instance name for diagnostics.
     fn name(&self) -> &str;
@@ -335,12 +411,28 @@ struct ModuleSlot {
     /// Ticks actually executed on this module (see
     /// [`Simulator::module_ticks`]).
     ticks: u64,
+    /// The handle has a bit in its domain's dirty mask, so a clean mask bit
+    /// vouches for the cache.
+    masked: bool,
 }
 
 impl ModuleSlot {
-    fn new(module: Box<dyn Module>) -> ModuleSlot {
+    /// The slot of a module about to become slot `index` of domain
+    /// `domain`, its handle stamped accordingly.
+    fn new(
+        module: Box<dyn Module>,
+        clock: &Rc<Cell<Time>>,
+        domain: usize,
+        index: usize,
+        woken: &Rc<Cell<u64>>,
+    ) -> ModuleSlot {
         let wake = module.wake_handle();
+        let mut masked = false;
         if let Some(w) = &wake {
+            w.set_stamp(Stamp::new(clock.clone(), domain, index, woken.clone()));
+            masked = w
+                .stamp()
+                .is_some_and(|s| s.bit != 0 && Rc::ptr_eq(&s.woken, woken));
             w.wake();
         }
         ModuleSlot {
@@ -349,6 +441,7 @@ impl ModuleSlot {
             cached: Cached::Active,
             stale: false,
             ticks: 0,
+            masked,
         }
     }
 
@@ -374,10 +467,10 @@ impl ModuleSlot {
     /// Current classification: served from the cache when the wake flag is
     /// clean, re-queried when dirty. Modules without a handle (the default
     /// adapter) are re-queried every time — correct at scan cost.
-    /// The clean-cache (steady-state) path runs once per module per
-    /// executed edge, so it stays read-only on the flag and batches its
-    /// counter into `probes_avoided`, which the caller flushes once per
-    /// sweep.
+    /// The sweeps come here only for a module that is due, woken, or not
+    /// covered by its domain's dirty mask; the clean-cache path stays
+    /// read-only on the flag and batches its counter into
+    /// `probes_avoided`, which the caller flushes once per sweep.
     fn classify(&mut self, stats: &KernelStatCells, probes_avoided: &mut u64) -> Cached {
         let Some(wake) = &self.wake else {
             return Self::query(&*self.module);
@@ -394,15 +487,7 @@ impl ModuleSlot {
             // activity-relevant state without waking would silently skip
             // work in release builds — fail loudly here instead (debug
             // builds always; release builds under the `paranoid` feature).
-            #[cfg(any(debug_assertions, feature = "paranoid"))]
-            assert_eq!(
-                Self::query(&*self.module),
-                self.cached,
-                "module `{}` changed its activity classification without a \
-                 tick or a wake (missing WakeHandle::wake on some channel \
-                 its classification reads?)",
-                self.module.name()
-            );
+            self.check_clean();
         }
         self.cached
     }
@@ -416,6 +501,34 @@ impl ModuleSlot {
             self.stale = false;
             self.cached = Self::query(&*self.module);
         }
+    }
+
+    /// The cached classification as the first instant the module may have
+    /// to tick: zero for `Active`, never for `Quiescent` — and zero for a
+    /// module the domain's dirty mask cannot vouch for (no handle, or a
+    /// slot past the mask), which is probed every time.
+    #[inline]
+    fn due(&self) -> Time {
+        match self.cached {
+            Cached::Quiescent if self.masked => Time::MAX,
+            Cached::Bounded(t) if self.masked => t,
+            _ => Time::ZERO,
+        }
+    }
+
+    /// The contract check of a clean cache served without a visit (see
+    /// [`ModuleSlot::classify`]).
+    #[inline]
+    fn check_clean(&self) {
+        #[cfg(any(debug_assertions, feature = "paranoid"))]
+        assert_eq!(
+            Self::query(&*self.module),
+            self.cached,
+            "module `{}` changed its activity classification without a \
+             tick or a wake (missing WakeHandle::wake on some channel \
+             its classification reads?)",
+            self.module.name()
+        );
     }
 
     /// Force a re-query at the next classification (reset, re-registration).
@@ -434,6 +547,21 @@ struct DomainState {
     next_edge: Time,
     cycle: u64,
     slots: Vec<ModuleSlot>,
+    /// Per slot, [`ModuleSlot::due`] as of its last classification: with
+    /// `woken` it lets the sweeps pass over a module that is neither due
+    /// nor woken without touching its slot.
+    due: Vec<Time>,
+    /// One bit per slot (the first 64), set by [`WakeHandle::wake`].
+    woken: Rc<Cell<u64>>,
+}
+
+/// Whether the module in slot `i` can be passed over at an edge at `t`
+/// without touching its slot: not due by then, and not woken since that
+/// was established. (Only a slot with a bit in `woken` is ever due later
+/// than at once, so the shift is in range.)
+#[inline]
+fn at_rest(due: &[Time], woken: &Cell<u64>, i: usize, t: Time) -> bool {
+    due[i] > t && woken.get() >> i & 1 == 0
 }
 
 impl DomainState {
@@ -441,26 +569,33 @@ impl DomainState {
     /// early-exiting on the first `Active` module — nothing a later module
     /// reports can loosen an `Active` verdict.
     fn activity(&mut self, stats: &KernelStatCells) -> Cached {
-        let mut bound: Option<Time> = None;
+        let mut bound = Time::MAX;
         let mut avoided = 0u64;
         let mut verdict = Cached::Quiescent;
-        for s in &mut self.slots {
-            match s.classify(stats, &mut avoided) {
+        for (i, s) in self.slots.iter_mut().enumerate() {
+            if at_rest(&self.due, &self.woken, i, Time::ZERO) {
+                // Clean and not active: its bound is the cache's.
+                avoided += 1;
+                s.check_clean();
+                bound = bound.min(self.due[i]);
+                continue;
+            }
+            let class = s.classify(stats, &mut avoided);
+            self.due[i] = s.due();
+            match class {
                 Cached::Active => {
                     verdict = Cached::Active;
                     break;
                 }
                 Cached::Quiescent => {}
-                Cached::Bounded(t) => bound = Some(bound.map_or(t, |b| b.min(t))),
+                Cached::Bounded(t) => bound = bound.min(t),
             }
         }
         stats.probes_avoided.add(avoided);
-        if matches!(verdict, Cached::Active) {
-            return Cached::Active;
-        }
-        match bound {
-            None => Cached::Quiescent,
-            Some(t) => Cached::Bounded(t),
+        match verdict {
+            Cached::Active => Cached::Active,
+            _ if bound == Time::MAX => Cached::Quiescent,
+            _ => Cached::Bounded(bound),
         }
     }
 }
@@ -648,11 +783,15 @@ pub struct Simulator {
     stats: KernelStatCells,
     /// Shared soft-reset request line, consumed at step boundaries.
     reset_line: SoftResetLine,
+    /// `now`, shared with every registered module's [`WakeHandle`]: what a
+    /// stream settles its beat-timed bursts against on a reset.
+    clock: Rc<Cell<Time>>,
 }
 
 impl Default for Simulator {
     fn default() -> Simulator {
         Simulator {
+            clock: Rc::new(Cell::new(Time::ZERO)),
             domains: Vec::new(),
             now: Time::ZERO,
             mode: SchedulerMode::Auto,
@@ -724,6 +863,8 @@ impl Simulator {
             next_edge: self.now + period,
             cycle: 0,
             slots: Vec::new(),
+            due: Vec::new(),
+            woken: Rc::new(Cell::new(0)),
         });
         self.sched = SchedState::Invalid;
         ClockId(self.domains.len() - 1)
@@ -737,7 +878,16 @@ impl Simulator {
 
     /// Register a boxed module (for heterogeneous construction code).
     pub fn add_boxed_module(&mut self, clock: ClockId, module: Box<dyn Module>) {
-        self.domains[clock.0].slots.push(ModuleSlot::new(module));
+        let d = &mut self.domains[clock.0];
+        let slot = ModuleSlot::new(module, &self.clock, clock.0, d.slots.len(), &d.woken);
+        d.due.push(slot.due());
+        d.slots.push(slot);
+    }
+
+    /// Move `now`, and the clock the modules' streams read, to `t`.
+    fn set_now(&mut self, t: Time) {
+        self.now = t;
+        self.clock.set(t);
     }
 
     /// Current simulated time.
@@ -805,9 +955,10 @@ impl Simulator {
     pub fn reset(&mut self) {
         self.reset_line.take();
         for d in &mut self.domains {
-            for s in &mut d.slots {
+            for (s, due) in d.slots.iter_mut().zip(&mut d.due) {
                 s.module.reset();
                 s.invalidate();
+                *due = s.due();
             }
             d.cycle = 0;
             d.next_edge = self.now + d.period;
@@ -828,9 +979,10 @@ impl Simulator {
     /// is touched.
     pub fn soft_reset(&mut self) {
         for d in &mut self.domains {
-            for s in &mut d.slots {
+            for (s, due) in d.slots.iter_mut().zip(&mut d.due) {
                 s.module.soft_reset();
                 s.invalidate();
+                *due = s.due();
             }
         }
     }
@@ -896,20 +1048,6 @@ impl Simulator {
             None => Activity::AllQuiescent,
             Some(t) => Activity::BlockedUntil(t),
         }
-    }
-
-    /// The latest edge instant strictly before `t` across all domains, if
-    /// any domain has one pending.
-    fn last_edge_before(&self, t: Time) -> Option<Time> {
-        self.domains
-            .iter()
-            .filter(|d| d.next_edge < t)
-            .map(|d| {
-                let p = d.period.as_ps();
-                let k = (t.as_ps() - 1 - d.next_edge.as_ps()) / p;
-                Time::from_ps(d.next_edge.as_ps() + k * p)
-            })
-            .max()
     }
 
     /// Build the dispatcher state for the current clocks and mode.
@@ -1005,8 +1143,14 @@ impl Simulator {
             period: d.period,
         };
         let mut avoided = 0u64;
-        for s in &mut d.slots {
+        for (i, s) in d.slots.iter_mut().enumerate() {
             if fused && idle_skip {
+                if at_rest(&d.due, &d.woken, i, edge) {
+                    // Clean and not due: the skip the cache exists for.
+                    avoided += 1;
+                    s.check_clean();
+                    continue;
+                }
                 if s.stale {
                     // Last classified `Active` and ticked since: tick again
                     // without re-classifying. If it meanwhile went idle the
@@ -1031,6 +1175,7 @@ impl Simulator {
                         s.refresh();
                     }
                 }
+                d.due[i] = s.due();
             } else if !idle_skip || !s.module.is_quiescent() {
                 s.tick(&ctx);
             }
@@ -1116,7 +1261,7 @@ impl Simulator {
             }
             SchedState::Invalid => unreachable!("ensure_sched rebuilds"),
         };
-        self.now = edge;
+        self.set_now(edge);
         Some(edge)
     }
 
@@ -1142,18 +1287,30 @@ impl Simulator {
     /// without ticking any module, leaving exactly the state the naive edge
     /// loop would have produced. Callers must ensure `all_quiescent()`.
     fn skip_edges_through(&mut self, to: Time) {
+        self.skip_edges_before(to + Time::from_ps(1));
+        self.set_now(to);
+    }
+
+    /// Advance every clock past all edges strictly before instant `t`
+    /// without ticking any module; `now` becomes the latest of them, if
+    /// there is any. Callers must ensure no module acts before `t`.
+    fn skip_edges_before(&mut self, t: Time) {
         let mut skipped = 0u64;
+        let mut last = self.now;
         for d in &mut self.domains {
-            if d.next_edge <= to {
-                let k = (to.as_ps() - d.next_edge.as_ps()) / d.period.as_ps() + 1;
+            if d.next_edge < t {
+                let k = (t.as_ps() - 1 - d.next_edge.as_ps()) / d.period.as_ps() + 1;
                 d.cycle += k;
                 d.next_edge += Time::from_ps(k * d.period.as_ps());
+                last = last.max(d.next_edge - d.period);
                 skipped += k;
             }
         }
-        self.stats.skips.add(skipped);
-        self.now = to;
-        self.resync_sched();
+        if skipped > 0 {
+            self.stats.skips.add(skipped);
+            self.set_now(last);
+            self.resync_sched();
+        }
     }
 
     /// The first edge instant at or after `deadline` across all domains —
@@ -1184,36 +1341,36 @@ impl Simulator {
         // (cached bounds, refreshed as modules tick), a probe is a cache
         // fold, not a module scan — the geometric probe backoff the
         // pre-cache kernel used to amortise scans is retired.
+        // Where the run stops — the first edge at or after `deadline` —
+        // worked out when first needed: the clocks do not change under us.
+        let mut stop = None;
         while self.now < deadline {
             if self.domains.is_empty() {
-                self.now = deadline;
+                self.set_now(deadline);
                 return;
             }
-            if self.idle_skip {
-                match self.activity() {
-                    Activity::AllQuiescent => {
-                        let stop = self.first_edge_at_or_after(deadline);
+            // A pending soft reset latches at the very next edge: never
+            // skip past it, or the reset instant would depend on how much
+            // the modules let the kernel skip.
+            if self.idle_skip && !self.reset_line.pending() {
+                let activity = self.activity();
+                if matches!(activity, Activity::Active) {
+                    self.step();
+                    continue;
+                }
+                let stop = *stop.get_or_insert_with(|| self.first_edge_at_or_after(deadline));
+                match activity {
+                    // Every edge strictly before `t` is a proven no-op. If
+                    // the run would stop before any module wakes, the whole
+                    // remainder skips; otherwise skip the inert edges and
+                    // step the wake-up edge normally (the run is not over —
+                    // `stop >= t` — and no tick ran since the fold, so
+                    // without another).
+                    Activity::BlockedUntil(t) if stop >= t => self.skip_edges_before(t),
+                    _ => {
                         self.skip_edges_through(stop);
                         return;
                     }
-                    Activity::BlockedUntil(t) => {
-                        // Every edge strictly before `t` is a proven no-op.
-                        // If the run would stop before any module wakes, the
-                        // whole remainder skips; otherwise skip to the last
-                        // inert edge and step the wake-up edge normally.
-                        let stop = self.first_edge_at_or_after(deadline);
-                        if stop < t {
-                            self.skip_edges_through(stop);
-                            return;
-                        }
-                        if let Some(last) = self.last_edge_before(t) {
-                            if last > self.now {
-                                self.skip_edges_through(last);
-                                continue;
-                            }
-                        }
-                    }
-                    Activity::Active => {}
                 }
             }
             self.step();
@@ -1232,7 +1389,7 @@ impl Simulator {
         // Same probe-per-step structure as `run_until` (see there for why
         // the geometric probe backoff is gone).
         while self.domains[clock.0].cycle < target {
-            if self.idle_skip {
+            if self.idle_skip && !self.reset_line.pending() {
                 // The instant of the target edge; every domain processes all
                 // of its edges up to and including it (coincident edges at
                 // the stop instant tick in the same step as the target).
@@ -1240,23 +1397,12 @@ impl Simulator {
                 let remaining = target - d.cycle;
                 let stop = d.next_edge + Time::from_ps((remaining - 1) * d.period.as_ps());
                 match self.activity() {
-                    Activity::AllQuiescent => {
+                    Activity::Active => {}
+                    Activity::BlockedUntil(t) if stop >= t => self.skip_edges_before(t),
+                    _ => {
                         self.skip_edges_through(stop);
                         return;
                     }
-                    Activity::BlockedUntil(t) => {
-                        if stop < t {
-                            self.skip_edges_through(stop);
-                            return;
-                        }
-                        if let Some(last) = self.last_edge_before(t) {
-                            if last > self.now {
-                                self.skip_edges_through(last);
-                                continue;
-                            }
-                        }
-                    }
-                    Activity::Active => {}
                 }
             }
             if self.step().is_none() {

@@ -42,11 +42,52 @@
 //! Only these stream operations split a burst, into views of the same
 //! buffer; nothing ever merges two, because a [`Reassembler`] joins
 //! adjacent views for free.
+//!
+//! # Charged word pacing
+//!
+//! A word-level module moves one beat per cycle. It does not have to tick
+//! once per beat to do so: when both ends of a channel are modules of one
+//! clock domain, the whole exchange is arithmetic, and the channel is
+//! *charged* with it instead.
+//!
+//! * The producer [`StreamTx::commit`]s the leading beats of its cursor as
+//!   one entry, beat `i` pushed at `t0 + i·period` — as many as find a free
+//!   slot each at its own instant. Space that exists now cannot vanish
+//!   before the beats that use it (only the producer fills the channel), and
+//!   every pop already scheduled extends the run by one; pops not yet
+//!   registered never count. It may push again at `t0 + k·period`.
+//! * The consumer [`StreamRx::claim`]s the head entry, beat `j` popped at
+//!   `tc + j·period`. Both sides pace alike and the first beat is there,
+//!   so no pop finds the channel empty. The beats stay with the channel —
+//!   they occupy it until popped — and the consumer [`StreamRx::collect`]s
+//!   them at [`Claim::done_at`], the edge the last one is popped: whatever
+//!   it does on `eop` happens on the edge it happens on per beat.
+//!   [`StreamRx::forward`] is the cut-through form: claim here, commit
+//!   there, one schedule.
+//! * Two modules ticking at one instant see each other's beats of that
+//!   instant or not depending on who ticks first. The kernel stamps every
+//!   registered [`WakeHandle`] with its owner's place in the dispatch
+//!   order, so the channel knows, and [`StreamTx::ready_at`] /
+//!   [`StreamTx::space_at`] / [`StreamRx::occupancy_at`] answer for the
+//!   asking side's tick. (The plain [`StreamTx::space`] /
+//!   [`StreamRx::occupancy`] count what is committed and not yet claimed.)
+//! * A reset *settles* a charge first ([`StreamTx::settle`],
+//!   [`StreamRx::settle`]): as of the simulator's clock, beats not yet
+//!   pushed go back to the producer's cursor, pushed and unpopped beats are
+//!   queued, popped beats are handed to the consumer.
+//!
+//! A channel is charged only when that is provably the per-beat exchange:
+//! both ends registered with `pace` rather than `set_wake`, both stamped
+//! by one simulator on one clock domain, and no third handle on the
+//! channel (an observer could look between two beats). Everywhere else the
+//! same three operations move **one beat** — the `can_push`/`push` and
+//! `pop` of a per-beat module — so a design pays in speed, never in
+//! fidelity, for a neighbour that is not paced.
 
 use crate::pktbuf::PktBuf;
-use crate::sim::WakeHandle;
+use crate::sim::{TickContext, WakeHandle};
 use crate::time::Time;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -293,6 +334,17 @@ impl Burst {
         front
     }
 
+    /// Put back the beats that followed this burst in its packet (the
+    /// inverse of [`Burst::split_front`]): adjacent views of one buffer.
+    fn append(&mut self, rest: Burst) {
+        self.buf = self
+            .buf
+            .try_join(&rest.buf)
+            .expect("consecutive beats of one packet");
+        self.beats += rest.beats;
+        self.eop = rest.eop;
+    }
+
     /// The first beat as a word, without consuming it.
     fn first_word(&self) -> Word {
         let last = self.beats == 1;
@@ -372,11 +424,85 @@ impl Iterator for Burst {
     }
 }
 
+/// One side's schedule on a charged channel: `beats` one-beat operations
+/// (pushes or pops), the first at `t0`, one per `period`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pace {
+    t0: Time,
+    period: Time,
+    beats: usize,
+}
+
+impl Pace {
+    /// The instant of operation `i`.
+    fn at(&self, i: usize) -> Time {
+        self.t0 + Time::from_ps(i as u64 * self.period.as_ps())
+    }
+
+    /// The schedule of `beats` operations, the first at this tick.
+    fn starting(ctx: &TickContext, beats: usize) -> Pace {
+        Pace {
+            t0: ctx.now,
+            period: ctx.period,
+            beats,
+        }
+    }
+
+    /// How many of the operations happen strictly before `t` — or at `t`
+    /// too when `inclusive`, i.e. when the side that owns the schedule
+    /// ticks first at a shared edge and the question comes from its peer.
+    fn done(&self, t: Time, inclusive: bool) -> usize {
+        // Operation `i` counts iff `t0 + i·period <= t - 1` (`<= t`).
+        let Some(since) = (t.as_ps() + u64::from(inclusive)).checked_sub(self.t0.as_ps() + 1)
+        else {
+            return 0;
+        };
+        (self.beats as u64).min(since / self.period.as_ps() + 1) as usize
+    }
+
+    /// How many of the operations happen at or before `t`.
+    fn done_by(&self, t: Time) -> usize {
+        self.done(t, true)
+    }
+}
+
+/// What a consumer holds after [`StreamRx::claim`] or [`StreamRx::forward`]:
+/// the shape of the beats it took and the instant the last of them is
+/// popped, which is when it [`StreamRx::collect`]s them and acts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Claim {
+    /// The edge at which the last claimed beat is popped.
+    pub done_at: Time,
+    /// Beats claimed (one per cycle from the claiming edge on).
+    pub beats: usize,
+    /// The first beat starts a packet.
+    pub sop: bool,
+    /// The last beat ends a packet.
+    pub eop: bool,
+    /// Metadata carried by the first beat.
+    pub meta: Option<Meta>,
+}
+
+impl Claim {
+    /// The claim of `burst`, popped on `pace`.
+    fn of(burst: &Burst, pace: Pace) -> Claim {
+        Claim {
+            done_at: pace.at(pace.beats - 1),
+            beats: pace.beats,
+            sop: burst.sop,
+            eop: burst.eop,
+            meta: burst.meta,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Shared {
-    /// Queued bursts, oldest first; no burst spans two packets.
+    /// Queued bursts, oldest first; no burst spans two packets. Under a
+    /// charge the newest may hold beats that have not arrived yet.
     queue: VecDeque<Burst>,
-    /// Occupancy in beats: what `capacity` bounds.
+    /// Occupancy in beats: what `capacity` bounds. Counts committed beats
+    /// still queued; claimed beats not yet popped are `draining`'s.
     beats: usize,
     capacity: usize,
     width: usize,
@@ -388,9 +514,148 @@ struct Shared {
     rx_wake: Option<WakeHandle>,
     /// Woken when space frees up: the producer's activity-cache flag.
     tx_wake: Option<WakeHandle>,
+    /// Which ends promised to use the paced operations only.
+    tx_paced: bool,
+    rx_paced: bool,
+    /// A paced producer is waiting on this channel — a commit left beats
+    /// behind, or it asked [`StreamTx::ready_at`] — so a pop is an event
+    /// for it. (One whose every beat went, and that has not asked since,
+    /// has nothing that depends on the channel; pops need not wake it.)
+    tx_starved: Cell<bool>,
+    /// Whether the consumer ticks before the producer at a shared edge;
+    /// refreshed by every charged operation.
+    rx_first: bool,
+    /// When the beats of the newest commit are pushed, if it was charged.
+    arriving: Option<Pace>,
+    /// When the beats of the newest claim are popped, if it was charged.
+    draining: Option<Pace>,
+    /// The beats of the newest claim, until the consumer collects them. A
+    /// cut-through consumer's are a second view of beats already queued
+    /// downstream, kept only so a reset can put the unpopped ones back.
+    claimed: Option<Burst>,
+    /// Left by a reset's settle for each side to pick up: unarrived beats
+    /// for the producer's cursor, popped beats for the consumer.
+    returned: Option<Burst>,
+    popped: Option<Burst>,
 }
 
 impl Shared {
+    /// Whether this channel may be charged — both ends paced and stamped
+    /// by one simulator on one clock domain — and if so whether the
+    /// consumer ticks first at a shared edge.
+    #[inline]
+    fn rank_order(&self) -> Option<bool> {
+        if !(self.tx_paced && self.rx_paced) {
+            return None;
+        }
+        let tx = self.tx_wake.as_ref()?.stamp()?;
+        let rx = self.rx_wake.as_ref()?.stamp()?;
+        (Rc::ptr_eq(&tx.clock, &rx.clock) && tx.domain == rx.domain).then_some(rx.slot < tx.slot)
+    }
+
+    /// Claimed beats whose pop the producer, ticking at `now`, cannot see
+    /// yet.
+    fn unpopped(&self, now: Time) -> usize {
+        self.draining
+            .map_or(0, |d| d.beats - d.done(now, self.rx_first))
+    }
+
+    /// Committed beats whose push the consumer, ticking at `now`, cannot
+    /// see yet.
+    fn unarrived(&self, now: Time) -> usize {
+        self.arriving
+            .map_or(0, |a| a.beats - a.done(now, !self.rx_first))
+    }
+
+    /// How many of `offered` beats, pushed one per period from `now` on,
+    /// find a free slot each at its own instant: the space there is now
+    /// cannot vanish before they use it, and the pops already scheduled —
+    /// one per period too, the next of them visible by the producer's next
+    /// tick — extend the run one for one. Pops not yet registered are never
+    /// counted; the producer looks again when the run ends.
+    fn room(&self, offered: usize, now: Time) -> usize {
+        let unpopped = self.unpopped(now);
+        match self.capacity - self.beats - unpopped {
+            0 => 0,
+            space => offered.min(space + unpopped),
+        }
+    }
+
+    /// How many of `offered` beats a producer ticking at `now` may push as
+    /// one entry — by [`Shared::room`] on a charged channel, one if there is
+    /// a slot otherwise — recording their schedule and whether the producer
+    /// is left waiting for space.
+    fn admit(&mut self, offered: usize, ctx: &TickContext, charged: bool) -> usize {
+        let n = if charged {
+            self.room(offered, ctx.now)
+        } else {
+            usize::from(self.beats < self.capacity)
+        };
+        self.tx_starved.set(n < offered);
+        self.arriving = (n > 1).then(|| Pace::starting(ctx, n));
+        n
+    }
+
+    /// Bring a charged channel to the state the per-beat channel is in at
+    /// `now`, every edge up to and including `now` done: beats not yet
+    /// pushed leave (`returned`, for the producer's cursor), claimed beats
+    /// not yet popped go back to the head of the queue, the popped ones
+    /// wait in `popped` for the consumer. Idempotent, so either end's reset
+    /// may run it first.
+    fn settle(&mut self) {
+        // Only a channel both of whose ends a simulator stamped is ever
+        // charged; either stamp has that simulator's clock.
+        let Some(now) = self
+            .tx_wake
+            .as_ref()
+            .and_then(WakeHandle::stamp)
+            .map(|stamp| stamp.clock.get())
+        else {
+            return;
+        };
+        if let Some(a) = self.arriving.take() {
+            let unarrived = a.beats - a.done_by(now);
+            // The newest commit sits at the back of the queue, less what
+            // the newest claim took off its front.
+            let queued = unarrived.min(a.beats.min(self.beats));
+            let mut tail = None;
+            if queued > 0 {
+                let back = self.queue.back_mut().expect("beats are queued");
+                tail = Some(if back.beats() == queued {
+                    self.queue.pop_back().expect("checked above")
+                } else {
+                    let kept = back.split_front(back.beats() - queued);
+                    std::mem::replace(back, kept)
+                });
+                self.beats -= queued;
+            }
+            if unarrived > queued {
+                let held = self.claimed.as_mut().expect("claimed, not collected");
+                let kept = held.split_front(held.beats() - (unarrived - queued));
+                let mut rest = std::mem::replace(held, kept);
+                if let Some(tail) = tail.take() {
+                    rest.append(tail);
+                }
+                tail = Some(rest);
+            }
+            self.pushed_words -= unarrived as u64;
+            self.returned = tail;
+        }
+        if let Some(d) = self.draining.take() {
+            if let Some(mut held) = self.claimed.take() {
+                let popped = d.done_by(now).min(held.beats());
+                self.popped_words -= (d.beats - popped) as u64;
+                if popped < held.beats() {
+                    self.popped = Some(held.split_front(popped));
+                    self.beats += held.beats();
+                    self.queue.push_front(held);
+                } else {
+                    self.popped = Some(held);
+                }
+            }
+        }
+    }
+
     /// Words arrived — invalidate the consumer's cached activity bound.
     #[inline]
     fn wake_rx(&self) {
@@ -399,11 +664,14 @@ impl Shared {
         }
     }
 
-    /// Space freed — invalidate the producer's cached activity bound.
+    /// Space freed — invalidate the producer's cached activity bound,
+    /// unless it is a paced producer with nothing left to push.
     #[inline]
     fn wake_tx(&self) {
         if let Some(w) = &self.tx_wake {
-            w.wake();
+            if !self.tx_paced || self.tx_starved.get() {
+                w.wake();
+            }
         }
     }
 
@@ -461,6 +729,15 @@ impl Stream {
             pushed_packets: 0,
             rx_wake: None,
             tx_wake: None,
+            tx_paced: false,
+            rx_paced: false,
+            tx_starved: Cell::new(false),
+            rx_first: false,
+            arriving: None,
+            draining: None,
+            claimed: None,
+            returned: None,
+            popped: None,
         }));
         (
             StreamTx {
@@ -543,8 +820,91 @@ impl StreamTx {
     /// woken whenever a pop or transfer frees space in this channel. Every
     /// module whose classification reads [`StreamTx::can_push`] (a stage
     /// that reports quiescent while back-pressured) must register here.
+    /// The producer may use any operation; the channel is never charged.
     pub fn set_wake(&self, wake: WakeHandle) {
-        self.shared.borrow_mut().tx_wake = Some(wake);
+        self.pace(wake, false);
+    }
+
+    /// [`StreamTx::set_wake`], with or without the promise that lets the
+    /// channel be charged: a `paced` producer pushes through
+    /// [`StreamTx::commit`] (or [`StreamRx::forward`]) alone and reads back
+    /// pressure through [`StreamTx::ready_at`].
+    pub fn pace(&self, wake: WakeHandle, paced: bool) {
+        let mut s = self.shared.borrow_mut();
+        s.tx_wake = Some(wake);
+        s.tx_paced = paced;
+    }
+
+    /// The word-per-cycle push of a module that ticks only when something
+    /// changes: commit as many leading beats of the burst in `slot` as
+    /// find a free slot each at its own instant — beat `i` is pushed at
+    /// `ctx.now + i·ctx.period` — as one queue entry, leaving the rest in
+    /// `slot`. Returns the instant the producer may push again (one period
+    /// after the last committed beat), or `None` when not even the first
+    /// beat fits now.
+    ///
+    /// On a channel that cannot be charged (see the [module docs](self))
+    /// this commits one beat: the `can_push`/`push` pair of a per-beat
+    /// module.
+    #[inline]
+    pub fn commit(&self, slot: &mut Option<Burst>, ctx: &TickContext) -> Option<Time> {
+        let offered = slot.as_ref()?.beats();
+        let unobserved = Rc::strong_count(&self.shared) == 2;
+        let mut s = self.shared.borrow_mut();
+        let order = s.rank_order().filter(|_| unobserved);
+        s.rx_first = order.unwrap_or(false);
+        let n = s.admit(offered, ctx, order.is_some());
+        if n == 0 {
+            return None;
+        }
+        s.put(Burst::take_front(slot, n));
+        s.wake_rx();
+        Some(Pace::starting(ctx, n).at(n))
+    }
+
+    /// When a producer with beats to push, stalled or not, next finds a
+    /// free slot, as far as the channel knows: `Some(Time::ZERO)` when one
+    /// is free already, the instant the scheduled pop that frees one
+    /// becomes visible to the producer, or `None` when only a claim not yet
+    /// made can free one (which wakes the producer). A pure function of
+    /// what has been committed and claimed, so it can back
+    /// [`crate::sim::Module::next_activity`].
+    pub fn ready_at(&self) -> Option<Time> {
+        let s = self.shared.borrow();
+        s.tx_starved.set(true);
+        let Some(d) = s.draining else {
+            return (s.beats < s.capacity).then_some(Time::ZERO);
+        };
+        // Pops of the newest claim that must be over before a slot is free.
+        let need = (s.beats + d.beats + 1).saturating_sub(s.capacity);
+        match need {
+            0 => Some(Time::ZERO),
+            n if n > d.beats => None,
+            n => Some(d.at(n - usize::from(s.rx_first))),
+        }
+    }
+
+    /// Free space in words as the producer sees it when it ticks at `now`,
+    /// before its own push of that edge.
+    pub fn space_at(&self, now: Time) -> usize {
+        let s = self.shared.borrow();
+        let unpushed = s.arriving.map_or(0, |a| a.beats - a.done(now, false));
+        s.capacity - (s.beats + s.unpopped(now) - unpushed)
+    }
+
+    /// The producer's half of a reset: settle the channel to its per-beat
+    /// state as of the simulator's clock, and put the beats the producer
+    /// had committed but not yet pushed back at the front of `slot`.
+    pub fn settle(&self, slot: &mut Option<Burst>) {
+        let mut s = self.shared.borrow_mut();
+        s.settle();
+        s.tx_starved.set(true); // whatever the cursor holds now, it waits on us
+        if let Some(mut unsent) = s.returned.take() {
+            if let Some(rest) = slot.take() {
+                unsent.append(rest);
+            }
+            *slot = Some(unsent);
+        }
     }
 }
 
@@ -574,8 +934,145 @@ impl StreamRx {
 
     /// Register the consumer module's activity-invalidation flag: it is
     /// woken whenever a push or transfer delivers words into this channel.
+    /// The consumer may use any operation; the channel is never charged.
     pub fn set_wake(&self, wake: WakeHandle) {
-        self.shared.borrow_mut().rx_wake = Some(wake);
+        self.pace(wake, false);
+    }
+
+    /// [`StreamRx::set_wake`], with or without the promise that lets the
+    /// channel be charged: a `paced` consumer pops through
+    /// [`StreamRx::claim`] / [`StreamRx::forward`] and
+    /// [`StreamRx::collect`] alone.
+    pub fn pace(&self, wake: WakeHandle, paced: bool) {
+        let mut s = self.shared.borrow_mut();
+        s.rx_wake = Some(wake);
+        s.rx_paced = paced;
+    }
+
+    /// The word-per-cycle pop of a module that ticks only when something
+    /// changes: claim up to `max` beats of the head burst, popped one per
+    /// cycle from `ctx.now` on — which they can be, because the producer
+    /// pushes them at the same pace and the first is here. The beats stay
+    /// with the channel (they still occupy it until popped) until the
+    /// consumer [`StreamRx::collect`]s them at [`Claim::done_at`]; it must
+    /// not claim again before then.
+    ///
+    /// On a channel that cannot be charged this claims one beat, done at
+    /// `ctx.now`: the `pop` of a per-beat module.
+    #[inline]
+    pub fn claim(&self, max: usize, ctx: &TickContext) -> Option<Claim> {
+        if max == 0 {
+            return None;
+        }
+        let unobserved = Rc::strong_count(&self.shared) == 2;
+        let mut s = self.shared.borrow_mut();
+        debug_assert!(s.claimed.is_none(), "claim before collect");
+        let order = s.rank_order().filter(|_| unobserved);
+        let burst = s.take(if order.is_some() { max } else { 1 })?;
+        let pace = Pace::starting(ctx, burst.beats());
+        let claim = Claim::of(&burst, pace);
+        s.rx_first = order.unwrap_or(false);
+        s.draining = (pace.beats > 1).then_some(pace);
+        s.claimed = Some(burst);
+        s.wake_tx();
+        Some(claim)
+    }
+
+    /// The beats of the last [`StreamRx::claim`], once the last of them is
+    /// popped — or of the last [`StreamRx::forward`], whose beats went
+    /// downstream already, so this only lets go of the channel's view of
+    /// them (`None` when there was nothing to hold).
+    #[inline]
+    pub fn collect(&self) -> Option<Burst> {
+        self.shared.borrow_mut().claimed.take()
+    }
+
+    /// One tick of a store-and-forward consumer's ingest, `claimed` being
+    /// where it keeps [`Claim::done_at`] between ticks: with nothing claimed
+    /// and the consumer `willing`, claim the head burst; once the last
+    /// claimed beat is popped, hand the beats over. On an uncharged channel
+    /// both happen in one tick, a beat at a time.
+    #[inline]
+    pub fn pop_paced(
+        &self,
+        claimed: &mut Option<Time>,
+        willing: bool,
+        ctx: &TickContext,
+    ) -> Option<Burst> {
+        if claimed.is_none() && willing {
+            *claimed = self.claim(usize::MAX, ctx).map(|c| c.done_at);
+        }
+        if claimed.is_some_and(|done_at| done_at <= ctx.now) {
+            *claimed = None;
+            return self.collect();
+        }
+        None
+    }
+
+    /// Cut-through: claim the head burst of this stream and commit it to
+    /// `tx` on the same schedule, as many beats as `tx` finds room for by
+    /// the rule of [`StreamTx::commit`] — beat `i` is popped here and
+    /// pushed there at `ctx.now + i·ctx.period`. One beat when either
+    /// channel cannot be charged. The forwarder must let
+    /// [`Claim::done_at`] pass, and [`StreamRx::collect`], before it
+    /// forwards again. Self-transfer is a no-op.
+    pub fn forward(&self, tx: &StreamTx, ctx: &TickContext) -> Option<Claim> {
+        if Rc::ptr_eq(&self.shared, &tx.shared) {
+            return None;
+        }
+        let unobserved = Rc::strong_count(&self.shared) == 2 && Rc::strong_count(&tx.shared) == 2;
+        let mut src = self.shared.borrow_mut();
+        let mut dst = tx.shared.borrow_mut();
+        debug_assert!(src.claimed.is_none(), "forward before collect");
+        let head = src.queue.front()?.beats();
+        let charged = match (src.rank_order(), dst.rank_order()) {
+            (Some(src_first), Some(dst_first)) if unobserved => {
+                src.rx_first = src_first;
+                dst.rx_first = dst_first;
+                true
+            }
+            _ => false,
+        };
+        let n = dst.admit(head, ctx, charged);
+        if n == 0 {
+            return None;
+        }
+        let burst = src.take(n)?;
+        let pace = Pace::starting(ctx, n);
+        let claim = Claim::of(&burst, pace);
+        // The beats go downstream now; a second view of them stays here
+        // while any is still to be popped, for a reset to put back.
+        src.draining = (n > 1).then_some(pace);
+        src.claimed = (n > 1).then(|| burst.clone());
+        src.wake_tx();
+        dst.put(burst);
+        dst.wake_rx();
+        Some(claim)
+    }
+
+    /// The consumer's half of a reset: settle the channel to its per-beat
+    /// state as of the simulator's clock, forget the claim, and hand over
+    /// those of its beats that had been popped by then (the rest are back
+    /// at the head of the queue).
+    pub fn settle(&self, claimed: &mut Option<Time>) -> Option<Burst> {
+        *claimed = None;
+        let mut s = self.shared.borrow_mut();
+        s.settle();
+        s.popped.take()
+    }
+
+    /// Occupancy in words as the consumer sees it when it ticks at `now`,
+    /// before its own pop of that edge.
+    pub fn occupancy_at(&self, now: Time) -> usize {
+        let s = self.shared.borrow();
+        let unpopped = s.draining.map_or(0, |d| d.beats - d.done(now, false));
+        s.beats + unpopped - s.unarrived(now)
+    }
+
+    /// Total words pushed by the time the consumer ticks at `now`.
+    pub fn total_pushed_at(&self, now: Time) -> u64 {
+        let s = self.shared.borrow();
+        s.pushed_words - s.unarrived(now) as u64
     }
 
     /// Current occupancy in words.
@@ -1446,5 +1943,373 @@ mod tests {
             model_popped.extend(model_a.queue.drain(..));
             prop_assert_eq!(popped, model_popped);
         }
+    }
+
+    // ---- beat-timed bursts: the executable specification ----
+
+    const T: Time = Time::from_ps(5_000);
+
+    fn edge(cycle: u64) -> Time {
+        Time::from_ps((cycle + 1) * T.as_ps())
+    }
+
+    fn ctx(cycle: u64) -> TickContext {
+        TickContext {
+            now: edge(cycle),
+            cycle,
+            period: T,
+        }
+    }
+
+    /// A wake handle stamped as slot `slot` of domain `domain` of the
+    /// simulator whose clock is `clock`.
+    fn stamped(clock: &Rc<Cell<Time>>, domain: usize, slot: usize) -> WakeHandle {
+        let wake = WakeHandle::new();
+        let woken = Rc::new(Cell::new(0));
+        wake.set_stamp(crate::sim::Stamp::new(clock.clone(), domain, slot, woken));
+        wake
+    }
+
+    /// A paced channel between two modules of one clock domain; the
+    /// consumer ticks first at a shared edge when `rx_first`.
+    fn paced_channel(capacity: usize, rx_first: bool) -> (Channel, Rc<Cell<Time>>) {
+        let clock = Rc::new(Cell::new(Time::ZERO));
+        let (tx, rx) = Stream::new(capacity, 4);
+        let tx_wake = stamped(&clock, 0, if rx_first { 7 } else { 2 });
+        let rx_wake = stamped(&clock, 0, 5);
+        tx.pace(tx_wake.clone(), true);
+        rx.pace(rx_wake.clone(), true);
+        let channel = Channel {
+            tx,
+            rx,
+            rx_wake,
+            tx_wake,
+        };
+        (channel, clock)
+    }
+
+    /// What the workload of the specification fixes: packets (beats each)
+    /// with the cycle before which the producer may not start each, and how
+    /// many cycles the consumer idles before starting on each.
+    struct Script {
+        packets: Vec<(usize, u64)>,
+        holds: Vec<u64>,
+    }
+
+    /// Everything the per-beat FIFO exposes, cycle by cycle.
+    #[derive(Debug, Default, PartialEq)]
+    struct Timeline {
+        /// Cycle each beat was pushed / popped, in stream order.
+        pushed: Vec<u64>,
+        popped: Vec<u64>,
+        /// Per cycle: free space as the producer's tick finds it, occupancy
+        /// and words-pushed-so-far as the consumer's tick finds them.
+        space: Vec<usize>,
+        occupancy: Vec<usize>,
+        total_pushed: Vec<u64>,
+    }
+
+    /// The reference: a `VecDeque` stepped one beat per side per cycle. The
+    /// producer pushes the next beat of the packet it is on whenever there
+    /// is space; the consumer pops whenever a beat is there, except that it
+    /// starts a packet no earlier than its hold after finishing the last.
+    fn per_beat_reference(
+        script: &Script,
+        capacity: usize,
+        rx_first: bool,
+        cycles: u64,
+    ) -> Timeline {
+        let mut out = Timeline::default();
+        let mut fifo: VecDeque<(usize, usize)> = VecDeque::new();
+        let (mut packet, mut beat) = (0, 0);
+        let mut start_at = script.holds[0];
+        for cycle in 0..cycles {
+            let mut produce = |fifo: &mut VecDeque<(usize, usize)>, out: &mut Timeline| {
+                out.space.push(capacity - fifo.len());
+                let Some(&(beats, release)) = script.packets.get(packet) else {
+                    return;
+                };
+                if cycle >= release && fifo.len() < capacity {
+                    fifo.push_back((packet, beat));
+                    out.pushed.push(cycle);
+                    beat += 1;
+                    if beat == beats {
+                        (packet, beat) = (packet + 1, 0);
+                    }
+                }
+            };
+            let mut consume = |fifo: &mut VecDeque<(usize, usize)>, out: &mut Timeline| {
+                out.occupancy.push(fifo.len());
+                out.total_pushed.push(out.pushed.len() as u64);
+                let Some(&(p, b)) = fifo.front() else { return };
+                if b == 0 && cycle < start_at {
+                    return;
+                }
+                fifo.pop_front();
+                out.popped.push(cycle);
+                if b + 1 == script.packets[p].0 {
+                    start_at = cycle + 1 + script.holds.get(p + 1).copied().unwrap_or(0);
+                }
+            };
+            if rx_first {
+                consume(&mut fifo, &mut out);
+                produce(&mut fifo, &mut out);
+            } else {
+                produce(&mut fifo, &mut out);
+                consume(&mut fifo, &mut out);
+            }
+        }
+        out
+    }
+
+    /// The same producer and consumer as modules of the event-driven
+    /// kernel: each is re-classified when a wake fired and after it ticks,
+    /// ticks only once its time bound has come (never while quiescent), and
+    /// moves beats through `commit` / `claim` / `collect`.
+    fn charged_run(script: &Script, capacity: usize, rx_first: bool, cycles: u64) -> Timeline {
+        let (ch, _clock) = paced_channel(capacity, rx_first);
+        let mut out = Timeline::default();
+        // Producer state.
+        let mut cursor: Option<Burst> = None;
+        let mut free_at = Time::ZERO;
+        let mut packet = 0;
+        // Consumer state.
+        let mut claimed: Option<Time> = None;
+        let mut mid_packet = false;
+        let mut start_at = edge(script.holds[0]).saturating_sub(T);
+        let mut consumed = 0;
+        // `None`: quiescent. `Some(t)`: inert before `t`.
+        let mut tx_bound = Some(Time::ZERO);
+        let mut rx_bound = Some(Time::ZERO);
+        for cycle in 0..cycles {
+            let c = ctx(cycle);
+            let mut produce = |out: &mut Timeline| {
+                out.space.push(ch.tx.space_at(c.now));
+                let classify_tx = |cursor: &Option<Burst>, free_at: Time, packet: usize| match (
+                    cursor,
+                    script.packets.get(packet),
+                ) {
+                    (Some(_), _) => ch.tx.ready_at().map(|t| t.max(free_at)),
+                    (None, Some(&(_, release))) => Some(free_at.max(edge(release))),
+                    (None, None) => None,
+                };
+                if ch.tx_wake.is_dirty() {
+                    ch.tx_wake.clear();
+                    tx_bound = classify_tx(&cursor, free_at, packet);
+                }
+                if tx_bound.is_some_and(|t| t <= c.now) {
+                    if c.now >= free_at {
+                        if cursor.is_none() {
+                            if let Some(&(beats, release)) = script.packets.get(packet) {
+                                if cycle >= release {
+                                    let meta = Meta {
+                                        src_port: packet as u8,
+                                        ..Meta::default()
+                                    };
+                                    cursor = Some(segment(&vec![packet as u8; beats * 4], 4, meta));
+                                    packet += 1;
+                                }
+                            }
+                        }
+                        let before = cursor.as_ref().map_or(0, Burst::beats);
+                        if let Some(t) = ch.tx.commit(&mut cursor, &c) {
+                            free_at = t;
+                            let sent = before - cursor.as_ref().map_or(0, Burst::beats);
+                            out.pushed.extend((0..sent as u64).map(|i| cycle + i));
+                        }
+                    }
+                    ch.tx_wake.clear();
+                    tx_bound = classify_tx(&cursor, free_at, packet);
+                }
+            };
+            let mut consume = |out: &mut Timeline| {
+                out.occupancy.push(ch.rx.occupancy_at(c.now));
+                out.total_pushed.push(ch.rx.total_pushed_at(c.now));
+                let classify_rx =
+                    |claimed: Option<Time>, mid_packet: bool, start_at: Time| match claimed {
+                        Some(t) => Some(t),
+                        None if !ch.rx.can_pop() => None,
+                        None if mid_packet => Some(Time::ZERO),
+                        None => Some(start_at + Time::from_ps(1)),
+                    };
+                if ch.rx_wake.is_dirty() {
+                    ch.rx_wake.clear();
+                    rx_bound = classify_rx(claimed, mid_packet, start_at);
+                }
+                if rx_bound.is_some_and(|t| t <= c.now) {
+                    if claimed.is_none() && (mid_packet || c.now > start_at) {
+                        if let Some(claim) = ch.rx.claim(usize::MAX, &c) {
+                            assert_eq!(claim.sop, !mid_packet);
+                            out.popped
+                                .extend((0..claim.beats as u64).map(|i| cycle + i));
+                            claimed = Some(claim.done_at);
+                        }
+                    }
+                    if claimed.is_some_and(|t| t <= c.now) {
+                        claimed = None;
+                        let burst = ch.rx.collect().expect("claimed beats");
+                        assert!(burst.bytes().iter().all(|&b| b == consumed as u8));
+                        mid_packet = !burst.eop;
+                        if burst.eop {
+                            consumed += 1;
+                            let hold = script.holds.get(consumed).copied().unwrap_or(0);
+                            start_at = c.now + Time::from_ps(hold * T.as_ps());
+                        }
+                    }
+                    ch.rx_wake.clear();
+                    rx_bound = classify_rx(claimed, mid_packet, start_at);
+                }
+            };
+            if rx_first {
+                consume(&mut out);
+                produce(&mut out);
+            } else {
+                produce(&mut out);
+                consume(&mut out);
+            }
+        }
+        assert!(cursor.is_none() && claimed.is_none(), "the run drained");
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 600, ..ProptestConfig::default() })]
+
+        /// The executable specification of a charged channel: a producer
+        /// and a consumer that tick only on a wake or an expired bound and
+        /// move whole bursts by `commit` / `claim` push and pop every beat
+        /// on the cycle the per-beat FIFO does — and `space_at`,
+        /// `occupancy_at` and `total_pushed_at` read, at every cycle and
+        /// from either rank, what that FIFO holds. Covers partial commits
+        /// (shallow FIFOs), a consumer that stalls at packet boundaries,
+        /// both tick orders, and wakes and `ready_at` bounds doing all the
+        /// scheduling.
+        #[test]
+        fn prop_charged_stream_matches_the_per_beat_fifo(
+            capacity in 1usize..=10,
+            rx_first in any::<bool>(),
+            packets in proptest::collection::vec((1usize..=24, 0u64..12, 0u64..30), 1..14),
+        ) {
+            let mut release = 0;
+            let script = Script {
+                packets: packets.iter().map(|&(beats, gap, _)| { release += gap; (beats, release) }).collect(),
+                holds: packets.iter().map(|&(_, _, hold)| hold.saturating_sub(18)).collect(),
+            };
+            let beats: u64 = script.packets.iter().map(|p| p.0 as u64).sum();
+            let cycles = 2 * beats + release + 12 * packets.len() as u64 + 10;
+            let reference = per_beat_reference(&script, capacity, rx_first, cycles);
+            prop_assert_eq!(reference.popped.len() as u64, beats, "the reference drained");
+            let charged = charged_run(&script, capacity, rx_first, cycles);
+            prop_assert_eq!(&charged.pushed, &reference.pushed, "push cycles");
+            prop_assert_eq!(&charged.popped, &reference.popped, "pop cycles");
+            prop_assert_eq!(&charged.space, &reference.space, "space at the producer's rank");
+            prop_assert_eq!(&charged.occupancy, &reference.occupancy, "occupancy at the consumer's rank");
+            prop_assert_eq!(&charged.total_pushed, &reference.total_pushed, "words pushed");
+        }
+    }
+
+    /// When the proof is missing the operations degrade to one beat: a peer
+    /// that did not opt in, two clock domains, a third handle on the
+    /// channel, a module no simulator registered.
+    #[test]
+    fn charge_degrades_to_one_beat_without_the_proof() {
+        let clock = Rc::new(Cell::new(Time::ZERO));
+        let burst = || Some(segment(&[7u8; 40], 4, Meta::default()));
+        let one_beat = |tx: &StreamTx, rx: &StreamRx, why: &str| {
+            let mut slot = burst();
+            assert_eq!(tx.commit(&mut slot, &ctx(0)), Some(edge(1)), "{why}");
+            assert_eq!(slot.as_ref().map(Burst::beats), Some(9), "{why}");
+            tx.push_burst(&mut slot, 4);
+            let claim = rx.claim(usize::MAX, &ctx(3)).expect("beats queued");
+            assert_eq!((claim.beats, claim.done_at), (1, edge(3)), "{why}");
+            assert_eq!(rx.collect().map(|b| b.beats()), Some(1), "{why}");
+        };
+        // The consumer registered a plain wake.
+        let (tx, rx) = Stream::new(16, 4);
+        tx.pace(stamped(&clock, 0, 1), true);
+        rx.set_wake(stamped(&clock, 0, 2));
+        one_beat(&tx, &rx, "consumer not paced");
+        // The producer did.
+        let (tx, rx) = Stream::new(16, 4);
+        tx.set_wake(stamped(&clock, 0, 1));
+        rx.pace(stamped(&clock, 0, 2), true);
+        one_beat(&tx, &rx, "producer not paced");
+        // Two clock domains; two simulators.
+        let (tx, rx) = Stream::new(16, 4);
+        tx.pace(stamped(&clock, 0, 1), true);
+        rx.pace(stamped(&clock, 1, 2), true);
+        one_beat(&tx, &rx, "two domains");
+        let (tx, rx) = Stream::new(16, 4);
+        tx.pace(stamped(&clock, 0, 1), true);
+        rx.pace(stamped(&Rc::new(Cell::new(Time::ZERO)), 0, 2), true);
+        one_beat(&tx, &rx, "two simulators");
+        // A module never handed to a simulator.
+        let (tx, rx) = Stream::new(16, 4);
+        tx.pace(stamped(&clock, 0, 1), true);
+        rx.pace(WakeHandle::new(), true);
+        one_beat(&tx, &rx, "unregistered consumer");
+        // Somebody else holds a handle and could look at any time.
+        let (tx, rx) = Stream::new(16, 4);
+        tx.pace(stamped(&clock, 0, 1), true);
+        rx.pace(stamped(&clock, 0, 2), true);
+        let observer = rx.clone();
+        one_beat(&tx, &rx, "observed channel");
+        drop(observer);
+        // With it gone the same channel is charged: ten beats at once.
+        let mut slot = burst();
+        assert_eq!(tx.commit(&mut slot, &ctx(10)), Some(edge(20)));
+        assert!(slot.is_none());
+        // Zero space: nothing goes, and only a claim can change that.
+        let (tx, rx) = Stream::new(4, 4);
+        tx.pace(stamped(&clock, 0, 1), true);
+        rx.pace(stamped(&clock, 0, 2), true);
+        let mut slot = burst();
+        assert_eq!(tx.commit(&mut slot, &ctx(0)), Some(edge(4)));
+        assert_eq!(tx.commit(&mut slot, &ctx(4)), None);
+        assert_eq!(
+            (tx.ready_at(), slot.as_ref().map(Burst::beats)),
+            (None, Some(6))
+        );
+        let claim = rx.claim(usize::MAX, &ctx(6)).expect("four beats");
+        assert_eq!((claim.beats, claim.done_at), (4, edge(9)));
+        // The pop at cycle 6 is visible to the producer at cycle 7.
+        assert_eq!(tx.ready_at(), Some(edge(7)));
+        assert_eq!(
+            tx.commit(&mut slot, &ctx(7)),
+            Some(edge(11)),
+            "rides the pops"
+        );
+    }
+
+    /// A reset mid-charge settles the channel to the per-beat state of that
+    /// instant: unarrived beats back on the cursor, arrived ones queued,
+    /// popped ones with the consumer.
+    #[test]
+    fn settle_restores_the_per_beat_state() {
+        let (ch, clock) = paced_channel(16, false);
+        let packet: Vec<u8> = (0..40).collect();
+        let mut slot = Some(segment(&packet, 4, Meta::default()));
+        assert_eq!(ch.tx.commit(&mut slot, &ctx(0)), Some(edge(10)));
+        let claim = ch.rx.claim(usize::MAX, &ctx(2)).expect("ten beats");
+        assert_eq!((claim.beats, claim.done_at), (10, edge(11)));
+        // Edge 5 is done: beats 0..=5 pushed, 0..=3 popped.
+        clock.set(edge(5));
+        let mut claimed = Some(claim.done_at);
+        let popped = ch.rx.settle(&mut claimed).expect("four beats popped");
+        assert!(claimed.is_none());
+        assert_eq!(popped.bytes(), &packet[..16]);
+        assert!(popped.sop && !popped.eop);
+        ch.tx.settle(&mut slot);
+        let unsent = slot.expect("four beats never left");
+        assert_eq!(unsent.bytes(), &packet[24..]);
+        assert!(!unsent.sop && unsent.eop);
+        assert_eq!((ch.rx.occupancy(), ch.rx.total_pushed()), (2, 6));
+        assert_eq!(ch.rx.pop().expect("beat 4").bytes(), &packet[16..20]);
+        assert_eq!(ch.rx.pop().expect("beat 5").bytes(), &packet[20..24]);
+        assert!(ch.rx.pop().is_none());
+        assert!(
+            ch.rx.settle(&mut claimed).is_none(),
+            "settling twice changes nothing"
+        );
     }
 }

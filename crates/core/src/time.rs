@@ -17,6 +17,9 @@ impl Time {
     /// Time zero.
     pub const ZERO: Time = Time(0);
 
+    /// The end of the timeline: later than any instant a run reaches.
+    pub const MAX: Time = Time(u64::MAX);
+
     /// Construct from picoseconds.
     pub const fn from_ps(ps: u64) -> Time {
         Time(ps)

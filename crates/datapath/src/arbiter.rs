@@ -3,7 +3,8 @@
 //! reference pipeline.
 
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
-use netfpga_core::stream::{StreamRx, StreamTx};
+use netfpga_core::stream::{Claim, StreamRx, StreamTx};
+use netfpga_core::time::Time;
 
 /// N-to-1 packet-granular round-robin arbiter.
 ///
@@ -11,6 +12,14 @@ use netfpga_core::stream::{StreamRx, StreamTx};
 /// (interleaving words of different packets on one stream is illegal AXIS
 /// framing). Arbitration is work-conserving: if the current round-robin
 /// candidate is idle, the next input with data is picked.
+///
+/// Cut-through, one word per cycle: the granted input's head burst is
+/// claimed and committed to the output on one schedule
+/// ([`StreamRx::forward`]), as many beats as the output has room for, so
+/// between paced neighbours the arbiter ticks when a burst starts and when
+/// its last beat passes, with `eop` acted on at the edge it passes today.
+/// `with_burst(true)` is the other, collapsed pacing: whole packets per
+/// tick.
 pub struct InputArbiter {
     name: String,
     inputs: Vec<StreamRx>,
@@ -19,6 +28,9 @@ pub struct InputArbiter {
     next: usize,
     /// Input currently locked mid-packet.
     locked: Option<usize>,
+    /// The burst passing through: its input and what was claimed of it
+    /// (word pacing only).
+    forwarding: Option<(usize, Claim)>,
     packets: u64,
     words: u64,
     /// Burst fast path: move every available word per tick instead of one.
@@ -32,22 +44,19 @@ impl InputArbiter {
     /// Create an arbiter over `inputs` feeding `output`.
     pub fn new(name: &str, inputs: Vec<StreamRx>, output: StreamTx) -> InputArbiter {
         assert!(!inputs.is_empty(), "arbiter needs at least one input");
-        let wake = WakeHandle::new();
-        for rx in &inputs {
-            rx.set_wake(wake.clone());
-        }
-        output.set_wake(wake.clone());
-        InputArbiter {
+        let arbiter = InputArbiter {
             name: name.to_string(),
             inputs,
             output,
             next: 0,
             locked: None,
+            forwarding: None,
             packets: 0,
             words: 0,
             burst: false,
-            wake,
-        }
+            wake: WakeHandle::new(),
+        };
+        arbiter.with_burst(false)
     }
 
     /// Enable the burst fast path: each tick forwards every word it can
@@ -56,73 +65,38 @@ impl InputArbiter {
     /// unchanged; only the cycle-level pacing is collapsed.
     pub fn with_burst(mut self, enabled: bool) -> InputArbiter {
         self.burst = enabled;
+        for rx in &self.inputs {
+            rx.pace(self.wake.clone(), !enabled);
+        }
+        self.output.pace(self.wake.clone(), !enabled);
         self
     }
 
-    /// Forward words from the locked or round-robin-selected input until
-    /// output space, input data or the per-tick word budget runs out.
-    /// Returns false when no further progress is possible this tick.
-    fn forward_one(&mut self) -> bool {
-        if !self.output.can_push() {
-            return false;
-        }
-        // Choose the source: locked input, or next non-empty one.
-        let source = match self.locked {
-            Some(i) => Some(i),
+    /// The input to serve now: the locked one if it holds a word — no
+    /// other may interleave — else the first non-empty one from the
+    /// round-robin pointer on.
+    fn source(&self) -> Option<usize> {
+        match self.locked {
+            Some(i) => Some(i).filter(|&i| self.inputs[i].can_pop()),
             None => {
                 let n = self.inputs.len();
                 (0..n)
                     .map(|k| (self.next + k) % n)
                     .find(|&i| self.inputs[i].can_pop())
             }
-        };
-        let Some(i) = source else { return false };
-        let Some(word) = self.inputs[i].pop() else {
-            return false;
-        };
-        self.words += 1;
-        if word.eop {
+        }
+    }
+
+    /// `moved` words of input `i` have passed, the last ending its packet
+    /// or not: count them and move the lock.
+    fn passed(&mut self, i: usize, moved: usize, eop: bool) {
+        self.words += moved as u64;
+        if eop {
             self.packets += 1;
             self.locked = None;
             self.next = (i + 1) % self.inputs.len();
-        } else {
+        } else if moved > 0 {
             self.locked = Some(i);
-        }
-        self.output.push(word);
-        true
-    }
-
-    /// Burst fast path: bulk-move whole packets with one stream borrow per
-    /// packet instead of a `can_push`/`pop`/`push` triple per word. The
-    /// word sequence and round-robin decisions are identical to repeated
-    /// [`InputArbiter::forward_one`]; only the locking overhead collapses.
-    fn forward_burst(&mut self) {
-        loop {
-            let source = match self.locked {
-                Some(i) => Some(i),
-                None => {
-                    let n = self.inputs.len();
-                    (0..n)
-                        .map(|k| (self.next + k) % n)
-                        .find(|&i| self.inputs[i].can_pop())
-                }
-            };
-            let Some(i) = source else { return };
-            let (moved, completed) = self.inputs[i].transfer_packet(&self.output);
-            self.words += moved as u64;
-            if completed {
-                self.packets += 1;
-                self.locked = None;
-                self.next = (i + 1) % self.inputs.len();
-            } else {
-                // Mid-packet stall: the input ran dry or the output filled.
-                // Keep (or take) the lock if any word moved; either way no
-                // further progress is possible this tick.
-                if moved > 0 {
-                    self.locked = Some(i);
-                }
-                return;
-            }
         }
     }
 
@@ -142,17 +116,39 @@ impl Module for InputArbiter {
         &self.name
     }
 
-    fn tick(&mut self, _ctx: &TickContext) {
+    fn tick(&mut self, ctx: &TickContext) {
         if self.burst {
-            self.forward_burst();
-        } else {
-            self.forward_one();
+            // Bulk-move whole packets, one stream borrow per packet, until
+            // an input runs dry mid-packet or the output fills.
+            while let Some(i) = self.source() {
+                let (moved, completed) = self.inputs[i].transfer_packet(&self.output);
+                self.passed(i, moved, completed);
+                if !completed {
+                    return;
+                }
+            }
+            return;
+        }
+        if self.forwarding.is_none() {
+            if let Some(i) = self.source() {
+                if let Some(claim) = self.inputs[i].forward(&self.output, ctx) {
+                    // Mid-burst the arbiter is locked whatever the last beat
+                    // will say.
+                    self.locked = Some(i);
+                    self.forwarding = Some((i, claim));
+                }
+            }
+        }
+        if let Some((i, claim)) = self.forwarding.filter(|(_, c)| c.done_at <= ctx.now) {
+            self.forwarding = None;
+            self.inputs[i].collect();
+            self.passed(i, claim.beats, claim.eop);
         }
     }
 
     fn reset(&mut self) {
+        self.soft_reset();
         self.next = 0;
-        self.locked = None;
         self.packets = 0;
         self.words = 0;
     }
@@ -160,16 +156,34 @@ impl Module for InputArbiter {
     /// Watchdog recovery: release a mid-packet lock whose remaining words
     /// were flushed upstream — the next `sop` on any input then arbitrates
     /// normally (downstream reassemblers resync past the orphaned
-    /// prefix). Round-robin position and counters survive.
+    /// prefix). Of a burst passing through, the beats already passed are
+    /// counted and the rest are back on their input. Round-robin position
+    /// and counters survive.
     fn soft_reset(&mut self) {
+        if let Some((i, _)) = self.forwarding.take() {
+            if let Some(passed) = self.inputs[i].settle(&mut None) {
+                self.words += passed.beats() as u64;
+            }
+        }
+        self.output.settle(&mut None);
         self.locked = None;
     }
 
-    /// Idle when every input is empty, stalled when the output is full:
-    /// either way a tick cannot move a word, and both forwarding paths
-    /// return without touching the lock or the round-robin pointer.
+    /// Idle when the input to serve — the locked one alone while a packet
+    /// is open, else any — is empty, stalled when the output is full with no pop scheduled: either way a
+    /// tick cannot move a word and touches neither the lock nor the
+    /// round-robin pointer.
     fn is_quiescent(&self) -> bool {
-        !self.output.can_push() || self.inputs.iter().all(|rx| !rx.can_pop())
+        self.forwarding.is_none() && (self.source().is_none() || self.output.ready_at().is_none())
+    }
+
+    /// A burst passing through is acted on when its last beat passes; a
+    /// stalled forward resumes when a scheduled pop frees an output slot.
+    fn next_activity(&self) -> Option<Time> {
+        match self.forwarding {
+            Some((_, claim)) => Some(claim.done_at),
+            None => self.output.ready_at().filter(|&t| t > Time::ZERO),
+        }
     }
 
     /// External activity channels: pushes into any input, pops from the
@@ -315,6 +329,60 @@ mod tests {
             assert_eq!(ticks(&sim), stalled_at + 1, "one pop, one tick");
             assert_eq!((out_rx.occupancy(), in1_tx.space()), (8, 1));
             assert!(sim.all_quiescent());
+        }
+    }
+
+    /// Stall rule: locked mid-packet on an input that has run dry, the
+    /// arbiter is quiescent however much the other inputs hold — it may not
+    /// interleave them — until the locked input is pushed; one push buys
+    /// exactly one tick, and the round-robin pointer never moves.
+    #[test]
+    fn locked_and_starved_arbiter_is_quiescent_until_its_input_is_pushed() {
+        use netfpga_core::stream::{segment, Meta};
+        for burst in [false, true] {
+            let (in0_tx, in0_rx) = Stream::new(8, 32);
+            let (in1_tx, in1_rx) = Stream::new(8, 32);
+            let (out_tx, out_rx) = Stream::new(64, 32);
+            let arb = InputArbiter::new("arb", vec![in0_rx, in1_rx], out_tx).with_burst(burst);
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("core", Frequency::mhz(200));
+            sim.add_module(clk, arb);
+            let ticks = |sim: &Simulator| sim.module_ticks()[0].1;
+            // Input 1 opens a four-word packet and delivers half of it;
+            // input 0 holds a whole packet the arbiter may not touch yet.
+            let mut open = segment(&[1u8; 128], 32, Meta::default());
+            in1_tx.push(open.next().expect("word 0"));
+            sim.run_cycles(clk, 1);
+            in1_tx.push(open.next().expect("word 1"));
+            for w in segment(&[0u8; 64], 32, Meta::default()) {
+                in0_tx.push(w);
+            }
+            sim.run_cycles(clk, 20);
+            assert_eq!((out_rx.occupancy(), in0_tx.space()), (2, 6));
+            assert!(sim.all_quiescent(), "burst={burst}: locked and starved");
+            let stalled_at = ticks(&sim);
+            sim.run_cycles(clk, 1000);
+            assert_eq!(
+                ticks(&sim),
+                stalled_at,
+                "burst={burst}: no tick while starved"
+            );
+            assert_eq!(in0_tx.space(), 6, "the other input is untouched");
+
+            in1_tx.push(open.next().expect("word 2"));
+            sim.run_cycles(clk, 1);
+            assert_eq!(ticks(&sim), stalled_at + 1, "one push, one tick");
+            assert_eq!((out_rx.occupancy(), in0_tx.space()), (3, 6));
+            assert!(sim.all_quiescent(), "starved again");
+            // The packet ends; only then is input 0 served — input 1 held
+            // the grant, so the pointer moves past it, not past input 0.
+            in1_tx.push(open.next().expect("word 3"));
+            sim.run_cycles(clk, 10);
+            assert_eq!((out_rx.occupancy(), in0_tx.space()), (6, 8));
+            let order: Vec<u8> = std::iter::from_fn(|| out_rx.pop())
+                .map(|w| w.bytes()[0])
+                .collect();
+            assert_eq!(order, [1, 1, 1, 1, 0, 0]);
         }
     }
 

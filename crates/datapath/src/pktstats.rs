@@ -5,13 +5,22 @@
 use netfpga_core::regs::RegisterSpace;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
-use netfpga_core::stream::{StreamRx, StreamTx};
+use netfpga_core::stream::{Meta, StreamRx, StreamTx};
+use netfpga_core::time::Time;
 
 /// Pass-through packet/byte counters, per source port plus totals.
+///
+/// Cut-through, one word per cycle ([`StreamRx::forward`]: between paced
+/// neighbours a burst passes in one tick, every beat on its own cycle);
+/// `with_burst(true)` is the collapsed pacing, everything the output
+/// accepts per tick.
 pub struct StatsStage {
     name: String,
     input: StreamRx,
     output: StreamTx,
+    /// The edge the last beat of the burst passing through passes, until
+    /// then (word pacing only).
+    forwarding: Option<Time>,
     per_port_packets: Vec<Counter>,
     per_port_bytes: Vec<Counter>,
     total_packets: Counter,
@@ -70,23 +79,19 @@ impl StatsStage {
             total_packets: total_packets.clone(),
             total_bytes: total_bytes.clone(),
         };
-        let wake = WakeHandle::new();
-        input.set_wake(wake.clone());
-        output.set_wake(wake.clone());
-        (
-            StatsStage {
-                name: name.to_string(),
-                input,
-                output,
-                per_port_packets,
-                per_port_bytes,
-                total_packets,
-                total_bytes,
-                burst: false,
-                wake,
-            },
-            handles,
-        )
+        let stage = StatsStage {
+            name: name.to_string(),
+            input,
+            output,
+            forwarding: None,
+            per_port_packets,
+            per_port_bytes,
+            total_packets,
+            total_bytes,
+            burst: false,
+            wake: WakeHandle::new(),
+        };
+        (stage.with_burst(false), handles)
     }
 
     /// Enable the burst fast path: each tick passes through every word the
@@ -94,7 +99,21 @@ impl StatsStage {
     /// identical either way — only the cycle-level pacing changes.
     pub fn with_burst(mut self, enabled: bool) -> StatsStage {
         self.burst = enabled;
+        self.input.pace(self.wake.clone(), !enabled);
+        self.output.pace(self.wake.clone(), !enabled);
         self
+    }
+
+    /// Count a packet as its first beat streams by.
+    fn count(&self, meta: Option<Meta>) {
+        let meta = meta.unwrap_or_default();
+        self.total_packets.incr();
+        self.total_bytes.add(u64::from(meta.len));
+        let p = usize::from(meta.src_port);
+        if p < self.per_port_packets.len() {
+            self.per_port_packets[p].incr();
+            self.per_port_bytes[p].add(u64::from(meta.len));
+        }
     }
 }
 
@@ -103,26 +122,32 @@ impl Module for StatsStage {
         &self.name
     }
 
-    fn tick(&mut self, _ctx: &TickContext) {
-        // One word per cycle, or in burst mode everything the output can
-        // accept; either way packets are counted as their first beat
-        // streams by.
-        let max = if self.burst { usize::MAX } else { 1 };
-        self.input.transfer_inspect(&self.output, max, |burst| {
-            if burst.sop {
-                let meta = burst.meta.unwrap_or_default();
-                self.total_packets.incr();
-                self.total_bytes.add(u64::from(meta.len));
-                let p = usize::from(meta.src_port);
-                if p < self.per_port_packets.len() {
-                    self.per_port_packets[p].incr();
-                    self.per_port_bytes[p].add(u64::from(meta.len));
+    fn tick(&mut self, ctx: &TickContext) {
+        if self.burst {
+            self.input
+                .transfer_inspect(&self.output, usize::MAX, |burst| {
+                    if burst.sop {
+                        self.count(burst.meta);
+                    }
+                });
+            return;
+        }
+        if self.forwarding.is_none() {
+            if let Some(claim) = self.input.forward(&self.output, ctx) {
+                if claim.sop {
+                    self.count(claim.meta);
                 }
+                self.forwarding = Some(claim.done_at);
             }
-        });
+        }
+        if self.forwarding.is_some_and(|done_at| done_at <= ctx.now) {
+            self.forwarding = None;
+            self.input.collect();
+        }
     }
 
     fn reset(&mut self) {
+        self.soft_reset();
         for c in &self.per_port_packets {
             c.clear();
         }
@@ -133,10 +158,25 @@ impl Module for StatsStage {
         self.total_bytes.clear();
     }
 
+    /// Of a burst passing through, the beats not yet passed are back on
+    /// the input; counters survive.
+    fn soft_reset(&mut self) {
+        self.input.settle(&mut self.forwarding);
+        self.output.settle(&mut None);
+    }
+
     /// Idle when there is nothing to pass through, stalled when there is
-    /// nowhere to pass it: no word moves and no counter is touched.
+    /// nowhere to pass it and no pop scheduled: no word moves and no
+    /// counter is touched.
     fn is_quiescent(&self) -> bool {
-        !self.input.can_pop() || !self.output.can_push()
+        self.forwarding.is_none() && (!self.input.can_pop() || self.output.ready_at().is_none())
+    }
+
+    /// The burst passing through is let go when its last beat has passed;
+    /// a stalled pass-through resumes when a scheduled pop frees a slot.
+    fn next_activity(&self) -> Option<Time> {
+        self.forwarding
+            .or_else(|| self.output.ready_at().filter(|&t| t > Time::ZERO))
     }
 
     /// External activity channels: pushes into the input, pops from the

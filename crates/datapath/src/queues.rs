@@ -7,12 +7,20 @@
 //! one word per cycle. Multicast masks copy the packet into each listed
 //! port. A [`Scheduler`] picks the class to serve whenever a port goes
 //! idle; the classifier maps (packet, meta) to a class index.
+//!
+//! Ingress and every egress port move one word per cycle through the
+//! stream's paced operations: between paced neighbours on the same clock a
+//! packet is claimed whole and fanned out on the edge its last word is
+//! popped, and leaves a port as one beat-timed burst — a tick per event,
+//! every instant where the per-word exchange puts it. `with_burst(true)`
+//! is the other, collapsed pacing.
 
 use crate::sched::{QueueView, Scheduler};
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
+use netfpga_core::time::Time;
 use netfpga_mem::ByteFifo;
 
 /// Classifies a packet into a class-queue index.
@@ -64,8 +72,12 @@ struct QueueCounters {
 struct PortState {
     queues: Vec<ByteFifo<(PktBuf, Meta)>>,
     scheduler: Box<dyn Scheduler>,
-    /// The beats of the packet being emitted that are still to go.
+    /// The beats of the packet being emitted that are still to be
+    /// committed.
     emitting: Option<Burst>,
+    /// The edge after the last committed beat: no word is pushed, and no
+    /// packet dequeued, before it (word pacing only).
+    free_at: Time,
     /// Scratch buffer for scheduler views, reused across ticks so the
     /// egress path allocates nothing in steady state.
     views: Vec<QueueView>,
@@ -82,6 +94,9 @@ pub struct OutputQueues {
     outputs: Vec<StreamTx>,
     ports: Vec<PortState>,
     classifier: Classifier,
+    /// The edge that pops the last word claimed from the input, until then
+    /// (word pacing only).
+    claimed: Option<Time>,
     reasm: Reassembler,
     stats: QueueCounters,
     /// Burst fast path: move every available word per tick instead of one.
@@ -104,11 +119,6 @@ impl OutputQueues {
     ) -> OutputQueues {
         assert!(!outputs.is_empty(), "need at least one output port");
         assert!(config.classes > 0);
-        let wake = WakeHandle::new();
-        input.set_wake(wake.clone());
-        for tx in &outputs {
-            tx.set_wake(wake.clone());
-        }
         let ports = (0..outputs.len())
             .map(|_| PortState {
                 queues: (0..config.classes)
@@ -116,21 +126,24 @@ impl OutputQueues {
                     .collect(),
                 scheduler: make_scheduler(),
                 emitting: None,
+                free_at: Time::ZERO,
                 views: Vec::with_capacity(config.classes),
                 depths: (0..config.classes).map(|_| Counter::new()).collect(),
             })
             .collect();
-        OutputQueues {
+        let oq = OutputQueues {
             name: name.to_string(),
             input,
             outputs,
             ports,
             classifier: config.classifier,
+            claimed: None,
             reasm: Reassembler::new(),
             stats: QueueCounters::default(),
             burst: false,
-            wake,
-        }
+            wake: WakeHandle::new(),
+        };
+        oq.with_burst(false)
     }
 
     /// Enable the burst fast path: each tick ingests every buffered input
@@ -140,6 +153,10 @@ impl OutputQueues {
     /// it when throughput matters more than per-cycle timing fidelity.
     pub fn with_burst(mut self, enabled: bool) -> OutputQueues {
         self.burst = enabled;
+        self.input.pace(self.wake.clone(), !enabled);
+        for tx in &self.outputs {
+            tx.pace(self.wake.clone(), !enabled);
+        }
         self
     }
 
@@ -266,35 +283,47 @@ impl Module for OutputQueues {
         &self.name
     }
 
-    fn tick(&mut self, _ctx: &TickContext) {
-        let max = if self.burst { usize::MAX } else { 1 };
-        // Ingest one word per cycle (every buffered word in burst mode);
-        // on packet completion, fan out.
-        while let Some(beats) = self.input.pop_burst(max) {
+    fn tick(&mut self, ctx: &TickContext) {
+        if self.burst {
+            // Ingest every buffered word, fanning out completed packets,
+            // then drain packets on each port until its egress stream fills.
+            while let Some(beats) = self.input.pop_burst(usize::MAX) {
+                if let Some((packet, meta)) = self.reasm.push_burst(beats) {
+                    self.deliver(packet, meta);
+                }
+            }
+            for i in 0..self.ports.len() {
+                while self.ports[i].emitting.is_some() || self.refill_emitting(i) {
+                    self.outputs[i].push_burst(&mut self.ports[i].emitting, usize::MAX);
+                    if self.ports[i].emitting.is_some() {
+                        break; // downstream full: resume when it is popped
+                    }
+                }
+            }
+            return;
+        }
+        // Ingest one word per cycle: claim the head burst's words from this
+        // edge on, and fan the packet out when the last of them is popped.
+        if let Some(beats) = self.input.pop_paced(&mut self.claimed, true, ctx) {
             if let Some((packet, meta)) = self.reasm.push_burst(beats) {
                 self.deliver(packet, meta);
             }
-            if !self.burst {
-                break;
-            }
         }
-
-        // Egress: each port independently emits one word per cycle, or
-        // drains packets until the egress stream fills in burst mode.
+        // Egress: each port independently emits one word per cycle,
+        // committed as far ahead as there is room.
         for i in 0..self.ports.len() {
-            loop {
-                if self.ports[i].emitting.is_none() && !self.refill_emitting(i) {
-                    break;
-                }
-                self.outputs[i].push_burst(&mut self.ports[i].emitting, max);
-                if !self.burst || self.ports[i].emitting.is_some() {
-                    break; // one word per cycle, or downstream full: resume next tick
+            if ctx.now >= self.ports[i].free_at
+                && (self.ports[i].emitting.is_some() || self.refill_emitting(i))
+            {
+                if let Some(free_at) = self.outputs[i].commit(&mut self.ports[i].emitting, ctx) {
+                    self.ports[i].free_at = free_at;
                 }
             }
         }
     }
 
     fn reset(&mut self) {
+        self.soft_reset();
         self.reasm = Reassembler::new();
         self.stats.enqueued.clear();
         self.stats.dequeued.clear();
@@ -313,36 +342,72 @@ impl Module for OutputQueues {
 
     /// Watchdog recovery: discard a partially reassembled arrival (its
     /// tail was flushed upstream, counted as a drop) and any egress frame
-    /// already cut short mid-emission (the MAC downstream resyncs). Queued
-    /// complete packets, counters and scheduler configuration survive —
-    /// that is the difference from [`Module::reset`].
+    /// already cut short mid-emission (the MAC downstream resyncs). Every
+    /// charge is settled first: claimed words popped so far are part of
+    /// the arrival, the rest are back in the input; committed words not yet
+    /// pushed never leave. Queued complete packets, counters and scheduler
+    /// configuration survive — that is the difference from
+    /// [`Module::reset`].
     fn soft_reset(&mut self) {
+        if let Some(popped) = self.input.settle(&mut self.claimed) {
+            self.reasm.push_burst(popped);
+        }
         if self.reasm.resync() {
             self.stats.dropped.incr();
         }
-        for p in &mut self.ports {
+        for (p, out) in self.ports.iter_mut().zip(&self.outputs) {
+            out.settle(&mut p.emitting);
+            p.free_at = Time::ZERO;
             if p.emitting.as_ref().is_some_and(|b| !b.sop) {
                 p.emitting = None;
             }
         }
     }
 
-    /// Idle or stalled, port by port, with nothing to ingest and every
-    /// scheduler event-driven: a port is idle when nothing is staged or
-    /// queued, and stalled when its staged words face a full egress stream
-    /// (the emit path then moves nothing, in either pacing mode). A port
-    /// with a queued packet but nothing staged stays active — staging it
-    /// moves the dequeue counter and the depth gauge.
+    /// Idle or stalled, port by port, with nothing claimed or to claim and
+    /// every scheduler event-driven: a port is idle when nothing is staged
+    /// or queued, and stalled when its staged words face a full egress
+    /// stream with no pop scheduled (the emit path then moves nothing, in
+    /// either pacing mode).
     fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
+        self.claimed.is_none()
+            && !self.input.can_pop()
             && self.ports.iter().zip(&self.outputs).all(|(p, out)| {
                 p.scheduler.event_driven()
                     && if p.emitting.is_none() {
                         p.queues.iter().all(|q| q.is_empty())
                     } else {
-                        !out.can_push()
+                        out.ready_at().is_none()
                     }
             })
+    }
+
+    /// The earliest edge at which a tick does something: the last claimed
+    /// word is popped, or a port's committed words are out and it has a
+    /// packet to dequeue (which moves the dequeue counter and the depth
+    /// gauge) or a scheduled pop frees a slot for its staged words. None of
+    /// it applies while there is a word to claim or a scheduler wants every
+    /// cycle.
+    fn next_activity(&self) -> Option<Time> {
+        // (Collapsed pacing holds no charge: what is not quiescent is active.)
+        if self.burst || (self.claimed.is_none() && self.input.can_pop()) {
+            return None;
+        }
+        let mut next = self.claimed;
+        for (p, out) in self.ports.iter().zip(&self.outputs) {
+            if !p.scheduler.event_driven() {
+                return None;
+            }
+            let port = match &p.emitting {
+                Some(_) => out.ready_at(),
+                None if p.queues.iter().all(|q| q.is_empty()) => None,
+                None => Some(Time::ZERO),
+            };
+            if let Some(t) = port.map(|t| t.max(p.free_at)) {
+                next = Some(next.map_or(t, |n| n.min(t)));
+            }
+        }
+        next.filter(|&t| t > Time::ZERO)
     }
 
     /// External activity channels: pushes into the input, pops from any

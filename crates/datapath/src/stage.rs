@@ -10,6 +10,13 @@
 //! The stage is store-and-forward but pipelined: it keeps absorbing input
 //! words while earlier packets are still being emitted, so a full stream
 //! of back-to-back packets flows at one word per cycle.
+//!
+//! Both sides move one word per cycle through the stream's paced
+//! operations: between paced neighbours on the same clock the stage claims
+//! a whole burst, runs the logic on the edge its last word is popped, and
+//! commits the result as one beat-timed burst on its release cycle — a
+//! tick per event, every instant where the per-word exchange puts it.
+//! `with_burst(true)` is the other, collapsed pacing.
 
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
@@ -82,14 +89,21 @@ pub struct PacketStage<L: PacketLogic> {
     /// Extra pipeline latency in cycles between full receipt and the first
     /// emitted word (models the block's internal pipeline depth).
     latency_cycles: u64,
+    /// The edge that pops the last word claimed from the input, until then
+    /// (word pacing only).
+    claimed: Option<Time>,
     reasm: Reassembler,
     /// Processed packets awaiting emission: (release_cycle, release_time,
     /// beats). The absolute release instant mirrors the release cycle
     /// (`ingest_now + latency * period`) so [`Module::next_activity`] can
     /// report how long the stage is provably inert.
     ready: VecDeque<(u64, Time, Burst)>,
-    /// The beats of the packet being emitted that are still to go.
+    /// The beats of the packet being emitted that are still to be
+    /// committed.
     emitting: Option<Burst>,
+    /// The edge after the last committed beat: no word is pushed, and no
+    /// packet staged, before it (word pacing only).
+    free_at: Time,
     /// Cap on buffered processed packets before input stalls.
     max_ready: usize,
     stats: StageCounters,
@@ -109,23 +123,23 @@ impl<L: PacketLogic> PacketStage<L> {
         latency_cycles: u64,
         logic: L,
     ) -> PacketStage<L> {
-        let wake = WakeHandle::new();
-        input.set_wake(wake.clone());
-        output.set_wake(wake.clone());
-        PacketStage {
+        let stage = PacketStage {
             name: name.to_string(),
             input,
             output,
             logic,
             latency_cycles,
+            claimed: None,
             reasm: Reassembler::new(),
             ready: VecDeque::new(),
             emitting: None,
+            free_at: Time::ZERO,
             max_ready: 4,
             stats: StageCounters::default(),
             burst: false,
-            wake,
-        }
+            wake: WakeHandle::new(),
+        };
+        stage.with_burst(false)
     }
 
     /// Enable the burst fast path: each tick ingests every buffered input
@@ -135,7 +149,41 @@ impl<L: PacketLogic> PacketStage<L> {
     /// pacing is collapsed.
     pub fn with_burst(mut self, enabled: bool) -> PacketStage<L> {
         self.burst = enabled;
+        self.input.pace(self.wake.clone(), !enabled);
+        self.output.pace(self.wake.clone(), !enabled);
         self
+    }
+
+    /// Words from the input: on the one that completes a packet, run the
+    /// logic and queue the result for its release cycle.
+    fn ingest(&mut self, beats: Burst, ctx: &TickContext) {
+        let Some((mut packet, mut meta)) = self.reasm.push_burst(beats) else {
+            return;
+        };
+        self.stats.in_packets.incr();
+        match self.logic.process(&mut packet, &mut meta, ctx.now) {
+            StageAction::Forward => {
+                assert!(!packet.is_empty(), "logic emptied packet");
+                meta.len = packet.len() as u16;
+                let beats = segment_buf(&packet, self.output.width(), meta);
+                let release_at = ctx.now + Time::from_ps(self.latency_cycles * ctx.period.as_ps());
+                self.ready
+                    .push_back((ctx.cycle + self.latency_cycles, release_at, beats));
+                self.stats.forwarded.incr();
+            }
+            StageAction::Drop => {
+                self.stats.dropped.incr();
+            }
+        }
+    }
+
+    /// Stage the head of `ready` for emission if its release cycle has
+    /// come. Returns whether anything is staged.
+    fn stage_released(&mut self, cycle: u64) -> bool {
+        if self.emitting.is_none() && self.ready.front().is_some_and(|r| r.0 <= cycle) {
+            self.emitting = self.ready.pop_front().map(|(_, _, beats)| beats);
+        }
+        self.emitting.is_some()
     }
 
     /// Counters so far.
@@ -182,55 +230,40 @@ impl<L: PacketLogic> Module for PacketStage<L> {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        let max = if self.burst { usize::MAX } else { 1 };
-        // Ingest one word per cycle unless too much is buffered; in burst
-        // mode, keep ingesting while words are buffered upstream.
-        while self.ready.len() < self.max_ready {
-            let Some(beats) = self.input.pop_burst(max) else {
-                break;
-            };
-            if let Some((mut packet, mut meta)) = self.reasm.push_burst(beats) {
-                self.stats.in_packets.incr();
-                match self.logic.process(&mut packet, &mut meta, ctx.now) {
-                    StageAction::Forward => {
-                        assert!(!packet.is_empty(), "logic emptied packet");
-                        meta.len = packet.len() as u16;
-                        let beats = segment_buf(&packet, self.output.width(), meta);
-                        let release_at =
-                            ctx.now + Time::from_ps(self.latency_cycles * ctx.period.as_ps());
-                        self.ready
-                            .push_back((ctx.cycle + self.latency_cycles, release_at, beats));
-                        self.stats.forwarded.incr();
-                    }
-                    StageAction::Drop => {
-                        self.stats.dropped.incr();
-                    }
+        if self.burst {
+            // Ingest while words are buffered upstream and not too much is
+            // buffered here, then emit released packets until the output
+            // fills or nothing releasable remains.
+            while self.ready.len() < self.max_ready {
+                let Some(beats) = self.input.pop_burst(usize::MAX) else {
+                    break;
+                };
+                self.ingest(beats, ctx);
+            }
+            while self.stage_released(ctx.cycle) {
+                self.output.push_burst(&mut self.emitting, usize::MAX);
+                if self.emitting.is_some() {
+                    break; // downstream full: resume when it is popped
                 }
             }
-            if !self.burst {
-                break;
-            }
+            return;
         }
-
-        // Emit one word per cycle; in burst mode, emit released packets
-        // until the output fills or nothing releasable remains.
-        loop {
-            if self.emitting.is_none() {
-                match self.ready.front() {
-                    Some(&(release, _, _)) if release <= ctx.cycle => {
-                        self.emitting = self.ready.pop_front().map(|(_, _, beats)| beats);
-                    }
-                    _ => break,
-                }
-            }
-            self.output.push_burst(&mut self.emitting, max);
-            if !self.burst || self.emitting.is_some() {
-                break; // one word per cycle, or downstream full: resume next tick
+        // Ingest one word per cycle unless too much is buffered: claim the
+        // head burst's words from this edge on, act when the last is popped.
+        let willing = self.ready.len() < self.max_ready;
+        if let Some(beats) = self.input.pop_paced(&mut self.claimed, willing, ctx) {
+            self.ingest(beats, ctx);
+        }
+        // Emit one word per cycle, committed as far ahead as there is room.
+        if ctx.now >= self.free_at && self.stage_released(ctx.cycle) {
+            if let Some(free_at) = self.output.commit(&mut self.emitting, ctx) {
+                self.free_at = free_at;
             }
         }
     }
 
     fn reset(&mut self) {
+        self.soft_reset();
         self.reasm = Reassembler::new();
         self.ready.clear();
         self.emitting = None;
@@ -242,10 +275,17 @@ impl<L: PacketLogic> Module for PacketStage<L> {
 
     /// Watchdog recovery: discard a partially reassembled arrival (its
     /// tail was flushed upstream, counted as a drop) and a frame already
-    /// cut short mid-emission (downstream resyncs). Processed packets
-    /// waiting out the pipeline latency, counters and the stage logic's
-    /// learned state all survive.
+    /// cut short mid-emission (downstream resyncs). Both charges are
+    /// settled first: claimed words popped so far are part of the arrival,
+    /// the rest are back in the input; committed words not yet pushed never
+    /// leave. Processed packets waiting out the pipeline latency, counters
+    /// and the stage logic's learned state all survive.
     fn soft_reset(&mut self) {
+        if let Some(popped) = self.input.settle(&mut self.claimed) {
+            self.reasm.push_burst(popped);
+        }
+        self.output.settle(&mut self.emitting);
+        self.free_at = Time::ZERO;
         if self.reasm.resync() {
             self.stats.dropped.incr();
         }
@@ -256,27 +296,37 @@ impl<L: PacketLogic> Module for PacketStage<L> {
 
     /// Idle when there is nothing to ingest and nothing staged or waiting;
     /// stalled when ingest is blocked and the staged packet faces a full
-    /// output (packets in `ready` cannot be staged behind it, so their
-    /// release cycles do not matter). With nothing staged, packets in
-    /// `ready` wait on a release *cycle* — time-dependent work, reported by
-    /// [`Module::next_activity`] instead.
+    /// output with no pop scheduled (packets in `ready` cannot be staged
+    /// behind it, so their release cycles do not matter). Everything else
+    /// waits on an instant — see [`Module::next_activity`].
     fn is_quiescent(&self) -> bool {
-        self.ingest_blocked()
+        self.claimed.is_none()
+            && self.ingest_blocked()
             && if self.emitting.is_none() {
                 self.ready.is_empty()
             } else {
-                !self.output.can_push()
+                self.output.ready_at().is_none()
             }
     }
 
-    /// With ingest blocked and nothing staged but packets waiting out the
-    /// pipeline latency, the tick is a no-op until the earliest release
-    /// instant — exactly the release cycle the emit path gates on.
+    /// The earliest edge at which a tick does something: the last claimed
+    /// word is popped; committed words are out and the next packet's
+    /// release cycle has come, or a scheduled pop frees a slot for the
+    /// staged one. None of it applies while there is a word to claim.
     fn next_activity(&self) -> Option<Time> {
-        if !self.ingest_blocked() || self.emitting.is_some() {
+        if self.claimed.is_none() && !self.ingest_blocked() {
             return None;
         }
-        self.ready.front().map(|&(_, release_at, _)| release_at)
+        let emit = match &self.emitting {
+            Some(_) => self.output.ready_at(),
+            None => self.ready.front().map(|&(_, release_at, _)| release_at),
+        }
+        .map(|t| t.max(self.free_at));
+        match (self.claimed, emit) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+        .filter(|&t| t > Time::ZERO)
     }
 
     /// External activity channels: pushes into the input, pops from the

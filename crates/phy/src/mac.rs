@@ -10,6 +10,14 @@
 //! handed over by the datapath. With the reference bus widths the datapath
 //! is faster than the line, so this never limits throughput; it adds the
 //! usual one-frame assembly latency that hardware MAC+FIFO stages also add.
+//!
+//! Towards the datapath both MACs move one word per cycle, through the
+//! stream's paced operations: next to a paced module on the same clock a
+//! frame crosses as one beat-timed burst ([`EthMacRx`] commits it when it
+//! has arrived, [`EthMacTx`] claims it and acts on the edge its last word is
+//! popped), so a MAC ticks per frame, not per word, with every instant
+//! where the per-word exchange puts it. `with_burst(true)` is the other,
+//! collapsed pacing: whole frames per tick, no cycle-level timing.
 
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
@@ -240,9 +248,15 @@ pub const TX_FIFO_BYTES: u64 = 2 * 1538;
 pub struct EthMacTx {
     name: String,
     rate: BitRate,
+    /// Wire time of the inter-frame gap and of [`TX_FIFO_BYTES`] at `rate`.
+    ifg: Time,
+    backlog_limit: Time,
     input: StreamRx,
     wire: Wire,
     reasm: Reassembler,
+    /// The edge that pops the last word claimed from the datapath, until
+    /// then (word pacing only).
+    claimed: Option<Time>,
     /// Completion time of the most recent frame's wire occupancy (including
     /// IFG); the next frame cannot finish before this plus its own time.
     line_busy_until: Time,
@@ -263,14 +277,17 @@ impl EthMacTx {
     ) -> (EthMacTx, SharedMacStats) {
         let stats = SharedMacStats::default();
         let wake = WakeHandle::new();
-        input.set_wake(wake.clone());
+        input.pace(wake.clone(), true);
         (
             EthMacTx {
                 name: name.to_string(),
                 rate,
+                ifg: rate.time_for_bytes(IFG_BYTES),
+                backlog_limit: rate.time_for_bytes(TX_FIFO_BYTES),
                 input,
                 wire,
                 reasm: Reassembler::new(),
+                claimed: None,
                 line_busy_until: Time::ZERO,
                 stats: stats.clone(),
                 burst: false,
@@ -292,7 +309,39 @@ impl EthMacTx {
     /// frame's start may shift earlier by a few datapath cycles.
     pub fn with_burst(mut self, enabled: bool) -> EthMacTx {
         self.burst = enabled;
+        self.input.pace(self.wake.clone(), !enabled);
         self
+    }
+
+    /// Words from the datapath: on the one that completes a frame, schedule
+    /// the frame on the wire behind whatever the line is still busy with.
+    fn ingest(&mut self, beats: Burst, now: Time) {
+        let Some((data, _meta)) = self.reasm.push_burst(beats) else {
+            return;
+        };
+        let len = data.len() as u64;
+        let occupancy = self.rate.time_for_bytes(wire_bytes(len));
+        let start = self.line_busy_until.max(now);
+        let busy_until = start + occupancy;
+        // The frame's bits (minus trailing IFG) have arrived when the FCS
+        // lands; IFG only gates the *next* frame.
+        let ready_at = busy_until.saturating_sub(self.ifg);
+        // The FCS rides along for downstream verification without being
+        // computed (see [`Fcs::Intact`]); its four bytes stay accounted as
+        // wire time only, so pacing and line-rate math are untouched.
+        self.wire.push(WireFrame::stamped(data, ready_at));
+        self.line_busy_until = busy_until;
+        let mut s = self.stats.0.borrow_mut();
+        s.frames += 1;
+        s.bytes += len;
+        s.wire_bytes += wire_bytes(len);
+    }
+
+    /// Back-pressure: new frames are refused while more than
+    /// [`TX_FIFO_BYTES`] of wire time is already committed. Mid-frame
+    /// words always flow (a started frame must finish).
+    fn gate_closed(&self, now: Time) -> bool {
+        !self.reasm.mid_packet() && self.line_busy_until > now + self.backlog_limit
     }
 }
 
@@ -302,79 +351,63 @@ impl Module for EthMacTx {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        let max = if self.burst { usize::MAX } else { 1 };
-        loop {
-            // Back-pressure: refuse new frames while more than
-            // TX_FIFO_BYTES of wire time is already committed. Mid-frame
-            // words always flow (a started frame must finish).
-            if !self.reasm.mid_packet() {
-                let backlog_limit = self.rate.time_for_bytes(TX_FIFO_BYTES);
-                if self.line_busy_until > ctx.now + backlog_limit {
+        if self.burst {
+            // Every queued burst at once — none spans two frames, so the
+            // backlog is re-checked at every frame boundary.
+            while !self.gate_closed(ctx.now) {
+                let Some(beats) = self.input.pop_burst(usize::MAX) else {
                     return;
-                }
+                };
+                self.ingest(beats, ctx.now);
             }
-            // One word per cycle from the datapath (all of them in burst
-            // mode, a queued burst at a time — none spans two frames, so
-            // the backlog is re-checked at every frame boundary).
-            let Some(beats) = self.input.pop_burst(max) else {
-                return;
-            };
-            if let Some((data, _meta)) = self.reasm.push_burst(beats) {
-                let len = data.len() as u64;
-                let occupancy = self.rate.time_for_bytes(wire_bytes(len));
-                let start = self.line_busy_until.max(ctx.now);
-                let busy_until = start + occupancy;
-                // The frame's bits (minus trailing IFG) have arrived when
-                // the FCS lands; IFG only gates the *next* frame.
-                let ifg = self.rate.time_for_bytes(IFG_BYTES);
-                let ready_at = busy_until.saturating_sub(ifg);
-                // The FCS rides along for downstream verification without
-                // being computed (see [`Fcs::Intact`]); its four bytes stay
-                // accounted as wire time only, so pacing and line-rate
-                // math are untouched.
-                self.wire.push(WireFrame::stamped(data, ready_at));
-                self.line_busy_until = busy_until;
-                let mut s = self.stats.0.borrow_mut();
-                s.frames += 1;
-                s.bytes += len;
-                s.wire_bytes += wire_bytes(len);
-            }
-            if !self.burst {
-                return;
-            }
+            return;
+        }
+        // One word per cycle: claim the head burst's words from this edge
+        // on, and act when the last of them is popped.
+        let willing = self.claimed.is_none() && !self.gate_closed(ctx.now);
+        if let Some(beats) = self.input.pop_paced(&mut self.claimed, willing, ctx) {
+            self.ingest(beats, ctx.now);
         }
     }
 
     fn reset(&mut self) {
+        self.soft_reset();
         self.reasm = Reassembler::new();
-        self.line_busy_until = Time::ZERO;
         *self.stats.0.borrow_mut() = MacStats::default();
     }
 
     /// Watchdog recovery: discard a partially reassembled frame (its tail
-    /// was flushed upstream) and restart the wire pacing mark. Statistics
-    /// and configuration survive.
+    /// was flushed upstream) — the words of a claim popped so far included,
+    /// the rest are back in the stream — and restart the wire pacing mark.
+    /// Statistics and configuration survive.
     fn soft_reset(&mut self) {
+        if let Some(popped) = self.input.settle(&mut self.claimed) {
+            self.reasm.push_burst(popped);
+        }
         self.reasm.resync();
         self.line_busy_until = Time::ZERO;
     }
 
-    /// Idle when the datapath has no word for us: the backlog gate and wire
-    /// schedule only change when a word is consumed.
+    /// Idle when nothing is claimed and the datapath has no word for us:
+    /// the backlog gate and wire schedule only change when a word is
+    /// consumed.
     fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
+        self.claimed.is_none() && !self.input.can_pop()
     }
 
-    /// With words waiting but the backlog gate closed, the tick is a no-op
+    /// Claimed words are acted on when the last of them is popped. With
+    /// words waiting but the backlog gate closed, the tick is a no-op
     /// until the committed wire time drains below the FIFO budget — a known
     /// instant, since `line_busy_until` only moves when a frame is accepted.
     /// Mid-frame words always flow, so no bound exists then.
     fn next_activity(&self) -> Option<Time> {
+        if self.claimed.is_some() {
+            return self.claimed;
+        }
         if self.reasm.mid_packet() {
             return None;
         }
-        let backlog_limit = self.rate.time_for_bytes(TX_FIFO_BYTES);
-        Some(self.line_busy_until.saturating_sub(backlog_limit))
+        Some(self.line_busy_until.saturating_sub(self.backlog_limit))
     }
 
     /// Only the input stream can change this MAC's activity from outside:
@@ -390,8 +423,12 @@ pub struct EthMacRx {
     wire: Wire,
     output: StreamTx,
     src_port: u8,
-    /// The beats of the frame being delivered that are still to go.
+    /// The beats of the frame being delivered that are still to be
+    /// committed.
     pending: Option<Burst>,
+    /// The edge after the last committed beat: no word is pushed, and no
+    /// frame fetched, before it (word pacing only).
+    free_at: Time,
     stats: SharedMacStats,
     /// Burst fast path: deliver every arrived frame per tick instead of
     /// one word per cycle.
@@ -413,7 +450,7 @@ impl EthMacRx {
         let stats = SharedMacStats::default();
         let wake = WakeHandle::new();
         wire.set_wake(wake.clone());
-        output.set_wake(wake.clone());
+        output.pace(wake.clone(), true);
         (
             EthMacRx {
                 name: name.to_string(),
@@ -421,6 +458,7 @@ impl EthMacRx {
                 output,
                 src_port,
                 pending: None,
+                free_at: Time::ZERO,
                 stats: stats.clone(),
                 burst: false,
                 wake,
@@ -435,6 +473,7 @@ impl EthMacRx {
     /// wire arrival) are unchanged.
     pub fn with_burst(mut self, enabled: bool) -> EthMacRx {
         self.burst = enabled;
+        self.output.pace(self.wake.clone(), !enabled);
         self
     }
 }
@@ -445,7 +484,9 @@ impl Module for EthMacRx {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        let max = if self.burst { usize::MAX } else { 1 };
+        if ctx.now < self.free_at {
+            return; // committed words are still going out
+        }
         loop {
             // Fetch the next fully-arrived frame once the previous is
             // delivered.
@@ -482,23 +523,36 @@ impl Module for EthMacRx {
                 s.wire_bytes += wire_bytes(frame.data.len() as u64);
                 self.pending = Some(segment_buf(&frame.data, self.output.width(), meta));
             }
-            self.output.push_burst(&mut self.pending, max);
-            if !self.burst || self.pending.is_some() {
-                break; // one word per cycle, or datapath full: resume next tick
+            if self.burst {
+                self.output.push_burst(&mut self.pending, usize::MAX);
+                if self.pending.is_some() {
+                    break; // datapath full: resume when it is popped
+                }
+            } else {
+                // One word per cycle, committed as far ahead as there is
+                // room for.
+                if let Some(free_at) = self.output.commit(&mut self.pending, ctx) {
+                    self.free_at = free_at;
+                }
+                break;
             }
         }
     }
 
     fn reset(&mut self) {
+        self.soft_reset();
         self.pending = None;
         *self.stats.0.borrow_mut() = MacStats::default();
     }
 
     /// Watchdog recovery: a frame whose leading words already entered the
-    /// datapath is truncated (the stage downstream resyncs); an untouched
-    /// staged frame — its `sop` still at the front — survives intact.
-    /// Frames still arriving on the wire are untouched.
+    /// datapath is truncated (the stage downstream resyncs) — words
+    /// committed but not yet pushed never arrive; an untouched staged
+    /// frame — its `sop` still at the front — survives intact. Frames
+    /// still arriving on the wire are untouched.
     fn soft_reset(&mut self) {
+        self.output.settle(&mut self.pending);
+        self.free_at = Time::ZERO;
         if self.pending.as_ref().is_some_and(|b| !b.sop) {
             self.pending = None;
         }
@@ -507,25 +561,27 @@ impl Module for EthMacRx {
     /// Idle when no words are staged *and* the wire is completely empty
     /// (an in-flight frame with a future `ready_at` is scheduled,
     /// time-dependent work, so it blocks quiescence); stalled when staged
-    /// words face a full datapath stream — frames keep queueing on the
-    /// wire meanwhile, but none is fetched until the staged one drains.
+    /// words face a full datapath stream with no pop scheduled — frames
+    /// keep queueing on the wire meanwhile, but none is fetched until the
+    /// staged one drains.
     fn is_quiescent(&self) -> bool {
         if self.pending.is_none() {
             self.wire.is_empty()
         } else {
-            !self.output.can_push()
+            self.output.ready_at().is_none()
         }
     }
 
-    /// With no words staged, the tick is a no-op until the head frame on
-    /// the FIFO wire finishes arriving. Staged words facing free space must
-    /// drain one cycle at a time, so no bound exists then.
+    /// The tick is a no-op while committed words are still going out;
+    /// then, with no words staged, until the head frame on the FIFO wire
+    /// finishes arriving, and with words staged, until a scheduled pop
+    /// frees a slot for the next.
     fn next_activity(&self) -> Option<Time> {
-        if self.pending.is_none() {
-            self.wire.head_ready_at()
-        } else {
-            None
-        }
+        let next = match &self.pending {
+            None => self.wire.head_ready_at()?,
+            Some(_) => self.output.ready_at()?,
+        };
+        Some(self.free_at.max(next)).filter(|&t| t > Time::ZERO)
     }
 
     /// External activity channels: frames landing on the wire and datapath

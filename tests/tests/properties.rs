@@ -1104,3 +1104,57 @@ proptest! {
         }
     }
 }
+
+/// The stall rigs in word mode at fixed seeds, against the signatures in
+/// `fixtures/word_mode.golden`: how the word-level pipeline is executed may
+/// change, what it delivers and when may not.
+#[test]
+fn stall_rigs_reproduce_their_word_mode_goldens() {
+    use netfpga_core::sim::SchedulerMode;
+    use netfpga_integration::golden::{check, Sig, WORD_MODE};
+    let mut actual = Vec::new();
+    for (name, scenario) in [
+        ("flood", StallScenario::Flood),
+        ("incast", StallScenario::Incast),
+        ("nic_to_host", StallScenario::NicToHost),
+        ("tapped_flood", StallScenario::TappedFlood),
+    ] {
+        for depth in [2, 8, 64] {
+            let mut rng = netfpga_core::SimRng::new(0x5741_4c4c ^ depth as u64);
+            let frames: Vec<(usize, usize)> = (0..70)
+                .map(|_| {
+                    let port = rng.below(4) as usize;
+                    let port = if scenario == StallScenario::Incast {
+                        port % 3
+                    } else {
+                        port
+                    };
+                    (port, rng.range(60, 700) as usize)
+                })
+                .collect();
+            let (seen, _) = run_stall_rig(
+                scenario,
+                &frames,
+                depth,
+                false,
+                false,
+                false,
+                SchedulerMode::Calendar,
+                true,
+            );
+            let mut sig = Sig::new();
+            for (port, bytes, at) in &seen.wire {
+                sig.u64(*port as u64).bytes(bytes).time(*at);
+            }
+            for packet in &seen.host {
+                sig.bytes(packet);
+            }
+            sig.registry(&seen.registry)
+                .time(seen.now)
+                .u64(seen.cycles.0)
+                .u64(seen.cycles.1);
+            actual.push((format!("stall.{name}.depth{depth}"), sig.finish()));
+        }
+    }
+    check(WORD_MODE, &actual);
+}
