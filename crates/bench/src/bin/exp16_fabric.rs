@@ -18,6 +18,12 @@
 //!   `cores` column) but not asserted; the JSON validator applies the
 //!   same gate.
 //!
+//! `work_ms` lists each shard's wall time inside its nodes (the largest
+//! is the shard the others waited for) and `stall_share` is the part of
+//! shards × wall spent inside the barrier; `merge_hw` is one value in
+//! every row because frames are deposited at the barrier of the epoch
+//! that sent them, whatever the layout. All three are observability.
+//!
 //! Emits the standard table + `@json` rows and writes
 //! `BENCH_fabric.json`. Pass `--quick` for the CI smoke: smaller
 //! workload, same equivalence bars.
@@ -80,7 +86,9 @@ fn main() {
             "crossed",
             "blocked",
             "merge_hw",
+            "work_ms",
             "stall_ms",
+            "stall_share",
             "wall_ms",
             "frames_per_sec",
             "speedup",
@@ -100,6 +108,12 @@ fn main() {
             .iter()
             .map(std::time::Duration::as_secs_f64)
             .sum();
+        let work: Vec<String> = report
+            .stats
+            .shard_work
+            .iter()
+            .map(|w| format!("{:.1}", w.as_secs_f64() * 1e3))
+            .collect();
         let speedup = wall1 / wall;
         if SHARDS[i] == 4 {
             sp4 = speedup;
@@ -112,7 +126,9 @@ fn main() {
             report.stats.crossed.to_string(),
             report.stats.blocked.to_string(),
             report.stats.merge_high_water.to_string(),
+            work.join("/"),
             format!("{:.1}", stall * 1e3),
+            format!("{:.2}", stall / (SHARDS[i] as f64 * wall)),
             format!("{:.1}", wall * 1e3),
             format!("{:.0}", delivered as f64 / wall),
             format!("{speedup:.2}"),
@@ -141,7 +157,12 @@ fn main() {
         }
         assert_eq!(
             report.stats.blocked, 0,
-            "shards={}: undersized link channels",
+            "shards={}: an outbox has no capacity to block on",
+            SHARDS[i]
+        );
+        assert_eq!(
+            report.stats.merge_high_water, bests[0].stats.merge_high_water,
+            "shards={}: deposit instants depend on the shard layout",
             SHARDS[i]
         );
     }

@@ -3,27 +3,29 @@
 //! live on different threads.
 //!
 //! The egress lives in the *source* chassis's simulator and behaves like
-//! a [`Link`](netfpga_phy::Link) whose far end is a bounded channel: it
-//! drains the port's output wire, stamps the link delay onto each
+//! a [`Link`](netfpga_phy::Link) whose far end is the link's [`Outbox`]:
+//! it drains the port's output wire, stamps the link delay onto each
 //! frame's arrival instant, detaches the payload from the thread-local
-//! packet-buffer pool ([`PktBuf::into_owned`]) and ships it. The ingress
-//! lives in the *destination* chassis's simulator; the shard runner
-//! deposits drained frames into its merge queue at epoch barriers, and
-//! its next tick re-wraps each payload in the destination pool and
-//! pushes it onto the destination port's input wire — still carrying the
-//! original `ready_at`, so the receiving MAC observes exactly the wire
-//! timing a local [`Link`](netfpga_phy::Link) would have produced.
+//! packet-buffer pool ([`PktBuf::into_owned`]) and appends it — a plain
+//! shard-local `Vec`, no atomics, no capacity. The shard runner hands
+//! the whole outbox over at the epoch barrier and deposits it into the
+//! merge queue of the ingress, which lives in the *destination*
+//! chassis's simulator; the ingress's next tick re-wraps each payload in
+//! the destination pool and pushes it onto the destination port's input
+//! wire — still carrying the original `ready_at`, so the receiving MAC
+//! observes exactly the wire timing a local
+//! [`Link`](netfpga_phy::Link) would have produced.
 //!
 //! # Merge order
 //!
-//! The merge queue is a min-heap over `(ready_at, src_node, seq)`. Which
-//! barrier a frame is deposited at is a race (a fast shard may catch a
-//! neighbour's next-epoch frames early); the heap makes the *processing*
-//! order independent of that race, and delivery is gated on `ready_at`
-//! (wires release frames by arrival time), so deposit timing is
-//! unobservable to the simulation. Per-link order needs no tie-breaking
-//! beyond `seq`: wires are FIFO and the delay is constant, so `seq`
-//! order is `ready_at` order.
+//! The merge queue is a min-heap over `(ready_at, src_node, seq)`. A
+//! frame sent in epoch *k* is deposited after barrier *k*, whatever the
+//! shard layout, but the order in which one barrier's deposits arrive
+//! follows link order, not time; the heap makes the *processing* order
+//! a function of the frames alone, and delivery is gated on `ready_at`
+//! (wires release frames by arrival time). Per-link order needs no
+//! tie-breaking beyond `seq`: wires are FIFO and the delay is constant,
+//! so `seq` order is `ready_at` order.
 
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Module, TickContext, WakeHandle};
@@ -35,7 +37,6 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::sync::mpsc::{SyncSender, TrySendError};
 
 /// A frame in flight between shards. Owns its bytes outright — no `Rc`,
 /// no pool — so it is `Send` and pool counters stay per-thread coherent.
@@ -57,49 +58,48 @@ pub struct FabricFrame {
     pub seq: u64,
 }
 
+/// What one link's egress has sent since the runner last collected it.
+/// Shared between the egress module and its shard's loop, both on one
+/// thread; frames appended after the last epoch are never read.
+pub type Outbox = Rc<RefCell<Vec<FabricFrame>>>;
+
 /// The egress half of an inter-shard link: a module on the source
 /// chassis that forwards the port's transmitted frames into the link's
-/// channel, delay-stamped and pool-detached.
+/// outbox, delay-stamped and pool-detached.
 pub struct FabricEgress {
     name: String,
     from: Wire,
-    tx: SyncSender<FabricFrame>,
+    outbox: Outbox,
     delay: Time,
     src_node: usize,
     seq: u64,
     /// Frames shipped across the shard boundary (shared with the node's
     /// `fabric.crossed` telemetry).
     crossed: Counter,
-    /// Channel-full events: the egress fell back to a blocking send.
-    /// Anything above zero means the channel capacity is undersized for
-    /// the per-epoch traffic (shared as `fabric.blocked`).
-    blocked: Counter,
     wake: WakeHandle,
 }
 
 impl FabricEgress {
     /// An egress forwarding `from` (a port's `from_board` wire) into
-    /// `tx` with `delay` lookahead stamped onto each frame.
+    /// `outbox` with `delay` lookahead stamped onto each frame.
     pub fn new(
         name: &str,
         src_node: usize,
         from: Wire,
-        tx: SyncSender<FabricFrame>,
+        outbox: Outbox,
         delay: Time,
         crossed: Counter,
-        blocked: Counter,
     ) -> FabricEgress {
         let wake = WakeHandle::new();
         from.set_wake(wake.clone());
         FabricEgress {
             name: name.to_string(),
             from,
-            tx,
+            outbox,
             delay,
             src_node,
             seq: 0,
             crossed,
-            blocked,
             wake,
         }
     }
@@ -112,31 +112,15 @@ impl Module for FabricEgress {
 
     fn tick(&mut self, ctx: &TickContext) {
         while let Some(frame) = self.from.take_ready(ctx.now) {
-            let out = FabricFrame {
+            self.outbox.borrow_mut().push(FabricFrame {
                 bytes: frame.data.into_owned(),
                 ready_at: frame.ready_at + self.delay,
                 fcs: frame.fcs,
                 src_node: self.src_node,
                 seq: self.seq,
-            };
+            });
             self.seq += 1;
             self.crossed.incr();
-            match self.tx.try_send(out) {
-                Ok(()) => {}
-                Err(TrySendError::Full(out)) => {
-                    // Back-pressure: the peer shard is still mid-epoch.
-                    // Block until it drains at its barrier — correct but
-                    // slow, so it is counted and the capacity should be
-                    // raised when this ever fires.
-                    self.blocked.incr();
-                    self.tx
-                        .send(out)
-                        .expect("fabric ingress dropped its receiver");
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    panic!("fabric ingress dropped its receiver")
-                }
-            }
         }
     }
 
@@ -194,7 +178,8 @@ struct IngressShared {
 }
 
 /// The runner-facing handle of a node's [`FabricIngress`]: the shard
-/// loop deposits drained channel frames here at epoch barriers.
+/// loop deposits the frames of each inbound mailbox here after every
+/// epoch barrier.
 #[derive(Clone)]
 pub struct IngressHandle {
     shared: Rc<RefCell<IngressShared>>,
@@ -299,11 +284,10 @@ mod tests {
     use super::*;
     use netfpga_core::sim::Simulator;
     use netfpga_core::time::Frequency;
-    use std::sync::mpsc::sync_channel;
 
     #[test]
     fn egress_stamps_delay_and_sequences() {
-        let (tx, rx) = sync_channel(16);
+        let outbox = Outbox::default();
         let wire = Wire::new();
         let mut sim = Simulator::new();
         let clk = sim.add_clock("core", Frequency::mhz(200));
@@ -313,9 +297,8 @@ mod tests {
                 "eg",
                 3,
                 wire.clone(),
-                tx,
+                outbox.clone(),
                 Time::from_us(1),
-                Counter::new(),
                 Counter::new(),
             ),
         );
@@ -328,8 +311,8 @@ mod tests {
             Time::from_ns(200),
         ));
         sim.run_for(Time::from_ns(300));
-        let a = rx.try_recv().expect("first frame");
-        let b = rx.try_recv().expect("second frame");
+        let sent = outbox.borrow();
+        let (a, b) = (&sent[0], &sent[1]);
         assert_eq!(a.bytes, vec![1u8; 64]);
         assert_eq!(a.ready_at, Time::from_ns(100) + Time::from_us(1));
         assert_eq!((a.src_node, a.seq), (3, 0));

@@ -22,10 +22,11 @@
 //!   wire, stamps the link delay, detaches the payload from the source
 //!   thread's packet-buffer pool via
 //!   [`PktBuf::into_owned`](netfpga_core::pktbuf::PktBuf::into_owned)
-//!   and ships it through a bounded channel; a [`FabricIngress`] on the
-//!   destination chassis merges arrivals in deterministic
-//!   `(ready_at, src_node, seq)` order and re-wraps the bytes in the
-//!   destination thread's pool.
+//!   and appends it to the link's shard-local [`Outbox`]; the runner
+//!   hands each epoch's outbox over whole at the barrier (see
+//!   [`runner`]); a [`FabricIngress`] on the destination chassis merges
+//!   arrivals in deterministic `(ready_at, src_node, seq)` order and
+//!   re-wraps the bytes in the destination thread's pool.
 //! * **Every** link goes through this machinery, co-located or not — so
 //!   the simulation a node observes is bit-identical whatever the shard
 //!   count, including `nshards = 1`, which *is* the sequentialized
@@ -35,19 +36,21 @@
 //!
 //! Determinism argument, in short: a node's evolution is a function of
 //! its own module set, its up-front stimulus, and the multiset of
-//! fabric frames deposited at each epoch barrier (delivery to the wire
-//! is gated on each frame's `ready_at`, never on *when* the frame was
-//! deposited, and the merge heap fixes the order of same-barrier
-//! deposits). By induction over epochs every node computes the same
-//! thing on any shard layout; threads only change wall-clock time.
+//! fabric frames deposited at each epoch barrier — exactly the frames
+//! its neighbours sent during that epoch, on any shard layout (delivery
+//! to the wire is gated on each frame's `ready_at`, and the merge heap
+//! fixes the order of same-barrier deposits). By induction over epochs
+//! every node computes the same thing, `fabric.*` counters included;
+//! threads only change wall-clock time.
 //! Thread-local buffer pools never leak across the boundary because
 //! payloads hop as plain `Vec<u8>`.
 
+mod barrier;
 pub mod endpoints;
 pub mod runner;
 pub mod topo;
 
-pub use endpoints::{FabricEgress, FabricFrame, FabricIngress, IngressHandle};
+pub use endpoints::{FabricEgress, FabricFrame, FabricIngress, IngressHandle, Outbox};
 pub use runner::{
     run_fabric, FabricConfig, FabricNode, FabricReport, FabricStats, NodeFabricStats,
 };

@@ -139,18 +139,11 @@ impl LeafSpine {
         topo
     }
 
-    /// The longest epoch the lookahead invariant allows for this fabric
-    /// (probes one throwaway chassis for the core clock period).
+    /// The longest epoch the lookahead invariant allows for this fabric:
+    /// every node is a SUME chassis, clocked from the board's core clock.
     pub fn default_epoch(&self) -> Time {
-        let probe = ReferenceSwitch::with_fast_path(
-            &BoardSpec::sume(),
-            1,
-            16,
-            Time::from_ms(1),
-            self.fast_path,
-        );
-        let period = probe.chassis.sim.period(probe.chassis.clk);
-        self.topology().max_safe_epoch(period)
+        self.topology()
+            .max_safe_epoch(BoardSpec::sume().core_clock.period())
     }
 
     /// The port on `node` that reaches `host` (local host port on its own
@@ -384,6 +377,16 @@ mod tests {
     }
 
     #[test]
+    fn default_epoch_uses_the_period_the_nodes_run_at() {
+        let ls = small();
+        let node = ls.build_node(0, 0);
+        assert_eq!(
+            ls.default_epoch(),
+            ls.topology().max_safe_epoch(node.clock_period())
+        );
+    }
+
+    #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
         let ls = small();
         let epoch = ls.default_epoch();
@@ -408,6 +411,27 @@ mod tests {
             assert_eq!(got.results, reference.results, "nshards={nshards}");
             assert_eq!(trace_signature(&got), sig, "nshards={nshards}");
             assert_eq!(got.stats.crossed, reference.stats.crossed);
+        }
+    }
+
+    /// Frames sent in epoch `k` are deposited after barrier `k` on every
+    /// shard layout, so the counters that see the deposit repeat too —
+    /// the kernel's included: an early deposit is an extra ingress tick.
+    #[test]
+    fn deposit_counters_identical_across_shard_counts() {
+        let ls = small();
+        let run = |nshards| {
+            let report = ls.run(nshards, ls.default_epoch(), Time::from_us(60), 5);
+            report
+                .nodes
+                .iter()
+                .map(|n| (n.crossed, n.delivered, n.merge_high_water, n.kernel))
+                .collect::<Vec<_>>()
+        };
+        let reference = run(1);
+        assert!(reference.iter().all(|&(_, _, hw, _)| hw > 0));
+        for nshards in [2, 3, 5] {
+            assert_eq!(run(nshards), reference, "nshards={nshards}");
         }
     }
 
