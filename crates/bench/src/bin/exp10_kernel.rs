@@ -12,7 +12,7 @@
 //!   at least 2× (acceptance bar; in practice far more, since idle
 //!   stretches fast-forward in O(domains)).
 //! * **saturated** — back-to-back line-rate frames: wire-serialisation
-//!   windows are fast-forwarded via `Module::next_activity` time bounds,
+//!   windows are fast-forwarded via `Activity::Bounded` time bounds,
 //!   so the fast path must *win* here too (floor 2× the pre-zero-copy
 //!   fast kernel; tracked via the absolute edges/sec floor below).
 //! * **flood** — unlearned destinations fan every frame out to all other

@@ -340,8 +340,8 @@ fn main() {
     for (mode, skip, label) in [
         (SchedulerMode::Scan, false, "scan"),
         (SchedulerMode::Scan, true, "scan+idle_skip"),
-        (SchedulerMode::Calendar, true, "calendar+idle_skip"),
-        (SchedulerMode::Heap, true, "heap+idle_skip"),
+        (SchedulerMode::Auto, false, "auto"),
+        (SchedulerMode::Auto, true, "auto+idle_skip"),
     ] {
         let (_, sig) = run_workload(&sched, mode, skip);
         assert_eq!(

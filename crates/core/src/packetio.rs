@@ -13,7 +13,7 @@
 //! move a word per tick. Every beat keeps its cycle either way.
 
 use crate::pktbuf::PktBuf;
-use crate::sim::{Module, TickContext, WakeHandle};
+use crate::sim::{Activity, Module, TickContext, WakeHandle};
 use crate::stream::{segment_buf, Burst, Meta, PortMask, Reassembler, StreamRx, StreamTx};
 use crate::time::Time;
 use std::cell::RefCell;
@@ -166,24 +166,16 @@ impl Module for PacketSource {
     }
 
     /// Idle with no queued packet and no beats left to commit; stalled
-    /// with beats left and no slot in sight. With `current` empty and a
-    /// packet queued the tick stamps and stages it, so that stays active.
-    fn is_quiescent(&self) -> bool {
-        if self.current.is_none() {
-            self.queue.pending() == 0
-        } else {
-            self.tx.ready_at().is_none()
-        }
-    }
-
-    /// Nothing happens before the committed beats are out, nor — with
-    /// beats left — before a scheduled pop frees a slot.
-    fn next_activity(&self) -> Option<Time> {
+    /// with beats left and no slot in sight. Otherwise nothing happens
+    /// before the committed beats are out, nor — with beats left — before
+    /// a scheduled pop frees a slot; with `current` empty and a packet
+    /// queued the tick stamps and stages it as soon as the bus is free.
+    fn activity(&self) -> Activity {
         let slot = match &self.current {
-            Some(_) => self.tx.ready_at()?,
-            None => Time::ZERO,
+            Some(_) => self.tx.ready_at(),
+            None => (self.queue.pending() > 0).then_some(Time::ZERO),
         };
-        Some(self.free_at.max(slot)).filter(|&t| t > Time::ZERO)
+        slot.map_or(Activity::Quiescent, |t| Activity::at(self.free_at.max(t)))
     }
 
     /// External activity channels: injections into the queue, pops from
@@ -318,16 +310,15 @@ impl Module for PacketSink {
         }
     }
 
-    /// With nothing claimed and nothing to claim, a tick does nothing
-    /// until upstream pushes (even mid-packet: reassembly only advances on
+    /// Claimed beats are acted on when the last of them is popped. With
+    /// nothing claimed and nothing to claim, a tick does nothing until
+    /// upstream pushes (even mid-packet: reassembly only advances on
     /// popped words).
-    fn is_quiescent(&self) -> bool {
-        self.claimed.is_none() && !self.rx.can_pop()
-    }
-
-    /// Claimed beats are acted on when the last of them is popped.
-    fn next_activity(&self) -> Option<Time> {
-        self.claimed
+    fn activity(&self) -> Activity {
+        match self.claimed {
+            Some(t) => Activity::Bounded(t),
+            None => Activity::idle_if(!self.rx.can_pop()),
+        }
     }
 
     /// Only upstream pushes can un-idle a sink.

@@ -16,9 +16,7 @@
 //! (the simulator is single-threaded, `Rc`-based by design) and returned to
 //! it when the last reference drops. A recycled vector is always cleared
 //! and fully rewritten before reuse, so buffer *contents* never depend on
-//! pool state — seeded runs are bit-identical with the pool on or off
-//! (pinned by `prop_kernel_equivalence`). The pool can be disabled with
-//! [`set_pool_enabled`] to pin exactly that.
+//! pool state.
 //!
 //! # Telemetry
 //!
@@ -39,20 +37,19 @@ const POOL_MIN_CAPACITY: usize = 32;
 #[derive(Debug, Default)]
 struct Pool {
     free: Vec<Vec<u8>>,
-    enabled: bool,
     allocs: u64,
     recycled: u64,
     cow_copies: u64,
 }
 
 thread_local! {
-    static POOL: RefCell<Pool> = RefCell::new(Pool { enabled: true, ..Pool::default() });
+    static POOL: RefCell<Pool> = RefCell::new(Pool::default());
 }
 
 /// Snapshot of the pool counters. See [`pool_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Fresh heap allocations (free list missed or pool disabled).
+    /// Fresh heap allocations (the free list was empty).
     pub allocs: u64,
     /// Buffers served from the free list.
     pub recycled: u64,
@@ -76,25 +73,6 @@ pub fn pool_stats() -> PoolStats {
     })
 }
 
-/// Enable or disable the free-list pool. Disabling also drops every parked
-/// buffer, so a disabled pool is indistinguishable from plain `Vec`
-/// allocation. Buffer *contents* are identical either way — reuse always
-/// clears and fully rewrites — which the equivalence properties pin.
-pub fn set_pool_enabled(enabled: bool) {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.enabled = enabled;
-        if !enabled {
-            p.free.clear();
-        }
-    });
-}
-
-/// Whether the free-list pool is currently enabled on this thread.
-pub fn pool_enabled() -> bool {
-    POOL.with(|p| p.borrow().enabled)
-}
-
 /// Reset pool counters and drop parked buffers (test isolation).
 pub fn reset_pool() {
     POOL.with(|p| {
@@ -111,13 +89,11 @@ pub fn reset_pool() {
 fn take_vec(capacity: usize) -> Vec<u8> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if p.enabled {
-            if let Some(mut v) = p.free.pop() {
-                p.recycled += 1;
-                v.clear();
-                v.reserve(capacity);
-                return v;
-            }
+        if let Some(mut v) = p.free.pop() {
+            p.recycled += 1;
+            v.clear();
+            v.reserve(capacity);
+            return v;
         }
         p.allocs += 1;
         Vec::with_capacity(capacity)
@@ -131,7 +107,7 @@ fn give_vec(v: Vec<u8>) {
     }
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if p.enabled && p.free.len() < POOL_MAX_FREE {
+        if p.free.len() < POOL_MAX_FREE {
             p.free.push(v);
         }
     });
@@ -493,7 +469,6 @@ mod tests {
     #[test]
     fn pool_recycles_dropped_buffers() {
         reset_pool();
-        set_pool_enabled(true);
         let a = PktBuf::copy_from(&[7u8; 256]);
         let allocs_before = pool_stats().allocs;
         drop(a);
@@ -506,18 +481,6 @@ mod tests {
             &[8u8; 100][..],
             "recycled buffer fully rewritten"
         );
-    }
-
-    #[test]
-    fn pool_disabled_behaves_like_plain_vec() {
-        reset_pool();
-        set_pool_enabled(false);
-        let a = PktBuf::copy_from(&[7u8; 256]);
-        drop(a);
-        assert_eq!(pool_stats().free, 0);
-        let _b = PktBuf::copy_from(&[8u8; 256]);
-        assert_eq!(pool_stats().recycled, 0);
-        set_pool_enabled(true);
     }
 
     #[test]
@@ -539,7 +502,6 @@ mod tests {
     #[test]
     fn into_owned_unique_full_view_steals_without_copy_or_recycle() {
         reset_pool();
-        set_pool_enabled(true);
         let a = PktBuf::copy_from(&[5u8; 256]);
         let before = pool_stats();
         let v = a.into_owned();
@@ -557,7 +519,6 @@ mod tests {
     #[test]
     fn into_owned_shared_view_copies_and_leaves_sibling_intact() {
         reset_pool();
-        set_pool_enabled(true);
         let a = PktBuf::copy_from(&[1, 2, 3, 4]);
         let b = a.clone();
         let v = a.into_owned();
@@ -572,7 +533,6 @@ mod tests {
     #[test]
     fn into_owned_partial_view_copies_and_recycles_backing() {
         reset_pool();
-        set_pool_enabled(true);
         let a = PktBuf::copy_from(&(0..64u8).collect::<Vec<_>>());
         let s = a.slice(8, 16);
         drop(a);
@@ -597,7 +557,6 @@ mod tests {
     #[test]
     fn into_owned_round_trip_keeps_pools_per_thread_coherent() {
         reset_pool();
-        set_pool_enabled(true);
         let a = PktBuf::copy_from(&[0xab; 128]);
         let src_after_detach = {
             let v = a.into_owned();
@@ -605,7 +564,6 @@ mod tests {
             let handled = std::thread::spawn(move || {
                 // Destination thread: fresh pool, reattach and exercise CoW.
                 reset_pool();
-                set_pool_enabled(true);
                 let mut x = PktBuf::from_vec(v);
                 let y = x.clone();
                 x.make_mut()[0] = 0xcd;

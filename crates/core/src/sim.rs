@@ -18,8 +18,9 @@
 //! # Edge dispatch
 //!
 //! Finding the next rising edge is the kernel's innermost loop. Three
-//! interchangeable dispatchers produce bit-identical edge sequences (see
-//! [`SchedulerMode`]):
+//! interchangeable dispatchers produce bit-identical edge sequences; the
+//! kernel picks between the first two from the clocks it sees, and
+//! [`SchedulerMode::Scan`] selects the third:
 //!
 //! * **Calendar** — when every registered clock shares a phase origin (a
 //!   fresh simulator, or any simulator right after [`Simulator::reset`]),
@@ -37,8 +38,8 @@
 //!
 //! # Quiescence: stalled is not active
 //!
-//! Modules may opt into the fast path by overriding
-//! [`Module::is_quiescent`]. The contract is strict but time-independent:
+//! Modules opt into the fast path by overriding [`Module::activity`].
+//! [`Activity::Quiescent`] is strict but time-independent:
 //! a module may report quiescent only if `tick` would have no observable
 //! effect **now and at every future edge**, assuming none of the channels
 //! it touches change in the meantime. "Nothing to do" is one such state;
@@ -47,8 +48,8 @@
 //! (`tready` low), an ingest cap reached — does nothing in hardware and
 //! nothing here, so it is quiescent until the channel event that lifts
 //! the stall (a push into its input, a pop from its output). A stall that
-//! *time* lifts — a pacing gate closed until a known instant — is a
-//! [`Module::next_activity`] bound instead. Because modules only influence
+//! *time* lifts — a pacing gate closed until a known instant — is
+//! [`Activity::Bounded`] instead. Because modules only influence
 //! one another through ticks, if every module is quiescent at once then no
 //! channel can change and the whole simulation is provably idle:
 //! `run_until` and `run_cycles` then fast-forward — advancing `now` and
@@ -68,7 +69,7 @@
 //!
 //! # Cached activity bounds (edge-triggered invalidation)
 //!
-//! Re-asking every module for `is_quiescent`/`next_activity` on every
+//! Re-asking every module for its [`Activity`] on every
 //! probe is itself a full scan — on all-busy workloads it costs almost as
 //! much as ticking. The fused dispatchers (calendar and heap; everything
 //! except the [`SchedulerMode::Scan`] reference) therefore *cache* each
@@ -113,7 +114,7 @@ pub struct TickContext {
     pub cycle: u64,
     /// Period of the module's clock domain. Lets a module convert a cycle
     /// count into an absolute instant — e.g. to stamp the release time of a
-    /// fixed-latency pipeline for [`Module::next_activity`].
+    /// fixed-latency pipeline for [`Activity::Bounded`].
     pub period: Time,
 }
 
@@ -125,7 +126,7 @@ pub struct TickContext {
 /// (input streams, wires, host-side queues, and the
 /// [`StreamTx`](crate::stream::StreamTx) side of every output whose
 /// `can_push` it consults — anything external that its
-/// [`Module::is_quiescent`]/[`Module::next_activity`] answers depend on),
+/// [`Module::activity`] answer depends on),
 /// and returns it from [`Module::wake_handle`]. Whenever such a channel is
 /// written, [`WakeHandle::wake`] marks the cached classification dirty and
 /// the kernel re-queries the module before trusting it again.
@@ -239,6 +240,86 @@ impl Default for WakeHandle {
     }
 }
 
+/// A module's answer to "can your next tick do anything?" — and, folded
+/// over all modules, the simulator's answer to "can any?". The
+/// [module docs](self) give the reasoning; the promises are these.
+///
+/// Every variant holds only as long as none of the channels the module
+/// touches change: a module answering anything but `Active` from behind a
+/// [`WakeHandle`] must have that handle registered on every channel the
+/// answer reads, outputs included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Activity {
+    /// The module must tick at the very next edge of its domain: no
+    /// promise, which is always safe.
+    #[default]
+    Active,
+    /// `tick` has no observable effect now **or at any future edge**:
+    /// nothing to do, or every move stalled — nothing to pop upstream,
+    /// **no space downstream**, an ingest cap reached — and the `tick`
+    /// branch that would run is a proven no-op (anything with a side
+    /// effect — a counter, a gauge, a staged packet — stays active).
+    ///
+    /// The promise must not depend on the current time or cycle count: a
+    /// module waiting on a timer or a scheduled release cycle is `Bounded`.
+    /// That keeps stall chains honest: following "blocked on" links from
+    /// any quiescent-but-loaded module must reach a module that is not
+    /// quiescent, or nothing will ever unwind the chain and
+    /// [`Simulator::all_quiescent`] reports the deadlock as idle.
+    Quiescent,
+    /// `tick` has no observable effect at any edge **strictly before** the
+    /// instant: scheduled work exists — a wire arrival, a backlog gate,
+    /// PCIe pacing, a release cycle — but the module is provably inert
+    /// until then. A bound at or before the current time is harmless (no
+    /// edge precedes it, so nothing is skipped).
+    Bounded(Time),
+}
+
+impl Activity {
+    /// `Quiescent` when `idle` holds, `Active` otherwise: the answer of a
+    /// module with no timed state.
+    #[inline]
+    pub fn idle_if(idle: bool) -> Activity {
+        if idle {
+            Activity::Quiescent
+        } else {
+            Activity::Active
+        }
+    }
+
+    /// Inert until `t` — `Active` when `t` is time zero, the "at once" of
+    /// a stream slot that is already free.
+    #[inline]
+    pub fn at(t: Time) -> Activity {
+        if t > Time::ZERO {
+            Activity::Bounded(t)
+        } else {
+            Activity::Active
+        }
+    }
+
+    /// The answer of two units taken together: `Active` if either is,
+    /// else the earlier bound, else `Quiescent`.
+    #[inline]
+    pub fn join(self, other: Activity) -> Activity {
+        match (self, other) {
+            (Activity::Active, _) | (_, Activity::Active) => Activity::Active,
+            (Activity::Quiescent, a) | (a, Activity::Quiescent) => a,
+            (Activity::Bounded(a), Activity::Bounded(b)) => Activity::Bounded(a.min(b)),
+        }
+    }
+
+    /// The join of `answers`, asking for no more of them once it is
+    /// `Active`.
+    fn join_all(mut answers: impl Iterator<Item = Activity>) -> Activity {
+        let joined = answers.try_fold(Activity::Quiescent, |all, a| match all.join(a) {
+            Activity::Active => None,
+            all => Some(all),
+        });
+        joined.unwrap_or(Activity::Active)
+    }
+}
+
 /// A hardware building block driven by a clock edge.
 ///
 /// Implementations should perform at most one word of work per stream port
@@ -260,58 +341,21 @@ pub trait Module {
     /// Return to power-on state. Default: no-op.
     fn reset(&mut self) {}
 
-    /// Fast-path hint: `true` promises that `tick` would have no observable
-    /// effect now **or at any future edge**, as long as none of the
-    /// channels this module touches change. The simulator may then skip
-    /// the tick — and, when every module is quiescent at once, fast-forward
-    /// simulated time without executing edges at all.
-    ///
-    /// Stalled counts as quiescent: a module whose every move this cycle is
-    /// blocked — nothing to pop upstream, **no space downstream**, an
-    /// ingest cap reached — must answer `true` when the `tick` branch it
-    /// would take is a proven no-op (anything with a side effect — a
-    /// counter, a gauge, a staged packet — stays active), and must have
-    /// its [`WakeHandle`] registered on every channel the answer reads,
-    /// outputs included.
-    ///
-    /// The promise must not depend on the current time or cycle count: a
-    /// module waiting on a timer or a scheduled release cycle is *not*
-    /// quiescent (see [`Module::next_activity`]). That keeps stall chains
-    /// honest: following "blocked on" links from any quiescent-but-loaded
-    /// module must reach a module that is not quiescent — one holding a
-    /// time bound or able to move a word — or nothing will ever unwind the
-    /// chain and [`Simulator::all_quiescent`] reports the deadlock as
-    /// idle. Default: `false` (always tick), which is always safe.
-    fn is_quiescent(&self) -> bool {
-        false
-    }
-
-    /// Time-dependent sibling of [`Module::is_quiescent`]: `Some(t)`
-    /// promises that `tick` has no observable effect at any edge **strictly
-    /// before** instant `t`, as long as none of the channels this module
-    /// touches change in the meantime. A MAC waiting for the head frame on
-    /// a wire to finish arriving, or for a transmit backlog gate to open, a
-    /// DMA engine waiting out PCIe pacing, a stage holding packets for
-    /// their release cycle while its ingest is stalled — all are this
-    /// shape: not quiescent (scheduled work exists) but provably inert
-    /// until a known instant.
-    ///
-    /// When every non-quiescent module reports a bound, the simulator may
-    /// fast-forward through all edges before the earliest bound without
-    /// executing them — advancing time and cycle counters arithmetically to
-    /// exactly the state the naive loop would have reached. Returning a
-    /// bound at or before the current time is harmless (no edge precedes
-    /// it, so nothing is skipped). Default: `None` (no promise), which is
-    /// always safe.
-    fn next_activity(&self) -> Option<Time> {
-        None
+    /// What the next `tick` can do, as far as the module can prove from its
+    /// own state and the channels it touches (see [`Activity`]). The
+    /// simulator skips the ticks the answer rules out and, when no module
+    /// is [`Activity::Active`], fast-forwards simulated time without
+    /// executing edges at all. Default: [`Activity::Active`] (always
+    /// tick), which is always safe.
+    fn activity(&self) -> Activity {
+        Activity::Active
     }
 
     /// Opt into cached activity bounds: return (a clone of) the
     /// [`WakeHandle`] this module registered on all of its external
     /// channels — inputs, and every output whose back-pressure its
     /// classification reads. The kernel then caches the module's
-    /// `is_quiescent`/`next_activity` classification and re-queries it only
+    /// [`Module::activity`] answer and re-queries it only
     /// after a tick or a wake, instead of on every probe and every edge.
     ///
     /// Default: `None` — the module is re-queried every time (scan cost),
@@ -367,31 +411,9 @@ impl SoftResetLine {
     }
 }
 
-/// Snapshot of the module population for fast-forward decisions.
-enum Activity {
-    /// Every module is quiescent: simulated time may be skipped wholesale.
-    AllQuiescent,
-    /// Every non-quiescent module promises no effect before this instant.
-    BlockedUntil(Time),
-    /// At least one module must tick at the very next edge.
-    Active,
-}
-
 /// Identifies a clock domain within a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockId(usize);
-
-/// One module's cached classification: what its last
-/// `is_quiescent`/`next_activity` query answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cached {
-    /// Quiescent: inert at every future edge until an input changes.
-    Quiescent,
-    /// Inert at every edge strictly before the instant.
-    Bounded(Time),
-    /// Must tick at the very next edge of its domain.
-    Active,
-}
 
 /// A registered module plus the kernel-side state of its activity cache.
 struct ModuleSlot {
@@ -400,7 +422,7 @@ struct ModuleSlot {
     wake: Option<WakeHandle>,
     /// Last classification; meaningful only while `wake` is `Some` and
     /// clean (modules without a handle are re-queried every time).
-    cached: Cached,
+    cached: Activity,
     /// The module ticked since `cached` was last queried. Only ever set
     /// while `cached` is `Active`: the dispatch sweep re-ticks such a
     /// module without a fresh classification (a tick of a module that
@@ -438,7 +460,7 @@ impl ModuleSlot {
         ModuleSlot {
             module,
             wake,
-            cached: Cached::Active,
+            cached: Activity::Active,
             stale: false,
             ticks: 0,
             masked,
@@ -452,18 +474,6 @@ impl ModuleSlot {
         self.module.tick(ctx);
     }
 
-    /// Fresh classification straight from the module.
-    fn query(module: &dyn Module) -> Cached {
-        if module.is_quiescent() {
-            Cached::Quiescent
-        } else {
-            match module.next_activity() {
-                Some(t) => Cached::Bounded(t),
-                None => Cached::Active,
-            }
-        }
-    }
-
     /// Current classification: served from the cache when the wake flag is
     /// clean, re-queried when dirty. Modules without a handle (the default
     /// adapter) are re-queried every time — correct at scan cost.
@@ -471,14 +481,14 @@ impl ModuleSlot {
     /// covered by its domain's dirty mask; the clean-cache path stays
     /// read-only on the flag and batches its counter into
     /// `probes_avoided`, which the caller flushes once per sweep.
-    fn classify(&mut self, stats: &KernelStatCells, probes_avoided: &mut u64) -> Cached {
+    fn classify(&mut self, stats: &KernelStatCells, probes_avoided: &mut u64) -> Activity {
         let Some(wake) = &self.wake else {
-            return Self::query(&*self.module);
+            return self.module.activity();
         };
         if self.stale || wake.is_dirty() {
             wake.clear();
             self.stale = false;
-            self.cached = Self::query(&*self.module);
+            self.cached = self.module.activity();
             stats.invalidations.incr();
         } else {
             *probes_avoided += 1;
@@ -499,7 +509,7 @@ impl ModuleSlot {
         if let Some(wake) = &self.wake {
             wake.clear();
             self.stale = false;
-            self.cached = Self::query(&*self.module);
+            self.cached = self.module.activity();
         }
     }
 
@@ -510,8 +520,8 @@ impl ModuleSlot {
     #[inline]
     fn due(&self) -> Time {
         match self.cached {
-            Cached::Quiescent if self.masked => Time::MAX,
-            Cached::Bounded(t) if self.masked => t,
+            Activity::Quiescent if self.masked => Time::MAX,
+            Activity::Bounded(t) if self.masked => t,
             _ => Time::ZERO,
         }
     }
@@ -522,7 +532,7 @@ impl ModuleSlot {
     fn check_clean(&self) {
         #[cfg(any(debug_assertions, feature = "paranoid"))]
         assert_eq!(
-            Self::query(&*self.module),
+            self.module.activity(),
             self.cached,
             "module `{}` changed its activity classification without a \
              tick or a wake (missing WakeHandle::wake on some channel \
@@ -537,7 +547,7 @@ impl ModuleSlot {
             wake.wake();
         }
         self.stale = false;
-        self.cached = Cached::Active;
+        self.cached = Activity::Active;
     }
 }
 
@@ -568,10 +578,10 @@ impl DomainState {
     /// Fold the domain's cached module classifications into one summary,
     /// early-exiting on the first `Active` module — nothing a later module
     /// reports can loosen an `Active` verdict.
-    fn activity(&mut self, stats: &KernelStatCells) -> Cached {
+    fn activity(&mut self, stats: &KernelStatCells) -> Activity {
         let mut bound = Time::MAX;
         let mut avoided = 0u64;
-        let mut verdict = Cached::Quiescent;
+        let mut verdict = Activity::Quiescent;
         for (i, s) in self.slots.iter_mut().enumerate() {
             if at_rest(&self.due, &self.woken, i, Time::ZERO) {
                 // Clean and not active: its bound is the cache's.
@@ -580,23 +590,17 @@ impl DomainState {
                 bound = bound.min(self.due[i]);
                 continue;
             }
-            let class = s.classify(stats, &mut avoided);
+            verdict = verdict.join(s.classify(stats, &mut avoided));
             self.due[i] = s.due();
-            match class {
-                Cached::Active => {
-                    verdict = Cached::Active;
-                    break;
-                }
-                Cached::Quiescent => {}
-                Cached::Bounded(t) => bound = bound.min(t),
+            if verdict == Activity::Active {
+                break;
             }
         }
         stats.probes_avoided.add(avoided);
-        match verdict {
-            Cached::Active => Cached::Active,
-            _ if bound == Time::MAX => Cached::Quiescent,
-            _ => Cached::Bounded(bound),
+        if bound < Time::MAX {
+            verdict = verdict.join(Activity::Bounded(bound));
         }
+        verdict
     }
 }
 
@@ -609,14 +613,10 @@ pub enum SchedulerMode {
     /// heap. The default.
     #[default]
     Auto,
-    /// The original linear scan over all domains (the reference
-    /// implementation the fast paths are verified against).
+    /// The original linear scan over all domains, re-querying every
+    /// module on every probe (the reference implementation the fast path
+    /// is verified against).
     Scan,
-    /// Force the precomputed edge calendar; falls back to the heap when the
-    /// phases are unaligned or the hyperperiod is impractical.
-    Calendar,
-    /// Force the binary-heap dispatcher.
-    Heap,
 }
 
 /// Upper bound on the total number of per-domain edges in one hyperperiod
@@ -708,7 +708,7 @@ pub struct KernelStatCells {
     /// time-blocked stretches).
     pub skips: Counter,
     /// Module classifications served from a clean cache — each one a
-    /// `is_quiescent`/`next_activity` virtual probe that never ran —
+    /// [`Module::activity`] virtual probe that never ran —
     /// plus stale-`Active` re-ticks dispatched without any probe at all.
     pub probes_avoided: Counter,
     /// Cache re-queries, forced by a wake (edge-triggered invalidation)
@@ -758,19 +758,23 @@ impl std::iter::Sum for KernelStats {
 /// The discrete-time simulator owning all modules.
 ///
 /// ```
-/// use netfpga_core::sim::{Module, Simulator, TickContext};
+/// use netfpga_core::sim::{Activity, Module, Simulator, TickContext};
 /// use netfpga_core::time::Frequency;
 ///
-/// struct Counter(u64);
-/// impl Module for Counter {
-///     fn name(&self) -> &str { "counter" }
-///     fn tick(&mut self, _ctx: &TickContext) { self.0 += 1; }
+/// /// Counts down to zero, then has nothing left to do.
+/// struct Countdown(u64);
+/// impl Module for Countdown {
+///     fn name(&self) -> &str { "countdown" }
+///     fn tick(&mut self, _ctx: &TickContext) { self.0 = self.0.saturating_sub(1); }
+///     fn activity(&self) -> Activity { Activity::idle_if(self.0 == 0) }
 /// }
 ///
 /// let mut sim = Simulator::new();
 /// let clk = sim.add_clock("core", Frequency::mhz(200));
-/// sim.add_module(clk, Counter(0));
+/// sim.add_module(clk, Countdown(10));
 /// sim.run_cycles(clk, 100);
+/// assert_eq!(sim.cycles(clk), 100);
+/// assert_eq!(sim.steps_executed(), 10, "the other 90 edges were skipped");
 /// ```
 pub struct Simulator {
     domains: Vec<DomainState>,
@@ -829,7 +833,7 @@ impl Simulator {
         self.mode
     }
 
-    /// Enable or disable quiescence skipping ([`Module::is_quiescent`]) and
+    /// Enable or disable quiescence skipping ([`Module::activity`]) and
     /// idle fast-forward. On by default; disabling forces every tick to
     /// execute, which is useful for differential testing.
     pub fn set_idle_skip(&mut self, enabled: bool) {
@@ -999,54 +1003,26 @@ impl Simulator {
     pub fn all_quiescent(&self) -> bool {
         self.domains
             .iter()
-            .all(|d| d.slots.iter().all(|s| s.module.is_quiescent()))
+            .flat_map(|d| &d.slots)
+            .all(|s| s.module.activity() == Activity::Quiescent)
     }
 
-    /// Classify the module population: fully quiescent, time-blocked until
-    /// the earliest [`Module::next_activity`] bound, or actively working.
+    /// Fold the module population into one [`Activity`]: quiescent, inert
+    /// until the earliest bound, or with at least one module that must
+    /// tick at the very next edge (nothing a later module reports can
+    /// loosen that, so the fold stops there).
     ///
-    /// Everything except the unfused [`SchedulerMode::Scan`] reference
-    /// serves the classification from the per-module caches (see
+    /// [`SchedulerMode::Scan`] re-queries every module — the executable
+    /// specification. Auto serves the fold from the per-module caches (see
     /// [`ModuleSlot::classify`]); the dispatch sweep refreshed them after
-    /// every tick, so in steady state this is a scan-free fold.
+    /// every tick, so in steady state it queries no module at all.
     fn activity(&mut self) -> Activity {
         if matches!(self.mode, SchedulerMode::Scan) {
-            return self.activity_unfused();
-        }
-        let mut bound: Option<Time> = None;
-        let stats = &self.stats;
-        for d in &mut self.domains {
-            match d.activity(stats) {
-                Cached::Active => return Activity::Active,
-                Cached::Quiescent => {}
-                Cached::Bounded(t) => bound = Some(bound.map_or(t, |b| b.min(t))),
-            }
-        }
-        match bound {
-            None => Activity::AllQuiescent,
-            Some(t) => Activity::BlockedUntil(t),
-        }
-    }
-
-    /// The unfused reference probe: re-query every module, no caches. Kept
-    /// verbatim as the executable specification the fused path is verified
-    /// against (it is what [`SchedulerMode::Scan`] runs).
-    fn activity_unfused(&self) -> Activity {
-        let mut bound: Option<Time> = None;
-        for d in &self.domains {
-            for s in &d.slots {
-                if s.module.is_quiescent() {
-                    continue;
-                }
-                match s.module.next_activity() {
-                    None => return Activity::Active,
-                    Some(t) => bound = Some(bound.map_or(t, |b| b.min(t))),
-                }
-            }
-        }
-        match bound {
-            None => Activity::AllQuiescent,
-            Some(t) => Activity::BlockedUntil(t),
+            let slots = self.domains.iter().flat_map(|d| &d.slots);
+            Activity::join_all(slots.map(|s| s.module.activity()))
+        } else {
+            let stats = &self.stats;
+            Activity::join_all(self.domains.iter_mut().map(|d| d.activity(stats)))
         }
     }
 
@@ -1057,8 +1033,7 @@ impl Simulator {
         }
         self.sched = match self.mode {
             SchedulerMode::Scan => SchedState::Scan,
-            SchedulerMode::Heap => SchedState::Heap(self.build_heap()),
-            SchedulerMode::Auto | SchedulerMode::Calendar => match self.build_calendar() {
+            SchedulerMode::Auto => match self.build_calendar() {
                 Some(c) => SchedState::Calendar(c),
                 None => SchedState::Heap(self.build_heap()),
             },
@@ -1127,7 +1102,7 @@ impl Simulator {
     /// a proven no-op, which the pre-cache kernel executed anyway. Every
     /// module that does tick has its cache refreshed in place, fusing the
     /// activity probe into this sweep. The unfused `Scan` reference keeps
-    /// the original per-edge `is_quiescent` re-query.
+    /// the original per-edge re-query, and skips only `Quiescent` modules.
     fn dispatch_domain(
         domains: &mut [DomainState],
         idx: usize,
@@ -1161,13 +1136,13 @@ impl Simulator {
                     continue;
                 }
                 let run = match s.classify(stats, &mut avoided) {
-                    Cached::Quiescent => false,
-                    Cached::Bounded(t) => t <= edge,
-                    Cached::Active => true,
+                    Activity::Quiescent => false,
+                    Activity::Bounded(t) => t <= edge,
+                    Activity::Active => true,
                 };
                 if run {
                     s.tick(&ctx);
-                    if s.wake.is_some() && matches!(s.cached, Cached::Active) {
+                    if s.wake.is_some() && s.cached == Activity::Active {
                         // Steady-state streaming: no bound to learn, so
                         // defer the re-query to the next activity fold.
                         s.stale = true;
@@ -1176,7 +1151,7 @@ impl Simulator {
                     }
                 }
                 d.due[i] = s.due();
-            } else if !idle_skip || !s.module.is_quiescent() {
+            } else if !idle_skip || s.module.activity() != Activity::Quiescent {
                 s.tick(&ctx);
             }
         }
@@ -1366,7 +1341,7 @@ impl Simulator {
                     // step the wake-up edge normally (the run is not over —
                     // `stop >= t` — and no tick ran since the fold, so
                     // without another).
-                    Activity::BlockedUntil(t) if stop >= t => self.skip_edges_before(t),
+                    Activity::Bounded(t) if stop >= t => self.skip_edges_before(t),
                     _ => {
                         self.skip_edges_through(stop);
                         return;
@@ -1398,7 +1373,7 @@ impl Simulator {
                 let stop = d.next_edge + Time::from_ps((remaining - 1) * d.period.as_ps());
                 match self.activity() {
                     Activity::Active => {}
-                    Activity::BlockedUntil(t) if stop >= t => self.skip_edges_before(t),
+                    Activity::Bounded(t) if stop >= t => self.skip_edges_before(t),
                     _ => {
                         self.skip_edges_through(stop);
                         return;
@@ -1623,10 +1598,10 @@ mod tests {
 
     #[test]
     fn dispatchers_produce_identical_traces() {
-        let scan = trace_with(SchedulerMode::Scan);
-        assert_eq!(scan, trace_with(SchedulerMode::Calendar));
-        assert_eq!(scan, trace_with(SchedulerMode::Heap));
-        assert_eq!(scan, trace_with(SchedulerMode::Auto));
+        assert_eq!(
+            trace_with(SchedulerMode::Scan),
+            trace_with(SchedulerMode::Auto)
+        );
     }
 
     #[test]
@@ -1670,9 +1645,7 @@ mod tests {
             let trace = log.borrow().clone();
             (trace, sim.now())
         };
-        let scan = run(SchedulerMode::Scan);
-        assert_eq!(scan, run(SchedulerMode::Auto));
-        assert_eq!(scan, run(SchedulerMode::Heap));
+        assert_eq!(run(SchedulerMode::Scan), run(SchedulerMode::Auto));
         let (mut sim, _) = misaligned(SchedulerMode::Auto);
         assert_eq!(sim.active_scheduler(), "heap");
     }
@@ -1699,8 +1672,8 @@ mod tests {
         fn tick(&mut self, _ctx: &TickContext) {
             *self.ticks.borrow_mut() += 1;
         }
-        fn is_quiescent(&self) -> bool {
-            *self.quiescent.borrow()
+        fn activity(&self) -> Activity {
+            Activity::idle_if(*self.quiescent.borrow())
         }
     }
 
@@ -1811,8 +1784,8 @@ mod tests {
         fn tick(&mut self, _ctx: &TickContext) {
             *self.ticks.borrow_mut() += 1;
         }
-        fn is_quiescent(&self) -> bool {
-            *self.quiescent.borrow()
+        fn activity(&self) -> Activity {
+            Activity::idle_if(*self.quiescent.borrow())
         }
         fn wake_handle(&self) -> Option<WakeHandle> {
             Some(self.wake.clone())
@@ -1879,11 +1852,12 @@ mod tests {
                 self.fired.borrow_mut().push(ctx.now);
             }
         }
-        fn is_quiescent(&self) -> bool {
-            !self.fired.borrow().is_empty()
-        }
-        fn next_activity(&self) -> Option<Time> {
-            self.fired.borrow().is_empty().then_some(self.fire_at)
+        fn activity(&self) -> Activity {
+            if self.fired.borrow().is_empty() {
+                Activity::Bounded(self.fire_at)
+            } else {
+                Activity::Quiescent
+            }
         }
         fn wake_handle(&self) -> Option<WakeHandle> {
             Some(self.wake.clone())
@@ -1989,11 +1963,7 @@ mod tests {
             let out = (*ticks.borrow(), soft_resets.borrow().clone());
             out
         };
-        for mode in [
-            SchedulerMode::Scan,
-            SchedulerMode::Calendar,
-            SchedulerMode::Heap,
-        ] {
+        for mode in [SchedulerMode::Scan, SchedulerMode::Auto] {
             let (ticks, softs) = run(mode);
             assert_eq!(ticks, 10);
             // Requested during the cycle-3 tick (the 4th); consumed before

@@ -868,7 +868,7 @@ impl StreamTx {
     /// becomes visible to the producer, or `None` when only a claim not yet
     /// made can free one (which wakes the producer). A pure function of
     /// what has been committed and claimed, so it can back
-    /// [`crate::sim::Module::next_activity`].
+    /// [`crate::sim::Module::activity`].
     pub fn ready_at(&self) -> Option<Time> {
         let s = self.shared.borrow();
         s.tx_starved.set(true);
@@ -1232,6 +1232,9 @@ pub struct Reassembler {
     /// Resynchronising after a soft reset: discard words until the next
     /// `sop` instead of treating them as framing violations.
     hunting: bool,
+    /// The open packet is the first since a resync, so the reset may have
+    /// cut it upstream with its `sop` still queued: a `sop` ends it.
+    tentative: bool,
 }
 
 impl Reassembler {
@@ -1246,6 +1249,13 @@ impl Reassembler {
     /// flushed mid-frame, the orphaned tail words still in flight must not
     /// wedge the pipeline. Returns whether a partial packet was discarded
     /// (so the caller can count the loss).
+    ///
+    /// The first packet begun after the resync is tentative: if the reset
+    /// cut it upstream while its `sop` was still queued in front of this
+    /// reassembler, its tail never arrives, and the next `sop` discards
+    /// what was received and starts over. That is the same loss the reset
+    /// already stands for, so it is not reported again; once a packet has
+    /// completed, a `sop` inside a packet is a framing violation as ever.
     pub fn resync(&mut self) -> bool {
         let dropped = self.in_packet;
         self.acc = Accum::Empty;
@@ -1268,19 +1278,17 @@ impl Reassembler {
     /// Panics on framing violations (beats outside a packet, or `sop`
     /// inside one) — those indicate a module bug, mirroring how malformed
     /// AXIS framing wedges real hardware. After [`Reassembler::resync`],
-    /// bursts before the next `sop` are silently discarded instead.
+    /// bursts before the next `sop` are silently discarded instead, and a
+    /// `sop` may cut the first packet short.
     pub fn push_burst(&mut self, burst: Burst) -> Option<(PktBuf, Meta)> {
-        if self.hunting {
-            if !burst.sop {
-                return None;
-            }
-            self.hunting = false;
-        }
         if burst.sop {
-            assert!(!self.in_packet, "sop inside packet");
+            assert!(!self.in_packet || self.tentative, "sop inside packet");
+            self.tentative = std::mem::take(&mut self.hunting);
             self.in_packet = true;
             self.meta = burst.meta;
             self.acc = Accum::View(burst.buf);
+        } else if self.hunting {
+            return None;
         } else {
             assert!(self.in_packet, "data word outside packet");
             self.acc = match std::mem::take(&mut self.acc) {
@@ -1302,6 +1310,7 @@ impl Reassembler {
         }
         if burst.eop {
             self.in_packet = false;
+            self.tentative = false;
             let meta = self.meta.take().unwrap_or_default();
             let buf = match std::mem::take(&mut self.acc) {
                 Accum::View(acc) => acc,
@@ -1659,6 +1668,36 @@ mod tests {
             .push_burst(segment_buf(&next, 32, Meta::default()))
             .expect("a whole frame completes in one step");
         assert!(out.same_backing(&next) && out == next);
+    }
+
+    /// A frame the reset cut upstream while its `sop` was still queued: the
+    /// reassembler takes the `sop` after its resync, the tail never comes,
+    /// and the next frame's `sop` restarts it instead of panicking.
+    #[test]
+    fn reassembler_restarts_the_first_frame_after_resync_on_a_second_sop() {
+        let mut r = Reassembler::new();
+        assert!(!r.resync());
+        let mut cut = segment(&[1u8; 320], 32, Meta::default());
+        assert!(r.push_burst(cut.split_front(3)).is_none());
+        assert!(r.mid_packet(), "the cut frame looks like any other so far");
+        let next = PktBuf::copy_from(&[2u8; 100]);
+        let (out, _) = r
+            .push_burst(segment_buf(&next, 32, Meta::default()))
+            .expect("the next frame is delivered intact");
+        assert!(out.same_backing(&next) && out == next);
+    }
+
+    /// The tolerance ends with the first frame: a second `sop` inside the
+    /// restarted frame, or inside any later one, is a module bug.
+    #[test]
+    #[should_panic(expected = "sop inside packet")]
+    fn reassembler_rejects_a_second_sop_in_steady_state() {
+        let mut r = Reassembler::new();
+        r.resync();
+        let sop = || Word::new(&[1], true, false, Some(Meta::default()));
+        r.push(sop());
+        r.push(sop()); // restarts the tentative frame
+        r.push(sop());
     }
 
     /// One beat as the per-beat reference model holds it.

@@ -2,9 +2,8 @@
 //! stream, round-robin at packet granularity — the first stage of every
 //! reference pipeline.
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{Claim, StreamRx, StreamTx};
-use netfpga_core::time::Time;
 
 /// N-to-1 packet-granular round-robin arbiter.
 ///
@@ -169,21 +168,19 @@ impl Module for InputArbiter {
         self.locked = None;
     }
 
-    /// Idle when the input to serve — the locked one alone while a packet
-    /// is open, else any — is empty, stalled when the output is full with no pop scheduled: either way a
-    /// tick cannot move a word and touches neither the lock nor the
-    /// round-robin pointer.
-    fn is_quiescent(&self) -> bool {
-        self.forwarding.is_none() && (self.source().is_none() || self.output.ready_at().is_none())
-    }
-
-    /// A burst passing through is acted on when its last beat passes; a
-    /// stalled forward resumes when a scheduled pop frees an output slot.
-    fn next_activity(&self) -> Option<Time> {
-        match self.forwarding {
-            Some((_, claim)) => Some(claim.done_at),
-            None => self.output.ready_at().filter(|&t| t > Time::ZERO),
+    /// A burst passing through is acted on when its last beat passes.
+    /// Otherwise idle when the input to serve — the locked one alone while
+    /// a packet is open, else any — is empty, and stalled when the output
+    /// is full with no pop scheduled: either way a tick cannot move a word
+    /// and touches neither the lock nor the round-robin pointer. A stalled
+    /// forward resumes when a scheduled pop frees an output slot.
+    fn activity(&self) -> Activity {
+        if let Some((_, claim)) = self.forwarding {
+            return Activity::Bounded(claim.done_at);
         }
+        self.source()
+            .and_then(|_| self.output.ready_at())
+            .map_or(Activity::Quiescent, Activity::at)
     }
 
     /// External activity channels: pushes into any input, pops from the

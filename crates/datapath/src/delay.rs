@@ -2,7 +2,7 @@
 //! forwarding. Used to emulate a device-under-test for OSNT latency
 //! experiments and to pad pipeline timing in composed designs.
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{segment_buf, Burst, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::Time;
 use std::collections::VecDeque;
@@ -83,24 +83,18 @@ impl Module for DelayStage {
     /// stalled when the staged packet faces a full output (held packets
     /// cannot be staged behind it, so their release times do not matter).
     /// Either way a tick has no effect until upstream pushes or downstream
-    /// pops.
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop()
-            && if self.emitting.is_none() {
-                self.held.is_empty()
-            } else {
-                !self.output.can_push()
-            }
-    }
-
-    /// With nothing to ingest or emit but packets waiting out the delay,
-    /// the tick is a no-op until the earliest release instant — exactly
-    /// the gate the emit path checks against `now`.
-    fn next_activity(&self) -> Option<Time> {
-        if self.input.can_pop() || self.emitting.is_some() {
-            return None;
+    /// pops. With nothing to ingest or emit but packets waiting out the
+    /// delay, the tick is a no-op until the earliest release instant —
+    /// exactly the gate the emit path checks against `now`.
+    fn activity(&self) -> Activity {
+        if self.input.can_pop() {
+            return Activity::Active;
         }
-        self.held.front().map(|&(release, _)| release)
+        match (&self.emitting, self.held.front()) {
+            (Some(_), _) => Activity::idle_if(!self.output.can_push()),
+            (None, Some(&(release, _))) => Activity::Bounded(release),
+            (None, None) => Activity::Quiescent,
+        }
     }
 
     /// External activity channels: pushes into the input, pops from the

@@ -3,7 +3,7 @@
 //! registers every reference design carries.
 
 use netfpga_core::regs::RegisterSpace;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::stream::{Meta, StreamRx, StreamTx};
 use netfpga_core::time::Time;
@@ -165,18 +165,21 @@ impl Module for StatsStage {
         self.output.settle(&mut None);
     }
 
-    /// Idle when there is nothing to pass through, stalled when there is
-    /// nowhere to pass it and no pop scheduled: no word moves and no
-    /// counter is touched.
-    fn is_quiescent(&self) -> bool {
-        self.forwarding.is_none() && (!self.input.can_pop() || self.output.ready_at().is_none())
-    }
-
-    /// The burst passing through is let go when its last beat has passed;
-    /// a stalled pass-through resumes when a scheduled pop frees a slot.
-    fn next_activity(&self) -> Option<Time> {
-        self.forwarding
-            .or_else(|| self.output.ready_at().filter(|&t| t > Time::ZERO))
+    /// The burst passing through is let go when its last beat has passed.
+    /// Otherwise idle when there is nothing to pass through, stalled when
+    /// there is nowhere to pass it and no pop scheduled: no word moves and
+    /// no counter is touched. A stalled pass-through resumes when a
+    /// scheduled pop frees a slot.
+    fn activity(&self) -> Activity {
+        if let Some(t) = self.forwarding {
+            Activity::Bounded(t)
+        } else if !self.input.can_pop() {
+            Activity::Quiescent
+        } else {
+            self.output
+                .ready_at()
+                .map_or(Activity::Quiescent, Activity::at)
+        }
     }
 
     /// External activity channels: pushes into the input, pops from the

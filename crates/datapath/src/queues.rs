@@ -17,7 +17,7 @@
 
 use crate::sched::{QueueView, Scheduler};
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::Time;
@@ -368,46 +368,33 @@ impl Module for OutputQueues {
     /// every scheduler event-driven: a port is idle when nothing is staged
     /// or queued, and stalled when its staged words face a full egress
     /// stream with no pop scheduled (the emit path then moves nothing, in
-    /// either pacing mode).
-    fn is_quiescent(&self) -> bool {
-        self.claimed.is_none()
-            && !self.input.can_pop()
-            && self.ports.iter().zip(&self.outputs).all(|(p, out)| {
-                p.scheduler.event_driven()
-                    && if p.emitting.is_none() {
-                        p.queues.iter().all(|q| q.is_empty())
-                    } else {
-                        out.ready_at().is_none()
-                    }
-            })
-    }
-
-    /// The earliest edge at which a tick does something: the last claimed
-    /// word is popped, or a port's committed words are out and it has a
-    /// packet to dequeue (which moves the dequeue counter and the depth
-    /// gauge) or a scheduled pop frees a slot for its staged words. None of
-    /// it applies while there is a word to claim or a scheduler wants every
-    /// cycle.
-    fn next_activity(&self) -> Option<Time> {
-        // (Collapsed pacing holds no charge: what is not quiescent is active.)
-        if self.burst || (self.claimed.is_none() && self.input.can_pop()) {
-            return None;
+    /// either pacing mode). Otherwise inert until the earliest edge at
+    /// which a tick does something: the last claimed word is popped, or a
+    /// port's committed words are out and it has a packet to dequeue (which
+    /// moves the dequeue counter and the depth gauge) or a scheduled pop
+    /// frees a slot for its staged words. None of it applies while there is
+    /// a word to claim or a scheduler wants every cycle.
+    fn activity(&self) -> Activity {
+        if self.claimed.is_none() && self.input.can_pop() {
+            return Activity::Active;
         }
-        let mut next = self.claimed;
+        let mut all = self.claimed.map_or(Activity::Quiescent, Activity::at);
         for (p, out) in self.ports.iter().zip(&self.outputs) {
             if !p.scheduler.event_driven() {
-                return None;
+                return Activity::Active;
             }
             let port = match &p.emitting {
                 Some(_) => out.ready_at(),
                 None if p.queues.iter().all(|q| q.is_empty()) => None,
                 None => Some(Time::ZERO),
             };
-            if let Some(t) = port.map(|t| t.max(p.free_at)) {
-                next = Some(next.map_or(t, |n| n.min(t)));
+            all = all.join(port.map_or(Activity::Quiescent, |t| Activity::at(t.max(p.free_at))));
+            // Collapsed pacing holds no charge: what is not quiescent is active.
+            if self.burst && all != Activity::Quiescent {
+                return Activity::Active;
             }
         }
-        next.filter(|&t| t > Time::ZERO)
+        all
     }
 
     /// External activity channels: pushes into the input, pops from any

@@ -2,7 +2,7 @@
 //! configured rate — used by OSNT's generator for sub-line-rate streams and
 //! available as a building block for traffic shaping research.
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{StreamRx, StreamTx, Word};
 use netfpga_core::time::{BitRate, Time};
 
@@ -140,33 +140,31 @@ impl Module for RateLimiter {
     /// time, so an input-less tick has no effect at any future edge) and
     /// stalled when the output is full: every word, admitted packet or
     /// not, moves through `forward_one`, which gives up before touching
-    /// anything.
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop() || !self.output.can_push()
-    }
-
-    /// With a head packet waiting on tokens, the tick is a no-op until the
-    /// bucket reaches the packet's length — a known instant under the
-    /// closed-form refill. Floor rounding only makes the bound early
-    /// (harmless: one extra no-op tick, never a missed admission).
-    fn next_activity(&self) -> Option<Time> {
-        if self.in_packet {
-            return None;
+    /// anything. With a head packet waiting on tokens, the tick is a no-op
+    /// until the bucket reaches the packet's length — a known instant
+    /// under the closed-form refill. Floor rounding only makes the bound
+    /// early (harmless: one extra no-op tick, never a missed admission).
+    fn activity(&self) -> Activity {
+        if !self.input.can_pop() || !self.output.can_push() {
+            return Activity::Quiescent;
         }
-        let len = self.head_packet_len()?;
-        if len == 0 || self.rate.as_bps() == 0 {
-            return None;
+        if self.in_packet || self.rate.as_bps() == 0 {
+            return Activity::Active;
         }
+        let len = match self.head_packet_len() {
+            Some(len) if len > 0 => len,
+            _ => return Activity::Active,
+        };
         let deficit = len as f64 - self.tokens_base;
         if deficit <= 0.0 {
-            return None; // already admissible: must tick at the next edge
+            return Activity::Active; // already admissible: must tick at the next edge
         }
         let secs = deficit * 8.0 / self.rate.as_bps() as f64;
         // Step back well past any float rounding: a bound a few ns early
         // costs a couple of no-op ticks; a bound one ulp late would skip
         // the admission edge.
         let ps = ((secs * 1e12) as u64).saturating_sub(4096);
-        Some(self.base_time + Time::from_ps(ps))
+        Activity::Bounded(self.base_time + Time::from_ps(ps))
     }
 
     /// External activity channels: pushes into the input, pops from the

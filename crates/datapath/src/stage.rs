@@ -19,7 +19,7 @@
 //! `with_burst(true)` is the other, collapsed pacing.
 
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
 use netfpga_core::telemetry::StatRegistry;
@@ -95,7 +95,7 @@ pub struct PacketStage<L: PacketLogic> {
     reasm: Reassembler,
     /// Processed packets awaiting emission: (release_cycle, release_time,
     /// beats). The absolute release instant mirrors the release cycle
-    /// (`ingest_now + latency * period`) so [`Module::next_activity`] can
+    /// (`ingest_now + latency * period`) so [`Module::activity`] can
     /// report how long the stage is provably inert.
     ready: VecDeque<(u64, Time, Burst)>,
     /// The beats of the packet being emitted that are still to be
@@ -298,35 +298,21 @@ impl<L: PacketLogic> Module for PacketStage<L> {
     /// stalled when ingest is blocked and the staged packet faces a full
     /// output with no pop scheduled (packets in `ready` cannot be staged
     /// behind it, so their release cycles do not matter). Everything else
-    /// waits on an instant — see [`Module::next_activity`].
-    fn is_quiescent(&self) -> bool {
-        self.claimed.is_none()
-            && self.ingest_blocked()
-            && if self.emitting.is_none() {
-                self.ready.is_empty()
-            } else {
-                self.output.ready_at().is_none()
-            }
-    }
-
-    /// The earliest edge at which a tick does something: the last claimed
-    /// word is popped; committed words are out and the next packet's
-    /// release cycle has come, or a scheduled pop frees a slot for the
-    /// staged one. None of it applies while there is a word to claim.
-    fn next_activity(&self) -> Option<Time> {
+    /// waits on the earliest edge at which a tick does something: the last
+    /// claimed word is popped; committed words are out and the next
+    /// packet's release cycle has come, or a scheduled pop frees a slot
+    /// for the staged one. None of it applies while there is a word to
+    /// claim.
+    fn activity(&self) -> Activity {
         if self.claimed.is_none() && !self.ingest_blocked() {
-            return None;
+            return Activity::Active;
         }
         let emit = match &self.emitting {
             Some(_) => self.output.ready_at(),
             None => self.ready.front().map(|&(_, release_at, _)| release_at),
-        }
-        .map(|t| t.max(self.free_at));
-        match (self.claimed, emit) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-        .filter(|&t| t > Time::ZERO)
+        };
+        let ingest = self.claimed.map_or(Activity::Quiescent, Activity::at);
+        ingest.join(emit.map_or(Activity::Quiescent, |t| Activity::at(t.max(self.free_at))))
     }
 
     /// External activity channels: pushes into the input, pops from the

@@ -28,7 +28,7 @@
 //! so `seq` order is `ready_at` order.
 
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::time::Time;
 use netfpga_phy::mac::{Fcs, WireFrame};
@@ -124,12 +124,10 @@ impl Module for FabricEgress {
         }
     }
 
-    fn is_quiescent(&self) -> bool {
-        self.from.is_empty()
-    }
-
-    fn next_activity(&self) -> Option<Time> {
-        self.from.head_ready_at()
+    fn activity(&self) -> Activity {
+        self.from
+            .head_ready_at()
+            .map_or(Activity::Quiescent, Activity::Bounded)
     }
 
     fn wake_handle(&self) -> Option<WakeHandle> {
@@ -270,8 +268,8 @@ impl Module for FabricIngress {
         }
     }
 
-    fn is_quiescent(&self) -> bool {
-        self.shared.borrow().pending.is_empty()
+    fn activity(&self) -> Activity {
+        Activity::idle_if(self.shared.borrow().pending.is_empty())
     }
 
     fn wake_handle(&self) -> Option<WakeHandle> {

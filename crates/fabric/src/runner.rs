@@ -438,7 +438,7 @@ where
 mod tests {
     use super::*;
     use netfpga_core::pktbuf::PktBuf;
-    use netfpga_core::sim::{ClockId, Simulator, TickContext, WakeHandle};
+    use netfpga_core::sim::{Activity, ClockId, Simulator, TickContext, WakeHandle};
     use netfpga_core::time::Frequency;
     use netfpga_phy::mac::WireFrame;
     use std::cell::RefCell;
@@ -477,12 +477,10 @@ mod tests {
             }
         }
 
-        fn is_quiescent(&self) -> bool {
-            self.rx.is_empty()
-        }
-
-        fn next_activity(&self) -> Option<Time> {
-            self.rx.head_ready_at()
+        fn activity(&self) -> Activity {
+            self.rx
+                .head_ready_at()
+                .map_or(Activity::Quiescent, Activity::Bounded)
         }
 
         fn wake_handle(&self) -> Option<WakeHandle> {

@@ -19,7 +19,7 @@
 use crate::memfault::{inject_flip, EccMode, FaultableMemory, FlipOutcome};
 use crate::plan::{FaultEvent, FaultKind, FaultPlan, TraceEntry};
 use netfpga_core::regs::RegisterSpace;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::telemetry::{Event, EventKind, EventRing, StatRegistry};
 use netfpga_core::time::{BitRate, Time};
@@ -889,18 +889,17 @@ impl Module for FaultInjector {
         }
     }
 
-    fn is_quiescent(&self) -> bool {
-        // A pending scheduled event is time-dependent work: the idle
-        // fast-forward must not skip over it.
-        self.next_event >= self.events.len() && self.ports_idle()
-    }
-
     /// With every port idle and only scheduled events left, a tick is a
     /// no-op until the next event comes due — so the kernel may skip the
-    /// injector straight to that instant.
-    fn next_activity(&self) -> Option<Time> {
-        let ev = self.events.get(self.next_event)?;
-        self.ports_idle().then_some(ev.at)
+    /// injector straight to that instant, but not over it: a pending
+    /// event is time-dependent work, so only an exhausted plan is idle.
+    fn activity(&self) -> Activity {
+        if !self.ports_idle() {
+            return Activity::Active;
+        }
+        self.events
+            .get(self.next_event)
+            .map_or(Activity::Quiescent, |ev| Activity::Bounded(ev.at))
     }
 
     /// External activity channels: runtime injections, and pushes onto the
@@ -1171,13 +1170,17 @@ mod tests {
             Wire::new(),
             Wire::new(),
         );
-        assert!(!inj.is_quiescent(), "scheduled fault is pending work");
+        assert_eq!(
+            inj.activity(),
+            Activity::Bounded(Time::from_us(100)),
+            "scheduled fault is pending work"
+        );
         inj.tick(&TickContext {
             now: Time::from_us(100),
             cycle: 0,
             period: Time::from_ns(5),
         });
-        assert!(inj.is_quiescent(), "applied and idle");
+        assert_eq!(inj.activity(), Activity::Quiescent, "applied and idle");
     }
 
     #[test]
@@ -1203,9 +1206,13 @@ mod tests {
             period: Time::from_ns(5),
         });
         assert_eq!(handle.trace().len(), 1);
-        assert!(inj.is_quiescent());
+        assert_eq!(inj.activity(), Activity::Quiescent);
         inj.reset();
-        assert!(!inj.is_quiescent(), "plan re-armed after reset");
+        assert_eq!(
+            inj.activity(),
+            Activity::Bounded(Time::ZERO),
+            "plan re-armed after reset"
+        );
         assert!(handle.trace().is_empty());
     }
 

@@ -27,7 +27,7 @@
 //! therefore bit-identical across scheduler modes and idle fast-forward.
 
 use crate::injector::{FaultCounters, Shared};
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use std::rc::Rc;
 
 /// The background scrubber module. Build via
@@ -123,10 +123,10 @@ impl Module for EccScrubber {
         }
     }
 
-    fn is_quiescent(&self) -> bool {
+    fn activity(&self) -> Activity {
         // Visits to clean words have no observable effect; only a latent
         // upset makes the sweep's progress matter.
-        self.shared.latent.borrow().is_empty()
+        Activity::idle_if(self.shared.latent.borrow().is_empty())
     }
 
     /// Only the injector recording a latent upset can un-idle the sweep;

@@ -24,7 +24,7 @@
 //! cycle-for-cycle with the policy knobs and is bit-identical across
 //! scheduler modes and idle fast-forward settings.
 
-use netfpga_core::sim::{Module, TickContext};
+use netfpga_core::sim::{Activity, Module, TickContext};
 use netfpga_core::stats::Counter;
 use netfpga_core::telemetry::{Event, EventKind, EventRing, StatRegistry};
 use netfpga_core::SoftResetLine;
@@ -223,12 +223,14 @@ impl Module for Watchdog {
     /// bit-identical with idle fast-forward on or off. No wake handle is
     /// registered, so the kernel re-probes this every dispatch — the
     /// always-correct (if unskippable) classification.
-    fn is_quiescent(&self) -> bool {
-        self.state == State::Monitoring
-            && self.probes.iter().all(|p| {
-                let (prog, pending) = (p.read)();
-                !pending && p.stuck == 0 && prog == p.last
-            })
+    fn activity(&self) -> Activity {
+        Activity::idle_if(
+            self.state == State::Monitoring
+                && self.probes.iter().all(|p| {
+                    let (prog, pending) = (p.read)();
+                    !pending && p.stuck == 0 && prog == p.last
+                }),
+        )
     }
 }
 
@@ -277,8 +279,8 @@ mod tests {
             e.wedged = false;
             e.soft_resets += 1;
         }
-        fn is_quiescent(&self) -> bool {
-            !self.0.borrow().pending
+        fn activity(&self) -> Activity {
+            Activity::idle_if(!self.0.borrow().pending)
         }
     }
 

@@ -2,7 +2,7 @@
 //! Prometheus text, plus a bounded ring of timestamped counter deltas.
 //!
 //! The [`FlowExporter`] is a sim [`Module`] that wakes on cycle-aligned
-//! sampling instants (advertised through `next_activity`, so time-blocked
+//! sampling instants (advertised through `Activity::Bounded`, so time-blocked
 //! fast-forward skips straight to them). Each sample it: records the
 //! configured occupancy series into their shared histograms, snapshots
 //! the stat registry, pushes a [`Delta`] for every counter that moved
@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
@@ -452,14 +452,14 @@ impl Module for FlowExporter {
         self.quiet = 0;
     }
 
-    fn is_quiescent(&self) -> bool {
-        // The exporter always has a future sample scheduled; quiescence
-        // skipping is bounded by `next_activity` instead.
-        false
-    }
-
-    fn next_activity(&self) -> Option<Time> {
-        self.inited.then_some(self.next_at)
+    fn activity(&self) -> Activity {
+        // The exporter always has a future sample scheduled: never
+        // quiescent, inert until the sample instant once it has one.
+        if self.inited {
+            Activity::Bounded(self.next_at)
+        } else {
+            Activity::Active
+        }
     }
 
     /// No external channel moves the sample schedule; the handle lets the

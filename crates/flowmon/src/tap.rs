@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{StreamRx, StreamTx};
 use netfpga_core::telemetry::StatRegistry;
 
@@ -278,8 +278,8 @@ impl Module for FlowTap {
 
     /// Idle with nothing to move, stalled with nowhere to move it: the
     /// transfer then inspects nothing, so the flow state stays put.
-    fn is_quiescent(&self) -> bool {
-        !self.input.can_pop() || !self.output.can_push()
+    fn activity(&self) -> Activity {
+        Activity::idle_if(!self.input.can_pop() || !self.output.can_push())
     }
 
     /// External activity channels: pushes into the input, pops from the

@@ -25,7 +25,7 @@
 //! handler" servicing completions and timers).
 
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::stream::Meta;
 use netfpga_core::telemetry::StatRegistry;
@@ -398,11 +398,6 @@ impl Module for ReliableDriver {
 
     /// Idle when nothing is accepted-but-unresolved and no completions
     /// wait. Host sends and engine completions both wake the driver.
-    fn is_quiescent(&self) -> bool {
-        let i = self.inner.borrow();
-        i.in_flight.is_empty() && i.pending.is_empty() && i.dma.completions_pending() == 0
-    }
-
     /// With flights outstanding and nothing else to do, the only *timed*
     /// trigger is the earliest retransmit deadline: completions arrive
     /// via the wake handle. Queued completions or pending sends (waiting
@@ -410,12 +405,15 @@ impl Module for ReliableDriver {
     /// no timed trigger at all — stay active and poll, exactly as the
     /// per-cycle scan does, or the post slides to the next wake and the
     /// schedule stops being mode-invariant.
-    fn next_activity(&self) -> Option<Time> {
+    fn activity(&self) -> Activity {
         let i = self.inner.borrow();
-        if i.dma.completions_pending() > 0 || !i.pending.is_empty() || i.in_flight.is_empty() {
-            return None;
+        if i.dma.completions_pending() > 0 || !i.pending.is_empty() {
+            Activity::Active
+        } else if i.in_flight.is_empty() {
+            Activity::Quiescent
+        } else {
+            Activity::Bounded(i.next_deadline)
         }
-        Some(i.next_deadline)
     }
 
     fn wake_handle(&self) -> Option<WakeHandle> {

@@ -11,7 +11,7 @@
 
 use crate::config::PcieConfig;
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::Time;
 use std::cell::RefCell;
@@ -802,46 +802,37 @@ impl Module for DmaEngine {
     /// no partially injected packet, no card words to absorb and no packet
     /// waiting out its last beats. The `free_at` pacing marks are
     /// irrelevant then — with empty queues a tick is a no-op at any future
-    /// instant too. Without a fault gate the host-to-card side is also
-    /// inert while a packet whose crossing has begun faces a full
-    /// `to_card`; with a gate attached that stall stays active, because
-    /// stall windows are time-dependent and `stalled_ticks` counts per
-    /// executed tick.
-    fn is_quiescent(&self) -> bool {
-        let h2c_inert = if self.inject.is_none() {
-            self.rings.borrow().tx.is_empty()
+    /// instant too. Otherwise pacing is a time bound: descriptor fetch
+    /// waits for `h2c_free_at`, a held burst for its crossing instant,
+    /// card-to-host absorption for `c2h_free_at`, an absorbed packet for
+    /// its completion instant, and nothing else can happen before the
+    /// earliest of the pending ones. A packet whose crossing has begun
+    /// moves a word whenever `to_card` has room, and is stalled — lifted by
+    /// a pop, not by time — when it has none.
+    ///
+    /// With a fault gate attached nothing is bounded and that stall stays
+    /// active, because stall windows are time-dependent and
+    /// `stalled_ticks` counts per executed tick.
+    fn activity(&self) -> Activity {
+        let h2c = if self.inject.is_none() {
+            if self.rings.borrow().tx.is_empty() {
+                Activity::Quiescent
+            } else {
+                Activity::Bounded(self.h2c_free_at)
+            }
+        } else if let Some(at) = self.inject_at {
+            Activity::Bounded(at)
         } else {
-            self.fault.is_none() && self.inject_at.is_none() && !self.to_card.can_push()
+            Activity::idle_if(self.fault.is_none() && !self.to_card.can_push())
         };
-        h2c_inert && self.absorbed.is_none() && !self.from_card.can_pop()
-    }
-
-    /// Pacing as a time bound (engines without a fault gate only):
-    /// descriptor fetch waits for `h2c_free_at`, a held burst for its
-    /// crossing instant, card-to-host absorption for `c2h_free_at`, an
-    /// absorbed packet for its completion instant, and nothing else can
-    /// happen before the earliest of the pending ones. No bound while an
-    /// injected word can move.
-    fn next_activity(&self) -> Option<Time> {
-        if self.fault.is_some() {
-            return None;
-        }
-        let inject = if self.inject.is_none() {
-            (!self.rings.borrow().tx.is_empty()).then_some(self.h2c_free_at)
-        } else if self.inject_at.is_some() {
-            self.inject_at
-        } else if self.to_card.can_push() {
-            return None;
-        } else {
-            None // blocked on `to_card`: lifted by a pop, not by time
+        let c2h = match &self.absorbed {
+            Some((at, ..)) => Activity::Bounded(*at),
+            None if self.from_card.can_pop() => Activity::Bounded(self.c2h_free_at),
+            None => Activity::Quiescent,
         };
-        let absorb = match &self.absorbed {
-            Some((at, ..)) => Some(*at),
-            None => self.from_card.can_pop().then_some(self.c2h_free_at),
-        };
-        match (inject, absorb) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        match h2c.join(c2h) {
+            Activity::Bounded(_) if self.fault.is_some() => Activity::Active,
+            both => both,
         }
     }
 

@@ -9,7 +9,7 @@
 
 use crate::config::PcieConfig;
 use netfpga_core::regs::AddressMap;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::time::Time;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -148,21 +148,18 @@ impl Module for MmioBridge {
     /// Idle when no request is outstanding. Hosts post requests between
     /// simulation runs (and chassis-style harnesses wait for completions
     /// with `run_while`, which never fast-forwards), so an empty queue
-    /// means every future tick is a no-op too.
-    fn is_quiescent(&self) -> bool {
-        self.port.shared.borrow().requests.is_empty()
-    }
-
-    /// With a request queued but its latency not yet elapsed, every tick
-    /// is the early-return no-op until the completion instant — the same
-    /// `due` the serve path compares against `now`.
-    fn next_activity(&self) -> Option<Time> {
+    /// means every future tick is a no-op too. With a request queued but
+    /// its latency not yet elapsed, every tick is the early-return no-op
+    /// until the completion instant — the same `due` the serve path
+    /// compares against `now`.
+    fn activity(&self) -> Activity {
         let shared = self.port.shared.borrow();
-        let due = match shared.requests.front()? {
-            Request::Read { issued, .. } => *issued + self.config.mmio_read_latency,
-            Request::Write { issued, .. } => *issued + self.config.mmio_write_latency,
+        let due = match shared.requests.front() {
+            None => return Activity::Quiescent,
+            Some(Request::Read { issued, .. }) => *issued + self.config.mmio_read_latency,
+            Some(Request::Write { issued, .. }) => *issued + self.config.mmio_write_latency,
         };
-        Some(due.max(self.free_at))
+        Activity::Bounded(due.max(self.free_at))
     }
 
     /// Only host posts can un-idle the bridge; completions are consumed

@@ -7,7 +7,7 @@
 
 use crate::mac::Wire;
 use netfpga_core::rng::SimRng;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::time::Time;
 
 /// Link behaviour knobs.
@@ -119,17 +119,13 @@ impl Module for Link {
     }
 
     /// Idle when the source wire holds no frames at all. A frame that has
-    /// not finished serializing yet still counts as work: it becomes ready
-    /// at a future instant, which a fast-forwarding simulator must not
-    /// skip past.
-    fn is_quiescent(&self) -> bool {
-        self.from.is_empty()
-    }
-
-    /// The source wire is FIFO, so nothing can move before its head frame
-    /// finishes serializing: the tick is a no-op until that instant.
-    fn next_activity(&self) -> Option<netfpga_core::time::Time> {
-        self.from.head_ready_at()
+    /// not finished serializing yet still counts as work: the wire is
+    /// FIFO, so nothing can move before its head frame becomes ready, and
+    /// the tick is a no-op until that instant.
+    fn activity(&self) -> Activity {
+        self.from
+            .head_ready_at()
+            .map_or(Activity::Quiescent, Activity::Bounded)
     }
 
     /// Only pushes onto the source wire can change this link's activity.

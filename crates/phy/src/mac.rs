@@ -20,7 +20,7 @@
 //! collapsed pacing: whole frames per tick, no cycle-level timing.
 
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{segment_buf, Burst, Meta, PortMask, Reassembler, StreamRx, StreamTx};
 use netfpga_core::time::{BitRate, Time};
 use std::cell::RefCell;
@@ -388,26 +388,23 @@ impl Module for EthMacTx {
         self.line_busy_until = Time::ZERO;
     }
 
-    /// Idle when nothing is claimed and the datapath has no word for us:
-    /// the backlog gate and wire schedule only change when a word is
-    /// consumed.
-    fn is_quiescent(&self) -> bool {
-        self.claimed.is_none() && !self.input.can_pop()
-    }
-
     /// Claimed words are acted on when the last of them is popped. With
-    /// words waiting but the backlog gate closed, the tick is a no-op
+    /// nothing claimed, idle when the datapath has no word for us: the
+    /// backlog gate and wire schedule only change when a word is consumed.
+    /// With words waiting but the backlog gate closed, the tick is a no-op
     /// until the committed wire time drains below the FIFO budget — a known
     /// instant, since `line_busy_until` only moves when a frame is accepted.
     /// Mid-frame words always flow, so no bound exists then.
-    fn next_activity(&self) -> Option<Time> {
-        if self.claimed.is_some() {
-            return self.claimed;
+    fn activity(&self) -> Activity {
+        if let Some(t) = self.claimed {
+            Activity::Bounded(t)
+        } else if !self.input.can_pop() {
+            Activity::Quiescent
+        } else if self.reasm.mid_packet() {
+            Activity::Active
+        } else {
+            Activity::Bounded(self.line_busy_until.saturating_sub(self.backlog_limit))
         }
-        if self.reasm.mid_packet() {
-            return None;
-        }
-        Some(self.line_busy_until.saturating_sub(self.backlog_limit))
     }
 
     /// Only the input stream can change this MAC's activity from outside:
@@ -563,25 +560,16 @@ impl Module for EthMacRx {
     /// time-dependent work, so it blocks quiescence); stalled when staged
     /// words face a full datapath stream with no pop scheduled — frames
     /// keep queueing on the wire meanwhile, but none is fetched until the
-    /// staged one drains.
-    fn is_quiescent(&self) -> bool {
-        if self.pending.is_none() {
-            self.wire.is_empty()
-        } else {
-            self.output.ready_at().is_none()
-        }
-    }
-
-    /// The tick is a no-op while committed words are still going out;
-    /// then, with no words staged, until the head frame on the FIFO wire
-    /// finishes arriving, and with words staged, until a scheduled pop
-    /// frees a slot for the next.
-    fn next_activity(&self) -> Option<Time> {
+    /// staged one drains. Otherwise the tick is a no-op while committed
+    /// words are still going out; then, with no words staged, until the
+    /// head frame on the FIFO wire finishes arriving, and with words
+    /// staged, until a scheduled pop frees a slot for the next.
+    fn activity(&self) -> Activity {
         let next = match &self.pending {
-            None => self.wire.head_ready_at()?,
-            Some(_) => self.output.ready_at()?,
+            None => self.wire.head_ready_at(),
+            Some(_) => self.output.ready_at(),
         };
-        Some(self.free_at.max(next)).filter(|&t| t > Time::ZERO)
+        next.map_or(Activity::Quiescent, |t| Activity::at(self.free_at.max(t)))
     }
 
     /// External activity channels: frames landing on the wire and datapath
@@ -801,6 +789,37 @@ mod tests {
             assert_eq!(got.last().expect("second frame").0, vec![2u8; 64]);
             assert!(sim.all_quiescent(), "drained");
         }
+    }
+
+    /// A soft reset between the cycle an RX MAC pushes a frame's `sop` and
+    /// the cycle the TX MAC downstream pops it: the RX MAC truncates the
+    /// frame, the TX MAC resyncs with nothing received yet, then takes the
+    /// orphaned `sop` as a frame start. The next frame must restart its
+    /// reassembler — not trip "sop inside packet" — and leave intact.
+    #[test]
+    fn soft_reset_with_the_sop_still_queued_delivers_the_next_frame() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("core", Frequency::mhz(200));
+        let (tx, rx) = Stream::new(16, 32);
+        let (wire_in, wire_out) = (Wire::new(), Wire::new());
+        let (mac_rx, rx_stats) = EthMacRx::new("mac_rx", wire_in.clone(), tx, 0);
+        let (mac_tx, tx_stats) = EthMacTx::new("mac_tx", BitRate::gbps(10), rx, wire_out.clone());
+        // Consumer first: a word pushed at an edge is popped at the next.
+        sim.add_module(clk, mac_tx);
+        sim.add_module(clk, mac_rx);
+        wire_in.push(WireFrame::new(vec![1u8; 320], Time::ZERO));
+        while rx_stats.get().frames == 0 {
+            sim.step();
+        }
+        sim.soft_reset();
+        let next = vec![2u8; 200];
+        wire_in.push(WireFrame::new(next.clone(), sim.now()));
+        sim.run_for(Time::from_us(2));
+        assert_eq!(rx_stats.get().frames, 2);
+        assert_eq!(tx_stats.get().frames, 1, "the cut frame never leaves");
+        let out = wire_out.take_ready(sim.now()).expect("the next frame");
+        assert_eq!(out.data, next);
+        assert!(wire_out.is_empty());
     }
 
     /// A TX MAC records the real CRC-32; a frame corrupted in flight is

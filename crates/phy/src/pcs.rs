@@ -27,7 +27,7 @@
 //!
 //! [`PortBond::degrade`]: crate::serdes::PortBond::degrade
 
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
 use netfpga_core::telemetry::{Event, EventKind, EventRing, StatRegistry};
 use std::cell::RefCell;
@@ -342,16 +342,16 @@ impl Module for PcsPort {
         self.target = self.inner.borrow().total_lanes;
     }
 
-    fn is_quiescent(&self) -> bool {
+    fn activity(&self) -> Activity {
         // Converged states are stable until the *signal* changes, and the
         // medium publishing a new signal is itself a non-quiescent tick
         // that wakes the simulation; every timed phase must tick.
         let s = self.inner.borrow();
-        match s.state {
+        Activity::idle_if(match s.state {
             LinkState::Up => s.bonded_lanes == s.signal_lanes,
             LinkState::Down => s.signal_lanes == 0,
             LinkState::Aligning => false,
-        }
+        })
     }
 
     /// Only a changed signal publication can alter a converged PCS's
@@ -490,15 +490,27 @@ mod tests {
     #[test]
     fn quiescent_only_when_converged() {
         let (mut pcs, h) = PcsPort::new("pcs0", 0, 2, cfg());
-        assert!(pcs.is_quiescent(), "fresh port is up and converged");
+        assert_eq!(
+            pcs.activity(),
+            Activity::Quiescent,
+            "fresh port is up and converged"
+        );
         h.set_signal_lanes(0);
-        assert!(!pcs.is_quiescent(), "state lags signal: must tick");
+        assert_eq!(
+            pcs.activity(),
+            Activity::Active,
+            "state lags signal: must tick"
+        );
         let c = tick_n(&mut pcs, 1, 0);
-        assert!(pcs.is_quiescent(), "down and dark is stable");
+        assert_eq!(
+            pcs.activity(),
+            Activity::Quiescent,
+            "down and dark is stable"
+        );
         h.set_signal_lanes(2);
-        assert!(!pcs.is_quiescent(), "hold-down pending");
+        assert_eq!(pcs.activity(), Activity::Active, "hold-down pending");
         tick_n(&mut pcs, 4 + 10, c);
-        assert!(pcs.is_quiescent());
+        assert_eq!(pcs.activity(), Activity::Quiescent);
         assert_eq!(h.state(), LinkState::Up);
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::isa::Instr;
 use netfpga_core::regs::AddressMap;
-use netfpga_core::sim::{Module, TickContext, WakeHandle};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use std::rc::Rc;
 
 /// Base address of the MMIO window onto the register map.
@@ -289,8 +289,8 @@ impl Module for SoftCore {
     /// no-ops until a reset, which re-dirties every activity cache. A
     /// running core is never idle — even a busy-wait loop advances `pc`
     /// and the retired-instruction count.
-    fn is_quiescent(&self) -> bool {
-        self.halted
+    fn activity(&self) -> Activity {
+        Activity::idle_if(self.halted)
     }
 
     /// No external channel can change a core's activity (firmware polls

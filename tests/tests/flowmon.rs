@@ -125,7 +125,7 @@ proptest! {
             )
         };
         let baseline = observe(SchedulerMode::Scan, false);
-        for mode in [SchedulerMode::Scan, SchedulerMode::Calendar, SchedulerMode::Heap] {
+        for mode in [SchedulerMode::Scan, SchedulerMode::Auto] {
             for idle_skip in [false, true] {
                 if mode == SchedulerMode::Scan && !idle_skip {
                     continue;

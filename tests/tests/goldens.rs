@@ -360,15 +360,36 @@ fn projects_reproduce_their_word_mode_goldens() {
 /// was delivered, every `dropped`/`bad_fcs` counter, and when the frames
 /// behind it left, all as the per-beat pipeline had it.
 ///
-/// At some offsets the per-beat pipeline panics ("sop inside packet": the
-/// cut frame's `sop` was still queued in front of a reassembler that then
-/// meets the next frame's — the case the watchdog's drain window exists to
-/// avoid). That is the golden too: the same offsets must panic, no others.
+/// At some offsets the per-beat pipeline of the capturing commit panicked
+/// ("sop inside packet": the cut frame's `sop` was still queued in front of
+/// a reassembler that then met the next frame's), and the fixture holds
+/// that as the golden. A reassembler now restarts the first frame after its
+/// resync on a second `sop`, so most of those offsets deliver; they are
+/// compared as the capture had them, and must panic exactly where the
+/// reset cuts a frame on *both* ports — the stage restarts on the first
+/// and meets the second in steady state, which is what the watchdog's
+/// drain window still exists to avoid. Every other offset must not panic
+/// and is compared bit for bit.
 #[test]
 fn soft_reset_mid_frame_reproduces_the_word_mode_goldens() {
     const PANICKED: u64 = 0xdead_dead_dead_dead;
+    let panicked_at_capture = |nports, depth, offset: u64| match (nports, depth) {
+        (1, _) => offset == 97,
+        (_, 64) => offset <= 46 || (95..=111).contains(&offset),
+        _ => offset <= 47 || (95..=113).contains(&offset),
+    };
+    let still_panics = |nports, offset: u64| nports == 2 && (95..=111).contains(&offset);
     let soft_reset_at = |nports, depth, offset| {
-        std::panic::catch_unwind(|| soft_reset_at(nports, depth, offset)).unwrap_or(PANICKED)
+        let now = std::panic::catch_unwind(|| soft_reset_at(nports, depth, offset)).ok();
+        if panicked_at_capture(nports, depth, offset) {
+            assert_eq!(
+                now.is_none(),
+                still_panics(nports, offset),
+                "{nports} ports, depth {depth}, offset {offset}"
+            );
+            return PANICKED;
+        }
+        now.unwrap_or(PANICKED)
     };
     let mut actual = Vec::new();
     for (nports, depth) in [(1, 64), (2, 64), (2, 8)] {
