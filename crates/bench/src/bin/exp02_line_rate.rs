@@ -9,8 +9,8 @@
 //! for the acceptance datapath at 40 and 100 Gb/s port configurations
 //! (SUME expansion-lane bonding, wider bus).
 
+use netfpga_bench::report::{write_json, Table};
 use netfpga_bench::workloads::{board_at_rate, mac, udp_frame, FRAME_SIZES};
-use netfpga_bench::Table;
 use netfpga_core::board::BoardSpec;
 use netfpga_core::stream::PortMask;
 use netfpga_core::time::{BitRate, Time};
@@ -182,7 +182,7 @@ fn main() {
     // Full mesh: every port offers line rate to a distinct peer port
     // (0->1, 1->0, 2->3, 3->2). A non-blocking fabric sustains all four
     // simultaneously: aggregate = 4 x line rate.
-    let mut t = Table::new(
+    let mut mesh = Table::new(
         "4-port full mesh through the reference switch (508 B frames, 10G each)",
         &["offered_total_gbps", "achieved_total_gbps", "pct"],
     );
@@ -231,14 +231,15 @@ fn main() {
         }
         let achieved = total_bytes as f64 * 8.0 / offered_span.as_secs_f64() / 1e9;
         let offered = 4.0 * 508.0 / 532.0 * 10.0;
-        t.row(&[
+        mesh.row(&[
             format!("{offered:.1}"),
             format!("{achieved:.1}"),
             format!("{:.1}", achieved / offered * 100.0),
         ]);
         assert!(achieved / offered > 0.97, "fabric must be non-blocking");
     }
-    t.print();
+    mesh.print();
+    write_json("BENCH_line_rate.json", &[t, mesh]).expect("write BENCH_line_rate.json");
 
     println!(
         "shape check: every design sustains ~100% of line rate at every frame size\n\

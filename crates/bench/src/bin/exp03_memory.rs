@@ -10,7 +10,7 @@
 //! 3. flow-table lookup rate with the table in SRAM vs DRAM;
 //! 4. the DRAM row-hit/row-miss/conflict breakdown behind (2).
 
-use netfpga_bench::Table;
+use netfpga_bench::report::{write_json, Table};
 use netfpga_core::rng::SimRng;
 use netfpga_mem::{Dram, DramConfig, DramRequest, Sram, SramConfig};
 
@@ -67,6 +67,7 @@ fn main() {
     let n = 4096u64;
 
     // 1. Idle latency.
+    let mut tables = Vec::new();
     let mut t = Table::new(
         "idle random-access latency",
         &["memory", "latency_cycles", "clock_mhz", "latency_ns"],
@@ -127,6 +128,7 @@ fn main() {
         ]);
     }
     t.print();
+    tables.push(t);
 
     // 2. Pattern sensitivity: requests per cycle under sequential/random.
     let mut t = Table::new(
@@ -180,6 +182,7 @@ fn main() {
         format!("{:.1}", n as f64 / rnd_dram as f64 * 100.0),
     ]);
     t.print();
+    tables.push(t);
 
     let mut t = Table::new(
         "DRAM row behaviour",
@@ -201,6 +204,7 @@ fn main() {
         ]);
     }
     t.print();
+    tables.push(t);
 
     // 3. Flow-table lookup rate: a lookup is one random read of the table
     // structure; rate = reads/sec at the device clock.
@@ -213,6 +217,8 @@ fn main() {
     t.row(&["QDRII+ SRAM @500MHz".into(), format!("{sram_rate:.1}")]);
     t.row(&["DDR3 @933MHz".into(), format!("{dram_rate:.1}")]);
     t.print();
+    tables.push(t);
+    write_json("BENCH_memory.json", &tables).expect("write BENCH_memory.json");
 
     println!(
         "shape check: SRAM random == SRAM sequential (pattern-insensitive);\n\

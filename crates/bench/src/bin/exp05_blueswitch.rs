@@ -11,8 +11,8 @@
 //!    configuration during an update, atomic commit vs naive in-place
 //!    rewrite, as a function of configuration size.
 
+use netfpga_bench::report::{write_json, Table};
 use netfpga_bench::workloads::udp_frame;
-use netfpga_bench::Table;
 use netfpga_core::board::BoardSpec;
 use netfpga_core::stream::PortMask;
 use netfpga_core::time::Time;
@@ -139,6 +139,7 @@ fn consistency(nrules_per_table: usize, atomic: bool) -> (u32, u32) {
 fn main() {
     println!("E5: BlueSwitch — match-action throughput and consistent updates\n");
 
+    let mut tables = Vec::new();
     let mut t = Table::new(
         "forwarding rate vs installed rules (2 tables, 252 B frames, 10G)",
         &["rules_per_table", "measured_mpps"],
@@ -147,6 +148,7 @@ fn main() {
         t.row(&[rules.to_string(), format!("{:.3}", forwarding_rate(rules))]);
     }
     t.print();
+    tables.push(t);
 
     let mut t = Table::new(
         "pipeline latency vs table count (unloaded, 60 B frame)",
@@ -159,6 +161,7 @@ fn main() {
         t.row(&[ntables.to_string(), format!("{l:.0}")]);
     }
     t.print();
+    tables.push(t);
 
     let mut t = Table::new(
         "consistency under live update (traffic saturates the update window)",
@@ -187,6 +190,8 @@ fn main() {
         }
     }
     t.print();
+    tables.push(t);
+    write_json("BENCH_blueswitch.json", &tables).expect("write BENCH_blueswitch.json");
 
     println!("shape checks:");
     println!("  forwarding rate is flat in rule count (TCAM parallel match);");

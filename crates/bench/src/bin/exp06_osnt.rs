@@ -8,7 +8,7 @@
 //! 2. measured one-way latency vs the configured DUT delay;
 //! 3. measured loss vs the configured DUT loss probability.
 
-use netfpga_bench::Table;
+use netfpga_bench::report::{write_json, Table};
 use netfpga_core::board::BoardSpec;
 use netfpga_core::time::{BitRate, Time};
 use netfpga_phy::LinkConfig;
@@ -25,6 +25,7 @@ fn main() {
     println!("E6: OSNT generator and capture accuracy\n");
 
     // 1. Rate accuracy sweep.
+    let mut tables = Vec::new();
     let mut t = Table::new(
         "generator rate accuracy (512 B probes, CBR)",
         &["target_gbps", "measured_gbps", "error_pct"],
@@ -48,6 +49,7 @@ fn main() {
         ]);
     }
     t.print();
+    tables.push(t);
 
     // 2. Latency accuracy sweep (subtract the known fixed path overhead:
     //    serialization + MAC store-and-forward, measured at delay≈0).
@@ -93,6 +95,7 @@ fn main() {
         ]);
     }
     t.print();
+    tables.push(t);
 
     // 3. Loss accuracy sweep.
     let mut t = Table::new(
@@ -118,6 +121,8 @@ fn main() {
         ]);
     }
     t.print();
+    tables.push(t);
+    write_json("BENCH_osnt.json", &tables).expect("write BENCH_osnt.json");
 
     // 4. Poisson spacing sanity.
     let mut o = looped(LinkConfig::default());

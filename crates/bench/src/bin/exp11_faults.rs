@@ -9,25 +9,16 @@
 //! degradation, not a hang.
 //!
 //! Emits the standard table + `@json` rows and writes
-//! `BENCH_faults.json`. Pass `--quick` for the CI-sized sweep.
+//! `BENCH_faults.json`.
 
 use netfpga_bench::faults::{degraded_switch, FaultPoint};
 use netfpga_bench::Table;
 use netfpga_core::time::Time;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let frames = if quick { 80 } else { 600 };
-    let bers: &[f64] = if quick {
-        &[0.0, 1e-4]
-    } else {
-        &[0.0, 1e-6, 1e-5, 1e-4]
-    };
-    let flap_periods: &[Option<u64>] = if quick {
-        &[None, Some(100)]
-    } else {
-        &[None, Some(400), Some(100)]
-    };
+    let frames = 600;
+    let bers: &[f64] = &[0.0, 1e-6, 1e-5, 1e-4];
+    let flap_periods: &[Option<u64>] = &[None, Some(400), Some(100)];
 
     let mut t = Table::new(
         "E11: reference switch under faults (BER x link flap)",

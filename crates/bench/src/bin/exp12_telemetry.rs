@@ -14,8 +14,7 @@
 //!   end through `poll_events` (down + up, in order).
 //!
 //! Emits the standard table + `@json` rows and writes
-//! `BENCH_telemetry.json`. Pass `--quick` for the CI smoke (same checks,
-//! less traffic).
+//! `BENCH_telemetry.json`.
 
 use netfpga_bench::Table;
 use netfpga_core::board::BoardSpec;
@@ -98,8 +97,7 @@ fn audit(name: &str, chassis: &mut Chassis, t: &mut Table) -> (usize, usize) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let frames = if quick { 4 } else { 64 };
+    let frames = 64;
     let spec = BoardSpec::sume();
 
     let mut t = Table::new(

@@ -12,21 +12,16 @@
 //! landing as detected-not-correctable double upsets.
 //!
 //! Emits the standard table + `@json` rows and writes
-//! `BENCH_recovery.json`. Pass `--quick` for the CI-sized sweep.
+//! `BENCH_recovery.json`.
 
 use netfpga_bench::recovery::{recovery_switch, RecoveryPoint, RecoveryRunResult};
 use netfpga_bench::Table;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let pcs: &[(u64, u64)] = if quick {
-        &[(400, 100), (2000, 400)]
-    } else {
-        &[(400, 100), (400, 400), (2000, 100), (2000, 400)]
-    };
+    let pcs: &[(u64, u64)] = &[(400, 100), (400, 400), (2000, 100), (2000, 400)];
     let scrub_rates: &[u32] = &[4, 2];
-    let flaps = if quick { 3 } else { 6 };
-    let frames = if quick { 90 } else { 150 };
+    let flaps = 6;
+    let frames = 150;
 
     let mut t = Table::new(
         "E13: autonomic recovery (retrain x hold-down x scrub rate)",

@@ -24,7 +24,6 @@
 //!   error, the widest stay exact).
 //!
 //! Emits the standard table + `@json` rows, writes `BENCH_flowmon.json`.
-//! Pass `--quick` for the CI smoke (same checks, less traffic).
 
 use std::collections::BTreeMap;
 
@@ -181,8 +180,7 @@ fn run_workload(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let npackets = if quick { 400 } else { 2000 };
+    let npackets = 2000;
     let sched = schedule(npackets, 0xE14);
 
     // Exact oracle: per-flow packet counts for the schedule.
@@ -232,8 +230,8 @@ fn main() {
     // (the non-IP teaching frame never enters the table, and the default
     // 64-entry table holds all 48 flows with no evictions).
     let flows = mon.flows();
-    // In --quick mode some Zipf-tail flows draw zero packets and never
-    // appear; every flow that sent anything must be tracked.
+    // A Zipf-tail flow may draw zero packets and never appear; every flow
+    // that sent anything must be tracked.
     let active = oracle.iter().filter(|&&c| c > 0).count();
     assert_eq!(
         flows.len(),
@@ -333,7 +331,7 @@ fn main() {
         bound.to_string(),
         "0".into(),
         "yes".into(),
-        format!("{:016x}", base_sig.hash()),
+        format!("{:#018x}", base_sig.hash()),
     ]);
 
     // ---- Phase B: bit-identical replay across kernel configs --------
@@ -357,7 +355,7 @@ fn main() {
             "-".into(),
             "-".into(),
             "-".into(),
-            format!("{:016x}", sig.hash()),
+            format!("{:#018x}", sig.hash()),
         ]);
     }
 

@@ -20,56 +20,6 @@ use netfpga_bench::kernel::{
     run_keeping_chassis, KernelConfig, Workload, FRAME_LEN, NIC_FRAME_LEN,
 };
 
-fn phases(nframes: u32) {
-    use netfpga_core::board::BoardSpec;
-    use netfpga_core::time::Time;
-    use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
-    use netfpga_projects::ReferenceSwitch;
-    use std::time::Instant;
-    let mac = |x: u8| EthernetAddress::new(2, 0, 0, 0, 0, x);
-    let frame = |src: u8, dst: u8| {
-        PacketBuilder::new()
-            .eth(mac(src), mac(dst))
-            .raw(EtherType::Ipv4, &[src; 46])
-            .pad_to(300)
-            .build()
-    };
-    let mut sw =
-        ReferenceSwitch::with_fast_path(&BoardSpec::sume(), 4, 1024, Time::from_ms(100), true);
-    for p in 0..4u8 {
-        sw.chassis.send(usize::from(p), frame(p + 1, 0xee));
-        sw.chassis.run_for(Time::from_us(5));
-    }
-    for p in 0..4 {
-        sw.chassis.recv(p);
-    }
-    let f01: netfpga_core::pktbuf::PktBuf = frame(1, 2).into();
-    let f23: netfpga_core::pktbuf::PktBuf = frame(3, 4).into();
-    let t0 = Instant::now();
-    for _ in 0..nframes {
-        sw.chassis.send(0, f01.clone());
-        sw.chassis.send(2, f23.clone());
-    }
-    let t_send = t0.elapsed();
-    let t1 = Instant::now();
-    let mut frames = 0u64;
-    for _ in 0..200 {
-        sw.chassis
-            .run_for(Time::from_us(u64::from(nframes) / 2 + 20));
-        for p in 0..4 {
-            frames += sw.chassis.recv(p).len() as u64;
-        }
-        if frames >= 2 * u64::from(nframes) {
-            break;
-        }
-    }
-    let t_drain = t1.elapsed();
-    println!(
-        "phases: send={t_send:?} drain={t_drain:?} frames={frames} steps={}",
-        sw.chassis.sim.steps_executed()
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let config = match args.get(1).map(String::as_str) {
@@ -77,10 +27,6 @@ fn main() {
         _ => KernelConfig::Fast,
     };
     let workload = args.get(2).map(String::as_str).unwrap_or("sat").to_string();
-    if workload == "phases" {
-        phases(args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4000));
-        return;
-    }
     let n: u32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(20_000);
     let (which, default_len) = match workload.as_str() {
         "idle" => (Workload::IdleHeavy, FRAME_LEN),
@@ -95,7 +41,7 @@ fn main() {
         .unwrap_or(default_len);
     let (run, chassis) = run_keeping_chassis(config, which, n, frame_len);
     println!(
-        "{} {} {}B: edges={} steps={} ({:.1}% stepped) frames={} cow={} wall={:?} edges/s={:.0} frames/s={:.0}",
+        "{} {} {}B: edges={} steps={} ({:.1}% stepped) frames={} cow={}",
         config.label(),
         workload,
         frame_len,
@@ -103,10 +49,7 @@ fn main() {
         run.steps,
         100.0 * run.steps as f64 / run.edges.max(1) as f64,
         run.frames,
-        run.cow_copies,
-        run.wall,
-        run.edges_per_sec(),
-        run.frames_per_sec()
+        run.cow_copies
     );
     // The whole chassis shares the core clock, so every module's ticks are
     // out of the same edge count (both since construction, teaching

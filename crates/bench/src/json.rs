@@ -1,10 +1,11 @@
 //! A minimal JSON value type for experiment output.
 //!
 //! The offline build cannot fetch `serde_json`, and the experiment
-//! machinery only ever *emits* JSON (one object per table row, plus the
+//! machinery only *emits* JSON (one object per table row, plus the
 //! `BENCH_*.json` artifacts). This module provides exactly that: a
 //! [`Value`] enum with correct serialization, convenient construction and
-//! the comparison/indexing sugar the tests use.
+//! the comparison/indexing sugar the tests use — and [`Value::parse`], so
+//! the artifact test can read back what the experiments committed.
 
 use std::fmt;
 
@@ -66,6 +67,154 @@ impl Value {
         match self {
             Value::String(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// Parse one JSON document (surrounding whitespace allowed). The error
+    /// names the byte offset it stopped at.
+    pub fn parse(text: &str) -> Result<Value, String> {
+        let mut p = Parser { text, at: 0 };
+        let v = p.value()?;
+        p.skip_ws();
+        if p.at == text.len() {
+            Ok(v)
+        } else {
+            Err(p.error("trailing characters"))
+        }
+    }
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.at)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.at).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\n' | b'\r' | b'\t')) {
+            self.at += 1;
+        }
+    }
+
+    fn eat(&mut self, token: &str) -> bool {
+        let hit = self.text[self.at..].starts_with(token);
+        if hit {
+            self.at += token.len();
+        }
+        hit
+    }
+
+    fn expect(&mut self, token: &str) -> Result<(), String> {
+        if self.eat(token) {
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected {token:?}")))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self
+                .sequence("}", |p| {
+                    let key = p.string()?;
+                    p.skip_ws();
+                    p.expect(":")?;
+                    Ok((key, p.value()?))
+                })
+                .map(Value::Object),
+            Some(b'[') => self.sequence("]", Parser::value).map(Value::Array),
+            Some(b'"') => self.string().map(Value::String),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ if self.eat("true") => Ok(Value::Bool(true)),
+            _ if self.eat("false") => Ok(Value::Bool(false)),
+            _ if self.eat("null") => Ok(Value::Null),
+            _ => Err(self.error("expected a value")),
+        }
+    }
+
+    /// The comma-separated items of an array or object, the opening bracket
+    /// at the cursor.
+    fn sequence<T>(
+        &mut self,
+        close: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.at += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.eat(close) {
+            return Ok(items);
+        }
+        loop {
+            self.skip_ws();
+            items.push(item(self)?);
+            self.skip_ws();
+            if self.eat(close) {
+                return Ok(items);
+            }
+            self.expect(",")?;
+        }
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let rest = &self.text[self.at..];
+        let len = rest
+            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
+            .unwrap_or(rest.len());
+        let n = rest[..len]
+            .parse::<f64>()
+            .map_err(|_| self.error("malformed number"))?;
+        self.at += len;
+        Ok(Value::Number(n))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect("\"")?;
+        let mut out = String::new();
+        loop {
+            let mut rest = self.text[self.at..].chars();
+            let c = rest
+                .next()
+                .ok_or_else(|| self.error("unterminated string"))?;
+            self.at += c.len_utf8();
+            match c {
+                '"' => return Ok(out),
+                '\\' => {
+                    let esc = rest
+                        .next()
+                        .ok_or_else(|| self.error("unterminated escape"))?;
+                    self.at += esc.len_utf8();
+                    out.push(match esc {
+                        '"' | '\\' | '/' => esc,
+                        'n' => '\n',
+                        'r' => '\r',
+                        't' => '\t',
+                        'b' => '\u{8}',
+                        'f' => '\u{c}',
+                        'u' => {
+                            let code = self
+                                .text
+                                .get(self.at..self.at + 4)
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| self.error("malformed \\u escape"))?;
+                            self.at += 4;
+                            code
+                        }
+                        _ => return Err(self.error("unknown escape")),
+                    });
+                }
+                c => out.push(c),
+            }
         }
     }
 }
@@ -228,6 +377,23 @@ mod tests {
         v.insert("a", 2u64);
         assert_eq!(v["a"], 2.0);
         assert_eq!(v.to_string(), r#"{"a":2}"#);
+    }
+
+    #[test]
+    fn parse_reads_back_what_display_writes() {
+        let mut row = Value::object();
+        row.insert("table", "E0: \"demo\"\n\u{1}µ");
+        row.insert("n", 3u64);
+        row.insert("rate", -1.5e-3);
+        row.insert("ok", true);
+        row.insert("none", Value::Null);
+        row.insert("list", vec![1u64, 2]);
+        row.insert("empty", Value::Array(Vec::new()));
+        let doc = Value::Array(vec![row, Value::object()]);
+        assert_eq!(Value::parse(&format!(" {doc}\n")), Ok(doc));
+        for bad in ["", "[1,]", "{\"a\" 1}", "[1] 2", "\"open", "nul", "1.2.3"] {
+            assert!(Value::parse(bad).is_err(), "{bad:?} must not parse");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Kernel-throughput workloads: how fast the simulation kernel burns
-//! through clock edges on a full reference-switch chassis, comparing the
+//! Kernel workloads: how many of a full reference-switch chassis' clock
+//! edges the simulation kernel has to execute, comparing the
 //! naive stepper (linear domain scan, every module ticked every edge, one
 //! word per cycle) against the fast path (edge calendar or heap, quiescence
 //! skipping, time-blocked fast-forward, burst stream transfers).
@@ -40,8 +40,10 @@
 //!   executes a handful of edges and module ticks per frame — not one per
 //!   beat per module — while every beat keeps its cycle.
 //!
-//! Shared by the `kernel` Criterion bench (quick CI smoke) and the
-//! `exp10_kernel` experiment binary (full numbers + `BENCH_kernel.json`).
+//! Every figure a run reports is a counter, so a run repeats bit for bit;
+//! what the same workloads cost in host time is the referee's to say
+//! (`benchmark/`). Used by `exp10_kernel` (`BENCH_kernel.json`),
+//! `exp15_reliability` and `prof_kernel`.
 
 use netfpga_core::board::BoardSpec;
 use netfpga_core::pktbuf;
@@ -53,7 +55,6 @@ use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
 use netfpga_pcie::SendError;
 use netfpga_projects::flowmon::FlowmonConfig;
 use netfpga_projects::{Chassis, ReferenceNic, ReferenceSwitch};
-use std::time::{Duration, Instant};
 
 /// Which stepper configuration a run measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,16 +77,14 @@ impl KernelConfig {
     }
 }
 
-/// One measured run: simulated edges, wall time, delivered frames, and the
-/// packet-buffer-plane counters accumulated while it ran.
+/// One run's counters: simulated edges, executed edges, delivered frames,
+/// and what the packet-buffer plane and the activity cache did meanwhile.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelRun {
     /// Core-clock edges the simulation advanced through.
     pub edges: u64,
     /// Edges the kernel actually executed (the rest were fast-forwarded).
     pub steps: u64,
-    /// Host wall time spent inside the run loop.
-    pub wall: Duration,
     /// Frames delivered at the tester edge (work sanity check: both
     /// configs must deliver the same count).
     pub frames: u64,
@@ -100,18 +99,6 @@ pub struct KernelRun {
     /// Cache re-queries forced by an edge-triggered wake (pushes, host
     /// posts, injections landing on an idle module).
     pub invalidations: u64,
-}
-
-impl KernelRun {
-    /// Simulated edges per host second.
-    pub fn edges_per_sec(&self) -> f64 {
-        self.edges as f64 / self.wall.as_secs_f64().max(1e-12)
-    }
-
-    /// Frames delivered per host second.
-    pub fn frames_per_sec(&self) -> f64 {
-        self.frames as f64 / self.wall.as_secs_f64().max(1e-12)
-    }
 }
 
 fn mac(x: u8) -> EthernetAddress {
@@ -164,7 +151,7 @@ fn switch(config: KernelConfig) -> ReferenceSwitch {
 
 /// Build a 4-port fast-path switch with the flow-monitoring plane spliced
 /// into the datapath (tap + histograms + exporter) — the configuration the
-/// tap-overhead rows measure against plain `Fast`.
+/// `fast+tap` rows set against plain `Fast`.
 fn tapped_switch() -> ReferenceSwitch {
     let mut sw = ReferenceSwitch::with_flowmon(
         &BoardSpec::sume(),
@@ -203,7 +190,6 @@ struct RunBase {
     cycles: u64,
     kernel: netfpga_core::sim::KernelStats,
     cow: u64,
-    started: Instant,
 }
 
 impl RunBase {
@@ -212,7 +198,6 @@ impl RunBase {
             cycles: chassis.sim.cycles(chassis.clk),
             kernel: chassis.sim.kernel_stats(),
             cow: pktbuf::pool_stats().cow_copies,
-            started: Instant::now(),
         }
     }
 
@@ -221,7 +206,6 @@ impl RunBase {
         KernelRun {
             edges: chassis.sim.cycles(chassis.clk) - self.cycles,
             steps: k.steps - self.kernel.steps,
-            wall: self.started.elapsed(),
             frames,
             cow_copies: pktbuf::pool_stats().cow_copies - self.cow,
             probes_avoided: k.probes_avoided - self.kernel.probes_avoided,
@@ -499,15 +483,14 @@ fn nic_bidir_on(nic: &mut ReferenceNic, nframes: u32, frame_len: usize) -> Kerne
 /// Saturated workload on the fast kernel with the reliable host-I/O
 /// plane attached on an inert fault plan — a sequenced DMA engine and
 /// the retry channel's driver module riding along while the PHY-driven
-/// stimulus of [`saturated`] runs. Same frames delivered, so
-/// `frames_per_sec` ratios against plain `Fast` are the attached
-/// plane's kernel-loop overhead (experiment E15's floor: >= 0.95x).
+/// stimulus of [`saturated`] runs. E15 requires the same frames over the
+/// same edges as plain `Fast`: attached and idle, the plane is invisible
+/// to the device.
 pub fn saturated_reliable(nframes: u32) -> KernelRun {
     let mut sw = learned_switch(KernelConfig::Fast);
     // The DMA engine hangs off a detached host port: the streams exist
     // (held alive for the run) but the saturated stimulus never crosses
-    // them, so the plane is attached-and-idle — exactly the inert-plan
-    // configuration the overhead floor is defined over.
+    // them, so the plane is attached-and-idle.
     let w = sw.chassis.bus_width();
     let (to_card_tx, _to_card_rx) = Stream::new(64, w);
     let (_from_card_tx, from_card_rx) = Stream::new(64, w);
@@ -515,60 +498,21 @@ pub fn saturated_reliable(nframes: u32) -> KernelRun {
     let dma = sw.chassis.dma.clone().expect("DMA attached");
     let (driver, channel) = ReliableChannel::new("reliable", dma, ReliableConfig::default(), 0xE15);
     sw.chassis.add_module(driver);
-
-    let f01: pktbuf::PktBuf = frame(1, 2, 300).into();
-    let f23: pktbuf::PktBuf = frame(3, 4, 300).into();
-    let base = RunBase::begin(&sw.chassis);
-    for _ in 0..nframes {
-        sw.chassis.send(0, f01.clone());
-        sw.chassis.send(2, f23.clone());
-    }
-    let expect = 2 * u64::from(nframes);
-    let mut frames = 0u64;
-    for _ in 0..200 {
-        sw.chassis
-            .run_for(Time::from_us(u64::from(nframes) / 2 + 20));
-        for p in 0..4 {
-            frames += sw.chassis.recv(p).len() as u64;
-        }
-        if frames >= expect {
-            break;
-        }
-    }
+    let run = saturated_on(&mut sw, nframes, FRAME_LEN);
     assert!(
         channel.idle(),
         "no host TX was offered, the channel stays idle"
     );
-    base.finish(&sw.chassis, frames)
+    run
 }
 
 /// Saturated workload on the fast kernel with the flow-monitoring tap
 /// spliced in — same stimulus as [`saturated`] with
-/// [`KernelConfig::Fast`], so `edges_per_sec` ratios between the two are
-/// the tap's overhead.
+/// [`KernelConfig::Fast`], and the same deliveries.
 pub fn saturated_tap(nframes: u32) -> KernelRun {
     let mut sw = tapped_switch();
     teach(&mut sw);
-    let f01: pktbuf::PktBuf = frame(1, 2, 300).into();
-    let f23: pktbuf::PktBuf = frame(3, 4, 300).into();
-    let base = RunBase::begin(&sw.chassis);
-    for _ in 0..nframes {
-        sw.chassis.send(0, f01.clone());
-        sw.chassis.send(2, f23.clone());
-    }
-    let expect = 2 * u64::from(nframes);
-    let mut frames = 0u64;
-    for _ in 0..200 {
-        sw.chassis
-            .run_for(Time::from_us(u64::from(nframes) / 2 + 20));
-        for p in 0..4 {
-            frames += sw.chassis.recv(p).len() as u64;
-        }
-        if frames >= expect {
-            break;
-        }
-    }
-    base.finish(&sw.chassis, frames)
+    saturated_on(&mut sw, nframes, FRAME_LEN)
 }
 
 /// Flood workload on the fast kernel with the flow-monitoring tap
@@ -652,8 +596,7 @@ mod tests {
     /// Stalled is not active, pinned with exact counters: under the 3:1
     /// oversubscribed flood the output queues sit behind full egress FIFOs
     /// whose TX MACs are time-blocked, so the fast kernel executes at most
-    /// a quarter of the edges (26 007 of 40 000 before the stall rules;
-    /// same workload as `exp10_kernel --quick`).
+    /// a quarter of the edges (26 007 of 40 000 before the stall rules).
     #[test]
     fn fast_kernel_skips_the_stalled_flood() {
         let fast = flood(KernelConfig::Fast, 700);

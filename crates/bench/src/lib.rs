@@ -4,8 +4,10 @@
 //! `EXPERIMENTS.md` at the workspace root). One binary per experiment
 //! lives in `src/bin/expNN_*.rs`; each prints the table/series it
 //! regenerates, plus a machine-readable JSON line per row so the
-//! documentation tables can be rebuilt mechanically. Criterion
-//! micro-benchmarks of the hot paths live in `benches/`.
+//! documentation tables can be rebuilt mechanically. Every figure is
+//! simulated time or a counter, so the `BENCH_*.json` artifacts the
+//! binaries write repeat byte for byte; host time is measured by the
+//! referee under `benchmark/`, and only there.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -20,7 +20,6 @@ use netfpga_host::{ReliableChannel, ReliableConfig};
 use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
 use netfpga_projects::reference_nic::ReferenceNic;
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 /// When the wedge lands (wedge points only).
 pub const WEDGE_AT_US: u64 = 100;
@@ -235,52 +234,6 @@ pub fn reliability_nic(point: ReliabilityPoint) -> ReliabilityRunResult {
         bite_latency_ns,
         trace: faults.trace(),
     }
-}
-
-/// Least wall time of one [`overhead_pair`] sample. The saturated
-/// workload at a few thousand frames takes single milliseconds, where
-/// allocator and cache state left by whatever ran before decides a 5 %
-/// ratio; the frame count is scaled until a sample lasts this long.
-const OVERHEAD_SAMPLE: Duration = Duration::from_millis(50);
-
-/// Interleaved resample rounds [`overhead_pair`] draws before it returns
-/// a ratio still under the floor.
-const OVERHEAD_ROUNDS: usize = 12;
-
-/// Overhead probe — the E15 acceptance floor: with an **inert** fault
-/// plan and the reliable layer attached (sequenced DMA engine + retry
-/// channel driver riding the kernel loop), the saturated `exp10_kernel`
-/// workload must keep at least `floor` of the unattached baseline's
-/// wall-clock throughput. Returns `(baseline_fps, attached_fps)`: the
-/// per-side best over interleaved samples of at least
-/// `OVERHEAD_SAMPLE` (50 ms) each (`report::best_of`), drawn until the
-/// ratio clears `floor` or `OVERHEAD_ROUNDS` (12) rounds are spent.
-pub fn overhead_pair(floor: f64) -> (f64, f64) {
-    use crate::kernel::{saturated, saturated_reliable, KernelConfig};
-    // One run sizes the samples (and warms the pool up).
-    const PROBE_FRAMES: u32 = 2000;
-    let probe = saturated(KernelConfig::Fast, PROBE_FRAMES);
-    let scale = OVERHEAD_SAMPLE.as_secs_f64() / probe.wall.as_secs_f64();
-    let nframes = (f64::from(PROBE_FRAMES) * scale.max(1.0)).ceil() as u32;
-    let delivered = |r: crate::kernel::KernelRun, what: &str| {
-        assert_eq!(
-            r.frames,
-            2 * u64::from(nframes),
-            "{what} must deliver everything"
-        );
-        r.frames_per_sec()
-    };
-    let mut run_baseline = || delivered(saturated(KernelConfig::Fast, nframes), "baseline");
-    let mut run_attached = || delivered(saturated_reliable(nframes), "attached run");
-    let mut bests = crate::report::best_of(
-        &mut [&mut run_baseline, &mut run_attached],
-        |x, best| x > best,
-        |round, bests| round >= 1 && bests[1] / bests[0] >= floor,
-        OVERHEAD_ROUNDS,
-    );
-    let attached = bests.pop().expect("attached sample");
-    let base = bests.pop().expect("baseline sample");
-    (base, attached)
 }
 
 #[cfg(test)]

@@ -1,43 +1,7 @@
 //! Table rendering for experiment output: fixed-width text for humans
-//! plus one JSON object per row for machines — and the shared
-//! interleaved best-of sampler the wall-clock experiments use.
+//! plus one JSON object per row for machines.
 
 use crate::json::Value;
-
-/// Interleaved best-of sampling for noisy wall-clock measurements.
-///
-/// The experiments run in shared containers where host-level contention
-/// comes in bursts that inflate wall times by tens of percent; since
-/// noise only ever *slows* a run, the per-sampler best over alternating
-/// rounds converges to the true time, and interleaving keeps one side's
-/// noisy-neighbour blip from deciding a ratio.
-///
-/// Each sampler is drawn once up front; then, for up to `max_rounds`
-/// rounds, `converged(round, bests)` is consulted (round counting from
-/// 0, so a guard like `round >= 2` demands at least two resample
-/// rounds) and, if it returns false, every sampler is drawn again and
-/// each best is kept per `better(new, incumbent)`. Returns the bests in
-/// sampler order.
-pub fn best_of<T>(
-    samplers: &mut [&mut dyn FnMut() -> T],
-    better: impl Fn(&T, &T) -> bool,
-    mut converged: impl FnMut(usize, &[T]) -> bool,
-    max_rounds: usize,
-) -> Vec<T> {
-    let mut bests: Vec<T> = samplers.iter_mut().map(|s| s()).collect();
-    for round in 0..max_rounds {
-        if converged(round, &bests) {
-            break;
-        }
-        for (i, s) in samplers.iter_mut().enumerate() {
-            let x = s();
-            if better(&x, &bests[i]) {
-                bests[i] = x;
-            }
-        }
-    }
-    bests
-}
 
 /// A simple column-aligned table that also emits JSON rows.
 #[derive(Debug, Clone)]
@@ -142,66 +106,21 @@ impl Table {
     /// Write the table's rows to `path` as one JSON array — the
     /// `BENCH_*.json` artifact format.
     pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let v = Value::Array(self.json_rows());
-        std::fs::write(path, format!("{v}\n"))
+        write_json(path, std::slice::from_ref(self))
     }
+}
+
+/// Write the rows of `tables`, in order, to `path` as one JSON array: the
+/// artifact of an experiment that prints several tables (every row names
+/// its own).
+pub fn write_json(path: impl AsRef<std::path::Path>, tables: &[Table]) -> std::io::Result<()> {
+    let v = Value::Array(tables.iter().flat_map(Table::json_rows).collect());
+    std::fs::write(path, format!("{v}\n"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn best_of_keeps_per_sampler_best_and_counts_rounds() {
-        // Sampler 0 improves (descends), sampler 1 regresses (ascends):
-        // best-of must keep 0's latest and 1's first.
-        let mut a = 10;
-        let mut b = 5;
-        let mut draw_a = || {
-            a -= 1;
-            a
-        };
-        let mut draw_b = || {
-            b += 1;
-            b
-        };
-        let bests = best_of(
-            &mut [&mut draw_a, &mut draw_b],
-            |x, best| x < best,
-            |round, _| round >= 2,
-            24,
-        );
-        // 1 initial draw + 2 resample rounds each.
-        assert_eq!(bests, vec![7, 6]);
-    }
-
-    #[test]
-    fn best_of_converges_on_predicate() {
-        let mut n = 0;
-        let mut draw = || {
-            n += 1;
-            n
-        };
-        // Converge as soon as the best (here: the max) reaches 3.
-        let bests = best_of(
-            &mut [&mut draw],
-            |x, best| x > best,
-            |_, bests| bests[0] >= 3,
-            100,
-        );
-        assert_eq!(bests, vec![3]);
-    }
-
-    #[test]
-    fn best_of_round_cap_bounds_sampling() {
-        let mut n = 0u32;
-        let mut draw = || {
-            n += 1;
-            n
-        };
-        let bests = best_of(&mut [&mut draw], |x, best| x > best, |_, _| false, 4);
-        assert_eq!(bests, vec![5], "1 initial + 4 capped rounds");
-    }
 
     #[test]
     fn render_aligns_columns() {
@@ -225,6 +144,17 @@ mod tests {
         assert_eq!(rows[0]["k"], "x");
         assert_eq!(rows[0]["v"], 1.5);
         assert_eq!(rows[0]["table"], "demo");
+    }
+
+    /// A hex signature must never reach the artifact as a double: with no
+    /// `a`–`f` digit a bare one parses as a number and loses its low bits.
+    #[test]
+    fn hex_cells_stay_strings() {
+        let mut t = Table::new("demo", &["bare", "sig"]);
+        t.row_str(&["1234567890123456", "0x1234567890123456"]);
+        let rows = t.json_rows();
+        assert_eq!(rows[0]["bare"], 1234567890123456.0);
+        assert_eq!(rows[0]["sig"], "0x1234567890123456");
     }
 
     #[test]
