@@ -6,15 +6,15 @@
 //! stand-ins for "the rest of the world" in unit tests and experiments; the
 //! MAC models in `netfpga-phy` add wire-rate pacing on top.
 //!
-//! Both use the stream's paced operations ([`StreamTx::commit`],
-//! [`StreamRx::claim`]): against a paced neighbour on the same clock a
-//! packet crosses as one beat-timed burst and the endpoint ticks when a
-//! packet starts or ends, not once per word; against anything else they
-//! move a word per tick. Every beat keeps its cycle either way.
+//! Both sit on a word-paced packet port ([`PacketTx`], [`PacketRx`]):
+//! against a paced neighbour on the same clock a packet crosses as one
+//! beat-timed burst and the endpoint ticks when a packet starts or ends,
+//! not once per word; against anything else they move a word per tick.
+//! Every beat keeps its cycle either way.
 
 use crate::pktbuf::PktBuf;
 use crate::sim::{Activity, Module, TickContext, WakeHandle};
-use crate::stream::{segment_buf, Burst, Meta, PortMask, Reassembler, StreamRx, StreamTx};
+use crate::stream::{Meta, PacketRx, PacketTx, PortMask, StreamRx, StreamTx};
 use crate::time::Time;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -74,13 +74,7 @@ impl InjectQueue {
 pub struct PacketSource {
     name: String,
     queue: InjectQueue,
-    tx: StreamTx,
-    /// The beats of the packet being emitted that are still to be
-    /// committed.
-    current: Option<Burst>,
-    /// The edge after the last committed beat: nothing is pushed, and no
-    /// packet is started, before it.
-    free_at: Time,
+    tx: PacketTx,
     sent_packets: u64,
     sent_bytes: u64,
     /// Activity-cache invalidation flag, registered on the inject queue
@@ -95,14 +89,11 @@ impl PacketSource {
         let queue = InjectQueue::new();
         let wake = WakeHandle::new();
         *queue.wake.borrow_mut() = Some(wake.clone());
-        tx.pace(wake.clone(), true);
         (
             PacketSource {
                 name: name.to_string(),
                 queue: queue.clone(),
-                tx,
-                current: None,
-                free_at: Time::ZERO,
+                tx: PacketTx::new(tx, &wake),
                 sent_packets: 0,
                 sent_bytes: 0,
                 wake,
@@ -120,11 +111,6 @@ impl PacketSource {
     pub fn sent_bytes(&self) -> u64 {
         self.sent_bytes
     }
-
-    /// True when both the queue and the in-flight word buffer are empty.
-    pub fn idle(&self) -> bool {
-        self.current.is_none() && self.queue.pending() == 0
-    }
 }
 
 impl Module for PacketSource {
@@ -133,49 +119,35 @@ impl Module for PacketSource {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if ctx.now < self.free_at {
-            return; // committed beats are still going out
-        }
-        if self.current.is_none() {
-            if let Some((packet, mut meta)) = self.queue.inner.borrow_mut().pop_front() {
-                meta.ingress_time = ctx.now;
-                meta.len = packet.len() as u16;
-                self.sent_bytes += packet.len() as u64;
-                self.sent_packets += 1;
-                self.current = Some(segment_buf(&packet, self.tx.width(), meta));
-            }
-        }
-        if let Some(free_at) = self.tx.commit(&mut self.current, ctx) {
-            self.free_at = free_at;
+        while self.tx.emit(ctx) {
+            let Some((packet, mut meta)) = self.queue.inner.borrow_mut().pop_front() else {
+                break;
+            };
+            meta.ingress_time = ctx.now;
+            meta.len = packet.len() as u16;
+            self.sent_bytes += packet.len() as u64;
+            self.sent_packets += 1;
+            self.tx.stage(packet, meta);
         }
     }
 
     fn reset(&mut self) {
-        self.soft_reset();
-        self.current = None;
+        self.tx.reset();
         self.queue.inner.borrow_mut().clear();
         self.sent_packets = 0;
         self.sent_bytes = 0;
     }
 
-    /// Beats committed but not yet pushed are back on the cursor and go
-    /// out from the next edge on, as they would have one by one.
+    /// A packet cut short mid-emission is discarded; queued packets stay.
     fn soft_reset(&mut self) {
-        self.tx.settle(&mut self.current);
-        self.free_at = Time::ZERO;
+        self.tx.soft_reset();
     }
 
-    /// Idle with no queued packet and no beats left to commit; stalled
-    /// with beats left and no slot in sight. Otherwise nothing happens
-    /// before the committed beats are out, nor — with beats left — before
-    /// a scheduled pop frees a slot; with `current` empty and a packet
-    /// queued the tick stamps and stages it as soon as the bus is free.
+    /// The port's answer; a queued packet is stamped and staged as soon as
+    /// the bus is free.
     fn activity(&self) -> Activity {
-        let slot = match &self.current {
-            Some(_) => self.tx.ready_at(),
-            None => (self.queue.pending() > 0).then_some(Time::ZERO),
-        };
-        slot.map_or(Activity::Quiescent, |t| Activity::at(self.free_at.max(t)))
+        self.tx
+            .activity((self.queue.pending() > 0).then_some(Time::ZERO))
     }
 
     /// External activity channels: injections into the queue, pops from
@@ -246,10 +218,7 @@ impl CaptureBuffer {
 /// [`CaptureBuffer`].
 pub struct PacketSink {
     name: String,
-    rx: StreamRx,
-    /// The edge that pops the last beat claimed from `rx`, until then.
-    claimed: Option<Time>,
-    reasm: Reassembler,
+    rx: PacketRx,
     buffer: CaptureBuffer,
     /// Activity-cache invalidation flag, registered on the input stream.
     wake: WakeHandle,
@@ -260,13 +229,10 @@ impl PacketSink {
     pub fn new(name: &str, rx: StreamRx) -> (PacketSink, CaptureBuffer) {
         let buffer = CaptureBuffer::new();
         let wake = WakeHandle::new();
-        rx.pace(wake.clone(), true);
         (
             PacketSink {
                 name: name.to_string(),
-                rx,
-                claimed: None,
-                reasm: Reassembler::new(),
+                rx: PacketRx::new(rx, &wake),
                 buffer: buffer.clone(),
                 wake,
             },
@@ -281,44 +247,33 @@ impl Module for PacketSink {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if let Some(beats) = self.rx.pop_paced(&mut self.claimed, true, ctx) {
-            if let Some((data, meta)) = self.reasm.push_burst(beats) {
-                *self.buffer.bytes.borrow_mut() += data.len() as u64;
-                *self.buffer.packets.borrow_mut() += 1;
-                self.buffer.inner.borrow_mut().push_back(CapturedPacket {
-                    data,
-                    meta,
-                    arrival: ctx.now,
-                });
-            }
+        while let Some((data, meta)) = self.rx.poll(true, ctx) {
+            *self.buffer.bytes.borrow_mut() += data.len() as u64;
+            *self.buffer.packets.borrow_mut() += 1;
+            self.buffer.inner.borrow_mut().push_back(CapturedPacket {
+                data,
+                meta,
+                arrival: ctx.now,
+            });
         }
     }
 
     fn reset(&mut self) {
-        self.soft_reset();
-        self.reasm = Reassembler::new();
+        self.rx.reset();
         self.buffer.inner.borrow_mut().clear();
         *self.buffer.bytes.borrow_mut() = 0;
         *self.buffer.packets.borrow_mut() = 0;
     }
 
-    /// Beats claimed and popped so far join the packet being reassembled;
-    /// the rest are back in the stream.
+    /// A partially received packet is discarded (uncounted: a sink keeps
+    /// no drop counter).
     fn soft_reset(&mut self) {
-        if let Some(popped) = self.rx.settle(&mut self.claimed) {
-            self.reasm.push_burst(popped);
-        }
+        self.rx.soft_reset();
     }
 
-    /// Claimed beats are acted on when the last of them is popped. With
-    /// nothing claimed and nothing to claim, a tick does nothing until
-    /// upstream pushes (even mid-packet: reassembly only advances on
-    /// popped words).
+    /// The port's answer: a sink always takes what is there.
     fn activity(&self) -> Activity {
-        match self.claimed {
-            Some(t) => Activity::Bounded(t),
-            None => Activity::idle_if(!self.rx.can_pop()),
-        }
+        self.rx.activity(true)
     }
 
     /// Only upstream pushes can un-idle a sink.
@@ -331,7 +286,7 @@ impl Module for PacketSink {
 mod tests {
     use super::*;
     use crate::sim::Simulator;
-    use crate::stream::Stream;
+    use crate::stream::{Reassembler, Stream};
     use crate::time::Frequency;
 
     /// Source wired straight into sink: everything arrives intact, in order,

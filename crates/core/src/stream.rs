@@ -50,13 +50,13 @@
 //! clock domain, the whole exchange is arithmetic, and the channel is
 //! *charged* with it instead.
 //!
-//! * The producer [`StreamTx::commit`]s the leading beats of its cursor as
-//!   one entry, beat `i` pushed at `t0 + i·period` — as many as find a free
-//!   slot each at its own instant. Space that exists now cannot vanish
-//!   before the beats that use it (only the producer fills the channel), and
-//!   every pop already scheduled extends the run by one; pops not yet
-//!   registered never count. It may push again at `t0 + k·period`.
-//! * The consumer [`StreamRx::claim`]s the head entry, beat `j` popped at
+//! * The producer `commit`s the leading beats of its cursor as one entry,
+//!   beat `i` pushed at `t0 + i·period` — as many as find a free slot each
+//!   at its own instant. Space that exists now cannot vanish before the
+//!   beats that use it (only the producer fills the channel), and every pop
+//!   already scheduled extends the run by one; pops not yet registered
+//!   never count. It may push again at `t0 + k·period`.
+//! * The consumer `claim`s the head entry, beat `j` popped at
 //!   `tc + j·period`. Both sides pace alike and the first beat is there,
 //!   so no pop finds the channel empty. The beats stay with the channel —
 //!   they occupy it until popped — and the consumer [`StreamRx::collect`]s
@@ -83,9 +83,23 @@
 //! same three operations move **one beat** — the `can_push`/`push` and
 //! `pop` of a per-beat module — so a design pays in speed, never in
 //! fidelity, for a neighbour that is not paced.
+//!
+//! # Packet ports
+//!
+//! `commit` and `claim` are not public: a store-and-forward block reaches
+//! them through a [`PacketRx`] (stream in, whole packets out) and a
+//! [`PacketTx`] (staged packet in, beats out). A port is built from a
+//! stream end *and* its owner's [`WakeHandle`], so a block cannot read a
+//! channel it did not register on, and it owns the whole word-pacing
+//! algorithm — claim then collect at `done_at`, commit then wait out the
+//! committed beats, one claim per edge, settle on reset, and the
+//! `ready_at` arithmetic behind [`Module::activity`](crate::sim::Module::activity)
+//! — as well as the collapsed pacing a block's `with_burst(true)` selects
+//! (whole bursts per tick, no cycle-level timing). Cut-through blocks use
+//! [`StreamRx::forward`] on the raw ends.
 
 use crate::pktbuf::PktBuf;
-use crate::sim::{TickContext, WakeHandle};
+use crate::sim::{Activity, TickContext, WakeHandle};
 use crate::time::Time;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -466,7 +480,7 @@ impl Pace {
     }
 }
 
-/// What a consumer holds after [`StreamRx::claim`] or [`StreamRx::forward`]:
+/// What a consumer holds after a claim or [`StreamRx::forward`]:
 /// the shape of the beats it took and the instant the last of them is
 /// popped, which is when it [`StreamRx::collect`]s them and acts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -826,8 +840,8 @@ impl StreamTx {
     }
 
     /// [`StreamTx::set_wake`], with or without the promise that lets the
-    /// channel be charged: a `paced` producer pushes through
-    /// [`StreamTx::commit`] (or [`StreamRx::forward`]) alone and reads back
+    /// channel be charged: a `paced` producer pushes through a
+    /// [`PacketTx`] (or [`StreamRx::forward`]) alone and reads back
     /// pressure through [`StreamTx::ready_at`].
     pub fn pace(&self, wake: WakeHandle, paced: bool) {
         let mut s = self.shared.borrow_mut();
@@ -847,7 +861,7 @@ impl StreamTx {
     /// this commits one beat: the `can_push`/`push` pair of a per-beat
     /// module.
     #[inline]
-    pub fn commit(&self, slot: &mut Option<Burst>, ctx: &TickContext) -> Option<Time> {
+    pub(crate) fn commit(&self, slot: &mut Option<Burst>, ctx: &TickContext) -> Option<Time> {
         let offered = slot.as_ref()?.beats();
         let unobserved = Rc::strong_count(&self.shared) == 2;
         let mut s = self.shared.borrow_mut();
@@ -940,9 +954,9 @@ impl StreamRx {
     }
 
     /// [`StreamRx::set_wake`], with or without the promise that lets the
-    /// channel be charged: a `paced` consumer pops through
-    /// [`StreamRx::claim`] / [`StreamRx::forward`] and
-    /// [`StreamRx::collect`] alone.
+    /// channel be charged: a `paced` consumer pops through a
+    /// [`PacketRx`], or [`StreamRx::forward`] and [`StreamRx::collect`],
+    /// alone.
     pub fn pace(&self, wake: WakeHandle, paced: bool) {
         let mut s = self.shared.borrow_mut();
         s.rx_wake = Some(wake);
@@ -960,7 +974,7 @@ impl StreamRx {
     /// On a channel that cannot be charged this claims one beat, done at
     /// `ctx.now`: the `pop` of a per-beat module.
     #[inline]
-    pub fn claim(&self, max: usize, ctx: &TickContext) -> Option<Claim> {
+    pub(crate) fn claim(&self, max: usize, ctx: &TickContext) -> Option<Claim> {
         if max == 0 {
             return None;
         }
@@ -978,7 +992,7 @@ impl StreamRx {
         Some(claim)
     }
 
-    /// The beats of the last [`StreamRx::claim`], once the last of them is
+    /// The beats of the last claim, once the last of them is
     /// popped — or of the last [`StreamRx::forward`], whose beats went
     /// downstream already, so this only lets go of the channel's view of
     /// them (`None` when there was nothing to hold).
@@ -987,31 +1001,9 @@ impl StreamRx {
         self.shared.borrow_mut().claimed.take()
     }
 
-    /// One tick of a store-and-forward consumer's ingest, `claimed` being
-    /// where it keeps [`Claim::done_at`] between ticks: with nothing claimed
-    /// and the consumer `willing`, claim the head burst; once the last
-    /// claimed beat is popped, hand the beats over. On an uncharged channel
-    /// both happen in one tick, a beat at a time.
-    #[inline]
-    pub fn pop_paced(
-        &self,
-        claimed: &mut Option<Time>,
-        willing: bool,
-        ctx: &TickContext,
-    ) -> Option<Burst> {
-        if claimed.is_none() && willing {
-            *claimed = self.claim(usize::MAX, ctx).map(|c| c.done_at);
-        }
-        if claimed.is_some_and(|done_at| done_at <= ctx.now) {
-            *claimed = None;
-            return self.collect();
-        }
-        None
-    }
-
     /// Cut-through: claim the head burst of this stream and commit it to
     /// `tx` on the same schedule, as many beats as `tx` finds room for by
-    /// the rule of [`StreamTx::commit`] — beat `i` is popped here and
+    /// the rule of a [`PacketTx`]'s commit — beat `i` is popped here and
     /// pushed there at `ctx.now + i·ctx.period`. One beat when either
     /// channel cannot be charged. The forwarder must let
     /// [`Claim::done_at`] pass, and [`StreamRx::collect`], before it
@@ -1113,6 +1105,7 @@ impl StreamRx {
     /// by both occupancy and downstream space. Returns the number moved.
     /// The degenerate self-transfer (both handles on the same channel) is a
     /// no-op, matching what a per-word pop/push loop would observe.
+    #[cfg(test)]
     pub fn transfer_up_to(&self, tx: &StreamTx, max: usize) -> usize {
         self.transfer(tx, max, |_| false)
     }
@@ -1131,7 +1124,8 @@ impl StreamRx {
         (moved, completed)
     }
 
-    /// Like [`StreamRx::transfer_up_to`], but calls `inspect` on every
+    /// Move up to `max` beats from this stream directly into `tx`, bounded
+    /// by both occupancy and downstream space, calling `inspect` on every
     /// burst as it moves — the fast path for pass-through stages that only
     /// read packets in flight (statistics, taps). A burst cut short by
     /// `max` or by downstream space is inspected as the part that moved,
@@ -1325,6 +1319,214 @@ impl Reassembler {
     /// True while a packet is partially received.
     pub fn mid_packet(&self) -> bool {
         self.in_packet
+    }
+}
+
+/// The ingest port of a store-and-forward block: a stream in, whole
+/// packets out. Built from the stream's consumer end and the owner's
+/// [`WakeHandle`], which it registers, so the owner is woken by every push
+/// it could act on.
+///
+/// Word-paced (the default), the port claims the head burst — its beats
+/// popped one per cycle from that edge on — and hands them to the
+/// reassembler on the edge the last is popped: one claim and one collect
+/// per edge at most, one beat per tick on a channel that cannot be charged.
+/// Collapsed ([`PacketRx::set_burst`]), every queued burst is taken at once.
+#[derive(Debug)]
+pub struct PacketRx {
+    rx: StreamRx,
+    wake: WakeHandle,
+    paced: bool,
+    /// The edge that pops the last beat claimed, until then.
+    claimed: Option<Time>,
+    /// The edge of the last collect: nothing more is claimed within it.
+    collected_at: Time,
+    reasm: Reassembler,
+}
+
+impl PacketRx {
+    /// A word-paced port on `rx`, waking `wake` when beats arrive.
+    pub fn new(rx: StreamRx, wake: &WakeHandle) -> PacketRx {
+        rx.pace(wake.clone(), true);
+        PacketRx {
+            rx,
+            wake: wake.clone(),
+            paced: true,
+            claimed: None,
+            collected_at: Time::ZERO,
+            reasm: Reassembler::new(),
+        }
+    }
+
+    /// Collapse the pacing (`true`: every queued burst per tick, no
+    /// cycle-level timing) or restore one word per cycle — what the
+    /// owner's `with_burst` forwards.
+    pub fn set_burst(&mut self, enabled: bool) {
+        self.paced = !enabled;
+        self.rx.pace(self.wake.clone(), self.paced);
+    }
+
+    /// The next packet this tick completes, if any; call until `None`.
+    /// While the owner is not `willing` nothing new is taken from the
+    /// stream (beats already claimed still arrive).
+    #[inline]
+    pub fn poll(&mut self, willing: bool, ctx: &TickContext) -> Option<(PktBuf, Meta)> {
+        if !self.paced {
+            if !willing {
+                return None;
+            }
+            while let Some(beats) = self.rx.pop_burst(usize::MAX) {
+                if let Some(packet) = self.reasm.push_burst(beats) {
+                    return Some(packet);
+                }
+            }
+            return None;
+        }
+        if self.claimed.is_none() && willing && self.collected_at != ctx.now {
+            self.claimed = self.rx.claim(usize::MAX, ctx).map(|c| c.done_at);
+        }
+        if self.claimed.is_some_and(|done_at| done_at <= ctx.now) {
+            self.claimed = None;
+            self.collected_at = ctx.now;
+            return self.reasm.push_burst(self.rx.collect()?);
+        }
+        None
+    }
+
+    /// True while a packet is partially received.
+    pub fn mid_packet(&self) -> bool {
+        self.reasm.mid_packet()
+    }
+
+    /// The ingest half of the owner's [`Module::activity`](crate::sim::Module::activity):
+    /// claimed beats are acted on when the last of them is popped; with
+    /// nothing claimed, a `willing` owner claims as soon as a beat is
+    /// there, and is idle until upstream pushes otherwise.
+    pub fn activity(&self, willing: bool) -> Activity {
+        match self.claimed {
+            Some(done_at) => Activity::Bounded(done_at),
+            None => Activity::idle_if(!(willing && self.rx.can_pop())),
+        }
+    }
+
+    /// Watchdog recovery: settle the claim — beats popped so far belong to
+    /// the arrival, the rest are back in the stream — then discard the
+    /// partial arrival (its tail was flushed upstream) and hunt for the
+    /// next `sop`. Returns whether a partial packet was discarded, for the
+    /// owner to count.
+    pub fn soft_reset(&mut self) -> bool {
+        if let Some(popped) = self.rx.settle(&mut self.claimed) {
+            self.reasm.push_burst(popped);
+        }
+        self.reasm.resync()
+    }
+
+    /// Full reset: [`PacketRx::soft_reset`], and framing starts afresh.
+    pub fn reset(&mut self) {
+        self.soft_reset();
+        self.reasm = Reassembler::new();
+        self.collected_at = Time::ZERO;
+    }
+}
+
+/// The emit port of a store-and-forward block: a staged packet in, beats
+/// out. Built from the stream's producer end and the owner's
+/// [`WakeHandle`], which it registers, so the owner is woken by the pops a
+/// stalled emission waits on.
+///
+/// Word-paced (the default), the port commits the staged packet's beats —
+/// pushed one per cycle from that edge on, as many as the channel has room
+/// for — and neither pushes nor accepts another packet before they are out.
+/// Collapsed ([`PacketTx::set_burst`]), it pushes whatever fits at once.
+#[derive(Debug)]
+pub struct PacketTx {
+    tx: StreamTx,
+    wake: WakeHandle,
+    paced: bool,
+    /// The beats of the staged packet that are still to be committed.
+    cursor: Option<Burst>,
+    /// The edge after the last committed beat.
+    free_at: Time,
+}
+
+impl PacketTx {
+    /// A word-paced port on `tx`, waking `wake` when space frees up.
+    pub fn new(tx: StreamTx, wake: &WakeHandle) -> PacketTx {
+        tx.pace(wake.clone(), true);
+        PacketTx {
+            tx,
+            wake: wake.clone(),
+            paced: true,
+            cursor: None,
+            free_at: Time::ZERO,
+        }
+    }
+
+    /// See [`PacketRx::set_burst`].
+    pub fn set_burst(&mut self, enabled: bool) {
+        self.paced = !enabled;
+        self.tx.pace(self.wake.clone(), self.paced);
+    }
+
+    /// Stage `packet` for emission; only after [`PacketTx::emit`] returned
+    /// true at this edge.
+    #[inline]
+    pub fn stage(&mut self, packet: PktBuf, meta: Meta) {
+        debug_assert!(self.cursor.is_none(), "a packet is staged already");
+        self.cursor = Some(segment_buf(&packet, self.tx.width(), meta));
+    }
+
+    /// Push what this edge allows of the staged packet. Returns whether
+    /// the port takes the next packet at this edge — nothing staged, no
+    /// committed beat still going out — so a tick is
+    /// `while port.emit(ctx) { stage the next packet, or break }`.
+    #[inline]
+    pub fn emit(&mut self, ctx: &TickContext) -> bool {
+        if ctx.now < self.free_at {
+            return false;
+        }
+        if self.cursor.is_some() {
+            if self.paced {
+                if let Some(free_at) = self.tx.commit(&mut self.cursor, ctx) {
+                    self.free_at = free_at;
+                }
+                return false;
+            }
+            self.tx.push_burst(&mut self.cursor, usize::MAX);
+        }
+        self.cursor.is_none()
+    }
+
+    /// The emit half of the owner's [`Module::activity`](crate::sim::Module::activity),
+    /// given when the owner `next` has a packet to stage (`Time::ZERO`:
+    /// already; `None`: not until woken). Stalled when staged beats face a
+    /// full stream with no pop scheduled; otherwise nothing happens before
+    /// the committed beats are out, nor before a scheduled pop frees a
+    /// slot for the staged ones.
+    pub fn activity(&self, next: Option<Time>) -> Activity {
+        let slot = match &self.cursor {
+            Some(_) => self.tx.ready_at(),
+            None => next,
+        };
+        slot.map_or(Activity::Quiescent, |t| Activity::at(t.max(self.free_at)))
+    }
+
+    /// Watchdog recovery: settle the charge — beats committed but not yet
+    /// pushed never leave — and discard a packet already cut short
+    /// mid-emission (the block downstream resyncs); a staged packet whose
+    /// `sop` has not gone survives.
+    pub fn soft_reset(&mut self) {
+        self.tx.settle(&mut self.cursor);
+        self.free_at = Time::ZERO;
+        if self.cursor.as_ref().is_some_and(|beats| !beats.sop) {
+            self.cursor = None;
+        }
+    }
+
+    /// Full reset: [`PacketTx::soft_reset`], and nothing stays staged.
+    pub fn reset(&mut self) {
+        self.soft_reset();
+        self.cursor = None;
     }
 }
 
@@ -2350,5 +2552,56 @@ mod tests {
             ch.rx.settle(&mut claimed).is_none(),
             "settling twice changes nothing"
         );
+    }
+
+    // ---- packet ports ----
+
+    /// Ports on a 64-byte bus with `n` 60-byte frames, one beat each,
+    /// queued between them.
+    fn one_beat_frames(n: usize) -> (PacketTx, PacketRx) {
+        let clock = Rc::new(Cell::new(Time::ZERO));
+        let (tx, rx) = Stream::new(n, 64);
+        let mut tx = PacketTx::new(tx, &stamped(&clock, 0, 2));
+        tx.set_burst(true);
+        for i in 0..n {
+            assert!(tx.emit(&ctx(0)));
+            tx.stage(PktBuf::from_vec(vec![i as u8; 60]), Meta::default());
+        }
+        assert!(tx.emit(&ctx(0)), "every frame fits");
+        tx.set_burst(false);
+        (tx, PacketRx::new(rx, &stamped(&clock, 0, 5)))
+    }
+
+    /// Every packet of `rx` this edge completes, by its first byte.
+    fn drain(rx: &mut PacketRx, cycle: u64) -> Vec<u8> {
+        std::iter::from_fn(|| rx.poll(true, &ctx(cycle)))
+            .map(|(packet, _)| packet[0])
+            .collect()
+    }
+
+    /// One word per cycle is one packet per cycle when a packet is one
+    /// word: a claim that is done at its own edge must not be followed by
+    /// a second claim within it, however often the owner polls.
+    #[test]
+    fn paced_rx_collects_one_single_beat_packet_per_edge() {
+        let (_tx, mut rx) = one_beat_frames(4);
+        for cycle in 0..4 {
+            assert_eq!(rx.activity(true), Activity::Active);
+            assert_eq!(drain(&mut rx, cycle), [cycle as u8]);
+        }
+        assert_eq!(rx.activity(true), Activity::Quiescent);
+        assert!(drain(&mut rx, 4).is_empty());
+    }
+
+    /// Collapsed pacing takes everything queued in one tick — unless the
+    /// owner is unwilling, which takes nothing.
+    #[test]
+    fn collapsed_rx_yields_every_queued_packet_in_one_tick() {
+        let (_tx, mut rx) = one_beat_frames(4);
+        rx.set_burst(true);
+        assert!(rx.poll(false, &ctx(0)).is_none());
+        assert_eq!(rx.activity(false), Activity::Quiescent);
+        assert_eq!(drain(&mut rx, 0), [0, 1, 2, 3]);
+        assert_eq!(rx.activity(true), Activity::Quiescent);
     }
 }

@@ -2,22 +2,20 @@
 //! forwarding. Used to emulate a device-under-test for OSNT latency
 //! experiments and to pad pipeline timing in composed designs.
 
+use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
-use netfpga_core::stream::{segment_buf, Burst, Reassembler, StreamRx, StreamTx};
+use netfpga_core::stream::{Meta, PacketRx, PacketTx, StreamRx, StreamTx};
 use netfpga_core::time::Time;
 use std::collections::VecDeque;
 
-/// Store-and-forward delay element.
+/// Store-and-forward delay element, one word per cycle on both sides.
 pub struct DelayStage {
     name: String,
-    input: StreamRx,
-    output: StreamTx,
+    input: PacketRx,
+    output: PacketTx,
     delay: Time,
-    reasm: Reassembler,
-    /// (release_time, beats) in arrival order.
-    held: VecDeque<(Time, Burst)>,
-    /// The beats of the packet being emitted that are still to go.
-    emitting: Option<Burst>,
+    /// (release_time, packet, meta) in arrival order.
+    held: VecDeque<(Time, PktBuf, Meta)>,
     packets: u64,
     /// Activity-cache invalidation flag, registered on the input and the
     /// output (pops free the space a stalled emission waits on).
@@ -28,16 +26,12 @@ impl DelayStage {
     /// Hold each packet `delay` after its full arrival.
     pub fn new(name: &str, input: StreamRx, output: StreamTx, delay: Time) -> DelayStage {
         let wake = WakeHandle::new();
-        input.set_wake(wake.clone());
-        output.set_wake(wake.clone());
         DelayStage {
             name: name.to_string(),
-            input,
-            output,
+            input: PacketRx::new(input, &wake),
+            output: PacketTx::new(output, &wake),
             delay,
-            reasm: Reassembler::new(),
             held: VecDeque::new(),
-            emitting: None,
             packets: 0,
             wake,
         }
@@ -55,45 +49,38 @@ impl Module for DelayStage {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if let Some(word) = self.input.pop() {
-            if let Some((packet, meta)) = self.reasm.push(word) {
-                let beats = segment_buf(&packet, self.output.width(), meta);
-                self.held.push_back((ctx.now + self.delay, beats));
-            }
+        while let Some((packet, meta)) = self.input.poll(true, ctx) {
+            self.held.push_back((ctx.now + self.delay, packet, meta));
         }
-        if self.emitting.is_none() {
-            if let Some(&(release, _)) = self.held.front() {
-                if release <= ctx.now {
-                    self.emitting = self.held.pop_front().map(|(_, beats)| beats);
-                    self.packets += 1;
-                }
-            }
+        while self.output.emit(ctx) && self.held.front().is_some_and(|h| h.0 <= ctx.now) {
+            let (_, packet, meta) = self.held.pop_front().expect("checked above");
+            self.packets += 1;
+            self.output.stage(packet, meta);
         }
-        self.output.push_burst(&mut self.emitting, 1);
     }
 
     fn reset(&mut self) {
-        self.reasm = Reassembler::new();
+        self.input.reset();
+        self.output.reset();
         self.held.clear();
-        self.emitting = None;
         self.packets = 0;
     }
 
-    /// Idle when nothing is buffered at any of the three holding points;
-    /// stalled when the staged packet faces a full output (held packets
-    /// cannot be staged behind it, so their release times do not matter).
-    /// Either way a tick has no effect until upstream pushes or downstream
-    /// pops. With nothing to ingest or emit but packets waiting out the
-    /// delay, the tick is a no-op until the earliest release instant —
-    /// exactly the gate the emit path checks against `now`.
+    /// Watchdog recovery: a partial arrival and a frame cut short
+    /// mid-emission are discarded; packets waiting out the delay survive.
+    fn soft_reset(&mut self) {
+        self.input.soft_reset();
+        self.output.soft_reset();
+    }
+
+    /// The two ports' answers joined, the next packet to stage being the
+    /// head of `held` at its release instant — exactly the gate the emit
+    /// path checks against `now` (held packets cannot be staged behind a
+    /// stalled one, so their release times do not matter then).
     fn activity(&self) -> Activity {
-        if self.input.can_pop() {
-            return Activity::Active;
-        }
-        match (&self.emitting, self.held.front()) {
-            (Some(_), _) => Activity::idle_if(!self.output.can_push()),
-            (None, Some(&(release, _))) => Activity::Bounded(release),
-            (None, None) => Activity::Quiescent,
+        match self.input.activity(true) {
+            Activity::Active => Activity::Active,
+            ingest => ingest.join(self.output.activity(self.held.front().map(|h| h.0))),
         }
     }
 
@@ -109,7 +96,7 @@ mod tests {
     use super::*;
     use netfpga_core::packetio::{PacketSink, PacketSource};
     use netfpga_core::sim::Simulator;
-    use netfpga_core::stream::Stream;
+    use netfpga_core::stream::{Reassembler, Stream};
     use netfpga_core::time::Frequency;
 
     fn rig(

@@ -8,18 +8,18 @@
 //! port. A [`Scheduler`] picks the class to serve whenever a port goes
 //! idle; the classifier maps (packet, meta) to a class index.
 //!
-//! Ingress and every egress port move one word per cycle through the
-//! stream's paced operations: between paced neighbours on the same clock a
-//! packet is claimed whole and fanned out on the edge its last word is
-//! popped, and leaves a port as one beat-timed burst — a tick per event,
-//! every instant where the per-word exchange puts it. `with_burst(true)`
-//! is the other, collapsed pacing.
+//! Ingress and every egress port move one word per cycle through a packet
+//! port ([`PacketRx`], one [`PacketTx`] per egress): between paced
+//! neighbours on the same clock a packet is claimed whole and fanned out on
+//! the edge its last word is popped, and leaves a port as one beat-timed
+//! burst — a tick per event, every instant where the per-word exchange
+//! puts it. `with_burst(true)` is the ports' other, collapsed pacing.
 
 use crate::sched::{QueueView, Scheduler};
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
-use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
+use netfpga_core::stream::{Meta, PacketRx, PacketTx, StreamRx, StreamTx};
 use netfpga_core::time::Time;
 use netfpga_mem::ByteFifo;
 
@@ -72,12 +72,8 @@ struct QueueCounters {
 struct PortState {
     queues: Vec<ByteFifo<(PktBuf, Meta)>>,
     scheduler: Box<dyn Scheduler>,
-    /// The beats of the packet being emitted that are still to be
-    /// committed.
-    emitting: Option<Burst>,
-    /// The edge after the last committed beat: no word is pushed, and no
-    /// packet dequeued, before it (word pacing only).
-    free_at: Time,
+    /// The egress stream.
+    out: PacketTx,
     /// Scratch buffer for scheduler views, reused across ticks so the
     /// egress path allocates nothing in steady state.
     views: Vec<QueueView>,
@@ -90,17 +86,10 @@ struct PortState {
 /// The 1-to-N output-queue stage. See module docs.
 pub struct OutputQueues {
     name: String,
-    input: StreamRx,
-    outputs: Vec<StreamTx>,
+    input: PacketRx,
     ports: Vec<PortState>,
     classifier: Classifier,
-    /// The edge that pops the last word claimed from the input, until then
-    /// (word pacing only).
-    claimed: Option<Time>,
-    reasm: Reassembler,
     stats: QueueCounters,
-    /// Burst fast path: move every available word per tick instead of one.
-    burst: bool,
     /// Activity-cache invalidation flag, registered on the input stream
     /// and on every egress stream (pops free the space a back-pressured
     /// port waits on).
@@ -119,31 +108,27 @@ impl OutputQueues {
     ) -> OutputQueues {
         assert!(!outputs.is_empty(), "need at least one output port");
         assert!(config.classes > 0);
-        let ports = (0..outputs.len())
-            .map(|_| PortState {
+        let wake = WakeHandle::new();
+        let ports = outputs
+            .into_iter()
+            .map(|out| PortState {
                 queues: (0..config.classes)
                     .map(|_| ByteFifo::new(config.bytes_per_queue))
                     .collect(),
                 scheduler: make_scheduler(),
-                emitting: None,
-                free_at: Time::ZERO,
+                out: PacketTx::new(out, &wake),
                 views: Vec::with_capacity(config.classes),
                 depths: (0..config.classes).map(|_| Counter::new()).collect(),
             })
             .collect();
-        let oq = OutputQueues {
+        OutputQueues {
             name: name.to_string(),
-            input,
-            outputs,
+            input: PacketRx::new(input, &wake),
             ports,
             classifier: config.classifier,
-            claimed: None,
-            reasm: Reassembler::new(),
             stats: QueueCounters::default(),
-            burst: false,
-            wake: WakeHandle::new(),
-        };
-        oq.with_burst(false)
+            wake,
+        }
     }
 
     /// Enable the burst fast path: each tick ingests every buffered input
@@ -152,10 +137,9 @@ impl OutputQueues {
     /// are unchanged; only the cycle-level pacing is collapsed, so enable
     /// it when throughput matters more than per-cycle timing fidelity.
     pub fn with_burst(mut self, enabled: bool) -> OutputQueues {
-        self.burst = enabled;
-        self.input.pace(self.wake.clone(), !enabled);
-        for tx in &self.outputs {
-            tx.pace(self.wake.clone(), !enabled);
+        self.input.set_burst(enabled);
+        for port in &mut self.ports {
+            port.out.set_burst(enabled);
         }
         self
     }
@@ -249,10 +233,9 @@ impl OutputQueues {
         }
     }
 
-    /// Ask port `i`'s scheduler for the next packet and stage its words for
+    /// Ask port `i`'s scheduler for the next packet and stage it for
     /// emission. Returns false when every class queue is empty.
     fn refill_emitting(&mut self, i: usize) -> bool {
-        let width = self.outputs[i].width();
         let state = &mut self.ports[i];
         if state.queues.iter().all(|q| q.is_empty()) {
             return false;
@@ -273,7 +256,7 @@ impl OutputQueues {
         self.stats.dequeued.incr();
         // Narrow the mask to this port for the egress copy.
         meta.dst_ports = netfpga_core::stream::PortMask::single(i as u8);
-        self.ports[i].emitting = Some(segment_buf(&packet, width, meta));
+        state.out.stage(packet, meta);
         true
     }
 }
@@ -284,47 +267,22 @@ impl Module for OutputQueues {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if self.burst {
-            // Ingest every buffered word, fanning out completed packets,
-            // then drain packets on each port until its egress stream fills.
-            while let Some(beats) = self.input.pop_burst(usize::MAX) {
-                if let Some((packet, meta)) = self.reasm.push_burst(beats) {
-                    self.deliver(packet, meta);
-                }
-            }
-            for i in 0..self.ports.len() {
-                while self.ports[i].emitting.is_some() || self.refill_emitting(i) {
-                    self.outputs[i].push_burst(&mut self.ports[i].emitting, usize::MAX);
-                    if self.ports[i].emitting.is_some() {
-                        break; // downstream full: resume when it is popped
-                    }
-                }
-            }
-            return;
+        // Fan out the packets this edge completes, then let each port
+        // independently dequeue and emit.
+        while let Some((packet, meta)) = self.input.poll(true, ctx) {
+            self.deliver(packet, meta);
         }
-        // Ingest one word per cycle: claim the head burst's words from this
-        // edge on, and fan the packet out when the last of them is popped.
-        if let Some(beats) = self.input.pop_paced(&mut self.claimed, true, ctx) {
-            if let Some((packet, meta)) = self.reasm.push_burst(beats) {
-                self.deliver(packet, meta);
-            }
-        }
-        // Egress: each port independently emits one word per cycle,
-        // committed as far ahead as there is room.
         for i in 0..self.ports.len() {
-            if ctx.now >= self.ports[i].free_at
-                && (self.ports[i].emitting.is_some() || self.refill_emitting(i))
-            {
-                if let Some(free_at) = self.outputs[i].commit(&mut self.ports[i].emitting, ctx) {
-                    self.ports[i].free_at = free_at;
+            while self.ports[i].out.emit(ctx) {
+                if !self.refill_emitting(i) {
+                    break;
                 }
             }
         }
     }
 
     fn reset(&mut self) {
-        self.soft_reset();
-        self.reasm = Reassembler::new();
+        self.input.reset();
         self.stats.enqueued.clear();
         self.stats.dequeued.clear();
         self.stats.dropped.clear();
@@ -336,63 +294,40 @@ impl Module for OutputQueues {
             for d in &p.depths {
                 d.clear();
             }
-            p.emitting = None;
+            p.out.reset();
         }
     }
 
     /// Watchdog recovery: discard a partially reassembled arrival (its
     /// tail was flushed upstream, counted as a drop) and any egress frame
-    /// already cut short mid-emission (the MAC downstream resyncs). Every
-    /// charge is settled first: claimed words popped so far are part of
-    /// the arrival, the rest are back in the input; committed words not yet
-    /// pushed never leave. Queued complete packets, counters and scheduler
-    /// configuration survive — that is the difference from
-    /// [`Module::reset`].
+    /// already cut short mid-emission (the MAC downstream resyncs). Queued
+    /// complete packets, counters and scheduler configuration survive —
+    /// that is the difference from [`Module::reset`].
     fn soft_reset(&mut self) {
-        if let Some(popped) = self.input.settle(&mut self.claimed) {
-            self.reasm.push_burst(popped);
-        }
-        if self.reasm.resync() {
+        if self.input.soft_reset() {
             self.stats.dropped.incr();
         }
-        for (p, out) in self.ports.iter_mut().zip(&self.outputs) {
-            out.settle(&mut p.emitting);
-            p.free_at = Time::ZERO;
-            if p.emitting.as_ref().is_some_and(|b| !b.sop) {
-                p.emitting = None;
-            }
+        for p in &mut self.ports {
+            p.out.soft_reset();
         }
     }
 
-    /// Idle or stalled, port by port, with nothing claimed or to claim and
-    /// every scheduler event-driven: a port is idle when nothing is staged
-    /// or queued, and stalled when its staged words face a full egress
-    /// stream with no pop scheduled (the emit path then moves nothing, in
-    /// either pacing mode). Otherwise inert until the earliest edge at
-    /// which a tick does something: the last claimed word is popped, or a
-    /// port's committed words are out and it has a packet to dequeue (which
-    /// moves the dequeue counter and the depth gauge) or a scheduled pop
-    /// frees a slot for its staged words. None of it applies while there is
-    /// a word to claim or a scheduler wants every cycle.
+    /// The ports' answers joined, with every scheduler event-driven: an
+    /// egress port's next packet is there as soon as a class queue holds
+    /// one (dequeuing moves the dequeue counter and the depth gauge, so it
+    /// is never skipped). None of it applies while there is a word to claim
+    /// or a scheduler wants every cycle.
     fn activity(&self) -> Activity {
-        if self.claimed.is_none() && self.input.can_pop() {
-            return Activity::Active;
+        let mut all = self.input.activity(true);
+        if all == Activity::Active {
+            return all;
         }
-        let mut all = self.claimed.map_or(Activity::Quiescent, Activity::at);
-        for (p, out) in self.ports.iter().zip(&self.outputs) {
+        for p in &self.ports {
             if !p.scheduler.event_driven() {
                 return Activity::Active;
             }
-            let port = match &p.emitting {
-                Some(_) => out.ready_at(),
-                None if p.queues.iter().all(|q| q.is_empty()) => None,
-                None => Some(Time::ZERO),
-            };
-            all = all.join(port.map_or(Activity::Quiescent, |t| Activity::at(t.max(p.free_at))));
-            // Collapsed pacing holds no charge: what is not quiescent is active.
-            if self.burst && all != Activity::Quiescent {
-                return Activity::Active;
-            }
+            let queued = p.queues.iter().any(|q| !q.is_empty());
+            all = all.join(p.out.activity(queued.then_some(Time::ZERO)));
         }
         all
     }
@@ -410,7 +345,7 @@ mod tests {
     use crate::sched::{Fifo, StrictPriority, WeightedFair};
     use netfpga_core::packetio::{CaptureBuffer, InjectQueue, PacketSink, PacketSource};
     use netfpga_core::sim::Simulator;
-    use netfpga_core::stream::{PortMask, Stream};
+    use netfpga_core::stream::{segment_buf, PortMask, Reassembler, Stream};
     use netfpga_core::time::{Frequency, Time};
 
     struct Rig {

@@ -11,17 +11,17 @@
 //! words while earlier packets are still being emitted, so a full stream
 //! of back-to-back packets flows at one word per cycle.
 //!
-//! Both sides move one word per cycle through the stream's paced
-//! operations: between paced neighbours on the same clock the stage claims
-//! a whole burst, runs the logic on the edge its last word is popped, and
-//! commits the result as one beat-timed burst on its release cycle — a
-//! tick per event, every instant where the per-word exchange puts it.
-//! `with_burst(true)` is the other, collapsed pacing.
+//! Both sides move one word per cycle through a packet port ([`PacketRx`],
+//! [`PacketTx`]): between paced neighbours on the same clock the stage
+//! claims a whole burst, runs the logic on the edge its last word is
+//! popped, and commits the result as one beat-timed burst on its release
+//! cycle — a tick per event, every instant where the per-word exchange
+//! puts it. `with_burst(true)` is the ports' other, collapsed pacing.
 
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
-use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
+use netfpga_core::stream::{Meta, PacketRx, PacketTx, StreamRx, StreamTx};
 use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
 use std::collections::VecDeque;
@@ -83,32 +83,20 @@ struct StageCounters {
 /// The store-and-forward stage shell. See module docs.
 pub struct PacketStage<L: PacketLogic> {
     name: String,
-    input: StreamRx,
-    output: StreamTx,
+    input: PacketRx,
+    output: PacketTx,
     logic: L,
     /// Extra pipeline latency in cycles between full receipt and the first
     /// emitted word (models the block's internal pipeline depth).
     latency_cycles: u64,
-    /// The edge that pops the last word claimed from the input, until then
-    /// (word pacing only).
-    claimed: Option<Time>,
-    reasm: Reassembler,
     /// Processed packets awaiting emission: (release_cycle, release_time,
-    /// beats). The absolute release instant mirrors the release cycle
-    /// (`ingest_now + latency * period`) so [`Module::activity`] can
+    /// packet, meta). The absolute release instant mirrors the release
+    /// cycle (`ingest_now + latency * period`) so [`Module::activity`] can
     /// report how long the stage is provably inert.
-    ready: VecDeque<(u64, Time, Burst)>,
-    /// The beats of the packet being emitted that are still to be
-    /// committed.
-    emitting: Option<Burst>,
-    /// The edge after the last committed beat: no word is pushed, and no
-    /// packet staged, before it (word pacing only).
-    free_at: Time,
+    ready: VecDeque<(u64, Time, PktBuf, Meta)>,
     /// Cap on buffered processed packets before input stalls.
     max_ready: usize,
     stats: StageCounters,
-    /// Burst fast path: move every available word per tick instead of one.
-    burst: bool,
     /// Activity-cache invalidation flag, registered on the input and the
     /// output (pops free the space a stalled emission waits on).
     wake: WakeHandle,
@@ -123,23 +111,18 @@ impl<L: PacketLogic> PacketStage<L> {
         latency_cycles: u64,
         logic: L,
     ) -> PacketStage<L> {
-        let stage = PacketStage {
+        let wake = WakeHandle::new();
+        PacketStage {
             name: name.to_string(),
-            input,
-            output,
+            input: PacketRx::new(input, &wake),
+            output: PacketTx::new(output, &wake),
             logic,
             latency_cycles,
-            claimed: None,
-            reasm: Reassembler::new(),
             ready: VecDeque::new(),
-            emitting: None,
-            free_at: Time::ZERO,
             max_ready: 4,
             stats: StageCounters::default(),
-            burst: false,
-            wake: WakeHandle::new(),
-        };
-        stage.with_burst(false)
+            wake,
+        }
     }
 
     /// Enable the burst fast path: each tick ingests every buffered input
@@ -148,42 +131,28 @@ impl<L: PacketLogic> PacketStage<L> {
     /// pipeline-latency release rule are unchanged; only the cycle-level
     /// pacing is collapsed.
     pub fn with_burst(mut self, enabled: bool) -> PacketStage<L> {
-        self.burst = enabled;
-        self.input.pace(self.wake.clone(), !enabled);
-        self.output.pace(self.wake.clone(), !enabled);
+        self.input.set_burst(enabled);
+        self.output.set_burst(enabled);
         self
     }
 
-    /// Words from the input: on the one that completes a packet, run the
-    /// logic and queue the result for its release cycle.
-    fn ingest(&mut self, beats: Burst, ctx: &TickContext) {
-        let Some((mut packet, mut meta)) = self.reasm.push_burst(beats) else {
-            return;
-        };
+    /// A packet received in full: run the logic and queue the result for
+    /// its release cycle.
+    fn ingest(&mut self, mut packet: PktBuf, mut meta: Meta, ctx: &TickContext) {
         self.stats.in_packets.incr();
         match self.logic.process(&mut packet, &mut meta, ctx.now) {
             StageAction::Forward => {
                 assert!(!packet.is_empty(), "logic emptied packet");
                 meta.len = packet.len() as u16;
-                let beats = segment_buf(&packet, self.output.width(), meta);
                 let release_at = ctx.now + Time::from_ps(self.latency_cycles * ctx.period.as_ps());
                 self.ready
-                    .push_back((ctx.cycle + self.latency_cycles, release_at, beats));
+                    .push_back((ctx.cycle + self.latency_cycles, release_at, packet, meta));
                 self.stats.forwarded.incr();
             }
             StageAction::Drop => {
                 self.stats.dropped.incr();
             }
         }
-    }
-
-    /// Stage the head of `ready` for emission if its release cycle has
-    /// come. Returns whether anything is staged.
-    fn stage_released(&mut self, cycle: u64) -> bool {
-        if self.emitting.is_none() && self.ready.front().is_some_and(|r| r.0 <= cycle) {
-            self.emitting = self.ready.pop_front().map(|(_, _, beats)| beats);
-        }
-        self.emitting.is_some()
     }
 
     /// Counters so far.
@@ -206,10 +175,10 @@ impl<L: PacketLogic> PacketStage<L> {
         registry.register_counter(&format!("{prefix}.dropped"), &self.stats.dropped);
     }
 
-    /// Whether the ingest half of a tick is a no-op: no word upstream, or
-    /// the cap on buffered processed packets reached.
-    fn ingest_blocked(&self) -> bool {
-        self.ready.len() >= self.max_ready || !self.input.can_pop()
+    /// Whether the stage takes more input: not while the cap on buffered
+    /// processed packets is reached.
+    fn willing(&self) -> bool {
+        self.ready.len() < self.max_ready
     }
 
     /// Access the logic (e.g. to read tables out-of-band in tests).
@@ -230,43 +199,20 @@ impl<L: PacketLogic> Module for PacketStage<L> {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if self.burst {
-            // Ingest while words are buffered upstream and not too much is
-            // buffered here, then emit released packets until the output
-            // fills or nothing releasable remains.
-            while self.ready.len() < self.max_ready {
-                let Some(beats) = self.input.pop_burst(usize::MAX) else {
-                    break;
-                };
-                self.ingest(beats, ctx);
-            }
-            while self.stage_released(ctx.cycle) {
-                self.output.push_burst(&mut self.emitting, usize::MAX);
-                if self.emitting.is_some() {
-                    break; // downstream full: resume when it is popped
-                }
-            }
-            return;
+        // Ingest unless too much is buffered, then emit released packets.
+        while let Some((packet, meta)) = self.input.poll(self.willing(), ctx) {
+            self.ingest(packet, meta, ctx);
         }
-        // Ingest one word per cycle unless too much is buffered: claim the
-        // head burst's words from this edge on, act when the last is popped.
-        let willing = self.ready.len() < self.max_ready;
-        if let Some(beats) = self.input.pop_paced(&mut self.claimed, willing, ctx) {
-            self.ingest(beats, ctx);
-        }
-        // Emit one word per cycle, committed as far ahead as there is room.
-        if ctx.now >= self.free_at && self.stage_released(ctx.cycle) {
-            if let Some(free_at) = self.output.commit(&mut self.emitting, ctx) {
-                self.free_at = free_at;
-            }
+        while self.output.emit(ctx) && self.ready.front().is_some_and(|r| r.0 <= ctx.cycle) {
+            let (_, _, packet, meta) = self.ready.pop_front().expect("checked above");
+            self.output.stage(packet, meta);
         }
     }
 
     fn reset(&mut self) {
-        self.soft_reset();
-        self.reasm = Reassembler::new();
+        self.input.reset();
+        self.output.reset();
         self.ready.clear();
-        self.emitting = None;
         self.stats.in_packets.clear();
         self.stats.forwarded.clear();
         self.stats.dropped.clear();
@@ -275,44 +221,25 @@ impl<L: PacketLogic> Module for PacketStage<L> {
 
     /// Watchdog recovery: discard a partially reassembled arrival (its
     /// tail was flushed upstream, counted as a drop) and a frame already
-    /// cut short mid-emission (downstream resyncs). Both charges are
-    /// settled first: claimed words popped so far are part of the arrival,
-    /// the rest are back in the input; committed words not yet pushed never
-    /// leave. Processed packets waiting out the pipeline latency, counters
-    /// and the stage logic's learned state all survive.
+    /// cut short mid-emission (downstream resyncs). Processed packets
+    /// waiting out the pipeline latency, counters and the stage logic's
+    /// learned state all survive.
     fn soft_reset(&mut self) {
-        if let Some(popped) = self.input.settle(&mut self.claimed) {
-            self.reasm.push_burst(popped);
-        }
-        self.output.settle(&mut self.emitting);
-        self.free_at = Time::ZERO;
-        if self.reasm.resync() {
+        if self.input.soft_reset() {
             self.stats.dropped.incr();
         }
-        if self.emitting.as_ref().is_some_and(|b| !b.sop) {
-            self.emitting = None;
-        }
+        self.output.soft_reset();
     }
 
-    /// Idle when there is nothing to ingest and nothing staged or waiting;
-    /// stalled when ingest is blocked and the staged packet faces a full
-    /// output with no pop scheduled (packets in `ready` cannot be staged
-    /// behind it, so their release cycles do not matter). Everything else
-    /// waits on the earliest edge at which a tick does something: the last
-    /// claimed word is popped; committed words are out and the next
-    /// packet's release cycle has come, or a scheduled pop frees a slot
-    /// for the staged one. None of it applies while there is a word to
-    /// claim.
+    /// The two ports' answers joined, the next packet to stage being the
+    /// head of `ready` at its release instant (packets in `ready` cannot
+    /// be staged behind a stalled one, so their release cycles do not
+    /// matter then). None of it applies while there is a word to claim.
     fn activity(&self) -> Activity {
-        if self.claimed.is_none() && !self.ingest_blocked() {
-            return Activity::Active;
+        match self.input.activity(self.willing()) {
+            Activity::Active => Activity::Active,
+            ingest => ingest.join(self.output.activity(self.ready.front().map(|r| r.1))),
         }
-        let emit = match &self.emitting {
-            Some(_) => self.output.ready_at(),
-            None => self.ready.front().map(|&(_, release_at, _)| release_at),
-        };
-        let ingest = self.claimed.map_or(Activity::Quiescent, Activity::at);
-        ingest.join(emit.map_or(Activity::Quiescent, |t| Activity::at(t.max(self.free_at))))
     }
 
     /// External activity channels: pushes into the input, pops from the

@@ -11,17 +11,18 @@
 //! is faster than the line, so this never limits throughput; it adds the
 //! usual one-frame assembly latency that hardware MAC+FIFO stages also add.
 //!
-//! Towards the datapath both MACs move one word per cycle, through the
-//! stream's paced operations: next to a paced module on the same clock a
-//! frame crosses as one beat-timed burst ([`EthMacRx`] commits it when it
-//! has arrived, [`EthMacTx`] claims it and acts on the edge its last word is
-//! popped), so a MAC ticks per frame, not per word, with every instant
-//! where the per-word exchange puts it. `with_burst(true)` is the other,
-//! collapsed pacing: whole frames per tick, no cycle-level timing.
+//! Towards the datapath both MACs move one word per cycle, through a
+//! packet port ([`PacketRx`], [`PacketTx`]): next to a paced module on the
+//! same clock a frame crosses as one beat-timed burst ([`EthMacRx`] commits
+//! it when it has arrived, [`EthMacTx`] claims it and acts on the edge its
+//! last word is popped), so a MAC ticks per frame, not per word, with every
+//! instant where the per-word exchange puts it. `with_burst(true)` is the
+//! ports' other, collapsed pacing: whole frames per tick, no cycle-level
+//! timing.
 
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
-use netfpga_core::stream::{segment_buf, Burst, Meta, PortMask, Reassembler, StreamRx, StreamTx};
+use netfpga_core::stream::{Meta, PacketRx, PacketTx, PortMask, StreamRx, StreamTx};
 use netfpga_core::time::{BitRate, Time};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -251,18 +252,12 @@ pub struct EthMacTx {
     /// Wire time of the inter-frame gap and of [`TX_FIFO_BYTES`] at `rate`.
     ifg: Time,
     backlog_limit: Time,
-    input: StreamRx,
+    input: PacketRx,
     wire: Wire,
-    reasm: Reassembler,
-    /// The edge that pops the last word claimed from the datapath, until
-    /// then (word pacing only).
-    claimed: Option<Time>,
     /// Completion time of the most recent frame's wire occupancy (including
     /// IFG); the next frame cannot finish before this plus its own time.
     line_busy_until: Time,
     stats: SharedMacStats,
-    /// Burst fast path: ingest every available word per tick instead of one.
-    burst: bool,
     /// Activity-cache invalidation flag, registered on the input stream.
     wake: WakeHandle,
 }
@@ -277,20 +272,16 @@ impl EthMacTx {
     ) -> (EthMacTx, SharedMacStats) {
         let stats = SharedMacStats::default();
         let wake = WakeHandle::new();
-        input.pace(wake.clone(), true);
         (
             EthMacTx {
                 name: name.to_string(),
                 rate,
                 ifg: rate.time_for_bytes(IFG_BYTES),
                 backlog_limit: rate.time_for_bytes(TX_FIFO_BYTES),
-                input,
+                input: PacketRx::new(input, &wake),
                 wire,
-                reasm: Reassembler::new(),
-                claimed: None,
                 line_busy_until: Time::ZERO,
                 stats: stats.clone(),
-                burst: false,
                 wake,
             },
             stats,
@@ -308,17 +299,13 @@ impl EthMacTx {
     /// sustained load (`line_busy_until` dominates); only a cold first
     /// frame's start may shift earlier by a few datapath cycles.
     pub fn with_burst(mut self, enabled: bool) -> EthMacTx {
-        self.burst = enabled;
-        self.input.pace(self.wake.clone(), !enabled);
+        self.input.set_burst(enabled);
         self
     }
 
-    /// Words from the datapath: on the one that completes a frame, schedule
-    /// the frame on the wire behind whatever the line is still busy with.
-    fn ingest(&mut self, beats: Burst, now: Time) {
-        let Some((data, _meta)) = self.reasm.push_burst(beats) else {
-            return;
-        };
+    /// A frame handed over in full by the datapath: schedule it on the wire
+    /// behind whatever the line is still busy with.
+    fn ingest(&mut self, data: PktBuf, now: Time) {
         let len = data.len() as u64;
         let occupancy = self.rate.time_for_bytes(wire_bytes(len));
         let start = self.line_busy_until.max(now);
@@ -341,7 +328,7 @@ impl EthMacTx {
     /// [`TX_FIFO_BYTES`] of wire time is already committed. Mid-frame
     /// words always flow (a started frame must finish).
     fn gate_closed(&self, now: Time) -> bool {
-        !self.reasm.mid_packet() && self.line_busy_until > now + self.backlog_limit
+        !self.input.mid_packet() && self.line_busy_until > now + self.backlog_limit
     }
 }
 
@@ -351,59 +338,37 @@ impl Module for EthMacTx {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if self.burst {
-            // Every queued burst at once — none spans two frames, so the
-            // backlog is re-checked at every frame boundary.
-            while !self.gate_closed(ctx.now) {
-                let Some(beats) = self.input.pop_burst(usize::MAX) else {
-                    return;
-                };
-                self.ingest(beats, ctx.now);
-            }
-            return;
-        }
-        // One word per cycle: claim the head burst's words from this edge
-        // on, and act when the last of them is popped.
-        let willing = self.claimed.is_none() && !self.gate_closed(ctx.now);
-        if let Some(beats) = self.input.pop_paced(&mut self.claimed, willing, ctx) {
-            self.ingest(beats, ctx.now);
+        // The backlog is re-checked at every frame boundary.
+        while let Some((data, _meta)) = self.input.poll(!self.gate_closed(ctx.now), ctx) {
+            self.ingest(data, ctx.now);
         }
     }
 
     fn reset(&mut self) {
-        self.soft_reset();
-        self.reasm = Reassembler::new();
+        self.input.reset();
+        self.line_busy_until = Time::ZERO;
         *self.stats.0.borrow_mut() = MacStats::default();
     }
 
     /// Watchdog recovery: discard a partially reassembled frame (its tail
-    /// was flushed upstream) — the words of a claim popped so far included,
-    /// the rest are back in the stream — and restart the wire pacing mark.
+    /// was flushed upstream; uncounted) and restart the wire pacing mark.
     /// Statistics and configuration survive.
     fn soft_reset(&mut self) {
-        if let Some(popped) = self.input.settle(&mut self.claimed) {
-            self.reasm.push_burst(popped);
-        }
-        self.reasm.resync();
+        self.input.soft_reset();
         self.line_busy_until = Time::ZERO;
     }
 
-    /// Claimed words are acted on when the last of them is popped. With
-    /// nothing claimed, idle when the datapath has no word for us: the
-    /// backlog gate and wire schedule only change when a word is consumed.
-    /// With words waiting but the backlog gate closed, the tick is a no-op
-    /// until the committed wire time drains below the FIFO budget — a known
-    /// instant, since `line_busy_until` only moves when a frame is accepted.
-    /// Mid-frame words always flow, so no bound exists then.
+    /// The port's answer, except that a frame waiting to start waits for
+    /// the backlog gate: the tick is a no-op until the committed wire time
+    /// drains below the FIFO budget — a known instant, since
+    /// `line_busy_until` only moves when a frame is accepted. Mid-frame
+    /// words always flow, so no bound exists then.
     fn activity(&self) -> Activity {
-        if let Some(t) = self.claimed {
-            Activity::Bounded(t)
-        } else if !self.input.can_pop() {
-            Activity::Quiescent
-        } else if self.reasm.mid_packet() {
-            Activity::Active
-        } else {
-            Activity::Bounded(self.line_busy_until.saturating_sub(self.backlog_limit))
+        match self.input.activity(true) {
+            Activity::Active if !self.input.mid_packet() => {
+                Activity::Bounded(self.line_busy_until.saturating_sub(self.backlog_limit))
+            }
+            answer => answer,
         }
     }
 
@@ -418,18 +383,9 @@ impl Module for EthMacTx {
 pub struct EthMacRx {
     name: String,
     wire: Wire,
-    output: StreamTx,
+    output: PacketTx,
     src_port: u8,
-    /// The beats of the frame being delivered that are still to be
-    /// committed.
-    pending: Option<Burst>,
-    /// The edge after the last committed beat: no word is pushed, and no
-    /// frame fetched, before it (word pacing only).
-    free_at: Time,
     stats: SharedMacStats,
-    /// Burst fast path: deliver every arrived frame per tick instead of
-    /// one word per cycle.
-    burst: bool,
     /// Activity-cache invalidation flag, registered on the input wire and
     /// the output stream (pops free the space a stalled delivery waits on).
     wake: WakeHandle,
@@ -447,17 +403,13 @@ impl EthMacRx {
         let stats = SharedMacStats::default();
         let wake = WakeHandle::new();
         wire.set_wake(wake.clone());
-        output.pace(wake.clone(), true);
         (
             EthMacRx {
                 name: name.to_string(),
                 wire,
-                output,
+                output: PacketTx::new(output, &wake),
                 src_port,
-                pending: None,
-                free_at: Time::ZERO,
                 stats: stats.clone(),
-                burst: false,
                 wake,
             },
             stats,
@@ -469,8 +421,7 @@ impl EthMacRx {
     /// one word per cycle. Frame order and ingress timestamps (taken from
     /// wire arrival) are unchanged.
     pub fn with_burst(mut self, enabled: bool) -> EthMacRx {
-        self.burst = enabled;
-        self.output.pace(self.wake.clone(), !enabled);
+        self.output.set_burst(enabled);
         self
     }
 }
@@ -481,95 +432,63 @@ impl Module for EthMacRx {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if ctx.now < self.free_at {
-            return; // committed words are still going out
-        }
-        loop {
-            // Fetch the next fully-arrived frame once the previous is
-            // delivered.
-            if self.pending.is_none() {
-                let Some(frame) = self.wire.take_ready(ctx.now) else {
-                    break;
-                };
-                // FCS check: a frame whose recorded FCS no longer matches
-                // its bytes was corrupted in flight — drop it here, as the
-                // hardware MAC does, and count it. An *intact* FCS needs no
-                // CRC pass: the refcounted buffer is immutable, so bytes
-                // unchanged since the TX MAC stamped it is guaranteed by
-                // construction (impairments stale it when they CoW).
-                if let Fcs::Stale(fcs) = frame.fcs {
-                    if !netfpga_packet::fcs::verify(&frame.data, fcs) {
-                        self.stats.0.borrow_mut().bad_fcs += 1;
-                        continue;
-                    }
+        // Fetch the next fully-arrived frame once the previous is delivered.
+        while self.output.emit(ctx) {
+            let Some(frame) = self.wire.take_ready(ctx.now) else {
+                break;
+            };
+            // FCS check: a frame whose recorded FCS no longer matches its
+            // bytes was corrupted in flight — drop it here, as the hardware
+            // MAC does, and count it. An *intact* FCS needs no CRC pass:
+            // the refcounted buffer is immutable, so bytes unchanged since
+            // the TX MAC stamped it is guaranteed by construction
+            // (impairments stale it when they CoW).
+            if let Fcs::Stale(fcs) = frame.fcs {
+                if !netfpga_packet::fcs::verify(&frame.data, fcs) {
+                    self.stats.0.borrow_mut().bad_fcs += 1;
+                    continue;
                 }
-                // A frame the datapath cannot absorb *at all* (wider than
-                // the whole FIFO) would wedge; the reference designs size
-                // FIFOs for max frames, so here we only need per-word
-                // back-pressure, handled below.
-                let meta = Meta {
-                    len: frame.data.len() as u16,
-                    src_port: self.src_port,
-                    dst_ports: PortMask::EMPTY,
-                    ingress_time: frame.ready_at,
-                    flags: 0,
-                };
+            }
+            // A frame the datapath cannot absorb *at all* (wider than the
+            // whole FIFO) would wedge; the reference designs size FIFOs for
+            // max frames, so per-word back-pressure (the port's) is enough.
+            let meta = Meta {
+                len: frame.data.len() as u16,
+                src_port: self.src_port,
+                dst_ports: PortMask::EMPTY,
+                ingress_time: frame.ready_at,
+                flags: 0,
+            };
+            {
                 let mut s = self.stats.0.borrow_mut();
                 s.frames += 1;
                 s.bytes += frame.data.len() as u64;
                 s.wire_bytes += wire_bytes(frame.data.len() as u64);
-                self.pending = Some(segment_buf(&frame.data, self.output.width(), meta));
             }
-            if self.burst {
-                self.output.push_burst(&mut self.pending, usize::MAX);
-                if self.pending.is_some() {
-                    break; // datapath full: resume when it is popped
-                }
-            } else {
-                // One word per cycle, committed as far ahead as there is
-                // room for.
-                if let Some(free_at) = self.output.commit(&mut self.pending, ctx) {
-                    self.free_at = free_at;
-                }
-                break;
-            }
+            self.output.stage(frame.data, meta);
         }
     }
 
     fn reset(&mut self) {
-        self.soft_reset();
-        self.pending = None;
+        self.output.reset();
         *self.stats.0.borrow_mut() = MacStats::default();
     }
 
     /// Watchdog recovery: a frame whose leading words already entered the
-    /// datapath is truncated (the stage downstream resyncs) — words
-    /// committed but not yet pushed never arrive; an untouched staged
-    /// frame — its `sop` still at the front — survives intact. Frames
-    /// still arriving on the wire are untouched.
+    /// datapath is truncated (the stage downstream resyncs); an untouched
+    /// staged frame survives intact. Frames still arriving on the wire are
+    /// untouched.
     fn soft_reset(&mut self) {
-        self.output.settle(&mut self.pending);
-        self.free_at = Time::ZERO;
-        if self.pending.as_ref().is_some_and(|b| !b.sop) {
-            self.pending = None;
-        }
+        self.output.soft_reset();
     }
 
-    /// Idle when no words are staged *and* the wire is completely empty
-    /// (an in-flight frame with a future `ready_at` is scheduled,
-    /// time-dependent work, so it blocks quiescence); stalled when staged
-    /// words face a full datapath stream with no pop scheduled — frames
-    /// keep queueing on the wire meanwhile, but none is fetched until the
-    /// staged one drains. Otherwise the tick is a no-op while committed
-    /// words are still going out; then, with no words staged, until the
-    /// head frame on the FIFO wire finishes arriving, and with words
-    /// staged, until a scheduled pop frees a slot for the next.
+    /// The port's answer, the next frame to stage being the head of the
+    /// FIFO wire when it has finished arriving. An in-flight frame with a
+    /// future `ready_at` is scheduled, time-dependent work, so only a
+    /// completely empty wire is idle; frames keep queueing on the wire
+    /// while a staged one is stalled, but none is fetched until it drains.
     fn activity(&self) -> Activity {
-        let next = match &self.pending {
-            None => self.wire.head_ready_at(),
-            Some(_) => self.output.ready_at(),
-        };
-        next.map_or(Activity::Quiescent, |t| Activity::at(self.free_at.max(t)))
+        self.output.activity(self.wire.head_ready_at())
     }
 
     /// External activity channels: frames landing on the wire and datapath
@@ -584,7 +503,7 @@ mod tests {
     use super::*;
     use netfpga_core::packetio::{PacketSink, PacketSource};
     use netfpga_core::sim::Simulator;
-    use netfpga_core::stream::Stream;
+    use netfpga_core::stream::{Reassembler, Stream};
     use netfpga_core::time::Frequency;
 
     #[test]

@@ -15,9 +15,9 @@ use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::regs::AddressMap;
 use netfpga_core::resources::ResourceCost;
 use netfpga_core::rng::SimRng;
-use netfpga_core::sim::{Module, TickContext};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Histogram;
-use netfpga_core::stream::{segment, Burst, Meta, Reassembler, StreamRx, StreamTx};
+use netfpga_core::stream::{segment, Burst, Meta, PacketRx, StreamRx, StreamTx};
 use netfpga_core::time::{BitRate, Time};
 use netfpga_datapath::blocks;
 use netfpga_datapath::ParsedHeaders;
@@ -420,21 +420,23 @@ impl CaptureHandle {
 /// The per-port capture engine module.
 pub struct CaptureEngine {
     name: String,
-    input: StreamRx,
-    reasm: Reassembler,
+    input: PacketRx,
     shared: Rc<RefCell<CapShared>>,
+    /// Activity-cache invalidation flag, registered on the input stream.
+    wake: WakeHandle,
 }
 
 impl CaptureEngine {
     /// Create a capture engine draining `input`; returns module + handle.
     pub fn new(name: &str, input: StreamRx) -> (CaptureEngine, CaptureHandle) {
         let handle = CaptureHandle::default();
+        let wake = WakeHandle::new();
         (
             CaptureEngine {
                 name: name.to_string(),
-                input,
-                reasm: Reassembler::new(),
+                input: PacketRx::new(input, &wake),
                 shared: handle.shared.clone(),
+                wake,
             },
             handle,
         )
@@ -468,48 +470,55 @@ impl Module for CaptureEngine {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if let Some(word) = self.input.pop() {
-            if let Some((frame, meta)) = self.reasm.push(word) {
-                let mut s = self.shared.borrow_mut();
-                s.bytes += frame.len() as u64;
-                let stamp = if meta.ingress_time > Time::ZERO {
-                    meta.ingress_time
-                } else {
-                    ctx.now
-                };
-                // Mirror into the capture ring by bumping the refcount —
-                // the datapath's buffer is never duplicated.
-                s.frames.push((stamp, frame.clone()));
-                match Self::decode(&frame) {
-                    Some((stream_id, seq, tx_time)) => {
-                        // rx timestamp: the MAC's ingress stamp, which is
-                        // frame-arrival-complete time — higher fidelity
-                        // than "when the capture engine got around to it".
-                        let rx_time = if meta.ingress_time > Time::ZERO {
-                            meta.ingress_time
-                        } else {
-                            ctx.now
-                        };
-                        s.records.push(ProbeRecord {
-                            stream_id,
-                            seq,
-                            tx_time,
-                            rx_time,
-                        });
-                    }
-                    None => s.non_probe += 1,
-                }
+        while let Some((frame, meta)) = self.input.poll(true, ctx) {
+            let mut s = self.shared.borrow_mut();
+            s.bytes += frame.len() as u64;
+            // The MAC's ingress stamp is frame-arrival-complete time —
+            // higher fidelity than "when the capture engine got around
+            // to it".
+            let rx_time = if meta.ingress_time > Time::ZERO {
+                meta.ingress_time
+            } else {
+                ctx.now
+            };
+            // Mirror into the capture ring by bumping the refcount —
+            // the datapath's buffer is never duplicated.
+            s.frames.push((rx_time, frame.clone()));
+            match Self::decode(&frame) {
+                Some((stream_id, seq, tx_time)) => s.records.push(ProbeRecord {
+                    stream_id,
+                    seq,
+                    tx_time,
+                    rx_time,
+                }),
+                None => s.non_probe += 1,
             }
         }
     }
 
     fn reset(&mut self) {
-        self.reasm = Reassembler::new();
+        self.input.reset();
         let mut s = self.shared.borrow_mut();
         s.records.clear();
         s.frames.clear();
         s.non_probe = 0;
         s.bytes = 0;
+    }
+
+    /// Watchdog recovery: a partially received frame is discarded; the
+    /// capture so far survives.
+    fn soft_reset(&mut self) {
+        self.input.soft_reset();
+    }
+
+    /// The port's answer: the engine always takes what is there.
+    fn activity(&self) -> Activity {
+        self.input.activity(true)
+    }
+
+    /// Only pushes into the input stream can un-idle the engine.
+    fn wake_handle(&self) -> Option<WakeHandle> {
+        Some(self.wake.clone())
     }
 }
 
@@ -975,6 +984,40 @@ mod tests {
                 r.latency()
             );
         }
+    }
+
+    /// The capture engine answers the activity contract from behind its
+    /// input's wake: no tick before the first frame, and fewer ticks than
+    /// edges after. (Not yet a tick per frame: once classified active it
+    /// sits behind the always-active generators in dispatch order, so the
+    /// kernel's activity fold never reaches it to hear that it went idle.)
+    #[test]
+    fn capture_engine_rests_until_traffic_arrives() {
+        let mut o = OsntTester::new(&BoardSpec::sume(), 2);
+        let cap0_ticks = |o: &OsntTester| {
+            let ticks = o.chassis.sim.module_ticks();
+            ticks
+                .iter()
+                .find(|(name, _)| name == "osnt_cap0")
+                .unwrap()
+                .1
+        };
+        o.chassis.run_for(Time::from_us(10));
+        assert_eq!(cap0_ticks(&o), 0, "nothing to capture yet");
+        for (from, to) in [(0, 1), (1, 0)] {
+            let (_, from_board) = o.chassis.port_wires(from);
+            let (to_board, _) = o.chassis.port_wires(to);
+            let name = format!("link{from}");
+            o.chassis
+                .add_link(&name, from_board, to_board, LinkConfig::default());
+        }
+        o.generators[0].start(GeneratorConfig::probe(1, BitRate::gbps(9), 1514, 40));
+        o.generators[1].start(GeneratorConfig::probe(2, BitRate::gbps(4), 124, 200));
+        o.chassis.run_for(Time::from_us(120));
+        assert_eq!(o.captures[0].count(), 200);
+        assert_eq!(o.captures[1].count(), 40);
+        let edges = o.chassis.sim.cycles(o.chassis.clk);
+        assert!(cap0_ticks(&o) < edges, "{} of {edges}", cap0_ticks(&o));
     }
 
     #[test]
