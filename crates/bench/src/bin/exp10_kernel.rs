@@ -214,7 +214,8 @@ fn main() {
     );
     // Charged, not ticked: the burst-mode DMA engine does not execute the
     // cycles its bus costs, so it no longer drags the NIC's burst-mode
-    // modules back to a tick per beat (499 400 of 640 000 edges before).
+    // modules back to a tick per beat (499 400 of 640 000 edges before;
+    // a run is 480 000 since the engine overlaps bus and PCIe time).
     assert!(
         nic_fast.steps <= nic_fast.edges / 3,
         "bidirectional NIC stepped {} of {} edges (bar: a third)",

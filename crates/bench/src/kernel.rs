@@ -25,10 +25,10 @@
 //!
 //! * **nic_bidir** — four ports towards the host at line rate while the
 //!   host keeps its TX ring full: the DMA engine and the host rings carry
-//!   every frame. The card-to-host chain is back-pressured throughout (PCIe
-//!   plus bus time per frame exceeds what four ports offer), so the fast
-//!   kernel's win is the engine charging its bus in burst mode instead of
-//!   ticking it a beat per cycle.
+//!   every frame. The engine drains what four ports offer (a frame costs it
+//!   the longer of bus and PCIe time, not their sum), and the fast kernel's
+//!   win is the engine charging its bus in burst mode instead of ticking it
+//!   a beat per cycle.
 //!
 //! And one runs the switch as users get it by default — word-level,
 //! cycle-exact pacing — under *both* configs, so the pair isolates the
@@ -434,9 +434,7 @@ pub fn nic_bidir(config: KernelConfig, nframes: u32) -> KernelRun {
 }
 
 fn nic_bidir_on(nic: &mut ReferenceNic, nframes: u32, frame_len: usize) -> KernelRun {
-    /// Frames per direction offered at once. The host link carries about
-    /// two thirds of what four ports offer, so the excess queues in the RX
-    /// path; this much of it fits without an RX MAC dropping.
+    /// Frames per direction offered at once, a quarter of them on each port.
     const ROUND: u32 = 500;
     /// The driver's poll interval: short enough that the 256-entry RX ring
     /// never overflows between polls.

@@ -114,8 +114,8 @@ struct Rings {
     /// shows.
     injecting: bool,
     /// Whether a card-to-host packet is off `from_card` but not yet in the RX
-    /// ring (its last beats still on the bus) — the `injecting` of the
-    /// other direction, for the same watchdog probes.
+    /// ring (last beats on the bus, waiting for the link, or crossing it) —
+    /// the `injecting` of the other direction, for the same watchdog probes.
     absorbing: bool,
     /// The engine's activity-cache flag: host sends arrive from outside
     /// the tick loop and must mark the cached classification dirty.
@@ -381,11 +381,11 @@ impl DmaHandle {
         self.rings.borrow().work_done
     }
 
-    /// Whether host-to-card work is pending (TX descriptors queued or a
-    /// packet partially injected).
+    /// Whether the engine holds work (TX descriptors queued, a packet
+    /// partially injected, or a card-to-host packet not yet in the RX ring).
     pub fn has_work(&self) -> bool {
         let r = self.rings.borrow();
-        !r.tx.is_empty() || r.injecting
+        !r.tx.is_empty() || r.injecting || r.absorbing
     }
 
     /// Register the reliable channel's activity flag: woken whenever the
@@ -457,15 +457,18 @@ impl DmaHandle {
 ///   store-and-forward consumer sees are therefore unchanged. If `to_card`
 ///   cannot take all of it then, what fits goes and the rest follows as pops
 ///   free space; the ack goes with the last beat.
-/// * **Card → host.** Once the PCIe link is free the engine takes the head
-///   burst (`k` beats, never past the end of a packet) in one tick and is
-///   busy until `now + (k − 1)·period`; only at that instant is the packet
-///   complete — RX ring or `rx_drops`, the drop window, `c2h_free_at`
-///   restarting from there. A burst that does not end its packet lets the
-///   next pop happen no earlier than `now + k·period`.
+/// * **Card → host, two stages.** Stage 1 (`absorbed`) takes the head burst
+///   (`k` beats, never past the end of a packet) off the bus in one tick;
+///   the bus is busy until `c2h_free_at = now + k·period` and a packet is
+///   complete at its last beat, `now + (k − 1)·period`. Stage 2 (`crossing`)
+///   is the PCIe link: a complete packet enters it once it is free — that
+///   instant decides drop window, `rx_drops` (no free RX slot) or crossing,
+///   and a dropped packet occupies neither link nor ring — and is in the RX
+///   ring `transfer_time(len)` later. Stage 1 absorbs the next packet
+///   meanwhile, so a frame costs `max(bus, link)`, not their sum.
 /// * A stall window freezes the charge along with the engine: every stalled
-///   edge moves a held burst's crossing and a pending completion one period
-///   later.
+///   edge moves a held burst's crossing, a pending completion and a link
+///   crossing one period later.
 ///
 /// **What is exact.** Against the word engine in the fast-path reference
 /// NIC (400 000 cycles of seeded 60–1514 B frames: two or four ports at
@@ -476,12 +479,13 @@ impl DmaHandle {
 /// space comes back a burst at a time instead of a beat per cycle, so the
 /// input arbiter's grants may interleave the ports differently: packets,
 /// per-port order, counters, drops and aggregate rate stay identical, the
-/// cross-port order of ring deliveries is not promised (the four-port run
-/// above, back-pressured throughout, happened to keep it). Likewise a stall
-/// window opening while a *partial* burst is being charged does not extend
-/// that charge. Both are inside the chassis' fast-path contract (delivered
-/// packets, ports and counters identical; cycle-level pacing inside the
-/// pipeline collapsed).
+/// cross-port order of ring deliveries is not promised. That takes a link
+/// slower than the bus or a stalled engine: 4 × 10G on SUME's Gen3 x8 no
+/// longer back-pressures (the four-port run above is exact too). Likewise a
+/// stall window opening while a *partial* burst is being charged does not
+/// extend that charge. Both are inside the chassis' fast-path contract
+/// (delivered packets, ports and counters identical; cycle-level pacing
+/// inside the pipeline collapsed).
 pub struct DmaEngine {
     name: String,
     config: PcieConfig,
@@ -504,15 +508,18 @@ pub struct DmaEngine {
     inject_seq: Option<u64>,
     /// Completion-ring capacity.
     completion_capacity: usize,
-    /// Pacing, per direction: no descriptor fetch and no pop before these.
-    /// The PCIe link's occupancy — and, after a burst that did not end its
-    /// packet, that burst's time on the bus.
+    /// Pacing, per direction: no descriptor fetch before `h2c_free_at` (the
+    /// PCIe link's occupancy), no pop before `c2h_free_at` (the popped
+    /// beats' time on the card-side bus).
     h2c_free_at: Time,
     c2h_free_at: Time,
     reasm: Reassembler,
-    /// A packet popped off `from_card` whose last beat is on the bus until
-    /// the instant given: complete, and delivered, only then.
+    /// Stage 1: a packet popped off `from_card` whose last beat is on the
+    /// bus until the instant given; it stays here until the link is free.
     absorbed: Option<(Time, PktBuf, Meta)>,
+    /// Stage 2: the packet on the PCIe link, in the RX ring at the instant
+    /// given. Its slot was free at link entry and `recv` only frees more.
+    crossing: Option<(Time, PktBuf, Meta)>,
     fault: Option<DmaFaultGate>,
     /// Activity-cache invalidation flag, woken by host sends, card words
     /// arriving on `from_card`, and pops freeing space on `to_card`.
@@ -553,6 +560,7 @@ impl DmaEngine {
                 c2h_free_at: Time::ZERO,
                 reasm: Reassembler::new(),
                 absorbed: None,
+                crossing: None,
                 fault: None,
                 wake,
             },
@@ -578,8 +586,8 @@ impl DmaEngine {
     /// A `(progress, work-pending)` closure pair for a watchdog probe:
     /// `progress` is the engine's monotonic heartbeat, `pending` covers
     /// queued TX descriptors, a partially injected packet, undrained
-    /// card-to-host words and a packet still being absorbed. Capture this before registering the engine on
-    /// the simulator.
+    /// card-to-host words and a packet absorbed but not yet in the RX ring.
+    /// Capture this before registering the engine on the simulator.
     pub fn progress_probe(&self) -> impl Fn() -> (u64, bool) + 'static {
         let rings = self.rings.clone();
         let from_card = self.from_card.clone();
@@ -592,12 +600,9 @@ impl DmaEngine {
         }
     }
 
-    /// A card-to-host packet is complete at `now`: pace the link from here
-    /// and deliver it (or drop it: fault window, RX-ring overflow).
-    fn complete(&mut self, packet: PktBuf, meta: Meta, now: Time, dropping: bool) {
-        self.c2h_free_at = now + self.config.transfer_time(packet.len());
-        let mut r = self.rings.borrow_mut();
-        r.absorbing = false;
+    /// A complete card-to-host packet meets a free link at `now`: drop it
+    /// (fault window, no free RX slot) or start its crossing.
+    fn enter_link(&mut self, packet: PktBuf, meta: Meta, now: Time, dropping: bool) {
         if dropping {
             self.fault
                 .as_ref()
@@ -605,12 +610,11 @@ impl DmaEngine {
                 .inner
                 .borrow_mut()
                 .rx_dropped += 1;
-        } else if r.rx.len() >= self.rx_capacity {
-            r.stats.rx_drops += 1;
+        } else if self.rings.borrow().rx.len() >= self.rx_capacity {
+            self.rings.borrow_mut().stats.rx_drops += 1;
         } else {
-            r.stats.rx_packets += 1;
-            r.stats.rx_bytes += packet.len() as u64;
-            r.rx.push_back((packet, meta));
+            let over = now + self.config.transfer_time(packet.len());
+            self.crossing = Some((over, packet, meta));
         }
     }
 
@@ -639,6 +643,7 @@ impl Module for DmaEngine {
             if gate.stalled_at(ctx.now) {
                 let has_work = self.inject.is_some()
                     || self.absorbed.is_some()
+                    || self.crossing.is_some()
                     || self.from_card.can_pop()
                     || !self.rings.borrow().tx.is_empty();
                 self.rings.borrow_mut().stalled = true;
@@ -650,7 +655,7 @@ impl Module for DmaEngine {
                 if let Some(at) = &mut self.inject_at {
                     *at += ctx.period;
                 }
-                if let Some((at, ..)) = &mut self.absorbed {
+                for (at, ..) in self.absorbed.iter_mut().chain(&mut self.crossing) {
                     *at += ctx.period;
                 }
                 return;
@@ -720,28 +725,33 @@ impl Module for DmaEngine {
             }
         }
 
-        // Card → host: absorb `max` beats per cycle; a packet is complete
-        // when its last beat has crossed the bus.
-        if let Some((_, packet, meta)) = self.absorbed.take_if(|(at, ..)| *at <= ctx.now) {
-            self.complete(packet, meta, ctx.now, dropping);
-        } else if self.absorbed.is_none() && self.c2h_free_at <= ctx.now {
+        // Card → host. The link: a packet whose crossing is over is in the
+        // RX ring.
+        if let Some((_, packet, meta)) = self.crossing.take_if(|(at, ..)| *at <= ctx.now) {
+            let mut r = self.rings.borrow_mut();
+            r.stats.rx_packets += 1;
+            r.stats.rx_bytes += packet.len() as u64;
+            r.rx.push_back((packet, meta));
+        }
+        // The bus: absorb `max` beats per cycle; a packet is complete when
+        // its last beat is across (a lone beat, in the cycle it is popped).
+        if self.absorbed.is_none() && self.c2h_free_at <= ctx.now {
             if let Some(burst) = self.from_card.pop_burst(max) {
                 let k = burst.beats();
                 self.rings.borrow_mut().work_done += k as u64;
-                match self.reasm.push_burst(burst) {
-                    // A lone beat is across in the cycle it is popped.
-                    Some((packet, meta)) if k == 1 => {
-                        self.complete(packet, meta, ctx.now, dropping);
-                    }
-                    Some((packet, meta)) => {
-                        self.rings.borrow_mut().absorbing = true;
-                        self.absorbed = Some((ctx.now + beats(k - 1), packet, meta));
-                    }
-                    // More of the packet to come, once these beats are over.
-                    None => self.c2h_free_at = ctx.now + beats(k),
+                self.c2h_free_at = ctx.now + beats(k);
+                if let Some((packet, meta)) = self.reasm.push_burst(burst) {
+                    self.absorbed = Some((ctx.now + beats(k - 1), packet, meta));
                 }
             }
         }
+        // From one to the other: complete, and the link free.
+        if self.crossing.is_none() {
+            if let Some((_, packet, meta)) = self.absorbed.take_if(|(at, ..)| *at <= ctx.now) {
+                self.enter_link(packet, meta, ctx.now, dropping);
+            }
+        }
+        self.rings.borrow_mut().absorbing = self.absorbed.is_some() || self.crossing.is_some();
     }
 
     fn reset(&mut self) {
@@ -750,6 +760,7 @@ impl Module for DmaEngine {
         self.inject_seq = None;
         self.reasm = Reassembler::new();
         self.absorbed = None;
+        self.crossing = None;
         self.h2c_free_at = Time::ZERO;
         self.c2h_free_at = Time::ZERO;
         let mut r = self.rings.borrow_mut();
@@ -776,15 +787,14 @@ impl Module for DmaEngine {
     /// descriptors are flushed the same way — unacked, and therefore
     /// re-posted — mirroring how a real soft reset invalidates the engine's
     /// descriptor fetch state. A packet caught mid-absorption counts one
-    /// `rx_drops`.
+    /// `rx_drops`, and so does one caught crossing the link.
     fn soft_reset(&mut self) {
         self.inject = None;
         self.inject_at = None;
         self.inject_seq = None;
-        let partial = self.reasm.resync();
-        if partial || self.absorbed.take().is_some() {
-            self.rings.borrow_mut().stats.rx_drops += 1;
-        }
+        let absorbing = self.reasm.resync() || self.absorbed.take().is_some();
+        let crossing = self.crossing.take().is_some();
+        self.rings.borrow_mut().stats.rx_drops += u64::from(absorbing) + u64::from(crossing);
         self.h2c_free_at = Time::ZERO;
         self.c2h_free_at = Time::ZERO;
         let mut r = self.rings.borrow_mut();
@@ -800,13 +810,15 @@ impl Module for DmaEngine {
 
     /// Idle when both directions have nothing queued: no TX descriptors,
     /// no partially injected packet, no card words to absorb and no packet
-    /// waiting out its last beats. The `free_at` pacing marks are
+    /// in either card-to-host stage. The `free_at` pacing marks are
     /// irrelevant then — with empty queues a tick is a no-op at any future
     /// instant too. Otherwise pacing is a time bound: descriptor fetch
     /// waits for `h2c_free_at`, a held burst for its crossing instant,
     /// card-to-host absorption for `c2h_free_at`, an absorbed packet for
-    /// its completion instant, and nothing else can happen before the
-    /// earliest of the pending ones. A packet whose crossing has begun
+    /// its completion instant (or, the link busy, for the end of that
+    /// crossing), a packet on the link for its delivery instant, and
+    /// nothing else can happen before the earliest of the pending ones. A
+    /// host-to-card packet whose crossing has begun
     /// moves a word whenever `to_card` has room, and is stalled — lifted by
     /// a pop, not by time — when it has none.
     ///
@@ -825,11 +837,14 @@ impl Module for DmaEngine {
         } else {
             Activity::idle_if(self.fault.is_none() && !self.to_card.can_push())
         };
-        let c2h = match &self.absorbed {
-            Some((at, ..)) => Activity::Bounded(*at),
-            None if self.from_card.can_pop() => Activity::Bounded(self.c2h_free_at),
-            None => Activity::Quiescent,
+        let link = self.crossing.as_ref().map(|(over, ..)| *over);
+        let bus = match &self.absorbed {
+            // Complete but the link busy: the crossing's end is its bound.
+            Some((at, ..)) => link.is_none().then_some(*at),
+            None => self.from_card.can_pop().then_some(self.c2h_free_at),
         };
+        let c2h =
+            (link.into_iter().chain(bus).min()).map_or(Activity::Quiescent, Activity::Bounded);
         match h2c.join(c2h) {
             Activity::Bounded(_) if self.fault.is_some() => Activity::Active,
             both => both,
@@ -925,6 +940,33 @@ mod tests {
         let s = handle.stats();
         assert_eq!(s.rx_packets, 2);
         assert_eq!(s.rx_drops, 3);
+    }
+
+    /// A frame dropped for want of an RX slot never enters the link, so it
+    /// costs its beats on the bus and nothing else: with the ring full and
+    /// the card side saturating, `rx_drops` advances once per 16 beats
+    /// (80 ns at 508 B; the serial engine charged each drop the 70.6 ns
+    /// crossing it never made), and a slot freed by the host is filled one
+    /// absorb and one crossing later.
+    #[test]
+    fn overflow_drops_cost_bus_time_not_link_time() {
+        for burst in [false, true] {
+            let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 1, burst, false);
+            rig.offer(&[508; 6]);
+            let mut dropped_at = Vec::new();
+            for cycle in 1..=100 {
+                rig.run(1);
+                if rig.handle.stats().rx_drops > dropped_at.len() as u64 {
+                    dropped_at.push(rig.sim.now().as_ns());
+                }
+                if cycle == 66 {
+                    // 330 ns: the fifth frame is on the bus until 400 ns.
+                    assert!(rig.handle.recv().is_some());
+                }
+            }
+            assert_eq!(dropped_at, [160, 240, 320, 480], "burst {burst}");
+            assert_eq!(ns(&rig.ring), [155, 400 + 75], "burst {burst}");
+        }
     }
 
     #[test]
@@ -1078,6 +1120,15 @@ mod tests {
             before + 100,
             "ticked on every edge"
         );
+        // The same with nothing but a frame on the link (240–450.5 ns).
+        let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, true, true);
+        rig.offer(&[1514]);
+        rig.run(50);
+        assert_eq!(rig.ticks(), 50);
+        rig.run(40);
+        assert_eq!((rig.ticks(), rig.ring.len()), (90, 0), "crossing");
+        rig.run(20);
+        assert_eq!((rig.ticks(), rig.ring.len()), (91, 1), "idle once in");
     }
 
     fn setup_with_gate() -> (
@@ -1477,24 +1528,28 @@ mod tests {
     }
 
     /// Card → host: RX-ring delivery instants are those of the word engine
-    /// (taken from it before burst mode existed) whether the frames arrive
-    /// as whole bursts, in FIFO-sized pieces of a frame longer than the
-    /// FIFO, or a beat a cycle — where burst mode does exactly what word
-    /// mode does, tick for tick.
+    /// whether the frames arrive as whole bursts, in FIFO-sized pieces of a
+    /// frame longer than the FIFO, or a beat a cycle — where burst mode does
+    /// exactly what word mode does, tick for tick. The figures are the
+    /// two-stage closed form, the first edge at or after
+    /// `max(last beat, previous delivery) + transfer_time`: deep on gen3,
+    /// last beats at 10 / 90 / 330 / 410 ns and crossings of 10.7 / 70.6 /
+    /// 210.5 / 70.6 ns. (The serial engine delivered at the last beat and
+    /// only then charged the link: 10 / 100 / 410 / 700.)
     #[test]
     fn burst_c2h_timeline_is_the_word_engines() {
         let (gen3, gen1) = (PcieConfig::gen3_x8(), PcieConfig::gen1_x8());
         let deep = [60, 508, 1514, 508];
         let shallow = [508, 1514, 60];
         for (config, depth, feed_max, lens, want) in [
-            (gen3, 64, usize::MAX, &deep[..], &[10, 100, 410, 700][..]),
-            (gen3, 8, usize::MAX, &shallow[..], &[80, 390, 610][..]),
-            (gen3, 8, 1, &shallow[..], &[80, 390, 610][..]),
-            (gen3, 64, 1, &deep[..], &[10, 100, 410, 700][..]),
-            (gen1, 64, usize::MAX, &deep[..], &[10, 130, 670, 1650][..]),
-            (gen1, 8, usize::MAX, &shallow[..], &[80, 620, 1530][..]),
-            (gen1, 8, 1, &shallow[..], &[80, 620, 1530][..]),
-            (gen1, 64, 1, &deep[..], &[10, 130, 670, 1650][..]),
+            (gen3, 64, usize::MAX, &deep[..], &[25, 165, 545, 620][..]),
+            (gen3, 8, usize::MAX, &shallow[..], &[155, 535, 550][..]),
+            (gen3, 8, 1, &shallow[..], &[155, 535, 550][..]),
+            (gen3, 64, 1, &deep[..], &[25, 165, 545, 620][..]),
+            (gen1, 64, usize::MAX, &deep[..], &[55, 395, 1300, 1605][..]),
+            (gen1, 8, usize::MAX, &shallow[..], &[385, 1290, 1335][..]),
+            (gen1, 8, 1, &shallow[..], &[385, 1290, 1335][..]),
+            (gen1, 64, 1, &deep[..], &[55, 395, 1300, 1605][..]),
         ] {
             let run = |burst| {
                 let mut rig = Rig::new(config, depth, 64, burst, false);
@@ -1511,8 +1566,10 @@ mod tests {
             if feed_max == 1 {
                 assert_eq!(burst.1, word.1, "a beat at a time is word mode: {what}");
             } else {
+                // A pop per burst, a link entry and a delivery per frame,
+                // against a tick per beat.
                 assert!(
-                    burst.1 * 5 < word.1,
+                    burst.1 * 4 < word.1,
                     "ticks {} of {}: {what}",
                     burst.1,
                     word.1
@@ -1521,8 +1578,10 @@ mod tests {
         }
     }
 
-    /// A held burst and an absorbed packet are time bounds: not quiescent,
-    /// no tick until the instant, exactly one tick at it.
+    /// A held burst, an absorbed packet and a packet on the link are time
+    /// bounds: not quiescent, no tick until the instant, exactly one tick at
+    /// it. A complete packet waiting for the link is bounded by the crossing
+    /// ahead of it, not by its own last beat.
     #[test]
     fn held_burst_and_pending_completion_are_time_bounds() {
         // 1514 B = 48 beats: fetched (popped) on the first edge at 5 ns,
@@ -1557,42 +1616,73 @@ mod tests {
         assert!(!rig.sim.all_quiescent());
         assert_eq!(rig.handle.rx_pending(), 0, "not complete yet");
         rig.run(1);
-        assert_eq!(rig.ticks(), 2, "one tick at the completion instant");
-        assert_eq!(ns(&rig.ring), [240]);
-        assert!(rig.sim.all_quiescent());
+        assert_eq!(rig.ticks(), 2, "one tick at the last beat: onto the link");
+        assert_eq!(rig.handle.rx_pending(), 0, "crossing, not delivered");
+        assert!((rig.probe)().1 && rig.handle.has_work(), "pending work");
+        // The ring has it after its own crossing (210.5 ns), no longer at
+        // the last beat with the link charged afterwards.
+        rig.run(42);
+        assert_eq!(rig.sim.now(), Time::from_ns(450));
+        assert_eq!(rig.ticks(), 2, "no tick while the link is charged");
+        assert!(!rig.sim.all_quiescent());
+        rig.run(1);
+        assert_eq!(rig.ticks(), 3, "one tick at the delivery instant");
+        assert_eq!(ns(&rig.ring), [455]);
+        assert!(rig.sim.all_quiescent() && !rig.handle.has_work());
         rig.run(100);
-        assert_eq!(rig.ticks(), 2);
+        assert_eq!(rig.ticks(), 3);
+
+        // Link slower than the bus (302 ns a frame): the second frame is
+        // complete at 160 ns and waits for the first to be over at 382 ns.
+        let mut rig = Rig::new(PcieConfig::gen1_x8(), 64, 64, true, false);
+        rig.offer(&[508, 508]);
+        rig.run(76);
+        assert_eq!(rig.sim.now(), Time::from_ns(380));
+        assert_eq!(rig.ticks(), 3, "pop, link entry, pop: none at 160 ns");
+        rig.run(1);
+        assert_eq!(rig.ticks(), 4, "delivery and link entry share a tick");
+        rig.run(100);
+        assert_eq!(ns(&rig.ring), [385, 690]);
+        assert_eq!(rig.ticks(), 5);
     }
 
     /// RX-ring overflow and a drop window are judged when the packet is
-    /// complete — its last beat's instant — not when its burst is popped.
+    /// complete and the link free — link entry, which is its last beat's
+    /// instant here — not when its burst is popped and not when its crossing
+    /// ends. (The serial engine judged at the last beat too, but only popped
+    /// the second frame once the first's crossing was over: 230 ns, not 160.)
     #[test]
     fn burst_completion_instant_decides_overflow_and_drop_window() {
-        // Two 508 B frames: the first is in the ring at 80 ns; the second
-        // is popped at 155 ns (PCIe free) and complete at 230 ns.
+        // Two 508 B frames: the first enters the link at 80 ns and the ring
+        // at 155 ns; the second is popped from 85 ns, enters at 160 ns and
+        // is delivered at 235 ns.
         for burst in [false, true] {
-            // A one-entry ring, emptied by the host at 200 ns: full at the
-            // pop, free at the completion.
+            // A one-entry ring the host empties at 155 ns, 165 ns or never:
+            // only a slot free at 160 ns saves the second frame.
+            for (recv_after, drops) in [(31, 0), (33, 1), (60, 1)] {
+                let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 1, burst, false);
+                rig.offer(&[508, 508]);
+                rig.run(31);
+                assert_eq!(rig.sim.now(), Time::from_ns(155));
+                assert_eq!(rig.handle.progress(), if burst { 32 } else { 31 });
+                assert_eq!(rig.handle.stats().rx_drops, 0, "complete at 160 ns");
+                rig.run(recv_after - 31);
+                assert!(rig.handle.recv().is_some());
+                rig.run(60 - recv_after);
+                let want: &[u64] = if drops == 0 { &[155, 235] } else { &[155] };
+                assert_eq!(ns(&rig.ring), want, "burst {burst}");
+                assert_eq!(rig.handle.stats().rx_drops, drops, "burst {burst}");
+            }
             let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 1, burst, false);
             rig.offer(&[508, 508]);
-            rig.run(40);
-            assert_eq!(rig.sim.now(), Time::from_ns(200));
-            assert_eq!(rig.handle.progress(), if burst { 32 } else { 26 });
-            assert!(rig.handle.recv().is_some());
-            rig.run(20);
-            assert_eq!(ns(&rig.ring), [80, 230], "burst {burst}");
-            assert_eq!(rig.handle.stats().rx_drops, 0);
-            // Never emptied: dropped, at the completion.
-            let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 1, burst, false);
-            rig.offer(&[508, 508]);
-            rig.run(45);
-            assert_eq!(rig.handle.stats().rx_drops, 0, "still on the bus at 225 ns");
-            rig.run(1);
-            assert_eq!(rig.handle.stats().rx_drops, 1, "burst {burst}");
+            rig.run(32);
+            assert_eq!(rig.handle.stats().rx_drops, 1, "dropped at 160 ns");
 
-            // A drop window open at the pop and closed by the completion
-            // lets the packet through; one the other way round takes it.
-            for (open_at, until, dropped) in [(20, 200, 0), (40, 300, 1)] {
+            // A drop window open at the pop and closed by link entry lets
+            // the packet through, and so does one that opens on its
+            // crossing; one open at link entry takes it — and not the first
+            // frame, delivered inside it.
+            for (open_at, until, dropped) in [(20, 160, 0), (33, 300, 0), (30, 165, 1)] {
                 let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, burst, true);
                 rig.offer(&[508, 508]);
                 rig.run(open_at);
@@ -1604,8 +1694,8 @@ mod tests {
         }
     }
 
-    /// A stall window opening while the bus is charged freezes the charge:
-    /// ack and delivery move by exactly the edges it covers.
+    /// A stall window opening while the bus or the link is charged freezes
+    /// the charge: ack and delivery move by exactly the edges it covers.
     #[test]
     fn stall_window_mid_hold_delays_ack_and_delivery_by_its_length() {
         for burst in [false, true] {
@@ -1615,11 +1705,23 @@ mod tests {
             rig.run(20);
             // Covers the 40 edges from 105 ns to 300 ns.
             rig.gate.stall_until(Time::from_ns(305));
-            rig.run(100);
+            rig.run(120);
             assert_eq!(ns(&rig.acks), [240 + 200], "burst {burst}");
             assert_eq!(ns(&rig.complete), [240 + 200], "burst {burst}");
-            assert_eq!(ns(&rig.ring), [240 + 200], "burst {burst}");
+            // Last beat at 240 + 200 ns, then its 210.5 ns on the link (the
+            // serial engine delivered at the last beat).
+            assert_eq!(ns(&rig.ring), [455 + 200], "burst {burst}");
             assert_eq!(rig.gate.stalled_ticks(), 40);
+
+            // On the link from 240 ns, due at 450.5 ns; the 10 edges from
+            // 255 ns to 300 ns make that 500.5 ns.
+            let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, burst, true);
+            rig.offer(&[1514]);
+            rig.run(50);
+            rig.gate.stall_until(Time::from_ns(305));
+            rig.run(60);
+            assert_eq!(ns(&rig.ring), [455 + 50], "burst {burst}");
+            assert_eq!(rig.gate.stalled_ticks(), 10);
         }
     }
 
@@ -1655,6 +1757,39 @@ mod tests {
             rig.offer(&[60]);
             rig.run(20);
             assert_eq!((rig.acks.len(), rig.ring.len()), (1, 1), "burst {burst}");
+        }
+    }
+
+    /// A wedge with a frame on the link (and another on the bus behind it)
+    /// is pending work with a frozen heartbeat — what trips the watchdog —
+    /// and the soft reset counts one `rx_drops` for each frame it cuts, so
+    /// `offered = rx_packets + rx_drops + gate.rx_dropped` closes.
+    #[test]
+    fn soft_reset_mid_crossing_counts_each_frame_it_cuts() {
+        for burst in [false, true] {
+            for (lens, cut) in [(&[508][..], 1), (&[508, 1514][..], 2)] {
+                let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 64, burst, true);
+                rig.offer(lens);
+                rig.run(20);
+                // 100 ns: the first frame crosses from 80 ns to 150.6 ns.
+                rig.gate.wedge();
+                let (heartbeat, _) = (rig.probe)();
+                rig.run(100);
+                assert_eq!((rig.probe)(), (heartbeat, true), "burst {burst}");
+                assert!(rig.handle.has_work() && rig.ring.is_empty());
+                assert_eq!(rig.gate.stalled_ticks(), 100);
+                rig.sim.soft_reset();
+                assert!(!rig.handle.has_work());
+                // A drop window and deliveries on top.
+                rig.run(60);
+                rig.gate.drop_until(rig.sim.now() + Time::from_ns(100));
+                rig.offer(&[60, 508, 60]);
+                rig.run(100);
+                let (s, gated) = (rig.handle.stats(), rig.gate.rx_dropped());
+                assert_eq!(s.rx_drops, cut, "burst {burst}");
+                assert!(gated > 0 && s.rx_packets > 0, "{gated}, {s:?}");
+                assert_eq!(s.rx_packets + s.rx_drops + gated, lens.len() as u64 + 3);
+            }
         }
     }
 

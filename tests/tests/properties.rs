@@ -1103,7 +1103,9 @@ proptest! {
 
 /// The stall rigs in word mode at fixed seeds, against the signatures in
 /// `fixtures/word_mode.golden`: how the word-level pipeline is executed may
-/// change, what it delivers and when may not.
+/// change, what it delivers and when may not. (`nic_to_host` was re-captured
+/// once, for a device change: the two-stage DMA engine puts a frame in the
+/// RX ring after its own PCIe crossing — the signature hashes that instant.)
 #[test]
 fn stall_rigs_reproduce_their_word_mode_goldens() {
     use netfpga_core::sim::SchedulerMode;
