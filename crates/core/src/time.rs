@@ -100,6 +100,8 @@ impl fmt::Display for Time {
     }
 }
 
+const PS_PER_S: u64 = 1_000_000_000_000;
+
 /// A clock frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Frequency {
@@ -136,7 +138,7 @@ impl Frequency {
     /// The period, rounded to the nearest picosecond (a 1 THz+ clock would
     /// round to 1 ps; no modelled clock is near that).
     pub fn period(self) -> Time {
-        Time((1_000_000_000_000 + self.hz / 2) / self.hz)
+        Time((PS_PER_S + self.hz / 2) / self.hz)
     }
 }
 
@@ -190,15 +192,22 @@ impl BitRate {
     /// nominal rate).
     pub fn time_for_bytes(self, bytes: u64) -> Time {
         let bits = bytes * 8;
-        // ps = bits * 1e12 / bps, computed in u128 to avoid overflow.
-        let ps = (u128::from(bits) * 1_000_000_000_000u128).div_ceil(u128::from(self.bps));
-        Time(ps as u64)
+        // ps = bits * 1e12 / bps: in u64 while the product fits (any frame:
+        // up to 2.3 MB), in u128 past that — no 128-bit division per frame.
+        let ps = match bits.checked_mul(PS_PER_S) {
+            Some(n) => n.div_ceil(self.bps),
+            None => (u128::from(bits) * u128::from(PS_PER_S)).div_ceil(u128::from(self.bps)) as u64,
+        };
+        Time(ps)
     }
 
     /// Bytes fully serialized in `dur` at this rate (rounded down).
     pub fn bytes_in(self, dur: Time) -> u64 {
-        let bits = u128::from(self.bps) * u128::from(dur.as_ps()) / 1_000_000_000_000u128;
-        (bits / 8) as u64
+        let bits = match self.bps.checked_mul(dur.as_ps()) {
+            Some(n) => n / PS_PER_S,
+            None => (u128::from(self.bps) * u128::from(dur.as_ps()) / u128::from(PS_PER_S)) as u64,
+        };
+        bits / 8
     }
 }
 
@@ -270,6 +279,24 @@ mod tests {
         assert_eq!(r.bytes_in(Time::from_ns(800)), 1000);
         // Rounding up: 3 bytes at 7 Gb/s is 24e12/7e9 = 3428.57.. -> 3429 ps.
         assert_eq!(BitRate::gbps(7).time_for_bytes(3), Time::from_ps(3_429));
+    }
+
+    proptest::proptest! {
+        /// The `u64` and `u128` paths are one function. Each case takes a
+        /// frame-sized length (`bits * 1e12` fits `u64`) and a bulk one
+        /// (past 2.3 MB it does not).
+        #[test]
+        fn prop_bitrate_paths_agree(bps in 1_000_000u64..=100_000_000_000, bulk in 1u64..=16 << 20) {
+            let rate = BitRate::bps(bps);
+            for bytes in [bulk % 9600 + 1, bulk] {
+                let ps = (u128::from(bytes) * 8 * 1_000_000_000_000).div_ceil(u128::from(bps));
+                let t = rate.time_for_bytes(bytes);
+                proptest::prop_assert_eq!(u128::from(t.as_ps()), ps);
+                let fit = u128::from(bps) * ps / 1_000_000_000_000 / 8;
+                proptest::prop_assert_eq!(u128::from(rate.bytes_in(t)), fit);
+                proptest::prop_assert!(fit >= u128::from(bytes), "rounded up, so the bytes fit");
+            }
+        }
     }
 
     #[test]

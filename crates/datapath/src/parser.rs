@@ -213,7 +213,7 @@ mod tests {
         /// The parser is total: arbitrary bytes never panic, and whatever
         /// it extracts is internally consistent.
         #[test]
-        fn prop_parser_total(frame in proptest::collection::vec(any::<u8>(), 0..512)) {
+        fn prop_parser_total(frame in proptest::collection::vec(any::<u8>(), 0..2049)) {
             let h = ParsedHeaders::parse(&frame);
             if let Some(ip) = h.ipv4 {
                 prop_assert_eq!(h.ethertype, 0x0800);
@@ -250,6 +250,73 @@ mod tests {
 
     fn mac(x: u8) -> EthernetAddress {
         EthernetAddress::new(2, 0, 0, 0, 0, x)
+    }
+
+    /// Release binaries abort on panic, so the parser's totality is what
+    /// keeps a runt off the wire from ending a run: every prefix of a
+    /// valid frame of each kind (VLAN-tagged TCP, ICMP, IPv4 with options
+    /// carrying UDP, ARP) parses, and a layer appears only once all its
+    /// bytes are there.
+    #[test]
+    fn every_truncation_of_every_frame_kind_parses() {
+        use netfpga_packet::icmpv4::{Icmpv4Repr, Message};
+        use netfpga_packet::tcp::{TcpFlags, TcpRepr};
+        let ip = || {
+            PacketBuilder::new()
+                .eth(mac(1), mac(2))
+                .ipv4(Ipv4Address::new(1, 2, 3, 4), Ipv4Address::new(5, 6, 7, 8))
+        };
+        let tcp = TcpRepr {
+            src_port: 443,
+            dst_port: 51000,
+            seq_number: 7,
+            ack_number: 9,
+            flags: TcpFlags::SYN,
+            window: 1024,
+        };
+        let echo = Icmpv4Repr {
+            message: Message::EchoRequest { ident: 3, seq: 4 },
+        };
+        // Four bytes of IP options spliced into a UDP frame.
+        let mut optioned = ip().udp(1000, 2000, &[0x5a; 40]).build();
+        optioned.splice(34..34, [1, 1, 1, 0]); // NOP NOP NOP EOL
+        let mut hdr = Ipv4Packet::new_unchecked(&mut optioned[14..]);
+        let len = hdr.total_len();
+        hdr.set_version_and_header_len(24);
+        hdr.set_total_len(len + 4);
+        hdr.fill_checksum();
+        let arp = PacketBuilder::arp_request(
+            mac(1),
+            Ipv4Address::new(1, 2, 3, 4),
+            Ipv4Address::new(1, 2, 3, 5),
+        );
+        // (frame, bytes before the IPv4/ARP layer is whole, before l4 is)
+        let kinds = [
+            (
+                ip().vlan(42, 5).tcp(tcp, b"segment").no_pad().build(),
+                18 + 20 + 20 + 7,
+                Some(18 + 20 + 20 + 7),
+            ),
+            (
+                ip().icmp(echo, b"ping").no_pad().build(),
+                14 + 20 + 8 + 4,
+                None,
+            ),
+            (optioned, 14 + 24 + 8 + 40, Some(14 + 24 + 8 + 40)),
+            (arp, 14 + 28, None),
+        ];
+        for (frame, l3_whole, l4_whole) in kinds {
+            let full = ParsedHeaders::parse(&frame);
+            assert!(full.ipv4.is_some_and(|ip| ip.checksum_ok) || full.arp.is_some());
+            assert_eq!(full.ipv4.and_then(|ip| ip.l4).is_some(), l4_whole.is_some());
+            for cut in 0..=frame.len() {
+                let h = ParsedHeaders::parse(&frame[..cut]);
+                let l3 = h.ipv4.is_some() || h.arp.is_some();
+                assert_eq!(l3, cut >= l3_whole, "cut {cut} of {}", frame.len());
+                let l4 = h.ipv4.and_then(|ip| ip.l4).is_some();
+                assert_eq!(l4, l4_whole.is_some_and(|n| cut >= n), "cut {cut}");
+            }
+        }
     }
 
     #[test]

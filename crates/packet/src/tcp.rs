@@ -82,15 +82,20 @@ impl<T: AsRef<[u8]>> TcpPacket<T> {
     /// Wrap a buffer, checking the header and data offset.
     pub fn new_checked(buffer: T) -> Result<Self> {
         let packet = Self::new_unchecked(buffer);
-        let data = packet.buffer.as_ref();
+        packet.check()?;
+        Ok(packet)
+    }
+
+    fn check(&self) -> Result<()> {
+        let data = self.buffer.as_ref();
         if data.len() < MIN_HEADER_LEN {
             return Err(Error::Truncated);
         }
-        let hlen = packet.header_len();
+        let hlen = self.header_len();
         if hlen < MIN_HEADER_LEN || hlen > data.len() {
             return Err(Error::Malformed);
         }
-        Ok(packet)
+        Ok(())
     }
 
     /// Unwrap, returning the underlying buffer.
@@ -226,6 +231,7 @@ pub struct TcpRepr {
 impl TcpRepr {
     /// Parse from a packet view.
     pub fn parse<T: AsRef<[u8]>>(packet: &TcpPacket<T>) -> Result<TcpRepr> {
+        packet.check()?;
         Ok(TcpRepr {
             src_port: packet.src_port(),
             dst_port: packet.dst_port(),

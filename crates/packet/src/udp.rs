@@ -23,15 +23,20 @@ impl<T: AsRef<[u8]>> UdpPacket<T> {
     /// Wrap a buffer, checking header and length field consistency.
     pub fn new_checked(buffer: T) -> Result<Self> {
         let packet = Self::new_unchecked(buffer);
-        let data = packet.buffer.as_ref();
+        packet.check()?;
+        Ok(packet)
+    }
+
+    fn check(&self) -> Result<()> {
+        let data = self.buffer.as_ref();
         if data.len() < HEADER_LEN {
             return Err(Error::Truncated);
         }
-        let len = usize::from(packet.len_field());
+        let len = usize::from(self.len_field());
         if len < HEADER_LEN || len > data.len() {
             return Err(Error::Malformed);
         }
-        Ok(packet)
+        Ok(())
     }
 
     /// Unwrap, returning the underlying buffer.
@@ -126,6 +131,7 @@ pub struct UdpRepr {
 impl UdpRepr {
     /// Parse from a packet view.
     pub fn parse<T: AsRef<[u8]>>(packet: &UdpPacket<T>) -> Result<UdpRepr> {
+        packet.check()?;
         Ok(UdpRepr {
             src_port: packet.src_port(),
             dst_port: packet.dst_port(),

@@ -202,7 +202,8 @@ pub struct MacStats {
     pub bytes: u64,
     /// Wire bytes including preamble/FCS/IFG (TX side).
     pub wire_bytes: u64,
-    /// Frames dropped (RX: datapath back-pressure overflow).
+    /// Frames dropped (RX: datapath back-pressure overflow, or a frame
+    /// with no bytes).
     pub dropped: u64,
     /// Frames dropped by the RX MAC because the recomputed CRC-32 did not
     /// match the frame's FCS (corrupted in flight).
@@ -448,6 +449,12 @@ impl Module for EthMacRx {
                     self.stats.0.borrow_mut().bad_fcs += 1;
                     continue;
                 }
+            }
+            // No bytes between two gaps is not a frame; the stream cannot
+            // carry one either.
+            if frame.data.is_empty() {
+                self.stats.0.borrow_mut().dropped += 1;
+                continue;
             }
             // A frame the datapath cannot absorb *at all* (wider than the
             // whole FIFO) would wedge; the reference designs size FIFOs for

@@ -17,7 +17,7 @@ use netfpga_core::resources::ResourceCost;
 use netfpga_core::rng::SimRng;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Histogram;
-use netfpga_core::stream::{segment, Burst, Meta, PacketRx, StreamRx, StreamTx};
+use netfpga_core::stream::{Meta, PacketRx, PacketTx, StreamRx, StreamTx};
 use netfpga_core::time::{BitRate, Time};
 use netfpga_datapath::blocks;
 use netfpga_datapath::ParsedHeaders;
@@ -102,6 +102,9 @@ struct GenShared {
 #[derive(Debug, Clone, Default)]
 pub struct GeneratorHandle {
     shared: Rc<RefCell<GenShared>>,
+    /// The generator's activity-cache flag: [`GeneratorHandle::start`] is
+    /// the only host-side write, and it un-idles a resting generator.
+    wake: WakeHandle,
 }
 
 impl GeneratorHandle {
@@ -115,6 +118,7 @@ impl GeneratorHandle {
         s.config = Some(config);
         s.sent = 0;
         s.running = true;
+        self.wake.wake();
     }
 
     /// Probes emitted so far.
@@ -135,14 +139,15 @@ impl GeneratorHandle {
 /// The per-port traffic generator module.
 pub struct TrafficGenerator {
     name: String,
-    output: StreamTx,
+    output: PacketTx,
     src_port: u8,
     shared: Rc<RefCell<GenShared>>,
     next_emit: Time,
     rng: SimRng,
     rng_seed: u64,
-    /// The beats of the frame being streamed out that are still to go.
-    words: Option<Burst>,
+    /// Activity-cache invalidation flag, shared with the handle and
+    /// registered on the output stream.
+    wake: WakeHandle,
 }
 
 impl TrafficGenerator {
@@ -152,13 +157,13 @@ impl TrafficGenerator {
         (
             TrafficGenerator {
                 name: name.to_string(),
-                output,
+                output: PacketTx::new(output, &handle.wake),
                 src_port,
                 shared: handle.shared.clone(),
                 next_emit: Time::ZERO,
                 rng: SimRng::new(0x05471),
                 rng_seed: 0x05471,
-                words: None,
+                wake: handle.wake.clone(),
             },
             handle,
         )
@@ -198,9 +203,10 @@ impl Module for TrafficGenerator {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        // Stream out the current frame a word per cycle.
-        if self.words.is_some() {
-            self.output.push_burst(&mut self.words, 1);
+        // One `emit` a tick, not the usual loop: a probe is stamped and
+        // staged at its departure edge and its first word leaves the edge
+        // after, a register stage later.
+        if !self.output.emit(ctx) {
             return;
         }
         // Start the next frame when its departure time arrives.
@@ -233,10 +239,10 @@ impl Module for TrafficGenerator {
             ingress_time: ctx.now,
             ..Default::default()
         };
-        self.words = Some(segment(&frame, self.output.width(), meta));
-        s.sent += 1;
         // Schedule the next departure.
         let mean_gap = config.rate.time_for_bytes(frame.len() as u64);
+        self.output.stage(PktBuf::from(frame), meta);
+        s.sent += 1;
         let gap = match config.spacing {
             Spacing::Uniform => mean_gap,
             Spacing::Poisson { .. } => {
@@ -252,11 +258,31 @@ impl Module for TrafficGenerator {
     }
 
     fn reset(&mut self) {
-        self.words = None;
+        self.output.reset();
         self.next_emit = Time::ZERO;
         let mut s = self.shared.borrow_mut();
         s.sent = 0;
         s.running = false;
+    }
+
+    /// A probe cut short mid-emission is discarded; the run carries on.
+    fn soft_reset(&mut self) {
+        self.output.soft_reset();
+    }
+
+    /// The port's answer; the next probe is due at `next_emit` while the
+    /// run has probes left, and not before [`GeneratorHandle::start`]
+    /// otherwise.
+    fn activity(&self) -> Activity {
+        let s = self.shared.borrow();
+        let left = s.running && s.config.as_ref().is_some_and(|c| s.sent < c.count);
+        self.output.activity(left.then_some(self.next_emit))
+    }
+
+    /// External activity channels: the handle's `start`, pops from the
+    /// output.
+    fn wake_handle(&self) -> Option<WakeHandle> {
+        Some(self.wake.clone())
     }
 }
 
@@ -986,24 +1012,19 @@ mod tests {
         }
     }
 
-    /// The capture engine answers the activity contract from behind its
-    /// input's wake: no tick before the first frame, and fewer ticks than
-    /// edges after. (Not yet a tick per frame: once classified active it
-    /// sits behind the always-active generators in dispatch order, so the
-    /// kernel's activity fold never reaches it to hear that it went idle.)
+    /// Generator and capture engine both answer the activity contract: no
+    /// tick before there is work, and a few ticks a frame after, however
+    /// many edges the frames span.
     #[test]
     fn capture_engine_rests_until_traffic_arrives() {
         let mut o = OsntTester::new(&BoardSpec::sume(), 2);
-        let cap0_ticks = |o: &OsntTester| {
+        let ticks_of = |o: &OsntTester, module: &str| {
             let ticks = o.chassis.sim.module_ticks();
-            ticks
-                .iter()
-                .find(|(name, _)| name == "osnt_cap0")
-                .unwrap()
-                .1
+            ticks.iter().find(|(name, _)| name == module).unwrap().1
         };
         o.chassis.run_for(Time::from_us(10));
-        assert_eq!(cap0_ticks(&o), 0, "nothing to capture yet");
+        assert_eq!(ticks_of(&o, "osnt_cap0"), 0, "nothing to capture yet");
+        assert_eq!(ticks_of(&o, "osnt_gen0"), 0, "nothing started yet");
         for (from, to) in [(0, 1), (1, 0)] {
             let (_, from_board) = o.chassis.port_wires(from);
             let (to_board, _) = o.chassis.port_wires(to);
@@ -1017,7 +1038,18 @@ mod tests {
         assert_eq!(o.captures[0].count(), 200);
         assert_eq!(o.captures[1].count(), 40);
         let edges = o.chassis.sim.cycles(o.chassis.clk);
-        assert!(cap0_ticks(&o) < edges, "{} of {edges}", cap0_ticks(&o));
+        for (module, frames) in [
+            ("osnt_gen0", 40),
+            ("osnt_gen1", 200),
+            ("osnt_cap0", 200),
+            ("osnt_cap1", 40),
+        ] {
+            let ticks = ticks_of(&o, module);
+            assert!(
+                ticks <= 3 * frames,
+                "{module}: {ticks} ticks for {frames} frames ({edges} edges)"
+            );
+        }
     }
 
     #[test]

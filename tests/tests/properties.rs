@@ -682,6 +682,69 @@ fn conservation_under_congestion() {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Release binaries abort on panic, so a frame off the wire must never
+    /// be able to raise one: whatever bytes a peer puts on a port — junk
+    /// of any length, a valid frame cut anywhere, no bytes at all — the
+    /// switch and the router give each frame exactly one counted fate, and
+    /// the valid frame sent after them is forwarded as if nothing had
+    /// happened.
+    #[test]
+    fn prop_malformed_frames_are_counted_and_the_run_continues(
+        junk in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..2049), 1..6),
+        cuts in proptest::collection::vec(0usize..64, 1..6),
+    ) {
+        use netfpga_phy::mac::WireFrame;
+        let valid = PacketBuilder::new()
+            .eth(mac(0xa1), mac(0xe0))
+            .ipv4(Ipv4Address::new(10, 0, 0, 2), Ipv4Address::new(10, 9, 0, 1))
+            .udp(7, 9, b"after the storm")
+            .build();
+        let mut offered: Vec<Vec<u8>> = junk;
+        offered.extend(cuts.iter().map(|&cut| valid[..cut.min(valid.len())].to_vec()));
+        offered.push(Vec::new());
+        offered.push(valid.clone());
+        // Straight onto the wire, as a peer's MAC would: `Chassis::send`
+        // is the tester's API and refuses runts on the tester's behalf.
+        let offer = |wire: netfpga_phy::Wire| {
+            for (i, f) in offered.iter().enumerate() {
+                wire.push(WireFrame::new(f.clone(), Time::from_us(2 * i as u64 + 2)));
+            }
+        };
+        let n = offered.len() as u64;
+
+        let mut sw = ReferenceSwitch::new(&BoardSpec::sume(), 4, 256, Time::from_ms(100));
+        offer(sw.chassis.port_wires(0).0);
+        sw.chassis.run_for(Time::from_us(2 * n + 20));
+        let stats = sw.core.borrow().stats();
+        let rx = sw.chassis.rx_mac_stats(0);
+        prop_assert_eq!((rx.frames, rx.dropped), (n - 1, 1), "the empty frame dies at the MAC");
+        prop_assert_eq!(stats.hits + stats.floods, n - 1, "every other frame is looked up once");
+        prop_assert_eq!(sw.chassis.recv(1).last(), Some(&valid), "the valid frame floods");
+
+        let mut r = ReferenceRouter::new(&BoardSpec::sume(), 4);
+        {
+            let mut t = r.tables.borrow_mut();
+            t.port_macs = (0..4).map(|i| mac(0xe0 + i)).collect();
+            t.lpm.insert(
+                "10.9.0.0/16".parse().unwrap(),
+                RouteEntry { next_hop: Ipv4Address::UNSPECIFIED, port: 3 },
+            );
+            t.arp.insert(Ipv4Address::new(10, 9, 0, 1), mac(0x91));
+        }
+        offer(r.chassis.port_wires(0).0);
+        r.chassis.run_for(Time::from_us(2 * n + 20));
+        let c = *r.counters.borrow();
+        prop_assert_eq!(c.forwarded + c.to_cpu + c.dropped, n - 1, "one fate each: {:?}", c);
+        prop_assert!(c.forwarded >= 1, "{:?}", c);
+        let out = r.chassis.recv(3);
+        let routed = ParsedHeaders::parse(out.last().expect("the valid frame is routed"));
+        prop_assert_eq!(routed.ipv4.map(|ip| (ip.checksum_ok, ip.ttl)), Some((true, 63)));
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The auto-mounted stat block honours the register-space contract for
