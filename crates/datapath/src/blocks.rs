@@ -54,7 +54,7 @@ pub const SWITCH_LOOKUP: ResourceCost = ResourceCost {
     dsps: 0,
 };
 
-/// Cost of the router lookup (LPM trie walker + ARP + TTL/checksum).
+/// Cost of the router lookup (LPM + ARP + TTL/checksum).
 pub const ROUTER_LOOKUP: ResourceCost = ResourceCost {
     luts: 7_000,
     ffs: 6_000,

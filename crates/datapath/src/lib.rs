@@ -24,7 +24,8 @@
 //!   [`sched::Scheduler`].
 //! * [`sched`] — FIFO, round-robin, deficit round-robin, strict-priority
 //!   and weighted-fair schedulers (the E4 ablation set).
-//! * [`lpm::LpmTable`] — binary-trie longest-prefix-match route table.
+//! * [`lpm::LpmTable`] — longest-prefix-match route table, compiled to
+//!   address intervals.
 //! * [`learn::LearningSwitchCore`] — 802.1D MAC learning over an aging
 //!   table.
 //! * [`parser::ParsedHeaders`] — the header parser used by lookup stages.

@@ -1,7 +1,12 @@
-//! Longest-prefix-match route table: a binary trie, as the reference
-//! router's lookup core implements in BRAM.
+//! Longest-prefix-match route table. The reference router's lookup core
+//! answers in one TCAM access whatever the table holds; the host-side
+//! structure behind it is the route set plus a lookup form compiled from
+//! it on demand: longest-prefix match flattened into sorted, disjoint
+//! address intervals under a direct index over the top 16 address bits.
 
 use netfpga_packet::addr::{Ipv4Address, Ipv4Cidr};
+use std::cell::OnceCell;
+use std::collections::BTreeMap;
 
 /// One routing-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,13 +18,74 @@ pub struct RouteEntry {
     pub port: u8,
 }
 
-#[derive(Debug, Default)]
-struct Node {
-    children: [Option<Box<Node>>; 2],
-    entry: Option<RouteEntry>,
+/// The address space cut into intervals that each match one route or none.
+struct Compiled {
+    /// First address of each interval, ascending; `starts[0] == 0`.
+    starts: Vec<u32>,
+    /// The longest route matching interval `i`, if any.
+    vals: Vec<Option<RouteEntry>>,
+    /// `index[h]` counts the intervals starting below `h << 16`, so those
+    /// starting inside bucket `h` are `starts[index[h]..index[h + 1]]`.
+    index: Vec<u32>,
 }
 
-/// A binary-trie LPM table mapping IPv4 prefixes to [`RouteEntry`]s.
+impl Compiled {
+    /// One sweep over the ordered routes with a stack of the prefixes still
+    /// open: an interval starts where a route starts and where one ends,
+    /// and belongs to the innermost prefix open there.
+    fn build(routes: &BTreeMap<(u32, u8), RouteEntry>) -> Compiled {
+        let (mut starts, mut vals) = (vec![0u32], vec![None]);
+        // Whatever was cut at `at` before is overruled.
+        let mut cut = |at: u32, val: Option<RouteEntry>| {
+            if starts.last() == Some(&at) {
+                vals.pop();
+            } else {
+                starts.push(at);
+            }
+            vals.push(val);
+        };
+        // Open prefixes, outermost first: (one past the last address, entry).
+        let mut open: Vec<(u64, RouteEntry)> = Vec::new();
+        let bounds = routes
+            .iter()
+            .map(|(&(net, len), &e)| (u64::from(net), len, Some(e)));
+        // A final bound past the address space closes whatever is still open.
+        for (start, len, entry) in bounds.chain([(1 << 32, 0, None)]) {
+            while let Some(&(end, _)) = open.last().filter(|o| o.0 <= start) {
+                open.pop();
+                if let Ok(end) = u32::try_from(end) {
+                    cut(end, open.last().map(|&(_, e)| e));
+                }
+            }
+            if let Some(e) = entry {
+                cut(start as u32, Some(e));
+                open.push((start + (1u64 << (32 - len)), e));
+            }
+        }
+        let mut index = vec![0u32; (1 << 16) + 1];
+        for &s in &starts {
+            index[(s >> 16) as usize + 1] += 1;
+        }
+        let mut below = 0;
+        for slot in &mut index {
+            below += *slot;
+            *slot = below;
+        }
+        Compiled {
+            starts,
+            vals,
+            index,
+        }
+    }
+}
+
+impl std::fmt::Debug for Compiled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Compiled({} intervals)", self.starts.len())
+    }
+}
+
+/// An LPM table mapping IPv4 prefixes to [`RouteEntry`]s.
 ///
 /// ```
 /// use netfpga_datapath::lpm::{LpmTable, RouteEntry};
@@ -40,8 +106,16 @@ struct Node {
 /// ```
 #[derive(Debug, Default)]
 pub struct LpmTable {
-    root: Node,
-    routes: usize,
+    /// The truth, ordered by `(network, prefix length)`: a prefix sorts
+    /// before every prefix nested inside it.
+    routes: BTreeMap<(u32, u8), RouteEntry>,
+    /// The lookup form of `routes`: dropped by every change, rebuilt by the
+    /// next lookup.
+    compiled: OnceCell<Compiled>,
+}
+
+fn key(prefix: Ipv4Cidr) -> (u32, u8) {
+    (prefix.network().to_u32(), prefix.prefix_len())
 }
 
 impl LpmTable {
@@ -52,63 +126,35 @@ impl LpmTable {
 
     /// Number of installed routes.
     pub fn len(&self) -> usize {
-        self.routes
+        self.routes.len()
     }
 
     /// True if no route is installed.
     pub fn is_empty(&self) -> bool {
-        self.routes == 0
+        self.routes.is_empty()
     }
 
     /// Insert (or replace) a route for `prefix`. Returns the previous entry
     /// for the exact prefix, if any.
     pub fn insert(&mut self, prefix: Ipv4Cidr, entry: RouteEntry) -> Option<RouteEntry> {
-        let bits = prefix.network().to_u32();
-        let mut node = &mut self.root;
-        for i in 0..prefix.prefix_len() {
-            let bit = ((bits >> (31 - i)) & 1) as usize;
-            node = node.children[bit].get_or_insert_with(Box::default);
-        }
-        let old = node.entry.replace(entry);
-        if old.is_none() {
-            self.routes += 1;
-        }
-        old
+        self.compiled.take();
+        self.routes.insert(key(prefix), entry)
     }
 
     /// Remove the route for the exact `prefix`. Returns the removed entry.
     pub fn remove(&mut self, prefix: Ipv4Cidr) -> Option<RouteEntry> {
-        let bits = prefix.network().to_u32();
-        let mut node = &mut self.root;
-        for i in 0..prefix.prefix_len() {
-            let bit = ((bits >> (31 - i)) & 1) as usize;
-            node = node.children[bit].as_deref_mut()?;
-        }
-        let old = node.entry.take();
-        if old.is_some() {
-            self.routes -= 1;
-        }
-        old
+        self.compiled.take();
+        self.routes.remove(&key(prefix))
     }
 
     /// Longest-prefix lookup.
     pub fn lookup(&self, addr: Ipv4Address) -> Option<RouteEntry> {
-        let bits = addr.to_u32();
-        let mut node = &self.root;
-        let mut best = node.entry;
-        for i in 0..32 {
-            let bit = ((bits >> (31 - i)) & 1) as usize;
-            match &node.children[bit] {
-                Some(child) => {
-                    node = child;
-                    if node.entry.is_some() {
-                        best = node.entry;
-                    }
-                }
-                None => break,
-            }
-        }
-        best
+        let c = self.compiled.get_or_init(|| Compiled::build(&self.routes));
+        let addr = addr.to_u32();
+        let bucket = (addr >> 16) as usize;
+        let (lo, hi) = (c.index[bucket] as usize, c.index[bucket + 1] as usize);
+        // Interval 0 starts at address 0, so at least one start is <= addr.
+        c.vals[lo + c.starts[lo..hi].partition_point(|&s| s <= addr) - 1]
     }
 
     /// Resolve the next-hop IP for `dst`: the gateway, or `dst` itself on a
@@ -125,8 +171,8 @@ impl LpmTable {
 
     /// Remove every route.
     pub fn clear(&mut self) {
-        self.root = Node::default();
-        self.routes = 0;
+        self.compiled.take();
+        self.routes.clear();
     }
 }
 
@@ -225,40 +271,100 @@ mod tests {
         assert_eq!(t.lookup(ip("10.0.0.1")), None);
     }
 
+    /// The sweep's upper edge: a route that covers 255.255.255.255 ends one
+    /// past `u32::MAX` and must neither wrap nor close early.
+    #[test]
+    fn routes_reaching_the_last_address() {
+        let mut t = LpmTable::new();
+        t.insert(cidr("255.255.255.255/32"), entry(3));
+        assert_eq!(t.lookup(ip("255.255.255.255")).unwrap().port, 3);
+        assert_eq!(t.lookup(ip("255.255.255.254")), None);
+        assert_eq!(t.lookup(ip("0.0.0.0")), None);
+        t.insert(cidr("255.255.0.0/16"), entry(2));
+        t.insert(cidr("128.0.0.0/1"), entry(1));
+        assert_eq!(t.lookup(ip("255.255.255.255")).unwrap().port, 3);
+        assert_eq!(t.lookup(ip("255.255.255.254")).unwrap().port, 2);
+        assert_eq!(t.lookup(ip("255.254.255.255")).unwrap().port, 1);
+        assert_eq!(t.lookup(ip("127.255.255.255")), None);
+        t.remove(cidr("255.255.255.255/32"));
+        assert_eq!(t.lookup(ip("255.255.255.255")).unwrap().port, 2);
+        t.insert(cidr("0.0.0.0/0"), entry(0));
+        assert_eq!(t.lookup(ip("127.255.255.255")).unwrap().port, 0);
+        assert_eq!(t.lookup(ip("255.255.255.255")).unwrap().port, 2);
+    }
+
+    /// Exhaustive scan: the longest live prefix containing `addr`.
+    fn scan(live: &[(Ipv4Cidr, RouteEntry)], addr: u32) -> Option<RouteEntry> {
+        live.iter()
+            .filter(|(c, _)| c.contains(Ipv4Address::from_u32(addr)))
+            .max_by_key(|(c, _)| c.prefix_len())
+            .map(|&(_, e)| e)
+    }
+
     proptest! {
-        /// Trie agrees with a brute-force reference over random prefixes.
+        /// Under any interleaving of insert, replace, remove and clear the
+        /// table agrees with an exhaustive scan at both ends of the address
+        /// space and on and around both edges of every live prefix.
         #[test]
         fn prop_matches_reference(
-            routes in proptest::collection::btree_map((any::<u32>(), 0u8..=32), 0u8..16, 1..32),
-            probes in proptest::collection::vec(any::<u32>(), 16),
+            ops in proptest::collection::vec(
+                (0u8..64, any::<u32>(), 0u8..=32, any::<u8>()),
+                0..250,
+            ),
         ) {
+            // Always there to begin with: a default route, a host route and
+            // a chain nested four deep on one address.
+            let nest = ["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.3/32"];
+            let fixed = ["0.0.0.0/0", "203.0.113.7/32"]
+                .into_iter()
+                .chain(nest)
+                .map(|s| (0, cidr(s), 0, 99));
+            // Random addresses keep two bits of each byte, or all but those,
+            // so prefixes nest, repeat (a replace) and reach both edges.
+            let random = ops.into_iter().map(|(op, bits, len, port)| {
+                let sparse = bits & 0x8181_8181;
+                let addr = if bits & 2 == 0 { sparse } else { !sparse };
+                (op, Ipv4Cidr::new(Ipv4Address::from_u32(addr), len), bits, port)
+            });
             let mut t = LpmTable::new();
-            let rules: Vec<(u32, u8, u8)> = routes
-                .iter()
-                .map(|(&(addr, len), &port)| (addr, len, port))
-                .collect();
-            // Dedup by network: later inserts replace earlier ones for the
-            // same effective prefix, mirror that in the reference.
-            let mut effective: std::collections::BTreeMap<(u32, u8), u8> = Default::default();
-            for &(addr, len, port) in &rules {
-                let c = Ipv4Cidr::new(Ipv4Address::from_u32(addr), len);
-                t.insert(c, RouteEntry { next_hop: Ipv4Address::UNSPECIFIED, port });
-                effective.insert((c.network().to_u32(), len), port);
-            }
-            prop_assert_eq!(t.len(), effective.len());
-            for probe in probes {
-                let expect = effective
-                    .iter()
-                    .filter(|(&(net, len), _)| {
-                        let mask = if len == 0 { 0 } else { u32::MAX << (32 - u32::from(len)) };
-                        probe & mask == net
-                    })
-                    .max_by_key(|(&(_, len), _)| len)
-                    .map(|(_, &port)| port);
-                prop_assert_eq!(
-                    t.lookup(Ipv4Address::from_u32(probe)).map(|e| e.port),
-                    expect
-                );
+            let mut live: Vec<(Ipv4Cidr, RouteEntry)> = Vec::new();
+            for (op, prefix, bits, port) in fixed.chain(random) {
+                let at = live.iter().position(|(c, _)| {
+                    c.network() == prefix.network() && c.prefix_len() == prefix.prefix_len()
+                });
+                match op {
+                    0..=47 => {
+                        let e = RouteEntry { next_hop: Ipv4Address::from_u32(bits), port };
+                        prop_assert_eq!(t.insert(prefix, e), at.map(|i| live.swap_remove(i).1));
+                        live.push((prefix, e));
+                    }
+                    48..=59 if !live.is_empty() => {
+                        let (victim, e) = live.swap_remove(bits as usize % live.len());
+                        prop_assert_eq!(t.remove(victim), Some(e));
+                    }
+                    // An exact prefix, usually not installed.
+                    48..=62 => {
+                        prop_assert_eq!(t.remove(prefix), at.map(|i| live.swap_remove(i).1));
+                    }
+                    _ => {
+                        t.clear();
+                        live.clear();
+                    }
+                }
+                prop_assert_eq!(t.len(), live.len());
+                prop_assert_eq!(t.is_empty(), live.is_empty());
+                let edges = live.iter().flat_map(|(c, _)| {
+                    let first = c.network().to_u32();
+                    let last = first | !c.mask();
+                    [first.wrapping_sub(1), first, last, last.wrapping_add(1)]
+                });
+                for probe in [0, u32::MAX].into_iter().chain(edges) {
+                    prop_assert_eq!(
+                        t.lookup(Ipv4Address::from_u32(probe)),
+                        scan(&live, probe),
+                        "probe {}", Ipv4Address::from_u32(probe)
+                    );
+                }
             }
         }
     }

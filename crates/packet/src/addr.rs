@@ -136,7 +136,7 @@ impl Ipv4Address {
         &self.0
     }
 
-    /// The address as a host-order `u32` (used by the LPM trie).
+    /// The address as a host-order `u32` (used by the LPM table).
     pub const fn to_u32(&self) -> u32 {
         u32::from_be_bytes(self.0)
     }

@@ -12,6 +12,7 @@
 
 use crate::harness::{Chassis, ChassisIo};
 use netfpga_core::board::BoardSpec;
+use netfpga_core::hash::Fnv1a64;
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::regs::{shared, AddressMap, RegisterSpace};
 use netfpga_core::resources::ResourceCost;
@@ -27,7 +28,8 @@ use netfpga_packet::ethernet::EthernetFrame;
 use netfpga_packet::ipv4::Ipv4Packet;
 use netfpga_packet::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 /// Exception reasons carried in `meta.flags` on packets sent to the CPU.
@@ -47,7 +49,7 @@ pub mod exception {
 /// Register base of the router control block.
 pub const ROUTER_BASE: u32 = 0x2000;
 
-/// Pipeline latency of the lookup stage (parse + trie walk + rewrite).
+/// Pipeline latency of the lookup stage (parse + TCAM/CAM access + rewrite).
 const LOOKUP_LATENCY: u64 = 16;
 
 /// The router's shared tables, visible to the datapath, the register block
@@ -56,8 +58,9 @@ const LOOKUP_LATENCY: u64 = 16;
 pub struct RouterTables {
     /// The LPM route table.
     pub lpm: LpmTable,
-    /// ARP cache: next-hop IP to MAC.
-    pub arp: BTreeMap<Ipv4Address, EthernetAddress>,
+    /// ARP cache: next-hop IP to MAC. Hashed with the workspace's own
+    /// FNV-1a, not `RandomState`: seeded runs stay bit-identical.
+    pub arp: HashMap<Ipv4Address, EthernetAddress, BuildHasherDefault<Fnv1a64>>,
     /// Addresses owned by the router (one per interface, typically).
     pub local_ips: Vec<Ipv4Address>,
     /// Per-port source MAC addresses.
@@ -179,10 +182,14 @@ mod cmd {
 /// | 6 | staged MAC low 32 bits |
 /// | 16..18 | counters: forwarded, to_cpu, dropped (RO) |
 /// | 19..20 | table sizes: routes, ARP entries (RO) |
+///
+/// A command whose staged port the board does not have is ignored, like a
+/// write to an unmapped word.
 pub struct RouterRegisters {
     tables: Rc<RefCell<RouterTables>>,
     counters: Rc<RefCell<RouterCounters>>,
     stage: [u32; 8],
+    cpu_port: u8,
 }
 
 impl RouterRegisters {
@@ -196,14 +203,16 @@ impl RouterRegisters {
 
     fn execute(&mut self, command: u32) {
         let mut t = self.tables.borrow_mut();
+        let port = self.stage[4];
         match command {
-            cmd::ADD_ROUTE => {
+            // A route may leave by any Ethernet port or the CPU port.
+            cmd::ADD_ROUTE if port <= u32::from(self.cpu_port) => {
                 let prefix = Ipv4Cidr::new(self.staged_ip(), (self.stage[2] & 63).min(32) as u8);
                 t.lpm.insert(
                     prefix,
                     RouteEntry {
                         next_hop: Ipv4Address::from_u32(self.stage[3]),
-                        port: self.stage[4] as u8,
+                        port: port as u8,
                     },
                 );
             }
@@ -226,8 +235,9 @@ impl RouterRegisters {
                     t.local_ips.push(ip);
                 }
             }
-            cmd::SET_PORT_MAC => {
-                let port = self.stage[4] as usize;
+            // Only the Ethernet ports have a MAC.
+            cmd::SET_PORT_MAC if port < u32::from(self.cpu_port) => {
+                let port = port as usize;
                 let mac = self.staged_mac();
                 if t.port_macs.len() <= port {
                     t.port_macs.resize(port + 1, EthernetAddress::default());
@@ -393,6 +403,7 @@ impl ReferenceRouter {
                 tables: tables.clone(),
                 counters: counters.clone(),
                 stage: [0; 8],
+                cpu_port,
             }),
         );
         chassis.attach_mmio();
@@ -603,6 +614,54 @@ mod tests {
         r.chassis.write32(base, 7);
         assert_eq!(r.chassis.read32(base + 19 * 4), 0);
         assert_eq!(r.chassis.read32(base + 20 * 4), 0);
+    }
+
+    /// Stage `words` and execute `command` over MMIO.
+    fn command(r: &mut ReferenceRouter, command: u32, words: &[(u32, u32)]) {
+        for &(word, value) in words {
+            r.chassis.write32(ROUTER_BASE + word * 4, value);
+        }
+        r.chassis.write32(ROUTER_BASE, command);
+    }
+
+    /// A route towards a port the board does not have used to be stored and
+    /// the first frame matching it aborted in `PortMask::single`.
+    #[test]
+    fn add_route_to_a_missing_port_is_refused() {
+        let mut r = router();
+        let net = u32::from_be_bytes([10, 7, 0, 0]);
+        for port in [200, 5, 0x104] {
+            command(
+                &mut r,
+                cmd::ADD_ROUTE,
+                &[(1, net), (2, 16), (3, 0), (4, port)],
+            );
+        }
+        assert_eq!(r.tables.borrow().lpm.len(), 2, "refused, tables as before");
+        command(&mut r, cmd::ADD_ARP, &[(1, net | 9), (5, 0x0200), (6, 9)]);
+        r.chassis.send(0, ip_frame("10.0.0.2", "10.7.0.9", 64));
+        r.chassis.run_for(Time::from_us(10));
+        let dma = r.chassis.dma.clone().unwrap();
+        assert_eq!(dma.recv().expect("punted").1.flags, exception::NO_ROUTE);
+        // The CPU port (4 on this board) is an egress like any other.
+        command(&mut r, cmd::ADD_ROUTE, &[(4, 4)]);
+        r.chassis.send(0, ip_frame("10.0.0.2", "10.7.0.9", 64));
+        r.chassis.run_for(Time::from_us(10));
+        assert_eq!(dma.recv().expect("routed to the CPU").1.flags, 0);
+        assert_eq!(r.counters.borrow().forwarded, 1);
+    }
+
+    /// `SET_PORT_MAC` used to grow `port_macs` to whatever index was staged:
+    /// 4 Gi entries for `0xFFFF_FFFF`.
+    #[test]
+    fn set_port_mac_beyond_the_ports_is_refused() {
+        let mut r = router();
+        for port in [u32::from(r.cpu_port), 0xFFFF_FFFF] {
+            command(&mut r, cmd::SET_PORT_MAC, &[(4, port), (5, 0x0200), (6, 1)]);
+            assert_eq!(r.tables.borrow().port_macs.len(), 4, "port {port:#x}");
+        }
+        command(&mut r, cmd::SET_PORT_MAC, &[(4, 3), (5, 0x0200), (6, 1)]);
+        assert_eq!(r.tables.borrow().port_macs[3], mac(1));
     }
 
     #[test]

@@ -745,6 +745,87 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Register writes are outside input too: whatever a driver writes to
+    /// the router's block, in whatever order, nothing panics, a read of a
+    /// word the block does not map returns `UNMAPPED_READ`, and the tables
+    /// each run of writes leaves behind still give every frame of a mixed
+    /// burst exactly one counted fate.
+    #[test]
+    fn prop_router_registers_survive_any_write_sequence(
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u32..192, any::<u32>(), 0u8..4), 0..48),
+                proptest::collection::vec((0usize..4, any::<u8>()), 1..16),
+            ),
+            1..4,
+        ),
+    ) {
+        use netfpga_core::regs::UNMAPPED_READ;
+        use netfpga_projects::reference_router::ROUTER_BASE;
+        let mut r = ReferenceRouter::new(&BoardSpec::sume(), 4);
+        let mut offered = 0;
+        for (writes, burst) in rounds {
+            for (slot, raw, shape) in writes {
+                // Any of the block's 64 words, the command and staging
+                // words more often; any value, or one the word makes sense
+                // of: a command code (adds more often than the rest), an
+                // address the bursts are sent to, a prefix length, a port on
+                // or just off the board.
+                let word = match slot {
+                    0..=63 => slot,
+                    64..=159 => [0, 1, 1, 2, 3, 4, 5, 6][slot as usize % 8],
+                    _ => 0,
+                };
+                let value = match (shape, word) {
+                    (0, _) => raw,
+                    (_, 0) => [1, 3, 1, 3, 1, 3, 2, 4, 5, 6, 7, 8][raw as usize % 12],
+                    (_, 1) => 0x0a09_0000 | (raw % 2),
+                    (_, 3) => (0x0a09_0000 | (raw % 2)) * ((raw >> 8) & 1),
+                    (_, 2) => raw % 40,
+                    _ => raw % 8,
+                };
+                r.chassis.write32(ROUTER_BASE + word * 4, value);
+                let got = r.chassis.read32(ROUTER_BASE + word * 4);
+                if !matches!(word, 0..=7 | 16..=20) {
+                    prop_assert_eq!(got, UNMAPPED_READ, "word {}", word);
+                }
+            }
+            offered += burst.len() as u64;
+            for (port, kind) in burst {
+                let to = Ipv4Address::new(10, 9, 0, kind % 2);
+                let ipv4 = |ttl| {
+                    PacketBuilder::new()
+                        .eth(mac(0xa1), mac(0xe0))
+                        .ipv4(Ipv4Address::new(10, 0, 0, 2), to)
+                        .ttl(ttl)
+                        .udp(7, 9, &[kind; 18])
+                        .build()
+                };
+                let frame = match kind % 6 {
+                    0 => {
+                        PacketBuilder::arp_request(mac(0xa1), Ipv4Address::new(10, 0, 0, 2), to)
+                    }
+                    1 => ipv4(1),
+                    2 => {
+                        let mut f = ipv4(64);
+                        f[24] ^= 0xff; // header checksum
+                        f
+                    }
+                    _ => ipv4(64),
+                };
+                r.chassis.send(port, frame);
+            }
+            r.chassis.run_for(Time::from_us(50));
+            let c = *r.counters.borrow();
+            let fates = c.forwarded + c.to_cpu + c.dropped;
+            prop_assert_eq!(fates, offered, "one fate each: {:?}", c);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The auto-mounted stat block honours the register-space contract for

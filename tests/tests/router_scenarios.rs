@@ -220,3 +220,69 @@ fn malformed_traffic_does_not_wedge() {
     );
     assert_eq!(r.counters.borrow().dropped, 1, "bad checksum dropped");
 }
+
+/// A table change made through the registers between two frames to one
+/// destination decides the second frame: the lookup form the first frame
+/// compiled must not outlive the tables it was compiled from.
+#[test]
+fn table_changes_between_frames_take_effect() {
+    use netfpga_projects::reference_router::exception;
+    // Command codes of the router register block.
+    const ADD_ROUTE: u32 = 1;
+    const DEL_ROUTE: u32 = 2;
+    const ADD_ARP: u32 = 3;
+    const DEL_ARP: u32 = 4;
+    const CLEAR_TABLES: u32 = 7;
+    fn command(r: &mut ReferenceRouter, command: u32, words: &[(u32, u32)]) {
+        for &(word, value) in words {
+            r.chassis.write32(ROUTER_BASE + word * 4, value);
+        }
+        r.chassis.write32(ROUTER_BASE, command);
+    }
+    let (mut r, _) = setup();
+    let dma = r.chassis.dma.clone().unwrap();
+    // Where the next frame to 10.9.1.5 goes: (egress port, next-hop MAC),
+    // or the reason it was punted.
+    let next_frame = |r: &mut ReferenceRouter| {
+        let f = PacketBuilder::new()
+            .eth(mac(0xa1), mac(0xe0))
+            .ipv4(ip("10.0.0.2"), ip("10.9.1.5"))
+            .udp(1, 2, b"x")
+            .build();
+        r.chassis.send(0, f);
+        r.chassis.run_for(Time::from_us(10));
+        let out: Vec<_> = (1..=2)
+            .flat_map(|p| r.chassis.recv(p).into_iter().map(move |f| (p, f)))
+            .map(|(p, f)| (p, ParsedHeaders::parse(&f).eth_dst))
+            .collect();
+        match dma.recv() {
+            Some((_, meta)) => Err(meta.flags),
+            None => Ok(out),
+        }
+    };
+    let (gw1, gw2) = (ip("10.0.1.2").to_u32(), ip("10.0.2.2").to_u32());
+    for (gw, m) in [(gw1, 0xb2), (gw2, 0xc2)] {
+        command(&mut r, ADD_ARP, &[(1, gw), (5, 0x0200), (6, m)]);
+    }
+    let wide = [(1, ip("10.9.0.0").to_u32()), (2, 16), (3, gw1), (4, 1)];
+    let narrow = [(1, ip("10.9.1.0").to_u32()), (2, 24), (3, gw2), (4, 2)];
+
+    command(&mut r, ADD_ROUTE, &wide);
+    assert_eq!(next_frame(&mut r), Ok(vec![(1, mac(0xb2))]));
+    command(&mut r, ADD_ROUTE, &narrow);
+    assert_eq!(
+        next_frame(&mut r),
+        Ok(vec![(2, mac(0xc2))]),
+        "more specific"
+    );
+    command(&mut r, DEL_ROUTE, &narrow);
+    assert_eq!(
+        next_frame(&mut r),
+        Ok(vec![(1, mac(0xb2))]),
+        "first path back"
+    );
+    command(&mut r, DEL_ARP, &[(1, gw1)]);
+    assert_eq!(next_frame(&mut r), Err(exception::ARP_MISS));
+    command(&mut r, CLEAR_TABLES, &[]);
+    assert_eq!(next_frame(&mut r), Err(exception::NO_ROUTE));
+}
