@@ -1,5 +1,5 @@
-//! The zero-copy packet buffer plane: refcounted frame payloads with a
-//! deterministic free-list pool and copy-on-write mutation.
+//! The zero-copy packet buffer plane: refcounted frame payloads with
+//! copy-on-write mutation.
 //!
 //! Real NetFPGA datapaths store a packet once in BRAM and pass a *pointer*
 //! through the pipeline; only the rare rewriting stage touches the bytes.
@@ -10,157 +10,95 @@
 //! [`PktBuf::make_mut`] / [`PktBuf::edit`], which copy-on-write only when
 //! the buffer is actually shared or partially viewed.
 //!
-//! # Pool lifecycle
+//! # Buffer lifecycle
 //!
-//! Backing `Vec<u8>` allocations are drawn from a thread-local free list
-//! (the simulator is single-threaded, `Rc`-based by design) and returned to
-//! it when the last reference drops. A recycled vector is always cleared
-//! and fully rewritten before reuse, so buffer *contents* never depend on
-//! pool state.
+//! A backing store is a plain `Vec<u8>`: allocated once ([`PktBuf::copy_from`],
+//! or by the caller of [`PktBuf::from_vec`]), freed by its last reference,
+//! or handed to host software whole by [`PktBuf::into_owned`]. A frame
+//! costs one allocation and no copy from `send` to `recv`. `PktBuf` is
+//! `Rc`-based (the simulator is single-threaded by design), so a buffer
+//! crosses a thread boundary only as the `Vec` `into_owned` returns.
 //!
 //! # Telemetry
 //!
-//! The pool keeps three counters — `allocs` (fresh heap allocations),
-//! `recycled` (buffers served from the free list) and `cow_copies`
-//! (copy-on-write duplications) — snapshotted by [`pool_stats`] and
-//! surfaced by the project harness as `pool.allocs` / `pool.recycled` /
-//! `pool.cow_copies` gauges in the `StatRegistry`.
+//! Two thread-local counters — `allocs` (backing stores this module
+//! allocated) and `cow_copies` (copy-on-write duplications) — are
+//! snapshotted by [`pool_stats`] and surfaced by the project harness as
+//! the `pool.allocs` / `pool.cow_copies` gauges in the `StatRegistry`.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 
-/// Free-list entries kept before further returned buffers are simply freed.
-const POOL_MAX_FREE: usize = 1024;
-/// Returned buffers smaller than this are not worth keeping.
-const POOL_MIN_CAPACITY: usize = 32;
-
-#[derive(Debug, Default)]
-struct Pool {
-    free: Vec<Vec<u8>>,
-    allocs: u64,
-    recycled: u64,
-    cow_copies: u64,
-}
-
 thread_local! {
-    static POOL: RefCell<Pool> = RefCell::new(Pool::default());
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static COW_COPIES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Snapshot of the pool counters. See [`pool_stats`].
+/// Snapshot of the buffer counters. See [`pool_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Fresh heap allocations (the free list was empty).
+    /// Backing stores allocated by [`PktBuf::copy_from`] or a
+    /// copy-on-write.
     pub allocs: u64,
-    /// Buffers served from the free list.
-    pub recycled: u64,
     /// Copy-on-write duplications ([`PktBuf::make_mut`] / [`PktBuf::edit`]
     /// on a shared or partially-viewed buffer).
     pub cow_copies: u64,
-    /// Buffers currently parked on the free list.
-    pub free: u64,
 }
 
-/// Snapshot the thread-local pool counters.
+/// Snapshot this thread's buffer counters.
 pub fn pool_stats() -> PoolStats {
-    POOL.with(|p| {
-        let p = p.borrow();
-        PoolStats {
-            allocs: p.allocs,
-            recycled: p.recycled,
-            cow_copies: p.cow_copies,
-            free: p.free.len() as u64,
-        }
-    })
+    PoolStats {
+        allocs: ALLOCS.get(),
+        cow_copies: COW_COPIES.get(),
+    }
 }
 
-/// Reset pool counters and drop parked buffers (test isolation).
+/// Zero this thread's buffer counters (test isolation).
 pub fn reset_pool() {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.free.clear();
-        p.allocs = 0;
-        p.recycled = 0;
-        p.cow_copies = 0;
-    });
+    ALLOCS.set(0);
+    COW_COPIES.set(0);
 }
 
-/// Draw an empty vector with at least `capacity` bytes of room, from the
-/// free list when possible.
-fn take_vec(capacity: usize) -> Vec<u8> {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if let Some(mut v) = p.free.pop() {
-            p.recycled += 1;
-            v.clear();
-            v.reserve(capacity);
-            return v;
-        }
-        p.allocs += 1;
-        Vec::with_capacity(capacity)
-    })
-}
-
-/// Return a vector to the free list (or drop it).
-fn give_vec(v: Vec<u8>) {
-    if v.capacity() < POOL_MIN_CAPACITY {
-        return;
-    }
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.free.len() < POOL_MAX_FREE {
-            p.free.push(v);
-        }
-    });
-}
-
-fn count_cow() {
-    POOL.with(|p| p.borrow_mut().cow_copies += 1);
-}
-
-/// The refcounted backing store. Its `Drop` recycles the allocation.
-#[derive(Debug)]
-struct Inner {
-    data: Vec<u8>,
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        give_vec(std::mem::take(&mut self.data));
-    }
+/// Copy `data` into a fresh backing store, counted in `allocs`.
+fn alloc_copy(data: &[u8]) -> Rc<Vec<u8>> {
+    ALLOCS.set(ALLOCS.get() + 1);
+    Rc::new(data.to_vec())
 }
 
 /// A refcounted, immutable-by-default packet buffer with a cheap
 /// `(offset, len)` view. Cloning bumps a refcount; no payload bytes move.
-/// See the [module docs](self) for the CoW and pool rules.
+/// See the [module docs](self) for the CoW and lifecycle rules.
 #[derive(Clone)]
 pub struct PktBuf {
-    inner: Rc<Inner>,
+    inner: Rc<Vec<u8>>,
     off: usize,
     len: usize,
 }
 
 impl PktBuf {
-    /// Wrap an owned vector without copying. The allocation joins the pool
-    /// when the last reference drops.
+    /// Wrap an owned vector without copying: its allocation is the
+    /// backing store, and [`PktBuf::into_owned`] gives it back.
     pub fn from_vec(data: Vec<u8>) -> PktBuf {
         let len = data.len();
         PktBuf {
-            inner: Rc::new(Inner { data }),
+            inner: Rc::new(data),
             off: 0,
             len,
         }
     }
 
-    /// Copy `data` into a pooled buffer.
+    /// Copy `data` into a fresh buffer.
     pub fn copy_from(data: &[u8]) -> PktBuf {
-        let mut v = take_vec(data.len());
-        v.extend_from_slice(data);
-        PktBuf::from_vec(v)
+        PktBuf {
+            inner: alloc_copy(data),
+            off: 0,
+            len: data.len(),
+        }
     }
 
     /// The visible bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.inner.data[self.off..self.off + self.len]
+        &self.inner[self.off..self.off + self.len]
     }
 
     /// Visible length in bytes.
@@ -226,12 +164,10 @@ impl PktBuf {
 
     /// Mutable access to the visible bytes, copy-on-write. Sole owners of
     /// a full-range view mutate in place; shared or partial views first
-    /// copy their visible bytes into a fresh pooled buffer (counted in
+    /// copy their visible bytes into a fresh buffer (counted in
     /// `pool.cow_copies`), so sibling references never observe the write.
     pub fn make_mut(&mut self) -> &mut [u8] {
-        self.ensure_unique();
-        let inner = Rc::get_mut(&mut self.inner).expect("unique after ensure_unique");
-        &mut inner.data[..]
+        self.ensure_unique()
     }
 
     /// Rewrite the packet through a closure that may also change its
@@ -239,66 +175,45 @@ impl PktBuf {
     /// [`PktBuf::make_mut`]; afterwards the view covers the whole rewritten
     /// buffer.
     pub fn edit(&mut self, f: impl FnOnce(&mut Vec<u8>)) {
-        self.ensure_unique();
-        let inner = Rc::get_mut(&mut self.inner).expect("unique after ensure_unique");
-        f(&mut inner.data);
-        self.len = inner.data.len();
+        let data = self.ensure_unique();
+        f(data);
+        self.len = data.len();
     }
 
-    /// Guarantee `self.inner` is uniquely owned and exactly the visible
-    /// range (off = 0, len = data.len()), copying if necessary.
-    fn ensure_unique(&mut self) {
-        let full_range = self.off == 0 && self.len == self.inner.data.len();
-        if full_range && Rc::strong_count(&self.inner) == 1 {
-            return;
+    /// Make the backing store uniquely owned and exactly the visible range
+    /// (off = 0, len = its length), copying if necessary, and borrow it.
+    fn ensure_unique(&mut self) -> &mut Vec<u8> {
+        let full_range = self.off == 0 && self.len == self.inner.len();
+        if !full_range || Rc::strong_count(&self.inner) != 1 {
+            COW_COPIES.set(COW_COPIES.get() + 1);
+            self.inner = alloc_copy(self.bytes());
+            self.off = 0;
+            // len unchanged: the copy is exactly the visible bytes.
         }
-        count_cow();
-        let mut v = take_vec(self.len);
-        v.extend_from_slice(self.bytes());
-        self.inner = Rc::new(Inner { data: v });
-        self.off = 0;
-        // len unchanged: v.len() == self.len by construction.
+        Rc::get_mut(&mut self.inner).expect("sole owner: checked or just copied")
     }
 
-    /// Copy the visible bytes into a plain vector (host-boundary use).
+    /// Copy the visible bytes out of a buffer you do not own (a borrowed
+    /// capture, a log). Code handing a frame to host software owns it and
+    /// calls [`PktBuf::into_owned`], which moves where this copies.
     pub fn to_vec(&self) -> Vec<u8> {
         self.bytes().to_vec()
     }
 
-    /// Detach the visible bytes into a plain `Vec<u8>` that owes nothing
-    /// to this thread's pool — the cross-thread handoff primitive for the
-    /// parallel fabric plane.
-    ///
-    /// `PktBuf` is `Rc`-based and its free list is thread-local, so a
-    /// buffer must never cross a thread boundary directly. A frame leaving
-    /// a shard calls `into_owned()`; the receiving shard rewraps the bytes
-    /// with [`PktBuf::from_vec`] (or [`PktBuf::copy_from`]), after which
-    /// the allocation lives and eventually recycles entirely in the
-    /// *destination* thread's pool. Pool counters therefore stay coherent
-    /// per thread: the source side sees at most one `give_vec` (when the
-    /// view was shared or partial and the backing store is recycled here),
-    /// the destination side accounts the buffer like any local allocation.
+    /// Hand the visible bytes over as a plain `Vec<u8>`: how a frame
+    /// leaves the modelled device for host software, and how it crosses to
+    /// another shard's thread (which rewraps it with [`PktBuf::from_vec`]).
     ///
     /// A uniquely-owned full-range view is *stolen*, not copied: the
-    /// backing vector moves out and the emptied shell (capacity 0) is
-    /// below the pool's keep threshold, so nothing is double-accounted.
-    /// Shared or partial views copy their visible bytes — copy-on-write
-    /// semantics survive the detach exactly as they do for
-    /// [`PktBuf::make_mut`].
+    /// backing vector itself moves out. Shared or partial views copy their
+    /// visible bytes and leave the backing store to their siblings — the
+    /// same rule as [`PktBuf::make_mut`], not counted in `cow_copies`.
     pub fn into_owned(self) -> Vec<u8> {
         let (off, len) = (self.off, self.len);
-        let full = off == 0 && len == self.inner.data.len();
         match Rc::try_unwrap(self.inner) {
-            // Sole owner of exactly the visible range: steal the backing
-            // store. `Inner::drop` then returns an empty vector, which
-            // `give_vec` rejects (capacity < POOL_MIN_CAPACITY), so the
-            // stolen allocation is not double-counted by the pool.
-            Ok(mut inner) if full => std::mem::take(&mut inner.data),
-            // Sole owner of a partial view: copy the visible bytes; the
-            // backing store recycles into this thread's pool on drop.
-            Ok(inner) => inner.data[off..off + len].to_vec(),
-            // Shared: copy; siblings keep the backing store untouched.
-            Err(rc) => rc.data[off..off + len].to_vec(),
+            Ok(data) if off == 0 && len == data.len() => data,
+            Ok(data) => data[off..off + len].to_vec(),
+            Err(shared) => shared[off..off + len].to_vec(),
         }
     }
 }
@@ -326,13 +241,13 @@ impl AsRef<[u8]> for PktBuf {
 impl std::fmt::Debug for PktBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "PktBuf({} bytes", self.len)?;
-        if self.off != 0 || self.len != self.inner.data.len() {
+        if self.off != 0 || self.len != self.inner.len() {
             write!(
                 f,
                 ", view {}..{} of {}",
                 self.off,
                 self.off + self.len,
-                self.inner.data.len()
+                self.inner.len()
             )?;
         }
         write!(f, ")")
@@ -467,20 +382,22 @@ mod tests {
     }
 
     #[test]
-    fn pool_recycles_dropped_buffers() {
+    fn a_backing_store_is_allocated_once_and_handed_back_whole() {
         reset_pool();
-        let a = PktBuf::copy_from(&[7u8; 256]);
-        let allocs_before = pool_stats().allocs;
-        drop(a);
-        assert_eq!(pool_stats().free, 1);
+        let v = vec![7u8; 256];
+        let p = v.as_ptr();
+        let a = PktBuf::from_vec(v);
+        let words = [a.slice(0, 128), a.slice(128, 128)];
+        let joined = words[0].try_join(&words[1]).expect("adjacent");
+        drop((a, words));
+        let v = joined.into_owned();
+        assert_eq!(v.as_ptr(), p, "the caller's allocation");
+        assert_eq!(pool_stats(), PoolStats::default(), "nothing allocated here");
         let b = PktBuf::copy_from(&[8u8; 100]);
-        assert_eq!(pool_stats().recycled, 1);
-        assert_eq!(pool_stats().allocs, allocs_before, "no fresh allocation");
-        assert_eq!(
-            b.bytes(),
-            &[8u8; 100][..],
-            "recycled buffer fully rewritten"
-        );
+        assert_eq!(pool_stats().allocs, 1, "copy_from allocates once");
+        let p = b.bytes().as_ptr();
+        let v = b.into_owned();
+        assert_eq!(v.as_ptr(), p);
     }
 
     #[test]
@@ -503,17 +420,11 @@ mod tests {
     fn into_owned_unique_full_view_steals_without_copy_or_recycle() {
         reset_pool();
         let a = PktBuf::copy_from(&[5u8; 256]);
-        let before = pool_stats();
+        let (p, before) = (a.bytes().as_ptr(), pool_stats());
         let v = a.into_owned();
         assert_eq!(v, vec![5u8; 256]);
-        let after = pool_stats();
-        // The backing store left the pool's economy entirely: no fresh
-        // allocation, no recycle, and — crucially — nothing parked on the
-        // free list (the emptied shell is below the keep threshold).
-        assert_eq!(after.allocs, before.allocs, "steal allocates nothing");
-        assert_eq!(after.recycled, before.recycled);
-        assert_eq!(after.cow_copies, before.cow_copies, "steal is not a CoW");
-        assert_eq!(after.free, before.free, "stolen backing must not be pooled");
+        assert_eq!(v.as_ptr(), p, "the backing store itself moved out");
+        assert_eq!(pool_stats(), before, "a steal allocates nothing, no CoW");
     }
 
     #[test]
@@ -523,87 +434,50 @@ mod tests {
         let b = a.clone();
         let v = a.into_owned();
         assert_eq!(v, vec![1, 2, 3, 4]);
+        assert_ne!(v.as_ptr(), b.bytes().as_ptr(), "a copy, not the store");
         assert_eq!(b.bytes(), &[1, 2, 3, 4], "sibling untouched by detach");
         assert_eq!(b.ref_count(), 1, "detaching dropped one reference");
-        // The copy went through plain Vec (not the pool): allocs counted
-        // only the original copy_from.
-        assert_eq!(pool_stats().free, 0, "shared detach recycles nothing");
+        assert_eq!(pool_stats().cow_copies, 0, "a detach is not a CoW");
     }
 
     #[test]
-    fn into_owned_partial_view_copies_and_recycles_backing() {
-        reset_pool();
+    fn into_owned_partial_view_copies_and_leaves_siblings_intact() {
         let a = PktBuf::copy_from(&(0..64u8).collect::<Vec<_>>());
-        let s = a.slice(8, 16);
+        let (s, rest) = (a.slice(8, 16), a.slice(24, 40));
         drop(a);
-        let free_before = pool_stats().free;
         let v = s.into_owned();
         assert_eq!(v, (8..24u8).collect::<Vec<_>>());
-        // The partial view was the last reference: its backing store came
-        // home to this thread's free list, and the detached bytes are an
-        // independent copy.
-        assert_eq!(
-            pool_stats().free,
-            free_before + 1,
-            "backing store recycled locally"
-        );
+        assert_eq!(rest.bytes(), (24..64u8).collect::<Vec<_>>());
+        // A partial view copies even as the last reference: the vector it
+        // hands over must be exactly the visible bytes.
+        let tail = rest.bytes()[8..].as_ptr();
+        let v = rest.slice(8, 32).into_owned();
+        assert_eq!(v, (32..64u8).collect::<Vec<_>>());
+        assert_ne!(v.as_ptr(), tail);
     }
 
     /// The cross-thread round trip the fabric plane performs: detach on
     /// the source thread, rewrap on the destination thread, then exercise
-    /// CoW there. Pool counters must stay per-thread coherent — the
-    /// source pool sees none of the destination's activity and vice
-    /// versa — and CoW semantics must survive the hop.
+    /// CoW there. The allocation itself makes the hop, CoW semantics
+    /// survive it, and each thread counts only its own traffic.
     #[test]
-    fn into_owned_round_trip_keeps_pools_per_thread_coherent() {
+    fn into_owned_round_trip_crosses_threads_and_keeps_cow() {
         reset_pool();
-        let a = PktBuf::copy_from(&[0xab; 128]);
-        let src_after_detach = {
-            let v = a.into_owned();
-            let src = pool_stats();
-            let handled = std::thread::spawn(move || {
-                // Destination thread: fresh pool, reattach and exercise CoW.
-                reset_pool();
-                let mut x = PktBuf::from_vec(v);
-                let y = x.clone();
-                x.make_mut()[0] = 0xcd;
-                assert_eq!(x.bytes()[0], 0xcd);
-                assert_eq!(y.bytes()[0], 0xab, "CoW isolates the sibling after the hop");
-                let dst = pool_stats();
-                assert_eq!(
-                    dst.cow_copies, 1,
-                    "the CoW happened on the destination pool"
-                );
-                drop(x);
-                drop(y);
-                // Both backing stores recycle into the destination pool.
-                assert_eq!(
-                    pool_stats().free,
-                    2,
-                    "hopped buffers recycle where they land"
-                );
-                dst.allocs
-            })
-            .join()
-            .expect("destination thread");
-            assert_eq!(handled, 1, "destination allocated only the CoW copy");
-            src
-        };
-        let src_final = pool_stats();
-        assert_eq!(
-            (
-                src_final.allocs,
-                src_final.recycled,
-                src_final.cow_copies,
-                src_final.free
-            ),
-            (
-                src_after_detach.allocs,
-                src_after_detach.recycled,
-                src_after_detach.cow_copies,
-                src_after_detach.free
-            ),
-            "source pool never observes the destination thread's traffic"
-        );
+        let v = PktBuf::copy_from(&[0xab; 128]).into_owned();
+        let src = pool_stats();
+        let p = v.as_ptr() as usize;
+        let dst = std::thread::spawn(move || {
+            let mut x = PktBuf::from_vec(v);
+            assert_eq!(x.bytes().as_ptr() as usize, p, "rewrapped, not copied");
+            let y = x.clone();
+            x.make_mut()[0] = 0xcd;
+            assert_eq!(x.bytes()[0], 0xcd);
+            assert_eq!(y.bytes()[0], 0xab, "CoW isolates the sibling after the hop");
+            pool_stats()
+        })
+        .join()
+        .expect("destination thread");
+        assert_eq!((dst.allocs, dst.cow_copies), (1, 1), "only the CoW copy");
+        assert_eq!(pool_stats(), src, "the source never sees the destination");
     }
 }

@@ -2,10 +2,10 @@
 //! forward to the learned port, flood unknowns — 802.1D behaviour over the
 //! [`AgingTable`] substrate.
 
-use crate::parser::ParsedHeaders;
 use netfpga_core::stream::{Meta, PortMask};
 use netfpga_core::time::Time;
 use netfpga_mem::AgingTable;
+use netfpga_packet::ethernet::EthernetFrame;
 use netfpga_packet::EthernetAddress;
 
 /// Learning/forwarding statistics.
@@ -43,9 +43,16 @@ impl LearningSwitchCore {
 
     /// Process one packet: learn the source, decide the output mask.
     /// Returns the destination port mask (never includes the ingress port).
+    /// Reads the Ethernet header only, as the reference switch's lookup
+    /// reads the first beat; a frame too short to have one carries the
+    /// default addresses, as [`ParsedHeaders`](crate::parser::ParsedHeaders)
+    /// reports it.
     pub fn forward(&mut self, frame: &[u8], meta: &Meta, now: Time) -> PortMask {
-        let headers = ParsedHeaders::parse(frame);
-        self.decide(headers.eth_src, headers.eth_dst, meta.src_port, now)
+        let (src, dst) = match EthernetFrame::new_checked(frame) {
+            Ok(eth) => (eth.src_addr(), eth.dst_addr()),
+            Err(_) => Default::default(),
+        };
+        self.decide(src, dst, meta.src_port, now)
     }
 
     /// The decision on already-parsed addresses.
@@ -127,11 +134,66 @@ impl LearningSwitchCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::parser::ParsedHeaders;
+    use proptest::prelude::*;
 
     fn mac(x: u8) -> EthernetAddress {
         EthernetAddress::new(2, 0, 0, 0, 0, x)
+    }
+
+    /// One frame of the L2 proptests: arbitrary bytes (possibly too few for
+    /// a header), three picks that stamp a pooled address or a known
+    /// EtherType over them where they fit — so lookups hit, sources repeat
+    /// and tags appear — and the ingress port.
+    pub(crate) type FrameSpec = (Vec<u8>, u8, u8, u8, u8);
+
+    pub(crate) fn frame_specs() -> impl Strategy<Value = Vec<FrameSpec>> {
+        let bytes = proptest::collection::vec(any::<u8>(), 0..80);
+        proptest::collection::vec((bytes, 0u8..6, 0u8..6, 0u8..4, 0u8..4), 1..12)
+    }
+
+    pub(crate) fn l2_frame((bytes, dst, src, ethertype, _): &FrameSpec) -> Vec<u8> {
+        let mut frame = bytes.clone();
+        let mut stamp = |at: usize, field: &[u8]| {
+            if let Some(slot) = frame.get_mut(at..at + field.len()) {
+                slot.copy_from_slice(field);
+            }
+        };
+        for (at, pick) in [(0, *dst), (6, *src)] {
+            match pick {
+                0..=2 => stamp(at, mac(pick).as_bytes()),
+                3 => stamp(at, &[0x01, 0, 0x5e, 0, 0, 5]),
+                _ => {}
+            }
+        }
+        match ethertype {
+            0 => stamp(12, &[0x81, 0x00]),
+            1 => stamp(12, &[0x08, 0x00]),
+            _ => {}
+        }
+        frame
+    }
+
+    proptest! {
+        /// `forward` reads only the Ethernet header, and answers as the
+        /// full parser's addresses would: same masks, same counters.
+        #[test]
+        fn prop_forward_is_decide_of_parse(specs in frame_specs()) {
+            let (mut by_header, mut by_parse) = (core(), core());
+            for (i, spec) in specs.iter().enumerate() {
+                let (frame, src_port) = (l2_frame(spec), spec.4);
+                let now = Time::from_us(i as u64);
+                let meta = Meta { src_port, ..Default::default() };
+                let h = ParsedHeaders::parse(&frame);
+                prop_assert_eq!(
+                    by_header.forward(&frame, &meta, now),
+                    by_parse.decide(h.eth_src, h.eth_dst, src_port, now)
+                );
+            }
+            prop_assert_eq!(by_header.stats(), by_parse.stats());
+        }
     }
 
     fn core() -> LearningSwitchCore {

@@ -3,7 +3,6 @@
 //! platform's "large library of modules ... provided" (paper §3).
 
 use crate::learn::LearnStats;
-use crate::parser::ParsedHeaders;
 use netfpga_core::stream::{Meta, PortMask};
 use netfpga_core::time::Time;
 use netfpga_mem::AgingTable;
@@ -82,9 +81,10 @@ impl VlanSwitchCore {
         }
     }
 
-    /// The VLAN a frame belongs to on `in_port`.
-    pub fn classify_vlan(&self, headers: &ParsedHeaders, in_port: u8) -> u16 {
-        headers.vlan.unwrap_or_else(|| {
+    /// The VLAN a frame carrying `tag` (its 802.1Q id, if tagged) belongs
+    /// to on `in_port`.
+    pub fn classify_vlan(&self, tag: Option<u16>, in_port: u8) -> u16 {
+        tag.unwrap_or_else(|| {
             self.access_vlan
                 .get(usize::from(in_port))
                 .copied()
@@ -94,10 +94,16 @@ impl VlanSwitchCore {
 
     /// Learning + forwarding decision. The returned mask never includes the
     /// ingress port and never leaves the frame's VLAN.
+    /// Reads the Ethernet header only; a frame too short to have one is
+    /// untagged with the default addresses, as
+    /// [`ParsedHeaders`](crate::parser::ParsedHeaders) reports it.
     pub fn forward(&mut self, frame: &[u8], meta: &Meta, now: Time) -> PortMask {
-        let headers = ParsedHeaders::parse(frame);
-        let vid = self.classify_vlan(&headers, meta.src_port);
-        self.decide(vid, headers.eth_src, headers.eth_dst, meta.src_port, now)
+        let (src, dst, tag) = match EthernetFrame::new_checked(frame) {
+            Ok(eth) => (eth.src_addr(), eth.dst_addr(), eth.vlan_id()),
+            Err(_) => Default::default(),
+        };
+        let vid = self.classify_vlan(tag, meta.src_port);
+        self.decide(vid, src, dst, meta.src_port, now)
     }
 
     /// Decision on parsed fields.
@@ -157,6 +163,7 @@ impl VlanSwitchCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::ParsedHeaders;
     use netfpga_packet::{Ipv4Address, PacketBuilder};
     use proptest::prelude::*;
 
@@ -295,6 +302,35 @@ mod tests {
             prop_assert_eq!(h.vlan, Some(vid & 0x0fff));
             prop_assert_eq!(pop_tag(&mut f), Some((vid & 0x0fff, pcp)));
             prop_assert_eq!(f, original);
+        }
+
+        /// `forward` reads only the Ethernet header, and answers as the
+        /// full parser's fields would: same masks, same counters.
+        #[test]
+        fn prop_forward_is_decide_of_parse(specs in crate::learn::tests::frame_specs()) {
+            let core = || {
+                let mut core = VlanSwitchCore::new(4, 64, Time::from_ms(100));
+                core.set_access_vlan(2, 10);
+                core
+            };
+            let (mut by_header, mut by_parse) = (core(), core());
+            for (i, spec) in specs.iter().enumerate() {
+                let (frame, src_port) = (crate::learn::tests::l2_frame(spec), spec.4);
+                // Tagged frames carry arbitrary ids: make each one's VLAN
+                // known, so that tags steer lookups instead of dropping.
+                let h = ParsedHeaders::parse(&frame);
+                let vid = by_parse.classify_vlan(h.vlan, src_port);
+                for core in [&mut by_header, &mut by_parse] {
+                    core.set_vlan(vid, PortMask(0b0111));
+                }
+                let now = Time::from_us(i as u64);
+                let meta = Meta { src_port, ..Default::default() };
+                prop_assert_eq!(
+                    by_header.forward(&frame, &meta, now),
+                    by_parse.decide(vid, h.eth_src, h.eth_dst, src_port, now)
+                );
+            }
+            prop_assert_eq!(by_header.stats(), by_parse.stats());
         }
     }
 

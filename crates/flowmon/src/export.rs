@@ -548,7 +548,7 @@ mod tests {
     fn exporter_records_series_into_histograms() {
         let reg = StatRegistry::new();
         let hist = LogLinearHistogram::shared(4);
-        crate::hist::register_quantile_gauges(&reg, "pool.occupancy", &hist);
+        crate::hist::register_quantile_gauges(&reg, "queue.depth", &hist);
         let depth = Rc::new(std::cell::Cell::new(0u64));
         let mut exp = FlowExporter::new(reg.clone(), Time::from_ns(50), 8);
         let d = depth.clone();
@@ -561,7 +561,7 @@ mod tests {
         sim.run_until(Time::from_us(1));
         assert!(handle.snapshots() > 0);
         assert_eq!(hist.borrow().max(), 12);
-        assert_eq!(reg.get("pool.occupancy.max"), Some(12));
+        assert_eq!(reg.get("queue.depth.max"), Some(12));
     }
 
     #[test]

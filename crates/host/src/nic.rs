@@ -73,7 +73,7 @@ impl NicDriver {
     pub fn receive(&mut self) -> Option<(u8, Vec<u8>)> {
         let (frame, meta) = self.dma.recv()?;
         self.stats.rx.incr();
-        Some((meta.src_port, frame.to_vec()))
+        Some((meta.src_port, frame.into_owned()))
     }
 
     /// Software-side counters.

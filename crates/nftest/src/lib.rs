@@ -402,7 +402,7 @@ impl RunState {
         }
         if let Some(dma) = chassis.dma.clone() {
             while let Some((frame, _meta)) = dma.recv() {
-                self.got_dma.push_back(frame.to_vec());
+                self.got_dma.push_back(frame.into_owned());
             }
         }
     }

@@ -139,13 +139,10 @@ impl Chassis {
         // so a consumer that fell behind can tell how much it missed.
         let drop_src = events.clone();
         telemetry.gauge("events.dropped", move || drop_src.dropped());
-        // Packet-buffer pool health: allocator pressure (`allocs` should
-        // flatline once the pool warms up), recycle hits, and the number of
-        // copy-on-write materializations (shared buffers actually edited).
+        // Packet-buffer health: backing stores allocated inside the model
+        // and copy-on-write materializations (shared buffers actually
+        // edited; 0 on a pure forwarding path).
         telemetry.gauge("pool.allocs", || netfpga_core::pktbuf::pool_stats().allocs);
-        telemetry.gauge("pool.recycled", || {
-            netfpga_core::pktbuf::pool_stats().recycled
-        });
         telemetry.gauge("pool.cow_copies", || {
             netfpga_core::pktbuf::pool_stats().cow_copies
         });
@@ -436,7 +433,7 @@ impl Chassis {
         let now = self.sim.now();
         let mut out = Vec::new();
         while let Some(f) = self.ports[port].from_board.take_ready(now) {
-            out.push((f.data.to_vec(), f.ready_at));
+            out.push((f.data.into_owned(), f.ready_at));
         }
         out
     }

@@ -8,7 +8,7 @@
 
 use crate::harness::{Chassis, ChassisIo};
 use netfpga_core::board::BoardSpec;
-use netfpga_core::pktbuf::{pool_stats, PktBuf};
+use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::regs::{shared, AddressMap, RegisterSpace};
 use netfpga_core::resources::ResourceCost;
 use netfpga_core::stream::{Meta, Stream};
@@ -251,8 +251,8 @@ impl ReferenceSwitch {
                     cfg.delta_capacity,
                 );
                 // Occupancy series: one histogram per port queue (class 0
-                // under the default config) plus the pktbuf free list —
-                // sampled at export instants, never per packet.
+                // under the default config), sampled at export instants,
+                // never per packet.
                 for p in 0..nports {
                     let hist = LogLinearHistogram::shared(cfg.hist_sub_bits);
                     register_quantile_gauges(
@@ -263,9 +263,6 @@ impl ReferenceSwitch {
                     let cell = oq.depth_cell(p, 0);
                     exporter.add_series(hist, move || cell.get());
                 }
-                let pool_hist = LogLinearHistogram::shared(cfg.hist_sub_bits);
-                register_quantile_gauges(&chassis.telemetry, "pool.occupancy", &pool_hist);
-                exporter.add_series(pool_hist, || pool_stats().free);
                 // The snapshot count is deliberately NOT a registry stat:
                 // it moves on every sample, which would read as perpetual
                 // activity to the exporter's own idle backoff (and push a

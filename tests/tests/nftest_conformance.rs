@@ -209,11 +209,10 @@ fn flowmon_conformance() {
         // Queues drained by the end of the run: p50 and max are bounded
         // by the small burst we offered.
         .expect_quantile("port1.q0.depth", 50, 0, 8)
-        .expect_quantile("port1.q0.depth", 100, 0, 16)
-        .expect_quantile("pool.occupancy", 99, 1, u64::MAX);
+        .expect_quantile("port1.q0.depth", 100, 0, 16);
     let report = run(&plan, &mut sw.chassis);
     report.assert_passed();
-    assert_eq!(report.checks, 15 + 9);
+    assert_eq!(report.checks, 15 + 8);
 }
 
 /// Reliability conformance: host TX rides the reliable channel across a
