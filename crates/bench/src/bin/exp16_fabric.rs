@@ -10,8 +10,9 @@
 //! The bar is equivalence: every shard count's trace signature must
 //! equal the `nshards = 1` sequentialized reference, every injected frame
 //! must arrive in the same number of epochs, and no node may ever flood.
-//! `merge_hw` is one value in every row because frames are deposited at
-//! the barrier of the epoch that sent them, whatever the layout.
+//! `merge_hw` (the largest per-barrier arrival batch of a node) is one
+//! value in every row because frames are deposited at the barrier of the
+//! epoch that sent them, whatever the layout.
 //!
 //! Emits the standard table + `@json` rows and writes
 //! `BENCH_fabric.json`: counters and signatures only, so the artifact is
@@ -113,7 +114,7 @@ fn main() {
         }
         assert_eq!(
             report.stats.blocked, 0,
-            "shards={}: an outbox has no capacity to block on",
+            "shards={}: a mailbox has no capacity to block on",
             SHARDS[i]
         );
         assert_eq!(

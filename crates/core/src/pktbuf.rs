@@ -59,6 +59,19 @@ pub fn reset_pool() {
     COW_COPIES.set(0);
 }
 
+/// Run `f` with this thread's buffer counters starting from zero, as on a
+/// thread of its own, then add back what they held before: work that
+/// borrows the calling thread reads the same counters it would read on a
+/// spawned one, and the caller still sees everything.
+pub fn with_fresh_pool<R>(f: impl FnOnce() -> R) -> R {
+    let outer = pool_stats();
+    reset_pool();
+    let result = f();
+    ALLOCS.set(ALLOCS.get() + outer.allocs);
+    COW_COPIES.set(COW_COPIES.get() + outer.cow_copies);
+    result
+}
+
 /// Copy `data` into a fresh backing store, counted in `allocs`.
 fn alloc_copy(data: &[u8]) -> Rc<Vec<u8>> {
     ALLOCS.set(ALLOCS.get() + 1);
@@ -479,5 +492,19 @@ mod tests {
         .expect("destination thread");
         assert_eq!((dst.allocs, dst.cow_copies), (1, 1), "only the CoW copy");
         assert_eq!(pool_stats(), src, "the source never sees the destination");
+    }
+
+    /// The fabric's calling-thread shard: it counts from zero like a
+    /// spawned shard, and its caller keeps its own count on top.
+    #[test]
+    fn fresh_pool_counts_from_zero_and_adds_back() {
+        reset_pool();
+        drop(PktBuf::copy_from(&[1]));
+        let inside = with_fresh_pool(|| {
+            drop(PktBuf::copy_from(&[2]));
+            pool_stats()
+        });
+        assert_eq!(inside.allocs, 1, "only what ran inside");
+        assert_eq!(pool_stats().allocs, 2, "the caller sees both");
     }
 }

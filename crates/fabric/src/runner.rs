@@ -1,6 +1,6 @@
 //! The conservative-lookahead parallel runner: shards a topology across
-//! scoped threads, one single-threaded chassis per shard, synchronized
-//! at epoch barriers.
+//! threads, one single-threaded chassis per shard, synchronized at epoch
+//! barriers, and carries every inter-chassis link itself.
 //!
 //! See the [crate docs](crate) for the epoch/lookahead invariant and the
 //! determinism argument. The protocol per shard, in epoch `k`:
@@ -8,40 +8,49 @@
 //! 1. advance every owned node's simulator to the epoch end
 //!    (`run_until` — epoch splitting is invisible to the kernel: a
 //!    monotone sequence of deadlines executes the identical edge set as
-//!    one big run); egresses append to their shard-local outboxes,
-//! 2. publish every non-empty outbox into buffer `k % 2` of its link's
-//!    mailbox,
+//!    one big run),
+//! 2. drain every outbound link's wire up to its node's `now` into buffer
+//!    `k % 2` of the link's mailbox, each frame stamped with its arrival
+//!    instant and detached from this thread's buffers,
 //! 3. wait at the barrier,
-//! 4. take buffer `k % 2` of every inbound link's mailbox into the
-//!    destination nodes' ingress merge queues.
+//! 4. push buffer `k % 2` of every inbound link onto its destination
+//!    wire.
 //!
 //! A link's two buffers alternate by epoch parity because a shard that
-//! leaves barrier `k` early may publish epoch `k + 1` while its peer is
-//! still taking epoch `k`; nobody publishes epoch `k + 2` before barrier
+//! leaves barrier `k` early may fill epoch `k + 1` while its peer is
+//! still taking epoch `k`; nobody fills epoch `k + 2` before barrier
 //! `k + 1`, which the taker only reaches once it is done. So a frame sent
-//! in epoch `k` is deposited after barrier `k` and never earlier, on
-//! every shard layout.
+//! in epoch `k` lands on its destination wire after barrier `k` and never
+//! earlier, on every shard layout.
+//!
+//! Shard 0 runs on the calling thread and every other shard on a scoped
+//! thread of its own, so the sequential reference (`nshards = 1`) spawns
+//! nothing and a sampling profiler sees it like any single-threaded run.
 //!
 //! Steps 1 and 3 are timed per shard — wall-clock only, never fed back
 //! into the simulation — as `shard_work` and `shard_stalls`, the latter
 //! being the price of the slowest shard each epoch.
 
 use crate::barrier::{EpochBarrier, PeerPanicked};
-use crate::endpoints::{FabricEgress, FabricFrame, FabricIngress, IngressHandle, Outbox};
 use crate::topo::FabricTopology;
-use netfpga_core::sim::{KernelStats, Module};
+use netfpga_core::pktbuf::{self, PktBuf};
+use netfpga_core::sim::KernelStats;
 use netfpga_core::stats::Counter;
 use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
+use netfpga_phy::mac::{Fcs, WireFrame};
 use netfpga_phy::Wire;
 use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A board the fabric runner can drive. Implemented by project
 /// harnesses (e.g. `ReferenceSwitch` in `netfpga-projects`); the fabric
-/// crate itself only needs these six capabilities.
+/// crate itself only needs five capabilities: advance the node and tell
+/// its time, its clock period, its port wires, its stat registry and its
+/// kernel counters.
 ///
 /// Implementations are `Rc`-based and **not** `Send` — the runner
 /// builds, runs and harvests each node entirely on its shard's thread.
@@ -57,11 +66,10 @@ pub trait FabricNode {
     /// lookahead invariant.
     fn clock_period(&self) -> Time;
 
-    /// Raw wires of a front-panel port: `(to_board, from_board)`.
+    /// Raw wires of a front-panel port: `(to_board, from_board)`. The
+    /// runner drains `from_board` of a port a link leaves and pushes onto
+    /// `to_board` of a port a link enters; nothing else may.
     fn port_wires(&self, port: usize) -> (Wire, Wire);
-
-    /// Register a fabric endpoint module on the node's core clock.
-    fn add_fabric_module(&mut self, module: Box<dyn Module>);
 
     /// The node's stat registry — the fabric registers its `fabric.*`
     /// gauges here, beside the node's own stats.
@@ -97,14 +105,14 @@ pub struct NodeFabricStats {
     pub node: usize,
     /// Shard that ran the node.
     pub shard: usize,
-    /// Frames this node's egresses shipped across the fabric.
+    /// Frames drained from this node's outbound links.
     pub crossed: u64,
-    /// Frames this node's ingress landed on destination wires.
+    /// Frames pushed onto this node's inbound wires.
     pub delivered: u64,
-    /// Always 0: an outbox has no capacity, so an egress cannot block.
+    /// Always 0: a mailbox has no capacity, so a link cannot block.
     /// Kept, like the `fabric.blocked` counter, for readers that check it.
     pub blocked: u64,
-    /// Merge-queue high-water mark.
+    /// The most frames this node received at one barrier.
     pub merge_high_water: u64,
     /// The node's kernel work counters over the whole run.
     pub kernel: KernelStats,
@@ -119,11 +127,13 @@ pub struct FabricStats {
     pub epochs: u64,
     /// Total frames shipped across links.
     pub crossed: u64,
-    /// Total frames delivered onto destination wires.
+    /// Total frames delivered onto destination wires: every frame shipped
+    /// is delivered after the barrier that ends its epoch, so this equals
+    /// `crossed`.
     pub delivered: u64,
     /// Always 0 (see [`NodeFabricStats::blocked`]).
     pub blocked: u64,
-    /// Deepest merge queue across all nodes.
+    /// The largest per-barrier arrival batch of any node.
     pub merge_high_water: u64,
     /// Kernel counters summed over every node's simulator.
     pub kernel: KernelStats,
@@ -150,9 +160,36 @@ pub struct FabricReport<T> {
     pub stats: FabricStats,
 }
 
+/// A frame in flight between shards. Owns its bytes outright — no `Rc` —
+/// so it is `Send` and each thread's buffer counters stay its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FabricFrame {
+    /// The frame bytes, detached from the source thread's buffers.
+    pub bytes: Vec<u8>,
+    /// Arrival instant at the destination wire: source wire completion
+    /// plus the link delay.
+    pub ready_at: Time,
+    /// FCS state recorded on the source side, carried across unchanged so
+    /// in-flight corruption there stays detectable on the destination
+    /// side ([`Fcs::Intact`] survives the hop: the bytes are moved, never
+    /// rewritten).
+    pub fcs: Fcs,
+    /// Source node index.
+    pub src_node: usize,
+    /// Per-link sequence number: with `src_node`, names the frame.
+    pub seq: u64,
+}
+
 /// The shard a node runs on under round-robin assignment.
 pub fn shard_of(node: usize, nshards: usize) -> usize {
     node % nshards
+}
+
+/// Cores this process may use, read once: the call re-reads cgroup files
+/// every time.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// One directed link's hand-over point between its two shards, one
@@ -163,7 +200,7 @@ struct Mailbox([Mutex<Vec<FabricFrame>>; 2]);
 
 impl Mailbox {
     fn buffer(&self, epoch: u64) -> MutexGuard<'_, Vec<FabricFrame>> {
-        // A shard that panics mid-swap poisons the barrier too: nobody
+        // A shard that panics mid-hand-off poisons the barrier too: nobody
         // reads the buffer afterwards.
         let buffer = &self.0[(epoch % 2) as usize];
         buffer.lock().unwrap_or_else(PoisonError::into_inner)
@@ -188,7 +225,7 @@ impl Drop for PoisonOnPanic<'_> {
 /// stimulus — and runs on node `i`'s shard thread. `harvest(i, &mut n)`
 /// extracts the `Send` result after the last epoch, also on the shard
 /// thread (it may advance the node's simulator, e.g. for MMIO reads;
-/// whatever the node egresses then is left in an outbox nobody reads).
+/// whatever the node transmits then stays on its wires).
 ///
 /// The run is bit-identical for every `nshards` and for every epoch
 /// length satisfying the lookahead invariant — `nshards = 1` is the
@@ -212,21 +249,24 @@ where
 
     let mailboxes: Vec<Mailbox> = topo.links.iter().map(|_| Mailbox::default()).collect();
     // Spin only when every shard can own a core for the whole run.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let barrier = EpochBarrier::new(config.nshards, config.nshards <= cores);
+    let barrier = EpochBarrier::new(config.nshards, config.nshards <= cores());
+    let run = |shard| {
+        run_shard(
+            shard, &mailboxes, topo, config, horizon, &barrier, &build, &harvest,
+        )
+    };
     let started = Instant::now();
     let mut joined: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.nshards)
-            .map(|shard| {
-                let (mailboxes, barrier, build, harvest) = (&mailboxes, &barrier, &build, &harvest);
-                scope.spawn(move || {
-                    run_shard(
-                        shard, mailboxes, topo, config, horizon, barrier, build, harvest,
-                    )
-                })
-            })
+        let spawned: Vec<_> = (1..config.nshards)
+            .map(|shard| scope.spawn(move || run(shard)))
             .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        // Caught, so that a spawned shard's own panic can outrank the
+        // `PeerPanicked` this one unwinds with; counted from zero, like a
+        // spawned shard's buffer counters.
+        let own = catch_unwind(AssertUnwindSafe(|| pktbuf::with_fresh_pool(|| run(0))));
+        std::iter::once(own)
+            .chain(spawned.into_iter().map(|h| h.join()))
+            .collect()
     });
     let wall = started.elapsed();
     // Re-raise the panic of the first shard that failed by itself (the
@@ -280,10 +320,50 @@ struct ShardOutput<T> {
     nodes: Vec<(usize, T, NodeFabricStats)>,
 }
 
-/// Hooks the shard loop keeps per owned node.
-struct NodeHooks {
+/// A link leaving one of a shard's nodes.
+struct Outbound {
+    link: usize,
+    /// The `from_board` wire of the port the link leaves.
+    wire: Wire,
+    delay: Time,
+    /// The next frame's sequence number.
+    seq: u64,
+}
+
+impl Outbound {
+    /// Move every frame that has left the wire by `now` into `mailbox`,
+    /// stamped with its arrival instant, `src_node` and the link's next
+    /// sequence number; returns how many. A frame's buffer is uniquely
+    /// owned once it is on a wire, so `into_owned` moves it.
+    fn drain(&mut self, src_node: usize, now: Time, mailbox: &mut Vec<FabricFrame>) -> u64 {
+        let first = self.seq;
+        while let Some(frame) = self.wire.take_ready(now) {
+            mailbox.push(FabricFrame {
+                bytes: frame.data.into_owned(),
+                ready_at: frame.ready_at + self.delay,
+                fcs: frame.fcs,
+                src_node,
+                seq: self.seq,
+            });
+            self.seq += 1;
+        }
+        self.seq - first
+    }
+}
+
+/// One of a shard's nodes and the fabric state the shard loop keeps for
+/// it.
+struct Owned<N> {
+    index: usize,
+    node: N,
+    /// Links leaving the node, in topology order.
+    outbound: Vec<Outbound>,
+    /// `(link, to_board wire)` of every link entering the node.
+    inbound: Vec<(usize, Wire)>,
     crossed: Counter,
-    ingress: Option<IngressHandle>,
+    delivered: Counter,
+    /// The largest per-barrier arrival batch so far.
+    merge_hw: Counter,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -306,17 +386,9 @@ where
     let _poison = PoisonOnPanic(barrier);
     let epoch_cell = Rc::new(Cell::new(0u64));
 
-    // Build nodes in index order and wire their fabric endpoints in
-    // topology order — the module add order (ingress, then egresses)
-    // must not depend on the shard layout, because module order within
-    // an edge is part of a simulator's identity.
-    let mut nodes: Vec<(usize, N, NodeHooks)> = Vec::new();
-    // `(link, outbox)` of every link leaving this shard, and `(link,
-    // owning node's ingress, binding)` of every link entering it.
-    let mut outboxes: Vec<(usize, Outbox)> = Vec::new();
-    let mut inbound_routes: Vec<(usize, IngressHandle, usize)> = Vec::new();
+    let mut nodes: Vec<Owned<N>> = Vec::new();
     for i in (0..topo.nnodes).filter(|&i| shard_of(i, config.nshards) == shard) {
-        let mut node = build(i);
+        let node = build(i);
         let period = node.clock_period();
         let inbound = topo.links_into(i);
         let outbound = topo.links_from(i);
@@ -330,46 +402,39 @@ where
                 config.epoch
             );
         }
-        let mut hooks = NodeHooks {
+        let owned = Owned {
+            index: i,
+            outbound: outbound
+                .iter()
+                .map(|&li| Outbound {
+                    link: li,
+                    wire: node.port_wires(topo.links[li].from_port).1,
+                    delay: topo.links[li].delay,
+                    seq: 0,
+                })
+                .collect(),
+            inbound: inbound
+                .iter()
+                .map(|&li| (li, node.port_wires(topo.links[li].to_port).0))
+                .collect(),
+            node,
             crossed: Counter::new(),
-            ingress: None,
+            delivered: Counter::new(),
+            merge_hw: Counter::new(),
         };
-        let telemetry = node.telemetry().clone();
-        telemetry.register_counter("fabric.crossed", &hooks.crossed);
-        // Nothing increments it: an outbox cannot fill.
+        let telemetry = owned.node.telemetry();
+        telemetry.register_counter("fabric.crossed", &owned.crossed);
+        // Nothing increments it: a mailbox cannot fill.
         telemetry.register_counter("fabric.blocked", &Counter::new());
         let epochs_src = epoch_cell.clone();
         telemetry.gauge("fabric.epochs", move || epochs_src.get());
-        if !inbound.is_empty() {
-            let wires: Vec<Wire> = inbound
-                .iter()
-                .map(|&li| node.port_wires(topo.links[li].to_port).0)
-                .collect();
-            let (ingress, handle) = FabricIngress::new(&format!("fabric_in{i}"), wires);
-            node.add_fabric_module(Box::new(ingress));
-            for (binding, &li) in inbound.iter().enumerate() {
-                inbound_routes.push((li, handle.clone(), binding));
-            }
-            let delivered_src = handle.clone();
-            telemetry.gauge("fabric.delivered", move || delivered_src.delivered());
-            let hw_src = handle.clone();
-            telemetry.gauge("fabric.merge_hw", move || hw_src.high_water());
-            hooks.ingress = Some(handle);
+        if !owned.inbound.is_empty() {
+            let delivered = owned.delivered.clone();
+            telemetry.gauge("fabric.delivered", move || delivered.get());
+            let merge_hw = owned.merge_hw.clone();
+            telemetry.gauge("fabric.merge_hw", move || merge_hw.get());
         }
-        for &li in &outbound {
-            let l = &topo.links[li];
-            let outbox = Outbox::default();
-            node.add_fabric_module(Box::new(FabricEgress::new(
-                &format!("fabric_out{i}p{}", l.from_port),
-                i,
-                node.port_wires(l.from_port).1,
-                outbox.clone(),
-                l.delay,
-                hooks.crossed.clone(),
-            )));
-            outboxes.push((li, outbox));
-        }
-        nodes.push((i, node, hooks));
+        nodes.push(owned);
     }
 
     // The epoch loop. Every shard executes the same deadline sequence,
@@ -382,26 +447,50 @@ where
     while now < horizon {
         let end = (now + config.epoch).min(horizon);
         let began = Instant::now();
-        for (_, node, _) in &mut nodes {
-            node.run_until(end);
+        for n in &mut nodes {
+            n.node.run_until(end);
         }
         work += began.elapsed();
-        for (li, outbox) in &outboxes {
-            let mut sent = outbox.borrow_mut();
-            if !sent.is_empty() {
-                // The buffer was emptied two epochs ago and comes back
-                // with its capacity, so the two allocations circulate.
-                std::mem::swap(&mut *sent, &mut *mailboxes[*li].buffer(epochs));
-                debug_assert!(sent.is_empty(), "link {li}: mailbox not taken");
+        for n in &mut nodes {
+            let at = n.node.now();
+            for link in &mut n.outbound {
+                // The taker emptied this buffer two epochs ago and it kept
+                // its capacity: a link's buffers stop allocating once grown.
+                let mut mailbox = mailboxes[link.link].buffer(epochs);
+                debug_assert!(mailbox.is_empty(), "link {}: mailbox not taken", link.link);
+                n.crossed.add(link.drain(n.index, at, &mut mailbox));
             }
         }
         let arrived = Instant::now();
         barrier.wait();
         stall += arrived.elapsed();
-        for (li, handle, binding) in &inbound_routes {
-            for frame in mailboxes[*li].buffer(epochs).drain(..) {
-                handle.deposit(*binding, frame);
+        for n in &nodes {
+            let at = n.node.now();
+            let mut batch = 0;
+            for (li, wire) in &n.inbound {
+                for frame in mailboxes[*li].buffer(epochs).drain(..) {
+                    // The lookahead invariant puts every arrival in this
+                    // node's future; a violation would mean the epoch
+                    // length exceeded a link's delay budget.
+                    debug_assert!(
+                        frame.ready_at > at,
+                        "node {}: frame {} of node {} arrived in the past \
+                         ({:?} <= {at:?}) — lookahead violated",
+                        n.index,
+                        frame.seq,
+                        frame.src_node,
+                        frame.ready_at
+                    );
+                    wire.push(WireFrame {
+                        data: PktBuf::from_vec(frame.bytes),
+                        ready_at: frame.ready_at,
+                        fcs: frame.fcs,
+                    });
+                    batch += 1;
+                }
             }
+            n.delivered.add(batch);
+            n.merge_hw.set(n.merge_hw.get().max(batch));
         }
         now = end;
         epochs += 1;
@@ -410,19 +499,19 @@ where
 
     let harvested: Vec<(usize, T, NodeFabricStats)> = nodes
         .into_iter()
-        .map(|(i, mut node, hooks)| {
-            let t = harvest(i, &mut node);
+        .map(|mut n| {
+            let t = harvest(n.index, &mut n.node);
             let stats = NodeFabricStats {
-                node: i,
+                node: n.index,
                 shard,
-                crossed: hooks.crossed.get(),
-                delivered: hooks.ingress.as_ref().map_or(0, |h| h.delivered()),
+                crossed: n.crossed.get(),
+                delivered: n.delivered.get(),
                 blocked: 0,
-                merge_high_water: hooks.ingress.as_ref().map_or(0, |h| h.high_water()),
-                kernel: node.kernel_stats(),
-                end: node.now(),
+                merge_high_water: n.merge_hw.get(),
+                kernel: n.node.kernel_stats(),
+                end: n.node.now(),
             };
-            (i, t, stats)
+            (n.index, t, stats)
         })
         .collect();
     ShardOutput {
@@ -437,13 +526,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netfpga_core::pktbuf::PktBuf;
-    use netfpga_core::sim::{Activity, ClockId, Simulator, TickContext, WakeHandle};
+    use netfpga_core::sim::{Activity, ClockId, Module, Simulator, TickContext, WakeHandle};
     use netfpga_core::time::Frequency;
-    use netfpga_phy::mac::WireFrame;
     use std::cell::RefCell;
 
-    /// Arrival record: `(arrival instant, first payload byte, hop count)`.
+    /// Arrival record: `(instant taken off the wire, first payload byte,
+    /// arrivals at this node so far)`.
     type Log = Rc<RefCell<Vec<(Time, u8, u64)>>>;
 
     /// Forwards port-0 arrivals to port 1 after a processing delay,
@@ -455,7 +543,7 @@ mod tests {
         proc_delay: Time,
         log: Log,
         hops: u64,
-        /// Panic on this arrival — the failing module of the poison test.
+        /// Panic on this arrival — the failing module of the poison tests.
         fail_at: Option<u64>,
         wake: WakeHandle,
     }
@@ -471,7 +559,7 @@ mod tests {
                 assert_ne!(Some(self.hops), self.fail_at, "repeater gave up");
                 self.log
                     .borrow_mut()
-                    .push((f.ready_at, f.data.bytes()[0], self.hops));
+                    .push((ctx.now, f.data.bytes()[0], self.hops));
                 f.ready_at += self.proc_delay;
                 self.tx.push(f);
             }
@@ -489,7 +577,7 @@ mod tests {
     }
 
     /// The minimal [`FabricNode`]: one 200 MHz clock, two ports, one
-    /// repeater. Node 0 carries the up-front stimulus.
+    /// repeater with a 100 ns processing delay.
     struct RingNode {
         sim: Simulator,
         clk: ClockId,
@@ -498,11 +586,19 @@ mod tests {
         log: Log,
     }
 
+    /// Node `i` of the standard ring: node 0 carries two frames.
     fn ring_node(i: usize) -> RingNode {
         ring_node_failing(i, None)
     }
 
     fn ring_node_failing(i: usize, fail_at: Option<u64>) -> RingNode {
+        let stimulus: &[(u8, u64)] = if i == 0 { &[(7, 100), (9, 250)] } else { &[] };
+        node_with(stimulus, fail_at)
+    }
+
+    /// A node whose port 0 receives `(first byte, ready_at ns)` frames up
+    /// front.
+    fn node_with(stimulus: &[(u8, u64)], fail_at: Option<u64>) -> RingNode {
         let mut sim = Simulator::new();
         let clk = sim.add_clock("core", Frequency::mhz(200));
         let ports: Vec<(Wire, Wire)> = (0..2).map(|_| (Wire::new(), Wire::new())).collect();
@@ -521,14 +617,10 @@ mod tests {
                 wake,
             },
         );
-        if i == 0 {
+        for &(byte, ns) in stimulus {
             ports[0].0.push(WireFrame::new(
-                PktBuf::copy_from(&[7u8; 64]),
-                Time::from_ns(100),
-            ));
-            ports[0].0.push(WireFrame::new(
-                PktBuf::copy_from(&[9u8; 64]),
-                Time::from_ns(250),
+                PktBuf::copy_from(&[byte; 64]),
+                Time::from_ns(ns),
             ));
         }
         RingNode {
@@ -557,10 +649,6 @@ mod tests {
             (self.ports[port].0.clone(), self.ports[port].1.clone())
         }
 
-        fn add_fabric_module(&mut self, module: Box<dyn Module>) {
-            self.sim.add_boxed_module(self.clk, module);
-        }
-
         fn telemetry(&self) -> &StatRegistry {
             &self.telemetry
         }
@@ -579,6 +667,8 @@ mod tests {
         topo
     }
 
+    /// Run the standard ring with 1 µs links; every frame a run ships is
+    /// delivered by its end.
     fn run_ring(
         nnodes: usize,
         nshards: usize,
@@ -587,13 +677,15 @@ mod tests {
     ) -> FabricReport<Vec<(Time, u8, u64)>> {
         let topo = ring(nnodes, Time::from_us(1));
         let config = FabricConfig::new(nshards, epoch);
-        run_fabric(
+        let report = run_fabric(
             &topo,
             &config,
             horizon,
             ring_node,
             |_, node: &mut RingNode| node.log.borrow().clone(),
-        )
+        );
+        assert_eq!(report.stats.crossed, report.stats.delivered);
+        report
     }
 
     #[test]
@@ -621,15 +713,6 @@ mod tests {
             for (a, b) in got.nodes.iter().zip(&reference.nodes) {
                 assert_eq!((a.node, a.crossed), (b.node, b.crossed));
             }
-            // `delivered` lags `crossed` by what the last epoch sent: it is
-            // deposited after the final barrier and no edge follows. That
-            // depends on where the epoch boundaries fall, never on the
-            // shard layout.
-            let sequential = run_ring(3, 1, Time::from_ns(epoch_ns), horizon);
-            assert_eq!(
-                got.stats.delivered, sequential.stats.delivered,
-                "delivered diverged at nshards={nshards} epoch={epoch_ns}ns"
-            );
         }
     }
 
@@ -652,10 +735,10 @@ mod tests {
         }
     }
 
-    /// A harvest that keeps simulating still egresses, after the last
-    /// epoch: those frames stay in their outboxes.
+    /// A harvest that keeps simulating still transmits after the last
+    /// barrier: those frames stay on their wires, uncounted.
     #[test]
-    fn egress_after_the_last_epoch_goes_nowhere() {
+    fn frames_harvested_after_the_last_barrier_stay_on_their_wire() {
         let topo = ring(2, Time::from_us(1));
         let config = FabricConfig::new(2, Time::from_ns(990));
         let report = run_fabric(
@@ -666,18 +749,104 @@ mod tests {
             |_, node: &mut RingNode| {
                 let before = node.telemetry.get("fabric.crossed").unwrap();
                 node.sim.run_for(Time::from_us(5));
-                node.telemetry.get("fabric.crossed").unwrap() - before
+                let crossed = node.telemetry.get("fabric.crossed").unwrap() - before;
+                (crossed, node.ports[1].1.len())
             },
         );
         assert!(
-            report.results.iter().sum::<u64>() > 0,
-            "the harvest must egress for this test to mean anything"
+            report.results.iter().map(|&(_, left)| left).sum::<usize>() > 0,
+            "the harvest must transmit for this test to mean anything"
         );
-        assert!(report.stats.crossed > report.stats.delivered);
+        assert!(report.results.iter().all(|&(crossed, _)| crossed == 0));
+        assert_eq!(report.stats.crossed, report.stats.delivered);
     }
 
-    /// A module that panics mid-run on one shard must fail the run, not
-    /// leave the other shard waiting at the barrier.
+    #[test]
+    fn drain_stamps_delay_and_sequences() {
+        let wire = Wire::new();
+        for (byte, ns) in [(1u8, 100), (2, 200), (3, 400)] {
+            wire.push(WireFrame::new(
+                PktBuf::copy_from(&[byte; 64]),
+                Time::from_ns(ns),
+            ));
+        }
+        let mut link = Outbound {
+            link: 0,
+            wire: wire.clone(),
+            delay: Time::from_us(1),
+            seq: 0,
+        };
+        let mut mailbox = Vec::new();
+        assert_eq!(
+            link.drain(3, Time::from_ns(300), &mut mailbox),
+            2,
+            "only what has left the wire by now"
+        );
+        assert_eq!(link.drain(3, Time::from_ns(400), &mut mailbox), 1);
+        assert!(wire.is_empty());
+        let (a, c) = (&mailbox[0], &mailbox[2]);
+        assert_eq!(a.bytes, vec![1u8; 64]);
+        assert_eq!(a.ready_at, Time::from_ns(100) + Time::from_us(1));
+        assert_eq!(a.fcs, Fcs::Unchecked);
+        let names: Vec<_> = mailbox.iter().map(|f| (f.src_node, f.seq)).collect();
+        assert_eq!(names, [(3, 0), (3, 1), (3, 2)], "seq runs on across epochs");
+        assert_eq!(c.ready_at, Time::from_ns(400) + Time::from_us(1));
+    }
+
+    /// Every hop lands exactly one link delay after the previous node
+    /// transmitted it, and every wire's frames are taken in time order.
+    #[test]
+    fn arrivals_keep_the_link_delay_and_time_order() {
+        let hop = Time::from_ns(100) + Time::from_us(1);
+        for nshards in [1, 2, 3] {
+            let report = run_ring(3, nshards, Time::from_ns(495), Time::from_us(20));
+            for (i, log) in report.results.iter().enumerate() {
+                assert!(log.windows(2).all(|w| w[0].0 < w[1].0), "node {i}: {log:?}");
+                let upstream = &report.results[(i + 2) % 3];
+                for &(at, byte, _) in log.iter().filter(|e| e.0 >= hop) {
+                    assert!(
+                        upstream.iter().any(|&(t, b, _)| t + hop == at && b == byte),
+                        "node {i}: {at:?} has no sender one hop earlier (nshards={nshards})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The lookahead bound met with equality: frames leaving node 0 on
+    /// the last edge of an epoch (990 ns) and the first of the next
+    /// (995 ns) are taken one link delay later, whoever runs where and
+    /// wherever the other epoch boundaries fall.
+    #[test]
+    fn a_frame_at_the_epoch_edge_is_taken_on_its_arrival_edge() {
+        // 1 µs = 990 ns + 2 × 5 ns.
+        let topo = ring(3, Time::from_us(1));
+        for nshards in 1..=3 {
+            for divisor in 1..=3 {
+                let config = FabricConfig::new(nshards, Time::from_ns(990 / divisor));
+                let report = run_fabric(
+                    &topo,
+                    &config,
+                    Time::from_us(3),
+                    |i| {
+                        let stimulus: &[(u8, u64)] =
+                            if i == 0 { &[(1, 890), (2, 895)] } else { &[] };
+                        node_with(stimulus, None)
+                    },
+                    |_, node: &mut RingNode| node.log.borrow().clone(),
+                );
+                assert_eq!(
+                    report.results[1],
+                    [(Time::from_ns(1990), 1, 1), (Time::from_ns(1995), 2, 2)],
+                    "nshards={nshards} epoch=990/{divisor} ns"
+                );
+            }
+        }
+    }
+
+    /// A module that panics mid-run on a spawned shard must fail the run
+    /// with its own message, not leave the other shard waiting at the
+    /// barrier.
     #[test]
     #[should_panic(expected = "repeater gave up")]
     fn panicking_shard_fails_the_run() {
@@ -690,6 +859,49 @@ mod tests {
             |i| ring_node_failing(i, (i == 1).then_some(3)),
             |_, _: &mut RingNode| (),
         );
+    }
+
+    /// The same on the shard that runs on the calling thread: its panic,
+    /// not the peer it took down, is what the run re-raises.
+    #[test]
+    #[should_panic(expected = "repeater gave up")]
+    fn panicking_calling_thread_shard_fails_the_run() {
+        let topo = ring(2, Time::from_us(1));
+        let config = FabricConfig::new(2, Time::from_ns(990));
+        run_fabric(
+            &topo,
+            &config,
+            Time::from_us(40),
+            |i| ring_node_failing(i, (i == 0).then_some(3)),
+            |_, _: &mut RingNode| (),
+        );
+    }
+
+    /// Shard 0 borrows the calling thread, and counts buffers from zero
+    /// there like a spawned shard does.
+    #[test]
+    fn shard_zero_runs_on_the_calling_thread() {
+        drop(PktBuf::copy_from(&[0; 64]));
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let config = FabricConfig::new(2, Time::from_ns(990));
+        run_fabric(
+            &ring(2, Time::from_us(1)),
+            &config,
+            Time::from_us(5),
+            |i| {
+                let allocs = pktbuf::pool_stats().allocs;
+                seen.lock()
+                    .unwrap()
+                    .push((i, std::thread::current().id(), allocs));
+                ring_node(i)
+            },
+            |_, _: &mut RingNode| (),
+        );
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|&(i, _, _)| i);
+        assert_eq!(seen[0], (0, caller, 0));
+        assert_ne!(seen[1].1, caller);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! math that bounds the epoch length.
 
 use netfpga_core::time::Time;
+use std::collections::HashMap;
 
 /// One directed inter-chassis link: frames leaving `from_node`'s port
 /// `from_port` arrive on `to_node`'s port `to_port` after `delay`.
@@ -30,8 +31,8 @@ pub struct LinkSpec {
 pub struct FabricTopology {
     /// Number of nodes (boards). Node indices are `0..nnodes`.
     pub nnodes: usize,
-    /// Directed links. Order is part of the topology's identity: ingress
-    /// merge ties and per-node binding order follow it.
+    /// Directed links, at most one leaving and one entering any port
+    /// ([`FabricTopology::validate`]).
     pub links: Vec<LinkSpec>,
 }
 
@@ -89,14 +90,14 @@ impl FabricTopology {
     ///
     /// Derivation: `Simulator::run_until(deadline)` stops at the first
     /// edge at or after the deadline, so a node can overshoot an epoch
-    /// boundary by strictly less than one period — and an egress may
-    /// still send at that overshoot edge. A frame taken by an egress at
-    /// instant `t` left the wire at `ready_at ≥ t − period`, and arrives
-    /// at `ready_at + delay`. For delivery to always land at a wire
-    /// *before* the destination's clock could observe it (destination
-    /// time never exceeds `epoch_end + period` before the next barrier,
-    /// and the post-barrier delivery edge is at most one period later),
-    /// we need `epoch + 2·period ≤ delay` for every link. This returns
+    /// boundary by strictly less than one period, and the runner drains
+    /// a link's wire up to that overshoot edge. A frame drained at barrier
+    /// `k` therefore left its wire after epoch `k − 1` ended
+    /// (`ready_at > end_{k−1}`) and arrives at `ready_at + delay`; the
+    /// destination, which the barrier finds before `end_k + period`, next
+    /// steps less than `end_k + 2·period`. With `epoch + 2·period ≤ delay`
+    /// for every link the frame lands strictly after that edge, where the
+    /// receiving MAC would first look for it anyway. This returns
     /// `min_delay − 2·period`, saturating at zero when no safe epoch
     /// exists.
     pub fn max_safe_epoch(&self, period: Time) -> Time {
@@ -104,9 +105,14 @@ impl FabricTopology {
         l.saturating_sub(Time::from_ps(2 * period.as_ps()))
     }
 
-    /// Panic unless every link references valid nodes and carries a
-    /// positive delay.
+    /// Panic unless every link references valid nodes, carries a positive
+    /// delay, and has its ports to itself: one cable per port. A second
+    /// link leaving a port would find its wire drained by the first; a
+    /// second one entering it would interleave two links' frames on one
+    /// wire out of time order.
     pub fn validate(&self) {
+        let mut leaving = HashMap::new();
+        let mut entering = HashMap::new();
         for (i, l) in self.links.iter().enumerate() {
             assert!(
                 l.from_node < self.nnodes && l.to_node < self.nnodes,
@@ -116,6 +122,12 @@ impl FabricTopology {
                 l.delay > Time::ZERO,
                 "link {i} needs a positive delay (lookahead): {l:?}"
             );
+            if let Some(j) = leaving.insert((l.from_node, l.from_port), i) {
+                panic!("link {i} leaves the port link {j} leaves (one cable per port): {l:?}");
+            }
+            if let Some(j) = entering.insert((l.to_node, l.to_port), i) {
+                panic!("link {i} enters the port link {j} enters (one cable per port): {l:?}");
+            }
         }
     }
 
@@ -160,6 +172,24 @@ mod tests {
     fn zero_delay_link_rejected() {
         FabricTopology::new(2)
             .link(0, 0, 1, 0, Time::ZERO)
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "link 1 leaves the port link 0 leaves")]
+    fn two_links_leaving_one_port_rejected() {
+        FabricTopology::new(3)
+            .link(0, 1, 1, 0, Time::from_us(1))
+            .link(0, 1, 2, 0, Time::from_us(1))
+            .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "link 1 enters the port link 0 enters")]
+    fn two_links_entering_one_port_rejected() {
+        FabricTopology::new(3)
+            .link(0, 1, 2, 0, Time::from_us(1))
+            .link(1, 1, 2, 0, Time::from_us(1))
             .validate();
     }
 

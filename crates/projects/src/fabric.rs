@@ -23,7 +23,7 @@
 use crate::reference_switch::ReferenceSwitch;
 use netfpga_core::board::BoardSpec;
 use netfpga_core::hash::{fnv1a64, Fnv1a64};
-use netfpga_core::sim::{KernelStats, Module};
+use netfpga_core::sim::KernelStats;
 use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
 use netfpga_datapath::learn::LearnStats;
@@ -48,10 +48,6 @@ impl FabricNode for ReferenceSwitch {
 
     fn port_wires(&self, port: usize) -> (Wire, Wire) {
         self.chassis.port_wires(port)
-    }
-
-    fn add_fabric_module(&mut self, module: Box<dyn Module>) {
-        self.chassis.sim.add_boxed_module(self.chassis.clk, module);
     }
 
     fn telemetry(&self) -> &StatRegistry {
@@ -370,6 +366,7 @@ mod tests {
         assert_eq!(topo.links.len(), 8);
         assert_eq!(topo.min_delay(), Some(Time::from_us(2)));
         topo.validate();
+        LeafSpine::bench().topology().validate();
         // Every flow crosses leaves.
         for h in 0..ls.nhosts() {
             assert_ne!(h / ls.host_ports, ls.peer(h) / ls.host_ports, "host {h}");
@@ -411,12 +408,13 @@ mod tests {
             assert_eq!(got.results, reference.results, "nshards={nshards}");
             assert_eq!(trace_signature(&got), sig, "nshards={nshards}");
             assert_eq!(got.stats.crossed, reference.stats.crossed);
+            assert_eq!(got.stats.crossed, got.stats.delivered);
         }
     }
 
     /// Frames sent in epoch `k` are deposited after barrier `k` on every
     /// shard layout, so the counters that see the deposit repeat too —
-    /// the kernel's included: an early deposit is an extra ingress tick.
+    /// the kernel's included: an early deposit would wake a MAC early.
     #[test]
     fn deposit_counters_identical_across_shard_counts() {
         let ls = small();

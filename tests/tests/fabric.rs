@@ -5,10 +5,10 @@
 //! summing across shards.
 
 use netfpga_core::time::Time;
-use netfpga_fabric::{run_fabric, FabricConfig};
+use netfpga_fabric::{run_fabric, FabricConfig, FabricReport};
 use netfpga_faults::{FaultKind, FaultPlan};
 use netfpga_host::dump_stats;
-use netfpga_projects::fabric::{total_delivered, trace_signature, LeafSpine};
+use netfpga_projects::fabric::{total_delivered, trace_signature, LeafSpine, NodeTrace};
 use netfpga_projects::ReferenceSwitch;
 use proptest::prelude::*;
 
@@ -95,7 +95,70 @@ proptest! {
         prop_assert_eq!(&got.results, &reference.results, "nshards={}", nshards);
         prop_assert_eq!(trace_signature(&got), trace_signature(&reference));
         prop_assert_eq!(got.stats.crossed, reference.stats.crossed);
+        prop_assert_eq!(got.stats.crossed, got.stats.delivered);
         prop_assert_eq!(got.stats.epochs, reference.stats.epochs);
+    }
+}
+
+/// What a run pins: `(trace signature, per-node crossed, per-node
+/// merge_high_water, epochs)`.
+type Pin = (u64, Vec<u64>, Vec<u64>, u64);
+
+fn pin(report: &FabricReport<NodeTrace>) -> Pin {
+    (
+        trace_signature(report),
+        report.nodes.iter().map(|n| n.crossed).collect(),
+        report.nodes.iter().map(|n| n.merge_high_water).collect(),
+        report.stats.epochs,
+    )
+}
+
+/// Regression pin: values captured at a238cc4, where links were egress
+/// and ingress modules merging arrivals through a heap. The barrier
+/// hand-off must reproduce them at every shard count, faulted or not.
+#[test]
+fn hand_off_reproduces_the_endpoint_modules() {
+    let bench = LeafSpine::bench();
+    let small = LeafSpine {
+        leaves: 2,
+        spines: 2,
+        host_ports: 2,
+        link_delay: Time::from_us(2),
+        fast_path: true,
+    };
+    let bench_pin: Pin = (
+        0x8f0a_ee13_6e7a_8e17,
+        vec![80, 80, 80, 80, 80, 80, 240, 240],
+        vec![48, 48, 48, 48, 48, 48, 156, 156],
+        16,
+    );
+    // By `plan_for_case` kind: none, BER on leaf 0's uplink, flaps on
+    // spine 0's port towards leaf 0.
+    let small_pins: [Pin; 3] = [
+        (0x9f33_5930_b5fd_13f0, vec![200; 4], vec![58; 4], 21),
+        (
+            0xf834_4c3f_7bbb_52b3,
+            vec![200, 200, 199, 200],
+            vec![58; 4],
+            21,
+        ),
+        (
+            0xc974_05d1_eeed_a7e8,
+            vec![200, 200, 51, 200],
+            vec![48, 48, 58, 58],
+            21,
+        ),
+    ];
+    for nshards in [1, 2, 4] {
+        let got = bench.run(nshards, bench.default_epoch(), Time::from_us(30), 40);
+        assert_eq!(pin(&got), bench_pin, "bench, nshards={nshards}");
+        for (kind, want) in small_pins.iter().enumerate() {
+            let plan = |node: usize| plan_for_case(kind, 7, &small, node);
+            let got =
+                small.run_with_faults(nshards, small.default_epoch(), Time::from_us(40), 100, plan);
+            assert_eq!(&pin(&got), want, "fault kind {kind}, nshards={nshards}");
+            assert_eq!(got.stats.crossed, got.stats.delivered);
+        }
     }
 }
 
