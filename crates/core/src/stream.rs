@@ -29,15 +29,16 @@
 //! cumulative counters, when `tready`/`tvalid` drop, and therefore every
 //! simulated instant. The grouping only decides host work:
 //!
-//! * the one-beat operations ([`StreamTx::push`], [`StreamRx::pop`],
-//!   [`StreamRx::peek`]) work on any queue — a word-per-cycle consumer
-//!   behind a burst producer splits the head burst a beat at a time;
+//! * the one-beat operations ([`StreamTx::push`], [`StreamRx::pop`]) work
+//!   on any queue — a word-per-cycle consumer behind a burst producer
+//!   splits the head burst a beat at a time;
 //! * the bulk operations ([`StreamTx::push_burst`], [`StreamRx::pop_burst`],
-//!   the `transfer_*` family) move whole bursts and split one only where a
-//!   per-word loop would have stopped inside it: at a capacity limit or at
-//!   the caller's `max`. No burst spans two packets, so stopping at `eop`
-//!   never splits. A 48-beat frame crossing a hop is one entry move, one
-//!   counter add, one wake and one join in the [`Reassembler`].
+//!   and the hop-to-hop transfer of a [`CutThrough`] port) move whole
+//!   bursts and split one only where a per-word loop would have stopped
+//!   inside it: at a capacity limit or at the caller's `max`. No burst
+//!   spans two packets, so stopping at `eop` never splits. A 48-beat frame
+//!   crossing a hop is one entry move, one counter add, one wake and one
+//!   join in the [`Reassembler`].
 //!
 //! Only these stream operations split a burst, into views of the same
 //! buffer; nothing ever merges two, because a [`Reassembler`] joins
@@ -59,44 +60,49 @@
 //! * The consumer `claim`s the head entry, beat `j` popped at
 //!   `tc + j·period`. Both sides pace alike and the first beat is there,
 //!   so no pop finds the channel empty. The beats stay with the channel —
-//!   they occupy it until popped — and the consumer [`StreamRx::collect`]s
-//!   them at [`Claim::done_at`], the edge the last one is popped: whatever
-//!   it does on `eop` happens on the edge it happens on per beat.
-//!   [`StreamRx::forward`] is the cut-through form: claim here, commit
-//!   there, one schedule.
+//!   they occupy it until popped — and the consumer `collect`s them at the
+//!   claim's `done_at`, the edge the last one is popped: whatever it does
+//!   on `eop` happens on the edge it happens on per beat. A cut-through
+//!   consumer `forward`s: claim here, commit there, one schedule.
 //! * Two modules ticking at one instant see each other's beats of that
 //!   instant or not depending on who ticks first. The kernel stamps every
 //!   registered [`WakeHandle`] with its owner's place in the dispatch
-//!   order, so the channel knows, and [`StreamTx::ready_at`] /
-//!   [`StreamTx::space_at`] / [`StreamRx::occupancy_at`] answer for the
-//!   asking side's tick. (The plain [`StreamTx::space`] /
-//!   [`StreamRx::occupancy`] count what is committed and not yet claimed.)
-//! * A reset *settles* a charge first ([`StreamTx::settle`],
-//!   [`StreamRx::settle`]): as of the simulator's clock, beats not yet
-//!   pushed go back to the producer's cursor, pushed and unpopped beats are
-//!   queued, popped beats are handed to the consumer.
+//!   order, so the channel knows, and `ready_at` — when a stalled producer
+//!   next finds a slot — answers for the producer's tick. (The plain
+//!   [`StreamTx::space`] / [`StreamRx::occupancy`] count what is committed
+//!   and not yet claimed.)
+//! * A reset *settles* a charge first: as of the simulator's clock, beats
+//!   not yet pushed go back to the producer's cursor, pushed and unpopped
+//!   beats are queued, popped beats are handed to the consumer.
 //!
 //! A channel is charged only when that is provably the per-beat exchange:
-//! both ends registered with `pace` rather than `set_wake`, both stamped
-//! by one simulator on one clock domain, and no third handle on the
-//! channel (an observer could look between two beats). Everywhere else the
-//! same three operations move **one beat** — the `can_push`/`push` and
-//! `pop` of a per-beat module — so a design pays in speed, never in
-//! fidelity, for a neighbour that is not paced.
+//! both ends registered through a port rather than `set_wake`, both
+//! stamped by one simulator on one clock domain, and no third handle on
+//! the channel (an observer could look between two beats). Everywhere else
+//! the same operations move **one beat** — the `can_push`/`push` and `pop`
+//! of a per-beat module — so a design pays in speed, never in fidelity,
+//! for a neighbour that is not paced.
 //!
-//! # Packet ports
+//! # Ports
 //!
-//! `commit` and `claim` are not public: a store-and-forward block reaches
-//! them through a [`PacketRx`] (stream in, whole packets out) and a
-//! [`PacketTx`] (staged packet in, beats out). A port is built from a
-//! stream end *and* its owner's [`WakeHandle`], so a block cannot read a
-//! channel it did not register on, and it owns the whole word-pacing
-//! algorithm — claim then collect at `done_at`, commit then wait out the
-//! committed beats, one claim per edge, settle on reset, and the
-//! `ready_at` arithmetic behind [`Module::activity`](crate::sim::Module::activity)
-//! — as well as the collapsed pacing a block's `with_burst(true)` selects
-//! (whole bursts per tick, no cycle-level timing). Cut-through blocks use
-//! [`StreamRx::forward`] on the raw ends.
+//! None of that protocol is public. A block reaches a stream through a
+//! port, built from the stream end(s) *and* its owner's [`WakeHandle`],
+//! which it registers — so a block cannot read a channel it did not
+//! register on:
+//!
+//! * [`PacketRx`], a store-and-forward ingest: stream in, whole packets out;
+//! * [`PacketTx`], a store-and-forward emit: staged packet in, beats out;
+//! * [`CutThrough`]: beats from one of its inputs straight to its output,
+//!   the owner's [`PassThrough`] policy choosing the input and watching
+//!   them pass.
+//!
+//! A port owns the whole word-pacing algorithm — claim then collect at
+//! `done_at`, commit then wait out the committed beats, settle on reset,
+//! the `ready_at` arithmetic behind
+//! [`Module::activity`](crate::sim::Module::activity) — and the collapsed
+//! pacing a block's `with_burst(true)` selects. The raw operations of
+//! [`StreamTx`]/[`StreamRx`] are left to test benches and to modules that
+//! move one beat per tick on purpose.
 
 use crate::pktbuf::PktBuf;
 use crate::sim::{Activity, TickContext, WakeHandle};
@@ -359,21 +365,6 @@ impl Burst {
         self.eop = rest.eop;
     }
 
-    /// The first beat as a word, without consuming it.
-    fn first_word(&self) -> Word {
-        let last = self.beats == 1;
-        Word {
-            buf: if last {
-                self.buf.clone()
-            } else {
-                self.buf.slice(0, self.width())
-            },
-            sop: self.sop,
-            eop: self.eop && last,
-            meta: self.meta,
-        }
-    }
-
     /// A one-beat burst as the word it is.
     #[inline]
     fn into_word(self) -> Word {
@@ -473,44 +464,9 @@ impl Pace {
         };
         (self.beats as u64).min(since / self.period.as_ps() + 1) as usize
     }
-
-    /// How many of the operations happen at or before `t`.
-    fn done_by(&self, t: Time) -> usize {
-        self.done(t, true)
-    }
 }
 
-/// What a consumer holds after a claim or [`StreamRx::forward`]:
-/// the shape of the beats it took and the instant the last of them is
-/// popped, which is when it [`StreamRx::collect`]s them and acts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Claim {
-    /// The edge at which the last claimed beat is popped.
-    pub done_at: Time,
-    /// Beats claimed (one per cycle from the claiming edge on).
-    pub beats: usize,
-    /// The first beat starts a packet.
-    pub sop: bool,
-    /// The last beat ends a packet.
-    pub eop: bool,
-    /// Metadata carried by the first beat.
-    pub meta: Option<Meta>,
-}
-
-impl Claim {
-    /// The claim of `burst`, popped on `pace`.
-    fn of(burst: &Burst, pace: Pace) -> Claim {
-        Claim {
-            done_at: pace.at(pace.beats - 1),
-            beats: pace.beats,
-            sop: burst.sop,
-            eop: burst.eop,
-            meta: burst.meta,
-        }
-    }
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Shared {
     /// Queued bursts, oldest first; no burst spans two packets. Under a
     /// charge the newest may hold beats that have not arrived yet.
@@ -574,13 +530,6 @@ impl Shared {
             .map_or(0, |d| d.beats - d.done(now, self.rx_first))
     }
 
-    /// Committed beats whose push the consumer, ticking at `now`, cannot
-    /// see yet.
-    fn unarrived(&self, now: Time) -> usize {
-        self.arriving
-            .map_or(0, |a| a.beats - a.done(now, !self.rx_first))
-    }
-
     /// How many of `offered` beats, pushed one per period from `now` on,
     /// find a free slot each at its own instant: the space there is now
     /// cannot vanish before they use it, and the pops already scheduled —
@@ -628,7 +577,7 @@ impl Shared {
             return;
         };
         if let Some(a) = self.arriving.take() {
-            let unarrived = a.beats - a.done_by(now);
+            let unarrived = a.beats - a.done(now, true);
             // The newest commit sits at the back of the queue, less what
             // the newest claim took off its front.
             let queued = unarrived.min(a.beats.min(self.beats));
@@ -657,7 +606,7 @@ impl Shared {
         }
         if let Some(d) = self.draining.take() {
             if let Some(mut held) = self.claimed.take() {
-                let popped = d.done_by(now).min(held.beats());
+                let popped = d.done(now, true).min(held.beats());
                 self.popped_words -= (d.beats - popped) as u64;
                 if popped < held.beats() {
                     self.popped = Some(held.split_front(popped));
@@ -735,23 +684,9 @@ impl Stream {
         );
         let shared = Rc::new(RefCell::new(Shared {
             queue: VecDeque::with_capacity(capacity),
-            beats: 0,
             capacity,
             width,
-            pushed_words: 0,
-            popped_words: 0,
-            pushed_packets: 0,
-            rx_wake: None,
-            tx_wake: None,
-            tx_paced: false,
-            rx_paced: false,
-            tx_starved: Cell::new(false),
-            rx_first: false,
-            arriving: None,
-            draining: None,
-            claimed: None,
-            returned: None,
-            popped: None,
+            ..Shared::default()
         }));
         (
             StreamTx {
@@ -801,11 +736,6 @@ impl StreamTx {
         self.shared.borrow().width
     }
 
-    /// The configured capacity in words.
-    pub fn capacity(&self) -> usize {
-        self.shared.borrow().capacity
-    }
-
     /// Push up to `max` leading beats of the burst in `slot`, as many as
     /// fit, as one queue entry; the rest stays in `slot`, which empties
     /// when the last beat goes. Returns the number of beats pushed
@@ -840,10 +770,9 @@ impl StreamTx {
     }
 
     /// [`StreamTx::set_wake`], with or without the promise that lets the
-    /// channel be charged: a `paced` producer pushes through a
-    /// [`PacketTx`] (or [`StreamRx::forward`]) alone and reads back
-    /// pressure through [`StreamTx::ready_at`].
-    pub fn pace(&self, wake: WakeHandle, paced: bool) {
+    /// channel be charged: a `paced` producer pushes through a port alone
+    /// and reads back pressure through [`StreamTx::ready_at`].
+    fn pace(&self, wake: WakeHandle, paced: bool) {
         let mut s = self.shared.borrow_mut();
         s.tx_wake = Some(wake);
         s.tx_paced = paced;
@@ -861,7 +790,7 @@ impl StreamTx {
     /// this commits one beat: the `can_push`/`push` pair of a per-beat
     /// module.
     #[inline]
-    pub(crate) fn commit(&self, slot: &mut Option<Burst>, ctx: &TickContext) -> Option<Time> {
+    fn commit(&self, slot: &mut Option<Burst>, ctx: &TickContext) -> Option<Time> {
         let offered = slot.as_ref()?.beats();
         let unobserved = Rc::strong_count(&self.shared) == 2;
         let mut s = self.shared.borrow_mut();
@@ -883,7 +812,7 @@ impl StreamTx {
     /// made can free one (which wakes the producer). A pure function of
     /// what has been committed and claimed, so it can back
     /// [`crate::sim::Module::activity`].
-    pub fn ready_at(&self) -> Option<Time> {
+    fn ready_at(&self) -> Option<Time> {
         let s = self.shared.borrow();
         s.tx_starved.set(true);
         let Some(d) = s.draining else {
@@ -898,18 +827,10 @@ impl StreamTx {
         }
     }
 
-    /// Free space in words as the producer sees it when it ticks at `now`,
-    /// before its own push of that edge.
-    pub fn space_at(&self, now: Time) -> usize {
-        let s = self.shared.borrow();
-        let unpushed = s.arriving.map_or(0, |a| a.beats - a.done(now, false));
-        s.capacity - (s.beats + s.unpopped(now) - unpushed)
-    }
-
     /// The producer's half of a reset: settle the channel to its per-beat
     /// state as of the simulator's clock, and put the beats the producer
     /// had committed but not yet pushed back at the front of `slot`.
-    pub fn settle(&self, slot: &mut Option<Burst>) {
+    fn settle(&self, slot: &mut Option<Burst>) {
         let mut s = self.shared.borrow_mut();
         s.settle();
         s.tx_starved.set(true); // whatever the cursor holds now, it waits on us
@@ -935,11 +856,6 @@ impl StreamRx {
         self.shared.borrow().beats > 0
     }
 
-    /// Look at the head word without consuming it.
-    pub fn peek(&self) -> Option<Word> {
-        self.shared.borrow().queue.front().map(Burst::first_word)
-    }
-
     /// Consume the head word.
     #[inline]
     pub fn pop(&self) -> Option<Word> {
@@ -954,10 +870,8 @@ impl StreamRx {
     }
 
     /// [`StreamRx::set_wake`], with or without the promise that lets the
-    /// channel be charged: a `paced` consumer pops through a
-    /// [`PacketRx`], or [`StreamRx::forward`] and [`StreamRx::collect`],
-    /// alone.
-    pub fn pace(&self, wake: WakeHandle, paced: bool) {
+    /// channel be charged: a `paced` consumer pops through a port alone.
+    fn pace(&self, wake: WakeHandle, paced: bool) {
         let mut s = self.shared.borrow_mut();
         s.rx_wake = Some(wake);
         s.rx_paced = paced;
@@ -968,13 +882,13 @@ impl StreamRx {
     /// cycle from `ctx.now` on — which they can be, because the producer
     /// pushes them at the same pace and the first is here. The beats stay
     /// with the channel (they still occupy it until popped) until the
-    /// consumer [`StreamRx::collect`]s them at [`Claim::done_at`]; it must
-    /// not claim again before then.
+    /// consumer [`StreamRx::collect`]s them at the returned `done_at`, the
+    /// edge the last is popped; it must not claim again before then.
     ///
     /// On a channel that cannot be charged this claims one beat, done at
     /// `ctx.now`: the `pop` of a per-beat module.
     #[inline]
-    pub(crate) fn claim(&self, max: usize, ctx: &TickContext) -> Option<Claim> {
+    fn claim(&self, max: usize, ctx: &TickContext) -> Option<Time> {
         if max == 0 {
             return None;
         }
@@ -984,12 +898,11 @@ impl StreamRx {
         let order = s.rank_order().filter(|_| unobserved);
         let burst = s.take(if order.is_some() { max } else { 1 })?;
         let pace = Pace::starting(ctx, burst.beats());
-        let claim = Claim::of(&burst, pace);
         s.rx_first = order.unwrap_or(false);
         s.draining = (pace.beats > 1).then_some(pace);
         s.claimed = Some(burst);
         s.wake_tx();
-        Some(claim)
+        Some(pace.at(pace.beats - 1))
     }
 
     /// The beats of the last claim, once the last of them is
@@ -997,21 +910,23 @@ impl StreamRx {
     /// downstream already, so this only lets go of the channel's view of
     /// them (`None` when there was nothing to hold).
     #[inline]
-    pub fn collect(&self) -> Option<Burst> {
+    fn collect(&self) -> Option<Burst> {
         self.shared.borrow_mut().claimed.take()
     }
 
     /// Cut-through: claim the head burst of this stream and commit it to
     /// `tx` on the same schedule, as many beats as `tx` finds room for by
     /// the rule of a [`PacketTx`]'s commit — beat `i` is popped here and
-    /// pushed there at `ctx.now + i·ctx.period`. One beat when either
-    /// channel cannot be charged. The forwarder must let
-    /// [`Claim::done_at`] pass, and [`StreamRx::collect`], before it
-    /// forwards again. Self-transfer is a no-op.
-    pub fn forward(&self, tx: &StreamTx, ctx: &TickContext) -> Option<Claim> {
-        if Rc::ptr_eq(&self.shared, &tx.shared) {
-            return None;
-        }
+    /// pushed there at `ctx.now + i·ctx.period` — showing them to
+    /// `inspect` as they go. One beat when either channel cannot be
+    /// charged. The forwarder must let the returned `done_at` pass, and
+    /// [`StreamRx::collect`], before it forwards again.
+    fn forward(
+        &self,
+        tx: &StreamTx,
+        ctx: &TickContext,
+        inspect: impl FnOnce(&Burst),
+    ) -> Option<Time> {
         let unobserved = Rc::strong_count(&self.shared) == 2 && Rc::strong_count(&tx.shared) == 2;
         let mut src = self.shared.borrow_mut();
         let mut dst = tx.shared.borrow_mut();
@@ -1030,8 +945,8 @@ impl StreamRx {
             return None;
         }
         let burst = src.take(n)?;
+        inspect(&burst);
         let pace = Pace::starting(ctx, n);
-        let claim = Claim::of(&burst, pace);
         // The beats go downstream now; a second view of them stays here
         // while any is still to be popped, for a reset to put back.
         src.draining = (n > 1).then_some(pace);
@@ -1039,32 +954,17 @@ impl StreamRx {
         src.wake_tx();
         dst.put(burst);
         dst.wake_rx();
-        Some(claim)
+        Some(pace.at(n - 1))
     }
 
     /// The consumer's half of a reset: settle the channel to its per-beat
-    /// state as of the simulator's clock, forget the claim, and hand over
-    /// those of its beats that had been popped by then (the rest are back
-    /// at the head of the queue).
-    pub fn settle(&self, claimed: &mut Option<Time>) -> Option<Burst> {
-        *claimed = None;
+    /// state as of the simulator's clock, and hand over those beats of the
+    /// claim that had been popped by then (the rest are back at the head of
+    /// the queue).
+    fn settle(&self) -> Option<Burst> {
         let mut s = self.shared.borrow_mut();
         s.settle();
         s.popped.take()
-    }
-
-    /// Occupancy in words as the consumer sees it when it ticks at `now`,
-    /// before its own pop of that edge.
-    pub fn occupancy_at(&self, now: Time) -> usize {
-        let s = self.shared.borrow();
-        let unpopped = s.draining.map_or(0, |d| d.beats - d.done(now, false));
-        s.beats + unpopped - s.unarrived(now)
-    }
-
-    /// Total words pushed by the time the consumer ticks at `now`.
-    pub fn total_pushed_at(&self, now: Time) -> u64 {
-        let s = self.shared.borrow();
-        s.pushed_words - s.unarrived(now) as u64
     }
 
     /// Current occupancy in words.
@@ -1101,56 +1001,14 @@ impl StreamRx {
         Some(burst)
     }
 
-    /// Move up to `max` beats from this stream directly into `tx`, bounded
-    /// by both occupancy and downstream space. Returns the number moved.
-    /// The degenerate self-transfer (both handles on the same channel) is a
-    /// no-op, matching what a per-word pop/push loop would observe.
-    #[cfg(test)]
-    pub fn transfer_up_to(&self, tx: &StreamTx, max: usize) -> usize {
-        self.transfer(tx, max, |_| false)
-    }
-
-    /// Move the beats of at most one packet from this stream into `tx`:
-    /// stops after the beat carrying `eop`, or earlier when data or space
-    /// runs out. Returns `(beats_moved, packet_completed)` — the fast path
-    /// for packet-granular forwarders (arbiters) that must observe packet
-    /// boundaries. Self-transfer is a no-op.
-    pub fn transfer_packet(&self, tx: &StreamTx) -> (usize, bool) {
-        let mut completed = false;
-        let moved = self.transfer(tx, usize::MAX, |burst| {
-            completed = burst.eop;
-            completed
-        });
-        (moved, completed)
-    }
-
-    /// Move up to `max` beats from this stream directly into `tx`, bounded
-    /// by both occupancy and downstream space, calling `inspect` on every
-    /// burst as it moves — the fast path for pass-through stages that only
-    /// read packets in flight (statistics, taps). A burst cut short by
-    /// `max` or by downstream space is inspected as the part that moved,
-    /// so every beat is seen exactly once. Returns the number moved.
-    pub fn transfer_inspect(
-        &self,
-        tx: &StreamTx,
-        max: usize,
-        mut inspect: impl FnMut(&Burst),
-    ) -> usize {
-        self.transfer(tx, max, |burst| {
-            inspect(burst);
-            false
-        })
-    }
-
-    /// The one mover behind the `transfer_*` family: whole bursts from the
-    /// head of this stream to the tail of `tx`, splitting only the burst
-    /// the beat budget ends inside. `each` sees every burst moved and
-    /// returns true to stop after it. One borrow pair, one counter update
-    /// per burst and one wake per side for the whole run.
+    /// The collapsed hop: up to `max` beats, whole bursts from the head of
+    /// this stream to the tail of `tx`, bounded by both occupancy and
+    /// downstream space and splitting only the burst the budget ends
+    /// inside. `each` sees every burst moved — a burst cut short is seen
+    /// as the part that moved, so every beat is seen once — and returns
+    /// true to stop after it. One borrow pair, one counter update per burst
+    /// and one wake per side for the whole run; returns the beats moved.
     fn transfer(&self, tx: &StreamTx, max: usize, mut each: impl FnMut(&Burst) -> bool) -> usize {
-        if Rc::ptr_eq(&self.shared, &tx.shared) {
-            return 0;
-        }
         let mut src = self.shared.borrow_mut();
         let mut dst = tx.shared.borrow_mut();
         let budget = max.min(dst.capacity - dst.beats);
@@ -1383,7 +1241,7 @@ impl PacketRx {
             return None;
         }
         if self.claimed.is_none() && willing && self.collected_at != ctx.now {
-            self.claimed = self.rx.claim(usize::MAX, ctx).map(|c| c.done_at);
+            self.claimed = self.rx.claim(usize::MAX, ctx);
         }
         if self.claimed.is_some_and(|done_at| done_at <= ctx.now) {
             self.claimed = None;
@@ -1415,7 +1273,8 @@ impl PacketRx {
     /// next `sop`. Returns whether a partial packet was discarded, for the
     /// owner to count.
     pub fn soft_reset(&mut self) -> bool {
-        if let Some(popped) = self.rx.settle(&mut self.claimed) {
+        self.claimed = None;
+        if let Some(popped) = self.rx.settle() {
             self.reasm.push_burst(popped);
         }
         self.reasm.resync()
@@ -1530,6 +1389,145 @@ impl PacketTx {
     }
 }
 
+/// What a cut-through block decides while its [`CutThrough`] port moves the
+/// beats: which input to serve, and what to make of the beats passing.
+/// Every method has a default, so a one-input block overrides only what it
+/// watches.
+pub trait PassThrough {
+    /// The input to serve, asked between bursts (and by the port's
+    /// `activity`): by default the first, when it holds a beat.
+    fn source(&self, inputs: &[StreamRx]) -> Option<usize> {
+        inputs[0].can_pop().then_some(0)
+    }
+
+    /// The beats of `burst` start to pass, on the edge the first of them
+    /// does: every beat is shown once, a burst cut short by output room as
+    /// the part that passes. Beats a soft reset puts back on their input
+    /// are shown again when they pass again.
+    fn inspect(&mut self, _burst: &Burst) {}
+
+    /// The last beat of a burst from input `input` has passed, on its own
+    /// edge; `eop` when that beat ended its packet.
+    fn passed(&mut self, _input: usize, _eop: bool) {}
+}
+
+/// The port of a cut-through block: beats from one of its inputs straight
+/// to its output, the owner's [`PassThrough`] policy choosing the input and
+/// watching them pass. Built from the inputs' consumer ends, the output's
+/// producer end and the owner's [`WakeHandle`], which it registers on all
+/// of them, so the owner is woken by every push it could pass and every pop
+/// a stalled pass waits on.
+///
+/// Word-paced (the default), the port claims the chosen input's head burst
+/// and commits it to the output on one schedule — beat `i` popped and
+/// pushed at `now + i·period`, as many as the output has room for — and
+/// lets it go on the edge its last beat passes; one beat per tick where a
+/// channel cannot be charged. Collapsed ([`CutThrough::set_burst`]), it
+/// moves whole packets per tick until an input runs dry mid-packet or the
+/// output fills.
+#[derive(Debug)]
+pub struct CutThrough {
+    inputs: Vec<StreamRx>,
+    output: StreamTx,
+    wake: WakeHandle,
+    paced: bool,
+    /// The burst passing through, until its last beat passes: its input,
+    /// that beat's edge, and whether it ends its packet.
+    passing: Option<(usize, Time, bool)>,
+}
+
+impl CutThrough {
+    /// A word-paced port from `inputs` to `output`, waking `wake` when beats
+    /// arrive or output space frees up.
+    pub fn new(inputs: Vec<StreamRx>, output: StreamTx, wake: &WakeHandle) -> CutThrough {
+        assert!(
+            !inputs.is_empty(),
+            "a cut-through port needs at least one input"
+        );
+        let mut port = CutThrough {
+            inputs,
+            output,
+            wake: wake.clone(),
+            paced: true,
+            passing: None,
+        };
+        port.set_burst(false);
+        port
+    }
+
+    /// See [`PacketRx::set_burst`].
+    pub fn set_burst(&mut self, enabled: bool) {
+        self.paced = !enabled;
+        for rx in &self.inputs {
+            rx.pace(self.wake.clone(), self.paced);
+        }
+        self.output.pace(self.wake.clone(), self.paced);
+    }
+
+    /// Pass what this edge allows, as `policy` directs.
+    #[inline]
+    pub fn tick(&mut self, ctx: &TickContext, policy: &mut impl PassThrough) {
+        if !self.paced {
+            while let Some(i) = policy.source(&self.inputs) {
+                let mut eop = false;
+                let moved = self.inputs[i].transfer(&self.output, usize::MAX, |burst| {
+                    policy.inspect(burst);
+                    eop = burst.eop;
+                    eop
+                });
+                if moved == 0 {
+                    return;
+                }
+                policy.passed(i, eop);
+                if !eop {
+                    return;
+                }
+            }
+            return;
+        }
+        if self.passing.is_none() {
+            if let Some(i) = policy.source(&self.inputs) {
+                let mut eop = false;
+                let done_at = self.inputs[i].forward(&self.output, ctx, |burst| {
+                    policy.inspect(burst);
+                    eop = burst.eop;
+                });
+                self.passing = done_at.map(|done_at| (i, done_at, eop));
+            }
+        }
+        if let Some((i, _, eop)) = self.passing.filter(|&(_, done_at, _)| done_at <= ctx.now) {
+            self.passing = None;
+            self.inputs[i].collect();
+            policy.passed(i, eop);
+        }
+    }
+
+    /// The port's half of the owner's [`Module::activity`](crate::sim::Module::activity):
+    /// a burst passing through is let go when its last beat has passed;
+    /// otherwise idle when `policy` has no input to serve, stalled when the
+    /// output is full with no pop scheduled, and bounded by the scheduled
+    /// pop that frees a slot.
+    pub fn activity(&self, policy: &impl PassThrough) -> Activity {
+        if let Some((_, done_at, _)) = self.passing {
+            return Activity::Bounded(done_at);
+        }
+        policy
+            .source(&self.inputs)
+            .and_then(|_| self.output.ready_at())
+            .map_or(Activity::Quiescent, Activity::at)
+    }
+
+    /// Watchdog recovery and reset: settle the charge — of a burst passing
+    /// through, the beats not yet passed are back at the head of their
+    /// input, and the output keeps only those that reached it.
+    pub fn soft_reset(&mut self) {
+        if let Some((i, ..)) = self.passing.take() {
+            self.inputs[i].settle();
+        }
+        self.output.settle(&mut None);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1574,6 +1572,38 @@ mod tests {
     /// The bytes of a burst, beat by beat.
     fn beat_bytes(burst: &Burst) -> Vec<Vec<u8>> {
         burst.clone().map(|w| w.bytes().to_vec()).collect()
+    }
+
+    /// The head word, without consuming it.
+    fn peek(rx: &StreamRx) -> Option<Word> {
+        rx.shared.borrow().queue.front().cloned()?.next()
+    }
+
+    /// The collapsed hop of a [`CutThrough`] port, as its three callers
+    /// use it: a budget, one packet at most, and a look at each burst.
+    fn transfer_up_to(rx: &StreamRx, tx: &StreamTx, max: usize) -> usize {
+        rx.transfer(tx, max, |_| false)
+    }
+
+    fn transfer_packet(rx: &StreamRx, tx: &StreamTx) -> (usize, bool) {
+        let mut completed = false;
+        let moved = rx.transfer(tx, usize::MAX, |burst| {
+            completed = burst.eop;
+            completed
+        });
+        (moved, completed)
+    }
+
+    fn transfer_inspect(
+        rx: &StreamRx,
+        tx: &StreamTx,
+        max: usize,
+        mut inspect: impl FnMut(&Burst),
+    ) -> usize {
+        rx.transfer(tx, max, |burst| {
+            inspect(burst);
+            false
+        })
     }
 
     #[test]
@@ -1626,7 +1656,7 @@ mod tests {
         assert_eq!((rx.occupancy(), tx.space()), (3, 5));
         let mut r = Reassembler::new();
         for (i, want) in packet.chunks(4).enumerate() {
-            let peeked = rx.peek().expect("beat queued");
+            let peeked = peek(&rx).expect("beat queued");
             let word = rx.pop().expect("beat queued");
             assert_eq!(peeked, word);
             assert_eq!(word.bytes(), want);
@@ -1637,7 +1667,7 @@ mod tests {
                 assert_eq!((out, m), (PktBuf::from(packet.clone()), meta));
             }
         }
-        assert!(rx.peek().is_none() && rx.pop().is_none());
+        assert!(peek(&rx).is_none() && rx.pop().is_none());
     }
 
     #[test]
@@ -1648,7 +1678,7 @@ mod tests {
             tx_a.push(Word::new(&[i], i == 0, i == 4, None));
         }
         // Destination space (2) binds first.
-        assert_eq!(rx_a.transfer_up_to(&tx_b, 4), 2);
+        assert_eq!(transfer_up_to(&rx_a, &tx_b, 4), 2);
         assert_eq!(rx_a.occupancy(), 3);
         assert_eq!(rx_b.occupancy(), 2);
         assert_eq!(rx_b.total_pushed(), 2);
@@ -1656,12 +1686,10 @@ mod tests {
         assert_eq!(rx_b.pop().unwrap().bytes(), &[0]);
         assert_eq!(rx_b.pop().unwrap().bytes(), &[1]);
         // Then the cap, then the source occupancy.
-        assert_eq!(rx_a.transfer_up_to(&tx_b, 1), 1);
+        assert_eq!(transfer_up_to(&rx_a, &tx_b, 1), 1);
         assert_eq!(rx_b.pop().unwrap().bytes(), &[2]);
-        assert_eq!(rx_a.transfer_up_to(&tx_b, 10), 2);
+        assert_eq!(transfer_up_to(&rx_a, &tx_b, 10), 2);
         assert_eq!(rx_a.occupancy(), 0);
-        // Self-transfer is a no-op, not a RefCell panic.
-        assert_eq!(rx_b.transfer_up_to(&tx_b, 10), 0);
     }
 
     /// Partial fit: a 48-beat frame crosses an 8-deep FIFO through
@@ -1684,9 +1712,9 @@ mod tests {
         for round in 0..6 {
             assert_eq!(tx_a.push_burst(&mut slot, usize::MAX), 8);
             assert_eq!(tx_a.push_burst(&mut slot, usize::MAX), 0, "A is full");
-            assert_eq!(rx_a.transfer_packet(&tx_b), (8, round == 5));
+            assert_eq!(transfer_packet(&rx_a, &tx_b), (8, round == 5));
             assert_eq!((rx_a.occupancy(), rx_b.occupancy()), (0, 8));
-            assert_eq!(rx_a.transfer_packet(&tx_b), (0, false), "B is full");
+            assert_eq!(transfer_packet(&rx_a, &tx_b), (0, false), "B is full");
             let piece = rx_b.pop_burst(usize::MAX).expect("eight beats");
             assert_eq!(piece.beats(), 8);
             assert_eq!((piece.sop, piece.eop), (round == 0, round == 5));
@@ -1710,17 +1738,14 @@ mod tests {
             let bytes = [f * 4, f * 4 + 1, f * 4 + 2, f * 4 + 3];
             tx_a.push_burst(&mut Some(segment(&bytes, 1, Meta::default())), 4);
         }
-        assert_eq!(rx_a.transfer_packet(&tx_b), (4, true));
+        assert_eq!(transfer_packet(&rx_a, &tx_b), (4, true));
         assert_eq!((rx_a.occupancy(), rx_b.total_packets()), (4, 1));
         let mut seen = Vec::new();
         let mut inspect = |b: &Burst| seen.push((beat_bytes(b).concat(), b.sop, b.eop));
-        assert_eq!(rx_a.transfer_inspect(&tx_b, 3, &mut inspect), 3);
-        assert_eq!(rx_a.transfer_inspect(&tx_b, 3, &mut inspect), 1);
+        assert_eq!(transfer_inspect(&rx_a, &tx_b, 3, &mut inspect), 3);
+        assert_eq!(transfer_inspect(&rx_a, &tx_b, 3, &mut inspect), 1);
         assert_eq!(seen, [(vec![4, 5, 6], true, false), (vec![7], false, true)]);
         assert_eq!((rx_b.occupancy(), rx_b.total_packets()), (8, 2));
-        // Self-transfer is a no-op, not a RefCell panic.
-        assert_eq!(rx_b.transfer_packet(&tx_b), (0, false));
-        assert_eq!(rx_b.transfer_inspect(&tx_b, 10, |_| unreachable!()), 0);
     }
 
     #[test]
@@ -2124,7 +2149,7 @@ mod tests {
                         }
                     }
                     3 => {
-                        let peeked = b.rx.peek();
+                        let peeked = peek(&b.rx);
                         let word = b.rx.pop();
                         prop_assert_eq!(&peeked, &word);
                         popped.extend(word.map(|w| beats_of(&w.into())).unwrap_or_default());
@@ -2142,17 +2167,17 @@ mod tests {
                     }
                     5 => {
                         let moved = model_transfer(arg, false);
-                        prop_assert_eq!(a.rx.transfer_up_to(&b.tx, arg), moved.len());
+                        prop_assert_eq!(transfer_up_to(&a.rx, &b.tx, arg), moved.len());
                     }
                     6 => {
                         let moved = model_transfer(usize::MAX, true);
                         let completed = moved.last().is_some_and(|beat| beat.eop);
-                        prop_assert_eq!(a.rx.transfer_packet(&b.tx), (moved.len(), completed));
+                        prop_assert_eq!(transfer_packet(&a.rx, &b.tx), (moved.len(), completed));
                     }
                     7 => {
                         let moved = model_transfer(arg, false);
                         let mut seen = Vec::new();
-                        let n = a.rx.transfer_inspect(&b.tx, arg, |burst| seen.extend(beats_of(burst)));
+                        let n = transfer_inspect(&a.rx, &b.tx, arg, |burst| seen.extend(beats_of(burst)));
                         prop_assert_eq!(n, moved.len());
                         prop_assert_eq!(seen, moved);
                     }
@@ -2176,7 +2201,7 @@ mod tests {
                 while let Some(word) = b.rx.pop() {
                     popped.extend(beats_of(&word.into()));
                 }
-                if a.rx.transfer_up_to(&b.tx, usize::MAX) == 0 {
+                if transfer_up_to(&a.rx, &b.tx, usize::MAX) == 0 {
                     break;
                 }
             }
@@ -2200,6 +2225,39 @@ mod tests {
             cycle,
             period: T,
         }
+    }
+
+    /// Free space in words as the producer sees it when it ticks at `now`,
+    /// before its own push of that edge.
+    fn space_at(tx: &StreamTx, now: Time) -> usize {
+        let s = tx.shared.borrow();
+        let unpushed = s.arriving.map_or(0, |a| a.beats - a.done(now, false));
+        s.capacity - (s.beats + s.unpopped(now) - unpushed)
+    }
+
+    /// Committed beats whose push the consumer, ticking at `now`, cannot
+    /// see yet.
+    fn unarrived(s: &Shared, now: Time) -> usize {
+        s.arriving.map_or(0, |a| a.beats - a.done(now, !s.rx_first))
+    }
+
+    /// Occupancy in words as the consumer sees it when it ticks at `now`,
+    /// before its own pop of that edge.
+    fn occupancy_at(rx: &StreamRx, now: Time) -> usize {
+        let s = rx.shared.borrow();
+        let unpopped = s.draining.map_or(0, |d| d.beats - d.done(now, false));
+        s.beats + unpopped - unarrived(&s, now)
+    }
+
+    /// Total words pushed by the time the consumer ticks at `now`.
+    fn total_pushed_at(rx: &StreamRx, now: Time) -> u64 {
+        let s = rx.shared.borrow();
+        s.pushed_words - unarrived(&s, now) as u64
+    }
+
+    /// Beats a claim made at `now` takes, from the edge its last is popped.
+    fn claimed_beats(done_at: Time, now: Time) -> usize {
+        ((done_at - now).as_ps() / T.as_ps()) as usize + 1
     }
 
     /// A wake handle stamped as slot `slot` of domain `domain` of the
@@ -2325,7 +2383,7 @@ mod tests {
         for cycle in 0..cycles {
             let c = ctx(cycle);
             let mut produce = |out: &mut Timeline| {
-                out.space.push(ch.tx.space_at(c.now));
+                out.space.push(space_at(&ch.tx, c.now));
                 let classify_tx = |cursor: &Option<Burst>, free_at: Time, packet: usize| match (
                     cursor,
                     script.packets.get(packet),
@@ -2364,8 +2422,8 @@ mod tests {
                 }
             };
             let mut consume = |out: &mut Timeline| {
-                out.occupancy.push(ch.rx.occupancy_at(c.now));
-                out.total_pushed.push(ch.rx.total_pushed_at(c.now));
+                out.occupancy.push(occupancy_at(&ch.rx, c.now));
+                out.total_pushed.push(total_pushed_at(&ch.rx, c.now));
                 let classify_rx =
                     |claimed: Option<Time>, mid_packet: bool, start_at: Time| match claimed {
                         Some(t) => Some(t),
@@ -2379,16 +2437,16 @@ mod tests {
                 }
                 if rx_bound.is_some_and(|t| t <= c.now) {
                     if claimed.is_none() && (mid_packet || c.now > start_at) {
-                        if let Some(claim) = ch.rx.claim(usize::MAX, &c) {
-                            assert_eq!(claim.sop, !mid_packet);
-                            out.popped
-                                .extend((0..claim.beats as u64).map(|i| cycle + i));
-                            claimed = Some(claim.done_at);
+                        if let Some(done_at) = ch.rx.claim(usize::MAX, &c) {
+                            let beats = claimed_beats(done_at, c.now) as u64;
+                            out.popped.extend((0..beats).map(|i| cycle + i));
+                            claimed = Some(done_at);
                         }
                     }
                     if claimed.is_some_and(|t| t <= c.now) {
                         claimed = None;
                         let burst = ch.rx.collect().expect("claimed beats");
+                        assert_eq!(burst.sop, !mid_packet);
                         assert!(burst.bytes().iter().all(|&b| b == consumed as u8));
                         mid_packet = !burst.eop;
                         if burst.eop {
@@ -2461,8 +2519,8 @@ mod tests {
             assert_eq!(tx.commit(&mut slot, &ctx(0)), Some(edge(1)), "{why}");
             assert_eq!(slot.as_ref().map(Burst::beats), Some(9), "{why}");
             tx.push_burst(&mut slot, 4);
-            let claim = rx.claim(usize::MAX, &ctx(3)).expect("beats queued");
-            assert_eq!((claim.beats, claim.done_at), (1, edge(3)), "{why}");
+            let done_at = rx.claim(usize::MAX, &ctx(3)).expect("beats queued");
+            assert_eq!(done_at, edge(3), "{why}");
             assert_eq!(rx.collect().map(|b| b.beats()), Some(1), "{why}");
         };
         // The consumer registered a plain wake.
@@ -2511,8 +2569,8 @@ mod tests {
             (tx.ready_at(), slot.as_ref().map(Burst::beats)),
             (None, Some(6))
         );
-        let claim = rx.claim(usize::MAX, &ctx(6)).expect("four beats");
-        assert_eq!((claim.beats, claim.done_at), (4, edge(9)));
+        let done_at = rx.claim(usize::MAX, &ctx(6)).expect("four beats");
+        assert_eq!(done_at, edge(9), "four beats");
         // The pop at cycle 6 is visible to the producer at cycle 7.
         assert_eq!(tx.ready_at(), Some(edge(7)));
         assert_eq!(
@@ -2531,13 +2589,11 @@ mod tests {
         let packet: Vec<u8> = (0..40).collect();
         let mut slot = Some(segment(&packet, 4, Meta::default()));
         assert_eq!(ch.tx.commit(&mut slot, &ctx(0)), Some(edge(10)));
-        let claim = ch.rx.claim(usize::MAX, &ctx(2)).expect("ten beats");
-        assert_eq!((claim.beats, claim.done_at), (10, edge(11)));
+        let done_at = ch.rx.claim(usize::MAX, &ctx(2)).expect("ten beats");
+        assert_eq!(done_at, edge(11), "ten beats");
         // Edge 5 is done: beats 0..=5 pushed, 0..=3 popped.
         clock.set(edge(5));
-        let mut claimed = Some(claim.done_at);
-        let popped = ch.rx.settle(&mut claimed).expect("four beats popped");
-        assert!(claimed.is_none());
+        let popped = ch.rx.settle().expect("four beats popped");
         assert_eq!(popped.bytes(), &packet[..16]);
         assert!(popped.sop && !popped.eop);
         ch.tx.settle(&mut slot);
@@ -2548,10 +2604,7 @@ mod tests {
         assert_eq!(ch.rx.pop().expect("beat 4").bytes(), &packet[16..20]);
         assert_eq!(ch.rx.pop().expect("beat 5").bytes(), &packet[20..24]);
         assert!(ch.rx.pop().is_none());
-        assert!(
-            ch.rx.settle(&mut claimed).is_none(),
-            "settling twice changes nothing"
-        );
+        assert!(ch.rx.settle().is_none(), "settling twice changes nothing");
     }
 
     // ---- packet ports ----
@@ -2603,5 +2656,98 @@ mod tests {
         assert_eq!(rx.activity(false), Activity::Quiescent);
         assert_eq!(drain(&mut rx, 0), [0, 1, 2, 3]);
         assert_eq!(rx.activity(true), Activity::Quiescent);
+    }
+
+    /// What a [`PassThrough`] policy was shown: the bytes of every burst
+    /// inspected, in order, and the `eop` of every burst that passed.
+    #[derive(Default)]
+    struct Watch {
+        shown: Vec<Vec<u8>>,
+        passed: Vec<bool>,
+    }
+
+    impl PassThrough for Watch {
+        fn inspect(&mut self, burst: &Burst) {
+            self.shown.push(burst.bytes().to_vec());
+        }
+
+        fn passed(&mut self, _input: usize, eop: bool) {
+            self.passed.push(eop);
+        }
+    }
+
+    /// A packet source, a cut-through port and a packet sink of one clock
+    /// domain, ticking in that order: in both pacings every packet arrives,
+    /// and every beat is shown to the policy exactly once, in stream order —
+    /// the 40-beat packet, cut short by the 3-deep output, as the parts
+    /// that pass.
+    #[test]
+    fn cut_through_shows_every_beat_once_in_both_pacings() {
+        let packets: Vec<Vec<u8>> = [160usize, 3, 27]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len).map(|b| (i * 64 + b) as u8).collect())
+            .collect();
+        for burst in [false, true] {
+            let clock = Rc::new(Cell::new(Time::ZERO));
+            let (a_tx, a_rx) = Stream::new(16, 4);
+            let (b_tx, b_rx) = Stream::new(3, 4);
+            let mut source = PacketTx::new(a_tx, &stamped(&clock, 0, 1));
+            let mut port = CutThrough::new(vec![a_rx], b_tx, &stamped(&clock, 0, 2));
+            let mut sink = PacketRx::new(b_rx, &stamped(&clock, 0, 3));
+            source.set_burst(burst);
+            port.set_burst(burst);
+            sink.set_burst(burst);
+            let (mut queued, mut watch, mut delivered) = (packets.iter(), Watch::default(), vec![]);
+            for cycle in 0..200 {
+                let c = ctx(cycle);
+                while source.emit(&c) {
+                    let Some(packet) = queued.next() else { break };
+                    source.stage(PktBuf::copy_from(packet), Meta::default());
+                }
+                port.tick(&c, &mut watch);
+                delivered.extend(std::iter::from_fn(|| sink.poll(true, &c)).map(|p| p.0.to_vec()));
+            }
+            assert_eq!(delivered, packets, "burst={burst}");
+            assert_eq!(watch.shown.concat(), packets.concat(), "burst={burst}");
+            assert!(watch.shown.len() > 3, "burst={burst}: cut short");
+            assert_eq!(watch.passed.iter().filter(|&&eop| eop).count(), 3);
+        }
+    }
+
+    /// A soft reset while a burst passes puts exactly the beats not yet
+    /// passed back at the head of the input; the output keeps exactly those
+    /// that reached it.
+    #[test]
+    fn cut_through_soft_reset_puts_the_unpassed_beats_back() {
+        let clock = Rc::new(Cell::new(Time::ZERO));
+        let (a_tx, a_rx) = Stream::new(16, 4);
+        let (b_tx, b_rx) = Stream::new(16, 4);
+        a_tx.pace(stamped(&clock, 0, 1), true);
+        b_rx.pace(stamped(&clock, 0, 3), true);
+        let packet: Vec<u8> = (0..40).collect();
+        a_tx.push_burst(&mut Some(segment(&packet, 4, Meta::default())), 10);
+        let mut port = CutThrough::new(vec![a_rx], b_tx, &stamped(&clock, 0, 2));
+        let mut watch = Watch::default();
+        port.tick(&ctx(0), &mut watch);
+        assert_eq!(
+            port.activity(&watch),
+            Activity::Bounded(edge(9)),
+            "ten beats"
+        );
+        // Edge 3 is done: beats 0..=3 have passed.
+        clock.set(edge(3));
+        port.soft_reset();
+        let bytes = |bursts: &mut dyn Iterator<Item = Burst>| -> Vec<u8> {
+            bursts.flat_map(|b| b.bytes().to_vec()).collect()
+        };
+        let back = bytes(&mut a_tx.shared.borrow().queue.iter().cloned());
+        assert_eq!(back, &packet[16..]);
+        assert_eq!(
+            bytes(&mut std::iter::from_fn(|| b_rx.pop_burst(16))),
+            &packet[..16]
+        );
+        assert!(watch.passed.is_empty(), "the burst never finished passing");
+        assert_eq!(port.activity(&watch), Activity::Active, "the rest is there");
     }
 }

@@ -3,7 +3,7 @@
 //! reference pipeline.
 
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
-use netfpga_core::stream::{Claim, StreamRx, StreamTx};
+use netfpga_core::stream::{CutThrough, PassThrough, StreamRx, StreamTx};
 
 /// N-to-1 packet-granular round-robin arbiter.
 ///
@@ -12,50 +12,64 @@ use netfpga_core::stream::{Claim, StreamRx, StreamTx};
 /// framing). Arbitration is work-conserving: if the current round-robin
 /// candidate is idle, the next input with data is picked.
 ///
-/// Cut-through, one word per cycle: the granted input's head burst is
-/// claimed and committed to the output on one schedule
-/// ([`StreamRx::forward`]), as many beats as the output has room for, so
-/// between paced neighbours the arbiter ticks when a burst starts and when
-/// its last beat passes, with `eop` acted on at the edge it passes today.
+/// A [`CutThrough`] port moves the beats, one word per cycle: between
+/// paced neighbours the arbiter ticks when a burst starts and when its last
+/// beat passes, with `eop` acted on at the edge it passes today.
 /// `with_burst(true)` is the other, collapsed pacing: whole packets per
 /// tick.
 pub struct InputArbiter {
     name: String,
-    inputs: Vec<StreamRx>,
-    output: StreamTx,
-    /// Next input to consider (round-robin pointer).
+    port: CutThrough,
+    grant: RoundRobin,
+    /// Activity-cache invalidation flag, registered on every input stream
+    /// and on the output (pops free the space a stalled pass waits on).
+    wake: WakeHandle,
+}
+
+/// The arbiter's policy: the lock and the round-robin pointer.
+#[derive(Default)]
+struct RoundRobin {
+    /// The input after the one served last (mod the input count).
     next: usize,
     /// Input currently locked mid-packet.
     locked: Option<usize>,
-    /// The burst passing through: its input and what was claimed of it
-    /// (word pacing only).
-    forwarding: Option<(usize, Claim)>,
-    packets: u64,
-    words: u64,
-    /// Burst fast path: move every available word per tick instead of one.
-    burst: bool,
-    /// Activity-cache invalidation flag, registered on every input stream
-    /// and on the output (pops free the space a stalled forward waits on).
-    wake: WakeHandle,
+}
+
+impl PassThrough for RoundRobin {
+    /// The locked input if it holds a word — no other may interleave —
+    /// else the first non-empty one from the round-robin pointer on.
+    fn source(&self, inputs: &[StreamRx]) -> Option<usize> {
+        match self.locked {
+            Some(i) => Some(i).filter(|&i| inputs[i].can_pop()),
+            None => {
+                let n = inputs.len();
+                (0..n)
+                    .map(|k| (self.next + k) % n)
+                    .find(|&i| inputs[i].can_pop())
+            }
+        }
+    }
+
+    fn passed(&mut self, input: usize, eop: bool) {
+        if eop {
+            self.locked = None;
+            self.next = input + 1;
+        } else {
+            self.locked = Some(input);
+        }
+    }
 }
 
 impl InputArbiter {
     /// Create an arbiter over `inputs` feeding `output`.
     pub fn new(name: &str, inputs: Vec<StreamRx>, output: StreamTx) -> InputArbiter {
-        assert!(!inputs.is_empty(), "arbiter needs at least one input");
-        let arbiter = InputArbiter {
+        let wake = WakeHandle::new();
+        InputArbiter {
             name: name.to_string(),
-            inputs,
-            output,
-            next: 0,
-            locked: None,
-            forwarding: None,
-            packets: 0,
-            words: 0,
-            burst: false,
-            wake: WakeHandle::new(),
-        };
-        arbiter.with_burst(false)
+            port: CutThrough::new(inputs, output, &wake),
+            grant: RoundRobin::default(),
+            wake,
+        }
     }
 
     /// Enable the burst fast path: each tick forwards every word it can
@@ -63,50 +77,8 @@ impl InputArbiter {
     /// integrity and round-robin fairness at packet granularity are
     /// unchanged; only the cycle-level pacing is collapsed.
     pub fn with_burst(mut self, enabled: bool) -> InputArbiter {
-        self.burst = enabled;
-        for rx in &self.inputs {
-            rx.pace(self.wake.clone(), !enabled);
-        }
-        self.output.pace(self.wake.clone(), !enabled);
+        self.port.set_burst(enabled);
         self
-    }
-
-    /// The input to serve now: the locked one if it holds a word — no
-    /// other may interleave — else the first non-empty one from the
-    /// round-robin pointer on.
-    fn source(&self) -> Option<usize> {
-        match self.locked {
-            Some(i) => Some(i).filter(|&i| self.inputs[i].can_pop()),
-            None => {
-                let n = self.inputs.len();
-                (0..n)
-                    .map(|k| (self.next + k) % n)
-                    .find(|&i| self.inputs[i].can_pop())
-            }
-        }
-    }
-
-    /// `moved` words of input `i` have passed, the last ending its packet
-    /// or not: count them and move the lock.
-    fn passed(&mut self, i: usize, moved: usize, eop: bool) {
-        self.words += moved as u64;
-        if eop {
-            self.packets += 1;
-            self.locked = None;
-            self.next = (i + 1) % self.inputs.len();
-        } else if moved > 0 {
-            self.locked = Some(i);
-        }
-    }
-
-    /// Packets fully forwarded.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Words forwarded.
-    pub fn words(&self) -> u64 {
-        self.words
     }
 }
 
@@ -116,71 +88,29 @@ impl Module for InputArbiter {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if self.burst {
-            // Bulk-move whole packets, one stream borrow per packet, until
-            // an input runs dry mid-packet or the output fills.
-            while let Some(i) = self.source() {
-                let (moved, completed) = self.inputs[i].transfer_packet(&self.output);
-                self.passed(i, moved, completed);
-                if !completed {
-                    return;
-                }
-            }
-            return;
-        }
-        if self.forwarding.is_none() {
-            if let Some(i) = self.source() {
-                if let Some(claim) = self.inputs[i].forward(&self.output, ctx) {
-                    // Mid-burst the arbiter is locked whatever the last beat
-                    // will say.
-                    self.locked = Some(i);
-                    self.forwarding = Some((i, claim));
-                }
-            }
-        }
-        if let Some((i, claim)) = self.forwarding.filter(|(_, c)| c.done_at <= ctx.now) {
-            self.forwarding = None;
-            self.inputs[i].collect();
-            self.passed(i, claim.beats, claim.eop);
-        }
+        self.port.tick(ctx, &mut self.grant);
     }
 
     fn reset(&mut self) {
-        self.soft_reset();
-        self.next = 0;
-        self.packets = 0;
-        self.words = 0;
+        self.port.soft_reset();
+        self.grant = RoundRobin::default();
     }
 
     /// Watchdog recovery: release a mid-packet lock whose remaining words
     /// were flushed upstream — the next `sop` on any input then arbitrates
     /// normally (downstream reassemblers resync past the orphaned
-    /// prefix). Of a burst passing through, the beats already passed are
-    /// counted and the rest are back on their input. Round-robin position
-    /// and counters survive.
+    /// prefix). Of a burst passing through, the beats not yet passed are
+    /// back on their input. The round-robin position survives.
     fn soft_reset(&mut self) {
-        if let Some((i, _)) = self.forwarding.take() {
-            if let Some(passed) = self.inputs[i].settle(&mut None) {
-                self.words += passed.beats() as u64;
-            }
-        }
-        self.output.settle(&mut None);
-        self.locked = None;
+        self.port.soft_reset();
+        self.grant.locked = None;
     }
 
-    /// A burst passing through is acted on when its last beat passes.
-    /// Otherwise idle when the input to serve — the locked one alone while
-    /// a packet is open, else any — is empty, and stalled when the output
-    /// is full with no pop scheduled: either way a tick cannot move a word
-    /// and touches neither the lock nor the round-robin pointer. A stalled
-    /// forward resumes when a scheduled pop frees an output slot.
+    /// The port's answer, the input to serve being the locked one alone
+    /// while a packet is open, else any: a tick that cannot move a word
+    /// touches neither the lock nor the round-robin pointer.
     fn activity(&self) -> Activity {
-        if let Some((_, claim)) = self.forwarding {
-            return Activity::Bounded(claim.done_at);
-        }
-        self.source()
-            .and_then(|_| self.output.ready_at())
-            .map_or(Activity::Quiescent, Activity::at)
+        self.port.activity(&self.grant)
     }
 
     /// External activity channels: pushes into any input, pops from the

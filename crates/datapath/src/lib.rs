@@ -29,7 +29,6 @@
 //! * [`learn::LearningSwitchCore`] — 802.1D MAC learning over an aging
 //!   table.
 //! * [`parser::ParsedHeaders`] — the header parser used by lookup stages.
-//! * [`ratelimit::RateLimiter`] — token-bucket pacing stage.
 //! * [`delay::DelayStage`] — fixed-latency stage (DUT emulation, pipeline
 //!   padding).
 //! * [`pktstats::StatsStage`] — transparent per-port packet/byte counters.
@@ -51,7 +50,6 @@ pub mod lpm;
 pub mod parser;
 pub mod pktstats;
 pub mod queues;
-pub mod ratelimit;
 pub mod sched;
 pub mod stage;
 pub mod vlan;

@@ -5,31 +5,40 @@
 use netfpga_core::regs::RegisterSpace;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
-use netfpga_core::stream::{Meta, StreamRx, StreamTx};
-use netfpga_core::time::Time;
+use netfpga_core::stream::{Burst, CutThrough, PassThrough, StreamRx, StreamTx};
 
 /// Pass-through packet/byte counters, per source port plus totals.
 ///
-/// Cut-through, one word per cycle ([`StreamRx::forward`]: between paced
+/// Cut-through on a [`CutThrough`] port, one word per cycle (between paced
 /// neighbours a burst passes in one tick, every beat on its own cycle);
 /// `with_burst(true)` is the collapsed pacing, everything the output
 /// accepts per tick.
 pub struct StatsStage {
     name: String,
-    input: StreamRx,
-    output: StreamTx,
-    /// The edge the last beat of the burst passing through passes, until
-    /// then (word pacing only).
-    forwarding: Option<Time>,
-    per_port_packets: Vec<Counter>,
-    per_port_bytes: Vec<Counter>,
-    total_packets: Counter,
-    total_bytes: Counter,
-    /// Burst fast path: move every available word per tick instead of one.
-    burst: bool,
+    port: CutThrough,
+    counts: Count,
     /// Activity-cache invalidation flag, registered on the input and the
     /// output (pops free the space a stalled pass-through waits on).
     wake: WakeHandle,
+}
+
+/// The stage's policy: count a packet as its first beat streams by.
+struct Count(StatsHandles);
+
+impl PassThrough for Count {
+    fn inspect(&mut self, burst: &Burst) {
+        if !burst.sop {
+            return;
+        }
+        let meta = burst.meta.unwrap_or_default();
+        self.0.total_packets.incr();
+        self.0.total_bytes.add(u64::from(meta.len));
+        let p = usize::from(meta.src_port);
+        if p < self.0.packets.len() {
+            self.0.packets[p].incr();
+            self.0.bytes[p].add(u64::from(meta.len));
+        }
+    }
 }
 
 /// Shared read handles onto a [`StatsStage`]'s counters.
@@ -69,51 +78,28 @@ impl StatsStage {
         output: StreamTx,
         nports: usize,
     ) -> (StatsStage, StatsHandles) {
-        let per_port_packets: Vec<Counter> = (0..nports).map(|_| Counter::new()).collect();
-        let per_port_bytes: Vec<Counter> = (0..nports).map(|_| Counter::new()).collect();
-        let total_packets = Counter::new();
-        let total_bytes = Counter::new();
         let handles = StatsHandles {
-            packets: per_port_packets.clone(),
-            bytes: per_port_bytes.clone(),
-            total_packets: total_packets.clone(),
-            total_bytes: total_bytes.clone(),
+            packets: (0..nports).map(|_| Counter::new()).collect(),
+            bytes: (0..nports).map(|_| Counter::new()).collect(),
+            total_packets: Counter::new(),
+            total_bytes: Counter::new(),
         };
+        let wake = WakeHandle::new();
         let stage = StatsStage {
             name: name.to_string(),
-            input,
-            output,
-            forwarding: None,
-            per_port_packets,
-            per_port_bytes,
-            total_packets,
-            total_bytes,
-            burst: false,
-            wake: WakeHandle::new(),
+            port: CutThrough::new(vec![input], output, &wake),
+            counts: Count(handles.clone()),
+            wake,
         };
-        (stage.with_burst(false), handles)
+        (stage, handles)
     }
 
     /// Enable the burst fast path: each tick passes through every word the
     /// output can accept instead of one word per cycle. Counter values are
     /// identical either way — only the cycle-level pacing changes.
     pub fn with_burst(mut self, enabled: bool) -> StatsStage {
-        self.burst = enabled;
-        self.input.pace(self.wake.clone(), !enabled);
-        self.output.pace(self.wake.clone(), !enabled);
+        self.port.set_burst(enabled);
         self
-    }
-
-    /// Count a packet as its first beat streams by.
-    fn count(&self, meta: Option<Meta>) {
-        let meta = meta.unwrap_or_default();
-        self.total_packets.incr();
-        self.total_bytes.add(u64::from(meta.len));
-        let p = usize::from(meta.src_port);
-        if p < self.per_port_packets.len() {
-            self.per_port_packets[p].incr();
-            self.per_port_bytes[p].add(u64::from(meta.len));
-        }
     }
 }
 
@@ -123,63 +109,35 @@ impl Module for StatsStage {
     }
 
     fn tick(&mut self, ctx: &TickContext) {
-        if self.burst {
-            self.input
-                .transfer_inspect(&self.output, usize::MAX, |burst| {
-                    if burst.sop {
-                        self.count(burst.meta);
-                    }
-                });
-            return;
-        }
-        if self.forwarding.is_none() {
-            if let Some(claim) = self.input.forward(&self.output, ctx) {
-                if claim.sop {
-                    self.count(claim.meta);
-                }
-                self.forwarding = Some(claim.done_at);
-            }
-        }
-        if self.forwarding.is_some_and(|done_at| done_at <= ctx.now) {
-            self.forwarding = None;
-            self.input.collect();
-        }
+        self.port.tick(ctx, &mut self.counts);
     }
 
     fn reset(&mut self) {
         self.soft_reset();
-        for c in &self.per_port_packets {
+        let StatsHandles {
+            packets,
+            bytes,
+            total_packets,
+            total_bytes,
+        } = &self.counts.0;
+        for c in packets
+            .iter()
+            .chain(bytes)
+            .chain([total_packets, total_bytes])
+        {
             c.clear();
         }
-        for c in &self.per_port_bytes {
-            c.clear();
-        }
-        self.total_packets.clear();
-        self.total_bytes.clear();
     }
 
     /// Of a burst passing through, the beats not yet passed are back on
     /// the input; counters survive.
     fn soft_reset(&mut self) {
-        self.input.settle(&mut self.forwarding);
-        self.output.settle(&mut None);
+        self.port.soft_reset();
     }
 
-    /// The burst passing through is let go when its last beat has passed.
-    /// Otherwise idle when there is nothing to pass through, stalled when
-    /// there is nowhere to pass it and no pop scheduled: no word moves and
-    /// no counter is touched. A stalled pass-through resumes when a
-    /// scheduled pop frees a slot.
+    /// The port's answer: a tick that moves no word touches no counter.
     fn activity(&self) -> Activity {
-        if let Some(t) = self.forwarding {
-            Activity::Bounded(t)
-        } else if !self.input.can_pop() {
-            Activity::Quiescent
-        } else {
-            self.output
-                .ready_at()
-                .map_or(Activity::Quiescent, Activity::at)
-        }
+        self.port.activity(&self.counts)
     }
 
     /// External activity channels: pushes into the input, pops from the

@@ -1,10 +1,10 @@
 //! The [`FlowTap`]: a zero-copy pass-through stage that feeds the flow
 //! accounting state.
 //!
-//! The tap splices into an existing stream hop and moves bursts with
-//! [`StreamRx::transfer_inspect`], so frames cross it without copying —
-//! beats stay refcount-bumped views of the original buffers, which are
-//! never cloned, joined or rewritten. The tap snoops just the leading
+//! The tap splices into an existing stream hop and moves bursts through a
+//! [`CutThrough`] port, so frames cross it without copying — beats stay
+//! refcount-bumped views of the original buffers, which are never cloned,
+//! joined or rewritten. The tap snoops just the leading
 //! header bytes of each frame into a small fixed scratch buffer (enough
 //! for Ethernet + a maximal IPv4 header + ports) and parses the 5-tuple
 //! from there. Payload bytes are not read: a burst is looked at for its
@@ -19,7 +19,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
-use netfpga_core::stream::{StreamRx, StreamTx};
+use netfpga_core::stream::{Burst, CutThrough, PassThrough, StreamRx, StreamTx};
 use netfpga_core::telemetry::StatRegistry;
 
 use crate::flow::FiveTuple;
@@ -162,8 +162,9 @@ impl FlowMonHandle {
 /// L4 port words (4), so [`FiveTuple::parse`] always has what it needs.
 const HDR_MAX: usize = 80;
 
-/// Per-frame header snoop state: the first [`HDR_MAX`] bytes of the frame
-/// in flight, accumulated burst by burst until `eop`.
+/// The tap's policy. Per-frame header snoop state — the first [`HDR_MAX`]
+/// bytes of the frame in flight, accumulated burst by burst — accounted
+/// into the flow state on the edge its `eop` passes.
 #[derive(Debug)]
 struct HeaderSnoop {
     hdr: [u8; HDR_MAX],
@@ -172,33 +173,49 @@ struct HeaderSnoop {
     len: u64,
     /// Bytes observed so far — the length fallback for meta-less frames.
     seen: u64,
-    /// A `sop` has been seen and its `eop` has not.
+    /// A `sop` has been seen and its `eop` has not passed.
     active: bool,
+    state: Rc<RefCell<MonState>>,
 }
 
-impl HeaderSnoop {
-    fn new() -> HeaderSnoop {
-        HeaderSnoop {
-            hdr: [0; HDR_MAX],
-            have: 0,
-            len: 0,
-            seen: 0,
-            active: false,
+impl PassThrough for HeaderSnoop {
+    fn inspect(&mut self, b: &Burst) {
+        if b.sop {
+            self.have = 0;
+            self.seen = 0;
+            self.len = b.meta.as_ref().map_or(0, |m| u64::from(m.len));
+            self.active = true;
+        }
+        if !self.active {
+            return;
+        }
+        let take = (HDR_MAX - self.have).min(b.len());
+        self.hdr[self.have..self.have + take].copy_from_slice(&b.bytes()[..take]);
+        self.have += take;
+        self.seen += b.len() as u64;
+    }
+
+    fn passed(&mut self, _input: usize, eop: bool) {
+        if eop && self.active {
+            let len = if self.len > 0 { self.len } else { self.seen };
+            self.state.borrow_mut().observe(&self.hdr[..self.have], len);
+            self.active = false;
         }
     }
 }
 
 /// The tap module. Splice it into a stream hop:
 /// producer → `input` → **FlowTap** → `output` → consumer.
+///
+/// Cut-through on a [`CutThrough`] port, one word per cycle (between paced
+/// neighbours a burst passes in one tick, every beat on its own cycle);
+/// `with_burst(true)` is the collapsed pacing.
 #[derive(Debug)]
 pub struct FlowTap {
-    input: StreamRx,
-    output: StreamTx,
+    port: CutThrough,
     snoop: HeaderSnoop,
-    state: Rc<RefCell<MonState>>,
-    burst: bool,
     /// Activity-cache invalidation flag, registered on the input and the
-    /// output (pops free the space a stalled transfer waits on).
+    /// output (pops free the space a stalled pass waits on).
     wake: WakeHandle,
 }
 
@@ -207,20 +224,22 @@ impl FlowTap {
     /// accounting dimensions.
     pub fn new(input: StreamRx, output: StreamTx, config: &FlowmonConfig) -> FlowTap {
         let wake = WakeHandle::new();
-        input.set_wake(wake.clone());
-        output.set_wake(wake.clone());
         FlowTap {
-            input,
-            output,
-            snoop: HeaderSnoop::new(),
-            state: Rc::new(RefCell::new(MonState {
-                sketch: CountMinSketch::new(config.sketch),
-                table: HeavyHitters::new(config.table_capacity),
-                packets: 0,
-                bytes: 0,
-                non_ip: 0,
-            })),
-            burst: false,
+            port: CutThrough::new(vec![input], output, &wake),
+            snoop: HeaderSnoop {
+                hdr: [0; HDR_MAX],
+                have: 0,
+                len: 0,
+                seen: 0,
+                active: false,
+                state: Rc::new(RefCell::new(MonState {
+                    sketch: CountMinSketch::new(config.sketch),
+                    table: HeavyHitters::new(config.table_capacity),
+                    packets: 0,
+                    bytes: 0,
+                    non_ip: 0,
+                })),
+            },
             wake,
         }
     }
@@ -228,14 +247,14 @@ impl FlowTap {
     /// Move whole bursts per tick instead of one word per cycle —
     /// matches the fast-path discipline of the surrounding pipeline.
     pub fn with_burst(mut self, burst: bool) -> FlowTap {
-        self.burst = burst;
+        self.port.set_burst(burst);
         self
     }
 
     /// A shared handle onto this tap's flow state.
     pub fn handle(&self) -> FlowMonHandle {
         FlowMonHandle {
-            state: self.state.clone(),
+            state: self.snoop.state.clone(),
         }
     }
 }
@@ -245,41 +264,27 @@ impl Module for FlowTap {
         "flow_tap"
     }
 
-    fn tick(&mut self, _ctx: &TickContext) {
-        let max = if self.burst { usize::MAX } else { 1 };
-        let snoop = &mut self.snoop;
-        let state = &self.state;
-        self.input.transfer_inspect(&self.output, max, |b| {
-            if b.sop {
-                snoop.have = 0;
-                snoop.seen = 0;
-                snoop.len = b.meta.as_ref().map_or(0, |m| u64::from(m.len));
-                snoop.active = true;
-            }
-            if !snoop.active {
-                return;
-            }
-            let take = (HDR_MAX - snoop.have).min(b.len());
-            snoop.hdr[snoop.have..snoop.have + take].copy_from_slice(&b.bytes()[..take]);
-            snoop.have += take;
-            snoop.seen += b.len() as u64;
-            if b.eop {
-                let len = if snoop.len > 0 { snoop.len } else { snoop.seen };
-                state.borrow_mut().observe(&snoop.hdr[..snoop.have], len);
-                snoop.active = false;
-            }
-        });
+    fn tick(&mut self, ctx: &TickContext) {
+        self.port.tick(ctx, &mut self.snoop);
     }
 
     fn reset(&mut self) {
-        self.snoop = HeaderSnoop::new();
-        self.state.borrow_mut().clear();
+        self.soft_reset();
+        self.snoop.state.borrow_mut().clear();
     }
 
-    /// Idle with nothing to move, stalled with nowhere to move it: the
-    /// transfer then inspects nothing, so the flow state stays put.
+    /// Of a burst passing through, the beats not yet passed are back on
+    /// the input, and a frame the reset cut is not accounted (the block
+    /// downstream drops it too); the flow state survives.
+    fn soft_reset(&mut self) {
+        self.port.soft_reset();
+        self.snoop.active = false;
+    }
+
+    /// The port's answer: a tick that moves no word leaves the flow state
+    /// put.
     fn activity(&self) -> Activity {
-        Activity::idle_if(!self.input.can_pop() || !self.output.can_push())
+        self.port.activity(&self.snoop)
     }
 
     /// External activity channels: pushes into the input, pops from the
@@ -484,7 +489,10 @@ mod tests {
         let tap = FlowTap::new(in_rx, out_tx, &FlowmonConfig::default());
         tap.handle().register_stats(&reg, "flowmon");
         assert_eq!(reg.get("flowmon.packets"), Some(0));
-        tap.state.borrow_mut().observe(&udp_frame(9, 7000), 70);
+        tap.snoop
+            .state
+            .borrow_mut()
+            .observe(&udp_frame(9, 7000), 70);
         assert_eq!(reg.get("flowmon.packets"), Some(1));
         assert_eq!(reg.get("flowmon.flows"), Some(1));
     }

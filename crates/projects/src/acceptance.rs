@@ -8,19 +8,32 @@ use crate::harness::{Chassis, ChassisIo};
 use netfpga_core::board::BoardSpec;
 use netfpga_core::regs::AddressMap;
 use netfpga_core::resources::ResourceCost;
-use netfpga_core::sim::{Module, TickContext};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
-use netfpga_core::stream::{StreamRx, StreamTx};
+use netfpga_core::stream::{Burst, CutThrough, PassThrough};
 use netfpga_datapath::blocks;
 
-/// Per-port loopback with counters and a running checksum of payloads.
+/// Per-port loopback with counters and a running checksum of payloads,
+/// cut-through on a [`CutThrough`] port one word per cycle.
 struct PortLoop {
     name: String,
-    rx: StreamRx,
-    tx: StreamTx,
-    frames: Counter,
-    bytes: Counter,
-    checksum: Counter,
+    port: CutThrough,
+    counters: Tally,
+    wake: WakeHandle,
+}
+
+/// The loop's policy: count every beat looped.
+struct Tally(PortCounters);
+
+impl PassThrough for Tally {
+    fn inspect(&mut self, burst: &Burst) {
+        if burst.sop {
+            self.0.frames.incr();
+        }
+        self.0.bytes.add(burst.len() as u64);
+        let sum: u64 = burst.bytes().iter().map(|&b| u64::from(b)).sum();
+        self.0.checksum.add(sum);
+    }
 }
 
 impl Module for PortLoop {
@@ -28,18 +41,24 @@ impl Module for PortLoop {
         &self.name
     }
 
-    fn tick(&mut self, _ctx: &TickContext) {
-        if !self.tx.can_push() {
-            return;
-        }
-        let Some(word) = self.rx.pop() else { return };
-        if word.sop {
-            self.frames.incr();
-        }
-        self.bytes.add(word.len() as u64);
-        let sum: u64 = word.bytes().iter().map(|&b| u64::from(b)).sum();
-        self.checksum.add(sum);
-        self.tx.push(word);
+    fn tick(&mut self, ctx: &TickContext) {
+        self.port.tick(ctx, &mut self.counters);
+    }
+
+    fn soft_reset(&mut self) {
+        self.port.soft_reset();
+    }
+
+    fn reset(&mut self) {
+        self.port.soft_reset();
+    }
+
+    fn activity(&self) -> Activity {
+        self.port.activity(&self.counters)
+    }
+
+    fn wake_handle(&self) -> Option<WakeHandle> {
+        Some(self.wake.clone())
     }
 }
 
@@ -77,13 +96,12 @@ impl AcceptanceTest {
                 bytes: Counter::new(),
                 checksum: Counter::new(),
             };
+            let wake = WakeHandle::new();
             chassis.add_module(PortLoop {
                 name: format!("port_loop{i}"),
-                rx,
-                tx,
-                frames: c.frames.clone(),
-                bytes: c.bytes.clone(),
-                checksum: c.checksum.clone(),
+                port: CutThrough::new(vec![rx], tx, &wake),
+                counters: Tally(c.clone()),
+                wake,
             });
             counters.push(c);
         }
@@ -138,5 +156,25 @@ mod tests {
         assert_eq!(a.chassis.recv(0).len() as u64, n);
         assert_eq!(a.chassis.rx_mac_stats(0).frames, n);
         assert_eq!(a.chassis.tx_mac_stats(0).frames, n);
+    }
+
+    /// Drained, the loops are idle: every module quiescent, and not one of
+    /// them ticked over 10 000 idle cycles.
+    #[test]
+    fn drained_loops_execute_no_ticks() {
+        let mut a = AcceptanceTest::new(&BoardSpec::sume(), 4);
+        for p in 0..4 {
+            a.chassis.send(p, vec![p as u8; 1500]);
+        }
+        a.chassis.run_for(Time::from_us(10));
+        assert!((0..4).all(|p| a.chassis.recv(p).len() == 1));
+        assert!(a.chassis.sim.all_quiescent());
+        let ticks = |a: &AcceptanceTest| -> u64 {
+            a.chassis.sim.module_ticks().iter().map(|(_, n)| n).sum()
+        };
+        let before = ticks(&a);
+        let clk = a.chassis.clk;
+        a.chassis.sim.run_cycles(clk, 10_000);
+        assert_eq!(ticks(&a), before);
     }
 }

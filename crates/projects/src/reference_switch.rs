@@ -562,6 +562,38 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// A word-level tapped switch moves a 1514 B frame (48 beats) past the
+    /// tap a burst per tick, not a beat: the tap's port charges both of its
+    /// channels, so it ticks when a burst starts and when its last beat
+    /// passes.
+    #[test]
+    fn word_level_tap_ticks_per_burst_not_per_beat() {
+        let mut sw = ReferenceSwitch::with_flowmon(
+            &BoardSpec::sume(),
+            4,
+            1024,
+            Time::from_ms(100),
+            false,
+            FlowmonConfig::default(),
+        );
+        let frames = 20;
+        for i in 0..frames {
+            let frame = PacketBuilder::new()
+                .eth(mac(i as u8 + 1), mac(0xee))
+                .raw(netfpga_packet::EtherType::Ipv4, &[0; 1500])
+                .build();
+            sw.chassis.send(i % 4, frame);
+        }
+        sw.chassis.run_for(Time::from_us(100));
+        assert_eq!(sw.flowmon.as_ref().expect("tapped").packets(), 20);
+        let ticks = sw.chassis.sim.module_ticks();
+        let (_, tap) = ticks
+            .iter()
+            .find(|(name, _)| name == "flow_tap")
+            .expect("tap");
+        assert!(*tap <= 12 * 20, "{tap} tap ticks for 20 frames of 48 beats");
+    }
+
     #[test]
     fn resource_cost_fits() {
         assert!(ReferenceSwitch::resource_cost(4).fits(&BoardSpec::sume().resources));

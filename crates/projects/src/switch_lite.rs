@@ -10,8 +10,8 @@ use netfpga_core::board::BoardSpec;
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::regs::AddressMap;
 use netfpga_core::resources::ResourceCost;
-use netfpga_core::sim::{Module, TickContext};
-use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, Stream, StreamRx, StreamTx};
+use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
+use netfpga_core::stream::{Meta, PacketRx, PacketTx, PortMask, Stream, StreamRx, StreamTx};
 use netfpga_core::time::Time;
 use netfpga_datapath::blocks;
 use netfpga_datapath::stage::{PacketLogic, StageAction};
@@ -20,34 +20,39 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// A minimal 1-to-N splitter: pops one word per cycle, reassembles, and
-/// copies each completed packet to every destination port's stream with no
-/// intermediate queueing beyond the channel FIFOs (switch_lite has no
-/// output-queue block). If any destination channel lacks space the packet
-/// stalls — shared-FIFO head-of-line blocking, the documented cost of the
-/// lite design.
+/// A minimal 1-to-N splitter: one word per cycle in through a [`PacketRx`],
+/// and each completed packet copied out through the [`PacketTx`] of every
+/// destination port, with no intermediate queueing beyond the channel FIFOs
+/// (switch_lite has no output-queue block). A packet starts only once every
+/// port it goes to takes one — shared-FIFO head-of-line blocking, the
+/// documented cost of the lite design.
 struct LiteSplitter {
     name: String,
-    input: StreamRx,
-    outputs: Vec<StreamTx>,
-    reasm: Reassembler,
+    rx: PacketRx,
+    tx: Vec<PacketTx>,
     /// Packets waiting to be copied out.
     staging: VecDeque<(Meta, PktBuf)>,
-    /// Per port, the beats of the copy being emitted that are still to go.
-    emitting: Vec<Option<Burst>>,
+    wake: WakeHandle,
 }
 
 impl LiteSplitter {
     fn new(name: &str, input: StreamRx, outputs: Vec<StreamTx>) -> LiteSplitter {
-        let n = outputs.len();
+        let wake = WakeHandle::new();
         LiteSplitter {
             name: name.to_string(),
-            input,
-            outputs,
-            reasm: Reassembler::new(),
+            rx: PacketRx::new(input, &wake),
+            tx: outputs
+                .into_iter()
+                .map(|o| PacketTx::new(o, &wake))
+                .collect(),
             staging: VecDeque::new(),
-            emitting: vec![None; n],
+            wake,
         }
+    }
+
+    /// Ingest unless staging is backed up (tiny elasticity of 2).
+    fn willing(&self) -> bool {
+        self.staging.len() < 2
     }
 }
 
@@ -56,47 +61,68 @@ impl Module for LiteSplitter {
         &self.name
     }
 
-    fn tick(&mut self, _ctx: &TickContext) {
-        // Ingest unless staging is backed up (tiny elasticity of 2).
-        if self.staging.len() < 2 {
-            if let Some(word) = self.input.pop() {
-                if let Some((packet, meta)) = self.reasm.push(word) {
-                    if !meta.dst_ports.is_empty() {
-                        self.staging.push_back((meta, packet));
-                    }
-                }
+    fn tick(&mut self, ctx: &TickContext) {
+        while let Some((packet, meta)) = self.rx.poll(self.willing(), ctx) {
+            if !meta.dst_ports.is_empty() {
+                self.staging.push_back((meta, packet));
             }
         }
-        // Start copying the head packet once every involved port is idle.
-        if let Some((meta, _)) = self.staging.front() {
-            let ports: Vec<usize> = meta.dst_ports.iter().map(usize::from).collect();
-            if ports
-                .iter()
-                .all(|&p| p < self.emitting.len() && self.emitting[p].is_none())
-            {
-                let (meta, packet) = self.staging.pop_front().expect("front exists");
-                for p in meta.dst_ports.iter() {
-                    let p = usize::from(p);
-                    if p < self.outputs.len() {
-                        let mut m = meta;
-                        m.dst_ports = netfpga_core::stream::PortMask::single(p as u8);
-                        // Zero-copy flood: every port's words are views
-                        // into the same shared backing buffer.
-                        self.emitting[p] = Some(segment_buf(&packet, self.outputs[p].width(), m));
-                    }
-                }
+        let mut free = PortMask::EMPTY;
+        for (p, tx) in self.tx.iter_mut().enumerate() {
+            if tx.emit(ctx) {
+                free.insert(p as u8);
             }
         }
-        // Emit one word per port per cycle.
-        for (slot, output) in self.emitting.iter_mut().zip(&self.outputs) {
-            output.push_burst(slot, 1);
+        let Some((meta, _)) = self.staging.front() else {
+            return;
+        };
+        if meta.dst_ports.iter().all(|p| free.contains(p)) {
+            let (meta, packet) = self.staging.pop_front().expect("front exists");
+            for p in meta.dst_ports.iter() {
+                // Zero-copy flood: every port's words are views into the
+                // same shared backing buffer.
+                let tx = &mut self.tx[usize::from(p)];
+                let dst_ports = PortMask::single(p);
+                tx.stage(packet.clone(), Meta { dst_ports, ..meta });
+                tx.emit(ctx);
+            }
         }
     }
 
     fn reset(&mut self) {
-        self.reasm = Reassembler::new();
+        self.rx.reset();
+        self.tx.iter_mut().for_each(PacketTx::reset);
         self.staging.clear();
-        self.emitting.fill(None);
+    }
+
+    fn soft_reset(&mut self) {
+        self.rx.soft_reset();
+        self.tx.iter_mut().for_each(PacketTx::soft_reset);
+    }
+
+    /// The ports' answers — the ingest port's willing below two staged,
+    /// each egress port's for the copy it is emitting — joined with when
+    /// the head packet can start: once the last port it goes to takes a
+    /// packet.
+    fn activity(&self) -> Activity {
+        let head = self.staging.front().and_then(|(meta, _)| {
+            meta.dst_ports.iter().try_fold(Time::ZERO, |latest, p| {
+                match self.tx.get(usize::from(p))?.activity(Some(Time::ZERO)) {
+                    Activity::Quiescent => None,
+                    Activity::Active => Some(latest),
+                    Activity::Bounded(t) => Some(latest.max(t)),
+                }
+            })
+        });
+        let ingest = self.rx.activity(self.willing());
+        let start = head.map_or(Activity::Quiescent, Activity::at);
+        self.tx
+            .iter()
+            .fold(ingest.join(start), |all, tx| all.join(tx.activity(None)))
+    }
+
+    fn wake_handle(&self) -> Option<WakeHandle> {
+        Some(self.wake.clone())
     }
 }
 
@@ -270,5 +296,24 @@ mod tests {
         for p in 1..4 {
             assert_eq!(sw.chassis.recv(p).len(), 10, "port {p}");
         }
+    }
+
+    /// Drained, the lite switch is idle: every module quiescent, and not
+    /// one of them ticked over 10 000 idle cycles.
+    #[test]
+    fn drained_switch_executes_no_ticks() {
+        let mut sw = lite();
+        for p in 0..4 {
+            sw.chassis.send(p, frame(p as u8 + 1, 0xee));
+        }
+        sw.chassis.run_for(Time::from_us(20));
+        assert_eq!(sw.chassis.recv(1).len(), 3, "three floods reach port 1");
+        assert!(sw.chassis.sim.all_quiescent());
+        let ticks =
+            |sw: &SwitchLite| -> u64 { sw.chassis.sim.module_ticks().iter().map(|(_, n)| n).sum() };
+        let before = ticks(&sw);
+        let clk = sw.chassis.clk;
+        sw.chassis.sim.run_cycles(clk, 10_000);
+        assert_eq!(ticks(&sw), before);
     }
 }
