@@ -1,7 +1,6 @@
 //! E10 (extension) — Simulation-kernel work: naive stepper vs the fast
-//! path (edge calendar / heap scheduling, quiescence fast-forward,
-//! time-blocked activity bounds, burst stream transfers, zero-copy
-//! packet buffers).
+//! path (cached activity bounds, quiescence fast-forward, time-blocked
+//! activity bounds, burst stream transfers, zero-copy packet buffers).
 //!
 //! Runs the workloads from `netfpga_bench::kernel` — three bracketing ones
 //! on a 4-port reference switch, one on the reference NIC, one on the

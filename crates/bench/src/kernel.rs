@@ -1,7 +1,7 @@
 //! Kernel workloads: how many of a full reference-switch chassis' clock
 //! edges the simulation kernel has to execute, comparing the
 //! naive stepper (linear domain scan, every module ticked every edge, one
-//! word per cycle) against the fast path (edge calendar or heap, quiescence
+//! word per cycle) against the fast path (cached activity bounds, quiescence
 //! skipping, time-blocked fast-forward, burst stream transfers).
 //!
 //! Three switch workloads bracket the design space:
@@ -62,8 +62,8 @@ pub enum KernelConfig {
     /// Linear scan, no quiescence skipping, word-at-a-time transfers —
     /// the seed kernel, kept as the reference semantics.
     Naive,
-    /// Auto scheduler (calendar with heap fallback), quiescence
-    /// fast-forward, burst transfers end to end.
+    /// Auto scheduler (cached activity bounds), quiescence fast-forward,
+    /// burst transfers end to end.
     Fast,
 }
 

@@ -17,24 +17,10 @@
 //!
 //! # Edge dispatch
 //!
-//! Finding the next rising edge is the kernel's innermost loop. Three
-//! interchangeable dispatchers produce bit-identical edge sequences; the
-//! kernel picks between the first two from the clocks it sees, and
-//! [`SchedulerMode::Scan`] selects the third:
-//!
-//! * **Calendar** — when every registered clock shares a phase origin (a
-//!   fresh simulator, or any simulator right after [`Simulator::reset`]),
-//!   the coincidence pattern of the clocks repeats every hyperperiod
-//!   (the least common multiple of the periods). The kernel precomputes
-//!   that pattern once — one slot per distinct edge instant, each holding
-//!   the list of domains that tick there in creation order — and then
-//!   dispatches edges by walking the slot table, with no searching at all.
-//! * **Heap** — when the phases are unaligned or the hyperperiod would
-//!   need more than [`MAX_CALENDAR_EDGES`] slots (e.g. co-prime periods),
-//!   a binary min-heap of `(next_edge, domain)` keys dispatches each edge
-//!   in `O(log n)` without rescanning every domain.
-//! * **Scan** — the original linear `min`-scan over all domains, kept as
-//!   the executable specification the other two are tested against.
+//! [`Simulator::step`] takes the earliest pending edge over all domains and
+//! dispatches every domain due at that instant, in creation order. Both
+//! [`SchedulerMode`]s dispatch this way and differ only in the activity
+//! cache below.
 //!
 //! # Quiescence: stalled is not active
 //!
@@ -71,10 +57,9 @@
 //!
 //! Re-asking every module for its [`Activity`] on every
 //! probe is itself a full scan — on all-busy workloads it costs almost as
-//! much as ticking. The fused dispatchers (calendar and heap; everything
-//! except the [`SchedulerMode::Scan`] reference) therefore *cache* each
-//! module's classification and only re-query it when something could have
-//! changed it:
+//! much as ticking. [`SchedulerMode::Auto`] therefore *caches* each
+//! module's classification and only re-queries it when something could
+//! have changed it:
 //!
 //! * a module that exposes a [`WakeHandle`] (via [`Module::wake_handle`])
 //!   is re-queried only when the flag is dirty — streams, wires and
@@ -95,8 +80,6 @@
 use crate::stats::Counter;
 use crate::time::{Frequency, Time};
 use std::cell::{Cell, OnceCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// Whether this is a release build carrying the activity-cache contract
@@ -602,97 +585,82 @@ impl DomainState {
         }
         verdict
     }
+
+    /// Tick every module of the domain at instant `edge` and schedule the
+    /// domain's next edge.
+    ///
+    /// With the activity cache (`fused`) each module's cached answer is
+    /// consulted: a quiescent module is skipped, and so is a time-blocked
+    /// one whose bound lies strictly after `edge` — its tick is a proven
+    /// no-op. Every module that does tick has its cache refreshed in place,
+    /// fusing the activity probe into this sweep. Without it (the `Scan`
+    /// reference) every module is re-queried per edge and only `Quiescent`
+    /// ones are skipped.
+    fn dispatch(&mut self, edge: Time, idle_skip: bool, fused: bool, stats: &KernelStatCells) {
+        let ctx = TickContext {
+            now: edge,
+            cycle: self.cycle,
+            period: self.period,
+        };
+        let mut avoided = 0u64;
+        for (i, s) in self.slots.iter_mut().enumerate() {
+            if fused && idle_skip {
+                if at_rest(&self.due, &self.woken, i, edge) {
+                    // Clean and not due: the skip the cache exists for.
+                    avoided += 1;
+                    s.check_clean();
+                    continue;
+                }
+                if s.stale {
+                    // Last classified `Active` and ticked since: tick again
+                    // without re-classifying. If it meanwhile went idle the
+                    // tick is the same no-op the reference executes; the
+                    // activity fold re-queries before any fast-forward.
+                    s.tick(&ctx);
+                    avoided += 1;
+                    continue;
+                }
+                let run = match s.classify(stats, &mut avoided) {
+                    Activity::Quiescent => false,
+                    Activity::Bounded(t) => t <= edge,
+                    Activity::Active => true,
+                };
+                if run {
+                    s.tick(&ctx);
+                    if s.wake.is_some() && s.cached == Activity::Active {
+                        // Steady-state streaming: no bound to learn, so
+                        // defer the re-query to the next activity fold.
+                        s.stale = true;
+                    } else {
+                        s.refresh();
+                    }
+                }
+                self.due[i] = s.due();
+            } else if !idle_skip || s.module.activity() != Activity::Quiescent {
+                s.tick(&ctx);
+            }
+        }
+        if avoided > 0 {
+            stats.probes_avoided.add(avoided);
+        }
+        self.cycle += 1;
+        self.next_edge = edge + self.period;
+    }
 }
 
-/// How the simulator finds the next clock edge. All modes produce exactly
-/// the same edge sequence, tick order and timestamps; they differ only in
-/// dispatch cost.
+/// How the simulator keeps its modules' [`Activity`] answers. Both modes
+/// dispatch edges alike and produce exactly the same edge sequence, tick
+/// order and timestamps; they differ only in the activity cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
-    /// Use the edge calendar when the clock phases allow it, otherwise the
-    /// heap. The default.
+    /// Cache each module's answer, refresh it as the module ticks and
+    /// re-query it only after a wake (see the [module docs](self)). The
+    /// default.
     #[default]
     Auto,
-    /// The original linear scan over all domains, re-querying every
-    /// module on every probe (the reference implementation the fast path
-    /// is verified against).
+    /// No cache: re-query every module on every probe and before every
+    /// tick (the reference the cache is verified against).
     Scan,
-}
-
-/// Upper bound on the total number of per-domain edges in one hyperperiod
-/// before the calendar is abandoned for the heap. Co-prime periods (say
-/// 6.4 ns and 5.000001 ns) would otherwise explode the table.
-pub const MAX_CALENDAR_EDGES: usize = 4096;
-
-/// One distinct edge instant within the hyperperiod.
-struct Slot {
-    /// Offset from the phase origin, in `(0, hyperperiod]` picoseconds.
-    offset: u64,
-    /// Domains ticking at this instant, in creation order.
-    domains: Vec<u32>,
-}
-
-/// Precomputed hyperperiod coincidence pattern of all clocks.
-struct Calendar {
-    /// Phase origin: every domain has edges at `base + k * period`, k >= 1.
-    base: Time,
-    /// Least common multiple of all periods, in picoseconds.
-    hyper: u64,
-    /// Distinct edge instants within one hyperperiod, ascending.
-    slots: Vec<Slot>,
-    /// Which hyperperiod repetition the cursor is in.
-    epoch: u64,
-    /// Index of the next slot to dispatch.
-    cursor: usize,
-}
-
-impl Calendar {
-    /// Absolute time of the next edge.
-    fn next_edge(&self) -> Time {
-        Time::from_ps(self.base.as_ps() + self.epoch * self.hyper + self.slots[self.cursor].offset)
-    }
-
-    /// Advance past the slot just dispatched.
-    fn advance(&mut self) {
-        self.cursor += 1;
-        if self.cursor == self.slots.len() {
-            self.cursor = 0;
-            self.epoch += 1;
-        }
-    }
-
-    /// Reposition the cursor at the first edge strictly after `now`.
-    /// `now` must be `>= base`.
-    fn seek(&mut self, now: Time) {
-        let elapsed = now.as_ps() - self.base.as_ps();
-        self.epoch = elapsed / self.hyper;
-        let off = elapsed % self.hyper;
-        // First slot with offset > off (offsets are in (0, hyper], so
-        // off == 0 lands on slot 0 of this epoch).
-        self.cursor = self.slots.partition_point(|s| s.offset <= off);
-        if self.cursor == self.slots.len() {
-            self.cursor = 0;
-            self.epoch += 1;
-        }
-    }
-}
-
-enum SchedState {
-    /// Clocks changed (or mode changed); rebuild before the next step.
-    Invalid,
-    /// Linear scan; no auxiliary state.
-    Scan,
-    Calendar(Calendar),
-    /// Min-heap of `(next_edge, domain index)`; index breaks ties so
-    /// coincident edges pop in creation order.
-    Heap(BinaryHeap<Reverse<(Time, usize)>>),
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 /// Shared counter cells behind [`Simulator::kernel_stats`].
@@ -774,13 +742,12 @@ impl std::iter::Sum for KernelStats {
 /// sim.add_module(clk, Countdown(10));
 /// sim.run_cycles(clk, 100);
 /// assert_eq!(sim.cycles(clk), 100);
-/// assert_eq!(sim.steps_executed(), 10, "the other 90 edges were skipped");
+/// assert_eq!(sim.kernel_stats().steps, 10, "the other 90 edges were skipped");
 /// ```
 pub struct Simulator {
     domains: Vec<DomainState>,
     now: Time,
     mode: SchedulerMode,
-    sched: SchedState,
     /// Master switch for quiescence skipping and fast-forward.
     idle_skip: bool,
     /// The kernel's own work counters (steps, skips, cache traffic).
@@ -799,7 +766,6 @@ impl Default for Simulator {
             domains: Vec::new(),
             now: Time::ZERO,
             mode: SchedulerMode::Auto,
-            sched: SchedState::Invalid,
             idle_skip: true,
             stats: KernelStatCells::default(),
             reset_line: SoftResetLine::new(),
@@ -813,7 +779,7 @@ impl Simulator {
         Simulator::default()
     }
 
-    /// An empty simulator using the given edge dispatcher.
+    /// An empty simulator in the given scheduler mode.
     pub fn with_scheduler(mode: SchedulerMode) -> Simulator {
         Simulator {
             mode,
@@ -821,14 +787,13 @@ impl Simulator {
         }
     }
 
-    /// Select the edge dispatcher. Takes effect at the next step; the edge
+    /// Select the scheduler mode. Takes effect at the next step; the edge
     /// sequence is identical in every mode.
     pub fn set_scheduler_mode(&mut self, mode: SchedulerMode) {
         self.mode = mode;
-        self.sched = SchedState::Invalid;
     }
 
-    /// The configured edge dispatcher.
+    /// The configured scheduler mode.
     pub fn scheduler_mode(&self) -> SchedulerMode {
         self.mode
     }
@@ -845,18 +810,6 @@ impl Simulator {
         self.idle_skip
     }
 
-    /// The dispatcher actually in use after lazy rebuild: `"scan"`,
-    /// `"calendar"` or `"heap"`. Forces the rebuild if one is pending.
-    pub fn active_scheduler(&mut self) -> &'static str {
-        self.ensure_sched();
-        match &self.sched {
-            SchedState::Scan => "scan",
-            SchedState::Calendar(_) => "calendar",
-            SchedState::Heap(_) => "heap",
-            SchedState::Invalid => unreachable!("ensure_sched rebuilds"),
-        }
-    }
-
     /// Create a clock domain. The first rising edge is at one period
     /// (time 0 is reset release, not an edge).
     pub fn add_clock(&mut self, name: &str, freq: Frequency) -> ClockId {
@@ -870,7 +823,6 @@ impl Simulator {
             due: Vec::new(),
             woken: Rc::new(Cell::new(0)),
         });
-        self.sched = SchedState::Invalid;
         ClockId(self.domains.len() - 1)
     }
 
@@ -902,14 +854,6 @@ impl Simulator {
     /// Cycle count of a domain (number of edges executed).
     pub fn cycles(&self, clock: ClockId) -> u64 {
         self.domains[clock.0].cycle
-    }
-
-    /// Edges the kernel actually executed via [`Simulator::step`]. Edges
-    /// fast-forwarded over (quiescent or time-blocked) advance cycle
-    /// counters without being counted here, so `cycles - steps_executed`
-    /// of a domain's edges were skipped — the fast path's skip ratio.
-    pub fn steps_executed(&self) -> u64 {
-        self.stats.steps.get()
     }
 
     /// Snapshot of the kernel's own work counters: executed steps, edges
@@ -967,7 +911,6 @@ impl Simulator {
             d.cycle = 0;
             d.next_edge = self.now + d.period;
         }
-        self.sched = SchedState::Invalid;
     }
 
     /// The shared soft-reset request line. A watchdog (or host software)
@@ -1026,148 +969,10 @@ impl Simulator {
         }
     }
 
-    /// Build the dispatcher state for the current clocks and mode.
-    fn ensure_sched(&mut self) {
-        if !matches!(self.sched, SchedState::Invalid) {
-            return;
-        }
-        self.sched = match self.mode {
-            SchedulerMode::Scan => SchedState::Scan,
-            SchedulerMode::Auto => match self.build_calendar() {
-                Some(c) => SchedState::Calendar(c),
-                None => SchedState::Heap(self.build_heap()),
-            },
-        };
-    }
-
-    fn build_heap(&self) -> BinaryHeap<Reverse<(Time, usize)>> {
-        self.domains
-            .iter()
-            .enumerate()
-            .map(|(i, d)| Reverse((d.next_edge, i)))
-            .collect()
-    }
-
-    /// Try to build the edge calendar. Succeeds only when every domain's
-    /// pending edge is a whole number of its own periods past a common
-    /// phase origin (`now`, or time zero) and the hyperperiod is small
-    /// enough; returns `None` otherwise.
-    fn build_calendar(&self) -> Option<Calendar> {
-        if self.domains.is_empty() {
-            return None;
-        }
-        let base = [self.now, Time::ZERO].into_iter().find(|&b| {
-            self.domains.iter().all(|d| {
-                d.next_edge > b && (d.next_edge.as_ps() - b.as_ps()) % d.period.as_ps() == 0
-            })
-        })?;
-        let mut hyper: u64 = 1;
-        for d in &self.domains {
-            let p = d.period.as_ps();
-            hyper = hyper.checked_mul(p / gcd(hyper, p))?;
-        }
-        let edges: u64 = self.domains.iter().map(|d| hyper / d.period.as_ps()).sum();
-        if edges as usize > MAX_CALENDAR_EDGES {
-            return None;
-        }
-        let mut by_offset: std::collections::BTreeMap<u64, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for (i, d) in self.domains.iter().enumerate() {
-            let p = d.period.as_ps();
-            for k in 1..=hyper / p {
-                by_offset.entry(k * p).or_default().push(i as u32);
-            }
-        }
-        let slots = by_offset
-            .into_iter()
-            .map(|(offset, domains)| Slot { offset, domains })
-            .collect();
-        let mut cal = Calendar {
-            base,
-            hyper,
-            slots,
-            epoch: 0,
-            cursor: 0,
-        };
-        cal.seek(self.now);
-        Some(cal)
-    }
-
-    /// Tick every module of domain `idx` at instant `edge` and schedule the
-    /// domain's next edge.
-    ///
-    /// The fused dispatchers consult the activity cache per module: a
-    /// quiescent module is skipped (as before), and a time-blocked module
-    /// whose bound lies strictly after `edge` is skipped too — its tick is
-    /// a proven no-op, which the pre-cache kernel executed anyway. Every
-    /// module that does tick has its cache refreshed in place, fusing the
-    /// activity probe into this sweep. The unfused `Scan` reference keeps
-    /// the original per-edge re-query, and skips only `Quiescent` modules.
-    fn dispatch_domain(
-        domains: &mut [DomainState],
-        idx: usize,
-        edge: Time,
-        idle_skip: bool,
-        fused: bool,
-        stats: &KernelStatCells,
-    ) {
-        let d = &mut domains[idx];
-        let ctx = TickContext {
-            now: edge,
-            cycle: d.cycle,
-            period: d.period,
-        };
-        let mut avoided = 0u64;
-        for (i, s) in d.slots.iter_mut().enumerate() {
-            if fused && idle_skip {
-                if at_rest(&d.due, &d.woken, i, edge) {
-                    // Clean and not due: the skip the cache exists for.
-                    avoided += 1;
-                    s.check_clean();
-                    continue;
-                }
-                if s.stale {
-                    // Last classified `Active` and ticked since: tick again
-                    // without re-classifying. If it meanwhile went idle the
-                    // tick is the same no-op the reference executes; the
-                    // activity fold re-queries before any fast-forward.
-                    s.tick(&ctx);
-                    avoided += 1;
-                    continue;
-                }
-                let run = match s.classify(stats, &mut avoided) {
-                    Activity::Quiescent => false,
-                    Activity::Bounded(t) => t <= edge,
-                    Activity::Active => true,
-                };
-                if run {
-                    s.tick(&ctx);
-                    if s.wake.is_some() && s.cached == Activity::Active {
-                        // Steady-state streaming: no bound to learn, so
-                        // defer the re-query to the next activity fold.
-                        s.stale = true;
-                    } else {
-                        s.refresh();
-                    }
-                }
-                d.due[i] = s.due();
-            } else if !idle_skip || s.module.activity() != Activity::Quiescent {
-                s.tick(&ctx);
-            }
-        }
-        if avoided > 0 {
-            stats.probes_avoided.add(avoided);
-        }
-        d.cycle += 1;
-        d.next_edge = edge + d.period;
-    }
-
     /// Execute the single next clock edge (over all domains). Returns the
     /// time of that edge, or `None` if no clocks exist.
     pub fn step(&mut self) -> Option<Time> {
-        if self.domains.is_empty() {
-            return None;
-        }
+        let edge = self.domains.iter().map(|d| d.next_edge).min()?;
         // A pending soft-reset request latches at the step boundary: every
         // module is flushed *before* any module ticks this edge, so the
         // reset instant is the same in every scheduler mode.
@@ -1175,87 +980,16 @@ impl Simulator {
             self.soft_reset();
         }
         self.stats.steps.incr();
-        self.ensure_sched();
-        let idle_skip = self.idle_skip;
-        let fused = !matches!(self.mode, SchedulerMode::Scan);
-        let edge = match &mut self.sched {
-            SchedState::Scan => {
-                let edge = self.domains.iter().map(|d| d.next_edge).min()?;
-                // Tick every domain whose edge falls at this instant, in
-                // creation order, so co-incident edges are deterministic.
-                for i in 0..self.domains.len() {
-                    if self.domains[i].next_edge == edge {
-                        Self::dispatch_domain(
-                            &mut self.domains,
-                            i,
-                            edge,
-                            idle_skip,
-                            fused,
-                            &self.stats,
-                        );
-                    }
-                }
-                edge
-            }
-            SchedState::Calendar(cal) => {
-                let edge = cal.next_edge();
-                for j in 0..cal.slots[cal.cursor].domains.len() {
-                    let idx = cal.slots[cal.cursor].domains[j] as usize;
-                    Self::dispatch_domain(
-                        &mut self.domains,
-                        idx,
-                        edge,
-                        idle_skip,
-                        fused,
-                        &self.stats,
-                    );
-                }
-                cal.advance();
-                edge
-            }
-            SchedState::Heap(heap) => {
-                let Reverse((edge, _)) = *heap.peek()?;
-                // Coincident entries pop in ascending domain index — i.e.
-                // creation order — because the index is the tiebreaker.
-                while let Some(&Reverse((t, idx))) = heap.peek() {
-                    if t != edge {
-                        break;
-                    }
-                    heap.pop();
-                    Self::dispatch_domain(
-                        &mut self.domains,
-                        idx,
-                        edge,
-                        idle_skip,
-                        fused,
-                        &self.stats,
-                    );
-                    heap.push(Reverse((self.domains[idx].next_edge, idx)));
-                }
-                edge
-            }
-            SchedState::Invalid => unreachable!("ensure_sched rebuilds"),
-        };
-        self.set_now(edge);
-        Some(edge)
-    }
-
-    /// Bring the dispatcher back in sync with `domains[*].next_edge` after a
-    /// fast-forward advanced the clocks arithmetically.
-    fn resync_sched(&mut self) {
-        match &mut self.sched {
-            SchedState::Invalid | SchedState::Scan => {}
-            SchedState::Calendar(cal) => cal.seek(self.now),
-            SchedState::Heap(heap) => {
-                heap.clear();
-                heap.extend(
-                    self.domains
-                        .iter()
-                        .enumerate()
-                        .map(|(i, d)| Reverse((d.next_edge, i))),
-                );
+        let fused = self.mode == SchedulerMode::Auto;
+        // Tick every domain whose edge falls at this instant, in creation
+        // order, so coincident edges are deterministic.
+        for d in &mut self.domains {
+            if d.next_edge == edge {
+                d.dispatch(edge, self.idle_skip, fused, &self.stats);
             }
         }
+        self.set_now(edge);
+        Some(edge)
     }
 
     /// Advance every clock past all edges up to and including instant `to`,
@@ -1284,7 +1018,6 @@ impl Simulator {
         if skipped > 0 {
             self.stats.skips.add(skipped);
             self.set_now(last);
-            self.resync_sched();
         }
     }
 
@@ -1358,32 +1091,16 @@ impl Simulator {
         self.run_until(deadline);
     }
 
-    /// Run until the given domain has executed `n` more cycles.
+    /// Run until the given domain has executed `n` more cycles: through
+    /// the instant of its `n`-th next edge, at which every domain with an
+    /// edge there ticks too.
     pub fn run_cycles(&mut self, clock: ClockId, n: u64) {
-        let target = self.domains[clock.0].cycle + n;
-        // Same probe-per-step structure as `run_until` (see there for why
-        // the geometric probe backoff is gone).
-        while self.domains[clock.0].cycle < target {
-            if self.idle_skip && !self.reset_line.pending() {
-                // The instant of the target edge; every domain processes all
-                // of its edges up to and including it (coincident edges at
-                // the stop instant tick in the same step as the target).
-                let d = &self.domains[clock.0];
-                let remaining = target - d.cycle;
-                let stop = d.next_edge + Time::from_ps((remaining - 1) * d.period.as_ps());
-                match self.activity() {
-                    Activity::Active => {}
-                    Activity::Bounded(t) if stop >= t => self.skip_edges_before(t),
-                    _ => {
-                        self.skip_edges_through(stop);
-                        return;
-                    }
-                }
-            }
-            if self.step().is_none() {
-                break;
-            }
+        if n == 0 {
+            return;
         }
+        let d = &self.domains[clock.0];
+        let stop = d.next_edge + Time::from_ps((n - 1) * d.period.as_ps());
+        self.run_until(stop);
     }
 
     /// Run until `pred` returns true, checking after every edge; gives up
@@ -1574,11 +1291,32 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Edge dispatcher equivalence and quiescence fast-forward.
+    // Edge order against its arithmetic schedule; quiescence fast-forward.
     // ------------------------------------------------------------------
 
-    /// Build one fixed three-clock topology, run it with the given
-    /// dispatcher and return (trace, now, cycles per domain).
+    /// The edge schedule of clocks `(name, first edge, period)` through
+    /// `until`, as one probe per clock logs it: every edge
+    /// `first + k·period` with its cycle `k`, ordered by instant and, at a
+    /// shared instant, by creation order.
+    fn schedule(clocks: &[(&str, Time, Time)], until: Time) -> Vec<(String, u64, Time)> {
+        let mut edges = Vec::new();
+        for (i, &(_, first, period)) in clocks.iter().enumerate() {
+            let (mut t, mut k) = (first, 0);
+            while t <= until {
+                edges.push((t, i, k));
+                t += period;
+                k += 1;
+            }
+        }
+        edges.sort();
+        edges
+            .into_iter()
+            .map(|(t, i, k)| (clocks[i].0.to_string(), k, t))
+            .collect()
+    }
+
+    /// Build one fixed three-clock topology, run it in the given mode and
+    /// return (trace, now, cycles per domain).
     fn trace_with(mode: SchedulerMode) -> (Vec<(String, u64, Time)>, Time, Vec<u64>) {
         let log: TickLog = Rc::new(RefCell::new(Vec::new()));
         let resets = Rc::new(RefCell::new(0));
@@ -1598,64 +1336,46 @@ mod tests {
 
     #[test]
     fn dispatchers_produce_identical_traces() {
-        assert_eq!(
-            trace_with(SchedulerMode::Scan),
-            trace_with(SchedulerMode::Auto)
-        );
+        let ns = Time::from_ns;
+        // `run_until(333 ns)` stops at a's edge at 335 ns; seven more
+        // cycles of b, whose next edge is at 340 ns, end at 400 ns.
+        let end = ns(400);
+        let clocks = [
+            ("a", ns(5), ns(5)),
+            ("b", ns(10), ns(10)),
+            ("c", ns(8), ns(8)),
+        ];
+        for mode in [SchedulerMode::Scan, SchedulerMode::Auto] {
+            let expected = (schedule(&clocks, end), end, vec![80, 40, 50]);
+            assert_eq!(trace_with(mode), expected, "{mode:?}");
+        }
     }
 
+    /// Clocks a (5 ns) and b (7 ns) run to b's edge at 14 ns, then clock c
+    /// (11 ns) joins, its first edge at 25 ns: in phase with neither.
     #[test]
-    fn auto_uses_calendar_when_phases_align() {
-        let mut sim = Simulator::new();
-        sim.add_clock("a", Frequency::mhz(200));
-        sim.add_clock("b", Frequency::mhz(100));
-        assert_eq!(sim.active_scheduler(), "calendar");
-    }
-
-    #[test]
-    fn auto_falls_back_to_heap_for_wild_periods() {
-        let mut sim = Simulator::new();
-        // 1000017 ps and 1000000 ps are co-prime enough that the
-        // hyperperiod needs millions of slots: past MAX_CALENDAR_EDGES.
-        sim.add_clock("a", Frequency::hz(999_983));
-        sim.add_clock("b", Frequency::mhz(1));
-        assert_eq!(sim.active_scheduler(), "heap");
-    }
-
-    /// Build a phase-misaligned simulator: clocks a (5 ns) and b (7 ns)
-    /// run to b's edge at 14 ns, then clock c (11 ns) joins. No common
-    /// origin fits all three pending edges (15 ns, 21 ns, 25 ns).
-    fn misaligned(mode: SchedulerMode) -> (Simulator, ClockId) {
-        let mut sim = Simulator::with_scheduler(mode);
-        let a = sim.add_clock("a", Frequency::mhz(200)); // 5 ns
-        sim.add_clock("b", Frequency::hz(142_857_143)); // 7 ns
-        sim.run_until(Time::from_ns(14));
-        sim.add_clock("c", Frequency::hz(90_909_091)); // 11 ns
-        (sim, a)
-    }
-
-    #[test]
-    fn late_added_clock_falls_back_to_heap_and_stays_exact() {
-        let run = |mode: SchedulerMode| {
+    fn late_added_out_of_phase_clock_ticks_in_time_order() {
+        let ns = Time::from_ns;
+        for mode in [SchedulerMode::Scan, SchedulerMode::Auto] {
             let log: TickLog = Rc::new(RefCell::new(Vec::new()));
             let resets = Rc::new(RefCell::new(0));
-            let (mut sim, a) = misaligned(mode);
+            let mut sim = Simulator::with_scheduler(mode);
+            let a = sim.add_clock("a", Frequency::mhz(200)); // 5 ns
+            let b = sim.add_clock("b", Frequency::hz(142_857_143)); // 7 ns
             sim.add_module(a, probe("a", &log, &resets));
-            sim.run_until(Time::from_ns(200));
-            let trace = log.borrow().clone();
-            (trace, sim.now())
-        };
-        assert_eq!(run(SchedulerMode::Scan), run(SchedulerMode::Auto));
-        let (mut sim, _) = misaligned(SchedulerMode::Auto);
-        assert_eq!(sim.active_scheduler(), "heap");
-    }
-
-    #[test]
-    fn reset_reenables_calendar() {
-        let (mut sim, _) = misaligned(SchedulerMode::Auto);
-        assert_eq!(sim.active_scheduler(), "heap");
-        sim.reset(); // all phases restart from `now`: aligned again
-        assert_eq!(sim.active_scheduler(), "calendar");
+            sim.add_module(b, probe("b", &log, &resets));
+            sim.run_until(ns(14));
+            let c = sim.add_clock("c", Frequency::hz(90_909_091)); // 11 ns
+            sim.add_module(c, probe("c", &log, &resets));
+            sim.run_until(ns(200));
+            assert_eq!(sim.now(), ns(200), "{mode:?}");
+            let clocks = [
+                ("a", ns(5), ns(5)),
+                ("b", ns(7), ns(7)),
+                ("c", ns(25), ns(11)),
+            ];
+            assert_eq!(*log.borrow(), schedule(&clocks, ns(200)), "{mode:?}");
+        }
     }
 
     /// A module that is quiescent from the start; its ticks must be skipped
@@ -1839,7 +1559,7 @@ mod tests {
     /// edge the unfused reference executes.
     struct CachedTimer {
         fire_at: Time,
-        fired: Rc<RefCell<Vec<Time>>>,
+        fired: TickLog,
         wake: WakeHandle,
     }
 
@@ -1849,7 +1569,9 @@ mod tests {
         }
         fn tick(&mut self, ctx: &TickContext) {
             if self.fired.borrow().is_empty() && ctx.now >= self.fire_at {
-                self.fired.borrow_mut().push(ctx.now);
+                self.fired
+                    .borrow_mut()
+                    .push((self.name().into(), ctx.cycle, ctx.now));
             }
         }
         fn activity(&self) -> Activity {
@@ -1913,6 +1635,102 @@ mod tests {
         let s = idle.kernel_stats();
         assert!(s.skips > 0, "idle stretch must be skipped: {s:?}");
         assert!(s.steps < 1000);
+    }
+
+    /// What a `run_cycles` check observes: `now`, every domain's cycle
+    /// count and the trace.
+    type Observed = (Time, Vec<u64>, Vec<(String, u64, Time)>);
+
+    /// A fresh simulator, its clocks in creation order and its modules' log.
+    type Rig = (Simulator, Vec<ClockId>, TickLog);
+
+    fn observe((sim, clks, log): &Rig) -> Observed {
+        let cycles = clks.iter().map(|&c| sim.cycles(c)).collect();
+        (sim.now(), cycles, log.borrow().clone())
+    }
+
+    /// `run_cycles(clks[k], n)` on one rig against an explicit `step()` loop
+    /// until domain `k` has `n` more cycles on another: both must observe
+    /// alike. Returns the observation and the `run_cycles` rig's counters.
+    fn run_cycles_against_steps(
+        build: impl Fn() -> Rig,
+        k: usize,
+        n: u64,
+    ) -> (Observed, KernelStats) {
+        let mut rig = build();
+        rig.0.run_cycles(rig.1[k], n);
+        let got = observe(&rig);
+        let (mut sim, clks, log) = build();
+        let target = sim.cycles(clks[k]) + n;
+        while sim.cycles(clks[k]) < target {
+            sim.step();
+        }
+        assert_eq!(
+            got,
+            observe(&(sim, clks, log)),
+            "run_cycles(clks[{k}], {n})"
+        );
+        (got, rig.0.kernel_stats())
+    }
+
+    #[test]
+    fn run_cycles_is_run_until_of_its_target_edge() {
+        let ns = Time::from_ns;
+        // Two always-active probes, the slower clock created first, run to
+        // the fast clock's edge at 25 ns.
+        let probes = || {
+            let log: TickLog = Rc::new(RefCell::new(Vec::new()));
+            let resets = Rc::new(RefCell::new(0));
+            let mut sim = Simulator::new();
+            let slow = sim.add_clock("slow", Frequency::mhz(100)); // 10 ns
+            let fast = sim.add_clock("fast", Frequency::mhz(200)); // 5 ns
+            sim.add_module(slow, probe("slow", &log, &resets));
+            sim.add_module(fast, probe("fast", &log, &resets));
+            sim.run_until(ns(23));
+            (sim, vec![slow, fast], log)
+        };
+
+        // n = 0 returns at once: no step, no tick, `now` stays.
+        let start = probes();
+        let (got, stats) = run_cycles_against_steps(probes, 0, 0);
+        assert_eq!(got, observe(&start));
+        assert_eq!(stats, start.0.kernel_stats());
+
+        // Three more slow cycles end at its edge at 50 ns, where the faster
+        // domain has an edge too: it ticks in the same step, after slow.
+        let (got, _) = run_cycles_against_steps(probes, 0, 3);
+        assert_eq!((got.0, &got.1[..]), (ns(50), &[5, 10][..]));
+        let last = [
+            ("slow".to_string(), 4, ns(50)),
+            ("fast".to_string(), 9, ns(50)),
+        ];
+        assert_eq!(got.2[got.2.len() - 2..], last);
+
+        // A timer on a 10 ns clock fires at its edge at 7 780 ns; then no
+        // module can act, so the rest of 2 000 cycles of an 8 ns clock is
+        // fast-forwarded through the target edge at 16 µs.
+        let timer = || {
+            let log: TickLog = Rc::new(RefCell::new(Vec::new()));
+            let mut sim = Simulator::new();
+            let a = sim.add_clock("a", Frequency::mhz(100)); // 10 ns
+            let b = sim.add_clock("b", Frequency::mhz(125)); // 8 ns
+            let fired = log.clone();
+            let wake = WakeHandle::new();
+            let fire_at = ns(7777);
+            sim.add_module(
+                a,
+                CachedTimer {
+                    fire_at,
+                    fired,
+                    wake,
+                },
+            );
+            (sim, vec![a, b], log)
+        };
+        let (got, stats) = run_cycles_against_steps(timer, 1, 2000);
+        let fired = vec![("cached_timer".to_string(), 777, ns(7780))];
+        assert_eq!(got, (ns(16_000), vec![1600, 2000], fired));
+        assert_eq!((stats.steps, stats.skips), (1, 1599 + 2000), "{stats:?}");
     }
 
     /// A module that asserts the soft-reset line at a chosen cycle and logs
