@@ -21,7 +21,7 @@ use netfpga_datapath::sched::{
 };
 use netfpga_datapath::ParsedHeaders;
 use netfpga_packet::Ipv4Address;
-use netfpga_projects::ReferenceRouter;
+use netfpga_projects::{ChassisConfig, ReferenceRouter};
 
 /// Flow profiles: (flow id, frame length, DSCP -> class).
 /// Class 0 (DSCP 46, EF) is the "high priority" small-packet flow.
@@ -46,26 +46,22 @@ struct Outcome {
 fn run(
     sched_name: &'static str,
     classes: usize,
-    mk: impl FnMut() -> Box<dyn Scheduler>,
+    mk: impl FnMut() -> Box<dyn Scheduler> + 'static,
 ) -> Outcome {
-    let r = ReferenceRouter::with_scheduler(
-        &BoardSpec::sume(),
-        4,
-        move || QueueConfig {
-            classes,
-            // Same total buffering regardless of class count.
-            bytes_per_queue: 128 * 1024 / classes,
-            classifier: Box::new(|pkt, _meta| {
-                class_of_dscp(
-                    ParsedHeaders::parse(pkt)
-                        .ipv4
-                        .map(|ip| ip.dscp)
-                        .unwrap_or(0),
-                )
-            }),
-        },
-        mk,
-    );
+    let queues = QueueConfig {
+        classes,
+        // Same total buffering regardless of class count.
+        bytes_per_queue: 128 * 1024 / classes,
+        classifier: Box::new(|pkt, _meta| {
+            class_of_dscp(
+                ParsedHeaders::parse(pkt)
+                    .ipv4
+                    .map(|ip| ip.dscp)
+                    .unwrap_or(0),
+            )
+        }),
+    };
+    let r = ReferenceRouter::build(&ChassisConfig::new(&BoardSpec::sume(), 4), queues, mk);
     {
         let mut t = r.tables.borrow_mut();
         t.port_macs = (0..4).map(|i| mac(0xe0 + i)).collect();

@@ -24,7 +24,7 @@ use netfpga_datapath::queues::QueueConfig;
 use netfpga_datapath::sched::Fifo;
 use netfpga_mem::{Dram, DramConfig, DramRequest};
 use netfpga_packet::Ipv4Address;
-use netfpga_projects::{AcceptanceTest, ReferenceRouter};
+use netfpga_projects::{AcceptanceTest, ChassisConfig, ReferenceRouter};
 
 /// Achieved egress rate (Gb/s) of the acceptance loop at a 40G port with
 /// the given bus width.
@@ -66,16 +66,13 @@ fn bus_width_run(bus_width: usize) -> f64 {
 
 /// Loss fraction of a 2:1 overload burst vs per-queue buffer bytes.
 fn buffer_sizing_run(bytes_per_queue: usize) -> f64 {
-    let r = ReferenceRouter::with_scheduler(
-        &BoardSpec::sume(),
-        4,
-        || QueueConfig {
-            classes: 1,
-            bytes_per_queue,
-            classifier: Box::new(|_, _| 0),
-        },
-        || Box::new(Fifo),
-    );
+    let queues = QueueConfig {
+        classes: 1,
+        bytes_per_queue,
+        classifier: Box::new(|_, _| 0),
+    };
+    let config = ChassisConfig::new(&BoardSpec::sume(), 4);
+    let r = ReferenceRouter::build(&config, queues, || Box::new(Fifo));
     {
         let mut t = r.tables.borrow_mut();
         t.port_macs = (0..4).map(|i| mac(0xe0 + i)).collect();

@@ -22,7 +22,7 @@ use netfpga_core::telemetry::{decode_stat_block, EventKind, TELEMETRY_BASE};
 use netfpga_core::time::Time;
 use netfpga_host::{dump_stats, poll_events};
 use netfpga_projects::blueswitch::BlueSwitch;
-use netfpga_projects::harness::Chassis;
+use netfpga_projects::harness::{Chassis, ChassisConfig};
 use netfpga_projects::osnt::OsntTester;
 use netfpga_projects::reference_nic::ReferenceNic;
 use netfpga_projects::reference_router::ReferenceRouter;
@@ -149,7 +149,15 @@ fn main() {
             duration: Time::from_us(10),
         },
     );
-    let mut flapped = ReferenceSwitch::with_faults(&spec, 4, 1024, Time::from_ms(100), false, plan);
+    let mut flapped = ReferenceSwitch::build(
+        &ChassisConfig {
+            faults: plan,
+            ..ChassisConfig::new(&spec, 4)
+        },
+        1024,
+        Time::from_ms(100),
+        None,
+    );
     flapped.chassis.run_for(Time::from_us(40));
     let events = poll_events(&mut flapped.chassis);
     let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();

@@ -33,7 +33,7 @@ use netfpga_core::sim::SchedulerMode;
 use netfpga_core::time::Time;
 use netfpga_flowmon::{CountMinSketch, FiveTuple, FlowmonConfig, SketchConfig};
 use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
-use netfpga_projects::ReferenceSwitch;
+use netfpga_projects::{ChassisConfig, ReferenceSwitch};
 
 const NFLOWS: usize = 48;
 
@@ -125,13 +125,14 @@ fn run_workload(
     mode: SchedulerMode,
     idle_skip: bool,
 ) -> (ReferenceSwitch, Signature) {
-    let mut sw = ReferenceSwitch::with_flowmon(
-        &BoardSpec::sume(),
-        4,
+    let mut sw = ReferenceSwitch::build(
+        &ChassisConfig {
+            fast_path: true,
+            ..ChassisConfig::new(&BoardSpec::sume(), 4)
+        },
         1024,
         Time::from_ms(100),
-        true,
-        FlowmonConfig::default(),
+        Some(FlowmonConfig::default()),
     );
     sw.chassis.sim.set_scheduler_mode(mode);
     sw.chassis.sim.set_idle_skip(idle_skip);

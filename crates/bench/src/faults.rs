@@ -12,7 +12,7 @@ use netfpga_core::board::BoardSpec;
 use netfpga_core::time::Time;
 use netfpga_faults::{FaultKind, FaultPlan, TraceEntry};
 use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
-use netfpga_projects::ReferenceSwitch;
+use netfpga_projects::{ChassisConfig, ReferenceSwitch};
 
 /// One point of the BER × flap sweep.
 #[derive(Debug, Clone, Copy)]
@@ -127,8 +127,16 @@ pub fn degraded_switch(point: FaultPoint) -> FaultRunResult {
         }
     }
 
-    let mut sw =
-        ReferenceSwitch::with_faults(&BoardSpec::sume(), 4, 1024, Time::from_ms(500), true, plan);
+    let mut sw = ReferenceSwitch::build(
+        &ChassisConfig {
+            fast_path: true,
+            faults: plan,
+            ..ChassisConfig::new(&BoardSpec::sume(), 4)
+        },
+        1024,
+        Time::from_ms(500),
+        None,
+    );
     let faults = sw.chassis.faults.clone().expect("armed plan");
 
     // Teach the switch: dst lives on port 1.

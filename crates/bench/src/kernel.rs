@@ -54,7 +54,7 @@ use netfpga_host::{NicDriver, ReliableChannel, ReliableConfig};
 use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
 use netfpga_pcie::SendError;
 use netfpga_projects::flowmon::FlowmonConfig;
-use netfpga_projects::{Chassis, ReferenceNic, ReferenceSwitch};
+use netfpga_projects::{Chassis, ChassisConfig, ReferenceNic, ReferenceSwitch};
 
 /// Which stepper configuration a run measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,13 +153,14 @@ fn switch(config: KernelConfig) -> ReferenceSwitch {
 /// into the datapath (tap + histograms + exporter) — the configuration the
 /// `fast+tap` rows set against plain `Fast`.
 fn tapped_switch() -> ReferenceSwitch {
-    let mut sw = ReferenceSwitch::with_flowmon(
-        &BoardSpec::sume(),
-        4,
+    let mut sw = ReferenceSwitch::build(
+        &ChassisConfig {
+            fast_path: true,
+            ..ChassisConfig::new(&BoardSpec::sume(), 4)
+        },
         1024,
         Time::from_ms(100),
-        true,
-        FlowmonConfig::default(),
+        Some(FlowmonConfig::default()),
     );
     KernelConfig::Fast.pin(&mut sw.chassis);
     sw

@@ -17,7 +17,7 @@ use netfpga_faults::{EccMode, FaultKind, FaultPlan, RecoveryPolicy, TraceEntry};
 use netfpga_mem::Bram;
 use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
 use netfpga_phy::PortBond;
-use netfpga_projects::ReferenceSwitch;
+use netfpga_projects::{ChassisConfig, ReferenceSwitch};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -212,8 +212,16 @@ pub fn recovery_switch(point: RecoveryPoint) -> RecoveryRunResult {
             .any(|e| matches!(e.kind, FaultKind::LaneRestore { .. })),
         "the schedule must not help: no restore events"
     );
-    let mut sw =
-        ReferenceSwitch::with_faults(&BoardSpec::sume(), 4, 1024, Time::from_ms(500), true, plan);
+    let mut sw = ReferenceSwitch::build(
+        &ChassisConfig {
+            fast_path: true,
+            faults: plan,
+            ..ChassisConfig::new(&BoardSpec::sume(), 4)
+        },
+        1024,
+        Time::from_ms(500),
+        None,
+    );
     let faults = sw.chassis.faults.clone().expect("armed plan");
     if point.scrub_words_per_cycle > 0 {
         faults.register_memory(

@@ -19,6 +19,7 @@ use netfpga_faults::{FaultKind, FaultPlan, RecoveryPolicy, TraceEntry};
 use netfpga_host::{ReliableChannel, ReliableConfig};
 use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
 use netfpga_projects::reference_nic::ReferenceNic;
+use netfpga_projects::ChassisConfig;
 use std::collections::BTreeSet;
 
 /// When the wedge lands (wedge points only).
@@ -156,7 +157,11 @@ fn build_plan(point: &ReliabilityPoint) -> FaultPlan {
 /// retry and (for the wedge) the watchdog.
 pub fn reliability_nic(point: ReliabilityPoint) -> ReliabilityRunResult {
     let plan = build_plan(&point);
-    let mut nic = ReferenceNic::with_faults(&BoardSpec::sume(), 4, true, plan);
+    let mut nic = ReferenceNic::build(&ChassisConfig {
+        fast_path: true,
+        faults: plan,
+        ..ChassisConfig::new(&BoardSpec::sume(), 4)
+    });
     let dma = nic.chassis.dma.clone().expect("NIC has DMA");
     // A generous attempt cap: the sweep judges exactly-once, so no point
     // may abandon — shedding at the pending queue is the only legal loss.

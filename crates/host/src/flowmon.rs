@@ -98,7 +98,7 @@ mod tests {
     use netfpga_core::board::BoardSpec;
     use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
     use netfpga_projects::flowmon::FlowmonConfig;
-    use netfpga_projects::ReferenceSwitch;
+    use netfpga_projects::{ChassisConfig, ReferenceSwitch};
 
     fn mac(x: u8) -> EthernetAddress {
         EthernetAddress::new(2, 0, 0, 0, 0, x)
@@ -116,13 +116,11 @@ mod tests {
     }
 
     fn flowmon_switch() -> ReferenceSwitch {
-        ReferenceSwitch::with_flowmon(
-            &BoardSpec::sume(),
-            4,
+        ReferenceSwitch::build(
+            &ChassisConfig::new(&BoardSpec::sume(), 4),
             1024,
             Time::from_ms(100),
-            false,
-            FlowmonConfig::default(),
+            Some(FlowmonConfig::default()),
         )
     }
 

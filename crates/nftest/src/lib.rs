@@ -87,8 +87,8 @@ pub enum Step {
         duration: Time,
     },
     /// Inject a fault through the chassis fault plane. Fails the plan if
-    /// the chassis was built without one ([`Chassis::with_faults`] with a
-    /// non-inert plan).
+    /// the chassis was built without one ([`Chassis::new`] with a
+    /// non-inert [`ChassisConfig::faults`](netfpga_projects::ChassisConfig::faults)).
     InjectFault {
         /// The fault to inject.
         fault: FaultKind,
@@ -573,7 +573,7 @@ pub fn run(plan: &TestPlan, chassis: &mut Chassis) -> TestReport {
                 if chassis.read32(netfpga_flowmon::FLOWMON_BASE) != netfpga_flowmon::FLOWMON_MAGIC {
                     failures.push(format!(
                         "step {i}: ExpectFlow on a chassis without a flow-monitor \
-                         block (build it with_flowmon)"
+                         block (build it with a FlowmonConfig)"
                     ));
                 } else {
                     let got = netfpga_host::dump_flows(chassis)
@@ -733,6 +733,7 @@ mod tests {
     use netfpga_core::board::BoardSpec;
     use netfpga_core::stream::PortMask;
     use netfpga_packet::{EthernetAddress, PacketBuilder};
+    use netfpga_projects::harness::ChassisConfig;
     use netfpga_projects::reference_nic::ReferenceNic;
     use netfpga_projects::reference_switch::{ReferenceSwitch, LOOKUP_BASE};
 
@@ -880,13 +881,14 @@ mod tests {
     #[test]
     fn fault_steps_drive_link_flap_and_counters() {
         use netfpga_faults::{faultregs, FaultPlan, FAULTS_BASE};
-        let mut sw = ReferenceSwitch::with_faults(
-            &BoardSpec::sume(),
-            4,
+        let mut sw = ReferenceSwitch::build(
+            &ChassisConfig {
+                faults: FaultPlan::new(11),
+                ..ChassisConfig::new(&BoardSpec::sume(), 4)
+            },
             1024,
             Time::from_ms(100),
-            false,
-            FaultPlan::new(11),
+            None,
         );
         let f = frame(1, 2);
         let plan = TestPlan::new("fault_flap")
@@ -928,13 +930,14 @@ mod tests {
     #[test]
     fn counter_out_of_range_reported() {
         use netfpga_faults::{faultregs, FaultPlan, FAULTS_BASE};
-        let mut sw = ReferenceSwitch::with_faults(
-            &BoardSpec::sume(),
-            4,
+        let mut sw = ReferenceSwitch::build(
+            &ChassisConfig {
+                faults: FaultPlan::new(12),
+                ..ChassisConfig::new(&BoardSpec::sume(), 4)
+            },
             1024,
             Time::from_ms(100),
-            false,
-            FaultPlan::new(12),
+            None,
         );
         let plan = TestPlan::new("range").expect_counter_in_range(
             FAULTS_BASE + faultregs::LINK_DOWN_DROPS,
@@ -986,13 +989,14 @@ mod tests {
             scrub_words_per_cycle: 0,
             ..RecoveryPolicy::default()
         };
-        let mut sw = ReferenceSwitch::with_faults(
-            &BoardSpec::sume(),
-            4,
+        let mut sw = ReferenceSwitch::build(
+            &ChassisConfig {
+                faults: FaultPlan::new(21).with_recovery(policy),
+                ..ChassisConfig::new(&BoardSpec::sume(), 4)
+            },
             1024,
             Time::from_ms(100),
-            false,
-            FaultPlan::new(21).with_recovery(policy),
+            None,
         );
         let f = frame(1, 2);
         // Graceful degradation with no restore event anywhere: flap the
@@ -1024,13 +1028,14 @@ mod tests {
     #[test]
     fn await_recovery_fails_when_the_deadline_is_too_tight() {
         use netfpga_faults::{FaultPlan, RecoveryPolicy};
-        let mut sw = ReferenceSwitch::with_faults(
-            &BoardSpec::sume(),
-            4,
+        let mut sw = ReferenceSwitch::build(
+            &ChassisConfig {
+                faults: FaultPlan::new(22).with_recovery(RecoveryPolicy::default()),
+                ..ChassisConfig::new(&BoardSpec::sume(), 4)
+            },
             1024,
             Time::from_ms(100),
-            false,
-            FaultPlan::new(22).with_recovery(RecoveryPolicy::default()),
+            None,
         );
         let plan = TestPlan::new("too_tight")
             .inject_fault(FaultKind::LinkDown {
@@ -1066,13 +1071,11 @@ mod tests {
     fn flow_and_quantile_steps_drive_the_flowmon_plane() {
         use netfpga_flowmon::{FiveTuple, FlowmonConfig};
         use netfpga_packet::Ipv4Address;
-        let mut sw = ReferenceSwitch::with_flowmon(
-            &BoardSpec::sume(),
-            4,
+        let mut sw = ReferenceSwitch::build(
+            &ChassisConfig::new(&BoardSpec::sume(), 4),
             1024,
             Time::from_ms(100),
-            false,
-            FlowmonConfig::default(),
+            Some(FlowmonConfig::default()),
         );
         let pkt = |sport: u16| {
             PacketBuilder::new()

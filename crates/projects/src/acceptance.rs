@@ -4,9 +4,8 @@
 //! payload integrity check. Used to validate a board (here: the chassis
 //! edge models) before any real project is loaded.
 
-use crate::harness::{Chassis, ChassisIo};
+use crate::harness::{Chassis, ChassisConfig, ChassisIo};
 use netfpga_core::board::BoardSpec;
-use netfpga_core::regs::AddressMap;
 use netfpga_core::resources::ResourceCost;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
@@ -84,7 +83,7 @@ pub struct AcceptanceTest {
 impl AcceptanceTest {
     /// Build on `spec` with `nports` looped ports.
     pub fn new(spec: &BoardSpec, nports: usize) -> AcceptanceTest {
-        let (mut chassis, io) = Chassis::new(spec, nports, AddressMap::new());
+        let (mut chassis, io) = Chassis::new(&ChassisConfig::new(spec, nports));
         let ChassisIo {
             from_ports,
             to_ports,

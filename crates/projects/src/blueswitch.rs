@@ -10,18 +10,16 @@
 //! one configuration version — never a mixture — which is the property
 //! experiment E5 measures against a naive write-in-place baseline.
 
-use crate::harness::{Chassis, ChassisIo};
+use crate::harness::{Chassis, ChassisConfig, ReferencePipeline};
 use netfpga_core::board::BoardSpec;
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::regs::{shared, AddressMap, RegisterSpace};
+use netfpga_core::regs::{shared, RegisterSpace, UNMAPPED_READ};
 use netfpga_core::resources::ResourceCost;
-use netfpga_core::stream::{Meta, PortMask, Stream};
+use netfpga_core::stream::{Meta, PortMask};
 use netfpga_core::time::Time;
 use netfpga_datapath::blocks;
-use netfpga_datapath::queues::{OutputQueues, QueueConfig};
-use netfpga_datapath::sched::Fifo;
 use netfpga_datapath::stage::{PacketLogic, StageAction};
-use netfpga_datapath::{InputArbiter, PacketStage, ParsedHeaders};
+use netfpga_datapath::ParsedHeaders;
 use netfpga_mem::{Tcam, TcamEntry, TernaryKey};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -242,9 +240,10 @@ impl MatchActionPipeline {
     }
 
     /// Per-rule packet count of the rule in `slot` of `table`'s active
-    /// bank — OpenFlow flow statistics.
-    pub fn rule_hits(&self, table: usize, slot: usize) -> u64 {
-        self.hits[table][self.active][slot]
+    /// bank — OpenFlow flow statistics; `None` for a table or slot the
+    /// pipeline does not have.
+    pub fn rule_hits(&self, table: usize, slot: usize) -> Option<u64> {
+        self.hits.get(table)?[self.active].get(slot).copied()
     }
 
     /// Clear the shadow bank of every table (start of a new config push).
@@ -391,18 +390,26 @@ mod cmd {
 /// | 3 | action kind (0 = output, 1 = drop, 2 = controller) |
 /// | 4 | action port mask |
 /// | 5 | config tag (low 32 bits) |
+/// | 6 | slot selector for flow statistics |
 /// | 8..14 | staged key value (28 bytes) |
 /// | 16..22 | staged key mask (28 bytes) |
-/// | 6 | slot selector for flow statistics |
 /// | 24 | committed version (RO) |
 /// | 25 | packets (RO) |
 /// | 26 | mixed-tag packets (RO) |
 /// | 27 | controller punts (RO) |
 /// | 28 | hit count of rule (table = word 1, slot = word 6) (RO) |
+///
+/// Every other word reads [`UNMAPPED_READ`] and ignores writes, and so
+/// does word 28 while word 6 selects a slot past the table's capacity.
 pub struct BlueSwitchRegisters {
     pipeline: Rc<RefCell<MatchActionPipeline>>,
     counters: Rc<RefCell<BlueSwitchCounters>>,
     stage: [u32; 24],
+}
+
+/// The staging words of [`BlueSwitchRegisters`], readable and writable.
+fn staged(word: u32) -> bool {
+    matches!(word, 1..=6 | 8..=14 | 16..=22)
 }
 
 impl BlueSwitchRegisters {
@@ -432,7 +439,7 @@ impl BlueSwitchRegisters {
 impl RegisterSpace for BlueSwitchRegisters {
     fn read(&mut self, offset: u32) -> u32 {
         match offset / 4 {
-            w @ 1..=23 => self.stage.get(w as usize).copied().unwrap_or(0),
+            w if staged(w) => self.stage[w as usize],
             24 => self.pipeline.borrow().version() as u32,
             25 => self.counters.borrow().packets as u32,
             26 => self.counters.borrow().mixed_tag_packets as u32,
@@ -440,9 +447,10 @@ impl RegisterSpace for BlueSwitchRegisters {
             28 => {
                 let p = self.pipeline.borrow();
                 let table = (self.stage[1] as usize).min(p.ntables() - 1);
-                p.rule_hits(table, self.stage[6] as usize) as u32
+                p.rule_hits(table, self.stage[6] as usize)
+                    .map_or(UNMAPPED_READ, |hits| hits as u32)
             }
-            _ => netfpga_core::regs::UNMAPPED_READ,
+            _ => UNMAPPED_READ,
         }
     }
 
@@ -467,11 +475,7 @@ impl RegisterSpace for BlueSwitchRegisters {
                     _ => {}
                 }
             }
-            w @ 1..=23 => {
-                if let Some(slot) = self.stage.get_mut(w as usize) {
-                    *slot = value;
-                }
-            }
+            w if staged(w) => self.stage[w as usize] = value,
             _ => {}
         }
     }
@@ -494,37 +498,31 @@ impl BlueSwitch {
     /// Build on `spec` with `nports` ports, `ntables` match tables of
     /// `capacity` rules.
     pub fn new(spec: &BoardSpec, nports: usize, ntables: usize, capacity: usize) -> BlueSwitch {
-        BlueSwitch::with_faults(
-            spec,
-            nports,
-            ntables,
-            capacity,
-            netfpga_faults::FaultPlan::none(),
-        )
+        BlueSwitch::build(&ChassisConfig::new(spec, nports), ntables, capacity)
     }
 
-    /// Same, with the fault-injection plane spliced in executing `plan`
-    /// (see [`Chassis::with_faults`]). The whole match-action pipeline is
-    /// registered with the injector as memory `"flow_tcam"` under parity
-    /// protection — TCAM key cells carry no ECC, so upsets are detected
-    /// (the corrupted rule stops matching) but never silently repaired.
-    pub fn with_faults(
-        spec: &BoardSpec,
-        nports: usize,
-        ntables: usize,
-        capacity: usize,
-        plan: netfpga_faults::FaultPlan,
-    ) -> BlueSwitch {
-        let (mut chassis, io) = Chassis::with_faults(spec, nports, AddressMap::new(), false, plan);
-        let ChassisIo {
-            from_ports,
-            to_ports,
-        } = io;
-        let w = chassis.bus_width();
-        let cpu_port = nports as u8;
-
+    /// Build on the chassis `config` describes. With a fault plane the
+    /// whole match-action pipeline is registered with the injector as
+    /// memory `"flow_tcam"` under parity protection — TCAM key cells carry
+    /// no ECC, so upsets are detected (the corrupted rule stops matching)
+    /// but never silently repaired.
+    pub fn build(config: &ChassisConfig, ntables: usize, capacity: usize) -> BlueSwitch {
+        let cpu_port = config.nports as u8;
         let pipeline = Rc::new(RefCell::new(MatchActionPipeline::new(ntables, capacity)));
         let counters = Rc::new(RefCell::new(BlueSwitchCounters::default()));
+        let lookup = BlueSwitchLookup {
+            pipeline: pipeline.clone(),
+            counters: counters.clone(),
+            cpu_port,
+        };
+        // One cycle per table plus parse, like the RTL pipeline.
+        let latency = 4 + ntables as u64;
+        let mut chassis = ReferencePipeline {
+            cpu_port: true,
+            ..ReferencePipeline::new("match_action", latency, lookup)
+        }
+        .build(config)
+        .chassis;
         if let Some(handle) = &chassis.faults {
             handle.register_memory(
                 "flow_tcam",
@@ -532,61 +530,17 @@ impl BlueSwitch {
                 pipeline.clone(),
             );
         }
-
-        let (h2c_tx, h2c_rx) = Stream::new(64, w);
-        let mut inputs = from_ports;
-        inputs.push(h2c_rx);
-        let (arb_tx, arb_rx) = Stream::new(64, w);
-        let arbiter = InputArbiter::new("input_arbiter", inputs, arb_tx);
-        let (lookup_tx, lookup_rx) = Stream::new(64, w);
-        let lookup = PacketStage::new(
-            "match_action",
-            arb_rx,
-            lookup_tx,
-            // One cycle per table plus parse, like the RTL pipeline.
-            4 + ntables as u64,
-            BlueSwitchLookup {
-                pipeline: pipeline.clone(),
-                counters: counters.clone(),
-                cpu_port,
-            },
-        );
-        let (c2h_tx, c2h_rx) = Stream::new(64, w);
-        let mut outputs = to_ports;
-        outputs.push(c2h_tx);
-        let oq = OutputQueues::new(
-            "output_queues",
-            lookup_rx,
-            outputs,
-            QueueConfig::default(),
-            || Box::new(Fifo),
-        );
-
-        lookup.register_stats(&chassis.telemetry, "pipeline.lookup");
-        oq.register_stats(&chassis.telemetry, "oq");
-        oq.register_depth_gauges(&chassis.telemetry, "");
-        {
-            type Field = fn(&BlueSwitchCounters) -> u64;
-            let fields: [(&str, Field); 5] = [
+        chassis.register_gauges(
+            "blueswitch",
+            &counters,
+            &[
                 ("packets", |c| c.packets),
                 ("matched", |c| c.matched),
                 ("mixed_tag_packets", |c| c.mixed_tag_packets),
                 ("to_controller", |c| c.to_controller),
                 ("dropped", |c| c.dropped),
-            ];
-            for (name, field) in fields {
-                let counters = counters.clone();
-                chassis
-                    .telemetry
-                    .gauge(&format!("blueswitch.{name}"), move || {
-                        field(&counters.borrow())
-                    });
-            }
-        }
-        chassis.add_module(arbiter);
-        chassis.add_module(lookup);
-        chassis.add_module(oq);
-        chassis.attach_dma(h2c_tx, c2h_rx);
+            ],
+        );
         chassis.map.mount(
             "blueswitch",
             BLUESWITCH_BASE,
@@ -904,12 +858,14 @@ mod tests {
             p.classify(&flow_key(&udp_frame(80), &Meta::default()));
         }
         p.classify(&flow_key(&udp_frame(443), &Meta::default()));
-        assert_eq!(p.rule_hits(0, 0), 3, "web rule");
-        assert_eq!(p.rule_hits(0, 1), 1, "catch-all");
+        assert_eq!(p.rule_hits(0, 0), Some(3), "web rule");
+        assert_eq!(p.rule_hits(0, 1), Some(1), "catch-all");
+        assert_eq!(p.rule_hits(0, 8), None, "past the capacity");
+        assert_eq!(p.rule_hits(1, 0), None, "past the last table");
         // Commit flips banks: shadow counters start clean.
         p.clear_shadow();
         p.commit();
-        assert_eq!(p.rule_hits(0, 0), 0);
+        assert_eq!(p.rule_hits(0, 0), Some(0));
     }
 
     #[test]
@@ -931,6 +887,24 @@ mod tests {
         sw.chassis.write32(b + 4, 0); // table 0
         sw.chassis.write32(b + 24, 0); // slot 0 (word 6)
         assert_eq!(sw.chassis.read32(b + 28 * 4), 4, "rule hit counter");
+    }
+
+    /// Word 28 used to index the hit counters with whatever slot word 6
+    /// held, and a slot past the capacity aborted a release binary.
+    #[test]
+    fn hit_count_of_a_slot_past_the_capacity_reads_unmapped() {
+        let mut sw = BlueSwitch::new(&BoardSpec::sume(), 4, 2, 64);
+        let b = BLUESWITCH_BASE;
+        for (table, slot) in [(0, 64), (1, 0xFFFF_FFFF), (7, 64)] {
+            sw.chassis.write32(b + 4, table);
+            sw.chassis.write32(b + 6 * 4, slot);
+            assert_eq!(sw.chassis.read32(b + 28 * 4), UNMAPPED_READ, "slot {slot}");
+        }
+        sw.chassis.write32(b + 6 * 4, 63);
+        assert_eq!(sw.chassis.read32(b + 28 * 4), 0, "the last slot is mapped");
+        for w in [0, 7, 15, 23, 29, 63] {
+            assert_eq!(sw.chassis.read32(b + w * 4), UNMAPPED_READ, "word {w}");
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! (`spine = host % spines`), and the lookup `floods` counter staying at
 //! zero across a run is the storm-free proof.
 
+use crate::harness::ChassisConfig;
 use crate::reference_switch::ReferenceSwitch;
 use netfpga_core::board::BoardSpec;
 use netfpga_core::hash::{fnv1a64, Fnv1a64};
@@ -179,14 +180,12 @@ impl LeafSpine {
         } else {
             self.leaves
         };
-        let mut sw = ReferenceSwitch::with_faults(
-            &BoardSpec::sume(),
-            nports,
-            TABLE_CAPACITY,
-            AGE_LIMIT,
-            self.fast_path,
-            plan,
-        );
+        let config = ChassisConfig {
+            fast_path: self.fast_path,
+            faults: plan,
+            ..ChassisConfig::new(&BoardSpec::sume(), nports)
+        };
+        let mut sw = ReferenceSwitch::build(&config, TABLE_CAPACITY, AGE_LIMIT, None);
         {
             // Pre-teach: learning `mac@port` is a `decide` with the MAC as
             // source on the port we want it bound to (the dst lookup it

@@ -2,9 +2,11 @@
 //!
 //! A [`Chassis`] owns the simulator and the board edge — Ethernet MACs on
 //! every front-panel port, and optionally a DMA engine and MMIO bridge for
-//! the host side. Projects wire their datapath between the edge streams
-//! ([`ChassisIo`]), exactly as a real project instantiates its pipeline
-//! between the platform-provided MAC wrappers and the PCIe core.
+//! the host side. One [`ChassisConfig`] describes it. Projects wire their
+//! datapath between the edge streams ([`ChassisIo`]), exactly as a real
+//! project instantiates its pipeline between the platform-provided MAC
+//! wrappers and the PCIe core; the lookup projects all wire the same one,
+//! the [`ReferencePipeline`].
 //!
 //! The tester (nftest harness, experiments) interacts only at the edges:
 //! frames onto port wires (paced at line rate, as a peer device would
@@ -13,7 +15,7 @@
 
 use netfpga_core::board::BoardSpec;
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::regs::AddressMap;
+use netfpga_core::regs::{shared, AddressMap};
 use netfpga_core::sim::{ClockId, Module, Simulator};
 use netfpga_core::stats::Counter;
 use netfpga_core::stream::{Stream, StreamRx, StreamTx};
@@ -21,13 +23,24 @@ use netfpga_core::telemetry::{
     EventRing, StatBlock, StatRegistry, EVENTS_BASE, EVENTS_SIZE, TELEMETRY_BASE, TELEMETRY_SIZE,
 };
 use netfpga_core::time::{BitRate, Time};
+use netfpga_datapath::pktstats::{StatsHandles, StatsRegisters, StatsStage};
+use netfpga_datapath::queues::{OutputQueues, QueueConfig};
+use netfpga_datapath::sched::{Fifo, Scheduler};
+use netfpga_datapath::stage::PacketLogic;
+use netfpga_datapath::{InputArbiter, PacketStage};
 use netfpga_faults::{
     FaultHandle, FaultInjector, FaultPlan, FaultRegisters, ProgressProbe, Watchdog, WatchdogConfig,
     FAULTS_BASE,
 };
+use netfpga_flowmon::hist::register_quantile_gauges;
+use netfpga_flowmon::{
+    ExporterHandle, FlowExporter, FlowMonHandle, FlowTap, FlowmonConfig, FlowmonRegisters,
+    LogLinearHistogram, FLOWMON_BASE, FLOWMON_SIZE,
+};
 use netfpga_pcie::{DmaEngine, DmaHandle, MmioBridge, MmioPort, PcieConfig};
 use netfpga_phy::mac::{wire_bytes, EthMacRx, EthMacTx, SharedMacStats, WireFrame};
 use netfpga_phy::{LinkState, PcsHandle, PcsPort, Wire};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Depth (in words) of the edge streams between MACs and the datapath.
@@ -39,6 +52,41 @@ struct TesterPort {
     rate: BitRate,
     next_free: Time,
 }
+
+/// What a chassis is built from.
+#[derive(Debug, Clone)]
+pub struct ChassisConfig {
+    /// The board: core clock, bus width, port rates, PCIe link.
+    pub board: BoardSpec,
+    /// Ethernet ports wired, `1..=16`.
+    pub nports: usize,
+    /// The kernel fast path: the edge MACs, a DMA engine attached later
+    /// (whole bursts per tick, its bus still charged a cycle per beat —
+    /// see [`DmaEngine`]) and every stage of a [`ReferencePipeline`] run in
+    /// burst mode, whole frames per tick instead of one word per cycle.
+    /// Frame contents, ordering and — under sustained load — wire pacing
+    /// are unchanged; word-level timing inside the pipeline is not
+    /// cycle-exact.
+    pub fast_path: bool,
+    /// The fault plan spliced in by [`Chassis::new`].
+    pub faults: FaultPlan,
+}
+
+impl ChassisConfig {
+    /// `nports` ports of `board`, word-level, no faults.
+    pub fn new(board: &BoardSpec, nports: usize) -> ChassisConfig {
+        ChassisConfig {
+            board: board.clone(),
+            nports,
+            fast_path: false,
+            faults: FaultPlan::none(),
+        }
+    }
+}
+
+/// A named read of one field of a shared counter block, for
+/// [`Chassis::register_gauges`].
+pub(crate) type Gauge<T> = (&'static str, fn(&T) -> u64);
 
 /// The project-facing edge streams created by [`Chassis::new`].
 pub struct ChassisIo {
@@ -59,7 +107,7 @@ pub struct Chassis {
     /// Host MMIO port, when a bridge is attached.
     pub mmio: Option<MmioPort>,
     /// Fault-plane handle, when the chassis was built with a non-inert
-    /// [`FaultPlan`] (see [`Chassis::with_faults`]).
+    /// [`FaultPlan`] (see [`Chassis::new`]).
     pub faults: Option<FaultHandle>,
     /// The board's register map (empty until a project mounts blocks).
     pub map: Rc<AddressMap>,
@@ -94,44 +142,17 @@ pub struct Chassis {
 }
 
 impl Chassis {
-    /// Build a chassis for `nports` Ethernet ports of `spec`'s board: MACs
-    /// at each port, core clock and bus width from the spec.
-    pub fn new(spec: &BoardSpec, nports: usize, map: AddressMap) -> (Chassis, ChassisIo) {
-        Chassis::with_fast_path(spec, nports, map, false)
-    }
-
-    /// Like [`Chassis::new`], with the kernel fast path optionally enabled:
-    /// the edge MACs run in burst mode (whole frames per tick instead of
-    /// one word per cycle), and so does a DMA engine attached with
-    /// [`Chassis::attach_dma`] (whole bursts per tick, its bus still
-    /// charged a cycle per beat — see [`DmaEngine`]). Frame contents,
-    /// ordering and — under sustained load — wire pacing are unchanged;
-    /// word-level timing inside the pipeline is not cycle-exact. Projects
-    /// built on a fast-path chassis should enable burst mode on their own
-    /// stages too.
-    pub fn with_fast_path(
-        spec: &BoardSpec,
-        nports: usize,
-        map: AddressMap,
-        fast_path: bool,
-    ) -> (Chassis, ChassisIo) {
-        Chassis::with_faults(spec, nports, map, fast_path, FaultPlan::none())
-    }
-
-    /// Like [`Chassis::with_fast_path`], with the fault plane spliced in:
-    /// a [`FaultInjector`] executing `plan` is interposed between the
-    /// tester and the port MACs, its counters are mounted at
-    /// [`FAULTS_BASE`], and any DMA engine attached later gets the plan's
-    /// fault gate. With an inert plan ([`FaultPlan::none`]) *nothing* is
-    /// spliced and the chassis is bit-for-bit identical to
-    /// [`Chassis::with_fast_path`].
-    pub fn with_faults(
-        spec: &BoardSpec,
-        nports: usize,
-        map: AddressMap,
-        fast_path: bool,
-        plan: FaultPlan,
-    ) -> (Chassis, ChassisIo) {
+    /// Build the chassis `config` describes: MACs at each of its ports,
+    /// core clock and bus width from its board, and — unless its fault
+    /// plan is inert ([`FaultPlan::none`]) — the fault plane spliced in: a
+    /// [`FaultInjector`] executing the plan between the tester and the port
+    /// MACs, its counters mounted at [`FAULTS_BASE`], and the plan's fault
+    /// gate on any DMA engine attached later. With an inert plan *nothing*
+    /// is spliced. Projects mount their register blocks on [`Chassis::map`]
+    /// afterwards.
+    pub fn new(config: &ChassisConfig) -> (Chassis, ChassisIo) {
+        let (spec, nports, plan) = (&config.board, config.nports, &config.faults);
+        let map = AddressMap::new();
         assert!((1..=16).contains(&nports), "1..=16 ports");
         let telemetry = StatRegistry::new();
         let events = EventRing::new(64);
@@ -176,7 +197,7 @@ impl Chassis {
         let mut injector = if plan.is_inert() {
             None
         } else {
-            Some(FaultInjector::new("fault_injector", &plan))
+            Some(FaultInjector::new("fault_injector", plan))
         };
         let mut ports = Vec::new();
         let mut from_ports = Vec::new();
@@ -208,8 +229,8 @@ impl Chassis {
             let (tx_tx, tx_rx) = Stream::new(EDGE_FIFO_WORDS, spec.bus_width);
             let (mac_rx, rstat) = EthMacRx::new(&format!("mac{i}_rx"), mac_in, rx_tx, i as u8);
             let (mac_tx, tstat) = EthMacTx::new(&format!("mac{i}_tx"), rate, tx_rx, mac_out);
-            sim.add_module(clk, mac_rx.with_burst(fast_path));
-            sim.add_module(clk, mac_tx.with_burst(fast_path));
+            sim.add_module(clk, mac_rx.with_burst(config.fast_path));
+            sim.add_module(clk, mac_tx.with_burst(config.fast_path));
             rstat.register_stats(&telemetry, &format!("port{i}.mac.rx"));
             tstat.register_stats(&telemetry, &format!("port{i}.mac.tx"));
             ports.push(TesterPort {
@@ -298,7 +319,7 @@ impl Chassis {
                 rx_stats,
                 tx_stats,
                 bus_width: spec.bus_width,
-                fast_path,
+                fast_path: config.fast_path,
                 pcie,
                 dma_probe: None,
                 recovery,
@@ -328,7 +349,7 @@ impl Chassis {
 
     /// Attach a DMA engine between the host and the given datapath streams
     /// (`to_card` feeds the datapath, `from_card` drains it). The engine
-    /// follows the chassis' fast-path flag: on a fast-path chassis it runs
+    /// follows [`ChassisConfig::fast_path`]: on a fast-path chassis it runs
     /// in burst mode ([`DmaEngine::with_burst`]), otherwise a beat per
     /// cycle. On a chassis whose fault plan carries a recovery policy, a
     /// hardware watchdog is wired to the engine's progress probe as well
@@ -518,6 +539,215 @@ impl Chassis {
         let link = netfpga_phy::Link::new(name, from, to, config);
         self.sim.add_module(self.clk, link);
     }
+
+    /// Register one gauge `prefix.name` per `(name, field)` of a shared
+    /// counter block.
+    pub(crate) fn register_gauges<T: 'static>(
+        &self,
+        prefix: &str,
+        counters: &Rc<RefCell<T>>,
+        fields: &[Gauge<T>],
+    ) {
+        for &(name, field) in fields {
+            let counters = counters.clone();
+            self.telemetry.gauge(&format!("{prefix}.{name}"), move || {
+                field(&counters.borrow())
+            });
+        }
+    }
+
+    /// Mount an RX statistics block at `base` and register its stats under
+    /// `rx_stats`.
+    pub(crate) fn mount_rx_stats(&self, base: u32, stats: &StatsHandles) {
+        self.map.mount(
+            "rx_stats",
+            base,
+            0x100,
+            shared(StatsRegisters::new(stats.clone())),
+        );
+        stats.register_stats(&self.telemetry, "rx_stats");
+    }
+}
+
+/// The reference pipeline the lookup projects share: the paper's stock
+/// blocks joined by standard streams, differing only in the lookup.
+///
+/// ```text
+/// [FlowExporter]   rx MACs (+ DMA h2c) → InputArbiter → [StatsStage] →
+///     PacketStage(lookup) → [FlowTap] → OutputQueues → tx MACs (+ DMA c2h)
+/// ```
+///
+/// Bracketed blocks are optional. [`ReferencePipeline::build`] registers
+/// the modules in the order drawn (an edge ticks its modules in
+/// registration order), then the DMA engine when there is a CPU port. The
+/// project then mounts its own register blocks and calls
+/// [`Chassis::attach_mmio`].
+pub struct ReferencePipeline<L> {
+    /// Name of the lookup's [`PacketStage`].
+    pub name: &'static str,
+    /// Lookup latency in cycles.
+    pub latency: u64,
+    /// The lookup.
+    pub logic: L,
+    /// Count received frames in a [`StatsStage`] behind the arbiter, its
+    /// register block mounted at this base.
+    pub rx_stats: Option<u32>,
+    /// Add the CPU port, index `nports`: a DMA engine feeds the arbiter's
+    /// last input and drains the queues' last output.
+    pub cpu_port: bool,
+    /// Output-queue configuration.
+    pub queues: QueueConfig,
+    /// Per-port output scheduler.
+    pub scheduler: Box<dyn FnMut() -> Box<dyn Scheduler>>,
+    /// The flow-monitoring plane: a zero-copy [`FlowTap`] between the
+    /// lookup and the output queues, per-port queue-depth histograms
+    /// sampled by a periodic [`FlowExporter`], and the flow-monitor MMIO
+    /// block at [`FLOWMON_BASE`]. The tap only observes words in flight,
+    /// so forwarding is unchanged.
+    pub flowmon: Option<FlowmonConfig>,
+}
+
+/// A built [`ReferencePipeline`]: the chassis and its optional blocks'
+/// handles.
+pub struct Pipeline {
+    /// The board with the pipeline loaded (MMIO not yet attached).
+    pub chassis: Chassis,
+    /// RX statistics, when built with [`ReferencePipeline::rx_stats`].
+    pub rx_stats: Option<StatsHandles>,
+    /// Flow-monitor tap, when built with [`ReferencePipeline::flowmon`].
+    pub flowmon: Option<FlowMonHandle>,
+    /// Streaming exporter, when built with [`ReferencePipeline::flowmon`].
+    pub exporter: Option<ExporterHandle>,
+}
+
+/// Depth (in words) of the streams between pipeline stages.
+const STAGE_FIFO_WORDS: usize = 64;
+
+impl<L: PacketLogic + 'static> ReferencePipeline<L> {
+    /// A pipeline around the lookup `logic`, run as the [`PacketStage`]
+    /// `name` with `latency` cycles; default FIFO output queues, no
+    /// optional blocks.
+    pub fn new(name: &'static str, latency: u64, logic: L) -> ReferencePipeline<L> {
+        ReferencePipeline {
+            name,
+            latency,
+            logic,
+            rx_stats: None,
+            cpu_port: false,
+            queues: QueueConfig::default(),
+            scheduler: Box::new(|| Box::new(Fifo)),
+            flowmon: None,
+        }
+    }
+
+    /// Build the chassis `config` describes and wire the pipeline onto it.
+    pub fn build(self, config: &ChassisConfig) -> Pipeline {
+        let (mut chassis, io) = Chassis::new(config);
+        let (w, fast) = (chassis.bus_width(), config.fast_path);
+        let stream = || Stream::new(STAGE_FIFO_WORDS, w);
+        let (mut inputs, mut outputs) = (io.from_ports, io.to_ports);
+        let dma = self.cpu_port.then(|| {
+            let (h2c_tx, h2c_rx) = stream();
+            let (c2h_tx, c2h_rx) = stream();
+            inputs.push(h2c_rx);
+            outputs.push(c2h_tx);
+            (h2c_tx, c2h_rx)
+        });
+        let ninputs = inputs.len();
+
+        let (arb_tx, head) = stream();
+        let arbiter = InputArbiter::new("input_arbiter", inputs, arb_tx).with_burst(fast);
+        let (stats, head) = match self.rx_stats {
+            Some(base) => {
+                let (tx, rx) = stream();
+                let (stage, handles) = StatsStage::new("rx_stats", head, tx, ninputs);
+                chassis.mount_rx_stats(base, &handles);
+                (Some((stage.with_burst(fast), handles)), rx)
+            }
+            None => (None, head),
+        };
+        let (lookup_tx, lookup_rx) = stream();
+        let lookup =
+            PacketStage::new(self.name, head, lookup_tx, self.latency, self.logic).with_burst(fast);
+        let (tap, head) = match &self.flowmon {
+            Some(cfg) => {
+                let (tx, rx) = stream();
+                (Some(FlowTap::new(lookup_rx, tx, cfg).with_burst(fast)), rx)
+            }
+            None => (None, lookup_rx),
+        };
+        let oq = OutputQueues::new("output_queues", head, outputs, self.queues, self.scheduler)
+            .with_burst(fast);
+
+        lookup.register_stats(&chassis.telemetry, "pipeline.lookup");
+        oq.register_stats(&chassis.telemetry, "oq");
+        oq.register_depth_gauges(&chassis.telemetry, "");
+        let (flowmon, exporter) = match (&self.flowmon, &tap) {
+            (Some(cfg), Some(tap)) => {
+                let (mon, exporter) = mount_flowmon(&mut chassis, cfg, tap, &oq);
+                (Some(mon), Some(exporter))
+            }
+            _ => (None, None),
+        };
+        chassis.add_module(arbiter);
+        let rx_stats = stats.map(|(stage, handles)| {
+            chassis.add_module(stage);
+            handles
+        });
+        chassis.add_module(lookup);
+        if let Some(tap) = tap {
+            chassis.add_module(tap);
+        }
+        chassis.add_module(oq);
+        if let Some((h2c_tx, c2h_rx)) = dma {
+            chassis.attach_dma(h2c_tx, c2h_rx);
+        }
+        Pipeline {
+            chassis,
+            rx_stats,
+            flowmon,
+            exporter,
+        }
+    }
+}
+
+/// The flow-monitoring plane around `tap`: its stats, one queue-depth
+/// histogram per Ethernet port sampled by a [`FlowExporter`] (registered
+/// here, ahead of the pipeline), and the MMIO block.
+fn mount_flowmon(
+    chassis: &mut Chassis,
+    cfg: &FlowmonConfig,
+    tap: &FlowTap,
+    oq: &OutputQueues,
+) -> (FlowMonHandle, ExporterHandle) {
+    let mon = tap.handle();
+    mon.register_stats(&chassis.telemetry, "flowmon");
+    let mut exporter = FlowExporter::new(
+        chassis.telemetry.clone(),
+        cfg.sample_interval,
+        cfg.delta_capacity,
+    );
+    // Occupancy series: one histogram per port queue (class 0 under the
+    // default config), sampled at export instants, never per packet.
+    for p in 0..chassis.nports() {
+        let hist = LogLinearHistogram::shared(cfg.hist_sub_bits);
+        register_quantile_gauges(&chassis.telemetry, &format!("port{p}.q0.depth"), &hist);
+        let cell = oq.depth_cell(p, 0);
+        exporter.add_series(hist, move || cell.get());
+    }
+    // The snapshot count is deliberately NOT a registry stat: it moves on
+    // every sample, which would read as perpetual activity to the
+    // exporter's own idle backoff (and push a self-delta each interval).
+    // It stays visible through the MMIO block (`+0x2C`) and the handle.
+    let handle = exporter.handle();
+    chassis.map.mount(
+        "flowmon",
+        FLOWMON_BASE,
+        FLOWMON_SIZE,
+        shared(FlowmonRegisters::new(mon.clone(), handle.clone())),
+    );
+    chassis.add_module(exporter);
+    (mon, handle)
 }
 
 #[cfg(test)]
@@ -546,7 +776,7 @@ mod tests {
 
     fn loopback_chassis() -> Chassis {
         let spec = BoardSpec::sume();
-        let (mut chassis, io) = Chassis::new(&spec, 4, AddressMap::new());
+        let (mut chassis, io) = Chassis::new(&ChassisConfig::new(&spec, 4));
         for (rx, tx) in io.from_ports.into_iter().zip(io.to_ports) {
             chassis.add_module(Loopback { rx, tx });
         }
@@ -584,15 +814,13 @@ mod tests {
 
     #[test]
     fn mmio_roundtrip_through_chassis() {
-        let spec = BoardSpec::sume();
-        let map = AddressMap::new();
-        map.mount(
+        let (mut chassis, _io) = Chassis::new(&ChassisConfig::new(&BoardSpec::sume(), 1));
+        chassis.map.mount(
             "scratch",
             0x0,
             0x100,
-            netfpga_core::regs::shared(netfpga_core::regs::RamRegisters::new(0x100)),
+            shared(netfpga_core::regs::RamRegisters::new(0x100)),
         );
-        let (mut chassis, _io) = Chassis::new(&spec, 1, map);
         chassis.attach_mmio();
         chassis.write32(0x10, 0xfeed);
         assert_eq!(chassis.read32(0x10), 0xfeed);

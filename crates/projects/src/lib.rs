@@ -16,11 +16,13 @@
 //! | [`harness`] | the board chassis the projects are loaded onto |
 //! | [`inventory`] | cross-project block-reuse and utilization data (experiment E7) |
 //!
-//! Every project follows the same shape: a constructor wires the pipeline
-//! between the chassis's MAC edge streams, mounts register blocks on the
-//! address map, and returns handles for the host side. Tests drive them
-//! exactly as a user drives the real boards: frames in at ports, frames
-//! out at ports, registers over MMIO, packets over DMA.
+//! Every project follows the same shape: built from one
+//! [`ChassisConfig`], it wires its pipeline between the chassis's MAC edge
+//! streams — switch, router and BlueSwitch all the one
+//! [`ReferencePipeline`](harness::ReferencePipeline) — mounts register
+//! blocks on the address map, and returns handles for the host side.
+//! Tests drive them exactly as a user drives the real boards: frames in
+//! at ports, frames out at ports, registers over MMIO, packets over DMA.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,7 +41,7 @@ pub mod switch_lite;
 
 pub use acceptance::AcceptanceTest;
 pub use blueswitch::BlueSwitch;
-pub use harness::{Chassis, ChassisIo};
+pub use harness::{Chassis, ChassisConfig, ChassisIo};
 /// The flow-monitoring plane (re-exported so projects-level consumers
 /// reach `FlowmonConfig` and friends without a separate dependency).
 pub use netfpga_flowmon as flowmon;

@@ -9,10 +9,10 @@
 //! their own, which is precisely the §3 "test and measurement researcher"
 //! use case.
 
-use crate::harness::{Chassis, ChassisIo};
+use crate::harness::{Chassis, ChassisConfig, ChassisIo};
 use netfpga_core::board::BoardSpec;
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::regs::AddressMap;
+use netfpga_core::regs::UNMAPPED_READ;
 use netfpga_core::resources::ResourceCost;
 use netfpga_core::rng::SimRng;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
@@ -21,6 +21,7 @@ use netfpga_core::stream::{Meta, PacketRx, PacketTx, StreamRx, StreamTx};
 use netfpga_core::time::{BitRate, Time};
 use netfpga_datapath::blocks;
 use netfpga_datapath::ParsedHeaders;
+use netfpga_packet::ethernet::MAX_FRAME_LEN;
 use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -569,16 +570,20 @@ pub const OSNT_PORT_STRIDE: u32 = 0x100;
 /// | 10 | capture: non-probe frames (RO) |
 /// | 11 | capture: latency p50 in ns (RO, computed on read) |
 /// | 12 | capture: latency p99 in ns (RO, computed on read) |
+///
+/// A start whose staged frame length exceeds [`MAX_FRAME_LEN`] is ignored,
+/// like a write to an unmapped word. Every other word reads
+/// [`UNMAPPED_READ`] and ignores writes.
 struct OsntRegisters {
     generator: GeneratorHandle,
     capture: CaptureHandle,
-    stage: [u32; 8],
+    stage: [u32; 6],
 }
 
 impl netfpga_core::regs::RegisterSpace for OsntRegisters {
     fn read(&mut self, offset: u32) -> u32 {
         match offset / 4 {
-            w @ 1..=7 => self.stage[w as usize],
+            w @ 1..=5 => self.stage[w as usize],
             8 => self.generator.sent() as u32,
             9 => self.capture.count() as u32,
             10 => self.capture.non_probe() as u32,
@@ -590,13 +595,13 @@ impl netfpga_core::regs::RegisterSpace for OsntRegisters {
                 let mut h = self.capture.latency_histogram();
                 (h.percentile(99.0).unwrap_or(0) / 1000) as u32
             }
-            _ => netfpga_core::regs::UNMAPPED_READ,
+            _ => UNMAPPED_READ,
         }
     }
 
     fn write(&mut self, offset: u32, value: u32) {
         match offset / 4 {
-            0 if value == 1 => {
+            0 if value == 1 && self.stage[2] as usize <= MAX_FRAME_LEN => {
                 let spacing = if self.stage[5] == 0 {
                     Spacing::Uniform
                 } else {
@@ -614,7 +619,7 @@ impl netfpga_core::regs::RegisterSpace for OsntRegisters {
                     )
                 });
             }
-            w @ 1..=7 => self.stage[w as usize] = value,
+            w @ 1..=5 => self.stage[w as usize] = value,
             _ => {}
         }
     }
@@ -634,21 +639,16 @@ pub struct OsntTester {
 impl OsntTester {
     /// Build on `spec` with `nports` ports.
     pub fn new(spec: &BoardSpec, nports: usize) -> OsntTester {
-        OsntTester::with_faults(spec, nports, netfpga_faults::FaultPlan::none())
+        OsntTester::build(&ChassisConfig::new(spec, nports))
     }
 
-    /// Same, with the fault-injection plane spliced in executing `plan`
-    /// (see [`Chassis::with_faults`]). Measurement integrity under
-    /// faults: a probe corrupted by injected bit errors arrives with a
-    /// failing FCS and is dropped by the receiving MAC *before* the
-    /// capture engine timestamps it — corruption shows up as honest
-    /// loss, never as a bogus latency sample.
-    pub fn with_faults(
-        spec: &BoardSpec,
-        nports: usize,
-        plan: netfpga_faults::FaultPlan,
-    ) -> OsntTester {
-        let (mut chassis, io) = Chassis::with_faults(spec, nports, AddressMap::new(), false, plan);
+    /// Build on the chassis `config` describes. Measurement integrity
+    /// under faults: a probe corrupted by injected bit errors arrives with
+    /// a failing FCS and is dropped by the receiving MAC *before* the
+    /// capture engine timestamps it — corruption shows up as honest loss,
+    /// never as a bogus latency sample.
+    pub fn build(config: &ChassisConfig) -> OsntTester {
+        let (mut chassis, io) = Chassis::new(config);
         let ChassisIo {
             from_ports,
             to_ports,
@@ -667,23 +667,22 @@ impl OsntTester {
                 netfpga_core::regs::shared(OsntRegisters {
                     generator: gh.clone(),
                     capture: ch.clone(),
-                    stage: [0; 8],
+                    stage: [0; 6],
                 }),
             );
-            let (g, c, c2) = (gh.clone(), ch.clone(), ch.clone());
-            chassis
-                .telemetry
-                .gauge(&format!("osnt.port{i}.gen.sent"), move || g.sent());
-            chassis
-                .telemetry
-                .gauge(&format!("osnt.port{i}.cap.probes"), move || {
-                    c.count() as u64
-                });
-            chassis
-                .telemetry
-                .gauge(&format!("osnt.port{i}.cap.non_probe"), move || {
-                    c2.non_probe()
-                });
+            chassis.register_gauges(
+                &format!("osnt.port{i}.gen"),
+                &gh.shared,
+                &[("sent", |s| s.sent)],
+            );
+            chassis.register_gauges(
+                &format!("osnt.port{i}.cap"),
+                &ch.shared,
+                &[
+                    ("probes", |s| s.records.len() as u64),
+                    ("non_probe", |s| s.non_probe),
+                ],
+            );
             generators.push(gh);
             captures.push(ch);
         }
@@ -955,7 +954,10 @@ mod tests {
         use netfpga_faults::{FaultKind, FaultPlan};
         let delay = Time::from_us(5);
         let plan = FaultPlan::new(11).at(Time::ZERO, FaultKind::SetBer { port: 0, ber: 2e-5 });
-        let mut o = OsntTester::with_faults(&BoardSpec::sume(), 2, plan);
+        let mut o = OsntTester::build(&ChassisConfig {
+            faults: plan,
+            ..ChassisConfig::new(&BoardSpec::sume(), 2)
+        });
         let (to_board, from_board) = o.chassis.port_wires(0);
         o.chassis.add_link(
             "dut",
@@ -1049,6 +1051,32 @@ mod tests {
                 ticks <= 3 * frames,
                 "{module}: {ticks} ticks for {frames} frames ({edges} edges)"
             );
+        }
+    }
+
+    /// A staged frame length past the largest frame used to reach the
+    /// generator: 70 000 B wrapped `Meta::len`, `0xFFFF_FFFF` asked for a
+    /// 4 GiB probe payload.
+    #[test]
+    fn start_with_an_oversized_frame_length_is_ignored() {
+        let mut o = looped(Time::from_ns(10));
+        let word = |w: u32| OSNT_BASE + w * 4;
+        o.chassis.write32(word(1), 1000); // Mb/s
+        o.chassis.write32(word(3), 3); // probes
+        for len in [MAX_FRAME_LEN as u32 + 1, 70_000, 0xFFFF_FFFF] {
+            o.chassis.write32(word(2), len);
+            o.chassis.write32(word(0), 1);
+            o.chassis.run_for(Time::from_us(20));
+            assert_eq!(o.chassis.read32(word(8)), 0, "length {len} refused");
+            assert!(o.generators[0].done(), "never armed");
+        }
+        o.chassis.write32(word(2), MAX_FRAME_LEN as u32);
+        o.chassis.write32(word(0), 1);
+        o.chassis.run_for(Time::from_us(100));
+        assert_eq!(o.chassis.read32(word(8)), 3);
+        assert_eq!(o.chassis.read32(word(9)), 3, "captured after the loop");
+        for w in [6, 7, 13, 63] {
+            assert_eq!(o.chassis.read32(word(w)), UNMAPPED_READ, "word {w}");
         }
     }
 

@@ -5,13 +5,12 @@
 //! taken from the destination mask the driver sets in the packet metadata
 //! (the real driver writes it into `tuser` through the DMA descriptor).
 
-use crate::harness::{Chassis, ChassisIo};
+use crate::harness::{Chassis, ChassisConfig, ChassisIo};
 use netfpga_core::board::BoardSpec;
-use netfpga_core::regs::AddressMap;
 use netfpga_core::resources::ResourceCost;
 use netfpga_core::stream::Stream;
 use netfpga_datapath::blocks;
-use netfpga_datapath::pktstats::{StatsHandles, StatsRegisters, StatsStage};
+use netfpga_datapath::pktstats::{StatsHandles, StatsStage};
 use netfpga_datapath::queues::{OutputQueues, QueueConfig};
 use netfpga_datapath::sched::Fifo;
 use netfpga_datapath::InputArbiter;
@@ -30,32 +29,30 @@ pub struct ReferenceNic {
 impl ReferenceNic {
     /// Build the NIC on `spec` with `nports` ports.
     pub fn new(spec: &BoardSpec, nports: usize) -> ReferenceNic {
-        ReferenceNic::with_fast_path(spec, nports, false)
+        ReferenceNic::build(&ChassisConfig::new(spec, nports))
     }
 
-    /// Like [`ReferenceNic::new`], with the kernel fast path optionally
-    /// enabled: MACs, arbiter, stats, output queues and the DMA engine run
-    /// in burst mode (whole packets per tick; the engine still charges its
-    /// bus a cycle per beat, so ack, wire-egress and un-back-pressured
-    /// ring-delivery instants are those of the word engine — see
-    /// [`netfpga_pcie::DmaEngine`]). Delivered packets, ports and counters
-    /// are identical; cycle-level pacing inside the pipeline is collapsed.
+    /// [`ReferenceNic::new`] with [`ChassisConfig::fast_path`] set to
+    /// `fast_path`. Kept as a forward because the referee benchmark
+    /// (`benchmark/src/workloads/nic.rs`) builds its NIC with it.
     pub fn with_fast_path(spec: &BoardSpec, nports: usize, fast_path: bool) -> ReferenceNic {
-        ReferenceNic::with_faults(spec, nports, fast_path, netfpga_faults::FaultPlan::none())
+        ReferenceNic::build(&ChassisConfig {
+            fast_path,
+            ..ChassisConfig::new(spec, nports)
+        })
     }
 
-    /// Like [`ReferenceNic::with_fast_path`], with the fault plane spliced
-    /// in executing `plan` (see [`Chassis::with_faults`]); the DMA engine
-    /// is gated by the plan's stall/drop windows. An inert plan yields a
-    /// NIC bit-for-bit identical to [`ReferenceNic::with_fast_path`].
-    pub fn with_faults(
-        spec: &BoardSpec,
-        nports: usize,
-        fast_path: bool,
-        plan: netfpga_faults::FaultPlan,
-    ) -> ReferenceNic {
-        let map = AddressMap::new();
-        let (mut chassis, io) = Chassis::with_faults(spec, nports, map, fast_path, plan);
+    /// Build the NIC on the chassis `config` describes. On the fast path
+    /// the arbiter, stats and output queues run in burst mode like the
+    /// MACs and the DMA engine (whose bus is still charged a cycle per
+    /// beat, so ack, wire-egress and un-back-pressured ring-delivery
+    /// instants are those of the word engine — see
+    /// [`netfpga_pcie::DmaEngine`]); delivered packets, ports and counters
+    /// are identical. A fault plan's stall/drop windows gate the DMA
+    /// engine.
+    pub fn build(config: &ChassisConfig) -> ReferenceNic {
+        let fast_path = config.fast_path;
+        let (mut chassis, io) = Chassis::new(config);
         let ChassisIo {
             from_ports,
             to_ports,
@@ -66,7 +63,7 @@ impl ReferenceNic {
         let (arb_tx, arb_rx) = Stream::new(64, w);
         let arbiter = InputArbiter::new("input_arbiter", from_ports, arb_tx).with_burst(fast_path);
         let (stats_tx, stats_rx) = Stream::new(64, w);
-        let (stats_stage, rx_stats) = StatsStage::new("rx_stats", arb_rx, stats_tx, nports);
+        let (stats_stage, rx_stats) = StatsStage::new("rx_stats", arb_rx, stats_tx, config.nports);
         let stats_stage = stats_stage.with_burst(fast_path);
 
         // TX path: DMA(h2c) -> output queues -> ports.
@@ -86,15 +83,7 @@ impl ReferenceNic {
         chassis.add_module(stats_stage);
         chassis.add_module(oq);
         chassis.attach_dma(h2c_tx, stats_rx);
-
-        // Registers: RX statistics at STATS_BASE.
-        chassis.map.mount(
-            "rx_stats",
-            STATS_BASE,
-            0x100,
-            netfpga_core::regs::shared(StatsRegisters::new(rx_stats.clone())),
-        );
-        rx_stats.register_stats(&chassis.telemetry, "rx_stats");
+        chassis.mount_rx_stats(STATS_BASE, &rx_stats);
         chassis.attach_mmio();
 
         ReferenceNic { chassis, rx_stats }
@@ -225,10 +214,10 @@ mod tests {
         counters: u64,
     }
 
-    /// Drive `ReferenceNic::with_fast_path(.., true)` for 200 µs: seeded
-    /// 60–1514 B frames at line rate on `wire_ports` towards the host, one
-    /// sequenced host frame a microsecond out of the ports in turn, the RX
-    /// ring polled on every edge so deliveries carry their instant.
+    /// Drive the fast-path NIC for 200 µs: seeded 60–1514 B frames at line
+    /// rate on `wire_ports` towards the host, one sequenced host frame a
+    /// microsecond out of the ports in turn, the RX ring polled on every
+    /// edge so deliveries carry their instant.
     fn fast_path_run(wire_ports: &[usize]) -> FastPathRun {
         use netfpga_core::hash::Fnv1a64;
         use netfpga_core::rng::SimRng;

@@ -1,29 +1,29 @@
 //! The reference IPv4 router project.
 //!
-//! Pipeline: `rx MACs + CPU(DMA) → input arbiter → router lookup → output
-//! queues → tx MACs + CPU(DMA)`. The lookup stage does what the RTL core
-//! does: validate the IPv4 header, look up the destination in the LPM
-//! table, resolve the next hop MAC in the ARP table, rewrite addresses,
-//! decrement TTL with an incremental checksum update — and push anything
-//! it cannot handle (ARP, packets for the router, TTL expiry, table
-//! misses) up the **exception path** to the CPU, where the management
-//! software (in `netfpga-host`) deals with it. That hardware/software
-//! split is the signature of the design.
+//! Pipeline: the [`ReferencePipeline`] with a CPU port (DMA into the
+//! arbiter, out of the queues) and the router lookup. The lookup stage
+//! does what the RTL core does: validate the IPv4 header, look up the
+//! destination in the LPM table, resolve the next hop MAC in the ARP
+//! table, rewrite addresses, decrement TTL with an incremental checksum
+//! update — and push anything it cannot handle (ARP, packets for the
+//! router, TTL expiry, table misses) up the **exception path** to the CPU,
+//! where the management software (in `netfpga-host`) deals with it. That
+//! hardware/software split is the signature of the design.
 
-use crate::harness::{Chassis, ChassisIo};
+use crate::harness::{Chassis, ChassisConfig, ReferencePipeline};
 use netfpga_core::board::BoardSpec;
 use netfpga_core::hash::Fnv1a64;
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::regs::{shared, AddressMap, RegisterSpace};
+use netfpga_core::regs::{shared, RegisterSpace};
 use netfpga_core::resources::ResourceCost;
-use netfpga_core::stream::{Meta, PortMask, Stream};
+use netfpga_core::stream::{Meta, PortMask};
 use netfpga_core::time::Time;
 use netfpga_datapath::blocks;
 use netfpga_datapath::lpm::{LpmTable, RouteEntry};
-use netfpga_datapath::queues::{OutputQueues, QueueConfig};
-use netfpga_datapath::sched::Scheduler;
+use netfpga_datapath::queues::QueueConfig;
+use netfpga_datapath::sched::{Fifo, Scheduler};
 use netfpga_datapath::stage::{PacketLogic, StageAction};
-use netfpga_datapath::{InputArbiter, PacketStage, ParsedHeaders};
+use netfpga_datapath::ParsedHeaders;
 use netfpga_packet::ethernet::EthernetFrame;
 use netfpga_packet::ipv4::Ipv4Packet;
 use netfpga_packet::{EthernetAddress, Ipv4Address, Ipv4Cidr};
@@ -295,106 +295,45 @@ impl ReferenceRouter {
     /// Build the router on `spec` with `nports` ports and the default FIFO
     /// output scheduler.
     pub fn new(spec: &BoardSpec, nports: usize) -> ReferenceRouter {
-        Self::with_scheduler(spec, nports, QueueConfig::default, || {
-            Box::new(netfpga_datapath::sched::Fifo)
-        })
+        let config = ChassisConfig::new(spec, nports);
+        ReferenceRouter::build(&config, QueueConfig::default(), || Box::new(Fifo))
     }
 
-    /// Build with a custom output-queue configuration and scheduler — the
-    /// §3 "add a new scheduling module to the existing reference router"
-    /// extension point, used by the E4 ablation.
-    pub fn with_scheduler(
-        spec: &BoardSpec,
-        nports: usize,
-        make_config: impl FnOnce() -> QueueConfig,
-        make_scheduler: impl FnMut() -> Box<dyn Scheduler>,
+    /// Build on the chassis `config` describes, with the given output-queue
+    /// configuration and per-port scheduler — the §3 "add a new scheduling
+    /// module to the existing reference router" extension point, used by
+    /// the E4 ablation. A fault plan's stall/drop windows gate the DMA
+    /// engine.
+    pub fn build(
+        config: &ChassisConfig,
+        queues: QueueConfig,
+        scheduler: impl FnMut() -> Box<dyn Scheduler> + 'static,
     ) -> ReferenceRouter {
-        Self::with_faults(
-            spec,
-            nports,
-            make_config,
-            make_scheduler,
-            netfpga_faults::FaultPlan::none(),
-        )
-    }
-
-    /// Like [`ReferenceRouter::with_scheduler`], with the fault plane
-    /// spliced in executing `plan` (see [`Chassis::with_faults`]); the DMA
-    /// engine is gated by the plan's stall/drop windows. An inert plan
-    /// yields a router bit-for-bit identical to
-    /// [`ReferenceRouter::with_scheduler`].
-    pub fn with_faults(
-        spec: &BoardSpec,
-        nports: usize,
-        make_config: impl FnOnce() -> QueueConfig,
-        make_scheduler: impl FnMut() -> Box<dyn Scheduler>,
-        plan: netfpga_faults::FaultPlan,
-    ) -> ReferenceRouter {
-        let (mut chassis, io) = Chassis::with_faults(spec, nports, AddressMap::new(), false, plan);
-        let ChassisIo {
-            from_ports,
-            to_ports,
-        } = io;
-        let w = chassis.bus_width();
-        let cpu_port = nports as u8;
-
+        let cpu_port = config.nports as u8;
         let tables = Rc::new(RefCell::new(RouterTables::default()));
         let counters = Rc::new(RefCell::new(RouterCounters::default()));
-
-        // Inputs: Ethernet ports plus the CPU (DMA h2c) stream.
-        let (h2c_tx, h2c_rx) = Stream::new(64, w);
-        let mut inputs = from_ports;
-        inputs.push(h2c_rx);
-
-        let (arb_tx, arb_rx) = Stream::new(64, w);
-        let arbiter = InputArbiter::new("input_arbiter", inputs, arb_tx);
-        let (lookup_tx, lookup_rx) = Stream::new(64, w);
-        let lookup = PacketStage::new(
-            "router_lookup",
-            arb_rx,
-            lookup_tx,
-            LOOKUP_LATENCY,
-            RouterLookup {
-                tables: tables.clone(),
-                counters: counters.clone(),
-                cpu_port,
-            },
-        );
-
-        // Outputs: Ethernet ports plus the CPU (DMA c2h) stream.
-        let (c2h_tx, c2h_rx) = Stream::new(64, w);
-        let mut outputs = to_ports;
-        outputs.push(c2h_tx);
-        let oq = OutputQueues::new(
-            "output_queues",
-            lookup_rx,
-            outputs,
-            make_config(),
-            make_scheduler,
-        );
-
-        lookup.register_stats(&chassis.telemetry, "pipeline.lookup");
-        oq.register_stats(&chassis.telemetry, "oq");
-        oq.register_depth_gauges(&chassis.telemetry, "");
-        {
-            type Field = fn(&RouterCounters) -> u64;
-            let fields: [(&str, Field); 3] = [
+        let lookup = RouterLookup {
+            tables: tables.clone(),
+            counters: counters.clone(),
+            cpu_port,
+        };
+        let mut chassis = ReferencePipeline {
+            cpu_port: true,
+            queues,
+            scheduler: Box::new(scheduler),
+            ..ReferencePipeline::new("router_lookup", LOOKUP_LATENCY, lookup)
+        }
+        .build(config)
+        .chassis;
+        chassis.register_gauges(
+            "router",
+            &counters,
+            &[
                 ("forwarded", |c| c.forwarded),
                 ("to_cpu", |c| c.to_cpu),
                 ("dropped", |c| c.dropped),
-            ];
-            for (name, field) in fields {
-                let counters = counters.clone();
-                chassis
-                    .telemetry
-                    .gauge(&format!("router.{name}"), move || field(&counters.borrow()));
-            }
-        }
-        chassis.add_module(arbiter);
-        chassis.add_module(lookup);
-        chassis.add_module(oq);
-        chassis.attach_dma(h2c_tx, c2h_rx);
-
+            ],
+        );
         chassis.map.mount(
             "router",
             ROUTER_BASE,

@@ -1,29 +1,21 @@
 //! The reference learning switch project.
 //!
-//! Pipeline: `rx MACs → input arbiter → learning lookup → output queues →
-//! tx MACs`. The lookup stage wraps
-//! [`netfpga_datapath::LearningSwitchCore`] in the standard
-//! [`PacketStage`] shell. Statistics and the learning table are
-//! exposed through register blocks.
+//! Pipeline: the [`ReferencePipeline`] with an RX statistics stage, its
+//! lookup wrapping [`netfpga_datapath::LearningSwitchCore`]. Statistics
+//! and the learning table are exposed through register blocks.
 
-use crate::harness::{Chassis, ChassisIo};
+use crate::harness::{Chassis, ChassisConfig, Pipeline, ReferencePipeline};
 use netfpga_core::board::BoardSpec;
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::regs::{shared, AddressMap, RegisterSpace};
+use netfpga_core::regs::{shared, RegisterSpace};
 use netfpga_core::resources::ResourceCost;
-use netfpga_core::stream::{Meta, Stream};
+use netfpga_core::stream::Meta;
 use netfpga_core::time::Time;
 use netfpga_datapath::blocks;
-use netfpga_datapath::pktstats::{StatsHandles, StatsRegisters, StatsStage};
-use netfpga_datapath::queues::{OutputQueues, QueueConfig};
-use netfpga_datapath::sched::Fifo;
+use netfpga_datapath::pktstats::StatsHandles;
 use netfpga_datapath::stage::{PacketLogic, StageAction};
-use netfpga_datapath::{InputArbiter, LearningSwitchCore, PacketStage};
-use netfpga_flowmon::hist::register_quantile_gauges;
-use netfpga_flowmon::{
-    ExporterHandle, FlowExporter, FlowMonHandle, FlowTap, FlowmonConfig, FlowmonRegisters,
-    LogLinearHistogram, FLOWMON_BASE, FLOWMON_SIZE,
-};
+use netfpga_datapath::LearningSwitchCore;
+use netfpga_flowmon::{ExporterHandle, FlowMonHandle, FlowmonConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -87,11 +79,10 @@ pub struct ReferenceSwitch {
     pub core: Rc<RefCell<LearningSwitchCore>>,
     /// RX statistics handles.
     pub rx_stats: StatsHandles,
-    /// Flow-monitor tap handle, when built with
-    /// [`ReferenceSwitch::with_flowmon`].
+    /// Flow-monitor tap handle, when built with a [`FlowmonConfig`].
     pub flowmon: Option<FlowMonHandle>,
     /// Streaming exporter handle (delta ring + Prometheus text), when
-    /// built with [`ReferenceSwitch::with_flowmon`].
+    /// built with a [`FlowmonConfig`].
     pub exporter: Option<ExporterHandle>,
 }
 
@@ -104,16 +95,17 @@ impl ReferenceSwitch {
         table_capacity: usize,
         age_limit: Time,
     ) -> ReferenceSwitch {
-        ReferenceSwitch::with_fast_path(spec, nports, table_capacity, age_limit, false)
+        ReferenceSwitch::build(
+            &ChassisConfig::new(spec, nports),
+            table_capacity,
+            age_limit,
+            None,
+        )
     }
 
-    /// Like [`ReferenceSwitch::new`], with the kernel fast path optionally
-    /// enabled: every pipeline stage and edge MAC runs in burst mode
-    /// (whole packets per tick). Forwarding behaviour — learning, flooding,
-    /// drops, per-port delivery — is identical; only cycle-level pacing
-    /// inside the pipeline is collapsed, so use the default build when
-    /// cycle-exact latency matters and this one for long functional or
-    /// throughput runs.
+    /// [`ReferenceSwitch::new`] with [`ChassisConfig::fast_path`] set to
+    /// `fast_path`. Kept as a forward because the referee benchmark
+    /// (`benchmark/src/workloads/switch.rs`) builds its switches with it.
     pub fn with_fast_path(
         spec: &BoardSpec,
         nports: usize,
@@ -121,196 +113,55 @@ impl ReferenceSwitch {
         age_limit: Time,
         fast_path: bool,
     ) -> ReferenceSwitch {
-        ReferenceSwitch::with_faults(
-            spec,
-            nports,
-            table_capacity,
-            age_limit,
+        let config = ChassisConfig {
             fast_path,
-            netfpga_faults::FaultPlan::none(),
-        )
+            ..ChassisConfig::new(spec, nports)
+        };
+        ReferenceSwitch::build(&config, table_capacity, age_limit, None)
     }
 
-    /// Like [`ReferenceSwitch::with_fast_path`], with the fault plane
-    /// spliced in executing `plan` (see [`Chassis::with_faults`]). An
-    /// inert plan yields a switch bit-for-bit identical to
-    /// [`ReferenceSwitch::with_fast_path`].
-    pub fn with_faults(
-        spec: &BoardSpec,
-        nports: usize,
+    /// Build the switch on the chassis `config` describes, with a learning
+    /// table of `table_capacity` entries aged after `age_limit`, and the
+    /// flow-monitoring plane when `flowmon` is given (see
+    /// [`ReferencePipeline::flowmon`]).
+    pub fn build(
+        config: &ChassisConfig,
         table_capacity: usize,
         age_limit: Time,
-        fast_path: bool,
-        plan: netfpga_faults::FaultPlan,
-    ) -> ReferenceSwitch {
-        ReferenceSwitch::build(
-            spec,
-            nports,
-            table_capacity,
-            age_limit,
-            fast_path,
-            plan,
-            None,
-        )
-    }
-
-    /// Like [`ReferenceSwitch::with_fast_path`], with the flow-monitoring
-    /// plane mounted: a zero-copy [`FlowTap`] spliced between the lookup
-    /// stage and the output queues, per-queue depth histograms sampled by
-    /// a periodic [`FlowExporter`], and the self-describing flow-monitor
-    /// MMIO block at [`FLOWMON_BASE`]. Forwarding behaviour is identical
-    /// to a tap-less build; the tap only observes words in flight.
-    pub fn with_flowmon(
-        spec: &BoardSpec,
-        nports: usize,
-        table_capacity: usize,
-        age_limit: Time,
-        fast_path: bool,
-        flowmon: FlowmonConfig,
-    ) -> ReferenceSwitch {
-        ReferenceSwitch::build(
-            spec,
-            nports,
-            table_capacity,
-            age_limit,
-            fast_path,
-            netfpga_faults::FaultPlan::none(),
-            Some(flowmon),
-        )
-    }
-
-    fn build(
-        spec: &BoardSpec,
-        nports: usize,
-        table_capacity: usize,
-        age_limit: Time,
-        fast_path: bool,
-        plan: netfpga_faults::FaultPlan,
         flowmon: Option<FlowmonConfig>,
     ) -> ReferenceSwitch {
-        let (mut chassis, io) =
-            Chassis::with_faults(spec, nports, AddressMap::new(), fast_path, plan);
-        let ChassisIo {
-            from_ports,
-            to_ports,
-        } = io;
-        let w = chassis.bus_width();
-
         let core = Rc::new(RefCell::new(LearningSwitchCore::new(
-            nports as u8,
+            config.nports as u8,
             table_capacity,
             age_limit,
         )));
-
-        let (arb_tx, arb_rx) = Stream::new(64, w);
-        let arbiter = InputArbiter::new("input_arbiter", from_ports, arb_tx).with_burst(fast_path);
-        let (stats_tx, stats_rx) = Stream::new(64, w);
-        let (stats_stage, rx_stats) = StatsStage::new("rx_stats", arb_rx, stats_tx, nports);
-        let stats_stage = stats_stage.with_burst(fast_path);
-        let (lookup_tx, lookup_rx) = Stream::new(64, w);
-        let lookup = PacketStage::new(
-            "switch_lookup",
-            stats_rx,
-            lookup_tx,
-            LOOKUP_LATENCY,
-            SwitchLookup { core: core.clone() },
-        )
-        .with_burst(fast_path);
-
-        // With flow monitoring on, the tap splices between the lookup
-        // stage and the output queues; words flow through untouched
-        // (refcount-bumped views), so the datapath is byte-identical.
-        let (tap, oq_input) = match &flowmon {
-            Some(cfg) => {
-                let (tap_tx, tap_rx) = Stream::new(64, w);
-                let tap = FlowTap::new(lookup_rx, tap_tx, cfg).with_burst(fast_path);
-                (Some(tap), tap_rx)
-            }
-            None => (None, lookup_rx),
-        };
-        let oq = OutputQueues::new(
-            "output_queues",
-            oq_input,
-            to_ports,
-            QueueConfig::default(),
-            || Box::new(Fifo),
-        )
-        .with_burst(fast_path);
-
-        lookup.register_stats(&chassis.telemetry, "pipeline.lookup");
-        oq.register_stats(&chassis.telemetry, "oq");
-        oq.register_depth_gauges(&chassis.telemetry, "");
-
-        let (mon, exporter_handle) = match (&flowmon, &tap) {
-            (Some(cfg), Some(tap)) => {
-                let mon = tap.handle();
-                mon.register_stats(&chassis.telemetry, "flowmon");
-                let mut exporter = FlowExporter::new(
-                    chassis.telemetry.clone(),
-                    cfg.sample_interval,
-                    cfg.delta_capacity,
-                );
-                // Occupancy series: one histogram per port queue (class 0
-                // under the default config), sampled at export instants,
-                // never per packet.
-                for p in 0..nports {
-                    let hist = LogLinearHistogram::shared(cfg.hist_sub_bits);
-                    register_quantile_gauges(
-                        &chassis.telemetry,
-                        &format!("port{p}.q0.depth"),
-                        &hist,
-                    );
-                    let cell = oq.depth_cell(p, 0);
-                    exporter.add_series(hist, move || cell.get());
-                }
-                // The snapshot count is deliberately NOT a registry stat:
-                // it moves on every sample, which would read as perpetual
-                // activity to the exporter's own idle backoff (and push a
-                // self-delta each interval). It stays visible through the
-                // MMIO block (`+0x2C`) and the handle.
-                let handle = exporter.handle();
-                chassis.map.mount(
-                    "flowmon",
-                    FLOWMON_BASE,
-                    FLOWMON_SIZE,
-                    shared(FlowmonRegisters::new(mon.clone(), handle.clone())),
-                );
-                chassis.add_module(exporter);
-                (Some(mon), Some(handle))
-            }
-            _ => (None, None),
-        };
-
-        chassis.add_module(arbiter);
-        chassis.add_module(stats_stage);
-        chassis.add_module(lookup);
-        if let Some(tap) = tap {
-            chassis.add_module(tap);
+        let lookup = SwitchLookup { core: core.clone() };
+        let Pipeline {
+            mut chassis,
+            rx_stats,
+            flowmon,
+            exporter,
+        } = ReferencePipeline {
+            rx_stats: Some(STATS_BASE),
+            flowmon,
+            ..ReferencePipeline::new("switch_lookup", LOOKUP_LATENCY, lookup)
         }
-        chassis.add_module(oq);
-
-        chassis.map.mount(
-            "rx_stats",
-            STATS_BASE,
-            0x100,
-            shared(StatsRegisters::new(rx_stats.clone())),
-        );
+        .build(config);
         chassis.map.mount(
             "switch_lookup",
             LOOKUP_BASE,
             0x100,
             shared(LookupRegisters { core: core.clone() }),
         );
-        rx_stats.register_stats(&chassis.telemetry, "rx_stats");
         LearningSwitchCore::register_stats(&core, &chassis.telemetry, "lookup");
         chassis.attach_mmio();
 
         ReferenceSwitch {
             chassis,
             core,
-            rx_stats,
-            flowmon: mon,
-            exporter: exporter_handle,
+            rx_stats: rx_stats.expect("built with an RX stats stage"),
+            flowmon,
+            exporter,
         }
     }
 
@@ -342,10 +193,17 @@ impl ReferenceSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netfpga_flowmon::FLOWMON_BASE;
     use netfpga_packet::{EthernetAddress, PacketBuilder};
 
     fn switch() -> ReferenceSwitch {
         ReferenceSwitch::new(&BoardSpec::sume(), 4, 1024, Time::from_ms(100))
+    }
+
+    fn flowmon_switch() -> ReferenceSwitch {
+        let config = ChassisConfig::new(&BoardSpec::sume(), 4);
+        let flowmon = Some(FlowmonConfig::default());
+        ReferenceSwitch::build(&config, 1024, Time::from_ms(100), flowmon)
     }
 
     fn mac(x: u8) -> EthernetAddress {
@@ -490,14 +348,7 @@ mod tests {
 
     #[test]
     fn flowmon_switch_accounts_flows_end_to_end() {
-        let mut sw = ReferenceSwitch::with_flowmon(
-            &BoardSpec::sume(),
-            4,
-            1024,
-            Time::from_ms(100),
-            false,
-            FlowmonConfig::default(),
-        );
+        let mut sw = flowmon_switch();
         let mon = sw.flowmon.clone().expect("flowmon mounted");
         // Three flows with distinct packet counts: 6, 3, 1.
         for _ in 0..6 {
@@ -536,18 +387,7 @@ mod tests {
     #[test]
     fn flowmon_tap_is_functionally_invisible() {
         let run = |flowmon: bool| {
-            let mut sw = if flowmon {
-                ReferenceSwitch::with_flowmon(
-                    &BoardSpec::sume(),
-                    4,
-                    1024,
-                    Time::from_ms(100),
-                    false,
-                    FlowmonConfig::default(),
-                )
-            } else {
-                switch()
-            };
+            let mut sw = if flowmon { flowmon_switch() } else { switch() };
             let flows = [(0u8, 1u8, 2u8), (2, 2, 1), (1, 3, 2), (0, 1, 3)];
             for &(port, src, dst) in &flows {
                 sw.chassis.send(usize::from(port), udp(src, dst, 4000));
@@ -568,14 +408,7 @@ mod tests {
     /// passes.
     #[test]
     fn word_level_tap_ticks_per_burst_not_per_beat() {
-        let mut sw = ReferenceSwitch::with_flowmon(
-            &BoardSpec::sume(),
-            4,
-            1024,
-            Time::from_ms(100),
-            false,
-            FlowmonConfig::default(),
-        );
+        let mut sw = flowmon_switch();
         let frames = 20;
         for i in 0..frames {
             let frame = PacketBuilder::new()

@@ -5,10 +5,9 @@
 //! scale-down: remove blocks and the design still works, with a fraction
 //! of the resources.
 
-use crate::harness::{Chassis, ChassisIo};
+use crate::harness::{Chassis, ChassisConfig, ChassisIo};
 use netfpga_core::board::BoardSpec;
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::regs::AddressMap;
 use netfpga_core::resources::ResourceCost;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stream::{Meta, PacketRx, PacketTx, PortMask, Stream, StreamRx, StreamTx};
@@ -156,7 +155,7 @@ pub struct SwitchLite {
 impl SwitchLite {
     /// Build on `spec` with `nports` ports.
     pub fn new(spec: &BoardSpec, nports: usize, table_capacity: usize, age: Time) -> SwitchLite {
-        let (mut chassis, io) = Chassis::new(spec, nports, AddressMap::new());
+        let (mut chassis, io) = Chassis::new(&ChassisConfig::new(spec, nports));
         let ChassisIo {
             from_ports,
             to_ports,

@@ -13,7 +13,6 @@
 
 use netfpga_core::board::BoardSpec;
 use netfpga_core::pktbuf::PktBuf;
-use netfpga_core::regs::AddressMap;
 use netfpga_core::stream::{Meta, PortMask, Stream};
 use netfpga_core::time::Time;
 use netfpga_core::trace::{write_vcd, OccupancyProbe, Probe};
@@ -23,7 +22,7 @@ use netfpga_datapath::stage::{PacketLogic, StageAction};
 use netfpga_datapath::{InputArbiter, PacketStage};
 use netfpga_mem::AgingTable;
 use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
-use netfpga_projects::harness::Chassis;
+use netfpga_projects::harness::{Chassis, ChassisConfig};
 
 /// The one genuinely new block: remember a fingerprint of each packet for
 /// `window`; drop re-appearances. Forwarding is port-paired (0<->1, 2<->3),
@@ -59,7 +58,7 @@ impl PacketLogic for DedupLogic {
 /// probes trace the arbiter-to-stage FIFO for waveform export — free
 /// debugging, exactly like the platform's simulation flow.
 fn build_dedup_box(spec: &BoardSpec, window: Time) -> (Chassis, Probe) {
-    let (mut chassis, io) = Chassis::new(spec, 4, AddressMap::new());
+    let (mut chassis, io) = Chassis::new(&ChassisConfig::new(spec, 4));
     let w = chassis.bus_width();
     let (arb_tx, arb_rx) = Stream::new(64, w);
     chassis.add_module(InputArbiter::new("input_arbiter", io.from_ports, arb_tx));

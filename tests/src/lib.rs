@@ -90,3 +90,47 @@ pub mod golden {
         }
     }
 }
+
+/// One build of every reference project shape whose module order is pinned
+/// by `tests/tests/module_order.rs`.
+pub mod builds {
+    use netfpga_core::board::BoardSpec;
+    use netfpga_core::time::Time;
+    use netfpga_faults::{FaultPlan, RecoveryPolicy};
+    use netfpga_projects::flowmon::FlowmonConfig;
+    use netfpga_projects::{
+        BlueSwitch, Chassis, ChassisConfig, OsntTester, ReferenceNic, ReferenceRouter,
+        ReferenceSwitch,
+    };
+
+    /// `(label, chassis)` for each pinned build.
+    pub fn project_chassis() -> Vec<(&'static str, Chassis)> {
+        let spec = BoardSpec::sume();
+        let plain = ChassisConfig::new(&spec, 4);
+        let fast = ChassisConfig {
+            fast_path: true,
+            ..plain.clone()
+        };
+        let recovery = ChassisConfig {
+            faults: FaultPlan::new(1).with_recovery(RecoveryPolicy::default()),
+            ..plain.clone()
+        };
+        let switch = |config: &ChassisConfig, flowmon: Option<FlowmonConfig>| {
+            ReferenceSwitch::build(config, 1024, Time::from_ms(100), flowmon).chassis
+        };
+        vec![
+            ("switch", switch(&plain, None)),
+            (
+                "switch_flowmon",
+                switch(&plain, Some(FlowmonConfig::default())),
+            ),
+            ("switch_fast_path", switch(&fast, None)),
+            ("switch_recovery", switch(&recovery, None)),
+            ("router", ReferenceRouter::new(&spec, 4).chassis),
+            ("blueswitch", BlueSwitch::new(&spec, 4, 2, 16).chassis),
+            ("nic_fast_path", ReferenceNic::build(&fast).chassis),
+            ("nic_recovery", ReferenceNic::build(&recovery).chassis),
+            ("osnt", OsntTester::new(&spec, 2).chassis),
+        ]
+    }
+}

@@ -17,7 +17,7 @@ use netfpga_nftest::{run, TestPlan};
 use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
 use netfpga_phy::{LinkState, PortBond};
 use netfpga_projects::reference_switch::LOOKUP_BASE;
-use netfpga_projects::{Chassis, ReferenceNic, ReferenceSwitch};
+use netfpga_projects::{Chassis, ChassisConfig, ReferenceNic, ReferenceSwitch};
 
 fn mac(x: u8) -> EthernetAddress {
     EthernetAddress::new(2, 0, 0, 0, 0, x)
@@ -50,8 +50,15 @@ fn switch_traffic(sw: &mut ReferenceSwitch) -> TimedCaptures {
 fn inert_plan_is_bit_for_bit_identical_on_the_switch() {
     let spec = BoardSpec::sume();
     let mut plain = ReferenceSwitch::new(&spec, 4, 1024, Time::from_ms(100));
-    let mut faulted =
-        ReferenceSwitch::with_faults(&spec, 4, 1024, Time::from_ms(100), false, FaultPlan::none());
+    let mut faulted = ReferenceSwitch::build(
+        &ChassisConfig {
+            faults: FaultPlan::none(),
+            ..ChassisConfig::new(&spec, 4)
+        },
+        1024,
+        Time::from_ms(100),
+        None,
+    );
     assert!(
         faulted.chassis.faults.is_none(),
         "inert plan splices nothing"
@@ -96,12 +103,10 @@ fn inert_plan_is_bit_for_bit_identical_on_the_nic() {
         (up, down, dma.stats())
     };
     let a = run_nic(ReferenceNic::new(&spec, 4));
-    let b = run_nic(ReferenceNic::with_faults(
-        &spec,
-        4,
-        false,
-        FaultPlan::none(),
-    ));
+    let b = run_nic(ReferenceNic::build(&ChassisConfig {
+        faults: FaultPlan::none(),
+        ..ChassisConfig::new(&spec, 4)
+    }));
     assert_eq!(a.0, b.0, "host-bound packet identical");
     assert_eq!(a.1, b.1, "wire-bound frame and timestamp identical");
     assert_eq!(a.2, b.2, "DMA statistics identical");
@@ -126,7 +131,15 @@ fn seeded_plan_replays_identically() {
                     duration: Time::from_us(10),
                 },
             );
-        ReferenceSwitch::with_faults(&BoardSpec::sume(), 4, 1024, Time::from_ms(100), false, plan)
+        ReferenceSwitch::build(
+            &ChassisConfig {
+                faults: plan,
+                ..ChassisConfig::new(&BoardSpec::sume(), 4)
+            },
+            1024,
+            Time::from_ms(100),
+            None,
+        )
     };
     let run_once = |seed: u64| {
         let mut sw = build(seed);
@@ -164,13 +177,14 @@ fn seeded_plan_replays_identically() {
 
 #[test]
 fn nftest_plan_shows_graceful_degradation_and_recovery() {
-    let mut sw = ReferenceSwitch::with_faults(
-        &BoardSpec::sume(),
-        4,
+    let mut sw = ReferenceSwitch::build(
+        &ChassisConfig {
+            faults: FaultPlan::new(77),
+            ..ChassisConfig::new(&BoardSpec::sume(), 4)
+        },
         1024,
         Time::from_ms(100),
-        false,
-        FaultPlan::new(77),
+        None,
     );
     let learn = frame(9, 1, 100);
     let f = frame(1, 9, 300);
@@ -239,8 +253,15 @@ fn recovery_plane_heals_flap_and_lane_loss_without_restore_events() {
             .any(|e| matches!(e.kind, FaultKind::LaneRestore { .. })),
         "the schedule must not help: no restore events"
     );
-    let mut sw =
-        ReferenceSwitch::with_faults(&BoardSpec::sume(), 4, 1024, Time::from_ms(100), false, plan);
+    let mut sw = ReferenceSwitch::build(
+        &ChassisConfig {
+            faults: plan,
+            ..ChassisConfig::new(&BoardSpec::sume(), 4)
+        },
+        1024,
+        Time::from_ms(100),
+        None,
+    );
 
     // Learn: mac(1) lives on port 1, mac(2) on port 2.
     sw.chassis.send(1, frame(1, 0, 100));
@@ -331,13 +352,7 @@ fn recovery_plane_heals_flap_and_lane_loss_without_restore_events() {
 /// count is surfaced as `events.dropped` in the telemetry registry.
 #[test]
 fn event_ring_overflow_is_counted_in_telemetry() {
-    let (mut chassis, _io) = Chassis::with_faults(
-        &BoardSpec::sume(),
-        1,
-        netfpga_core::regs::AddressMap::new(),
-        false,
-        FaultPlan::none(),
-    );
+    let (mut chassis, _io) = Chassis::new(&ChassisConfig::new(&BoardSpec::sume(), 1));
     assert_eq!(chassis.telemetry.get("events.dropped"), Some(0));
     // The chassis ring holds 64 events; push 70 straight into it.
     for i in 0..70u32 {
@@ -389,7 +404,14 @@ fn blueswitch_tcam_upsets_never_mix_configurations() {
                 bit: 3,
             },
         );
-    let mut sw = BlueSwitch::with_faults(&BoardSpec::sume(), 4, 2, 16, plan);
+    let mut sw = BlueSwitch::build(
+        &ChassisConfig {
+            faults: plan,
+            ..ChassisConfig::new(&BoardSpec::sume(), 4)
+        },
+        2,
+        16,
+    );
 
     // Config v1 (tag 1): table 0 catches everything to port 1; table 1
     // steers port-0 ingress to port 2 (last matching table wins).
@@ -476,7 +498,10 @@ fn dma_windows_gate_the_nic_host_path() {
             duration: Time::from_us(40),
         },
     );
-    let mut nic = ReferenceNic::with_faults(&BoardSpec::sume(), 4, false, plan);
+    let mut nic = ReferenceNic::build(&ChassisConfig {
+        faults: plan,
+        ..ChassisConfig::new(&BoardSpec::sume(), 4)
+    });
     let dma = nic.chassis.dma.clone().expect("NIC has DMA");
     let faults = nic.chassis.faults.clone().expect("armed");
 
@@ -499,19 +524,16 @@ fn dma_windows_gate_the_nic_host_path() {
 fn fault_registers_visible_over_mmio_on_plain_chassis() {
     // The fault block mounts like any project register block, so host
     // software sees fault statistics through the same MMIO path.
-    let (mut chassis, _io) = Chassis::with_faults(
-        &BoardSpec::sume(),
-        2,
-        netfpga_core::regs::AddressMap::new(),
-        false,
-        FaultPlan::new(1).at(
+    let (mut chassis, _io) = Chassis::new(&ChassisConfig {
+        faults: FaultPlan::new(1).at(
             Time::ZERO,
             FaultKind::LinkDown {
                 port: 0,
                 duration: Time::from_us(5),
             },
         ),
-    );
+        ..ChassisConfig::new(&BoardSpec::sume(), 2)
+    });
     chassis.attach_mmio();
     chassis.send(0, frame(1, 2, 100));
     chassis.run_for(Time::from_us(3));

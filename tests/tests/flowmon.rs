@@ -8,7 +8,7 @@ use netfpga_core::sim::SchedulerMode;
 use netfpga_core::time::Time;
 use netfpga_flowmon::{CountMinSketch, FiveTuple, FlowmonConfig, HeavyHitters, SketchConfig};
 use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
-use netfpga_projects::ReferenceSwitch;
+use netfpga_projects::{ChassisConfig, ReferenceSwitch};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -93,10 +93,7 @@ proptest! {
         frames in proptest::collection::vec((0usize..4, 0u8..6, 40usize..200), 1..20),
     ) {
         let observe = |mode: SchedulerMode, idle_skip: bool| {
-            let mut sw = ReferenceSwitch::with_flowmon(
-                &BoardSpec::sume(), 4, 256, Time::from_ms(100), false,
-                FlowmonConfig::default(),
-            );
+            let mut sw = ReferenceSwitch::build(&ChassisConfig::new(&BoardSpec::sume(), 4), 256, Time::from_ms(100), Some(FlowmonConfig::default()));
             sw.chassis.sim.set_scheduler_mode(mode);
             sw.chassis.sim.set_idle_skip(idle_skip);
             for &(port, flow, len) in &frames {

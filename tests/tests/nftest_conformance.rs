@@ -11,6 +11,7 @@ use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use netfpga_projects::reference_nic::{ReferenceNic, STATS_BASE};
 use netfpga_projects::reference_router::{ReferenceRouter, ROUTER_BASE};
 use netfpga_projects::reference_switch::{ReferenceSwitch, LOOKUP_BASE};
+use netfpga_projects::ChassisConfig;
 
 fn mac(x: u8) -> EthernetAddress {
     EthernetAddress::new(2, 0, 0, 0, 0, x)
@@ -164,13 +165,11 @@ fn router_exception_to_dma() {
 #[test]
 fn flowmon_conformance() {
     use netfpga_projects::flowmon::{FiveTuple, FlowmonConfig};
-    let mut sw = ReferenceSwitch::with_flowmon(
-        &BoardSpec::sume(),
-        4,
+    let mut sw = ReferenceSwitch::build(
+        &ChassisConfig::new(&BoardSpec::sume(), 4),
         1024,
         Time::from_ms(100),
-        false,
-        FlowmonConfig::default(),
+        Some(FlowmonConfig::default()),
     );
     let udp = |sport: u16, npad: u8| {
         PacketBuilder::new()
@@ -226,7 +225,10 @@ fn reliability_conformance() {
     use netfpga_faults::{FaultPlan, RecoveryPolicy};
     use netfpga_host::{ReliableChannel, ReliableConfig};
     let fault_plan = FaultPlan::new(21).with_recovery(RecoveryPolicy::default());
-    let mut nic = ReferenceNic::with_faults(&BoardSpec::sume(), 4, false, fault_plan);
+    let mut nic = ReferenceNic::build(&ChassisConfig {
+        faults: fault_plan,
+        ..ChassisConfig::new(&BoardSpec::sume(), 4)
+    });
     let dma = nic.chassis.dma.clone().expect("NIC has DMA");
     let (driver, channel) = ReliableChannel::new("reliable", dma, ReliableConfig::default(), 7);
     let clk = nic.chassis.clk;

@@ -6,7 +6,7 @@ use netfpga_core::time::Time;
 use netfpga_datapath::lpm::RouteEntry;
 use netfpga_datapath::ParsedHeaders;
 use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
-use netfpga_projects::{AcceptanceTest, ReferenceRouter, ReferenceSwitch};
+use netfpga_projects::{AcceptanceTest, ChassisConfig, ReferenceRouter, ReferenceSwitch};
 use proptest::prelude::*;
 
 fn mac(x: u8) -> EthernetAddress {
@@ -369,9 +369,7 @@ proptest! {
                 Time::ZERO,
                 FaultKind::SetBer { port: 1, ber: 10f64.powi(-(ber_exp as i32)) },
             );
-            let mut sw = ReferenceSwitch::with_faults(
-                &BoardSpec::sume(), 4, 256, Time::from_ms(100), false, plan,
-            );
+            let mut sw = ReferenceSwitch::build(&ChassisConfig { faults: plan, ..ChassisConfig::new(&BoardSpec::sume(), 4) }, 256, Time::from_ms(100), None);
             sw.chassis.sim.set_scheduler_mode(mode);
             // Unknown unicast destinations -> every frame floods to the
             // other three ports as refcount bumps of one buffer.
@@ -419,9 +417,7 @@ proptest! {
         let run = |idle_skip: bool| {
             let plan = FaultPlan::new(seed)
                 .at(gap, FaultKind::LinkDown { port: 0, duration: down });
-            let mut sw = ReferenceSwitch::with_faults(
-                &BoardSpec::sume(), 4, 256, Time::from_ms(100), false, plan,
-            );
+            let mut sw = ReferenceSwitch::build(&ChassisConfig { faults: plan, ..ChassisConfig::new(&BoardSpec::sume(), 4) }, 256, Time::from_ms(100), None);
             sw.chassis.sim.set_idle_skip(idle_skip);
             // Idle across the scheduled event: nothing in flight, so a
             // kernel that trusts a stale quiescence promise would jump
@@ -481,9 +477,7 @@ proptest! {
                     scrub_words_per_cycle: 0,
                     ..RecoveryPolicy::default()
                 });
-            let mut sw = ReferenceSwitch::with_faults(
-                &BoardSpec::sume(), 4, 256, Time::from_ms(100), false, plan,
-            );
+            let mut sw = ReferenceSwitch::build(&ChassisConfig { faults: plan, ..ChassisConfig::new(&BoardSpec::sume(), 4) }, 256, Time::from_ms(100), None);
             sw.chassis.sim.set_scheduler_mode(mode);
             sw.chassis.sim.set_idle_skip(idle_skip);
             let pcs = sw.chassis.pcs_handle(1).expect("recovery plane");
@@ -537,18 +531,13 @@ proptest! {
 
         let run = |mode: SchedulerMode, idle_skip: bool| {
             let mut sw = if tap {
-                ReferenceSwitch::with_flowmon(
-                    &BoardSpec::sume(), 4, 256, Time::from_ms(100), false,
-                    FlowmonConfig::default(),
-                )
+                ReferenceSwitch::build(&ChassisConfig::new(&BoardSpec::sume(), 4), 256, Time::from_ms(100), Some(FlowmonConfig::default()))
             } else {
                 let plan = FaultPlan::new(seed).at(
                     Time::from_us(gap_us),
                     FaultKind::SetBer { port: 1, ber: 10f64.powi(-(ber_exp as i32)) },
                 );
-                ReferenceSwitch::with_faults(
-                    &BoardSpec::sume(), 4, 256, Time::from_ms(100), false, plan,
-                )
+                ReferenceSwitch::build(&ChassisConfig { faults: plan, ..ChassisConfig::new(&BoardSpec::sume(), 4) }, 256, Time::from_ms(100), None)
             };
             sw.chassis.sim.set_scheduler_mode(mode);
             sw.chassis.sim.set_idle_skip(idle_skip);
@@ -586,7 +575,6 @@ proptest! {
         flip_words in proptest::collection::btree_set(0usize..64, 1..24),
         start_us in 1u64..40,
     ) {
-        use netfpga_core::regs::AddressMap;
         use netfpga_faults::{EccMode, FaultKind, FaultPlan, RecoveryPolicy};
         use netfpga_mem::Bram;
         use netfpga_projects::Chassis;
@@ -597,10 +585,7 @@ proptest! {
             scrub_words_per_cycle: wpc,
             ..RecoveryPolicy::default()
         };
-        let (mut chassis, _io) = Chassis::with_faults(
-            &BoardSpec::sume(), 1, AddressMap::new(), false,
-            FaultPlan::new(3).with_recovery(policy),
-        );
+        let (mut chassis, _io) = Chassis::new(&ChassisConfig { faults: FaultPlan::new(3).with_recovery(policy), ..ChassisConfig::new(&BoardSpec::sume(), 1) });
         let faults = chassis.faults.clone().expect("armed");
         faults.register_memory(
             "m",
@@ -828,6 +813,109 @@ proptest! {
             prop_assert_eq!(fates, offered, "one fate each: {:?}", c);
         }
     }
+
+    /// The same for the other two blocks a driver writes, BlueSwitch's and
+    /// OSNT's per-port ones: any write sequence over every word leaves no
+    /// panic, an undocumented word reads `UNMAPPED_READ`, BlueSwitch still
+    /// classifies every frame offered exactly once, and no OSNT generator
+    /// sends more probes than a start ever staged.
+    #[test]
+    fn prop_project_registers_survive_any_write_sequence(
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u32..128, any::<u32>(), 0u8..4), 0..32),
+                proptest::collection::vec((0usize..4, any::<u8>()), 1..8),
+            ),
+            1..4,
+        ),
+    ) {
+        use netfpga_core::regs::UNMAPPED_READ;
+        use netfpga_projects::blueswitch::BLUESWITCH_BASE;
+        use netfpga_projects::osnt::{OSNT_BASE, OSNT_PORT_STRIDE};
+        use netfpga_projects::{BlueSwitch, OsntTester};
+
+        // Two tables of eight rules, so staged tables and slots often lie
+        // past the pipeline; OSNT's port 0 looped back onto itself, port 1
+        // offered the same bursts as the switch.
+        let mut sw = BlueSwitch::new(&BoardSpec::sume(), 4, 2, 8);
+        let mut osnt = OsntTester::new(&BoardSpec::sume(), 2);
+        let (to_board, from_board) = osnt.chassis.port_wires(0);
+        osnt.chassis.add_link("loop0", from_board, to_board, netfpga_phy::LinkConfig::default());
+        let mut offered = 0;
+        // Per OSNT port: the probe count staged, and the largest one a
+        // start has carried.
+        let mut staged_count = [0u32; 2];
+        let mut started_count = [0u32; 2];
+        for (writes, burst) in rounds {
+            for &(slot, raw, shape) in &writes {
+                // Any of the block's 64 words, the command and staging words
+                // more often; any value, or one the word makes sense of.
+                let word = match slot {
+                    0..=63 => slot,
+                    64..=111 => [0, 0, 1, 2, 3, 4, 5, 6][slot as usize % 8],
+                    _ => 28,
+                };
+                let value = match (shape, word) {
+                    (0, _) => raw,
+                    (_, 0) => [1, 1, 2, 3, 4, 5, 0, 9][raw as usize % 8],
+                    (_, 1 | 3) => raw % 4,
+                    (_, 4) => raw % 64,
+                    (_, 6) => raw % 12,
+                    _ => 0,
+                };
+                let addr = BLUESWITCH_BASE + word * 4;
+                sw.chassis.write32(addr, value);
+                let got = sw.chassis.read32(addr);
+                if !matches!(word, 0..=6 | 8..=14 | 16..=22 | 24..=28) {
+                    prop_assert_eq!(got, UNMAPPED_READ, "BlueSwitch word {}", word);
+                }
+
+                let port = (raw >> 31) as usize;
+                let value = match (shape, word) {
+                    (0, _) => raw,
+                    (_, 0) => [1, 1, 1, 0, 2][raw as usize % 5],
+                    (_, 1) => raw % 20_000,
+                    (_, 2) => [raw % 2048, 60, 1514, 1515, 70_000, u32::MAX][raw as usize % 6],
+                    (_, 3) => raw % 64,
+                    (_, 5) => raw % 3,
+                    _ => raw % 16,
+                };
+                let addr = OSNT_BASE + port as u32 * OSNT_PORT_STRIDE + word * 4;
+                match word {
+                    0 if value == 1 => {
+                        started_count[port] = started_count[port].max(staged_count[port]);
+                    }
+                    3 => staged_count[port] = value,
+                    _ => {}
+                }
+                osnt.chassis.write32(addr, value);
+                let got = osnt.chassis.read32(addr);
+                if !matches!(word, 0..=5 | 8..=12) {
+                    prop_assert_eq!(got, UNMAPPED_READ, "OSNT word {}", word);
+                }
+            }
+            offered += burst.len() as u64;
+            for &(port, kind) in &burst {
+                let frame = PacketBuilder::new()
+                    .eth(mac(kind), mac(0xe0 + port as u8))
+                    .ipv4(Ipv4Address::new(10, 0, 0, kind), Ipv4Address::new(10, 9, 0, 1))
+                    .udp(u16::from(kind), 80, &[kind; 18])
+                    .build();
+                sw.chassis.send(port, frame.clone());
+                osnt.chassis.send(1, frame);
+            }
+            sw.chassis.run_for(Time::from_us(50));
+            osnt.chassis.run_for(Time::from_us(50));
+            let packets = sw.counters.borrow().packets;
+            prop_assert_eq!(packets, offered, "classified once each");
+            for (port, generator) in osnt.generators.iter().enumerate() {
+                prop_assert!(
+                    generator.sent() <= u64::from(started_count[port]),
+                    "port {}: {} sent, {} staged", port, generator.sent(), started_count[port]
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -940,7 +1028,7 @@ proptest! {
                     FaultKind::DmaDrop { duration: Time::from_us(drop_us) },
                 );
             }
-            let mut nic = ReferenceNic::with_faults(&BoardSpec::sume(), 4, false, plan);
+            let mut nic = ReferenceNic::build(&ChassisConfig { faults: plan, ..ChassisConfig::new(&BoardSpec::sume(), 4) });
             nic.chassis.sim.set_scheduler_mode(mode);
             nic.chassis.sim.set_idle_skip(idle_skip);
             let dma = nic.chassis.dma.clone().expect("NIC has DMA");

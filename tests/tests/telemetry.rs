@@ -10,6 +10,7 @@ use netfpga_faults::{FaultKind, FaultPlan};
 use netfpga_host::{dump_stats, poll_events};
 use netfpga_packet::{EthernetAddress, PacketBuilder};
 use netfpga_projects::reference_switch::{ReferenceSwitch, LOOKUP_BASE, STATS_BASE};
+use netfpga_projects::ChassisConfig;
 
 fn mac(x: u8) -> EthernetAddress {
     EthernetAddress::new(2, 0, 0, 0, 0, x)
@@ -155,8 +156,15 @@ fn poll_events_observes_injected_link_flap() {
             duration: Time::from_us(15),
         },
     );
-    let mut sw =
-        ReferenceSwitch::with_faults(&BoardSpec::sume(), 4, 1024, Time::from_ms(100), false, plan);
+    let mut sw = ReferenceSwitch::build(
+        &ChassisConfig {
+            faults: plan,
+            ..ChassisConfig::new(&BoardSpec::sume(), 4)
+        },
+        1024,
+        Time::from_ms(100),
+        None,
+    );
 
     // Nothing before the flap fires.
     sw.chassis.run_for(Time::from_us(5));
