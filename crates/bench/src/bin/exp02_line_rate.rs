@@ -105,7 +105,8 @@ fn nic_c2h(fast_path: bool, len: usize) -> (f64, u64) {
         }
     }
     let span = (last - first.expect("a delivery")).as_secs_f64();
-    ((delivered - 1) as f64 / span / 1e6, dma.stats().rx_drops)
+    let drops = dma.counters().rx_drops.get();
+    ((delivered - 1) as f64 / span / 1e6, drops)
 }
 
 fn main() {

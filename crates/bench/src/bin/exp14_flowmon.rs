@@ -150,7 +150,8 @@ fn run_workload(
         sw.chassis.recv(p);
     }
     let mon = sw.flowmon.clone().expect("flowmon mounted");
-    let teach_packets = mon.packets();
+    let counts = mon.counters();
+    let teach_packets = counts.packets.get();
     for &i in sched {
         sw.chassis.send(0, flow_frame(i));
     }
@@ -160,15 +161,15 @@ fn run_workload(
         for p in 0..4 {
             sw.chassis.recv(p);
         }
-        if mon.packets() >= target {
+        if counts.packets.get() >= target {
             break;
         }
     }
-    assert_eq!(mon.packets(), target, "workload not fully observed");
+    assert_eq!(counts.packets.get(), target, "workload not fully observed");
     let sig = Signature {
-        packets: mon.packets(),
-        bytes: mon.bytes(),
-        non_ip: mon.non_ip(),
+        packets: counts.packets.get(),
+        bytes: counts.bytes.get(),
+        non_ip: counts.non_ip.get(),
         evictions: mon.evictions(),
         total: mon.total(),
         flows: mon

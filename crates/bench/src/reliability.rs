@@ -224,9 +224,9 @@ pub fn reliability_nic(point: ReliabilityPoint) -> ReliabilityRunResult {
         accepted: channel.accepted(),
         delivered: seen.len() as u64,
         wire_duplicates,
-        acked: dma.acked(),
+        acked: dma.counters().acked.get(),
         retries: channel.retries(),
-        dup_discards: dma.dup_discards(),
+        dup_discards: dma.counters().dup_discards.get(),
         tx_shed: channel.tx_shed(),
         abandoned: channel.abandoned(),
         fault_tx_dropped: nic

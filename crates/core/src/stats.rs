@@ -8,8 +8,9 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-/// A shared monotonically increasing counter.
-#[derive(Debug, Clone, Default)]
+/// A shared monotonically increasing counter. Two counters compare equal
+/// when they read the same value.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counter(Rc<Cell<u64>>);
 
 impl Counter {

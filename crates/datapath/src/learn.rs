@@ -2,23 +2,37 @@
 //! forward to the learned port, flood unknowns — 802.1D behaviour over the
 //! [`AgingTable`] substrate.
 
+use netfpga_core::stats::Counter;
 use netfpga_core::stream::{Meta, PortMask};
+use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
 use netfpga_mem::AgingTable;
 use netfpga_packet::ethernet::EthernetFrame;
 use netfpga_packet::EthernetAddress;
 
-/// Learning/forwarding statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LearnStats {
+/// Learning/forwarding counters: shared cells the core increments and the
+/// telemetry plane reads.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LearnCounters {
     /// Lookups that found the destination (unicast forward).
-    pub hits: u64,
+    pub hits: Counter,
     /// Lookups that flooded (unknown destination or broadcast/multicast).
-    pub floods: u64,
+    pub floods: Counter,
     /// Source addresses learned or refreshed.
-    pub learned: u64,
+    pub learned: Counter,
     /// Learning failures (table pressure).
-    pub learn_failures: u64,
+    pub learn_failures: Counter,
+}
+
+impl LearnCounters {
+    /// Register every counter on `registry` under `prefix` (e.g.
+    /// `lookup`): `hits`, `floods`, `learned`, `learn_failures`.
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        registry.register_counter(&format!("{prefix}.hits"), &self.hits);
+        registry.register_counter(&format!("{prefix}.floods"), &self.floods);
+        registry.register_counter(&format!("{prefix}.learned"), &self.learned);
+        registry.register_counter(&format!("{prefix}.learn_failures"), &self.learn_failures);
+    }
 }
 
 /// The learning switch decision core. Not a stream module itself — the
@@ -26,7 +40,7 @@ pub struct LearnStats {
 pub struct LearningSwitchCore {
     table: AgingTable<u64, u8>,
     nports: u8,
-    stats: LearnStats,
+    counters: LearnCounters,
 }
 
 impl LearningSwitchCore {
@@ -37,7 +51,7 @@ impl LearningSwitchCore {
         LearningSwitchCore {
             table: AgingTable::new(capacity, age_limit),
             nports,
-            stats: LearnStats::default(),
+            counters: LearnCounters::default(),
         }
     }
 
@@ -66,25 +80,25 @@ impl LearningSwitchCore {
         // Learn/refresh the source (unicast sources only, per 802.1D).
         if src.is_unicast() {
             if self.table.insert(src.to_u64(), in_port, now) {
-                self.stats.learned += 1;
+                self.counters.learned.incr();
             } else {
-                self.stats.learn_failures += 1;
+                self.counters.learn_failures.incr();
             }
         }
         // Forward decision.
         let mut mask = if dst.is_unicast() {
             match self.table.lookup(&dst.to_u64(), now) {
                 Some(port) => {
-                    self.stats.hits += 1;
+                    self.counters.hits.incr();
                     PortMask::single(port)
                 }
                 None => {
-                    self.stats.floods += 1;
+                    self.counters.floods.incr();
                     PortMask::first_n(self.nports)
                 }
             }
         } else {
-            self.stats.floods += 1;
+            self.counters.floods.incr();
             PortMask::first_n(self.nports)
         };
         // Never reflect back out the ingress port.
@@ -92,34 +106,9 @@ impl LearningSwitchCore {
         mask
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> LearnStats {
-        self.stats
-    }
-
-    /// Register a shared core's counters on `registry` as gauges under
-    /// `prefix` (e.g. `lookup`): `hits`, `floods`, `learned`,
-    /// `learn_failures`. Takes the `Rc<RefCell<…>>` the reference designs
-    /// already share between the pipeline stage and their register blocks,
-    /// so registry reads equal [`LearningSwitchCore::stats`] bit for bit.
-    pub fn register_stats(
-        core: &std::rc::Rc<std::cell::RefCell<LearningSwitchCore>>,
-        registry: &netfpga_core::telemetry::StatRegistry,
-        prefix: &str,
-    ) {
-        type Field = fn(&LearnStats) -> u64;
-        let fields: [(&str, Field); 4] = [
-            ("hits", |s| s.hits),
-            ("floods", |s| s.floods),
-            ("learned", |s| s.learned),
-            ("learn_failures", |s| s.learn_failures),
-        ];
-        for (name, field) in fields {
-            let core = core.clone();
-            registry.gauge(&format!("{prefix}.{name}"), move || {
-                field(&core.borrow().stats)
-            });
-        }
+    /// The core's counters.
+    pub fn counters(&self) -> &LearnCounters {
+        &self.counters
     }
 
     /// Live table entries at `now`.
@@ -192,7 +181,7 @@ pub(crate) mod tests {
                     by_parse.decide(h.eth_src, h.eth_dst, src_port, now)
                 );
             }
-            prop_assert_eq!(by_header.stats(), by_parse.stats());
+            prop_assert_eq!(by_header.counters(), by_parse.counters());
         }
     }
 
@@ -206,7 +195,7 @@ pub(crate) mod tests {
         let mask = c.decide(mac(1), mac(2), 0, Time::ZERO);
         assert!(!mask.contains(0), "no reflection");
         assert!(mask.contains(1) && mask.contains(2) && mask.contains(3));
-        assert_eq!(c.stats().floods, 1);
+        assert_eq!(c.counters().floods.get(), 1);
     }
 
     #[test]
@@ -218,7 +207,7 @@ pub(crate) mod tests {
         assert_eq!(mask, PortMask::single(0), "B->A goes straight to port 0");
         let mask = c.decide(mac(1), mac(2), 0, Time::from_us(2));
         assert_eq!(mask, PortMask::single(2), "A->B now unicast too");
-        assert_eq!(c.stats().hits, 2);
+        assert_eq!(c.counters().hits.get(), 2);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod stage;
 pub mod vlan;
 
 pub use arbiter::InputArbiter;
-pub use learn::LearningSwitchCore;
+pub use learn::{LearnCounters, LearningSwitchCore};
 pub use lpm::{LpmTable, RouteEntry};
 pub use parser::ParsedHeaders;
 pub use queues::{OutputQueues, QueueConfig};

@@ -19,7 +19,8 @@ use crate::sched::{QueueView, Scheduler};
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
 use netfpga_core::stats::Counter;
-use netfpga_core::stream::{Meta, PacketRx, PacketTx, StreamRx, StreamTx};
+use netfpga_core::stream::{Meta, PacketRx, PacketTx, PortMask, StreamRx, StreamTx};
+use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
 use netfpga_mem::ByteFifo;
 
@@ -46,27 +47,30 @@ impl Default for QueueConfig {
     }
 }
 
-/// Per-stage counters (a point-in-time snapshot; the live values are
-/// shared [`Counter`] cells the telemetry plane also reads).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutputQueueStats {
+/// Output-queue counters: shared cells the stage increments and the
+/// telemetry plane reads.
+#[derive(Debug, Clone, Default)]
+pub struct QueueCounters {
     /// Packets admitted across all queues (multicast copies count).
-    pub enqueued: u64,
+    pub enqueued: Counter,
     /// Packets sent.
-    pub dequeued: u64,
+    pub dequeued: Counter,
     /// Packets tail-dropped.
-    pub dropped: u64,
-    /// Packets whose destination mask was empty (discarded).
-    pub no_destination: u64,
+    pub dropped: Counter,
+    /// Packets discarded because their destination mask named no port
+    /// this stage has (an empty mask included).
+    pub no_destination: Counter,
 }
 
-/// The live shared cells behind [`OutputQueueStats`].
-#[derive(Debug, Clone, Default)]
-struct QueueCounters {
-    enqueued: Counter,
-    dequeued: Counter,
-    dropped: Counter,
-    no_destination: Counter,
+impl QueueCounters {
+    /// Register every counter on `registry` under `prefix` (e.g. `oq`):
+    /// `enqueued`, `dequeued`, `dropped`, `no_destination`.
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        registry.register_counter(&format!("{prefix}.enqueued"), &self.enqueued);
+        registry.register_counter(&format!("{prefix}.dequeued"), &self.dequeued);
+        registry.register_counter(&format!("{prefix}.dropped"), &self.dropped);
+        registry.register_counter(&format!("{prefix}.no_destination"), &self.no_destination);
+    }
 }
 
 struct PortState {
@@ -89,7 +93,7 @@ pub struct OutputQueues {
     input: PacketRx,
     ports: Vec<PortState>,
     classifier: Classifier,
-    stats: QueueCounters,
+    counters: QueueCounters,
     /// Activity-cache invalidation flag, registered on the input stream
     /// and on every egress stream (pops free the space a back-pressured
     /// port waits on).
@@ -126,7 +130,7 @@ impl OutputQueues {
             input: PacketRx::new(input, &wake),
             ports,
             classifier: config.classifier,
-            stats: QueueCounters::default(),
+            counters: QueueCounters::default(),
             wake,
         }
     }
@@ -144,40 +148,16 @@ impl OutputQueues {
         self
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> OutputQueueStats {
-        OutputQueueStats {
-            enqueued: self.stats.enqueued.get(),
-            dequeued: self.stats.dequeued.get(),
-            dropped: self.stats.dropped.get(),
-            no_destination: self.stats.no_destination.get(),
-        }
-    }
-
-    /// Register the stage's counters on `registry` under `prefix` (e.g.
-    /// `oq`): `enqueued`, `dequeued`, `dropped`, `no_destination`. The
-    /// shared cells themselves are registered, so registry reads equal
-    /// [`OutputQueues::stats`] bit for bit. Call before handing the stage
-    /// to the simulator.
-    pub fn register_stats(&self, registry: &netfpga_core::telemetry::StatRegistry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}.enqueued"), &self.stats.enqueued);
-        registry.register_counter(&format!("{prefix}.dequeued"), &self.stats.dequeued);
-        registry.register_counter(&format!("{prefix}.dropped"), &self.stats.dropped);
-        registry.register_counter(
-            &format!("{prefix}.no_destination"),
-            &self.stats.no_destination,
-        );
+    /// The stage's counters.
+    pub fn counters(&self) -> &QueueCounters {
+        &self.counters
     }
 
     /// Register one depth gauge per (port, class) queue: `portN.qM.depth`
     /// (prefixed with `{prefix}.` when `prefix` is non-empty). Gauges
     /// read the live shared depth cells, so they stay current after the
     /// stage moves into the simulator.
-    pub fn register_depth_gauges(
-        &self,
-        registry: &netfpga_core::telemetry::StatRegistry,
-        prefix: &str,
-    ) {
+    pub fn register_depth_gauges(&self, registry: &StatRegistry, prefix: &str) {
         for (p, port) in self.ports.iter().enumerate() {
             for (c, depth) in port.depths.iter().enumerate() {
                 let leaf = format!("port{p}.q{c}.depth");
@@ -212,8 +192,9 @@ impl OutputQueues {
     /// flood copies share one buffer: `packet.clone()` bumps a refcount, no
     /// payload bytes are copied per port.
     fn deliver(&mut self, packet: PktBuf, meta: Meta) {
-        if meta.dst_ports.is_empty() {
-            self.stats.no_destination.incr();
+        let present = PortMask::first_n(self.ports.len().min(16) as u8);
+        if meta.dst_ports.0 & present.0 == 0 {
+            self.counters.no_destination.incr();
             return;
         }
         let class = (self.classifier)(&packet, &meta);
@@ -226,9 +207,9 @@ impl OutputQueues {
             if state.queues[class].push(len, (packet.clone(), meta)) {
                 state.depths[class].set(state.queues[class].len() as u64);
                 state.scheduler.on_enqueue(class, len);
-                self.stats.enqueued.incr();
+                self.counters.enqueued.incr();
             } else {
-                self.stats.dropped.incr();
+                self.counters.dropped.incr();
             }
         }
     }
@@ -253,9 +234,9 @@ impl OutputQueues {
             .expect("scheduler picked empty queue");
         state.depths[class].set(state.queues[class].len() as u64);
         state.scheduler.on_dequeue(class, packet.len());
-        self.stats.dequeued.incr();
+        self.counters.dequeued.incr();
         // Narrow the mask to this port for the egress copy.
-        meta.dst_ports = netfpga_core::stream::PortMask::single(i as u8);
+        meta.dst_ports = PortMask::single(i as u8);
         state.out.stage(packet, meta);
         true
     }
@@ -283,10 +264,10 @@ impl Module for OutputQueues {
 
     fn reset(&mut self) {
         self.input.reset();
-        self.stats.enqueued.clear();
-        self.stats.dequeued.clear();
-        self.stats.dropped.clear();
-        self.stats.no_destination.clear();
+        self.counters.enqueued.clear();
+        self.counters.dequeued.clear();
+        self.counters.dropped.clear();
+        self.counters.no_destination.clear();
         for p in &mut self.ports {
             for q in &mut p.queues {
                 q.clear();
@@ -305,7 +286,7 @@ impl Module for OutputQueues {
     /// that is the difference from [`Module::reset`].
     fn soft_reset(&mut self) {
         if self.input.soft_reset() {
-            self.stats.dropped.incr();
+            self.counters.dropped.incr();
         }
         for p in &mut self.ports {
             p.out.soft_reset();
@@ -352,6 +333,7 @@ mod tests {
         sim: Simulator,
         inject: InjectQueue,
         captures: Vec<CaptureBuffer>,
+        counters: QueueCounters,
     }
 
     fn rig(nports: usize, config: QueueConfig, mk: impl FnMut() -> Box<dyn Scheduler>) -> Rig {
@@ -384,6 +366,7 @@ mod tests {
             sinks.push(sink);
         }
         let oq = OutputQueues::new("oq", in_rx, out_txs, config, mk);
+        let counters = oq.counters().clone();
         sim.add_module(clk, oq);
         for s in sinks {
             sim.add_module(slow, s);
@@ -392,6 +375,7 @@ mod tests {
             sim,
             inject,
             captures,
+            counters,
         }
     }
 
@@ -441,6 +425,25 @@ mod tests {
         r.sim.run_until(Time::from_us(2));
         assert_eq!(r.captures[0].total_packets(), 0);
         assert_eq!(r.captures[1].total_packets(), 0);
+        assert_eq!(r.counters.no_destination.get(), 1);
+    }
+
+    /// A mask naming only ports the stage lacks is discarded and counted
+    /// like an empty one; a mask naming a present port as well reaches it.
+    #[test]
+    fn mask_naming_no_present_port_is_counted() {
+        let mut r = rig(2, QueueConfig::default(), || Box::new(Fifo));
+        r.inject
+            .push_with_meta(vec![1u8; 64], meta_to(PortMask::single(5), 0, 64));
+        let mut mixed = PortMask::single(1);
+        mixed.insert(9);
+        r.inject
+            .push_with_meta(vec![2u8; 64], meta_to(mixed, 0, 64));
+        r.sim.run_until(Time::from_us(2));
+        assert_eq!(r.counters.no_destination.get(), 1);
+        assert_eq!(r.counters.enqueued.get(), 1);
+        assert_eq!(r.captures[0].total_packets(), 0);
+        assert_eq!(r.captures[1].total_packets(), 1);
     }
 
     #[test]
@@ -586,7 +589,7 @@ mod tests {
                 || Box::new(Fifo),
             )
             .with_burst(burst);
-            oq.register_stats(&registry, "oq");
+            oq.counters().register_stats(&registry, "oq");
             oq.register_depth_gauges(&registry, "oq");
             let mut sim = Simulator::new();
             let clk = sim.add_clock("core", Frequency::mhz(200));

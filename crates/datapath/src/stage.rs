@@ -60,24 +60,26 @@ where
     }
 }
 
-/// Stage counters (a point-in-time snapshot; the live values are shared
-/// [`Counter`] cells the stage increments and the telemetry plane reads).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageStats {
+/// Stage counters: shared cells the stage increments and the telemetry
+/// plane reads.
+#[derive(Debug, Clone, Default)]
+pub struct StageCounters {
     /// Packets received in full.
-    pub in_packets: u64,
+    pub in_packets: Counter,
     /// Packets forwarded.
-    pub forwarded: u64,
+    pub forwarded: Counter,
     /// Packets dropped by the logic.
-    pub dropped: u64,
+    pub dropped: Counter,
 }
 
-/// The live shared cells behind [`StageStats`].
-#[derive(Debug, Clone, Default)]
-struct StageCounters {
-    in_packets: Counter,
-    forwarded: Counter,
-    dropped: Counter,
+impl StageCounters {
+    /// Register every counter on `registry` under `prefix` (e.g.
+    /// `pipeline.lookup`): `in_packets`, `forwarded`, `dropped`.
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        registry.register_counter(&format!("{prefix}.in_packets"), &self.in_packets);
+        registry.register_counter(&format!("{prefix}.forwarded"), &self.forwarded);
+        registry.register_counter(&format!("{prefix}.dropped"), &self.dropped);
+    }
 }
 
 /// The store-and-forward stage shell. See module docs.
@@ -96,7 +98,7 @@ pub struct PacketStage<L: PacketLogic> {
     ready: VecDeque<(u64, Time, PktBuf, Meta)>,
     /// Cap on buffered processed packets before input stalls.
     max_ready: usize,
-    stats: StageCounters,
+    counters: StageCounters,
     /// Activity-cache invalidation flag, registered on the input and the
     /// output (pops free the space a stalled emission waits on).
     wake: WakeHandle,
@@ -120,7 +122,7 @@ impl<L: PacketLogic> PacketStage<L> {
             latency_cycles,
             ready: VecDeque::new(),
             max_ready: 4,
-            stats: StageCounters::default(),
+            counters: StageCounters::default(),
             wake,
         }
     }
@@ -139,7 +141,7 @@ impl<L: PacketLogic> PacketStage<L> {
     /// A packet received in full: run the logic and queue the result for
     /// its release cycle.
     fn ingest(&mut self, mut packet: PktBuf, mut meta: Meta, ctx: &TickContext) {
-        self.stats.in_packets.incr();
+        self.counters.in_packets.incr();
         match self.logic.process(&mut packet, &mut meta, ctx.now) {
             StageAction::Forward => {
                 assert!(!packet.is_empty(), "logic emptied packet");
@@ -147,32 +149,17 @@ impl<L: PacketLogic> PacketStage<L> {
                 let release_at = ctx.now + Time::from_ps(self.latency_cycles * ctx.period.as_ps());
                 self.ready
                     .push_back((ctx.cycle + self.latency_cycles, release_at, packet, meta));
-                self.stats.forwarded.incr();
+                self.counters.forwarded.incr();
             }
             StageAction::Drop => {
-                self.stats.dropped.incr();
+                self.counters.dropped.incr();
             }
         }
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> StageStats {
-        StageStats {
-            in_packets: self.stats.in_packets.get(),
-            forwarded: self.stats.forwarded.get(),
-            dropped: self.stats.dropped.get(),
-        }
-    }
-
-    /// Register the stage's counters on `registry` under `prefix` (e.g.
-    /// `lookup.stage`): `in_packets`, `forwarded`, `dropped`. The shared
-    /// cells themselves are registered, so registry reads equal
-    /// [`PacketStage::stats`] bit for bit. Call before handing the stage
-    /// to the simulator.
-    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}.in_packets"), &self.stats.in_packets);
-        registry.register_counter(&format!("{prefix}.forwarded"), &self.stats.forwarded);
-        registry.register_counter(&format!("{prefix}.dropped"), &self.stats.dropped);
+    /// The stage's counters.
+    pub fn counters(&self) -> &StageCounters {
+        &self.counters
     }
 
     /// Whether the stage takes more input: not while the cap on buffered
@@ -213,9 +200,9 @@ impl<L: PacketLogic> Module for PacketStage<L> {
         self.input.reset();
         self.output.reset();
         self.ready.clear();
-        self.stats.in_packets.clear();
-        self.stats.forwarded.clear();
-        self.stats.dropped.clear();
+        self.counters.in_packets.clear();
+        self.counters.forwarded.clear();
+        self.counters.dropped.clear();
         self.logic.reset();
     }
 
@@ -226,7 +213,7 @@ impl<L: PacketLogic> Module for PacketStage<L> {
     /// learned state all survive.
     fn soft_reset(&mut self) {
         if self.input.soft_reset() {
-            self.stats.dropped.incr();
+            self.counters.dropped.incr();
         }
         self.output.soft_reset();
     }
@@ -390,7 +377,7 @@ mod tests {
             let (in_tx, in_rx) = Stream::new(8, 32);
             let (out_tx, out_rx) = Stream::new(8, 32);
             let stage = PacketStage::new("stage", in_rx, out_tx, 0, forward_all).with_burst(burst);
-            stage.register_stats(&registry, "stage");
+            stage.counters().register_stats(&registry, "stage");
             let mut sim = Simulator::new();
             let clk = sim.add_clock("core", Frequency::mhz(200));
             sim.add_module(clk, stage);

@@ -2,7 +2,7 @@
 //! extension of the learning core — library modules in the spirit of the
 //! platform's "large library of modules ... provided" (paper §3).
 
-use crate::learn::LearnStats;
+use crate::learn::LearnCounters;
 use netfpga_core::stream::{Meta, PortMask};
 use netfpga_core::time::Time;
 use netfpga_mem::AgingTable;
@@ -51,7 +51,7 @@ pub struct VlanSwitchCore {
     members: std::collections::BTreeMap<u16, PortMask>,
     /// Access (native) VLAN per port, for untagged frames.
     access_vlan: Vec<u16>,
-    stats: LearnStats,
+    counters: LearnCounters,
 }
 
 impl VlanSwitchCore {
@@ -64,7 +64,7 @@ impl VlanSwitchCore {
             table: AgingTable::new(capacity, age_limit),
             members,
             access_vlan: vec![1; usize::from(nports)],
-            stats: LearnStats::default(),
+            counters: LearnCounters::default(),
         }
     }
 
@@ -125,33 +125,33 @@ impl VlanSwitchCore {
         }
         if src.is_unicast() {
             if self.table.insert((vid, src.to_u64()), in_port, now) {
-                self.stats.learned += 1;
+                self.counters.learned.incr();
             } else {
-                self.stats.learn_failures += 1;
+                self.counters.learn_failures.incr();
             }
         }
         let mut mask = if dst.is_unicast() {
             match self.table.lookup(&(vid, dst.to_u64()), now) {
                 Some(port) if vlan_ports.contains(port) => {
-                    self.stats.hits += 1;
+                    self.counters.hits.incr();
                     PortMask::single(port)
                 }
                 _ => {
-                    self.stats.floods += 1;
+                    self.counters.floods.incr();
                     vlan_ports
                 }
             }
         } else {
-            self.stats.floods += 1;
+            self.counters.floods.incr();
             vlan_ports
         };
         mask.remove(in_port);
         mask
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> LearnStats {
-        self.stats
+    /// The core's counters.
+    pub fn counters(&self) -> &LearnCounters {
+        &self.counters
     }
 
     /// Flush the forwarding table.
@@ -330,7 +330,7 @@ mod tests {
                     by_parse.decide(vid, h.eth_src, h.eth_dst, src_port, now)
                 );
             }
-            prop_assert_eq!(by_header.stats(), by_parse.stats());
+            prop_assert_eq!(by_header.counters(), by_parse.counters());
         }
     }
 

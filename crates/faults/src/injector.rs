@@ -935,7 +935,7 @@ impl RegisterSpace for FaultRegisters {
             faultregs::BER_FLIPS => c.ber_flips.get(),
             faultregs::LANE_EVENTS => c.lane_events.get(),
             faultregs::STREAM_STALL_TICKS => c.stream_stall_ticks.get(),
-            faultregs::DMA_STALLED_TICKS => self.handle.gate.stalled_ticks(),
+            faultregs::DMA_STALLED_TICKS => self.handle.gate.counters().stalled_ticks.get(),
             faultregs::DMA_DROPPED => self.handle.gate.dropped(),
             faultregs::MEM_INJECTED => c.mem_injected.get(),
             faultregs::MEM_CORRECTED => c.mem_corrected.get(),

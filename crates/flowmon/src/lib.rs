@@ -44,7 +44,7 @@ pub use heavy::{FlowRecord, HeavyHitters};
 pub use hist::LogLinearHistogram;
 pub use mmio::{FlowmonRegisters, FLOWMON_BASE, FLOWMON_MAGIC, FLOWMON_SIZE, FLOW_TABLE_OFF};
 pub use sketch::{CountMinSketch, SketchConfig};
-pub use tap::{FlowMonHandle, FlowTap};
+pub use tap::{FlowMonCounters, FlowMonHandle, FlowTap};
 
 use netfpga_core::time::Time;
 

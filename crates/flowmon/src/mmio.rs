@@ -125,10 +125,10 @@ impl RegisterSpace for FlowmonRegisters {
             0x08 => depth as u32,
             0x0C => table_cap as u32,
             0x10 => self.mon.tracked() as u32,
-            0x14 => self.mon.packets() as u32,
-            0x18 => self.mon.bytes() as u32,
-            0x1C => (self.mon.bytes() >> 32) as u32,
-            0x20 => self.mon.non_ip() as u32,
+            0x14 => self.mon.counters().packets.get() as u32,
+            0x18 => self.mon.counters().bytes.get() as u32,
+            0x1C => (self.mon.counters().bytes.get() >> 32) as u32,
+            0x20 => self.mon.counters().non_ip.get() as u32,
             0x24 => self.mon.error_bound() as u32,
             0x28 => self.mon.evictions() as u32,
             0x2C => self.exporter.snapshots() as u32,

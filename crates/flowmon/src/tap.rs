@@ -19,6 +19,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
+use netfpga_core::stats::Counter;
 use netfpga_core::stream::{Burst, CutThrough, PassThrough, StreamRx, StreamTx};
 use netfpga_core::telemetry::StatRegistry;
 
@@ -27,19 +28,29 @@ use crate::heavy::{FlowRecord, HeavyHitters};
 use crate::sketch::CountMinSketch;
 use crate::FlowmonConfig;
 
+/// A tap's rollup counters: shared cells the tap increments and the
+/// telemetry plane reads.
+#[derive(Debug, Clone, Default)]
+pub struct FlowMonCounters {
+    /// Frames accounted (IPv4 or not).
+    pub packets: Counter,
+    /// Total bytes seen by the tap.
+    pub bytes: Counter,
+    /// Frames that carried no parseable IPv4 five-tuple.
+    pub non_ip: Counter,
+}
+
 #[derive(Debug)]
 struct MonState {
     sketch: CountMinSketch,
     table: HeavyHitters,
-    packets: u64,
-    bytes: u64,
-    non_ip: u64,
+    counters: FlowMonCounters,
 }
 
 impl MonState {
     fn observe(&mut self, frame: &[u8], len: u64) {
-        self.packets += 1;
-        self.bytes += len;
+        self.counters.packets.incr();
+        self.counters.bytes.add(len);
         // Prefix parse: `frame` is just the leading header bytes when
         // fed from the tap's snoop, so length fields cannot be trusted.
         match FiveTuple::parse_prefix(frame) {
@@ -47,16 +58,16 @@ impl MonState {
                 let est = self.sketch.record(&ft, 1);
                 self.table.update(ft, len, est);
             }
-            None => self.non_ip += 1,
+            None => self.counters.non_ip.incr(),
         }
     }
 
     fn clear(&mut self) {
         self.sketch.clear();
         self.table.clear();
-        self.packets = 0;
-        self.bytes = 0;
-        self.non_ip = 0;
+        self.counters.packets.clear();
+        self.counters.bytes.clear();
+        self.counters.non_ip.clear();
     }
 }
 
@@ -84,19 +95,9 @@ impl FlowMonHandle {
         self.state.borrow().sketch.estimate(flow)
     }
 
-    /// IPv4 packets accounted (plus non-IP ones counted separately).
-    pub fn packets(&self) -> u64 {
-        self.state.borrow().packets
-    }
-
-    /// Total bytes seen by the tap.
-    pub fn bytes(&self) -> u64 {
-        self.state.borrow().bytes
-    }
-
-    /// Frames that carried no parseable IPv4 five-tuple.
-    pub fn non_ip(&self) -> u64 {
-        self.state.borrow().non_ip
+    /// The tap's rollup counters.
+    pub fn counters(&self) -> FlowMonCounters {
+        self.state.borrow().counters.clone()
     }
 
     /// The sketch's current `⌈εN⌉` overestimation bound.
@@ -138,23 +139,27 @@ impl FlowMonHandle {
         self.state.borrow_mut().observe(frame, len);
     }
 
-    /// Register the tap's rollup gauges under `{prefix}.…` — all
-    /// pull-based reads of the shared cell; nothing is written here on
-    /// the packet path.
+    /// Register the tap's rollup counters under `{prefix}.…` (`packets`,
+    /// `bytes`, `non_ip`), and gauges reading the flow state: `flows`
+    /// tracked, heavy-hitter `evictions` and the sketch's `error_bound`.
+    /// Nothing is written here on the packet path.
     pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
-        type Read = fn(&MonState) -> u64;
-        let paths: [(&str, Read); 6] = [
-            ("packets", |s| s.packets),
-            ("bytes", |s| s.bytes),
-            ("non_ip", |s| s.non_ip),
-            ("flows", |s| s.table.len() as u64),
-            ("evictions", |s| s.table.evictions()),
-            ("error_bound", |s| s.sketch.error_bound()),
-        ];
-        for (leaf, read) in paths {
-            let st = self.state.clone();
-            registry.gauge(&format!("{prefix}.{leaf}"), move || read(&st.borrow()));
-        }
+        let c = self.counters();
+        registry.register_counter(&format!("{prefix}.packets"), &c.packets);
+        registry.register_counter(&format!("{prefix}.bytes"), &c.bytes);
+        registry.register_counter(&format!("{prefix}.non_ip"), &c.non_ip);
+        let st = self.state.clone();
+        registry.gauge(&format!("{prefix}.flows"), move || {
+            st.borrow().table.len() as u64
+        });
+        let st = self.state.clone();
+        registry.gauge(&format!("{prefix}.evictions"), move || {
+            st.borrow().table.evictions()
+        });
+        let st = self.state.clone();
+        registry.gauge(&format!("{prefix}.error_bound"), move || {
+            st.borrow().sketch.error_bound()
+        });
     }
 }
 
@@ -235,9 +240,7 @@ impl FlowTap {
                 state: Rc::new(RefCell::new(MonState {
                     sketch: CountMinSketch::new(config.sketch),
                     table: HeavyHitters::new(config.table_capacity),
-                    packets: 0,
-                    bytes: 0,
-                    non_ip: 0,
+                    counters: FlowMonCounters::default(),
                 })),
             },
             wake,
@@ -360,9 +363,9 @@ mod tests {
         let frames: Vec<_> = (0..12).map(|i| udp_frame(1 + (i % 3), 4000)).collect();
         let (handle, delivered) = run_tap(&frames, false);
         assert_eq!(delivered, 12, "tap is pass-through");
-        assert_eq!(handle.packets(), 12);
+        assert_eq!(handle.counters().packets.get(), 12);
         assert_eq!(handle.tracked(), 3);
-        assert_eq!(handle.non_ip(), 0);
+        assert_eq!(handle.counters().non_ip.get(), 0);
         let top = handle.top_talkers(3);
         assert_eq!(top.iter().map(|r| r.packets).sum::<u64>(), 12);
     }
@@ -382,7 +385,11 @@ mod tests {
         for burst in [false, true] {
             let (handle, delivered) = run_tap(std::slice::from_ref(&big), burst);
             assert_eq!(delivered, 1);
-            assert_eq!(handle.non_ip(), 0, "truncated header still parses");
+            assert_eq!(
+                handle.counters().non_ip.get(),
+                0,
+                "truncated header still parses"
+            );
             assert_eq!(handle.tracked(), 1);
             let rec = handle.flows()[0];
             assert_eq!((rec.flow.src_port, rec.flow.dst_port), (8000, 443));
@@ -435,7 +442,11 @@ mod tests {
             }
             sim.run_cycles(clk, 20);
             assert_eq!((out_rx.occupancy(), in_tx.space()), (4, 0));
-            assert_eq!(handle.packets(), 2, "two whole frames crossed");
+            assert_eq!(
+                handle.counters().packets.get(),
+                2,
+                "two whole frames crossed"
+            );
             assert!(sim.all_quiescent(), "burst={burst}: stalled on the output");
             let stalled_at = ticks(&sim);
             sim.run_cycles(clk, 1000);
@@ -444,7 +455,7 @@ mod tests {
                 stalled_at,
                 "burst={burst}: no tick while stalled"
             );
-            assert_eq!(handle.packets(), 2);
+            assert_eq!(handle.counters().packets.get(), 2);
 
             out_rx.pop().expect("head word");
             sim.run_cycles(clk, 1);
@@ -462,9 +473,9 @@ mod tests {
             .build();
         let (handle, delivered) = run_tap(&[arp], true);
         assert_eq!(delivered, 1);
-        assert_eq!(handle.non_ip(), 1);
+        assert_eq!(handle.counters().non_ip.get(), 1);
         assert_eq!(handle.tracked(), 0);
-        assert_eq!(handle.packets(), 1);
+        assert_eq!(handle.counters().packets.get(), 1);
     }
 
     #[test]
@@ -473,7 +484,7 @@ mod tests {
         let before = pool_stats().cow_copies;
         let (handle, delivered) = run_tap(&frames, true);
         assert_eq!(delivered, 32);
-        assert_eq!(handle.packets(), 32);
+        assert_eq!(handle.counters().packets.get(), 32);
         assert_eq!(
             pool_stats().cow_copies,
             before,

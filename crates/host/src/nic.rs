@@ -11,7 +11,8 @@ use netfpga_projects::reference_nic::{ReferenceNic, STATS_BASE};
 
 /// Driver statistics mirrored from software-side accounting (a snapshot;
 /// the live cells can be registered on a [`StatRegistry`] with
-/// [`NicDriver::register_stats`]).
+/// [`NicDriver::register_stats`]). The one snapshot left beside the
+/// telemetry plane: the referee benchmark reads it as plain integers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NicDriverStats {
     /// Frames handed to the hardware.
@@ -32,6 +33,8 @@ struct NicDriverCounters {
 /// The NIC driver instance.
 pub struct NicDriver {
     dma: DmaHandle,
+    /// Ethernet ports on the board: a frame can leave by `0..nports`.
+    nports: usize,
     stats: NicDriverCounters,
 }
 
@@ -40,6 +43,7 @@ impl NicDriver {
     pub fn bind(nic: &ReferenceNic) -> NicDriver {
         NicDriver {
             dma: nic.chassis.dma.clone().expect("NIC has a DMA engine"),
+            nports: nic.chassis.nports(),
             stats: NicDriverCounters::default(),
         }
     }
@@ -50,8 +54,13 @@ impl NicDriver {
     /// [`SendError::RingFull`] when the TX ring is full (retry after
     /// running the simulation); [`SendError::Stalled`] when it is full and
     /// the engine is frozen by a fault — draining needs the fault to lift
-    /// (or a watchdog soft reset). Refused frames count in `tx_busy`.
+    /// (or a watchdog soft reset); both count in `tx_busy`.
+    /// [`SendError::BadDescriptor`] for an empty frame or a `port` the
+    /// board lacks; not counted, since it is no back-pressure.
     pub fn transmit(&mut self, port: u8, frame: Vec<u8>) -> Result<(), SendError> {
+        if usize::from(port) >= self.nports {
+            return Err(SendError::BadDescriptor);
+        }
         let meta = Meta {
             len: frame.len() as u16,
             dst_ports: PortMask::single(port),
@@ -62,6 +71,7 @@ impl NicDriver {
                 self.stats.tx.incr();
                 Ok(())
             }
+            Err(SendError::BadDescriptor) => Err(SendError::BadDescriptor),
             Err(e) => {
                 self.stats.tx_busy.incr();
                 Err(e)
@@ -135,5 +145,23 @@ mod tests {
         }
         assert!(busy > 0, "256-deep ring must fill");
         assert_eq!(drv.stats().tx_busy, busy);
+    }
+
+    /// A descriptor naming a port the board lacks, or carrying no bytes,
+    /// is refused without panicking and without counting as back-pressure.
+    #[test]
+    fn bad_descriptors_are_refused() {
+        let mut nic = ReferenceNic::new(&BoardSpec::sume(), 4);
+        let mut drv = NicDriver::bind(&nic);
+        for port in [4, 5, 16, 255] {
+            assert_eq!(
+                drv.transmit(port, vec![0xab; 80]),
+                Err(SendError::BadDescriptor)
+            );
+        }
+        assert_eq!(drv.transmit(0, vec![]), Err(SendError::BadDescriptor));
+        nic.chassis.run_for(Time::from_us(10));
+        assert_eq!(drv.stats(), NicDriverStats::default());
+        assert_eq!(nic.chassis.telemetry.get("dma.tx.packets"), Some(0));
     }
 }

@@ -498,8 +498,12 @@ mod tests {
         assert_eq!(captured.total_packets(), 5, "every packet exactly once");
         assert_eq!(chan.acked(), 5);
         assert!(chan.retries() > 0, "drop completions must have re-posted");
-        assert!(gate.tx_dropped() > 0);
-        assert_eq!(dma.dup_discards(), 0, "no duplicate reached the pop");
+        assert!(gate.counters().tx_dropped.get() > 0);
+        assert_eq!(
+            dma.counters().dup_discards.get(),
+            0,
+            "no duplicate reached the pop"
+        );
         assert!(chan.idle());
     }
 

@@ -40,41 +40,47 @@ pub struct Interface {
     pub subnet: Ipv4Cidr,
 }
 
-/// Management-plane counters (a snapshot; the live cells can be
-/// registered on a [`StatRegistry`] with [`RouterManager::register_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MgmtStats {
+/// Management-plane counters: shared cells the manager increments and the
+/// telemetry plane reads.
+#[derive(Debug, Clone, Default)]
+pub struct MgmtCounters {
     /// ARP replies sent on the router's behalf.
-    pub arp_replies: u64,
+    pub arp_replies: Counter,
     /// ARP requests emitted for unresolved next hops.
-    pub arp_requests: u64,
+    pub arp_requests: Counter,
     /// ARP entries learned (and pushed to hardware).
-    pub arp_learned: u64,
+    pub arp_learned: Counter,
     /// ICMP time-exceeded messages generated.
-    pub icmp_ttl: u64,
+    pub icmp_ttl: Counter,
     /// ICMP net-unreachable messages generated.
-    pub icmp_unreachable: u64,
+    pub icmp_unreachable: Counter,
     /// ICMP echo replies generated.
-    pub echo_replies: u64,
+    pub echo_replies: Counter,
     /// Queued packets forwarded in software after ARP resolution.
-    pub slow_path_forwards: u64,
+    pub slow_path_forwards: Counter,
     /// ICMP errors suppressed by the rate limiter.
-    pub icmp_suppressed: u64,
+    pub icmp_suppressed: Counter,
     /// Exceptions the manager did not know how to handle.
-    pub unhandled: u64,
+    pub unhandled: Counter,
 }
 
-#[derive(Default)]
-struct MgmtCounters {
-    arp_replies: Counter,
-    arp_requests: Counter,
-    arp_learned: Counter,
-    icmp_ttl: Counter,
-    icmp_unreachable: Counter,
-    echo_replies: Counter,
-    slow_path_forwards: Counter,
-    icmp_suppressed: Counter,
-    unhandled: Counter,
+impl MgmtCounters {
+    /// Register every counter on `registry` under `prefix` (e.g. `mgmt`).
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        for (name, counter) in [
+            ("arp_replies", &self.arp_replies),
+            ("arp_requests", &self.arp_requests),
+            ("arp_learned", &self.arp_learned),
+            ("icmp_ttl", &self.icmp_ttl),
+            ("icmp_unreachable", &self.icmp_unreachable),
+            ("echo_replies", &self.echo_replies),
+            ("slow_path_forwards", &self.slow_path_forwards),
+            ("icmp_suppressed", &self.icmp_suppressed),
+            ("unhandled", &self.unhandled),
+        ] {
+            registry.register_counter(&format!("{prefix}.{name}"), counter);
+        }
+    }
 }
 
 /// The management application.
@@ -92,7 +98,7 @@ pub struct RouterManager {
     icmp_bucket: f64,
     icmp_rate_per_sec: f64,
     icmp_last_refill: Time,
-    stats: MgmtCounters,
+    counters: MgmtCounters,
     cpu_port: u8,
 }
 
@@ -108,44 +114,14 @@ impl RouterManager {
             icmp_bucket: 8.0,
             icmp_rate_per_sec: 100_000.0,
             icmp_last_refill: Time::ZERO,
-            stats: MgmtCounters::default(),
+            counters: MgmtCounters::default(),
             cpu_port,
         }
     }
 
-    /// Management-plane counters so far.
-    pub fn stats(&self) -> MgmtStats {
-        MgmtStats {
-            arp_replies: self.stats.arp_replies.get(),
-            arp_requests: self.stats.arp_requests.get(),
-            arp_learned: self.stats.arp_learned.get(),
-            icmp_ttl: self.stats.icmp_ttl.get(),
-            icmp_unreachable: self.stats.icmp_unreachable.get(),
-            echo_replies: self.stats.echo_replies.get(),
-            slow_path_forwards: self.stats.slow_path_forwards.get(),
-            icmp_suppressed: self.stats.icmp_suppressed.get(),
-            unhandled: self.stats.unhandled.get(),
-        }
-    }
-
-    /// Register the manager's live counters on `registry` under `prefix`
-    /// (e.g. `mgmt`). The same shared cells keep counting after
-    /// registration, so registry reads always match [`RouterManager::stats`].
-    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
-        let fields: [(&str, &Counter); 9] = [
-            ("arp_replies", &self.stats.arp_replies),
-            ("arp_requests", &self.stats.arp_requests),
-            ("arp_learned", &self.stats.arp_learned),
-            ("icmp_ttl", &self.stats.icmp_ttl),
-            ("icmp_unreachable", &self.stats.icmp_unreachable),
-            ("echo_replies", &self.stats.echo_replies),
-            ("slow_path_forwards", &self.stats.slow_path_forwards),
-            ("icmp_suppressed", &self.stats.icmp_suppressed),
-            ("unhandled", &self.stats.unhandled),
-        ];
-        for (name, counter) in fields {
-            registry.register_counter(&format!("{prefix}.{name}"), counter);
-        }
+    /// The manager's counters.
+    pub fn counters(&self) -> &MgmtCounters {
+        &self.counters
     }
 
     /// Configure the ICMP-error rate limit: at most `per_sec` errors per
@@ -167,7 +143,7 @@ impl RouterManager {
             self.icmp_tokens -= 1.0;
             true
         } else {
-            self.stats.icmp_suppressed.incr();
+            self.counters.icmp_suppressed.incr();
             false
         }
     }
@@ -270,15 +246,15 @@ impl RouterManager {
         message: Message,
     ) {
         let Some(iface) = self.interface_on_port(ingress) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let Ok(eth) = EthernetFrame::new_checked(original) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let Ok(ip) = Ipv4Packet::new_checked(eth.payload()) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         // RFC 792: payload is the original IP header + 8 bytes.
@@ -294,17 +270,17 @@ impl RouterManager {
 
     fn handle_arp(&mut self, r: &mut ReferenceRouter, frame: &[u8], ingress: u8) {
         let Some(iface) = self.interface_on_port(ingress) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let Ok(eth) = EthernetFrame::new_checked(frame) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let Ok(arp) = netfpga_packet::arp::ArpRepr::parse(
             &netfpga_packet::arp::ArpPacket::new_unchecked(eth.payload()),
         ) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         match arp.operation {
@@ -313,7 +289,7 @@ impl RouterManager {
                     let reply = PacketBuilder::arp_reply_to(frame, iface.mac, iface.ip)
                         .expect("valid request");
                     self.inject(r, ingress, reply);
-                    self.stats.arp_replies.incr();
+                    self.counters.arp_replies.incr();
                 }
             }
             netfpga_packet::arp::Operation::Reply => {
@@ -321,7 +297,7 @@ impl RouterManager {
                 let mac = arp.source_hardware_addr;
                 self.arp.insert(ip, mac);
                 Self::push_arp_entry(r, ip, mac);
-                self.stats.arp_learned.incr();
+                self.counters.arp_learned.incr();
                 // Release parked packets: forward them in software.
                 if let Some(parked) = self.pending.remove(&ip) {
                     for (pkt, meta) in parked {
@@ -329,7 +305,7 @@ impl RouterManager {
                     }
                 }
             }
-            netfpga_packet::arp::Operation::Unknown(_) => self.stats.unhandled.incr(),
+            netfpga_packet::arp::Operation::Unknown(_) => self.counters.unhandled.incr(),
         }
     }
 
@@ -344,18 +320,18 @@ impl RouterManager {
                     .map(|ip| (ip.dst_addr(), true))
             })
         }) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let _ = ingress_ok;
         let Some((next_hop, port)) = self.route(dst) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let (Some(&next_mac), Some(iface)) =
             (self.arp.get(&next_hop), self.interface_on_port(port))
         else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         {
@@ -368,33 +344,33 @@ impl RouterManager {
             ip.decrement_ttl();
         }
         self.inject(r, port, frame);
-        self.stats.slow_path_forwards.incr();
+        self.counters.slow_path_forwards.incr();
     }
 
     fn handle_local(&mut self, r: &mut ReferenceRouter, frame: &[u8], ingress: u8) {
         // Answer ICMP echo requests addressed to us.
         let Some(iface) = self.interface_on_port(ingress) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let Ok(eth) = EthernetFrame::new_checked(frame) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let Ok(ip) = Ipv4Packet::new_checked(eth.payload()) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         if ip.protocol() != netfpga_packet::IpProtocol::Icmp {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         }
         let Ok(icmp) = Icmpv4Packet::new_checked(ip.payload()) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let Ok(repr) = Icmpv4Repr::parse(&icmp, true) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         if let Message::EchoRequest { ident, seq } = repr.message {
@@ -409,9 +385,9 @@ impl RouterManager {
                 )
                 .build();
             self.inject(r, ingress, reply);
-            self.stats.echo_replies.incr();
+            self.counters.echo_replies.incr();
         } else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
         }
     }
 
@@ -421,15 +397,15 @@ impl RouterManager {
                 .ok()
                 .map(|ip| ip.dst_addr())
         }) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let Some((next_hop, port)) = self.route(dst) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let Some(iface) = self.interface_on_port(port) else {
-            self.stats.unhandled.incr();
+            self.counters.unhandled.incr();
             return;
         };
         let first_for_hop = !self.pending.contains_key(&next_hop);
@@ -440,7 +416,7 @@ impl RouterManager {
         if first_for_hop {
             let request = PacketBuilder::arp_request(iface.mac, iface.ip, next_hop);
             self.inject(r, port, request);
-            self.stats.arp_requests.incr();
+            self.counters.arp_requests.incr();
         }
     }
 
@@ -461,7 +437,7 @@ impl RouterManager {
                             meta.src_port,
                             Message::TimeExceeded { code: 0 },
                         );
-                        self.stats.icmp_ttl.incr();
+                        self.counters.icmp_ttl.incr();
                     }
                 }
                 exception::NO_ROUTE => {
@@ -472,11 +448,11 @@ impl RouterManager {
                             meta.src_port,
                             Message::DstUnreachable { code: 0 },
                         );
-                        self.stats.icmp_unreachable.incr();
+                        self.counters.icmp_unreachable.incr();
                     }
                 }
                 exception::ARP_MISS => self.handle_arp_miss(r, frame, meta),
-                _ => self.stats.unhandled.incr(),
+                _ => self.counters.unhandled.incr(),
             }
         }
     }
@@ -550,7 +526,7 @@ mod tests {
         assert_eq!(arp.sender_mac, mac(0xe0));
         assert_eq!(arp.sender_ip, ip("10.0.0.1"));
         assert_eq!(h.eth_dst, mac(0xa1));
-        assert_eq!(mgr.stats().arp_replies, 1);
+        assert_eq!(mgr.counters().arp_replies.get(), 1);
     }
 
     #[test]
@@ -574,7 +550,7 @@ mod tests {
         let ipv4 = h.ipv4.unwrap();
         assert_eq!(ipv4.src, ip("10.0.0.1"));
         assert_eq!(ipv4.dst, ip("10.0.0.2"));
-        assert_eq!(mgr.stats().echo_replies, 1);
+        assert_eq!(mgr.counters().echo_replies.get(), 1);
     }
 
     #[test]
@@ -594,7 +570,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         let h = ParsedHeaders::parse(&out[0]);
         assert_eq!(h.ipv4.unwrap().src, ip("10.0.0.1"), "ICMP from router");
-        assert_eq!(mgr.stats().icmp_ttl, 1);
+        assert_eq!(mgr.counters().icmp_ttl.get(), 1);
         // The ICMP body carries the original header.
         let eth = EthernetFrame::new_checked(&out[0][..]).unwrap();
         let ipp = Ipv4Packet::new_checked(eth.payload()).unwrap();
@@ -619,7 +595,7 @@ mod tests {
         let ipp = Ipv4Packet::new_checked(eth.payload()).unwrap();
         let icmp = Icmpv4Packet::new_checked(ipp.payload()).unwrap();
         assert_eq!(icmp.icmp_type(), 3);
-        assert_eq!(mgr.stats().icmp_unreachable, 1);
+        assert_eq!(mgr.counters().icmp_unreachable.get(), 1);
     }
 
     /// The full ARP-resolution dance: first packet to an unresolved next
@@ -642,7 +618,7 @@ mod tests {
         let arp = h.arp.unwrap();
         assert!(arp.is_request);
         assert_eq!(arp.target_ip, ip("10.0.1.2"));
-        assert_eq!(mgr.stats().arp_requests, 1);
+        assert_eq!(mgr.counters().arp_requests.get(), 1);
 
         // Host B answers.
         let reply = PacketBuilder::arp_reply_to(&out[0], mac(0xb2), ip("10.0.1.2")).unwrap();
@@ -654,11 +630,11 @@ mod tests {
         let h = ParsedHeaders::parse(&released[0]);
         assert_eq!(h.eth_dst, mac(0xb2));
         assert_eq!(h.ipv4.unwrap().ttl, 63);
-        assert_eq!(mgr.stats().slow_path_forwards, 1);
-        assert_eq!(mgr.stats().arp_learned, 1);
+        assert_eq!(mgr.counters().slow_path_forwards.get(), 1);
+        assert_eq!(mgr.counters().arp_learned.get(), 1);
 
         // Second packet: pure hardware path, no new exceptions.
-        let before = r.counters.borrow().forwarded;
+        let before = r.counters.forwarded.get();
         let data2 = PacketBuilder::new()
             .eth(mac(0xa1), mac(0xe0))
             .ipv4(ip("10.0.0.2"), ip("10.0.1.2"))
@@ -667,7 +643,7 @@ mod tests {
         r.chassis.send(0, data2);
         mgr.run(&mut r, Time::from_us(60), Time::from_us(10));
         assert_eq!(r.chassis.recv(1).len(), 1);
-        assert_eq!(r.counters.borrow().forwarded, before + 1, "fast path");
+        assert_eq!(r.counters.forwarded.get(), before + 1, "fast path");
     }
 
     /// An attack stream of TTL-1 packets must not turn the router into an
@@ -688,9 +664,13 @@ mod tests {
         mgr.run(&mut r, Time::from_us(200), Time::from_us(50));
         let responses = r.chassis.recv(0).len();
         assert!(responses <= 6, "burst-limited: got {responses}");
-        assert!(mgr.stats().icmp_suppressed >= 40, "{:?}", mgr.stats());
+        assert!(
+            mgr.counters().icmp_suppressed.get() >= 40,
+            "{:?}",
+            mgr.counters()
+        );
         assert_eq!(
-            mgr.stats().icmp_ttl + mgr.stats().icmp_suppressed,
+            mgr.counters().icmp_ttl.get() + mgr.counters().icmp_suppressed.get(),
             50,
             "every exception accounted"
         );

@@ -620,12 +620,13 @@ pub fn run(plan: &TestPlan, chassis: &mut Chassis) -> TestReport {
                 checks += 1;
                 match chassis.dma.clone() {
                     Some(dma) => {
-                        let acked = dma.acked();
+                        let counters = dma.counters();
+                        let acked = counters.acked.get();
                         if acked != *accepted {
                             failures.push(format!(
                                 "step {i}: exactly-once violated: {accepted} packets \
                                  accepted, {acked} delivered (dup discards: {})",
-                                dma.dup_discards()
+                                counters.dup_discards.get()
                             ));
                         }
                     }

@@ -12,7 +12,9 @@
 use crate::config::PcieConfig;
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
+use netfpga_core::stats::Counter;
 use netfpga_core::stream::{segment_buf, Burst, Meta, Reassembler, StreamRx, StreamTx};
+use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
@@ -28,6 +30,9 @@ pub enum SendError {
     /// stall window or wedge — the backlog cannot drain until the fault
     /// lifts (or a watchdog soft reset clears it).
     Stalled,
+    /// The descriptor describes nothing the card can send: an empty
+    /// packet, or an egress port the board lacks. Retrying cannot help.
+    BadDescriptor,
 }
 
 impl std::fmt::Display for SendError {
@@ -35,6 +40,7 @@ impl std::fmt::Display for SendError {
         match self {
             SendError::RingFull => write!(f, "TX descriptor ring full"),
             SendError::Stalled => write!(f, "TX ring full and engine stalled"),
+            SendError::BadDescriptor => write!(f, "TX descriptor describes no sendable packet"),
         }
     }
 }
@@ -69,39 +75,72 @@ pub struct TxCompletion {
 /// retry layer recovers by re-posting — the engine dedups).
 const COMPLETION_RING_FACTOR: usize = 4;
 
-/// DMA statistics (exposed through the engine's register block in real
-/// designs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DmaStats {
+/// DMA engine counters (exposed through the engine's register block in
+/// real designs): shared cells the engine increments and the telemetry
+/// plane reads.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DmaCounters {
     /// Packets injected into the datapath (host → card).
-    pub tx_packets: u64,
+    pub tx_packets: Counter,
     /// Bytes injected.
-    pub tx_bytes: u64,
+    pub tx_bytes: Counter,
     /// Packets delivered to the host (card → host).
-    pub rx_packets: u64,
+    pub rx_packets: Counter,
     /// Bytes delivered.
-    pub rx_bytes: u64,
+    pub rx_bytes: Counter,
     /// Card-to-host packets dropped on RX-ring overflow.
-    pub rx_drops: u64,
+    pub rx_drops: Counter,
+    /// Sequenced descriptors acknowledged as delivered.
+    pub acked: Counter,
+    /// Re-posted descriptors discarded because their sequence number had
+    /// already been delivered (exactly-once enforcement).
+    pub dup_discards: Counter,
+    /// Completions discarded because the host let the ack ring fill up.
+    pub completion_drops: Counter,
+}
+
+impl DmaCounters {
+    /// Every counter with its path below the engine's prefix.
+    fn cells(&self) -> [(&'static str, &Counter); 8] {
+        [
+            ("tx.packets", &self.tx_packets),
+            ("tx.bytes", &self.tx_bytes),
+            ("rx.packets", &self.rx_packets),
+            ("rx.bytes", &self.rx_bytes),
+            ("rx.drops", &self.rx_drops),
+            ("acked", &self.acked),
+            ("dup_discards", &self.dup_discards),
+            ("completion_drops", &self.completion_drops),
+        ]
+    }
+
+    /// Register every counter on `registry` under `prefix` (e.g. `dma`):
+    /// `tx.packets`, `tx.bytes`, `rx.packets`, `rx.bytes`, `rx.drops`,
+    /// `acked`, `dup_discards`, `completion_drops`.
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        for (name, cell) in self.cells() {
+            registry.register_counter(&format!("{prefix}.{name}"), cell);
+        }
+    }
+
+    /// Zero every counter (a hard reset).
+    fn clear(&self) {
+        for (_, cell) in self.cells() {
+            cell.clear();
+        }
+    }
 }
 
 #[derive(Debug, Default)]
 struct Rings {
     tx: VecDeque<(PktBuf, Meta, Option<u64>)>,
     rx: VecDeque<(PktBuf, Meta)>,
-    stats: DmaStats,
+    counters: DmaCounters,
     /// Completion/ack ring for sequenced descriptors, oldest first.
     tx_completions: VecDeque<TxCompletion>,
-    /// Completions discarded because the host let the ring fill up.
-    completion_drops: u64,
     /// Sequence numbers already fully injected — the dedup set that makes
     /// retry re-posts idempotent. Pruned by `advance_ack_floor`.
     delivered: BTreeSet<u64>,
-    /// Sequenced descriptors acknowledged as delivered.
-    acked: u64,
-    /// Re-posted descriptors discarded because their sequence number had
-    /// already been delivered (exactly-once enforcement).
-    dup_discards: u64,
     /// Monotonic progress heartbeat for watchdog probes: bumps whenever
     /// the engine moves a descriptor or a word in either direction.
     work_done: u64,
@@ -128,7 +167,7 @@ struct Rings {
 impl Rings {
     fn push_completion(&mut self, seq: u64, status: TxStatus, at: Time, capacity: usize) {
         if self.tx_completions.len() >= capacity {
-            self.completion_drops += 1;
+            self.counters.completion_drops.incr();
             return;
         }
         self.tx_completions
@@ -146,9 +185,18 @@ struct DmaFaultInner {
     /// A wedge never expires on its own: only a soft reset (or a fault
     /// plane reset) clears it.
     wedged: bool,
-    stalled_ticks: u64,
-    tx_dropped: u64,
-    rx_dropped: u64,
+}
+
+/// DMA fault-gate counters: shared cells the engine increments and the
+/// telemetry plane reads.
+#[derive(Debug, Clone, Default)]
+pub struct DmaFaultCounters {
+    /// Ticks the engine spent frozen with work pending.
+    pub stalled_ticks: Counter,
+    /// Host-to-card packets discarded inside drop windows.
+    pub tx_dropped: Counter,
+    /// Card-to-host packets discarded inside drop windows.
+    pub rx_dropped: Counter,
 }
 
 /// An externally driven fault gate for the DMA engine: the fault plane
@@ -159,6 +207,7 @@ struct DmaFaultInner {
 #[derive(Debug, Clone, Default)]
 pub struct DmaFaultGate {
     inner: Rc<RefCell<DmaFaultInner>>,
+    counters: DmaFaultCounters,
 }
 
 impl DmaFaultGate {
@@ -202,30 +251,22 @@ impl DmaFaultGate {
         now < self.inner.borrow().drop_until
     }
 
-    /// Ticks the engine spent frozen with work pending.
-    pub fn stalled_ticks(&self) -> u64 {
-        self.inner.borrow().stalled_ticks
+    /// The gate's counters.
+    pub fn counters(&self) -> &DmaFaultCounters {
+        &self.counters
     }
 
     /// Packets discarded inside drop windows (both directions).
     pub fn dropped(&self) -> u64 {
-        let i = self.inner.borrow();
-        i.tx_dropped + i.rx_dropped
-    }
-
-    /// Host-to-card packets discarded inside drop windows.
-    pub fn tx_dropped(&self) -> u64 {
-        self.inner.borrow().tx_dropped
-    }
-
-    /// Card-to-host packets discarded inside drop windows.
-    pub fn rx_dropped(&self) -> u64 {
-        self.inner.borrow().rx_dropped
+        self.counters.tx_dropped.get() + self.counters.rx_dropped.get()
     }
 
     /// Clear windows and counters (fault-plane reset).
     pub fn clear(&self) {
         *self.inner.borrow_mut() = DmaFaultInner::default();
+        self.counters.stalled_ticks.clear();
+        self.counters.tx_dropped.clear();
+        self.counters.rx_dropped.clear();
     }
 
     /// Clear the wedge and any open stall/drop windows while *keeping* the
@@ -238,27 +279,16 @@ impl DmaFaultGate {
         i.drop_until = Time::ZERO;
     }
 
-    /// Register the gate's counters on `registry` as gauges under
-    /// `prefix` (e.g. `dma.fault`): `stalled_ticks`, `dropped` (the
-    /// directional sum), `tx_dropped` and `rx_dropped`.
-    pub fn register_stats(&self, registry: &netfpga_core::telemetry::StatRegistry, prefix: &str) {
-        let inner = self.inner.clone();
-        registry.gauge(&format!("{prefix}.stalled_ticks"), move || {
-            inner.borrow().stalled_ticks
-        });
-        let inner = self.inner.clone();
-        registry.gauge(&format!("{prefix}.dropped"), move || {
-            let i = inner.borrow();
-            i.tx_dropped + i.rx_dropped
-        });
-        let inner = self.inner.clone();
-        registry.gauge(&format!("{prefix}.tx_dropped"), move || {
-            inner.borrow().tx_dropped
-        });
-        let inner = self.inner.clone();
-        registry.gauge(&format!("{prefix}.rx_dropped"), move || {
-            inner.borrow().rx_dropped
-        });
+    /// Register the gate's counters on `registry` under `prefix` (e.g.
+    /// `dma.fault`): `stalled_ticks`, `tx_dropped`, `rx_dropped`, and
+    /// their directional sum `dropped` as a gauge.
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        let c = &self.counters;
+        registry.register_counter(&format!("{prefix}.stalled_ticks"), &c.stalled_ticks);
+        registry.register_counter(&format!("{prefix}.tx_dropped"), &c.tx_dropped);
+        registry.register_counter(&format!("{prefix}.rx_dropped"), &c.rx_dropped);
+        let gate = self.clone();
+        registry.gauge(&format!("{prefix}.dropped"), move || gate.dropped());
     }
 }
 
@@ -316,7 +346,9 @@ impl DmaHandle {
     }
 
     fn post(&self, packet: PktBuf, mut meta: Meta, seq: Option<u64>) -> Result<(), SendError> {
-        assert!(!packet.is_empty(), "empty packet");
+        if packet.is_empty() {
+            return Err(SendError::BadDescriptor);
+        }
         let mut r = self.rings.borrow_mut();
         if r.tx.len() >= self.tx_capacity {
             return Err(if r.stalled {
@@ -341,22 +373,6 @@ impl DmaHandle {
     /// Completions waiting in the ack ring.
     pub fn completions_pending(&self) -> usize {
         self.rings.borrow().tx_completions.len()
-    }
-
-    /// Completions lost because the host let the ack ring overflow.
-    pub fn completion_drops(&self) -> u64 {
-        self.rings.borrow().completion_drops
-    }
-
-    /// Sequenced descriptors acknowledged as delivered.
-    pub fn acked(&self) -> u64 {
-        self.rings.borrow().acked
-    }
-
-    /// Re-posts discarded because their sequence number was already
-    /// delivered.
-    pub fn dup_discards(&self) -> u64 {
-        self.rings.borrow().dup_discards
     }
 
     /// Prune the engine's dedup set: the host promises never to (re-)post
@@ -409,35 +425,24 @@ impl DmaHandle {
         self.rings.borrow().tx.len()
     }
 
-    /// Engine counters.
-    pub fn stats(&self) -> DmaStats {
-        self.rings.borrow().stats
+    /// The engine's counters.
+    pub fn counters(&self) -> DmaCounters {
+        self.rings.borrow().counters.clone()
     }
 
-    /// Register the engine's counters on `registry` as gauges under
-    /// `prefix` (e.g. `dma`): `tx.packets`, `tx.bytes`, `rx.packets`,
-    /// `rx.bytes`, `rx.drops`, the live ring depths `tx.pending` and
-    /// `rx.pending`, plus the sequenced-delivery counters `acked`,
-    /// `dup_discards` and `completion_drops`. Gauges read the shared ring
-    /// state, so telemetry values match [`DmaHandle::stats`] bit for bit.
-    pub fn register_stats(&self, registry: &netfpga_core::telemetry::StatRegistry, prefix: &str) {
-        type Field = fn(&Rings) -> u64;
-        let fields: [(&str, Field); 10] = [
-            ("tx.packets", |r| r.stats.tx_packets),
-            ("tx.bytes", |r| r.stats.tx_bytes),
-            ("rx.packets", |r| r.stats.rx_packets),
-            ("rx.bytes", |r| r.stats.rx_bytes),
-            ("rx.drops", |r| r.stats.rx_drops),
-            ("tx.pending", |r| r.tx.len() as u64),
-            ("rx.pending", |r| r.rx.len() as u64),
-            ("acked", |r| r.acked),
-            ("dup_discards", |r| r.dup_discards),
-            ("completion_drops", |r| r.completion_drops),
-        ];
-        for (name, field) in fields {
-            let rings = self.rings.clone();
-            registry.gauge(&format!("{prefix}.{name}"), move || field(&rings.borrow()));
-        }
+    /// Register the engine's counters on `registry` under `prefix` (e.g.
+    /// `dma`; see [`DmaCounters::register_stats`]), and the live ring
+    /// depths `tx.pending` and `rx.pending` as gauges.
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        self.counters().register_stats(registry, prefix);
+        let handle = self.clone();
+        registry.gauge(&format!("{prefix}.tx.pending"), move || {
+            handle.tx_pending() as u64
+        });
+        let handle = self.clone();
+        registry.gauge(&format!("{prefix}.rx.pending"), move || {
+            handle.rx_pending() as u64
+        });
     }
 }
 
@@ -607,11 +612,11 @@ impl DmaEngine {
             self.fault
                 .as_ref()
                 .expect("gate present")
-                .inner
-                .borrow_mut()
-                .rx_dropped += 1;
+                .counters
+                .rx_dropped
+                .incr();
         } else if self.rings.borrow().rx.len() >= self.rx_capacity {
-            self.rings.borrow_mut().stats.rx_drops += 1;
+            self.rings.borrow().counters.rx_drops.incr();
         } else {
             let over = now + self.config.transfer_time(packet.len());
             self.crossing = Some((over, packet, meta));
@@ -622,7 +627,7 @@ impl DmaEngine {
     fn ack_delivered(rings: &Rc<RefCell<Rings>>, seq: u64, at: Time, capacity: usize) {
         let mut r = rings.borrow_mut();
         r.delivered.insert(seq);
-        r.acked += 1;
+        r.counters.acked.incr();
         r.push_completion(seq, TxStatus::Delivered, at, capacity);
     }
 }
@@ -648,7 +653,7 @@ impl Module for DmaEngine {
                     || !self.rings.borrow().tx.is_empty();
                 self.rings.borrow_mut().stalled = true;
                 if has_work {
-                    gate.inner.borrow_mut().stalled_ticks += 1;
+                    gate.counters.stalled_ticks.incr();
                 }
                 // The bus is frozen too: beat time still owed moves with
                 // the stall.
@@ -677,7 +682,7 @@ impl Module for DmaEngine {
                 if dup {
                     // A retry re-post of an already-delivered sequence
                     // number: discard, keeping delivery exactly-once.
-                    r.dup_discards += 1;
+                    r.counters.dup_discards.incr();
                 } else if dropping {
                     let cap = self.completion_capacity;
                     if let Some(s) = seq {
@@ -687,14 +692,14 @@ impl Module for DmaEngine {
                     self.fault
                         .as_ref()
                         .expect("gate present")
-                        .inner
-                        .borrow_mut()
-                        .tx_dropped += 1;
+                        .counters
+                        .tx_dropped
+                        .incr();
                 } else {
                     self.h2c_free_at = ctx.now + self.config.transfer_time(packet.len());
                     meta.ingress_time = ctx.now;
-                    r.stats.tx_packets += 1;
-                    r.stats.tx_bytes += packet.len() as u64;
+                    r.counters.tx_packets.incr();
+                    r.counters.tx_bytes.add(packet.len() as u64);
                     r.injecting = true;
                     drop(r);
                     let burst = segment_buf(&packet, self.to_card.width(), meta);
@@ -729,8 +734,8 @@ impl Module for DmaEngine {
         // RX ring.
         if let Some((_, packet, meta)) = self.crossing.take_if(|(at, ..)| *at <= ctx.now) {
             let mut r = self.rings.borrow_mut();
-            r.stats.rx_packets += 1;
-            r.stats.rx_bytes += packet.len() as u64;
+            r.counters.rx_packets.incr();
+            r.counters.rx_bytes.add(packet.len() as u64);
             r.rx.push_back((packet, meta));
         }
         // The bus: absorb `max` beats per cycle; a packet is complete when
@@ -766,12 +771,9 @@ impl Module for DmaEngine {
         let mut r = self.rings.borrow_mut();
         r.tx.clear();
         r.rx.clear();
-        r.stats = DmaStats::default();
+        r.counters.clear();
         r.tx_completions.clear();
-        r.completion_drops = 0;
         r.delivered.clear();
-        r.acked = 0;
-        r.dup_discards = 0;
         r.work_done = 0;
         r.stalled = false;
         r.injecting = false;
@@ -794,7 +796,11 @@ impl Module for DmaEngine {
         self.inject_seq = None;
         let absorbing = self.reasm.resync() || self.absorbed.take().is_some();
         let crossing = self.crossing.take().is_some();
-        self.rings.borrow_mut().stats.rx_drops += u64::from(absorbing) + u64::from(crossing);
+        self.rings
+            .borrow()
+            .counters
+            .rx_drops
+            .add(u64::from(absorbing) + u64::from(crossing));
         self.h2c_free_at = Time::ZERO;
         self.c2h_free_at = Time::ZERO;
         let mut r = self.rings.borrow_mut();
@@ -904,8 +910,8 @@ mod tests {
         let got = captured.pop().unwrap();
         assert_eq!(got.data, pkt);
         assert_eq!(got.meta.src_port, 1);
-        assert_eq!(handle.stats().tx_packets, 1);
-        assert_eq!(handle.stats().tx_bytes, 200);
+        assert_eq!(handle.counters().tx_packets.get(), 1);
+        assert_eq!(handle.counters().tx_bytes.get(), 200);
     }
 
     #[test]
@@ -916,7 +922,7 @@ mod tests {
         let (pkt, meta) = handle.recv().expect("packet delivered");
         assert_eq!(pkt, vec![7u8; 500]);
         assert_eq!(meta.src_port, 2);
-        assert_eq!(handle.stats().rx_packets, 1);
+        assert_eq!(handle.counters().rx_packets.get(), 1);
         assert!(handle.recv().is_none());
     }
 
@@ -937,9 +943,9 @@ mod tests {
         }
         sim.run_until(Time::from_us(10));
         assert_eq!(handle.rx_pending(), 2);
-        let s = handle.stats();
-        assert_eq!(s.rx_packets, 2);
-        assert_eq!(s.rx_drops, 3);
+        let s = handle.counters();
+        assert_eq!(s.rx_packets.get(), 2);
+        assert_eq!(s.rx_drops.get(), 3);
     }
 
     /// A frame dropped for want of an RX slot never enters the link, so it
@@ -956,7 +962,7 @@ mod tests {
             let mut dropped_at = Vec::new();
             for cycle in 1..=100 {
                 rig.run(1);
-                if rig.handle.stats().rx_drops > dropped_at.len() as u64 {
+                if rig.handle.counters().rx_drops.get() > dropped_at.len() as u64 {
                     dropped_at.push(rig.sim.now().as_ns());
                 }
                 if cycle == 66 {
@@ -987,10 +993,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty packet")]
     fn empty_send_rejected() {
         let (_sim, handle, _i, _c) = setup(2, 2);
-        let _ = handle.send(Vec::new(), 0);
+        assert_eq!(handle.send(Vec::new(), 0), Err(SendError::BadDescriptor));
+        assert_eq!(handle.tx_pending(), 0);
     }
 
     /// Stall rule (no fault gate): a partially injected packet facing a
@@ -1062,7 +1068,7 @@ mod tests {
             let ticks = sim.module_ticks()[0].1;
             let state = (
                 fetched,
-                handle.stats(),
+                handle.counters(),
                 handle.progress(),
                 handle.rx_pending(),
                 sim.now(),
@@ -1075,7 +1081,7 @@ mod tests {
         assert_eq!(fast, reference, "pacing bounds must not move any instant");
         let gap = PcieConfig::gen1_x8().transfer_time(1024);
         assert!(fast.0[1] - fast.0[0] >= gap, "h2c paced: {:?}", fast.0);
-        assert_eq!((fast.1.tx_packets, fast.1.rx_packets), (2, 2));
+        assert_eq!((fast.1.tx_packets.get(), fast.1.rx_packets.get()), (2, 2));
         assert!(
             fast_ticks < reference_ticks / 2,
             "pacing gaps must be skipped: {fast_ticks} of {reference_ticks} ticks"
@@ -1162,7 +1168,7 @@ mod tests {
         assert!(handle.send(vec![9u8; 128], 0).is_ok());
         sim.run_until(Time::from_us(2));
         assert_eq!(captured.total_packets(), 0, "frozen inside the window");
-        assert!(gate.stalled_ticks() > 0);
+        assert!(gate.counters().stalled_ticks.get() > 0);
         sim.run_until(Time::from_us(6));
         assert_eq!(captured.total_packets(), 1, "delivered after the window");
     }
@@ -1178,8 +1184,8 @@ mod tests {
         assert_eq!(captured.total_packets(), 0);
         assert!(handle.recv().is_none());
         assert_eq!(gate.dropped(), 2);
-        assert_eq!(gate.tx_dropped(), 1);
-        assert_eq!(gate.rx_dropped(), 1);
+        assert_eq!(gate.counters().tx_dropped.get(), 1);
+        assert_eq!(gate.counters().rx_dropped.get(), 1);
         // After the window, traffic flows again.
         sim.run_until(Time::from_us(6));
         assert!(handle.send(vec![3u8; 64], 0).is_ok());
@@ -1200,7 +1206,7 @@ mod tests {
         assert_eq!(captured.total_packets(), 1);
         assert!(handle.recv().is_some());
         assert_eq!(gate.dropped(), 0);
-        assert_eq!(gate.stalled_ticks(), 0);
+        assert_eq!(gate.counters().stalled_ticks.get(), 0);
     }
 
     /// A sequenced send is acknowledged through the completion ring once
@@ -1220,7 +1226,7 @@ mod tests {
         assert_eq!(c.seq, 17);
         assert_eq!(c.status, TxStatus::Delivered);
         assert!(c.at > Time::ZERO);
-        assert_eq!(handle.acked(), 1);
+        assert_eq!(handle.counters().acked.get(), 1);
         assert!(handle.pop_completion().is_none());
     }
 
@@ -1237,7 +1243,7 @@ mod tests {
         handle.send_sequenced(vec![1u8; 100], meta, 5).unwrap();
         sim.run_until(Time::from_us(10));
         assert_eq!(captured.total_packets(), 1, "duplicate must not inject");
-        assert_eq!(handle.dup_discards(), 1);
+        assert_eq!(handle.counters().dup_discards.get(), 1);
         // The dedup entry survives until the host advances the ack floor.
         handle.advance_ack_floor(6);
         handle.send_sequenced(vec![2u8; 100], meta, 6).unwrap();
@@ -1259,8 +1265,8 @@ mod tests {
         let c = handle.pop_completion().expect("drop completion");
         assert_eq!(c.seq, 1);
         assert_eq!(c.status, TxStatus::Dropped);
-        assert_eq!(handle.acked(), 0);
-        assert_eq!(gate.tx_dropped(), 1);
+        assert_eq!(handle.counters().acked.get(), 0);
+        assert_eq!(gate.counters().tx_dropped.get(), 1);
     }
 
     /// A full TX ring behind a wedge reports `Stalled` (not plain
@@ -1293,12 +1299,12 @@ mod tests {
             handle.send_sequenced(vec![3u8; 64], Meta::default(), 2),
             Err(SendError::Stalled)
         );
-        assert!(gate.stalled_ticks() > 0);
+        assert!(gate.counters().stalled_ticks.get() > 0);
         // Soft reset: un-wedge, flush the ring; nothing was acked.
         sim.soft_reset();
         assert!(!gate.wedged());
         assert_eq!(handle.tx_pending(), 0);
-        assert_eq!(handle.acked(), 0);
+        assert_eq!(handle.counters().acked.get(), 0);
         // Retry layer re-posts; now they deliver and ack exactly once.
         handle
             .send_sequenced(vec![1u8; 64], Meta::default(), 0)
@@ -1308,7 +1314,7 @@ mod tests {
             .unwrap();
         sim.run_until(Time::from_us(8));
         assert_eq!(captured.total_packets(), 2);
-        assert_eq!(handle.acked(), 2);
+        assert_eq!(handle.counters().acked.get(), 2);
     }
 
     /// The progress probe reports forward motion while work flows and
@@ -1477,7 +1483,7 @@ mod tests {
                     assert_eq!(c.status, TxStatus::Delivered);
                     self.acks.push(c.at);
                 }
-                while (self.ring.len() as u64) < self.handle.stats().rx_packets {
+                while (self.ring.len() as u64) < self.handle.counters().rx_packets.get() {
                     self.ring.push(now);
                 }
             }
@@ -1665,18 +1671,22 @@ mod tests {
                 rig.run(31);
                 assert_eq!(rig.sim.now(), Time::from_ns(155));
                 assert_eq!(rig.handle.progress(), if burst { 32 } else { 31 });
-                assert_eq!(rig.handle.stats().rx_drops, 0, "complete at 160 ns");
+                assert_eq!(
+                    rig.handle.counters().rx_drops.get(),
+                    0,
+                    "complete at 160 ns"
+                );
                 rig.run(recv_after - 31);
                 assert!(rig.handle.recv().is_some());
                 rig.run(60 - recv_after);
                 let want: &[u64] = if drops == 0 { &[155, 235] } else { &[155] };
                 assert_eq!(ns(&rig.ring), want, "burst {burst}");
-                assert_eq!(rig.handle.stats().rx_drops, drops, "burst {burst}");
+                assert_eq!(rig.handle.counters().rx_drops.get(), drops, "burst {burst}");
             }
             let mut rig = Rig::new(PcieConfig::gen3_x8(), 64, 1, burst, false);
             rig.offer(&[508, 508]);
             rig.run(32);
-            assert_eq!(rig.handle.stats().rx_drops, 1, "dropped at 160 ns");
+            assert_eq!(rig.handle.counters().rx_drops.get(), 1, "dropped at 160 ns");
 
             // A drop window open at the pop and closed by link entry lets
             // the packet through, and so does one that opens on its
@@ -1688,7 +1698,11 @@ mod tests {
                 rig.run(open_at);
                 rig.gate.drop_until(Time::from_ns(until));
                 rig.run(60 - open_at);
-                assert_eq!(rig.gate.rx_dropped(), dropped, "burst {burst}");
+                assert_eq!(
+                    rig.gate.counters().rx_dropped.get(),
+                    dropped,
+                    "burst {burst}"
+                );
                 assert_eq!(rig.ring.len() as u64, 2 - dropped, "burst {burst}");
             }
         }
@@ -1711,7 +1725,7 @@ mod tests {
             // Last beat at 240 + 200 ns, then its 210.5 ns on the link (the
             // serial engine delivered at the last beat).
             assert_eq!(ns(&rig.ring), [455 + 200], "burst {burst}");
-            assert_eq!(rig.gate.stalled_ticks(), 40);
+            assert_eq!(rig.gate.counters().stalled_ticks.get(), 40);
 
             // On the link from 240 ns, due at 450.5 ns; the 10 edges from
             // 255 ns to 300 ns make that 500.5 ns.
@@ -1721,7 +1735,7 @@ mod tests {
             rig.gate.stall_until(Time::from_ns(305));
             rig.run(60);
             assert_eq!(ns(&rig.ring), [455 + 50], "burst {burst}");
-            assert_eq!(rig.gate.stalled_ticks(), 10);
+            assert_eq!(rig.gate.counters().stalled_ticks.get(), 10);
         }
     }
 
@@ -1747,10 +1761,10 @@ mod tests {
             assert!(!rig.gate.wedged());
             rig.run(200);
             assert!(rig.acks.is_empty(), "burst {burst}: never acked");
-            assert_eq!(rig.handle.acked(), 0);
+            assert_eq!(rig.handle.counters().acked.get(), 0);
             assert!(!rig.handle.has_work());
-            assert_eq!(rig.handle.stats().rx_drops, 1, "burst {burst}");
-            assert_eq!(rig.handle.stats().rx_packets, 0);
+            assert_eq!(rig.handle.counters().rx_drops.get(), 1, "burst {burst}");
+            assert_eq!(rig.handle.counters().rx_packets.get(), 0);
             assert!(rig.complete.is_empty(), "no whole packet got through");
             // The engine works again.
             rig.post(&[60], 0);
@@ -1777,7 +1791,7 @@ mod tests {
                 rig.run(100);
                 assert_eq!((rig.probe)(), (heartbeat, true), "burst {burst}");
                 assert!(rig.handle.has_work() && rig.ring.is_empty());
-                assert_eq!(rig.gate.stalled_ticks(), 100);
+                assert_eq!(rig.gate.counters().stalled_ticks.get(), 100);
                 rig.sim.soft_reset();
                 assert!(!rig.handle.has_work());
                 // A drop window and deliveries on top.
@@ -1785,10 +1799,11 @@ mod tests {
                 rig.gate.drop_until(rig.sim.now() + Time::from_ns(100));
                 rig.offer(&[60, 508, 60]);
                 rig.run(100);
-                let (s, gated) = (rig.handle.stats(), rig.gate.rx_dropped());
-                assert_eq!(s.rx_drops, cut, "burst {burst}");
-                assert!(gated > 0 && s.rx_packets > 0, "{gated}, {s:?}");
-                assert_eq!(s.rx_packets + s.rx_drops + gated, lens.len() as u64 + 3);
+                let (s, gated) = (rig.handle.counters(), rig.gate.counters().rx_dropped.get());
+                let (delivered, drops) = (s.rx_packets.get(), s.rx_drops.get());
+                assert_eq!(drops, cut, "burst {burst}");
+                assert!(gated > 0 && delivered > 0, "{gated}, {s:?}");
+                assert_eq!(delivered + drops + gated, lens.len() as u64 + 3);
             }
         }
     }
@@ -1808,11 +1823,11 @@ mod tests {
         send(&rig, 5);
         rig.run(100);
         assert_eq!(rig.complete.len(), 1, "duplicate must not inject");
-        assert_eq!(rig.handle.dup_discards(), 1);
+        assert_eq!(rig.handle.counters().dup_discards.get(), 1);
         rig.handle.advance_ack_floor(6);
         send(&rig, 6);
         rig.run(100);
         assert_eq!(rig.complete.len(), 2);
-        assert_eq!(rig.handle.acked(), 2);
+        assert_eq!(rig.handle.counters().acked.get(), 2);
     }
 }

@@ -23,5 +23,8 @@ pub mod dma;
 pub mod mmio;
 
 pub use config::PcieConfig;
-pub use dma::{DmaEngine, DmaFaultGate, DmaHandle, DmaStats, SendError, TxCompletion, TxStatus};
+pub use dma::{
+    DmaCounters, DmaEngine, DmaFaultCounters, DmaFaultGate, DmaHandle, SendError, TxCompletion,
+    TxStatus,
+};
 pub use mmio::{MmioBridge, MmioPort};

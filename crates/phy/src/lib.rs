@@ -23,6 +23,8 @@ pub mod pcs;
 pub mod serdes;
 
 pub use link::{Link, LinkConfig};
-pub use mac::{line_rate_fps, wire_bytes, EthMacRx, EthMacTx, MacStats, Wire, WIRE_OVERHEAD_BYTES};
+pub use mac::{
+    line_rate_fps, wire_bytes, EthMacRx, EthMacTx, MacCounters, Wire, WIRE_OVERHEAD_BYTES,
+};
 pub use pcs::{LinkState, PcsConfig, PcsCounters, PcsHandle, PcsPort};
 pub use serdes::{Encoding, Lane, PortBond};

@@ -22,7 +22,9 @@
 
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
+use netfpga_core::stats::Counter;
 use netfpga_core::stream::{Meta, PacketRx, PacketTx, PortMask, StreamRx, StreamTx};
+use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::{BitRate, Time};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -193,49 +195,55 @@ impl Wire {
     }
 }
 
-/// MAC counters, mirroring the statistics registers of the reference MACs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MacStats {
+/// MAC counters, mirroring the statistics registers of the reference MACs:
+/// shared cells the MAC increments and the telemetry plane reads.
+#[derive(Debug, Clone, Default)]
+pub struct MacCounters {
     /// Frames handled.
-    pub frames: u64,
+    pub frames: Counter,
     /// Frame data bytes handled.
-    pub bytes: u64,
-    /// Wire bytes including preamble/FCS/IFG (TX side).
-    pub wire_bytes: u64,
-    /// Frames dropped (RX: datapath back-pressure overflow, or a frame
-    /// with no bytes).
-    pub dropped: u64,
+    pub bytes: Counter,
+    /// Wire bytes including preamble/FCS/IFG.
+    pub wire_bytes: Counter,
+    /// Frames dropped (RX: a frame with no bytes).
+    pub dropped: Counter,
     /// Frames dropped by the RX MAC because the recomputed CRC-32 did not
     /// match the frame's FCS (corrupted in flight).
-    pub bad_fcs: u64,
+    pub bad_fcs: Counter,
 }
 
-/// Shared, externally readable MAC statistics.
-#[derive(Debug, Clone, Default)]
-pub struct SharedMacStats(Rc<RefCell<MacStats>>);
-
-impl SharedMacStats {
-    /// Snapshot the counters.
-    pub fn get(&self) -> MacStats {
-        *self.0.borrow()
+impl MacCounters {
+    /// Every counter with its path below the MAC's prefix.
+    fn cells(&self) -> [(&'static str, &Counter); 5] {
+        [
+            ("frames", &self.frames),
+            ("bytes", &self.bytes),
+            ("wire_bytes", &self.wire_bytes),
+            ("dropped", &self.dropped),
+            ("bad_fcs", &self.bad_fcs),
+        ]
     }
 
-    /// Register this MAC's counters on `registry` as gauges under
-    /// `prefix` (e.g. `port0.mac.rx`): `frames`, `bytes`, `wire_bytes`,
-    /// `dropped`, `bad_fcs`. Gauges read the live shared cell, so values
-    /// over the telemetry plane are bit-identical to [`SharedMacStats::get`].
-    pub fn register_stats(&self, registry: &netfpga_core::telemetry::StatRegistry, prefix: &str) {
-        type Field = fn(&MacStats) -> u64;
-        let fields: [(&str, Field); 5] = [
-            ("frames", |s| s.frames),
-            ("bytes", |s| s.bytes),
-            ("wire_bytes", |s| s.wire_bytes),
-            ("dropped", |s| s.dropped),
-            ("bad_fcs", |s| s.bad_fcs),
-        ];
-        for (name, field) in fields {
-            let cell = self.0.clone();
-            registry.gauge(&format!("{prefix}.{name}"), move || field(&cell.borrow()));
+    /// Register every counter on `registry` under `prefix` (e.g.
+    /// `port0.mac.rx`): `frames`, `bytes`, `wire_bytes`, `dropped`,
+    /// `bad_fcs`.
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        for (name, cell) in self.cells() {
+            registry.register_counter(&format!("{prefix}.{name}"), cell);
+        }
+    }
+
+    /// Count one frame of `len` data bytes.
+    fn frame(&self, len: u64) {
+        self.frames.incr();
+        self.bytes.add(len);
+        self.wire_bytes.add(wire_bytes(len));
+    }
+
+    /// Zero every counter (a hard reset).
+    fn clear(&self) {
+        for (_, cell) in self.cells() {
+            cell.clear();
         }
     }
 }
@@ -258,20 +266,15 @@ pub struct EthMacTx {
     /// Completion time of the most recent frame's wire occupancy (including
     /// IFG); the next frame cannot finish before this plus its own time.
     line_busy_until: Time,
-    stats: SharedMacStats,
+    counters: MacCounters,
     /// Activity-cache invalidation flag, registered on the input stream.
     wake: WakeHandle,
 }
 
 impl EthMacTx {
     /// Create a TX MAC at `rate` draining `input` onto `wire`.
-    pub fn new(
-        name: &str,
-        rate: BitRate,
-        input: StreamRx,
-        wire: Wire,
-    ) -> (EthMacTx, SharedMacStats) {
-        let stats = SharedMacStats::default();
+    pub fn new(name: &str, rate: BitRate, input: StreamRx, wire: Wire) -> (EthMacTx, MacCounters) {
+        let counters = MacCounters::default();
         let wake = WakeHandle::new();
         (
             EthMacTx {
@@ -282,10 +285,10 @@ impl EthMacTx {
                 input: PacketRx::new(input, &wake),
                 wire,
                 line_busy_until: Time::ZERO,
-                stats: stats.clone(),
+                counters: counters.clone(),
                 wake,
             },
-            stats,
+            counters,
         )
     }
 
@@ -319,10 +322,7 @@ impl EthMacTx {
         // wire time only, so pacing and line-rate math are untouched.
         self.wire.push(WireFrame::stamped(data, ready_at));
         self.line_busy_until = busy_until;
-        let mut s = self.stats.0.borrow_mut();
-        s.frames += 1;
-        s.bytes += len;
-        s.wire_bytes += wire_bytes(len);
+        self.counters.frame(len);
     }
 
     /// Back-pressure: new frames are refused while more than
@@ -348,7 +348,7 @@ impl Module for EthMacTx {
     fn reset(&mut self) {
         self.input.reset();
         self.line_busy_until = Time::ZERO;
-        *self.stats.0.borrow_mut() = MacStats::default();
+        self.counters.clear();
     }
 
     /// Watchdog recovery: discard a partially reassembled frame (its tail
@@ -386,7 +386,7 @@ pub struct EthMacRx {
     wire: Wire,
     output: PacketTx,
     src_port: u8,
-    stats: SharedMacStats,
+    counters: MacCounters,
     /// Activity-cache invalidation flag, registered on the input wire and
     /// the output stream (pops free the space a stalled delivery waits on).
     wake: WakeHandle,
@@ -395,13 +395,8 @@ pub struct EthMacRx {
 impl EthMacRx {
     /// Create an RX MAC delivering frames from `wire` into `output` with
     /// `src_port` stamped in the metadata.
-    pub fn new(
-        name: &str,
-        wire: Wire,
-        output: StreamTx,
-        src_port: u8,
-    ) -> (EthMacRx, SharedMacStats) {
-        let stats = SharedMacStats::default();
+    pub fn new(name: &str, wire: Wire, output: StreamTx, src_port: u8) -> (EthMacRx, MacCounters) {
+        let counters = MacCounters::default();
         let wake = WakeHandle::new();
         wire.set_wake(wake.clone());
         (
@@ -410,10 +405,10 @@ impl EthMacRx {
                 wire,
                 output: PacketTx::new(output, &wake),
                 src_port,
-                stats: stats.clone(),
+                counters: counters.clone(),
                 wake,
             },
-            stats,
+            counters,
         )
     }
 
@@ -446,14 +441,14 @@ impl Module for EthMacRx {
             // (impairments stale it when they CoW).
             if let Fcs::Stale(fcs) = frame.fcs {
                 if !netfpga_packet::fcs::verify(&frame.data, fcs) {
-                    self.stats.0.borrow_mut().bad_fcs += 1;
+                    self.counters.bad_fcs.incr();
                     continue;
                 }
             }
             // No bytes between two gaps is not a frame; the stream cannot
             // carry one either.
             if frame.data.is_empty() {
-                self.stats.0.borrow_mut().dropped += 1;
+                self.counters.dropped.incr();
                 continue;
             }
             // A frame the datapath cannot absorb *at all* (wider than the
@@ -466,19 +461,14 @@ impl Module for EthMacRx {
                 ingress_time: frame.ready_at,
                 flags: 0,
             };
-            {
-                let mut s = self.stats.0.borrow_mut();
-                s.frames += 1;
-                s.bytes += frame.data.len() as u64;
-                s.wire_bytes += wire_bytes(frame.data.len() as u64);
-            }
+            self.counters.frame(frame.data.len() as u64);
             self.output.stage(frame.data, meta);
         }
     }
 
     fn reset(&mut self) {
         self.output.reset();
-        *self.stats.0.borrow_mut() = MacStats::default();
+        self.counters.clear();
     }
 
     /// Watchdog recovery: a frame whose leading words already entered the
@@ -570,9 +560,9 @@ mod tests {
             spacing >= min_spacing,
             "spacing {spacing} < wire time {min_spacing}"
         );
-        assert_eq!(tx_stats.get().frames, 2);
-        assert_eq!(tx_stats.get().wire_bytes, 2 * wire_bytes(1000));
-        assert_eq!(rx_stats.get().frames, 2);
+        assert_eq!(tx_stats.frames.get(), 2);
+        assert_eq!(tx_stats.wire_bytes.get(), 2 * wire_bytes(1000));
+        assert_eq!(rx_stats.frames.get(), 2);
     }
 
     /// Back-to-back 64 B frames at 10G achieve the theoretical 14.88 Mpps
@@ -593,7 +583,7 @@ mod tests {
             inject.push(vec![0u8; 64], 0);
         }
         // Run until all frames are on the wire.
-        let done = sim.run_while(Time::from_ms(1), || stats.get().frames < n);
+        let done = sim.run_while(Time::from_ms(1), || stats.frames.get() < n);
         assert!(done);
         // Drain: the nth frame's ready_at bounds the elapsed wire time.
         let mut last_ready = Time::ZERO;
@@ -691,7 +681,7 @@ mod tests {
                 stalled_at,
                 "burst={burst}: no tick while stalled"
             );
-            assert_eq!(stats.get().frames, 1, "the second frame is not fetched yet");
+            assert_eq!(stats.frames.get(), 1, "the second frame is not fetched yet");
             assert_eq!(wire.len(), 1);
 
             dst_rx.pop().expect("head word");
@@ -711,7 +701,7 @@ mod tests {
                 }
                 sim.run_cycles(clk, 1);
             }
-            assert_eq!(stats.get().frames, 2);
+            assert_eq!(stats.frames.get(), 2);
             assert_eq!(got.last().expect("second frame").0, vec![2u8; 64]);
             assert!(sim.all_quiescent(), "drained");
         }
@@ -734,15 +724,15 @@ mod tests {
         sim.add_module(clk, mac_tx);
         sim.add_module(clk, mac_rx);
         wire_in.push(WireFrame::new(vec![1u8; 320], Time::ZERO));
-        while rx_stats.get().frames == 0 {
+        while rx_stats.frames.get() == 0 {
             sim.step();
         }
         sim.soft_reset();
         let next = vec![2u8; 200];
         wire_in.push(WireFrame::new(next.clone(), sim.now()));
         sim.run_for(Time::from_us(2));
-        assert_eq!(rx_stats.get().frames, 2);
-        assert_eq!(tx_stats.get().frames, 1, "the cut frame never leaves");
+        assert_eq!(rx_stats.frames.get(), 2);
+        assert_eq!(tx_stats.frames.get(), 1, "the cut frame never leaves");
         let out = wire_out.take_ready(sim.now()).expect("the next frame");
         assert_eq!(out.data, next);
         assert!(wire_out.is_empty());
@@ -788,9 +778,8 @@ mod tests {
         assert_eq!(capture.pop().unwrap().data, good);
         assert_eq!(capture.pop().unwrap().data, vec![0x22; 64]);
         assert_eq!(capture.pop().unwrap().data, good);
-        let s = rx_stats.get();
-        assert_eq!(s.bad_fcs, 1);
-        assert_eq!(s.frames, 3);
+        assert_eq!(rx_stats.bad_fcs.get(), 1);
+        assert_eq!(rx_stats.frames.get(), 3);
     }
 
     /// What the TX MAC puts on the wire carries the frame's true CRC-32

@@ -153,8 +153,8 @@ mod tests {
         a.chassis.run_for(Time::from_ms(1));
         assert_eq!(a.counters[0].frames.get(), n);
         assert_eq!(a.chassis.recv(0).len() as u64, n);
-        assert_eq!(a.chassis.rx_mac_stats(0).frames, n);
-        assert_eq!(a.chassis.tx_mac_stats(0).frames, n);
+        assert_eq!(a.chassis.telemetry.get("port0.mac.rx.frames"), Some(n));
+        assert_eq!(a.chassis.telemetry.get("port0.mac.tx.frames"), Some(n));
     }
 
     /// Drained, the loops are idle: every module quiescent, and not one of

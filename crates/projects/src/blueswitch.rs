@@ -15,7 +15,9 @@ use netfpga_core::board::BoardSpec;
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::regs::{shared, RegisterSpace, UNMAPPED_READ};
 use netfpga_core::resources::ResourceCost;
+use netfpga_core::stats::Counter;
 use netfpga_core::stream::{Meta, PortMask};
+use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
 use netfpga_datapath::blocks;
 use netfpga_datapath::stage::{PacketLogic, StageAction};
@@ -311,24 +313,42 @@ impl netfpga_faults::FaultableMemory for MatchActionPipeline {
     }
 }
 
-/// Datapath counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Datapath counters: shared cells the lookup increments and the
+/// telemetry plane reads.
+#[derive(Debug, Clone, Default)]
 pub struct BlueSwitchCounters {
     /// Packets classified.
-    pub packets: u64,
+    pub packets: Counter,
     /// Packets that matched at least one table.
-    pub matched: u64,
+    pub matched: Counter,
     /// Packets whose matched rules carried mixed configuration tags.
-    pub mixed_tag_packets: u64,
+    pub mixed_tag_packets: Counter,
     /// Packets punted to the controller.
-    pub to_controller: u64,
+    pub to_controller: Counter,
     /// Packets dropped by rule.
-    pub dropped: u64,
+    pub dropped: Counter,
+}
+
+impl BlueSwitchCounters {
+    /// Register every counter on `registry` under `prefix` (e.g.
+    /// `blueswitch`): `packets`, `matched`, `mixed_tag_packets`,
+    /// `to_controller`, `dropped`.
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        for (name, cell) in [
+            ("packets", &self.packets),
+            ("matched", &self.matched),
+            ("mixed_tag_packets", &self.mixed_tag_packets),
+            ("to_controller", &self.to_controller),
+            ("dropped", &self.dropped),
+        ] {
+            registry.register_counter(&format!("{prefix}.{name}"), cell);
+        }
+    }
 }
 
 struct BlueSwitchLookup {
     pipeline: Rc<RefCell<MatchActionPipeline>>,
-    counters: Rc<RefCell<BlueSwitchCounters>>,
+    counters: BlueSwitchCounters,
     cpu_port: u8,
 }
 
@@ -336,13 +356,13 @@ impl PacketLogic for BlueSwitchLookup {
     fn process(&mut self, packet: &mut PktBuf, meta: &mut Meta, _now: Time) -> StageAction {
         let key = flow_key(packet, meta);
         let result = self.pipeline.borrow_mut().classify(&key);
-        let mut c = self.counters.borrow_mut();
-        c.packets += 1;
+        let c = &self.counters;
+        c.packets.incr();
         if !result.matched.is_empty() {
-            c.matched += 1;
+            c.matched.incr();
         }
         if result.mixed_tags {
-            c.mixed_tag_packets += 1;
+            c.mixed_tag_packets.incr();
         }
         match result.action {
             ActionKind::Output(mask) => {
@@ -351,11 +371,11 @@ impl PacketLogic for BlueSwitchLookup {
                 StageAction::Forward
             }
             ActionKind::Drop => {
-                c.dropped += 1;
+                c.dropped.incr();
                 StageAction::Drop
             }
             ActionKind::Controller => {
-                c.to_controller += 1;
+                c.to_controller.incr();
                 meta.dst_ports = PortMask::single(self.cpu_port);
                 meta.flags = ofl_flag();
                 StageAction::Forward
@@ -403,7 +423,7 @@ mod cmd {
 /// does word 28 while word 6 selects a slot past the table's capacity.
 pub struct BlueSwitchRegisters {
     pipeline: Rc<RefCell<MatchActionPipeline>>,
-    counters: Rc<RefCell<BlueSwitchCounters>>,
+    counters: BlueSwitchCounters,
     stage: [u32; 24],
 }
 
@@ -441,9 +461,9 @@ impl RegisterSpace for BlueSwitchRegisters {
         match offset / 4 {
             w if staged(w) => self.stage[w as usize],
             24 => self.pipeline.borrow().version() as u32,
-            25 => self.counters.borrow().packets as u32,
-            26 => self.counters.borrow().mixed_tag_packets as u32,
-            27 => self.counters.borrow().to_controller as u32,
+            25 => self.counters.packets.get() as u32,
+            26 => self.counters.mixed_tag_packets.get() as u32,
+            27 => self.counters.to_controller.get() as u32,
             28 => {
                 let p = self.pipeline.borrow();
                 let table = (self.stage[1] as usize).min(p.ntables() - 1);
@@ -489,7 +509,7 @@ pub struct BlueSwitch {
     /// controller in `netfpga-host` goes through registers).
     pub pipeline: Rc<RefCell<MatchActionPipeline>>,
     /// Datapath counters.
-    pub counters: Rc<RefCell<BlueSwitchCounters>>,
+    pub counters: BlueSwitchCounters,
     /// CPU (controller) port index.
     pub cpu_port: u8,
 }
@@ -509,7 +529,7 @@ impl BlueSwitch {
     pub fn build(config: &ChassisConfig, ntables: usize, capacity: usize) -> BlueSwitch {
         let cpu_port = config.nports as u8;
         let pipeline = Rc::new(RefCell::new(MatchActionPipeline::new(ntables, capacity)));
-        let counters = Rc::new(RefCell::new(BlueSwitchCounters::default()));
+        let counters = BlueSwitchCounters::default();
         let lookup = BlueSwitchLookup {
             pipeline: pipeline.clone(),
             counters: counters.clone(),
@@ -530,17 +550,7 @@ impl BlueSwitch {
                 pipeline.clone(),
             );
         }
-        chassis.register_gauges(
-            "blueswitch",
-            &counters,
-            &[
-                ("packets", |c| c.packets),
-                ("matched", |c| c.matched),
-                ("mixed_tag_packets", |c| c.mixed_tag_packets),
-                ("to_controller", |c| c.to_controller),
-                ("dropped", |c| c.dropped),
-            ],
-        );
+        counters.register_stats(&chassis.telemetry, "blueswitch");
         chassis.map.mount(
             "blueswitch",
             BLUESWITCH_BASE,
@@ -800,7 +810,7 @@ mod tests {
         sw.chassis.send(0, udp_frame(80));
         sw.chassis.run_for(Time::from_us(10));
         assert_eq!(sw.chassis.recv(3).len(), 1);
-        assert_eq!(sw.counters.borrow().matched, 1);
+        assert_eq!(sw.counters.matched.get(), 1);
     }
 
     #[test]
@@ -811,7 +821,7 @@ mod tests {
         let dma = sw.chassis.dma.clone().unwrap();
         let (_, meta) = dma.recv().expect("punted to controller");
         assert_eq!(meta.src_port, 0);
-        assert_eq!(sw.counters.borrow().to_controller, 1);
+        assert_eq!(sw.counters.to_controller.get(), 1);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use netfpga_core::hash::{fnv1a64, Fnv1a64};
 use netfpga_core::sim::KernelStats;
 use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
-use netfpga_datapath::learn::LearnStats;
 use netfpga_fabric::{run_fabric, FabricConfig, FabricNode, FabricReport, FabricTopology};
 use netfpga_faults::{FaultPlan, TraceEntry};
 use netfpga_packet::{EtherType, EthernetAddress, PacketBuilder};
@@ -255,7 +254,7 @@ impl LeafSpine {
                 NodeTrace {
                     node,
                     deliveries,
-                    lookup: sw.core.borrow().stats(),
+                    lookup: LookupCounts::read(&sw.chassis.telemetry),
                     faults: sw
                         .chassis
                         .faults
@@ -285,6 +284,37 @@ pub fn host_frame(src_host: usize, dst_host: usize, seq: u32) -> Vec<u8> {
         .build()
 }
 
+/// A node's learning/forwarding counts, read from its `lookup.*` telemetry
+/// entries: plain values, since a trace crosses shard threads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LookupCounts {
+    /// Lookups that found the destination.
+    pub hits: u64,
+    /// Lookups that flooded.
+    pub floods: u64,
+    /// Source addresses learned or refreshed.
+    pub learned: u64,
+    /// Learning failures.
+    pub learn_failures: u64,
+}
+
+impl LookupCounts {
+    /// The `lookup.*` counts registered on `registry`.
+    pub fn read(registry: &StatRegistry) -> LookupCounts {
+        let get = |leaf| {
+            registry
+                .get(&format!("lookup.{leaf}"))
+                .expect("lookup counter")
+        };
+        LookupCounts {
+            hits: get("hits"),
+            floods: get("floods"),
+            learned: get("learned"),
+            learn_failures: get("learn_failures"),
+        }
+    }
+}
+
 /// One node's bit-comparable run outcome: every frame delivered to a
 /// host port as `(port, wire-completion time, FNV-1a of the bytes)` in
 /// drain order, plus the node's lookup counters.
@@ -295,7 +325,7 @@ pub struct NodeTrace {
     /// Host-port deliveries (empty on spines).
     pub deliveries: Vec<(usize, Time, u64)>,
     /// The node's learning/forwarding counters.
-    pub lookup: LearnStats,
+    pub lookup: LookupCounts,
     /// The node's applied-fault trace (empty without an armed plan).
     pub faults: Vec<TraceEntry>,
 }

@@ -38,9 +38,8 @@ use netfpga_flowmon::{
     LogLinearHistogram, FLOWMON_BASE, FLOWMON_SIZE,
 };
 use netfpga_pcie::{DmaEngine, DmaHandle, MmioBridge, MmioPort, PcieConfig};
-use netfpga_phy::mac::{wire_bytes, EthMacRx, EthMacTx, SharedMacStats, WireFrame};
+use netfpga_phy::mac::{wire_bytes, EthMacRx, EthMacTx, WireFrame};
 use netfpga_phy::{LinkState, PcsHandle, PcsPort, Wire};
-use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Depth (in words) of the edge streams between MACs and the datapath.
@@ -84,10 +83,6 @@ impl ChassisConfig {
     }
 }
 
-/// A named read of one field of a shared counter block, for
-/// [`Chassis::register_gauges`].
-pub(crate) type Gauge<T> = (&'static str, fn(&T) -> u64);
-
 /// The project-facing edge streams created by [`Chassis::new`].
 pub struct ChassisIo {
     /// Per-port word streams arriving from the RX MACs.
@@ -125,8 +120,6 @@ pub struct Chassis {
     /// carried a [`RecoveryPolicy`](netfpga_faults::RecoveryPolicy).
     pcs: Vec<PcsHandle>,
     ports: Vec<TesterPort>,
-    rx_stats: Vec<SharedMacStats>,
-    tx_stats: Vec<SharedMacStats>,
     bus_width: usize,
     /// Whether the edge MACs run in burst mode; a DMA engine attached later
     /// does too.
@@ -202,8 +195,6 @@ impl Chassis {
         let mut ports = Vec::new();
         let mut from_ports = Vec::new();
         let mut to_ports = Vec::new();
-        let mut rx_stats = Vec::new();
-        let mut tx_stats = Vec::new();
         for i in 0..nports {
             let to_board = Wire::new();
             let from_board = Wire::new();
@@ -241,8 +232,6 @@ impl Chassis {
             });
             from_ports.push(rx_rx);
             to_ports.push(tx_tx);
-            rx_stats.push(rstat);
-            tx_stats.push(tstat);
         }
         let mut pcs_handles: Vec<PcsHandle> = Vec::new();
         let faults = injector.map(|(mut inj, handle)| {
@@ -316,8 +305,6 @@ impl Chassis {
                 events,
                 pcs: pcs_handles,
                 ports,
-                rx_stats,
-                tx_stats,
                 bus_width: spec.bus_width,
                 fast_path: config.fast_path,
                 pcie,
@@ -495,16 +482,6 @@ impl Chassis {
         assert!(ok, "MMIO write timed out");
     }
 
-    /// RX MAC statistics of a port.
-    pub fn rx_mac_stats(&self, port: usize) -> netfpga_phy::MacStats {
-        self.rx_stats[port].get()
-    }
-
-    /// TX MAC statistics of a port.
-    pub fn tx_mac_stats(&self, port: usize) -> netfpga_phy::MacStats {
-        self.tx_stats[port].get()
-    }
-
     /// The line rate of a port (for line-rate math in experiments).
     pub fn port_rate(&self, port: usize) -> BitRate {
         self.ports[port].rate
@@ -538,22 +515,6 @@ impl Chassis {
     pub fn add_link(&mut self, name: &str, from: Wire, to: Wire, config: netfpga_phy::LinkConfig) {
         let link = netfpga_phy::Link::new(name, from, to, config);
         self.sim.add_module(self.clk, link);
-    }
-
-    /// Register one gauge `prefix.name` per `(name, field)` of a shared
-    /// counter block.
-    pub(crate) fn register_gauges<T: 'static>(
-        &self,
-        prefix: &str,
-        counters: &Rc<RefCell<T>>,
-        fields: &[Gauge<T>],
-    ) {
-        for &(name, field) in fields {
-            let counters = counters.clone();
-            self.telemetry.gauge(&format!("{prefix}.{name}"), move || {
-                field(&counters.borrow())
-            });
-        }
     }
 
     /// Mount an RX statistics block at `base` and register its stats under
@@ -679,8 +640,10 @@ impl<L: PacketLogic + 'static> ReferencePipeline<L> {
         let oq = OutputQueues::new("output_queues", head, outputs, self.queues, self.scheduler)
             .with_burst(fast);
 
-        lookup.register_stats(&chassis.telemetry, "pipeline.lookup");
-        oq.register_stats(&chassis.telemetry, "oq");
+        lookup
+            .counters()
+            .register_stats(&chassis.telemetry, "pipeline.lookup");
+        oq.counters().register_stats(&chassis.telemetry, "oq");
         oq.register_depth_gauges(&chassis.telemetry, "");
         let (flowmon, exporter) = match (&self.flowmon, &tap) {
             (Some(cfg), Some(tap)) => {
@@ -792,8 +755,8 @@ mod tests {
         assert_eq!(c.recv(0), vec![vec![0xaa; 100]]);
         assert_eq!(c.recv(2), vec![vec![0xbb; 200]]);
         assert!(c.recv(1).is_empty());
-        assert_eq!(c.rx_mac_stats(0).frames, 1);
-        assert_eq!(c.tx_mac_stats(0).frames, 1);
+        assert_eq!(c.telemetry.get("port0.mac.rx.frames"), Some(1));
+        assert_eq!(c.telemetry.get("port0.mac.tx.frames"), Some(1));
     }
 
     #[test]
@@ -808,8 +771,7 @@ mod tests {
         assert_eq!(got.len(), 100);
         // Wire time for 100 x 84-byte slots at 10G = 6.72 us; the RX MAC
         // cannot have seen them faster than that.
-        let stats = c.rx_mac_stats(0);
-        assert_eq!(stats.frames, 100);
+        assert_eq!(c.telemetry.get("port0.mac.rx.frames"), Some(100));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use netfpga_core::regs::UNMAPPED_READ;
 use netfpga_core::resources::ResourceCost;
 use netfpga_core::rng::SimRng;
 use netfpga_core::sim::{Activity, Module, TickContext, WakeHandle};
-use netfpga_core::stats::Histogram;
+use netfpga_core::stats::{Counter, Histogram};
 use netfpga_core::stream::{Meta, PacketRx, PacketTx, StreamRx, StreamTx};
 use netfpga_core::time::{BitRate, Time};
 use netfpga_datapath::blocks;
@@ -315,7 +315,6 @@ struct CapShared {
     /// frames share the datapath's backing buffer (a refcount bump, not
     /// a copy).
     frames: Vec<(Time, PktBuf)>,
-    non_probe: u64,
     bytes: u64,
 }
 
@@ -323,17 +322,14 @@ struct CapShared {
 #[derive(Debug, Clone, Default)]
 pub struct CaptureHandle {
     shared: Rc<RefCell<CapShared>>,
+    /// Frames seen that were not OSNT probes.
+    pub non_probe: Counter,
 }
 
 impl CaptureHandle {
     /// Probes captured so far.
     pub fn count(&self) -> usize {
         self.shared.borrow().records.len()
-    }
-
-    /// Frames seen that were not OSNT probes.
-    pub fn non_probe(&self) -> u64 {
-        self.shared.borrow().non_probe
     }
 
     /// Total bytes captured.
@@ -449,6 +445,7 @@ pub struct CaptureEngine {
     name: String,
     input: PacketRx,
     shared: Rc<RefCell<CapShared>>,
+    non_probe: Counter,
     /// Activity-cache invalidation flag, registered on the input stream.
     wake: WakeHandle,
 }
@@ -463,6 +460,7 @@ impl CaptureEngine {
                 name: name.to_string(),
                 input: PacketRx::new(input, &wake),
                 shared: handle.shared.clone(),
+                non_probe: handle.non_probe.clone(),
                 wake,
             },
             handle,
@@ -518,7 +516,7 @@ impl Module for CaptureEngine {
                     tx_time,
                     rx_time,
                 }),
-                None => s.non_probe += 1,
+                None => self.non_probe.incr(),
             }
         }
     }
@@ -528,8 +526,8 @@ impl Module for CaptureEngine {
         let mut s = self.shared.borrow_mut();
         s.records.clear();
         s.frames.clear();
-        s.non_probe = 0;
         s.bytes = 0;
+        self.non_probe.clear();
     }
 
     /// Watchdog recovery: a partially received frame is discarded; the
@@ -586,7 +584,7 @@ impl netfpga_core::regs::RegisterSpace for OsntRegisters {
             w @ 1..=5 => self.stage[w as usize],
             8 => self.generator.sent() as u32,
             9 => self.capture.count() as u32,
-            10 => self.capture.non_probe() as u32,
+            10 => self.capture.non_probe.get() as u32,
             11 => {
                 let mut h = self.capture.latency_histogram();
                 (h.percentile(50.0).unwrap_or(0) / 1000) as u32
@@ -670,19 +668,22 @@ impl OsntTester {
                     stage: [0; 6],
                 }),
             );
-            chassis.register_gauges(
-                &format!("osnt.port{i}.gen"),
-                &gh.shared,
-                &[("sent", |s| s.sent)],
-            );
-            chassis.register_gauges(
-                &format!("osnt.port{i}.cap"),
-                &ch.shared,
-                &[
-                    ("probes", |s| s.records.len() as u64),
-                    ("non_probe", |s| s.non_probe),
-                ],
-            );
+            // A run's progress and the capture buffer's length are state,
+            // not counts: a write to clear them would re-arm the generator
+            // and orphan records, so they stay read-only gauges.
+            let progress = gh.clone();
+            chassis
+                .telemetry
+                .gauge(&format!("osnt.port{i}.gen.sent"), move || progress.sent());
+            let buffer = ch.clone();
+            chassis
+                .telemetry
+                .gauge(&format!("osnt.port{i}.cap.probes"), move || {
+                    buffer.count() as u64
+                });
+            chassis
+                .telemetry
+                .register_counter(&format!("osnt.port{i}.cap.non_probe"), &ch.non_probe);
             generators.push(gh);
             captures.push(ch);
         }
@@ -979,7 +980,11 @@ mod tests {
         assert!(corrupted > 0, "BER high enough to hit some probes");
         // Every corrupted probe died at the RX MAC's FCS check (a frame
         // can be hit in both directions, hence at-most-equal) ...
-        let bad_fcs = o.chassis.rx_mac_stats(0).bad_fcs;
+        let bad_fcs = o
+            .chassis
+            .telemetry
+            .get("port0.mac.rx.bad_fcs")
+            .expect("registered");
         assert!(
             bad_fcs > 0 && bad_fcs <= corrupted,
             "bad_fcs {bad_fcs} of {corrupted}"
@@ -993,7 +998,7 @@ mod tests {
             "captured + lost = sent"
         );
         assert_eq!(lost, bad_fcs, "every loss is a pre-timestamp FCS drop");
-        assert_eq!(o.captures[0].non_probe(), 0, "no garbled probe decodes");
+        assert_eq!(o.captures[0].non_probe.get(), 0, "no garbled probe decodes");
         // The pinned property: no bogus samples. Every record is a valid
         // probe of this stream and its latency sits at ground truth
         // (link delay + serialization + pipeline), never wild.
@@ -1085,7 +1090,7 @@ mod tests {
         let mut o = OsntTester::new(&BoardSpec::sume(), 1);
         o.chassis.send(0, vec![0u8; 100]);
         o.chassis.run_for(Time::from_us(10));
-        assert_eq!(o.captures[0].non_probe(), 1);
+        assert_eq!(o.captures[0].non_probe.get(), 1);
         assert_eq!(o.captures[0].count(), 0);
         assert_eq!(o.captures[0].bytes(), 100);
     }

@@ -77,7 +77,7 @@ impl ReferenceNic {
         )
         .with_burst(fast_path);
 
-        oq.register_stats(&chassis.telemetry, "oq");
+        oq.counters().register_stats(&chassis.telemetry, "oq");
         oq.register_depth_gauges(&chassis.telemetry, "");
         chassis.add_module(arbiter);
         chassis.add_module(stats_stage);

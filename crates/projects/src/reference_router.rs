@@ -16,7 +16,9 @@ use netfpga_core::hash::Fnv1a64;
 use netfpga_core::pktbuf::PktBuf;
 use netfpga_core::regs::{shared, RegisterSpace};
 use netfpga_core::resources::ResourceCost;
+use netfpga_core::stats::Counter;
 use netfpga_core::stream::{Meta, PortMask};
+use netfpga_core::telemetry::StatRegistry;
 use netfpga_core::time::Time;
 use netfpga_datapath::blocks;
 use netfpga_datapath::lpm::{LpmTable, RouteEntry};
@@ -67,20 +69,31 @@ pub struct RouterTables {
     pub port_macs: Vec<EthernetAddress>,
 }
 
-/// Datapath counters of the lookup stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Datapath counters of the lookup stage: shared cells the lookup
+/// increments and the telemetry plane reads.
+#[derive(Debug, Clone, Default)]
 pub struct RouterCounters {
     /// Packets forwarded in hardware.
-    pub forwarded: u64,
+    pub forwarded: Counter,
     /// Packets punted to the CPU, by any reason.
-    pub to_cpu: u64,
+    pub to_cpu: Counter,
     /// Packets dropped (bad checksum / malformed).
-    pub dropped: u64,
+    pub dropped: Counter,
+}
+
+impl RouterCounters {
+    /// Register every counter on `registry` under `prefix` (e.g.
+    /// `router`): `forwarded`, `to_cpu`, `dropped`.
+    pub fn register_stats(&self, registry: &StatRegistry, prefix: &str) {
+        registry.register_counter(&format!("{prefix}.forwarded"), &self.forwarded);
+        registry.register_counter(&format!("{prefix}.to_cpu"), &self.to_cpu);
+        registry.register_counter(&format!("{prefix}.dropped"), &self.dropped);
+    }
 }
 
 struct RouterLookup {
     tables: Rc<RefCell<RouterTables>>,
-    counters: Rc<RefCell<RouterCounters>>,
+    counters: RouterCounters,
     cpu_port: u8,
 }
 
@@ -88,7 +101,7 @@ impl RouterLookup {
     fn punt(&self, meta: &mut Meta, reason: u16) -> StageAction {
         meta.dst_ports = PortMask::single(self.cpu_port);
         meta.flags = reason;
-        self.counters.borrow_mut().to_cpu += 1;
+        self.counters.to_cpu.incr();
         StageAction::Forward
     }
 }
@@ -99,10 +112,10 @@ impl PacketLogic for RouterLookup {
         // bypass routing (the management software routed them itself).
         if meta.src_port == self.cpu_port {
             if meta.dst_ports.is_empty() {
-                self.counters.borrow_mut().dropped += 1;
+                self.counters.dropped.incr();
                 return StageAction::Drop;
             }
-            self.counters.borrow_mut().forwarded += 1;
+            self.counters.forwarded.incr();
             return StageAction::Forward;
         }
 
@@ -111,7 +124,7 @@ impl PacketLogic for RouterLookup {
             return self.punt(meta, exception::NON_IP);
         };
         if !ip.checksum_ok {
-            self.counters.borrow_mut().dropped += 1;
+            self.counters.dropped.incr();
             return StageAction::Drop;
         }
         let tables = self.tables.borrow();
@@ -152,7 +165,7 @@ impl PacketLogic for RouterLookup {
         }
         meta.dst_ports = PortMask::single(out_port);
         meta.flags = 0;
-        self.counters.borrow_mut().forwarded += 1;
+        self.counters.forwarded.incr();
         StageAction::Forward
     }
 }
@@ -187,7 +200,7 @@ mod cmd {
 /// write to an unmapped word.
 pub struct RouterRegisters {
     tables: Rc<RefCell<RouterTables>>,
-    counters: Rc<RefCell<RouterCounters>>,
+    counters: RouterCounters,
     stage: [u32; 8],
     cpu_port: u8,
 }
@@ -259,9 +272,9 @@ impl RegisterSpace for RouterRegisters {
         let word = offset / 4;
         match word {
             0..=7 => self.stage[word as usize],
-            16 => self.counters.borrow().forwarded as u32,
-            17 => self.counters.borrow().to_cpu as u32,
-            18 => self.counters.borrow().dropped as u32,
+            16 => self.counters.forwarded.get() as u32,
+            17 => self.counters.to_cpu.get() as u32,
+            18 => self.counters.dropped.get() as u32,
             19 => self.tables.borrow().lpm.len() as u32,
             20 => self.tables.borrow().arp.len() as u32,
             _ => netfpga_core::regs::UNMAPPED_READ,
@@ -286,7 +299,7 @@ pub struct ReferenceRouter {
     /// direct inspection is handy in tests).
     pub tables: Rc<RefCell<RouterTables>>,
     /// Lookup counters.
-    pub counters: Rc<RefCell<RouterCounters>>,
+    pub counters: RouterCounters,
     /// The CPU exception port index (= number of Ethernet ports).
     pub cpu_port: u8,
 }
@@ -311,7 +324,7 @@ impl ReferenceRouter {
     ) -> ReferenceRouter {
         let cpu_port = config.nports as u8;
         let tables = Rc::new(RefCell::new(RouterTables::default()));
-        let counters = Rc::new(RefCell::new(RouterCounters::default()));
+        let counters = RouterCounters::default();
         let lookup = RouterLookup {
             tables: tables.clone(),
             counters: counters.clone(),
@@ -325,15 +338,7 @@ impl ReferenceRouter {
         }
         .build(config)
         .chassis;
-        chassis.register_gauges(
-            "router",
-            &counters,
-            &[
-                ("forwarded", |c| c.forwarded),
-                ("to_cpu", |c| c.to_cpu),
-                ("dropped", |c| c.dropped),
-            ],
-        );
+        counters.register_stats(&chassis.telemetry, "router");
         chassis.map.mount(
             "router",
             ROUTER_BASE,
@@ -441,7 +446,7 @@ mod tests {
         let ipv4 = h.ipv4.unwrap();
         assert_eq!(ipv4.ttl, 63, "TTL decremented");
         assert!(ipv4.checksum_ok, "incremental checksum update is valid");
-        assert_eq!(r.counters.borrow().forwarded, 1);
+        assert_eq!(r.counters.forwarded.get(), 1);
     }
 
     #[test]
@@ -499,7 +504,7 @@ mod tests {
         assert!(r.chassis.recv(1).is_empty());
         let dma = r.chassis.dma.clone().unwrap();
         assert!(dma.recv().is_none());
-        assert_eq!(r.counters.borrow().dropped, 1);
+        assert_eq!(r.counters.dropped.get(), 1);
     }
 
     #[test]
@@ -587,7 +592,7 @@ mod tests {
         r.chassis.send(0, ip_frame("10.0.0.2", "10.7.0.9", 64));
         r.chassis.run_for(Time::from_us(10));
         assert_eq!(dma.recv().expect("routed to the CPU").1.flags, 0);
-        assert_eq!(r.counters.borrow().forwarded, 1);
+        assert_eq!(r.counters.forwarded.get(), 1);
     }
 
     /// `SET_PORT_MAC` used to grow `port_macs` to whatever index was staged:

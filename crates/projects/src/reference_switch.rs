@@ -56,12 +56,13 @@ struct LookupRegisters {
 
 impl RegisterSpace for LookupRegisters {
     fn read(&mut self, offset: u32) -> u32 {
-        let s = self.core.borrow().stats();
+        let core = self.core.borrow();
+        let c = core.counters();
         match offset / 4 {
-            0 => s.hits as u32,
-            1 => s.floods as u32,
-            2 => s.learned as u32,
-            3 => s.learn_failures as u32,
+            0 => c.hits.get() as u32,
+            1 => c.floods.get() as u32,
+            2 => c.learned.get() as u32,
+            3 => c.learn_failures.get() as u32,
             _ => netfpga_core::regs::UNMAPPED_READ,
         }
     }
@@ -153,7 +154,9 @@ impl ReferenceSwitch {
             0x100,
             shared(LookupRegisters { core: core.clone() }),
         );
-        LearningSwitchCore::register_stats(&core, &chassis.telemetry, "lookup");
+        core.borrow()
+            .counters()
+            .register_stats(&chassis.telemetry, "lookup");
         chassis.attach_mmio();
 
         ReferenceSwitch {
@@ -361,7 +364,7 @@ mod tests {
         // Long enough for delivery plus at least one exporter sample at
         // the default 50 µs cadence.
         sw.chassis.run_for(Time::from_us(150));
-        assert_eq!(mon.packets(), 10);
+        assert_eq!(mon.counters().packets.get(), 10);
         assert_eq!(mon.tracked(), 3);
         let top = mon.top_talkers(2);
         assert_eq!(top[0].packets, 6);
@@ -418,7 +421,15 @@ mod tests {
             sw.chassis.send(i % 4, frame);
         }
         sw.chassis.run_for(Time::from_us(100));
-        assert_eq!(sw.flowmon.as_ref().expect("tapped").packets(), 20);
+        assert_eq!(
+            sw.flowmon
+                .as_ref()
+                .expect("tapped")
+                .counters()
+                .packets
+                .get(),
+            20
+        );
         let ticks = sw.chassis.sim.module_ticks();
         let (_, tap) = ticks
             .iter()

@@ -177,8 +177,12 @@ impl SwitchLite {
             LiteLookup { core: core.clone() },
         );
         let splitter = LiteSplitter::new("lite_splitter", lk_rx, to_ports);
-        lookup.register_stats(&chassis.telemetry, "pipeline.lookup");
-        LearningSwitchCore::register_stats(&core, &chassis.telemetry, "lookup");
+        lookup
+            .counters()
+            .register_stats(&chassis.telemetry, "pipeline.lookup");
+        core.borrow()
+            .counters()
+            .register_stats(&chassis.telemetry, "lookup");
         chassis.add_module(arbiter);
         chassis.add_module(lookup);
         chassis.add_module(splitter);

@@ -6,7 +6,7 @@
 
 use netfpga_core::board::BoardSpec;
 use netfpga_core::time::Time;
-use netfpga_host::NicDriver;
+use netfpga_host::{dump_stats, NicDriver};
 use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use netfpga_projects::ReferenceNic;
 
@@ -70,9 +70,15 @@ fn main() {
         );
     }
 
-    // 5. Hardware statistics over MMIO, software stats from the driver.
+    // 5. Hardware statistics over MMIO — one register, then port 0's RX
+    //    MAC counters found by name in the telemetry block — and software
+    //    stats from the driver.
     println!("\nHW rx-packet counter: {}", driver.hw_rx_packets(&mut nic));
     println!("Driver stats: {:?}", driver.stats());
-    println!("MAC 0 rx: {:?}", nic.chassis.rx_mac_stats(0));
+    for (path, value) in dump_stats(&mut nic.chassis) {
+        if path.starts_with("port0.mac.rx.") {
+            println!("  {path} = {value}");
+        }
+    }
     println!("\nquickstart done.");
 }

@@ -92,11 +92,14 @@ pub mod golden {
 }
 
 /// One build of every reference project shape whose module order is pinned
-/// by `tests/tests/module_order.rs`.
+/// by `tests/tests/module_order.rs`, and the fixed traffic
+/// `tests/tests/telemetry_snapshot.rs` runs through each.
 pub mod builds {
     use netfpga_core::board::BoardSpec;
+    use netfpga_core::stream::{Meta, PortMask};
     use netfpga_core::time::Time;
     use netfpga_faults::{FaultPlan, RecoveryPolicy};
+    use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
     use netfpga_projects::flowmon::FlowmonConfig;
     use netfpga_projects::{
         BlueSwitch, Chassis, ChassisConfig, OsntTester, ReferenceNic, ReferenceRouter,
@@ -132,5 +135,52 @@ pub mod builds {
             ("nic_recovery", ReferenceNic::build(&recovery).chassis),
             ("osnt", OsntTester::new(&spec, 2).chassis),
         ]
+    }
+
+    /// Fixed traffic any build takes. Twice, on every port: an IPv4/UDP
+    /// frame to the next port's host (the second round finds it learned)
+    /// and an ARP request. Then, on a chassis with a DMA engine, two host
+    /// frames from the CPU port: one with no destination and one for port 1.
+    /// Every frame that leaves the board is drained.
+    pub fn drive(chassis: &mut Chassis) {
+        let n = chassis.nports();
+        let host = |p: usize| EthernetAddress::new(2, 0, 0, 0, 0, p as u8 + 1);
+        let ip = |p: usize| Ipv4Address::new(10, 0, p as u8, 1);
+        let udp = |p: usize, q: usize| {
+            PacketBuilder::new()
+                .eth(host(p), host(q))
+                .ipv4(ip(p), ip(q))
+                .udp(1000 + p as u16, 2000, &[p as u8; 40])
+                .build()
+        };
+        for _ in 0..2 {
+            for p in 0..n {
+                chassis.send(p, udp(p, (p + 1) % n));
+                chassis.send(
+                    p,
+                    PacketBuilder::arp_request(host(p), ip(p), ip((p + 1) % n)),
+                );
+            }
+            chassis.run_for(Time::from_us(20));
+        }
+        if let Some(dma) = chassis.dma.clone() {
+            let cpu = n as u8;
+            dma.send(udp(0, 1), cpu).expect("ring has room");
+            let frame = udp(1, 0);
+            let meta = Meta {
+                len: frame.len() as u16,
+                src_port: cpu,
+                dst_ports: PortMask::single(1),
+                ..Meta::default()
+            };
+            dma.send_with_meta(frame, meta).expect("ring has room");
+        }
+        chassis.run_for(Time::from_us(50));
+        for p in 0..n {
+            chassis.recv(p);
+        }
+        if let Some(dma) = &chassis.dma {
+            while dma.recv().is_some() {}
+        }
     }
 }

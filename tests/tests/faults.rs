@@ -35,6 +35,14 @@ type TimedCaptures = Vec<(usize, Vec<(Vec<u8>, Time)>)>;
 
 /// Drive a deterministic traffic mix and capture everything with wire
 /// timestamps.
+/// A port's RX and TX MAC counters, as the telemetry plane reads them.
+fn mac_counters(chassis: &Chassis, port: usize) -> Vec<(String, u64)> {
+    let prefix = format!("port{port}.mac.");
+    let mut stats = chassis.telemetry.snapshot();
+    stats.retain(|(path, _)| path.starts_with(&prefix));
+    stats
+}
+
 fn switch_traffic(sw: &mut ReferenceSwitch) -> TimedCaptures {
     for i in 0..12u8 {
         sw.chassis.send(
@@ -69,12 +77,8 @@ fn inert_plan_is_bit_for_bit_identical_on_the_switch() {
     assert_eq!(a, b, "frames, ports and wire timestamps must match exactly");
     for p in 0..4 {
         assert_eq!(
-            plain.chassis.rx_mac_stats(p),
-            faulted.chassis.rx_mac_stats(p)
-        );
-        assert_eq!(
-            plain.chassis.tx_mac_stats(p),
-            faulted.chassis.tx_mac_stats(p)
+            mac_counters(&plain.chassis, p),
+            mac_counters(&faulted.chassis, p)
         );
     }
     assert_eq!(
@@ -100,7 +104,7 @@ fn inert_plan_is_bit_for_bit_identical_on_the_nic() {
         nic.chassis.run_for(Time::from_us(100));
         let up = dma.recv();
         let down = nic.chassis.recv_timed(1);
-        (up, down, dma.stats())
+        (up, down, dma.counters())
     };
     let a = run_nic(ReferenceNic::new(&spec, 4));
     let b = run_nic(ReferenceNic::build(&ChassisConfig {
@@ -156,7 +160,7 @@ fn seeded_plan_replays_identically() {
                 c.stream_stall_ticks.get(),
             ),
             (0..4)
-                .map(|p| sw.chassis.rx_mac_stats(p))
+                .map(|p| mac_counters(&sw.chassis, p))
                 .collect::<Vec<_>>(),
         )
     };
@@ -477,11 +481,12 @@ fn blueswitch_tcam_upsets_never_mix_configurations() {
     // The invariant under fire, end to end: every packet classified, none
     // ever saw mixed tags; the landed upset was detected (parity), the
     // empty-slot upset was harmless — all visible host-side.
-    let c = *sw.counters.borrow();
-    assert_eq!(c.packets, 3);
-    assert_eq!(c.matched, 3);
+    let c = &sw.counters;
+    assert_eq!(c.packets.get(), 3);
+    assert_eq!(c.matched.get(), 3);
     assert_eq!(
-        c.mixed_tag_packets, 0,
+        c.mixed_tag_packets.get(),
+        0,
         "atomic semantics survive TCAM upsets"
     );
     let stats = netfpga_host::dump_stats(&mut sw.chassis);

@@ -115,9 +115,9 @@ proptest! {
             (
                 mon.flows(),
                 mon.top_talkers(8),
-                mon.packets(),
-                mon.bytes(),
-                mon.non_ip(),
+                mon.counters().packets.get(),
+                mon.counters().bytes.get(),
+                mon.counters().non_ip.get(),
                 mon.evictions(),
             )
         };

@@ -148,7 +148,7 @@ fn full_scenario_is_deterministic() {
                 outputs.push((port, f));
             }
         }
-        let stats = sw.core.borrow().stats();
+        let stats = sw.core.borrow().counters().clone();
         (outputs, stats)
     };
     let (out1, stats1) = run();
@@ -169,10 +169,13 @@ fn mac_counters_consistent_with_traffic() {
     a.chassis.run_for(Time::from_ms(1));
     let got = a.chassis.recv(0).len() as u64;
     assert_eq!(got, n);
-    assert_eq!(a.chassis.rx_mac_stats(0).frames, n);
-    assert_eq!(a.chassis.tx_mac_stats(0).frames, n);
+    let mac = |path: &str| a.chassis.telemetry.get(path).expect("registered");
+    assert_eq!(mac("port0.mac.rx.frames"), n);
+    assert_eq!(mac("port0.mac.tx.frames"), n);
     assert_eq!(a.counters[0].frames.get(), n);
     // Wire accounting includes 24B overhead per frame.
-    let s = a.chassis.tx_mac_stats(0);
-    assert_eq!(s.wire_bytes, s.bytes + 24 * n);
+    assert_eq!(
+        mac("port0.mac.tx.wire_bytes"),
+        mac("port0.mac.tx.bytes") + 24 * n
+    );
 }

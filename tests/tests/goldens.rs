@@ -136,7 +136,7 @@ fn router_punts(seed: u64) -> u64 {
                 .u64(u64::from(meta.flags));
         }
     }
-    assert_eq!(r.counters.borrow().to_cpu, 12, "1 in 64 per port punted");
+    assert_eq!(r.counters.to_cpu.get(), 12, "1 in 64 per port punted");
     fold_chassis(&mut sig, &mut r.chassis);
     sig.finish()
 }
@@ -309,11 +309,11 @@ fn soft_reset_at(nports: usize, depth: usize, offset: u64) -> u64 {
             StageAction::Forward
         },
     );
-    stage.register_stats(&registry, "stage");
+    stage.counters().register_stats(&registry, "stage");
     let oq = OutputQueues::new("oq", stage_rx, vec![tx_tx], QueueConfig::default(), || {
         Box::new(Fifo)
     });
-    oq.register_stats(&registry, "oq");
+    oq.counters().register_stats(&registry, "oq");
     sim.add_module(clk, mac_tx);
     sim.add_module(clk, arbiter);
     sim.add_module(clk, stage);

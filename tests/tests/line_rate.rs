@@ -255,7 +255,7 @@ fn reference_nic_drains_four_ports_to_the_host() {
             }
             let what = format!("{len} B, fast path {fast_path}");
             assert_eq!(ring.len(), 8000, "{what}");
-            assert_eq!(dma.stats().rx_drops, 0, "{what}");
+            assert_eq!(dma.counters().rx_drops.get(), 0, "{what}");
 
             let beats = len.div_ceil(nic.chassis.bus_width()) as u64;
             let engine =

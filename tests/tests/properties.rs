@@ -657,10 +657,9 @@ fn conservation_under_congestion() {
     }
     r.chassis.run_for(Time::from_ms(3));
     let egressed = r.chassis.recv(3).len() as u64;
-    let counters = r.counters.borrow();
     // Every ingress frame was routed (forwarded counter), then either
     // egressed or tail-dropped in the output queues.
-    assert_eq!(counters.forwarded, 3 * n_per_port);
+    assert_eq!(r.counters.forwarded.get(), 3 * n_per_port);
     assert!(egressed <= 3 * n_per_port);
     assert!(egressed > 0);
     // The router's MAC counters account for the rest as queue drops; the
@@ -707,10 +706,10 @@ proptest! {
         let mut sw = ReferenceSwitch::new(&BoardSpec::sume(), 4, 256, Time::from_ms(100));
         offer(sw.chassis.port_wires(0).0);
         sw.chassis.run_for(Time::from_us(2 * n + 20));
-        let stats = sw.core.borrow().stats();
-        let rx = sw.chassis.rx_mac_stats(0);
-        prop_assert_eq!((rx.frames, rx.dropped), (n - 1, 1), "the empty frame dies at the MAC");
-        prop_assert_eq!(stats.hits + stats.floods, n - 1, "every other frame is looked up once");
+        let stats = sw.core.borrow().counters().clone();
+        let rx = |leaf: &str| sw.chassis.telemetry.get(&format!("port0.mac.rx.{leaf}"));
+        prop_assert_eq!((rx("frames"), rx("dropped")), (Some(n - 1), Some(1)), "the empty frame dies at the MAC");
+        prop_assert_eq!(stats.hits.get() + stats.floods.get(), n - 1, "every other frame is looked up once");
         prop_assert_eq!(sw.chassis.recv(1).last(), Some(&valid), "the valid frame floods");
 
         let mut r = ReferenceRouter::new(&BoardSpec::sume(), 4);
@@ -725,9 +724,9 @@ proptest! {
         }
         offer(r.chassis.port_wires(0).0);
         r.chassis.run_for(Time::from_us(2 * n + 20));
-        let c = *r.counters.borrow();
-        prop_assert_eq!(c.forwarded + c.to_cpu + c.dropped, n - 1, "one fate each: {:?}", c);
-        prop_assert!(c.forwarded >= 1, "{:?}", c);
+        let c = &r.counters;
+        prop_assert_eq!(c.forwarded.get() + c.to_cpu.get() + c.dropped.get(), n - 1, "one fate each: {:?}", c);
+        prop_assert!(c.forwarded.get() >= 1, "{:?}", c);
         let out = r.chassis.recv(3);
         let routed = ParsedHeaders::parse(out.last().expect("the valid frame is routed"));
         prop_assert_eq!(routed.ipv4.map(|ip| (ip.checksum_ok, ip.ttl)), Some((true, 63)));
@@ -808,8 +807,8 @@ proptest! {
                 r.chassis.send(port, frame);
             }
             r.chassis.run_for(Time::from_us(50));
-            let c = *r.counters.borrow();
-            let fates = c.forwarded + c.to_cpu + c.dropped;
+            let c = &r.counters;
+            let fates = c.forwarded.get() + c.to_cpu.get() + c.dropped.get();
             prop_assert_eq!(fates, offered, "one fate each: {:?}", c);
         }
     }
@@ -906,7 +905,7 @@ proptest! {
             }
             sw.chassis.run_for(Time::from_us(50));
             osnt.chassis.run_for(Time::from_us(50));
-            let packets = sw.counters.borrow().packets;
+            let packets = sw.counters.packets.get();
             prop_assert_eq!(packets, offered, "classified once each");
             for (port, generator) in osnt.generators.iter().enumerate() {
                 prop_assert!(
@@ -991,6 +990,72 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Host TX descriptors are outside input too: whatever a driver posts
+    /// to the reference NIC — `transmit` to any port, raw sends of any
+    /// length with any source port, destination mask and sequence number
+    /// — nothing panics, every frame the engine accepts is injected once
+    /// (a re-posted sequence number is discarded instead), and each one
+    /// injected has exactly one counted fate: a discard when its mask
+    /// names no port the board has, else one wire delivery or tail drop
+    /// per port it names there.
+    #[test]
+    fn prop_dma_descriptors_conserve_frames(
+        ops in proptest::collection::vec(
+            (0u8..4, any::<u8>(), 0usize..9601, any::<u16>(), 0u64..4, any::<u64>()),
+            1..40,
+        ),
+    ) {
+        use netfpga_core::stream::{Meta, PortMask};
+        use netfpga_host::NicDriver;
+        use netfpga_projects::ReferenceNic;
+        use std::collections::BTreeSet;
+        const PRESENT: u16 = 0b1111;
+        let mut nic = ReferenceNic::new(&BoardSpec::sume(), 4);
+        let mut driver = NicDriver::bind(&nic);
+        let dma = nic.chassis.dma.clone().expect("NIC has DMA");
+        let (mut injected, mut dups, mut no_destination, mut copies) = (0u64, 0u64, 0u64, 0u64);
+        let mut delivered_seqs = BTreeSet::new();
+        for (i, &(kind, byte, len, mask, small_seq, raw_seq)) in ops.iter().enumerate() {
+            // 0..=9000 bytes, empty one time in sixteen.
+            let frame = vec![i as u8; len.saturating_sub(600)];
+            let meta = Meta { src_port: byte, dst_ports: PortMask(mask), ..Meta::default() };
+            // Small sequence numbers repeat often enough to exercise dedup.
+            let seq = if raw_seq % 2 == 0 { small_seq } else { raw_seq };
+            let (result, mask) = match kind {
+                0 => (driver.transmit(byte, frame), 1u16.checked_shl(u32::from(byte)).unwrap_or(0)),
+                1 => (dma.send(frame, byte), 0),
+                2 => (dma.send_with_meta(frame, meta), mask),
+                _ => (dma.send_sequenced(frame, meta, seq), mask),
+            };
+            if result.is_err() {
+                continue;
+            }
+            // The engine fetches in posting order and acks each frame
+            // before the next fetch, so a repeat of an accepted sequence
+            // number is always discarded.
+            if kind == 3 && !delivered_seqs.insert(seq) {
+                dups += 1;
+                continue;
+            }
+            injected += 1;
+            match (mask & PRESENT).count_ones() {
+                0 => no_destination += 1,
+                n => copies += u64::from(n),
+            }
+        }
+        nic.chassis.run_for(Time::from_ms(1));
+        let wire: u64 = (0..4).map(|p| nic.chassis.recv(p).len() as u64).sum();
+        let stat = |path: &str| nic.chassis.telemetry.get(path).expect("registered");
+        prop_assert_eq!(stat("dma.tx.packets"), injected);
+        prop_assert_eq!(stat("dma.dup_discards"), dups);
+        prop_assert_eq!(stat("oq.no_destination"), no_destination);
+        prop_assert_eq!(wire + stat("oq.dropped"), copies);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
     /// The reliable host-I/O plane is exactly-once and schedule-invariant:
@@ -1058,8 +1123,8 @@ proptest! {
                 channel.accepted(),
                 channel.abandoned(),
                 channel.retries(),
-                dma.acked(),
-                dma.dup_discards(),
+                dma.counters().acked.get(),
+                dma.counters().dup_discards.get(),
             )
         };
 
@@ -1210,7 +1275,7 @@ fn run_stall_rig(
         },
     )
     .with_burst(burst);
-    lookup.register_stats(&registry, "lookup");
+    lookup.counters().register_stats(&registry, "lookup");
     let (oq_input, tap) = if scenario == StallScenario::TappedFlood {
         let (tap_tx, tap_rx) = Stream::new(depth, W);
         let tap = FlowTap::new(lookup_rx, tap_tx, &FlowmonConfig::default()).with_burst(burst);
@@ -1225,7 +1290,7 @@ fn run_stall_rig(
     };
     let oq =
         OutputQueues::new("oq", oq_input, oq_outputs, config, || Box::new(Fifo)).with_burst(burst);
-    oq.register_stats(&registry, "oq");
+    oq.counters().register_stats(&registry, "oq");
     oq.register_depth_gauges(&registry, "oq");
     sim.add_module(core, arbiter);
     sim.add_module(core, stats_stage.with_burst(burst));

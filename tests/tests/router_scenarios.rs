@@ -107,7 +107,7 @@ fn host_to_host_through_router() {
     assert_eq!(h.ipv4.unwrap().dst, host_b.1);
 
     // 4. Subsequent packets take the hardware fast path.
-    let before = r.counters.borrow().forwarded;
+    let before = r.counters.forwarded.get();
     for _ in 0..10 {
         let data = PacketBuilder::new()
             .eth(host_a.0, mac(0xe0))
@@ -118,8 +118,12 @@ fn host_to_host_through_router() {
     }
     mgr.run(&mut r, Time::from_us(80), Time::from_us(20));
     assert_eq!(r.chassis.recv(1).len(), 10);
-    assert_eq!(r.counters.borrow().forwarded - before, 10);
-    assert_eq!(mgr.stats().slow_path_forwards, 1, "only the first was slow");
+    assert_eq!(r.counters.forwarded.get() - before, 10);
+    assert_eq!(
+        mgr.counters().slow_path_forwards.get(),
+        1,
+        "only the first was slow"
+    );
 }
 
 /// A traceroute-style TTL sweep: TTL=1 elicits time-exceeded, higher TTLs
@@ -150,7 +154,7 @@ fn ttl_sweep() {
         assert!(ip4.checksum_ok, "checksum valid after TTL decrement");
         assert!((1..=3).contains(&ip4.ttl));
     }
-    assert_eq!(mgr.stats().icmp_ttl, 1);
+    assert_eq!(mgr.counters().icmp_ttl.get(), 1);
 }
 
 /// Register counters agree with observed datapath behaviour.
@@ -179,7 +183,7 @@ fn hardware_counters_cross_check() {
     // from the CPU port count as forwarded too, as in the RTL counters.
     assert_eq!(r.chassis.read32(ROUTER_BASE + 16 * 4), 8, "forwarded");
     assert_eq!(r.chassis.read32(ROUTER_BASE + 17 * 4), 1, "to_cpu");
-    assert_eq!(mgr.stats().icmp_unreachable, 1);
+    assert_eq!(mgr.counters().icmp_unreachable.get(), 1);
 }
 
 /// The router survives (and punts) garbage: truncated, non-IP, and
@@ -218,7 +222,7 @@ fn malformed_traffic_does_not_wedge() {
         1,
         "good frame forwarded despite garbage before it"
     );
-    assert_eq!(r.counters.borrow().dropped, 1, "bad checksum dropped");
+    assert_eq!(r.counters.dropped.get(), 1, "bad checksum dropped");
 }
 
 /// A table change made through the registers between two frames to one

@@ -4,13 +4,15 @@
 //! events must reach the host through the event ring.
 
 use netfpga_core::board::BoardSpec;
-use netfpga_core::telemetry::EventKind;
+use netfpga_core::stream::{Meta, PortMask};
+use netfpga_core::telemetry::{decode_stat_block, EventKind, TELEMETRY_BASE};
 use netfpga_core::time::Time;
 use netfpga_faults::{FaultKind, FaultPlan};
 use netfpga_host::{dump_stats, poll_events};
-use netfpga_packet::{EthernetAddress, PacketBuilder};
+use netfpga_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
+use netfpga_projects::flowmon::FlowmonConfig;
 use netfpga_projects::reference_switch::{ReferenceSwitch, LOOKUP_BASE, STATS_BASE};
-use netfpga_projects::ChassisConfig;
+use netfpga_projects::{BlueSwitch, Chassis, ChassisConfig, ReferenceNic, ReferenceRouter};
 
 fn mac(x: u8) -> EthernetAddress {
     EthernetAddress::new(2, 0, 0, 0, 0, x)
@@ -86,19 +88,15 @@ fn registry_paths_equal_legacy_counters_bit_for_bit() {
         "workload exercised the fast path"
     );
 
-    // Per-port MAC stats vs registry paths.
+    // Per-port RX MAC counters agree with the statistics stage behind
+    // the arbiter: two independent cells counting the same frames.
     for port in 0..4 {
-        let rx = sw.chassis.rx_mac_stats(port);
-        let tx = sw.chassis.tx_mac_stats(port);
-        for (path, legacy) in [
-            (format!("port{port}.mac.rx.frames"), rx.frames),
-            (format!("port{port}.mac.rx.bytes"), rx.bytes),
-            (format!("port{port}.mac.rx.wire_bytes"), rx.wire_bytes),
-            (format!("port{port}.mac.rx.bad_fcs"), rx.bad_fcs),
-            (format!("port{port}.mac.tx.frames"), tx.frames),
-            (format!("port{port}.mac.tx.bytes"), tx.bytes),
-        ] {
-            assert_eq!(reg.get(&path), Some(legacy), "{path}");
+        for (mac, stage) in [("frames", "packets"), ("bytes", "bytes")] {
+            assert_eq!(
+                reg.get(&format!("port{port}.mac.rx.{mac}")),
+                reg.get(&format!("rx_stats.port{port}.{stage}")),
+                "port {port} {mac}"
+            );
         }
     }
 
@@ -199,4 +197,131 @@ fn poll_events_observes_injected_link_flap() {
     let events = poll_events(&mut sw.chassis);
     assert_eq!(events.len(), 2);
     assert!(events.iter().all(|e| e.port == 0));
+}
+
+/// An IPv4/UDP frame from host `src` to host `dst`.
+fn udp(src: u8, dst: u8) -> Vec<u8> {
+    PacketBuilder::new()
+        .eth(mac(src), mac(dst))
+        .ipv4(
+            Ipv4Address::new(10, 0, 0, src),
+            Ipv4Address::new(10, 0, 0, dst),
+        )
+        .udp(1000 + u16::from(src), 2000, &[src; 200])
+        .build()
+}
+
+/// Write 0 to the value word of each of `paths` in the chassis' mounted
+/// stat block, straight on its register map so the simulation stays where
+/// it is, and return each `(path, before, after)`.
+fn write_each(chassis: &Chassis, paths: &[&str]) -> Vec<(String, u32, u32)> {
+    let block = decode_stat_block(TELEMETRY_BASE, |a| chassis.map.read(a)).expect("stat block");
+    paths
+        .iter()
+        .map(|&path| {
+            let (_, addr) = block
+                .iter()
+                .find(|(p, _)| p == path)
+                .unwrap_or_else(|| panic!("{path} not in the stat block"));
+            let before = chassis.map.read(*addr);
+            chassis.map.write(*addr, 0);
+            (path.to_string(), before, chassis.map.read(*addr))
+        })
+        .collect()
+}
+
+/// The counter contract over MMIO: after traffic through the switch (with
+/// the flow monitor), the router, BlueSwitch and the NIC, a write to a
+/// count's word in the stat block clears it, and a write to a derived
+/// value's word leaves it as it was.
+#[test]
+fn counts_are_write_to_clear_derived_values_are_not() {
+    let spec = BoardSpec::sume();
+
+    // Switch: teach host 1 on port 0, then oversubscribe port 0 from the
+    // other three ports and stop while its queue is still full.
+    let mut sw = ReferenceSwitch::build(
+        &ChassisConfig::new(&spec, 4),
+        1024,
+        Time::from_ms(100),
+        Some(FlowmonConfig::default()),
+    );
+    sw.chassis.send(0, udp(1, 2));
+    sw.chassis.run_for(Time::from_us(5));
+    for _ in 0..20 {
+        for p in 1..4 {
+            sw.chassis.send(p, udp(p as u8 + 1, 1));
+        }
+    }
+    sw.chassis.run_for(Time::from_us(5));
+
+    // Router: frames the CPU injects with their destination set are
+    // forwarded in hardware.
+    let mut r = ReferenceRouter::new(&spec, 4);
+    let dma = r.chassis.dma.clone().expect("router has a CPU port");
+    for _ in 0..3 {
+        let f = udp(1, 2);
+        let meta = Meta {
+            len: f.len() as u16,
+            src_port: r.cpu_port,
+            dst_ports: PortMask::single(1),
+            ..Meta::default()
+        };
+        dma.send_with_meta(f, meta).expect("ring has room");
+    }
+    r.chassis.run_for(Time::from_us(20));
+
+    // BlueSwitch: every frame is classified.
+    let mut bs = BlueSwitch::new(&spec, 4, 2, 16);
+    bs.chassis.send(0, udp(1, 2));
+    bs.chassis.run_for(Time::from_us(10));
+
+    // NIC: frames up to the host before and inside a DMA drop window, and
+    // host frames posted last, so they are still pending when frozen.
+    let plan = FaultPlan::new(9).at(
+        Time::from_us(10),
+        FaultKind::DmaDrop {
+            duration: Time::from_us(20),
+        },
+    );
+    let mut nic = ReferenceNic::build(&ChassisConfig {
+        faults: plan,
+        ..ChassisConfig::new(&spec, 4)
+    });
+    nic.chassis.send(1, udp(1, 2));
+    nic.chassis.run_for(Time::from_us(15));
+    nic.chassis.send(1, udp(1, 2));
+    nic.chassis.run_for(Time::from_us(10));
+    let dma = nic.chassis.dma.clone().expect("NIC has DMA");
+    dma.send(udp(2, 1), 0).expect("ring has room");
+
+    let counts = [
+        (&sw.chassis, "port0.mac.rx.frames"),
+        (&sw.chassis, "port0.mac.tx.frames"),
+        (&sw.chassis, "lookup.hits"),
+        (&sw.chassis, "flowmon.packets"),
+        (&r.chassis, "router.forwarded"),
+        (&bs.chassis, "blueswitch.packets"),
+        (&nic.chassis, "dma.rx.packets"),
+    ];
+    for (chassis, path) in counts {
+        let [(_, before, after)] = write_each(chassis, &[path])[..] else {
+            unreachable!()
+        };
+        assert!(before > 0, "{path}: the traffic moved it");
+        assert_eq!(after, 0, "{path}: a count is write-to-clear");
+    }
+    let derived = [
+        (&sw.chassis, "port0.q0.depth"),
+        (&sw.chassis, "flowmon.flows"),
+        (&nic.chassis, "dma.tx.pending"),
+        (&nic.chassis, "dma.fault.dropped"),
+    ];
+    for (chassis, path) in derived {
+        let [(_, before, after)] = write_each(chassis, &[path])[..] else {
+            unreachable!()
+        };
+        assert!(before > 0, "{path}: the traffic moved it");
+        assert_eq!(after, before, "{path}: a derived value is read-only");
+    }
 }
